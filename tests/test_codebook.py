@@ -1,5 +1,6 @@
 """Sector codebooks, quasi-omni synthesis, and the file format."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -133,6 +134,38 @@ class TestQuasiOmni:
         a = synthesize_quasi_omni(g, n_samples=200, seed=3, max_iters=8)
         b = synthesize_quasi_omni(g, n_samples=200, seed=3, max_iters=8)
         assert np.array_equal(a.phases, b.phases)
+
+    # SHA-256 of the returned phase bytes.  Synthesis speed-ups must return
+    # these weights bit for bit: the default AP pattern, a non-square array,
+    # a pass budget that runs out, a single element, and the 64x64 headset
+    # pattern (through the cache, shared with tests/test_covrage.py).
+    WEIGHT_DIGESTS = {
+        "8x8_default": (
+            lambda: synthesize_quasi_omni(ArrayGeometry(8, 8), n_samples=1000, seed=7, max_iters=40),
+            "de262cb1cbc98b0b4ab32427d81e038e54afff4665a42c13a6597239bdc53c5d",
+        ),
+        "4x16": (
+            lambda: synthesize_quasi_omni(ArrayGeometry(4, 16), seed=5),
+            "af3abfc1a45dfd2ab194307183a98ce73ef66e0b7dd89c08e37590cb2b16020b",
+        ),
+        "8x8_budget": (
+            lambda: synthesize_quasi_omni(ArrayGeometry(8, 8), n_samples=300, seed=3, max_iters=10),
+            "79e74df43e552a503d445df0f7d5a51b0ad4079c4bdec314c1a6bf33185b2042",
+        ),
+        "1x1": (
+            lambda: synthesize_quasi_omni(ArrayGeometry(1, 1)),
+            "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        ),
+        "64x64_cached": (
+            lambda: cached_quasi_omni(64, 64, 0.5, 60e9, 1000, 7, 6),
+            "fe3f17f2bd1247dd91e4ed27dac6671635f9a1eba0c28166cc45875af2a443f6",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WEIGHT_DIGESTS))
+    def test_weight_digest(self, name):
+        synthesize, want = self.WEIGHT_DIGESTS[name]
+        assert hashlib.sha256(synthesize().phases.tobytes()).hexdigest() == want
 
     def test_cached_variant_matches_and_memoizes(self):
         a = cached_quasi_omni(4, 4, 0.5, 60e9, 200, 3, 8)
