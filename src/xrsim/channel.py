@@ -40,13 +40,6 @@ class McsEntry:
 DEFAULT_MCS = McsEntry(21, 8.085e9, 18.0)
 
 
-@dataclass(frozen=True)
-class LinkState:
-    t: float
-    snr_db: float
-    usable: bool
-
-
 def free_space_path_loss_db(distance_m, carrier_hz: float):
     """Friis loss in dB; ``distance_m`` is a scalar or an array of distances."""
     if np.any(np.asarray(distance_m) <= 0.0):

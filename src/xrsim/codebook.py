@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .antenna import ArrayGeometry, Awv, sample_directions, _NULL_FIELD
+from .antenna import ArrayGeometry, Awv, sample_directions, steering_phases, _NULL_FIELD
 from .geometry import Direction
 
 # default aim grid, degrees, used on both azimuth and elevation
@@ -59,12 +59,6 @@ class Codebook:
         return out
 
 
-def _steer(geometry: ArrayGeometry, direction: Direction) -> Awv:
-    from .antenna import steering_phases
-
-    return steering_phases(geometry, direction)
-
-
 def generate_sector_codebook(
     geometry: ArrayGeometry,
     azimuths: Sequence[float] = DEFAULT_AIMS,
@@ -81,7 +75,7 @@ def generate_sector_codebook(
     for el in elevations:
         for az in azimuths:
             aim = Direction(float(az), float(el))
-            sectors.append(Sector(sid, aim, _steer(geometry, aim)))
+            sectors.append(Sector(sid, aim, steering_phases(geometry, aim)))
             sid += 1
     if quasi_omni is None:
         quasi_omni = synthesize_quasi_omni(geometry, n_samples=n_samples, seed=seed, max_iters=max_iters)
@@ -119,10 +113,18 @@ def _initial_phase_candidates(geometry: ArrayGeometry, rng: np.random.Generator)
     return starts
 
 
-def _gain_range_db(fields: np.ndarray) -> float:
-    mags = np.maximum(np.abs(fields), _NULL_FIELD)
-    g = 20.0 * np.log10(mags)
-    return float(g.max() - g.min())
+def _gain_ranges_db(fields: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """Per-row spread max - min of 20 log10 max(|field|, null floor), dB.
+
+    The floor, log10 and the x20 are monotone, so they are applied to each
+    row's largest and smallest magnitude only; the result equals the spread
+    of the full per-sample gain row bit for bit.  ``mags`` is a scratch
+    buffer of the same shape as ``fields``.
+    """
+    np.abs(fields, out=mags)
+    hi = 20.0 * np.log10(np.maximum(mags.max(axis=1), _NULL_FIELD))
+    lo = 20.0 * np.log10(np.maximum(mags.min(axis=1), _NULL_FIELD))
+    return hi - lo
 
 
 def synthesize_quasi_omni(
@@ -130,7 +132,6 @@ def synthesize_quasi_omni(
     n_samples: int = 1000,
     seed: int = 0,
     max_iters: int = 40,
-    tolerance_db: float = 0.0,
 ) -> Awv:
     """Phase-only weights minimizing max-min gain over a fixed sample set.
 
@@ -138,8 +139,17 @@ def synthesize_quasi_omni(
     phase perturbation with a shrinking step (pi/4 initially, halved when a
     full pass finds no improving move, stopped below 1e-3 rad or after
     ``max_iters`` passes).  Deterministic for fixed inputs; ties between
-    starts resolve to the lowest start index.  ``tolerance_db`` > 0 allows an
-    early return once a start reaches that range.
+    starts resolve to the lowest start index.
+
+    All starts descend in lockstep: each (element, +-step) trial is one
+    array pass over the (active starts x samples) field rows, and a start
+    leaves the active rows once its step falls below the stop.  Each row
+    follows exactly the arithmetic of a descent run on its own: +step is
+    tried before -step and accepted only on a strict 1e-12 dB improvement,
+    an improved row is resynced once per pass with the same 1-D ``unit @
+    base`` product, and the spread is read from each row's extreme
+    magnitudes (see ``_gain_ranges_db``).  The weights are therefore those
+    of one-start-after-another descents, bit for bit.
     """
     rng = np.random.default_rng(seed)
     directions = sample_directions(n_samples, rng)
@@ -149,45 +159,56 @@ def synthesize_quasi_omni(
     base = np.exp(1j * k * (geometry.element_positions() @ u.T))  # (N, M)
     amplitude = 1.0 / math.sqrt(geometry.n_elements)
 
-    best_phases = None
-    best_range = math.inf
-    for phases0 in _initial_phase_candidates(geometry, rng):
-        phases = phases0.copy()
-        unit = np.exp(1j * phases)
-        fields = amplitude * (unit @ base)
-        current = _gain_range_db(fields)
-        step = _STEP_INIT
-        for _ in range(max_iters):
-            if step < _STEP_MIN:
-                break
-            improved = False
-            for i in range(phases.size):
-                old = unit[i]
-                contrib = amplitude * base[i]
-                for delta in (step, -step):
-                    new = np.exp(1j * (phases[i] + delta))
-                    trial = fields + (new - old) * contrib
-                    r = _gain_range_db(trial)
-                    # strict margin so rounding noise cannot masquerade as progress
-                    if r < current - 1e-12:
-                        phases[i] += delta
-                        unit[i] = new
-                        fields = trial
-                        current = r
-                        old = new
-                        improved = True
-            if not improved:
-                step *= 0.5
-            else:
-                # incremental updates accumulate error; resync once per pass
-                fields = amplitude * (unit @ base)
-                current = _gain_range_db(fields)
-        if current < best_range:
-            best_range = current
-            best_phases = phases
-            if tolerance_db > 0.0 and best_range <= tolerance_db:
-                break
-    return Awv(best_phases)
+    # one row per start, compacted to the still-active starts once per pass
+    phases = np.array(_initial_phase_candidates(geometry, rng))
+    unit = np.exp(1j * phases)
+    fields = np.stack([amplitude * (row @ base) for row in unit])
+    trial = np.empty_like(fields)
+    mags = np.empty(fields.shape)
+    current = _gain_ranges_db(fields, mags)
+    step = np.full(len(phases), _STEP_INIT)
+    start_ids = np.arange(len(phases))
+    final_phases = np.empty_like(phases)
+    final_range = np.empty(len(phases))
+
+    for n_pass in range(max_iters + 1):
+        # retire the starts whose step fell below the stop, and all of them
+        # once the pass budget is spent
+        done = (step < _STEP_MIN) | (n_pass == max_iters)
+        if done.any():
+            final_phases[start_ids[done]] = phases[done]
+            final_range[start_ids[done]] = current[done]
+            keep = ~done
+            phases, unit, fields, current, step, start_ids = (
+                a[keep] for a in (phases, unit, fields, current, step, start_ids)
+            )
+        if start_ids.size == 0:
+            break
+        n_active = start_ids.size
+        trial_rows, mag_rows = trial[:n_active], mags[:n_active]
+        improved = np.zeros(n_active, dtype=bool)
+        for i in range(phases.shape[1]):
+            contrib = amplitude * base[i]
+            for delta in (step, -step):
+                new = np.exp(1j * (phases[:, i] + delta))
+                np.multiply((new - unit[:, i])[:, None], contrib, out=trial_rows)
+                np.add(fields, trial_rows, out=trial_rows)
+                r = _gain_ranges_db(trial_rows, mag_rows)
+                # strict margin so rounding noise cannot masquerade as progress
+                accept = r < current - 1e-12
+                if accept.any():
+                    phases[accept, i] += delta[accept]
+                    unit[accept, i] = new[accept]
+                    fields[accept] = trial_rows[accept]
+                    current[accept] = r[accept]
+                    improved |= accept
+        step[~improved] *= 0.5
+        # incremental updates accumulate error; resync once per pass
+        for s in np.flatnonzero(improved):
+            fields[s] = amplitude * (unit[s] @ base)
+        current[improved] = _gain_ranges_db(fields[improved], mags[: improved.sum()])
+
+    return Awv(final_phases[np.argmin(final_range)])
 
 
 @lru_cache(maxsize=16)

@@ -98,6 +98,12 @@ def choose_block_count(cols: int, spacing_wavelengths: float, span_deg: float, k
 def plan_with_k(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> SubArrayPlan:
     """Equal column blocks (remainder to the last), targets at the trajectory
     midpoints s=(i+0.5)/k, crossovers at the block boundaries s=i/k."""
+    return _plan_and_steers(geometry, trajectory, k)[0]
+
+
+def _plan_and_steers(geometry: ArrayGeometry, trajectory: Trajectory, k: int):
+    """:func:`plan_with_k` plus the full-array steering phases toward each
+    block target, which the offsets and the composite AWV both need."""
     if k < 1 or k > geometry.cols:
         raise ValueError("block count must be in [1, cols]")
     per = geometry.cols // k
@@ -108,8 +114,9 @@ def plan_with_k(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> SubA
         blocks.append((c0, c1))
     targets = tuple(trajectory.direction_at((i + 0.5) / k) for i in range(k))
     crossovers = tuple(trajectory.direction_at(i / k) for i in range(1, k))
-    offsets = _alignment_offsets(geometry, tuple(blocks), targets, crossovers)
-    return SubArrayPlan(tuple(blocks), targets, crossovers, tuple(offsets))
+    steers = [steering_phases(geometry, t).phases for t in targets]
+    offsets = _alignment_offsets(geometry, tuple(blocks), steers, crossovers)
+    return SubArrayPlan(tuple(blocks), targets, crossovers, tuple(offsets)), steers
 
 
 def plan_subarrays(geometry: ArrayGeometry, trajectory: Trajectory, k_max: int = K_MAX_DEFAULT) -> SubArrayPlan:
@@ -117,31 +124,35 @@ def plan_subarrays(geometry: ArrayGeometry, trajectory: Trajectory, k_max: int =
     return plan_with_k(geometry, trajectory, k)
 
 
-def _block_field(geometry: ArrayGeometry, block: tuple[int, int], phases: np.ndarray, direction: Direction) -> complex:
-    """Far-field contribution of one column block, global element positions."""
+def _block_field(
+    geometry: ArrayGeometry, positions: np.ndarray, block: tuple[int, int], phases: np.ndarray, direction: Direction
+) -> complex:
+    """Far-field contribution of one column block; ``positions`` are the
+    global element positions, ``geometry.element_positions()``."""
     c0, c1 = block
     u = direction.to_unit_vector()
     k = 2.0 * math.pi / geometry.wavelength
-    pos = geometry.element_positions().reshape(geometry.rows, geometry.cols, 3)[:, c0:c1]
+    pos = positions.reshape(geometry.rows, geometry.cols, 3)[:, c0:c1]
     ph = phases.reshape(geometry.rows, geometry.cols)[:, c0:c1]
     amplitude = 1.0 / math.sqrt(geometry.n_elements)
     total = np.exp(1j * (ph + k * (pos @ u))).sum()
     return amplitude * complex(total)
 
 
-def _alignment_offsets(geometry, blocks, targets, crossovers) -> list[float]:
+def _alignment_offsets(geometry, blocks, steers, crossovers) -> list[float]:
     """Sequential phase offsets: block 1 is the reference; each later block is
     rotated so its field adds in phase with the accumulated field of all
     earlier blocks at the crossover direction between them.  A block whose
-    field is a perfect null at the crossover keeps offset 0."""
-    steers = [steering_phases(geometry, t).phases for t in targets]
+    field is a perfect null at the crossover keeps offset 0.  ``steers`` are
+    the full-array steering phases toward each block's target."""
+    positions = geometry.element_positions()
     offsets = [0.0]
     for i in range(1, len(blocks)):
         u_cross = crossovers[i - 1]
         acc = 0j
         for j in range(i):
-            acc += _block_field(geometry, blocks[j], steers[j], u_cross) * cmath.exp(1j * offsets[j])
-        own = _block_field(geometry, blocks[i], steers[i], u_cross)
+            acc += _block_field(geometry, positions, blocks[j], steers[j], u_cross) * cmath.exp(1j * offsets[j])
+        own = _block_field(geometry, positions, blocks[i], steers[i], u_cross)
         if abs(acc) < _NULL_FIELD or abs(own) < _NULL_FIELD:
             offsets.append(0.0)
         else:
@@ -152,11 +163,14 @@ def _alignment_offsets(geometry, blocks, targets, crossovers) -> list[float]:
 def synthesize_awv(geometry: ArrayGeometry, plan: SubArrayPlan) -> Awv:
     """Assemble the composite AWV: each block gets the full-array steering
     phases toward its own target plus the block phase offset."""
+    return _composite_awv(geometry, plan, [steering_phases(geometry, t).phases for t in plan.targets])
+
+
+def _composite_awv(geometry: ArrayGeometry, plan: SubArrayPlan, steers) -> Awv:
     phases = np.empty((geometry.rows, geometry.cols))
-    for block, target, offset in zip(plan.blocks, plan.targets, plan.offsets):
+    for block, steer, offset in zip(plan.blocks, steers, plan.offsets):
         c0, c1 = block
-        steer = steering_phases(geometry, target).phases.reshape(geometry.rows, geometry.cols)
-        phases[:, c0:c1] = steer[:, c0:c1] + offset
+        phases[:, c0:c1] = steer.reshape(geometry.rows, geometry.cols)[:, c0:c1] + offset
     return Awv(phases.ravel())
 
 
@@ -173,5 +187,6 @@ def covrage_beam(
     the current AP direction.
     """
     trajectory = trajectory_from_poses(pose_now, pose_pred, ap_position)
-    plan = plan_subarrays(geometry, trajectory, k_max)
-    return synthesize_awv(geometry, plan)
+    k = choose_block_count(geometry.cols, geometry.spacing_wavelengths, trajectory.span_deg, k_max)
+    plan, steers = _plan_and_steers(geometry, trajectory, k)
+    return _composite_awv(geometry, plan, steers)

@@ -255,14 +255,15 @@ def test_criterion_8_property_suite(run_cached, tmp_path):
         traj = _trajectory(100 + seed, 5.0, 40.0)
         plan = plan_subarrays(g, traj)
         steers = [steering_phases(g, t).phases for t in plan.targets]
+        pos = g.element_positions()
         for idx in range(1, plan.k):
             cross = plan.crossovers[idx - 1]
             acc = sum(
-                _block_field(g, plan.blocks[j], steers[j], cross)
+                _block_field(g, pos, plan.blocks[j], steers[j], cross)
                 * cmath.exp(1j * plan.offsets[j])
                 for j in range(idx)
             )
-            own = _block_field(g, plan.blocks[idx], steers[idx], cross) * cmath.exp(
+            own = _block_field(g, pos, plan.blocks[idx], steers[idx], cross) * cmath.exp(
                 1j * plan.offsets[idx]
             )
             ok &= abs(acc + own) >= abs(acc) - 1e-9

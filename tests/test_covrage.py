@@ -131,19 +131,20 @@ class TestSynthesis:
             if plan.k < 2:
                 continue
             steers = [steering_phases(g, t).phases for t in plan.targets]
+            pos = g.element_positions()
             for idx in range(1, plan.k):
                 cross = plan.crossovers[idx - 1]
                 acc = sum(
-                    _block_field(g, plan.blocks[j], steers[j], cross)
+                    _block_field(g, pos, plan.blocks[j], steers[j], cross)
                     * cmath.exp(1j * plan.offsets[j])
                     for j in range(idx)
                 )
-                own = _block_field(g, plan.blocks[idx], steers[idx], cross) * cmath.exp(
+                own = _block_field(g, pos, plan.blocks[idx], steers[idx], cross) * cmath.exp(
                     1j * plan.offsets[idx]
                 )
                 assert abs(acc + own) >= abs(acc) - 1e-9
-                acc0 = sum(_block_field(g, plan.blocks[j], steers[j], cross) for j in range(idx))
-                own0 = _block_field(g, plan.blocks[idx], steers[idx], cross)
+                acc0 = sum(_block_field(g, pos, plan.blocks[j], steers[j], cross) for j in range(idx))
+                own0 = _block_field(g, pos, plan.blocks[idx], steers[idx], cross)
                 if abs(acc0 + own0) < abs(acc0) - 1e-9:
                     zero_offset_drops += 1
         # without the offsets some joins interfere destructively
