@@ -10,8 +10,7 @@ shared by all elements (phase-only beamforming).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,21 +121,6 @@ def gain_db(geometry: ArrayGeometry, awv: Awv, direction: Direction) -> float:
     return 20.0 * math.log10(mag)
 
 
-def gain_map(geometry: ArrayGeometry, awv: Awv, directions: Sequence[Direction]) -> np.ndarray:
-    """Vectorized gain over a list of directions."""
-    if len(directions) == 0:
-        return np.zeros(0)
-    if awv.n_elements != geometry.n_elements:
-        raise ValueError("weight vector length does not match the array")
-    u = np.stack([d.to_unit_vector() for d in directions])
-    k = 2.0 * math.pi / geometry.wavelength
-    phase = awv.phases[None, :] + k * (u @ geometry.element_positions().T)
-    mags = np.abs(awv.amplitude * np.exp(1j * phase).sum(axis=1))
-    if geometry.element_exponent > 0.0:
-        mags = mags * np.clip(u[:, 0], 0.0, None) ** geometry.element_exponent
-    return 20.0 * np.log10(np.maximum(mags, _NULL_FIELD))
-
-
 def _lattice_phasors(k_offsets: np.ndarray, u: np.ndarray) -> np.ndarray:
     """exp(j k_offsets u) for each entry of ``u``, (M, len(k_offsets)).
 
@@ -173,15 +157,14 @@ class AwvEvaluator:
         self._kz = k * d * (np.arange(geometry.rows) - (geometry.rows - 1) / 2.0)
         self._w = (awv.amplitude * np.exp(1j * awv.phases)).reshape(geometry.rows, geometry.cols)
 
-    def field(self, direction: Direction) -> complex:
+    def gain_db(self, direction: Direction) -> float:
+        # Kept beside gains_db, which rounds differently: the last bit decides
+        # mirror-sector ties, and sweeping with gains_db moved the abft digest.
         u = direction.to_unit_vector()
         col_phasors = np.exp(1j * (self._ky * u[1]))
         row_phasors = np.exp(1j * (self._kz * u[2]))
         total = complex(row_phasors @ (self._w @ col_phasors))
-        return total * _element_factor(self.geometry, u)
-
-    def gain_db(self, direction: Direction) -> float:
-        mag = abs(self.field(direction))
+        mag = abs(total * _element_factor(self.geometry, u))
         if mag < _NULL_FIELD:
             return NULL_GAIN_DB
         return 20.0 * math.log10(mag)

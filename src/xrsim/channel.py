@@ -1,5 +1,5 @@
 """Line-of-sight link budget: free-space path loss, thermal noise, SNR
-composition, and the binary MCS usability gate.
+composition, and the MCS table entries.
 
 No fading or blockage model is applied; link quality varies only through
 distance and the beamforming gains at both ends, which is the effect under
@@ -15,17 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import SPEED_OF_LIGHT, ArrayGeometry, Awv, gain_db
-from .geometry import Direction, Pose, ap_direction_in_hmd_frame
-
-
-@dataclass(frozen=True)
-class LinkBudgetConfig:
-    tx_power_dbm: float = 10.0
-    noise_figure_db: float = 10.0
-    bandwidth_hz: float = 1.76e9
-    carrier_hz: float = 60e9
-    implementation_loss_db: float = 5.0
-    extra_loss_db: float = 0.0
+from .geometry import Pose, ap_direction_in_hmd_frame
 
 
 @dataclass(frozen=True)
@@ -33,6 +23,12 @@ class McsEntry:
     index: int
     phy_rate_bps: float
     snr_threshold_db: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.phy_rate_bps) and self.phy_rate_bps > 0.0):
+            raise ValueError("mcs rate_bps must be finite and positive")
+        if not math.isfinite(self.snr_threshold_db):
+            raise ValueError("mcs threshold_db must be finite")
 
 
 # fixed modulation-coding point used throughout; the threshold is a
@@ -49,13 +45,14 @@ def free_space_path_loss_db(distance_m, carrier_hz: float):
     return 20.0 * np.log10(4.0 * math.pi * distance_m * carrier_hz / SPEED_OF_LIGHT)
 
 
-def noise_floor_dbm(config: LinkBudgetConfig) -> float:
+def noise_floor_dbm(config) -> float:
     return -174.0 + 10.0 * math.log10(config.bandwidth_hz) + config.noise_figure_db
 
 
-def link_snr_db(config: LinkBudgetConfig, tx_gain_db, rx_gain_db, distance_m):
+def link_snr_db(config, tx_gain_db, rx_gain_db, distance_m):
     """SNR from the budget: tx power plus both array gains, minus path loss,
     implementation and extra losses, referenced to the thermal noise floor.
+    ``config`` is the scenario config, read for its six budget fields.
     Gains and distance may be scalars or equal-length arrays."""
     fspl = free_space_path_loss_db(distance_m, config.carrier_hz)
     return (
@@ -70,7 +67,7 @@ def link_snr_db(config: LinkBudgetConfig, tx_gain_db, rx_gain_db, distance_m):
 
 
 def snr_db(
-    config: LinkBudgetConfig,
+    config,
     ap_pose: Pose,
     ap_geometry: ArrayGeometry,
     ap_awv: Awv,
@@ -93,10 +90,6 @@ def snr_db(
         gain_db(hmd_geometry, hmd_awv, d_at_hmd),
         distance,
     )
-
-
-def usable(snr_value_db: float, mcs: McsEntry = DEFAULT_MCS) -> bool:
-    return snr_value_db >= mcs.snr_threshold_db
 
 
 def parse_mcs_line(line: str) -> McsEntry:

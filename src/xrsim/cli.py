@@ -9,15 +9,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
-import math
 import os
 import sys
 
 from .antenna import ArrayGeometry
-from .codebook import CodebookFormatError, generate_sector_codebook, write_codebook
+from .codebook import DEFAULT_AIMS, CodebookFormatError, generate_sector_codebook, write_codebook
 from .config import ConfigError, config_echo_lines, load_config
 from .macsim import run, write_event_log
-from .metrics import read_frame_records, summarize, write_outputs
+from .metrics import format_ms, read_frame_records, summarize, summary_lines, write_outputs
 from .mobility import TraceFormatError, generate_rotation_trace, save_trace, static_trace
 
 PRESETS = ("paper-fig4",)
@@ -32,17 +31,6 @@ def _out_dir(args) -> str:
 def _cell_seed(base_seed: int, cell_key: str) -> int:
     digest = hashlib.sha256(("%d|%s" % (base_seed, cell_key)).encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big") % (2**31)
-
-
-def _quantile(sorted_values, p: float):
-    if not sorted_values:
-        return None
-    idx = max(0, math.ceil(p * len(sorted_values)) - 1)
-    return sorted_values[min(idx, len(sorted_values) - 1)]
-
-
-def _fmt_ms(value) -> str:
-    return "none" if value is None else "%.6f" % (value * 1e3)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -71,9 +59,9 @@ def _cmd_simulate(args) -> int:
             summary.frame_count,
             summary.frame_count - summary.lost_count,
             summary.reliability,
-            _fmt_ms(summary.min_latency),
-            _fmt_ms(summary.median_latency),
-            _fmt_ms(summary.max_latency),
+            format_ms(summary.min_latency),
+            format_ms(summary.median_latency),
+            format_ms(summary.max_latency),
         )
     )
     return 0
@@ -136,19 +124,16 @@ def _cmd_sweep(args) -> int:
             cfg = load_config(args.config, overrides)
             result = run(cfg)
             summary = summarize(result.frames, cfg.deadline)
-            lats = sorted(
-                r.completed - r.created for r in result.frames if r.completed is not None
-            )
             row = (
                 key,
                 "%d" % seed,
                 "%.6f" % summary.reliability,
                 "%d" % (summary.frame_count - summary.lost_count),
                 "%d" % summary.lost_count,
-                _fmt_ms(_quantile(lats, 0.50)),
-                _fmt_ms(_quantile(lats, 0.90)),
-                _fmt_ms(_quantile(lats, 0.99)),
-                _fmt_ms(summary.max_latency),
+                format_ms(summary.p50_latency),
+                format_ms(summary.p90_latency),
+                format_ms(summary.p99_latency),
+                format_ms(summary.max_latency),
                 "",
             )
         except Exception as exc:  # record the failure, keep sweeping
@@ -168,27 +153,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     records = read_frame_records(args.frames)
     summary = summarize(records, args.deadline)
-    print("frame_count=%d" % summary.frame_count)
-    print("delivered_count=%d" % (summary.frame_count - summary.lost_count))
-    print("lost_count=%d" % summary.lost_count)
-    print("reliability=%.4f" % summary.reliability)
-    print("min_latency_ms=%s" % _fmt_ms(summary.min_latency))
-    print("median_latency_ms=%s" % _fmt_ms(summary.median_latency))
-    print("max_latency_ms=%s" % _fmt_ms(summary.max_latency))
+    for line in summary_lines(summary):
+        print(line)
     return 0
 
 
 def _cmd_generate_codebook(args) -> int:
     geometry = ArrayGeometry(args.rows, args.cols, args.spacing, args.freq)
-    aims = [float(a) for a in args.aims.split(",")] if args.aims else None
-    if aims:
-        book = generate_sector_codebook(
-            geometry, aims, aims, seed=args.seed, n_samples=args.samples, max_iters=args.iters
-        )
-    else:
-        book = generate_sector_codebook(
-            geometry, seed=args.seed, n_samples=args.samples, max_iters=args.iters
-        )
+    aims = [float(a) for a in args.aims.split(",")] if args.aims else DEFAULT_AIMS
+    book = generate_sector_codebook(
+        geometry, aims, aims, seed=args.seed, n_samples=args.samples, max_iters=args.iters
+    )
     write_codebook(args.out, book)
     print("wrote %s (%d sectors + quasi-omni)" % (args.out, len(book.sectors)))
     return 0

@@ -9,12 +9,11 @@ entry.  Command-line ``--set key=value`` overrides win over file values.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-from .channel import DEFAULT_MCS, LinkBudgetConfig, McsEntry, parse_mcs_line
+from .channel import DEFAULT_MCS, McsEntry, parse_mcs_line
 
 ALLOWED_DATA_RATES = (2e9, 5e9, 7e9, 8e9)
 ALLOWED_BI = (0.1024, 1.024)
@@ -113,17 +112,6 @@ class ScenarioConfig:
                 return entry
         raise ConfigError(f"mcs_index {self.mcs_index} not present in the mcs table")
 
-    @property
-    def link_budget(self) -> LinkBudgetConfig:
-        return LinkBudgetConfig(
-            self.tx_power_dbm,
-            self.noise_figure_db,
-            self.bandwidth_hz,
-            self.carrier_hz,
-            self.implementation_loss_db,
-            self.extra_loss_db,
-        )
-
     def hmd_shape(self) -> tuple[int, int]:
         """HMD array size; defaults to 64x64 except for the sector-codebook
         mode, which uses the small array it can sweep."""
@@ -136,8 +124,14 @@ class ScenarioConfig:
         return (64, 64)
 
     def validate(self) -> "ScenarioConfig":
-        if self.sim_time <= 0.0:
-            raise ConfigError("sim_time must be positive")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        for (bound, inclusive), names in _LOWER_BOUNDS.items():
+            for name in names:
+                value = getattr(self, name)
+                if value < bound or (value == bound and not inclusive):
+                    raise ConfigError(f"{name} must be {'>=' if inclusive else '>'} {bound:g}, got {value!r}")
         if self.data_rate not in ALLOWED_DATA_RATES:
             rates = ", ".join(f"{r:g}" for r in ALLOWED_DATA_RATES)
             raise ConfigError(f"data_rate {self.data_rate:g} not in {{{rates}}}")
@@ -157,30 +151,31 @@ class ScenarioConfig:
             raise ConfigError(
                 f"rotation must be one of {', '.join(ROTATION_MODES)} or an existing trace file"
             )
-        if self.frame_rate <= 0.0:
-            raise ConfigError("frame_rate must be positive")
         if abs(self.data_rate / self.frame_rate - round(self.data_rate / self.frame_rate)) > 1e-9:
             raise ConfigError("data_rate / frame_rate must be an integer number of bits")
         if not (0.0 < self.bhi_duration < self.bi_duration):
             raise ConfigError("bhi_duration must lie strictly inside the beacon interval")
-        if self.sls_duration <= 0.0:
-            raise ConfigError("sls_duration must be positive")
-        if self.deadline <= 0.0:
-            raise ConfigError("deadline must be positive")
-        if self.mpdu_bytes <= 0 or self.header_bytes < 0:
-            raise ConfigError("mpdu_bytes must be positive and header_bytes nonnegative")
-        if self.walk_speed < 0.0:
-            raise ConfigError("walk_speed must be nonnegative")
         rows, cols = self.hmd_shape()
-        if rows < 1 or cols < 1:
-            raise ConfigError("hmd array must have positive dimensions")
         if self.rx_beamforming == "sectors" and (rows > 16 or cols > 16):
             raise ConfigError("sectors beamforming supports arrays up to 16x16")
-        if self.ap_rows < 1 or self.ap_cols < 1:
-            raise ConfigError("ap array must have positive dimensions")
         self.mcs  # raises if the index is missing
         return self
 
+
+# (lower bound, whether the bound itself is allowed) -> the fields it limits;
+# every float field must also be finite
+_LOWER_BOUNDS = {
+    (0.0, False): (
+        "sim_time", "room_x", "room_y", "room_z", "peak_dps_low", "peak_dps_high",
+        "trace_sample_rate", "walk_step_interval", "frame_rate", "deadline",
+        "sls_duration", "spacing", "bandwidth_hz", "carrier_hz",
+    ),
+    (0.0, True): (
+        "seed", "walk_speed", "queue_drop", "header_bytes", "per_mpdu_overhead",
+        "hmd_rows", "hmd_cols", "codebook_seed", "qo_iters", "qo_iters_large",
+    ),
+    (1, True): ("mpdu_bytes", "ap_rows", "ap_cols", "qo_samples"),
+}
 
 _SCALAR_FIELDS = {
     f.name: f.type for f in fields(ScenarioConfig) if f.name != "mcs_table"

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-UNIT_NORM_TOL = 1e-9
 # below this quaternion angle slerp degenerates to nlerp
 _SLERP_MIN_ANGLE = 1e-7
 
@@ -108,9 +107,6 @@ class Quaternion:
             return np.array([1.0, 0.0, 0.0]), 0.0
         angle = 2.0 * math.atan2(s, q.w)
         return np.array([q.x / s, q.y / s, q.z / s]), angle
-
-    def is_unit(self, tol: float = UNIT_NORM_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
 
 
 def slerp(q0: Quaternion, q1: Quaternion, s: float) -> Quaternion:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .antenna import ArrayGeometry, Awv, AwvEvaluator
 from .channel import link_snr_db
-from .codebook import Codebook, cached_quasi_omni, generate_sector_codebook
+from .codebook import cached_quasi_omni, generate_sector_codebook
 from .config import ConfigError, ScenarioConfig
 from .covrage import covrage_beam
 from .geometry import Pose, Quaternion, ap_direction_in_hmd_frame, predict_pose, rotate_into_frames
@@ -68,30 +68,6 @@ _VELOCITY_EST_DT = 0.01
 
 # predicted MPDU start times per link-evaluation batch
 _LINK_BATCH = 128
-
-
-@dataclass(frozen=True)
-class BiConfig:
-    """Beacon-interval schedule knobs."""
-
-    bi_duration: float
-    bhi_duration: float = 2.0e-3
-    sls_duration: float = 0.75e-3
-    bf_location: str = "dti"
-    dti_bf_interval: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 < self.bhi_duration < self.bi_duration:
-            raise ValueError("bhi_duration must lie strictly inside the beacon interval")
-        if self.bf_location not in ("abft", "dti"):
-            raise ValueError("bf_location must be 'abft' or 'dti'")
-
-
-@dataclass(frozen=True)
-class TrafficConfig:
-    burst_interval: float = 0.01
-    data_rate: float = 5e9
-    deadline: float = 0.020
 
 
 @dataclass(frozen=True)
@@ -177,14 +153,6 @@ class Simulator:
     def __init__(self, config: ScenarioConfig, collect_events: bool = False):
         config.validate()
         self.cfg = config
-        self.bi = BiConfig(
-            config.bi_duration,
-            config.bhi_duration,
-            config.sls_duration,
-            config.bf_location,
-            config.bf_interval,
-        )
-        self.traffic = TrafficConfig(config.burst_interval, config.data_rate, config.deadline)
         self.mcs = config.mcs
         self.collect = collect_events
 
@@ -327,7 +295,7 @@ class Simulator:
         d_at_ap = rotate_into_frames(self._ap_quat, toward_hmd)
         d_at_hmd = rotate_into_frames(self.trace.orientations_at(ts), -toward_hmd)
         return link_snr_db(
-            self.cfg.link_budget,
+            self.cfg,
             self.ap_eval.gains_db(d_at_ap),
             self.hmd_eval.gains_db(d_at_hmd),
             distance,
@@ -423,8 +391,8 @@ class Simulator:
         self.sls_active = True
         self.counters["sls_runs"] += 1
         if self.collect:
-            self.sls_intervals.append((t, t + self.bi.sls_duration))
-        self._push(t + self.bi.sls_duration, "sls_done")
+            self.sls_intervals.append((t, t + self.cfg.sls_duration))
+        self._push(t + self.cfg.sls_duration, "sls_done")
 
     def _drop_expired(self, t: float) -> None:
         drop_age = self.cfg.queue_drop_age
@@ -458,14 +426,14 @@ class Simulator:
         self.in_bhi = True
         self.counters["bhi_count"] += 1
         if self.collect:
-            self.bhi_intervals.append((t, t + self.bi.bhi_duration))
+            self.bhi_intervals.append((t, t + self.cfg.bhi_duration))
         self._log(t, "beacon_start", "index=%d" % index)
-        self._push(t + self.bi.bhi_duration, "bhi_end")
+        self._push(t + self.cfg.bhi_duration, "bhi_end")
 
     def _on_bhi_end(self, t: float) -> None:
         self.in_bhi = False
         detail = ""
-        if self.bi.bf_location == "abft":
+        if self.cfg.bf_location == "abft":
             detail = self._apply_beamform(t)
         if self.postponed_bf:
             self.postponed_bf = False
@@ -518,7 +486,7 @@ class Simulator:
                 del self.remaining[fid]
                 rec = self.frames[fid]
                 rec.completed = t
-                rec.delivered = (t - rec.created) <= self.traffic.deadline
+                rec.delivered = (t - rec.created) <= self.cfg.deadline
                 if rec.delivered:
                     self.counters["frames_delivered"] += 1
         if self.collect:
@@ -536,16 +504,16 @@ class Simulator:
 
     def run(self) -> RunResult:
         cfg = self.cfg
-        n_bi = int(math.ceil(cfg.sim_time / self.bi.bi_duration - 1e-9))
+        n_bi = int(math.ceil(cfg.sim_time / cfg.bi_duration - 1e-9))
         for k in range(n_bi):
-            self._push(k * self.bi.bi_duration, "beacon_start", k)
-        if self.bi.bf_location == "dti":
-            n_trig = int(math.ceil(cfg.sim_time / self.bi.dti_bf_interval - 1e-9))
+            self._push(k * cfg.bi_duration, "beacon_start", k)
+        if cfg.bf_location == "dti":
+            n_trig = int(math.ceil(cfg.sim_time / cfg.bf_interval - 1e-9))
             for k in range(n_trig):
-                self._push(k * self.bi.dti_bf_interval, "bf_trigger")
-        n_bursts = int(math.ceil(cfg.sim_time / self.traffic.burst_interval - 1e-9))
+                self._push(k * cfg.bf_interval, "bf_trigger")
+        n_bursts = int(math.ceil(cfg.sim_time / cfg.burst_interval - 1e-9))
         for k in range(n_bursts):
-            self._push(k * self.traffic.burst_interval, "burst_arrival", k)
+            self._push(k * cfg.burst_interval, "burst_arrival", k)
         self._push(cfg.sim_time, "sim_end")
 
         while self._heap:

@@ -1,4 +1,5 @@
-"""Frame-latency summaries: reliability, latency CDF, and CSV output.
+"""Frame-latency summaries: reliability, latency CDF and quantiles, and the
+run output files.
 
 A frame is delivered when its last packet lands within the deadline.  Frames
 that complete late still contribute their latency to the CDF (the curve may
@@ -8,6 +9,7 @@ denominator.
 
 from __future__ import annotations
 
+import math
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -25,6 +27,18 @@ class RunSummary:
     min_latency: Optional[float]
     median_latency: Optional[float]
     max_latency: Optional[float]
+    p50_latency: Optional[float]
+    p90_latency: Optional[float]
+    p99_latency: Optional[float]
+
+
+def quantile(sorted_values: Sequence[float], p: float) -> Optional[float]:
+    """Nearest-rank quantile of ascending values: the ceil(p * n)-th
+    smallest (at least the first, at most the last); None when empty."""
+    if not sorted_values:
+        return None
+    idx = max(0, math.ceil(p * len(sorted_values)) - 1)
+    return sorted_values[min(idx, len(sorted_values) - 1)]
 
 
 def summarize(records: Sequence[FrameRecord], deadline: float) -> RunSummary:
@@ -56,6 +70,9 @@ def summarize(records: Sequence[FrameRecord], deadline: float) -> RunSummary:
         min_latency=latencies[0] if latencies else None,
         median_latency=statistics.median(latencies) if latencies else None,
         max_latency=latencies[-1] if latencies else None,
+        p50_latency=quantile(latencies, 0.50),
+        p90_latency=quantile(latencies, 0.90),
+        p99_latency=quantile(latencies, 0.99),
     )
 
 
@@ -66,8 +83,22 @@ def cdf_value(cdf: Sequence[tuple], latency: float) -> float:
     return cdf[i - 1][1] if i else 0.0
 
 
-def _fmt_opt_ms(value: Optional[float]) -> str:
+def format_ms(value: Optional[float]) -> str:
+    """A latency in seconds as milliseconds with six decimals, or "none"."""
     return "none" if value is None else "%.6f" % (value * 1e3)
+
+
+def summary_lines(summary: RunSummary) -> list[str]:
+    """The key=value lines of the summary file, also printed by ``xrsim report``."""
+    return [
+        "frame_count=%d" % summary.frame_count,
+        "delivered_count=%d" % (summary.frame_count - summary.lost_count),
+        "lost_count=%d" % summary.lost_count,
+        "reliability=%.4f" % summary.reliability,
+        "min_latency_ms=%s" % format_ms(summary.min_latency),
+        "median_latency_ms=%s" % format_ms(summary.median_latency),
+        "max_latency_ms=%s" % format_ms(summary.max_latency),
+    ]
 
 
 def write_outputs(
@@ -101,13 +132,8 @@ def write_outputs(
         with open(summary_path, "w", encoding="ascii", newline="\n") as fh:
             for line in header_lines:
                 fh.write("# %s\n" % line)
-            fh.write("frame_count=%d\n" % summary.frame_count)
-            fh.write("delivered_count=%d\n" % (summary.frame_count - summary.lost_count))
-            fh.write("lost_count=%d\n" % summary.lost_count)
-            fh.write("reliability=%.4f\n" % summary.reliability)
-            fh.write("min_latency_ms=%s\n" % _fmt_opt_ms(summary.min_latency))
-            fh.write("median_latency_ms=%s\n" % _fmt_opt_ms(summary.median_latency))
-            fh.write("max_latency_ms=%s\n" % _fmt_opt_ms(summary.max_latency))
+            for line in summary_lines(summary):
+                fh.write("%s\n" % line)
 
 
 def read_frame_records(path) -> list[FrameRecord]:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Direction, Pose, Quaternion, slerp, slerp_arrays
+from .geometry import Pose, Quaternion, slerp, slerp_arrays
 
 HMD_HEIGHT = 1.7
 _NORM_REJECT = 0.01
@@ -47,8 +47,7 @@ class TraceSet:
     """Ordered orientation samples with looping lookup.
 
     Lookups past the last sample wrap around to the start, so a short
-    recorded trace can drive an arbitrarily long simulation; the wrap
-    instants are exposed through :meth:`seam_times` for attribution.
+    recorded trace can drive an arbitrarily long simulation.
     """
 
     def __init__(self, samples: Sequence[TraceSample], label: str):
@@ -129,17 +128,6 @@ class TraceSet:
             raise ValueError("trace has no device-prediction columns")
         s = self.sample_nearest(t)
         return s.device_predicted
-
-    def seam_times(self, sim_time: float) -> list[float]:
-        """Loop seam instants within [0, sim_time]."""
-        n = int(math.floor(sim_time / self.duration))
-        return [k * self.duration for k in range(1, n + 1)]
-
-    def angular_speed(self, t: float, window: float = 0.1) -> float:
-        """Mean angular speed over [t, t + window], degrees per second."""
-        a = self.orientation_at(t)
-        b = self.orientation_at(t + window)
-        return math.degrees(a.rotation_angle_to(b)) / window
 
 
 def _parse_quat(fields, row, offset, what) -> Quaternion:

@@ -8,17 +8,17 @@ import pytest
 from xrsim.antenna import ArrayGeometry, steering_phases
 from xrsim.channel import (
     DEFAULT_MCS,
-    LinkBudgetConfig,
     free_space_path_loss_db,
     link_snr_db,
     noise_floor_dbm,
     parse_mcs_line,
     snr_db,
-    usable,
 )
+from xrsim.config import ScenarioConfig
 from xrsim.geometry import Pose, Quaternion, ap_direction_in_hmd_frame
 
-CFG = LinkBudgetConfig()
+# the link budget functions read the six budget fields of the scenario config
+CFG = ScenarioConfig()
 
 
 class TestPathLoss:
@@ -57,9 +57,7 @@ class TestNoiseAndSnr:
 
     def test_extra_loss_shifts_one_for_one(self):
         base = link_snr_db(CFG, 20.0, 20.0, 3.0)
-        lossy = link_snr_db(
-            LinkBudgetConfig(extra_loss_db=7.5), 20.0, 20.0, 3.0
-        )
+        lossy = link_snr_db(ScenarioConfig(extra_loss_db=7.5), 20.0, 20.0, 3.0)
         assert base - lossy == pytest.approx(7.5, abs=1e-12)
 
     def test_posed_arrays_both_steered_frozen(self):
@@ -105,11 +103,6 @@ class TestMcs:
         assert DEFAULT_MCS.phy_rate_bps == 8.085e9
         assert DEFAULT_MCS.snr_threshold_db == 18.0
 
-    def test_usable_boundary_is_inclusive(self):
-        assert usable(18.0)
-        assert usable(18.0 + 1e-12)
-        assert not usable(18.0 - 1e-9)
-
     def test_parse_mcs_line(self):
         entry = parse_mcs_line("12 4620e6 14.5")
         assert entry.index == 12
@@ -121,3 +114,8 @@ class TestMcs:
             parse_mcs_line("12 4620e6")
         with pytest.raises(ValueError):
             parse_mcs_line("12 4620e6 14.5 extra")
+
+    @pytest.mark.parametrize("line", ["21 nan 18", "21 inf 18", "21 0 18", "21 -1 18", "21 8.085e9 nan"])
+    def test_parse_rejects_bad_numbers(self, line):
+        with pytest.raises(ValueError, match="rate_bps|threshold_db"):
+            parse_mcs_line(line)

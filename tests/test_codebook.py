@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from xrsim.antenna import ArrayGeometry, Awv, gain_db, gain_map, sample_directions, steering_phases
+from xrsim.antenna import ArrayGeometry, Awv, AwvEvaluator, gain_db, sample_directions, steering_phases
 from xrsim.codebook import (
     DEFAULT_AIMS,
     Codebook,
@@ -25,7 +25,7 @@ from xrsim.geometry import Direction
 def sampled_range_db(geometry, awv, seed, n=1000):
     """Gain spread over the synthesis sample set for (seed, n)."""
     dirs = sample_directions(n, np.random.default_rng(seed))
-    g = gain_map(geometry, awv, dirs)
+    g = AwvEvaluator(geometry, awv).gains_db(np.stack([d.to_unit_vector() for d in dirs]))
     return float(g.max() - g.min())
 
 

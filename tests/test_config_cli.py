@@ -1,6 +1,7 @@
 """Config parsing and validation, plus the command-line front end."""
 
-import os
+import contextlib
+import signal
 
 import pytest
 
@@ -12,7 +13,24 @@ from xrsim.config import (
     load_config,
     parse_config_lines,
 )
-from xrsim.metrics import read_frame_records
+from xrsim.macsim import run
+from xrsim.metrics import format_ms, read_frame_records, summarize
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test, rather than hang it, if the block runs too long."""
+
+    def expire(signum, frame):
+        pytest.fail("still running after %g s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestDefaults:
@@ -204,21 +222,52 @@ class TestSimulateCommand:
         )
         assert rc == 1
 
+    # non-finite floats, values below a field's lower bound and bad MCS
+    # numbers: without the checks these run to a quiet "reliability 0", fail
+    # deep in set-up (exit 2) or make time run backwards (a hang)
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "walk_speed = nan",
+            "tx_power_dbm = nan",
+            "sls_duration = inf",
+            "mcs = 21 8.085e9 nan",
+            "seed = -1",
+            "qo_samples = 0",
+            "spacing = -0.5",
+            "carrier_hz = -1",
+            "mcs = 21 nan 18",
+            "mcs = 21 -1 18",
+            "per_mpdu_overhead = -1",
+        ],
+    )
+    def test_bad_value_exits_one_naming_the_field(self, tmp_path, capsys, override):
+        with time_limit(20.0):
+            rc = cli.main(
+                ["simulate", "--out-dir", str(tmp_path), "--set", "sim_time = 0.3", "--set", override]
+            )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert override.split("=")[0].strip() in err
+
 
 class TestReportCommand:
     def test_round_trip_matches_the_run_summary(self, tmp_path, capsys):
-        assert (
-            cli.main(["simulate", "--out-dir", str(tmp_path), "--label", "r"] + SECTOR_RUN)
-            == 0
-        )
+        # 8 Gbps under high motion: some frames late, so every latency line
+        # carries a number
+        run_args = ["--set", "sim_time = 0.3", "--set", "data_rate = 8e9"]
+        assert cli.main(["simulate", "--out-dir", str(tmp_path), "--label", "r"] + run_args) == 0
         capsys.readouterr()
         rc = cli.main(["report", "--frames", str(tmp_path / "r_frames.csv")])
         assert rc == 0
         out = capsys.readouterr().out
         summary = (tmp_path / "r_summary.txt").read_text()
-        for key in ("frame_count", "reliability", "median_latency_ms"):
-            line = next(ln for ln in out.splitlines() if ln.startswith(key + "="))
-            assert line + "\n" in summary
+        body = [ln + "\n" for ln in summary.splitlines() if not ln.startswith("#")]
+        assert len(body) == 7
+        assert out == "".join(body)
+        assert "none" not in out
+        assert "reliability=1.0000" not in out
 
     def test_malformed_frames_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -324,11 +373,18 @@ class TestSweepCommand:
         assert a != cli._cell_seed(2, "data_rate=5e9")
         assert 0 <= a < 2**31
 
-    def test_quantile_rule(self):
-        assert cli._quantile([], 0.5) is None
-        assert cli._quantile([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
-        assert cli._quantile([1.0, 2.0, 3.0, 4.0], 0.99) == 4.0
-        assert cli._quantile([5.0], 0.5) == 5.0
+    def test_cell_quantiles_are_the_run_summary_ones(self, tmp_path):
+        base = ["sim_time = 0.3", "data_rate = 8e9"]
+        args = ["sweep", "--out-dir", str(tmp_path), "--label", "q", "--vary", "prediction=device"]
+        assert cli.main(args + [a for ov in base for a in ("--set", ov)]) == 0
+        header, row = (tmp_path / "q.csv").read_text().splitlines()
+        cell = dict(zip(header.split(","), row.split(",")))
+        cfg = load_config(overrides=base + ["prediction=device", "seed=%s" % cell["seed"]])
+        summary = summarize(run(cfg).frames, cfg.deadline)
+        got = [cell["p50_ms"], cell["p90_ms"], cell["p99_ms"]]
+        expect = [summary.p50_latency, summary.p90_latency, summary.p99_latency]
+        assert got == [format_ms(v) for v in expect]
+        assert len(set(got)) == 3
 
 
 class TestGenerators:

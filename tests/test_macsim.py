@@ -11,11 +11,10 @@ from xrsim import macsim
 from xrsim.antenna import ArrayGeometry, AwvEvaluator
 from xrsim.channel import snr_db
 from xrsim.codebook import cached_quasi_omni, generate_sector_codebook
-from xrsim.config import ScenarioConfig, load_config
+from xrsim.config import ConfigError, ScenarioConfig, load_config
 from xrsim.geometry import Direction
 from xrsim.macsim import (
     EVENT_KINDS,
-    BiConfig,
     Mpdu,
     best_sector,
     frame_airtime,
@@ -89,20 +88,22 @@ class TestMpduAccounting:
 
 
 class TestBiConfig:
+    """The beacon-interval schedule fields, as the simulator reads them."""
+
     def test_accepts_the_standard_schedule(self):
-        bi = BiConfig(0.1024)
-        assert bi.bhi_duration == 2e-3
-        assert bi.sls_duration == 0.75e-3
+        cfg = load_config(overrides=["bi_duration = 0.1024"])
+        assert cfg.bhi_duration == 2e-3
+        assert cfg.sls_duration == 0.75e-3
 
     def test_rejects_bhi_outside_the_interval(self):
-        with pytest.raises(ValueError):
-            BiConfig(0.1024, bhi_duration=0.2)
-        with pytest.raises(ValueError):
-            BiConfig(0.1024, bhi_duration=0.0)
+        with pytest.raises(ConfigError, match="bhi_duration"):
+            load_config(overrides=["bi_duration = 0.1024", "bhi_duration = 0.2"])
+        with pytest.raises(ConfigError, match="bhi_duration"):
+            load_config(overrides=["bi_duration = 0.1024", "bhi_duration = 0.0"])
 
     def test_rejects_unknown_bf_location(self):
-        with pytest.raises(ValueError):
-            BiConfig(0.1024, bf_location="beacon")
+        with pytest.raises(ConfigError, match="bf_location"):
+            load_config(overrides=["bf_location = beacon"])
 
 
 class TestBestSector:
@@ -214,6 +215,16 @@ class TestMediumRules:
         assert any(
             s < b < e for s, e, _, _ in res.tx_intervals for b in boundaries
         )
+
+    def test_mcs_gate_is_inclusive(self):
+        # an attempt at exactly the threshold SNR succeeds, one just below fails
+        for offset_db, fails_all in ((0.0, False), (-1e-9, True)):
+            sim = macsim.Simulator(load_config(overrides=["sim_time = 0.05", "rotation = static"]))
+            snr = sim.mcs.snr_threshold_db + offset_db
+            sim.snr_at = lambda ts: np.full(len(ts), snr)
+            counters = sim.run().counters
+            assert counters["mpdu_attempts"] > 0
+            assert counters["mpdu_failures"] == (counters["mpdu_attempts"] if fails_all else 0)
 
 
 class TestModes:
@@ -364,7 +375,7 @@ class TestBatchedLink:
     def oracle(sim, t):
         pose = pose_at(sim.trace, sim.walk, t, sim.cfg.hmd_height)
         return snr_db(
-            sim.cfg.link_budget,
+            sim.cfg,
             sim.ap_pose,
             sim.ap_geometry,
             sim.ap_eval.awv,

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrsim.macsim import FrameRecord
-from xrsim.metrics import cdf_value, read_frame_records, summarize, write_outputs
+from xrsim.metrics import cdf_value, quantile, read_frame_records, summarize, write_outputs
 
 DEADLINE = 0.020
 
@@ -59,6 +59,21 @@ class TestSummarize:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             summarize([], DEADLINE)
+
+    def test_quantile_rule(self):
+        assert quantile([], 0.5) is None
+        assert quantile([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
+        assert quantile([1.0, 2.0, 3.0, 4.0], 0.99) == 4.0
+        assert quantile([5.0], 0.5) == 5.0
+
+    def test_quantiles_are_nearest_rank_over_completed_frames(self):
+        # ten completions in reverse order, plus one frame that never completes
+        lats = [k * 1e-3 for k in range(1, 11)]
+        records = [frame(i, 0.0, lat) for i, lat in enumerate(reversed(lats))]
+        s = summarize(records + [frame(10, 0.0, None)], DEADLINE)
+        assert (s.p50_latency, s.p90_latency, s.p99_latency) == (lats[4], lats[8], lats[9])
+        s = summarize([frame(0, 0.0, None)], DEADLINE)
+        assert (s.p50_latency, s.p90_latency, s.p99_latency) == (None, None, None)
 
     @given(
         latencies=st.lists(

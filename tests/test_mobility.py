@@ -90,8 +90,6 @@ class TestTraceSet:
         assert tr.wrap(0.5) == 0.5
         assert tr.wrap(2.5) == pytest.approx(0.5)
         assert tr.wrap(6.0) == pytest.approx(0.0)
-        assert tr.seam_times(5.0) == [2.0, 4.0]
-        assert tr.seam_times(1.9) == []
 
     def test_lookup_loops_continuously(self):
         tr = generate_rotation_trace(200.0, 1.0, seed=8)
@@ -115,9 +113,6 @@ class TestTraceSet:
             assert tr.orientation_at(t).rotation_angle_to(Quaternion.identity()) < 1e-12
         assert tr.has_device
         assert tr.device_prediction_nearest(1.0).rotation_angle_to(Quaternion.identity()) < 1e-12
-
-    def test_angular_speed_static_is_zero(self):
-        assert static_trace(2.0).angular_speed(0.5) == pytest.approx(0.0, abs=1e-6)
 
     def test_position_interpolation(self):
         q = Quaternion.identity()
