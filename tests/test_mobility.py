@@ -1,5 +1,6 @@
 """Head-rotation traces, trace file format and the random walk."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -203,6 +204,45 @@ class TestTraceFile:
         path.write_text("t,qw,qx,qy,qz\n0,1,0,0,0\n")
         with pytest.raises(TraceFormatError, match="two samples"):
             load_trace(path)
+
+
+# A hand-written file with position columns: one quaternion 0.4% off unit
+# norm (renormalized on load), a padding column that is not 0 (ignored) and
+# a blank line (skipped).
+HAND_WRITTEN = (
+    "t,qw,qx,qy,qz,pw,px,py,pz\n"
+    "0,1,0,0,0,0,0.25,-1.5,1.7\n"
+    "0.125,0.999,0.0999,0,0,7,0.375,-1.25,1.65\n"
+    "\n"
+    "0.5,0.7071067811865476,0,0,0.7071067811865476,0,0.5,-1,1.7\n"
+)
+
+# SHA-256 of the bytes save_trace writes: pins the file format, number
+# formatting included, across changes to how a trace is held in memory
+TRACE_FILE_DIGESTS = {
+    "generated_2s": "ff23a8d78d43e5f850531eb9f1e52edfe7f5be30eaf227a877cce00c891a855c",
+    "static": "cef7be385a438adf9c234a5b5401877a7566a49676de19a3286ee9ca85b8634e",
+    "hand_written_positions": "c2bc8bf44d068562c59f428a25c0414275b31f3120e7d98c29a0cc60a1d78e15",
+}
+
+
+def _digest_trace(name, tmp_path):
+    if name == "generated_2s":
+        tr = generate_rotation_trace(300.0, 2.0, seed=3)
+    elif name == "static":
+        tr = static_trace(1.5)
+    else:
+        src = tmp_path / "hand.csv"
+        src.write_text(HAND_WRITTEN)
+        tr = load_trace(src)
+    path = tmp_path / "out.csv"
+    save_trace(path, tr)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_FILE_DIGESTS))
+def test_trace_file_digest(name, tmp_path):
+    assert _digest_trace(name, tmp_path) == TRACE_FILE_DIGESTS[name]
 
 
 class TestWalk:
