@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import math
 import os
 import sys
 
@@ -26,6 +27,31 @@ def _out_dir(args) -> str:
     d = args.out_dir or os.environ.get("XRSIM_OUT") or "."
     os.makedirs(d, exist_ok=True)
     return d
+
+
+def _number(kind, or_zero=False):
+    """argparse type: a finite number above 0 (or at least 0), so that a bad
+    value exits 1 naming the option."""
+
+    def parse(text):
+        value = kind(text)
+        if not math.isfinite(value) or not (value >= 0 if or_zero else value > 0):
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = "finite %s %s" % (kind.__name__, ">= 0" if or_zero else "> 0")
+    return parse
+
+
+def _aims(text):
+    """argparse type for --aims: comma-separated finite angles."""
+    try:
+        aims = [float(a) for a in text.split(",")] if text else []
+    except ValueError:
+        aims = [math.nan]
+    if not all(map(math.isfinite, aims)):
+        raise argparse.ArgumentTypeError("expected comma-separated finite angles, got %r" % text)
+    return aims
 
 
 def _cell_seed(base_seed: int, cell_key: str) -> int:
@@ -160,9 +186,9 @@ def _cmd_report(args) -> int:
 
 def _cmd_generate_codebook(args) -> int:
     geometry = ArrayGeometry(args.rows, args.cols, args.spacing, args.freq)
-    aims = [float(a) for a in args.aims.split(",")] if args.aims else DEFAULT_AIMS
+    aims = args.aims or DEFAULT_AIMS
     book = generate_sector_codebook(
-        geometry, aims, aims, seed=args.seed, n_samples=args.samples, max_iters=args.iters
+        geometry, aims, aims, seed=args.seed, n_samples=args.n_samples, max_iters=args.iters
     )
     write_codebook(args.out, book)
     print("wrote %s (%d sectors + quasi-omni)" % (args.out, len(book.sectors)))
@@ -177,7 +203,7 @@ def _cmd_generate_mobility(args) -> int:
             args.peak_dps, args.duration, args.rate, args.seed, args.device_horizon
         )
     save_trace(args.out, trace)
-    print("wrote %s (%d samples, %.1f s)" % (args.out, len(trace.samples), trace.duration))
+    print("wrote %s (%d samples, %.1f s)" % (args.out, len(trace.times), trace.duration))
     return 0
 
 
@@ -207,28 +233,28 @@ def _parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="re-summarize a per-frame CSV")
     rep.add_argument("--frames", required=True, help="per-frame CSV path")
-    rep.add_argument("--deadline", type=float, default=0.020)
+    rep.add_argument("--deadline", type=_number(float), default=0.020)
     rep.set_defaults(func=_cmd_report)
 
     gc = sub.add_parser("generate-codebook", help="write a sector codebook file")
-    gc.add_argument("--rows", type=int, default=8)
-    gc.add_argument("--cols", type=int, default=8)
-    gc.add_argument("--spacing", type=float, default=0.5)
-    gc.add_argument("--freq", type=float, default=60e9)
-    gc.add_argument("--samples", type=int, default=1000)
-    gc.add_argument("--seed", type=int, default=7)
-    gc.add_argument("--iters", type=int, default=40)
-    gc.add_argument("--aims", help="comma-separated aim angles for both axes")
+    gc.add_argument("--rows", type=_number(int), default=8)
+    gc.add_argument("--cols", type=_number(int), default=8)
+    gc.add_argument("--spacing", type=_number(float), default=0.5)
+    gc.add_argument("--freq", type=_number(float), default=60e9)
+    gc.add_argument("--samples", dest="n_samples", metavar="SAMPLES", type=_number(int), default=1000)
+    gc.add_argument("--seed", type=_number(int, or_zero=True), default=7)
+    gc.add_argument("--iters", type=_number(int, or_zero=True), default=40)
+    gc.add_argument("--aims", type=_aims, help="comma-separated aim angles for both axes")
     gc.add_argument("--out", required=True)
     gc.set_defaults(func=_cmd_generate_codebook)
 
     gm = sub.add_parser("generate-mobility", help="write a rotation trace CSV")
     gm.add_argument("--kind", choices=("rotation", "static"), default="rotation")
-    gm.add_argument("--peak-dps", type=float, default=300.0)
-    gm.add_argument("--duration", type=float, default=20.0)
-    gm.add_argument("--rate", type=float, default=1000.0)
-    gm.add_argument("--seed", type=int, default=1)
-    gm.add_argument("--device-horizon", type=float, default=0.1)
+    gm.add_argument("--peak-dps", type=_number(float), default=300.0)
+    gm.add_argument("--duration", type=_number(float), default=20.0)
+    gm.add_argument("--rate", type=_number(float), default=1000.0)
+    gm.add_argument("--seed", type=_number(int, or_zero=True), default=1)
+    gm.add_argument("--device-horizon", type=_number(float, or_zero=True), default=0.1)
     gm.add_argument("--out", required=True)
     gm.set_defaults(func=_cmd_generate_mobility)
 

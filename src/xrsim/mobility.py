@@ -1,6 +1,9 @@
 """Head motion and user mobility: orientation traces, synthetic rotation
 generation, a random-cardinal walk, and pose lookup.
 
+A trace is held as arrays only (:class:`TraceSet`), one row per sample, and
+every lookup goes through one row-wise wrap-and-bracket step.
+
 Trace CSV schema (header required, extra column groups optional):
 
     t,qw,qx,qy,qz[,pw,px,py,pz][,ph_qw,ph_qx,ph_qy,ph_qz,ph_h]
@@ -8,19 +11,21 @@ Trace CSV schema (header required, extra column groups optional):
 ``qw..qz`` is the head orientation, ``px,py,pz`` an optional recorded
 position (``pw`` is padding, written as 0 and ignored on read), and the
 ``ph_*`` group an optional device-side orientation prediction with its
-horizon in seconds.  Timestamps must be strictly increasing; quaternions
-off unit norm by more than 1% are rejected, smaller drift is renormalized.
+horizon in seconds.  Timestamps must be strictly increasing and every
+value read must be finite (``nan`` and ``inf`` are rejected naming the
+row); quaternions off unit norm by more than 1% are rejected, smaller drift
+is renormalized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .geometry import Pose, Quaternion, slerp, slerp_arrays
+from .geometry import Pose, Quaternion, slerp_arrays
 
 HMD_HEIGHT = 1.7
 _NORM_REJECT = 0.01
@@ -31,132 +36,126 @@ _HDR_DEV = ["ph_qw", "ph_qx", "ph_qy", "ph_qz", "ph_h"]
 
 
 class TraceFormatError(ValueError):
-    """Raised when a trace file cannot be parsed."""
+    """Raised when trace data is malformed.  ``sample`` is the index of the
+    first offending sample when one is to blame, so that a file reader can
+    name its row."""
 
-
-@dataclass(frozen=True)
-class TraceSample:
-    t: float
-    orientation: Quaternion
-    position: Optional[np.ndarray] = None
-    device_predicted: Optional[Quaternion] = None
-    device_horizon: Optional[float] = None
+    def __init__(self, problem: str, sample: Optional[int] = None):
+        super().__init__(problem if sample is None else f"sample {sample}: {problem}")
+        self.problem, self.sample = problem, sample
 
 
 class TraceSet:
-    """Ordered orientation samples with looping lookup.
+    """Head orientations sampled at increasing times, with looping lookup.
 
-    Lookups past the last sample wrap around to the start, so a short
-    recorded trace can drive an arbitrarily long simulation.
+    ``times`` is (n,), ``orientations`` (n, 4) scalar-first quaternions,
+    ``positions`` an optional (n, 3), and ``device_orientations`` (n, 4) with
+    ``device_horizons`` (n,) an optional device-side prediction.  Every value
+    must be finite.  Lookups past the last sample wrap around to the start,
+    so a short recorded trace can drive an arbitrarily long simulation.
     """
 
-    def __init__(self, samples: Sequence[TraceSample], label: str):
-        if len(samples) < 2:
-            raise ValueError("a trace needs at least two samples")
-        self.label = label
-        self.samples = tuple(samples)
-        n = len(samples)
-        self._times = np.fromiter((s.t for s in samples), dtype=float, count=n)
-        bad = np.flatnonzero(np.diff(self._times) <= 0.0)
+    def __init__(
+        self,
+        times: np.ndarray,
+        orientations: np.ndarray,
+        positions: Optional[np.ndarray] = None,
+        device_orientations: Optional[np.ndarray] = None,
+        device_horizons: Optional[np.ndarray] = None,
+    ):
+        self.times = np.asarray(times, dtype=float)
+        n = self.times.size
+        if self.times.shape != (n,) or n < 2:
+            raise TraceFormatError("a trace needs at least two samples")
+        if (device_orientations is None) != (device_horizons is None):
+            raise TraceFormatError("device orientations and horizons come together")
+        self.orientations = np.asarray(orientations, dtype=float)
+        self.positions, self.device_orientations, self.device_horizons = (
+            a if a is None else np.asarray(a, dtype=float)
+            for a in (positions, device_orientations, device_horizons)
+        )
+        self.has_position = positions is not None
+        self.has_device = device_orientations is not None
+        finite = np.isfinite(self.times)
+        names = ("orientations", "positions", "device_orientations", "device_horizons")
+        for name, shape in zip(names, ((n, 4), (n, 3), (n, 4), (n,))):
+            a = getattr(self, name)
+            if a is not None:
+                if a.shape != shape:
+                    raise TraceFormatError(f"{name} has shape {a.shape}, expected {shape}")
+                finite &= np.isfinite(a.reshape(n, -1)).all(axis=1)
+        bad = np.flatnonzero(~finite)
         if bad.size:
-            raise ValueError(f"sample {bad[0] + 1}: timestamps not increasing")
-        self._quats = np.fromiter(
-            (c for s in samples for c in (s.orientation.w, s.orientation.x, s.orientation.y, s.orientation.z)),
-            dtype=float,
-            count=4 * n,
-        ).reshape(n, 4)
-        self.has_device = all(s.device_predicted is not None for s in samples)
-        self.has_position = all(s.position is not None for s in samples)
-        self._positions = np.stack([s.position for s in samples]) if self.has_position else None
-
-    @property
-    def t_start(self) -> float:
-        return float(self._times[0])
+            raise TraceFormatError("value not finite", int(bad[0]))
+        bad = np.flatnonzero(np.diff(self.times) <= 0.0)
+        if bad.size:
+            raise TraceFormatError("timestamps not increasing", int(bad[0]) + 1)
 
     @property
     def duration(self) -> float:
-        return float(self._times[-1] - self._times[0])
+        return float(self.times[-1] - self.times[0])
 
-    def wrap(self, t: float) -> float:
-        """Map an absolute time into the recorded window, looping."""
-        t0 = self.t_start
-        if t0 <= t <= self._times[-1]:
-            return t
-        w = math.fmod(t - t0, self.duration)
-        if w < 0.0:
-            w += self.duration
-        return t0 + w
-
-    def _bracket(self, t: float) -> tuple[int, float]:
-        tw = self.wrap(t)
-        i = min(int(np.searchsorted(self._times, tw, side="right")) - 1, len(self._times) - 2)
-        u = float((tw - self._times[i]) / (self._times[i + 1] - self._times[i]))
-        return i, u
-
-    def orientation_at(self, t: float) -> Quaternion:
-        i, u = self._bracket(t)
-        q0 = Quaternion(*self._quats[i].tolist())
-        if u == 0.0:
-            return q0
-        return slerp(q0, Quaternion(*self._quats[i + 1].tolist()), u)
-
-    def orientations_at(self, ts: np.ndarray) -> np.ndarray:
-        """(M, 4) orientation quaternions at an array of times: the
-        row-wise :meth:`orientation_at`, wrap included, equal to it up to
-        rounding."""
-        t0 = self.t_start
+    def _locate(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Segment index i and fraction u in [0, 1] of each time, wrapped
+        into the recorded window: t lies at u of the way from sample i to
+        sample i + 1."""
+        t0 = self.times[0]
         w = np.fmod(ts - t0, self.duration)
         w = np.where(w < 0.0, w + self.duration, w)
-        tw = np.where((t0 <= ts) & (ts <= self._times[-1]), ts, t0 + w)
-        i = np.minimum(np.searchsorted(self._times, tw, side="right") - 1, len(self._times) - 2)
-        u = (tw - self._times[i]) / (self._times[i + 1] - self._times[i])
-        q0 = self._quats[i]
-        return np.where((u == 0.0)[:, None], q0, slerp_arrays(q0, self._quats[i + 1], u))
+        tw = np.where((t0 <= ts) & (ts <= self.times[-1]), ts, t0 + w)
+        i = np.minimum(np.searchsorted(self.times, tw, side="right") - 1, len(self.times) - 2)
+        u = (tw - self.times[i]) / (self.times[i + 1] - self.times[i])
+        return i, u
+
+    def orientations_at(self, ts: np.ndarray) -> np.ndarray:
+        """(M, 4) orientation quaternions at an array of times."""
+        i, u = self._locate(ts)
+        q0 = self.orientations[i]
+        return np.where((u == 0.0)[:, None], q0, slerp_arrays(q0, self.orientations[i + 1], u))
+
+    def orientation_at(self, t: float) -> Quaternion:
+        return Quaternion(*self.orientations_at(np.array([t]))[0].tolist())
 
     def position_at(self, t: float) -> np.ndarray:
         if not self.has_position:
             raise ValueError("trace has no position columns")
-        i, u = self._bracket(t)
-        return self._positions[i] * (1.0 - u) + self._positions[i + 1] * u
-
-    def sample_nearest(self, t: float) -> TraceSample:
-        i, u = self._bracket(t)
-        return self.samples[i + 1] if u > 0.5 else self.samples[i]
+        (i,), (u,) = self._locate(np.array([t]))
+        return self.positions[i] * (1.0 - u) + self.positions[i + 1] * u
 
     def device_prediction_nearest(self, t: float) -> Quaternion:
+        """Device-side prediction recorded at the sample nearest to t."""
         if not self.has_device:
             raise ValueError("trace has no device-prediction columns")
-        s = self.sample_nearest(t)
-        return s.device_predicted
+        (i,), (u,) = self._locate(np.array([t]))
+        return Quaternion(*self.device_orientations[i + 1 if u > 0.5 else i].tolist())
 
 
-def _parse_quat(fields, row, offset, what) -> Quaternion:
-    w, x, y, z = (float(fields[offset + j]) for j in range(4))
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    if abs(n - 1.0) > _NORM_REJECT:
-        raise TraceFormatError(f"row {row}: {what} norm {n:.6f} off unit by more than 1%")
-    return Quaternion(w / n, x / n, y / n, z / n)
+def _unit_rows(q: np.ndarray, rows: list[int], what: str) -> np.ndarray:
+    """Quaternion rows renormalized, rejecting a norm off unit by over 1%."""
+    n = np.sqrt(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] + q[:, 3] * q[:, 3])
+    bad = np.flatnonzero(np.abs(n - 1.0) > _NORM_REJECT)
+    if bad.size:
+        j = bad[0]
+        raise TraceFormatError(f"row {rows[j]}: {what} norm {n[j]:.6f} off unit by more than 1%")
+    return q / n[:, None]
 
 
-def load_trace(path, label: str = "recorded") -> TraceSet:
+def load_trace(path) -> TraceSet:
     with open(path) as fh:
         raw = fh.read().splitlines()
     lines = [ln.strip() for ln in raw]
     if not lines or not lines[0]:
         raise TraceFormatError("line 1: missing header")
     header = [h.strip() for h in lines[0].split(",")]
-    layouts = {
-        tuple(_HDR_BASE): (False, False),
-        tuple(_HDR_BASE + _HDR_POS): (True, False),
-        tuple(_HDR_BASE + _HDR_DEV): (False, True),
-        tuple(_HDR_BASE + _HDR_POS + _HDR_DEV): (True, True),
-    }
-    if tuple(header) not in layouts:
+    with_pos = header[5:9] == _HDR_POS
+    with_dev = header[-5:] == _HDR_DEV
+    if header != _HDR_BASE + _HDR_POS * with_pos + _HDR_DEV * with_dev:
         raise TraceFormatError(f"line 1: unrecognized header {','.join(header)!r}")
-    with_pos, with_dev = layouts[tuple(header)]
     n_cols = len(header)
+    read = [j for j, h in enumerate(header) if h != "pw"]
 
-    samples = []
+    rows = []
+    values = []
     for row, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -164,47 +163,35 @@ def load_trace(path, label: str = "recorded") -> TraceSet:
         if len(fields) != n_cols:
             raise TraceFormatError(f"row {row}: expected {n_cols} fields, got {len(fields)}")
         try:
-            t = float(fields[0])
-            q = _parse_quat(fields, row, 1, "orientation")
-            pos = None
-            dev = None
-            dev_h = None
-            off = 5
-            if with_pos:
-                pos = np.array([float(fields[off + 1]), float(fields[off + 2]), float(fields[off + 3])])
-                off += 4
-            if with_dev:
-                dev = _parse_quat(fields, row, off, "device prediction")
-                dev_h = float(fields[off + 4])
-        except TraceFormatError:
-            raise
+            values.append([float(fields[j]) for j in read])
         except ValueError as exc:
             raise TraceFormatError(f"row {row}: bad value ({exc})")
-        samples.append(TraceSample(t, q, pos, dev, dev_h))
-    if len(samples) < 2:
-        raise TraceFormatError("trace needs at least two samples")
+        rows.append(row)
+    data = np.array(values, dtype=float).reshape(-1, len(read))
+    positions = data[:, 5:8] if with_pos else None
+    device = horizons = None
+    if with_dev:
+        device = _unit_rows(data[:, -5:-1], rows, "device prediction")
+        horizons = data[:, -1]
     try:
-        return TraceSet(samples, label)
-    except ValueError as exc:
-        raise TraceFormatError(str(exc))
+        return TraceSet(data[:, 0], _unit_rows(data[:, 1:5], rows, "orientation"), positions, device, horizons)
+    except TraceFormatError as exc:
+        if exc.sample is None:
+            raise
+        raise TraceFormatError(f"row {rows[exc.sample]}: {exc.problem}") from None
 
 
 def save_trace(path, trace: TraceSet) -> None:
     header = list(_HDR_BASE)
+    columns = [trace.times[:, None], trace.orientations]
     if trace.has_position:
         header += _HDR_POS
+        columns += [np.zeros((len(trace.times), 1)), trace.positions]
     if trace.has_device:
         header += _HDR_DEV
+        columns += [trace.device_orientations, trace.device_horizons[:, None]]
     lines = [",".join(header)]
-    for s in trace.samples:
-        q = s.orientation
-        fields = [f"{s.t:.17g}", f"{q.w:.17g}", f"{q.x:.17g}", f"{q.y:.17g}", f"{q.z:.17g}"]
-        if trace.has_position:
-            fields += ["0", f"{s.position[0]:.17g}", f"{s.position[1]:.17g}", f"{s.position[2]:.17g}"]
-        if trace.has_device:
-            d = s.device_predicted
-            fields += [f"{d.w:.17g}", f"{d.x:.17g}", f"{d.y:.17g}", f"{d.z:.17g}", f"{s.device_horizon:.17g}"]
-        lines.append(",".join(fields))
+    lines += [",".join(map("{:.17g}".format, row)) for row in np.hstack(columns).tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -231,7 +218,6 @@ def generate_rotation_trace(
     sample_rate: float = 1000.0,
     seed: int = 0,
     device_horizon: float = 0.1,
-    label: str = "synthetic",
 ) -> TraceSet:
     """Synthetic head-rotation trace: yaw and pitch are each a sum of three
     random-phase sinusoids, jointly rescaled so the maximum instantaneous
@@ -250,7 +236,7 @@ def generate_rotation_trace(
     pit_a = np.array([14.0, 7.0, 4.0]) * rng.uniform(0.7, 1.3, 3)
 
     dt = 1.0 / sample_rate
-    n = int(round(duration * sample_rate)) + 1
+    n = max(int(round(duration * sample_rate)), 1) + 1
     t = np.arange(n) * dt
 
     def series(times, amps, freqs, phases):
@@ -282,27 +268,13 @@ def generate_rotation_trace(
     pit_ahead = cp * np.radians(series(t_ahead, pit_a, pit_f, pit_p))
     dev = _compose_yaw_pitch(yaw_ahead, pit_ahead)
 
-    samples = [
-        TraceSample(
-            float(t[i]),
-            Quaternion(*quats[i]),
-            None,
-            Quaternion(*dev[i]),
-            device_horizon,
-        )
-        for i in range(n)
-    ]
-    return TraceSet(samples, label)
+    return TraceSet(t, quats, None, dev, np.full(n, device_horizon))
 
 
-def static_trace(duration: float, label: str = "static") -> TraceSet:
+def static_trace(duration: float) -> TraceSet:
     """Identity-orientation trace for a motionless head."""
-    q = Quaternion.identity()
-    samples = [
-        TraceSample(0.0, q, None, q, 0.1),
-        TraceSample(duration, q, None, q, 0.1),
-    ]
-    return TraceSet(samples, label)
+    identity = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)
+    return TraceSet(np.array([0.0, duration]), identity, None, identity, np.full(2, 0.1))
 
 
 @dataclass(frozen=True)

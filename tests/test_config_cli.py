@@ -269,6 +269,14 @@ class TestReportCommand:
         assert "none" not in out
         assert "reliability=1.0000" not in out
 
+    # a run whose frames all arrived within 6 ms re-summarized with either
+    # deadline read a quiet reliability of 0
+    @pytest.mark.parametrize("deadline", ["nan", "-1"])
+    def test_bad_deadline_exits_one_naming_it(self, tmp_path, capsys, deadline):
+        rc = cli.main(["report", "--frames", str(tmp_path / "f.csv"), "--deadline", deadline])
+        assert rc == 1
+        assert "argument --deadline:" in capsys.readouterr().err
+
     def test_malformed_frames_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("frame_id,created_s,completed_s,delivered\n0,0.0,1.0\n")
@@ -417,6 +425,26 @@ class TestGenerators:
         trace = load_trace(out)
         assert trace.duration == pytest.approx(0.5)
         assert trace.has_device
+
+    # a non-finite or out-of-range generator argument wrote a "nan" trace
+    # row (exit 0) or failed deep in generation (exit 2)
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["generate-mobility", "--kind", "static", "--duration", "nan"], "--duration"),
+            (["generate-mobility", "--kind", "static", "--duration", "-1"], "--duration"),
+            (["generate-mobility", "--rate", "0"], "--rate"),
+            (["generate-mobility", "--device-horizon", "inf"], "--device-horizon"),
+            (["generate-codebook", "--rows", "0"], "--rows"),
+            (["generate-codebook", "--seed", "-1"], "--seed"),
+            (["generate-codebook", "--aims", "10,nan"], "--aims"),
+        ],
+    )
+    def test_bad_argument_exits_one_naming_it(self, tmp_path, capsys, argv, option):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert "argument %s:" % option in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generated_trace_drives_a_run(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from xrsim.geometry import Quaternion
+from xrsim import cli
+from xrsim.geometry import Quaternion, slerp
 from xrsim.mobility import (
     HMD_HEIGHT,
     TraceFormatError,
-    TraceSample,
     TraceSet,
     generate_rotation_trace,
     generate_walk,
@@ -24,11 +24,9 @@ from xrsim.mobility import (
 def step_peak_dps(trace):
     """Largest sample-to-sample angular speed, the quantity the generator
     promises to hit."""
-    qs = trace.samples
-    dt = qs[1].t - qs[0].t
-    worst = 0.0
-    for a, b in zip(qs[:-1], qs[1:]):
-        worst = max(worst, a.orientation.rotation_angle_to(b.orientation))
+    qs = [Quaternion(*q) for q in trace.orientations.tolist()]
+    dt = trace.times[1] - trace.times[0]
+    worst = max(a.rotation_angle_to(b) for a, b in zip(qs[:-1], qs[1:]))
     return math.degrees(worst) / dt
 
 
@@ -46,7 +44,7 @@ class TestRotationTrace:
     def test_pitch_cap(self):
         # this peak/seed pair drives pitch into the cap; speed still holds
         tr = generate_rotation_trace(800.0, 2.0, seed=2)
-        pmax = max(abs(pitch_deg(s.orientation)) for s in tr.samples)
+        pmax = max(abs(pitch_deg(Quaternion(*q))) for q in tr.orientations.tolist())
         assert pmax <= 60.0 + 1e-6
         assert pmax >= 59.9
         assert step_peak_dps(tr) == pytest.approx(800.0, rel=0.01)
@@ -54,29 +52,34 @@ class TestRotationTrace:
     def test_device_column_holds_the_future_orientation(self):
         tr = generate_rotation_trace(400.0, 2.0, seed=5)
         assert tr.has_device
-        for i in range(0, 1901, 137):
-            s = tr.samples[i]
-            assert s.device_horizon == 0.1
-            ahead = tr.orientation_at(s.t + s.device_horizon)
-            assert s.device_predicted.rotation_angle_to(ahead) < 1e-6
+        for i in range(1, 1901, 137):
+            assert tr.device_horizons[i] == 0.1
+            ahead = tr.orientation_at(tr.times[i] + tr.device_horizons[i])
+            recorded = Quaternion(*tr.device_orientations[i].tolist())
+            assert recorded.rotation_angle_to(ahead) < 1e-6
+            # the nearest sample's column, on both sides of the midpoint
+            assert tr.device_prediction_nearest(tr.times[i] + 0.0004) == recorded
+            assert tr.device_prediction_nearest(tr.times[i] - 0.0004) == recorded
 
     def test_sample_grid(self):
         tr = generate_rotation_trace(200.0, 0.5, sample_rate=500.0, seed=0)
-        assert len(tr.samples) == 251
-        assert tr.samples[1].t - tr.samples[0].t == pytest.approx(0.002)
+        assert tr.times.shape == (251,)
+        assert tr.orientations.shape == (251, 4)
+        assert tr.times[1] - tr.times[0] == pytest.approx(0.002)
         assert tr.duration == pytest.approx(0.5)
+        # shorter than half a sample interval: still the two samples a
+        # trace needs (this used to fail on an empty speed array)
+        short = generate_rotation_trace(200.0, 0.0004, seed=0)
+        assert short.times.tolist() == [0.0, 0.001]
+        assert step_peak_dps(short) == pytest.approx(200.0, rel=0.01)
 
     def test_deterministic(self):
         a = generate_rotation_trace(300.0, 1.0, seed=4)
         b = generate_rotation_trace(300.0, 1.0, seed=4)
-        assert all(
-            sa.orientation.w == sb.orientation.w and sa.orientation.z == sb.orientation.z
-            for sa, sb in zip(a.samples, b.samples)
-        )
+        assert np.array_equal(a.orientations, b.orientations)
+        assert np.array_equal(a.device_orientations, b.device_orientations)
         c = generate_rotation_trace(300.0, 1.0, seed=5)
-        assert any(
-            sa.orientation.w != sc.orientation.w for sa, sc in zip(a.samples, c.samples)
-        )
+        assert not np.any(a.orientations[1:, 0] == c.orientations[1:, 0])
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -85,12 +88,29 @@ class TestRotationTrace:
             generate_rotation_trace(100.0, -1.0)
 
 
+IDENTITY2 = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)
+
+
 class TestTraceSet:
     def test_wrap_and_seams(self):
-        tr = static_trace(2.0)
-        assert tr.wrap(0.5) == 0.5
-        assert tr.wrap(2.5) == pytest.approx(0.5)
-        assert tr.wrap(6.0) == pytest.approx(0.0)
+        # x position and yaw both run linearly over the 2 s window, so every
+        # lookup reads back the wrapped time
+        yaw = np.radians([0.0, 90.0, 180.0])
+        tr = TraceSet(
+            [0.0, 1.0, 2.0],
+            np.stack([np.cos(yaw / 2), 0 * yaw, 0 * yaw, np.sin(yaw / 2)], axis=1),
+            positions=[[0.0, 0.0, 1.7], [1.0, 0.0, 1.7], [2.0, 0.0, 1.7]],
+            device_orientations=np.eye(4)[:3],
+            device_horizons=[0.1, 0.2, 0.3],
+        )
+        for t, wrapped in ((0.5, 0.5), (2.0, 2.0), (2.5, 0.5), (6.0, 0.0), (-0.5, 1.5), (3.4, 1.4)):
+            assert tr.position_at(t)[0] == pytest.approx(wrapped, abs=1e-12)
+            q = tr.orientation_at(t)
+            assert math.degrees(2 * math.atan2(q.z, q.w)) == pytest.approx(90.0 * wrapped, abs=1e-9)
+            assert np.allclose(tr.orientations_at(np.array([t]))[0], [q.w, q.x, q.y, q.z], atol=1e-15)
+        assert tr.device_prediction_nearest(2.4) == Quaternion(1.0, 0.0, 0.0, 0.0)
+        assert tr.device_prediction_nearest(2.6) == Quaternion(0.0, 1.0, 0.0, 0.0)
+        assert tr.device_prediction_nearest(-0.4) == Quaternion(0.0, 0.0, 1.0, 0.0)
 
     def test_lookup_loops_continuously(self):
         tr = generate_rotation_trace(200.0, 1.0, seed=8)
@@ -100,13 +120,19 @@ class TestTraceSet:
 
     def test_rowwise_lookup_matches_the_scalar_one(self):
         # interior points, exact sample instants, the seam and past it, and
-        # times before the start
+        # times before the start, against the scalar slerp of the two
+        # samples around the wrapped time
         tr = generate_rotation_trace(300.0, 1.0, seed=4)
         ts = np.array([0.0, 0.0005, 0.25, 0.5, 0.9999, 1.0, 1.0003, 2.7, 13.0, -0.2])
+        wrapped = [0.0, 0.0005, 0.25, 0.5, 0.9999, 1.0, 0.0003, 0.7, 0.0, 0.8]
         got = tr.orientations_at(ts)
-        for row, t in zip(got, ts):
+        for row, t, tw in zip(got, ts, wrapped):
+            i = min(int(np.flatnonzero(tr.times <= tw + 1e-12)[-1]), len(tr.times) - 2)
+            u = (tw - tr.times[i]) / (tr.times[i + 1] - tr.times[i])
+            want = slerp(Quaternion(*tr.orientations[i]), Quaternion(*tr.orientations[i + 1]), u)
+            assert np.allclose(row, [want.w, want.x, want.y, want.z], rtol=0.0, atol=1e-14)
             q = tr.orientation_at(t)
-            assert np.allclose(row, [q.w, q.x, q.y, q.z], rtol=0.0, atol=1e-14)
+            assert np.allclose(row, [q.w, q.x, q.y, q.z], rtol=0.0, atol=1e-15)
 
     def test_static_trace_is_identity_everywhere(self):
         tr = static_trace(3.0)
@@ -116,12 +142,7 @@ class TestTraceSet:
         assert tr.device_prediction_nearest(1.0).rotation_angle_to(Quaternion.identity()) < 1e-12
 
     def test_position_interpolation(self):
-        q = Quaternion.identity()
-        samples = [
-            TraceSample(0.0, q, np.array([0.0, 0.0, 1.7]), None, None),
-            TraceSample(1.0, q, np.array([2.0, -1.0, 1.7]), None, None),
-        ]
-        tr = TraceSet(samples, "manual")
+        tr = TraceSet([0.0, 1.0], IDENTITY2, positions=[[0.0, 0.0, 1.7], [2.0, -1.0, 1.7]])
         assert np.allclose(tr.position_at(0.5), [1.0, -0.5, 1.7])
 
     def test_position_missing_raises(self):
@@ -129,17 +150,38 @@ class TestTraceSet:
             static_trace(1.0).position_at(0.5)
 
     def test_device_missing_raises(self):
-        q = Quaternion.identity()
-        tr = TraceSet([TraceSample(0.0, q), TraceSample(1.0, q)], "bare")
+        tr = TraceSet([0.0, 1.0], IDENTITY2)
         with pytest.raises(ValueError, match="device"):
             tr.device_prediction_nearest(0.5)
 
     def test_rejects_bad_sample_lists(self):
-        q = Quaternion.identity()
-        with pytest.raises(ValueError):
-            TraceSet([TraceSample(0.0, q)], "short")
-        with pytest.raises(ValueError, match="increasing"):
-            TraceSet([TraceSample(0.0, q), TraceSample(0.0, q)], "dup")
+        with pytest.raises(ValueError, match="two samples"):
+            TraceSet([0.0], IDENTITY2[:1])
+        with pytest.raises(ValueError, match="sample 1: timestamps not increasing"):
+            TraceSet([0.0, 0.0], IDENTITY2)
+        with pytest.raises(ValueError, match="orientations has shape"):
+            TraceSet([0.0, 1.0], IDENTITY2[:, :3])
+        with pytest.raises(ValueError, match="positions has shape"):
+            TraceSet([0.0, 1.0], IDENTITY2, positions=[[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="come together"):
+            TraceSet([0.0, 1.0], IDENTITY2, device_orientations=IDENTITY2)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("times", np.nan), ("times", np.inf), ("orientations", np.nan), ("positions", -np.inf),
+         ("device_orientations", np.nan), ("device_horizons", np.nan)],
+    )
+    def test_rejects_non_finite_values(self, column, value):
+        arrays = {
+            "times": np.array([0.0, 0.5, 1.0]),
+            "orientations": np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)),
+            "positions": np.zeros((3, 3)),
+            "device_orientations": np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)),
+            "device_horizons": np.full(3, 0.1),
+        }
+        arrays[column][1] = value
+        with pytest.raises(TraceFormatError, match="sample 1: value not finite"):
+            TraceSet(**arrays)
 
 
 class TestTraceFile:
@@ -148,29 +190,18 @@ class TestTraceFile:
         path = tmp_path / "trace.csv"
         save_trace(path, tr)
         back = load_trace(path)
-        assert len(back.samples) == len(tr.samples)
-        assert back.has_device
+        assert back.has_device and not back.has_position
+        assert np.array_equal(back.times, tr.times)
         # loading renormalizes, so components can move by an ulp; compare
         # them directly rather than through the angle metric
-        for sa, sb in zip(tr.samples, back.samples):
-            assert sb.t == sa.t
-            for name in "wxyz":
-                assert getattr(sb.orientation, name) == pytest.approx(
-                    getattr(sa.orientation, name), abs=1e-15
-                )
-                assert getattr(sb.device_predicted, name) == pytest.approx(
-                    getattr(sa.device_predicted, name), abs=1e-15
-                )
-            assert sb.device_horizon == sa.device_horizon
+        assert np.allclose(back.orientations, tr.orientations, rtol=0.0, atol=1e-15)
+        assert np.allclose(back.device_orientations, tr.device_orientations, rtol=0.0, atol=1e-15)
+        assert np.array_equal(back.device_horizons, tr.device_horizons)
 
     def test_position_round_trip(self, tmp_path):
-        q = Quaternion.identity()
-        samples = [
-            TraceSample(0.0, q, np.array([0.25, -1.5, 1.7]), None, None),
-            TraceSample(0.5, q, np.array([0.5, -1.0, 1.7]), None, None),
-        ]
+        tr = TraceSet([0.0, 0.5], IDENTITY2, positions=[[0.25, -1.5, 1.7], [0.5, -1.0, 1.7]])
         path = tmp_path / "pos.csv"
-        save_trace(path, TraceSet(samples, "manual"))
+        save_trace(path, tr)
         back = load_trace(path)
         assert back.has_position
         assert np.allclose(back.position_at(0.25), [0.375, -1.25, 1.7])
@@ -198,6 +229,35 @@ class TestTraceFile:
         path.write_text("t,qw,qx,qy,qz\n0,1,0,0,0\nlater,1,0,0,0\n")
         with pytest.raises(TraceFormatError, match="row 3"):
             load_trace(path)
+
+    # each file loaded without complaint before the finite-value rule, and a
+    # run on it reported a quiet reliability of 0; the blank line makes the
+    # file row differ from the sample index
+    @pytest.mark.parametrize(
+        "header, bad_row",
+        [
+            ("t,qw,qx,qy,qz", "nan,1,0,0,0"),
+            ("t,qw,qx,qy,qz", "inf,1,0,0,0"),
+            ("t,qw,qx,qy,qz", "0.1,nan,0,0,0"),
+            ("t,qw,qx,qy,qz,pw,px,py,pz", "0.1,1,0,0,0,0,0,nan,1.7"),
+            ("t,qw,qx,qy,qz,ph_qw,ph_qx,ph_qy,ph_qz,ph_h", "0.1,1,0,0,0,1,0,0,0,nan"),
+        ],
+        ids=["nan_time", "inf_time", "nan_quaternion", "nan_position", "nan_horizon"],
+    )
+    def test_non_finite_value_names_the_row(self, tmp_path, capsys, header, bad_row):
+        cols = header.split(",")
+
+        def row(t):
+            return ",".join([t] + ["1" if h in ("qw", "ph_qw") else "0" for h in cols[1:]])
+
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([header, row("0"), "", bad_row, row("0.2")]) + "\n")
+        with pytest.raises(TraceFormatError, match="row 4: value not finite"):
+            load_trace(path)
+        argv = ["simulate", "--out-dir", str(tmp_path), "--set", "rotation = %s" % path,
+                "--set", "sim_time = 0.3", "--set", "prediction = none"]
+        assert cli.main(argv) == 1
+        assert "row 4: value not finite" in capsys.readouterr().err
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
