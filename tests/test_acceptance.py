@@ -6,11 +6,13 @@ the whole file costs a handful of full simulations, not one per assertion.
 """
 
 import cmath
+import hashlib
 import math
 import time
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from xrsim import macsim
 from xrsim.antenna import ArrayGeometry, Awv, AwvEvaluator, gain_db, steering_phases
@@ -326,3 +328,54 @@ def test_criterion_9_codebook_round_trip(tmp_path):
         worst <= 1e-9 and same_aims and len(back.sectors) == 36,
         "37-entry codebook round trip, worst phase error %.2e rad <= 1e-9" % worst,
     )
+
+
+# Counters and a frame-record digest of the eight shared 20 s runs above.
+# They are the only full-length runs of the 1.024 s beacon interval and the
+# 1 s beamforming interval, so they pin the schedule where the 2 s event-log
+# digests cannot reach.  Counter order: frames_total, frames_delivered,
+# frames_dropped, mpdu_attempts, mpdu_failures, sls_runs, bf_updates,
+# bhi_count.
+RUN_PINS = {
+    "default": ((), (2000, 2000, 0, 192000, 0, 200, 200, 196),
+                "b73a6102e6b6f07467304c1099c0c2a378ae49c40011b5cf2751424b2f4bcfea"),
+    "oracle": (("prediction = oracle",), (2000, 2000, 0, 192000, 0, 200, 200, 196),
+               "b73a6102e6b6f07467304c1099c0c2a378ae49c40011b5cf2751424b2f4bcfea"),
+    "extrapolation": (("prediction = extrapolation",), (2000, 2000, 0, 192130, 130, 200, 200, 196),
+                      "4eb10d1ba3b22277a02a20bbe688f372a412958bcbb07f887947fc3b0f895da5"),
+    "sectors": (("rx_beamforming = sectors", "prediction = none"),
+                (2000, 328, 1670, 272333, 240552, 200, 200, 196),
+                "fd20a3b1bff7881f34821dcddeaee324d09aadc368008f3315b9c6bbe6e9c69c"),
+    "quasi_omni": (("rx_beamforming = quasi_omni", "prediction = none"),
+                   (2000, 0, 1998, 286452, 286452, 200, 200, 196),
+                   "c7b755a8401f55479e0b98e458f162d219b96b67ac04badd5cdc6f067589ba69"),
+    "bi_1024": (("bi_duration = 1.024",), (2000, 2000, 0, 192000, 0, 200, 200, 20),
+                "b49797424b3c913c11518b08d8c1640b61093e728cb2982714fa9c2cdb7163c4"),
+    "bi_1024_static": (("bi_duration = 1.024", "rotation = static"),
+                       (2000, 2000, 0, 192000, 0, 200, 200, 20),
+                       "b49797424b3c913c11518b08d8c1640b61093e728cb2982714fa9c2cdb7163c4"),
+    "bf_1s": (("bf_interval = 1.0",), (2000, 811, 1187, 256076, 175616, 20, 20, 196),
+              "422cc9bd6046f516b0413ccf8ed67ff70316c25ba5b39c81e1bb34b1f26d6e4d"),
+}
+PIN_COUNTERS = (
+    "frames_total", "frames_delivered", "frames_dropped", "mpdu_attempts",
+    "mpdu_failures", "sls_runs", "bf_updates", "bhi_count",
+)
+
+
+def frames_digest(frames):
+    """SHA-256 over (frame_id, created, completed, delivered) of every frame
+    record, floats in exact hex form."""
+    h = hashlib.sha256()
+    for r in frames:
+        completed = "" if r.completed is None else r.completed.hex()
+        h.update(b"%d,%s,%s,%d\n" % (r.frame_id, r.created.hex().encode(), completed.encode(), r.delivered))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RUN_PINS))
+def test_full_length_run_pins(name, run_cached):
+    overrides, counters, digest = RUN_PINS[name]
+    res = run_cached(*overrides)
+    assert res.counters == dict(zip(PIN_COUNTERS, counters))
+    assert frames_digest(res.frames) == digest
