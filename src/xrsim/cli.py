@@ -17,7 +17,14 @@ from .antenna import ArrayGeometry
 from .codebook import DEFAULT_AIMS, CodebookFormatError, generate_sector_codebook, write_codebook
 from .config import ConfigError, config_echo_lines, load_config
 from .macsim import run, write_event_log
-from .metrics import format_ms, read_frame_records, summarize, summary_lines, write_outputs
+from .metrics import (
+    FrameFormatError,
+    format_ms,
+    read_frame_records,
+    summarize,
+    summary_lines,
+    write_outputs,
+)
 from .mobility import TraceFormatError, generate_rotation_trace, save_trace, static_trace
 
 PRESETS = ("paper-fig4",)
@@ -268,7 +275,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, TraceFormatError, CodebookFormatError, FileNotFoundError) as exc:
+    except (ConfigError, TraceFormatError, CodebookFormatError, FrameFormatError, FileNotFoundError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:

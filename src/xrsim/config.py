@@ -22,6 +22,15 @@ ROTATION_MODES = ("low", "high", "static")
 RX_MODES = ("covrage", "sectors", "quasi_omni")
 PREDICTION_MODES = ("extrapolation", "device", "oracle", "none")
 
+# Upper bound on each count of work in a run (ScenarioConfig.work_counts), so
+# that no config can hang the simulator or exhaust memory.  The shipped
+# scenarios stay below it: their largest counts are the set-up of a 64x64
+# headset, 4.3e6, and the attempt bound of a 20 s run at 2 Gbps, 1.6e6.
+WORK_CAP = 1e7
+
+# largest room side in metres; keeps squared distances far from overflow
+MAX_ROOM_SIDE = 1e6
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration."""
@@ -132,6 +141,14 @@ class ScenarioConfig:
                 value = getattr(self, name)
                 if value < bound or (value == bound and not inclusive):
                     raise ConfigError(f"{name} must be {'>=' if inclusive else '>'} {bound:g}, got {value!r}")
+        for name in ("room_x", "room_y", "room_z"):
+            if getattr(self, name) > MAX_ROOM_SIDE:
+                raise ConfigError(f"{name} must be <= {MAX_ROOM_SIDE:g} m, got {getattr(self, name)!r}")
+        if not 0.0 <= self.hmd_height < self.room_z:
+            raise ConfigError(
+                f"hmd_height must lie between the floor and the ceiling AP at room_z = {self.room_z:g}, "
+                f"got {self.hmd_height!r}"
+            )
         if self.data_rate not in ALLOWED_DATA_RATES:
             rates = ", ".join(f"{r:g}" for r in ALLOWED_DATA_RATES)
             raise ConfigError(f"data_rate {self.data_rate:g} not in {{{rates}}}")
@@ -151,15 +168,51 @@ class ScenarioConfig:
             raise ConfigError(
                 f"rotation must be one of {', '.join(ROTATION_MODES)} or an existing trace file"
             )
-        if abs(self.data_rate / self.frame_rate - round(self.data_rate / self.frame_rate)) > 1e-9:
-            raise ConfigError("data_rate / frame_rate must be an integer number of bits")
+        bits = self.data_rate / self.frame_rate
+        if not (math.isfinite(bits) and bits >= 1.0 and abs(bits - round(bits)) <= 1e-9):
+            raise ConfigError("data_rate / frame_rate must be a positive integer number of bits")
         if not (0.0 < self.bhi_duration < self.bi_duration):
             raise ConfigError("bhi_duration must lie strictly inside the beacon interval")
+        if self.bf_location == "dti" and self.bhi_duration + self.sls_duration > self.bi_duration:
+            raise ConfigError(
+                f"sls_duration {self.sls_duration:g} exceeds bi_duration - bhi_duration: "
+                "the sweep can never fit between two beacon headers"
+            )
         rows, cols = self.hmd_shape()
         if self.rx_beamforming == "sectors" and (rows > 16 or cols > 16):
             raise ConfigError("sectors beamforming supports arrays up to 16x16")
         self.mcs  # raises if the index is missing
+        for what, count in self.work_counts().items():
+            if not count <= WORK_CAP:
+                raise ConfigError(f"{what} = {count:.3g} exceeds the work cap of {WORK_CAP:g}")
         return self
+
+    def work_counts(self) -> dict:
+        """The counts that bound a run's work and memory, keyed by how they
+        are formed.  Every MPDU attempt occupies the medium for at least the
+        shortest MPDU's airtime, so sim_time over that airtime bounds the
+        attempts, retries of a failing MPDU included.  Set-up builds, per
+        array element, a quasi-omni field over qo_samples directions and a
+        37-entry sector codebook."""
+        periodic = self.frame_rate + 1.0 / self.bi_duration
+        if self.bf_location == "dti":
+            periodic += 1.0 / self.bf_interval
+        rows, cols = self.hmd_shape()
+        chunk = self.mpdu_bytes * 8
+        n_full, rem = divmod(self.burst_bits, chunk)
+        shortest = (min(chunk, rem or chunk) + self.header_bytes * 8) / self.mcs.phy_rate_bps
+        return {
+            "periodic events sim_time x (frame_rate + 1/bi_duration + 1/bf_interval)":
+                self.sim_time * periodic,
+            "MPDUs (sim_time x frame_rate + 1) x ceil(data_rate / frame_rate / (8 mpdu_bytes))":
+                (self.sim_time * self.frame_rate + 1.0) * (n_full + (rem > 0)),
+            "MPDU attempts sim_time / shortest airtime (mpdu_bytes, header_bytes, per_mpdu_overhead)":
+                self.sim_time / (shortest + self.per_mpdu_overhead),
+            "trace samples sim_time x trace_sample_rate": self.sim_time * self.trace_sample_rate,
+            "walk steps sim_time / walk_step_interval": self.sim_time / self.walk_step_interval,
+            "set-up (qo_samples + 37 sectors) x (ap_rows x ap_cols + hmd_rows x hmd_cols)":
+                (self.qo_samples + 37) * (self.ap_rows * self.ap_cols + rows * cols),
+        }
 
 
 # (lower bound, whether the bound itself is allowed) -> the fields it limits;
@@ -168,13 +221,14 @@ _LOWER_BOUNDS = {
     (0.0, False): (
         "sim_time", "room_x", "room_y", "room_z", "peak_dps_low", "peak_dps_high",
         "trace_sample_rate", "walk_step_interval", "frame_rate", "deadline",
-        "sls_duration", "spacing", "bandwidth_hz", "carrier_hz",
+        "sls_duration", "spacing", "bandwidth_hz",
     ),
     (0.0, True): (
         "seed", "walk_speed", "queue_drop", "header_bytes", "per_mpdu_overhead",
         "hmd_rows", "hmd_cols", "codebook_seed", "qo_iters", "qo_iters_large",
     ),
-    (1, True): ("mpdu_bytes", "ap_rows", "ap_cols", "qo_samples"),
+    # a carrier below 1 Hz has a wavelength that overflows to inf
+    (1, True): ("mpdu_bytes", "ap_rows", "ap_cols", "qo_samples", "carrier_hz"),
 }
 
 _SCALAR_FIELDS = {

@@ -1,23 +1,29 @@
 """Event-driven downlink simulator.
 
-A single heap of ``(time, sequence)`` entries drives the beacon-interval
-schedule, sector sweeps, burst traffic and per-MPDU transmission.  Every
-stochastic input (codebooks, rotation trace, walk) is derived from the
-scenario seed before the first event runs, so two runs of the same config
-replay identically, down to the bytes of the event log.
+One heap of ``(time, rank, sequence)`` entries drives the beacon-interval
+schedule, sector sweeps, burst traffic and per-MPDU transmission.  At one
+instant events run in :data:`EVENT_KINDS` order: beacon start, beamforming
+trigger, burst arrival, ``sim_end``, then the other kinds in push order.
+Beacons, triggers and bursts are periodic sources that push their own
+successor: event k of a source with period P runs at ``k * P`` for
+k < max(1, ceil(sim_time / P - 1e-9)), so the heap stays a few entries
+long.  Every stochastic input (codebooks, rotation trace, walk) is derived
+from the scenario seed before the first event runs, so two runs of the same
+config replay identically, down to the bytes of the event log.
 
-Medium model: data MPDUs are non-preemptive.  A beacon header interval or a
-sector sweep never cuts an MPDU short; the in-flight MPDU completes and the
-next one waits.  Aside from that carry-over, no data transmission starts
-inside a BHI or sweep.
+Medium model: data MPDUs are non-preemptive; an MPDU in flight when a BHI
+begins completes, and no other transmission starts inside a BHI or sweep.
+BHIs and sweeps never overlap each other.  A trigger only marks a sweep as
+owed.  Whenever the medium is free, :meth:`Simulator._try_start_tx` starts
+the owed sweep if it ends by the next target beacon transmission time
+(TBTT, the pending beacon's start), and otherwise serves the queue head.
 
-No MPDU starts before the first beamforming update.  Time 0 opens a BHI;
-with DTI beamforming the t = 0 trigger is postponed to its end and the sweep
-runs before any data, and with A-BFT beamforming the update happens at the
-BHI's end itself.  So the pre-sweep "discovery" state never carries data,
-and the headset's quasi-omni pattern is built only where it is a receive
-pattern that can carry data or win a sweep: the ``quasi_omni`` mode, and the
-last entry of the ``sectors`` codebook.  Covrage never synthesizes it, the
+No MPDU starts before the first beamforming update: time 0 opens a BHI, at
+whose end the owed t = 0 sweep starts (DTI) or the update itself happens
+(A-BFT).  So the pre-sweep "discovery" state never carries data, and the
+headset's quasi-omni pattern is built only where it is a receive pattern
+that can carry data or win a sweep: the ``quasi_omni`` mode, and the last
+entry of the ``sectors`` codebook.  Covrage never synthesizes it, the
 costliest set-up step at 64x64: its only other use would be the listener
 term of the AP sweep, the same for every AP sector, which cannot move the
 winner.
@@ -50,15 +56,12 @@ from .covrage import covrage_beam
 from .geometry import Pose, Quaternion, ap_direction_in_hmd_frame, predict_pose, rotate_into_frames
 from .mobility import generate_rotation_trace, generate_walk, load_trace, pose_at, static_trace
 
+# in the order they run at one instant; the kinds after sim_end share one
+# rank and run in push order
 EVENT_KINDS = (
-    "beacon_start",
-    "bhi_end",
-    "burst_arrival",
-    "mpdu_tx_done",
-    "bf_trigger",
-    "sls_done",
-    "sim_end",
+    "beacon_start", "bf_trigger", "burst_arrival", "sim_end", "bhi_end", "sls_done", "mpdu_tx_done",
 )
+_RANK = {kind: min(i, EVENT_KINDS.index("sim_end") + 1) for i, kind in enumerate(EVENT_KINDS)}
 
 # ceiling-mounted array, boresight straight down (+x local -> -z world)
 AP_ORIENTATION = Quaternion.from_axis_angle((0.0, 1.0, 0.0), math.pi / 2.0)
@@ -166,9 +169,10 @@ class Simulator:
 
         self.in_bhi = False
         self.sls_active = False
-        self.pending_sls = False
-        self.postponed_bf = False
+        self.sls_owed = False
         self.tx_busy = False
+        self.next_tbtt = 0.0  # every run opens with a beacon at t = 0
+        self._reserved_until = 0.0  # end of the latest BHI or sweep
 
         self.counters = {
             "frames_total": 0,
@@ -187,6 +191,13 @@ class Simulator:
 
         self._heap: list = []
         self._seq = itertools.count()
+        periods = {"beacon_start": config.bi_duration, "burst_arrival": config.burst_interval}
+        if config.bf_location == "dti":
+            periods["bf_trigger"] = config.bf_interval
+        # periodic source -> (period, event count)
+        self._sources = {
+            kind: (p, max(1, int(math.ceil(config.sim_time / p - 1e-9)))) for kind, p in periods.items()
+        }
 
     # -- setup ------------------------------------------------------------
 
@@ -196,14 +207,9 @@ class Simulator:
         trace_seed, walk_seed = ss.spawn(2)
         if cfg.rotation == "static":
             self.trace = static_trace(max(cfg.sim_time, 1.0))
-        elif cfg.rotation == "low":
-            self.trace = generate_rotation_trace(
-                cfg.peak_dps_low, cfg.sim_time, cfg.trace_sample_rate, trace_seed
-            )
-        elif cfg.rotation == "high":
-            self.trace = generate_rotation_trace(
-                cfg.peak_dps_high, cfg.sim_time, cfg.trace_sample_rate, trace_seed
-            )
+        elif cfg.rotation in ("low", "high"):
+            peak_dps = cfg.peak_dps_low if cfg.rotation == "low" else cfg.peak_dps_high
+            self.trace = generate_rotation_trace(peak_dps, cfg.sim_time, cfg.trace_sample_rate, trace_seed)
         else:
             self.trace = load_trace(cfg.rotation)
         if cfg.prediction == "device" and not self.trace.has_device:
@@ -271,7 +277,16 @@ class Simulator:
     # -- event plumbing ---------------------------------------------------
 
     def _push(self, t: float, kind: str, payload=None) -> None:
-        heapq.heappush(self._heap, (t, next(self._seq), kind, payload))
+        heapq.heappush(self._heap, (t, _RANK[kind], next(self._seq), kind, payload))
+
+    def _schedule(self, kind: str, k: int) -> float:
+        """Push the k-th event of a periodic source; returns its time, or
+        inf when the source has no k-th event."""
+        period, count = self._sources[kind]
+        if k >= count:
+            return math.inf
+        self._push(k * period, kind, k)
+        return k * period
 
     def _log(self, t: float, kind: str, detail: str) -> None:
         if self.collect:
@@ -326,8 +341,9 @@ class Simulator:
         while the queue is served back to back: every MPDU at its first
         attempt, frames that age out dropped as :meth:`_drop_expired` would.
         The last entry is the start after the queue's last MPDU (a retry
-        of it, or the next burst), so a batch holds at least two."""
-        drop_age = self.cfg.queue_drop_age
+        of it, or the next burst).  Starts at or after sim_time never
+        happen and are left out."""
+        drop_age, end = self.cfg.queue_drop_age, self.cfg.sim_time
         starts = [t]
         for mpdu in self.queue:
             if len(starts) == _LINK_BATCH:
@@ -335,6 +351,8 @@ class Simulator:
             if (t - mpdu.enqueue_t) > drop_age:
                 continue
             t = t + self._airtime(mpdu.size_bits)
+            if t >= end:
+                break
             starts.append(t)
         return starts
 
@@ -387,12 +405,19 @@ class Simulator:
 
     # -- medium -----------------------------------------------------------
 
+    def _reserve(self, t: float, duration: float, intervals: list) -> float:
+        """Open a BHI or sweep window at t; returns its end."""
+        if t < self._reserved_until:
+            raise RuntimeError("BHI or sweep at t=%.9f overlaps one ending at %.9f" % (t, self._reserved_until))
+        self._reserved_until = t + duration
+        if self.collect:
+            intervals.append((t, self._reserved_until))
+        return self._reserved_until
+
     def _begin_sls(self, t: float) -> None:
         self.sls_active = True
         self.counters["sls_runs"] += 1
-        if self.collect:
-            self.sls_intervals.append((t, t + self.cfg.sls_duration))
-        self._push(t + self.cfg.sls_duration, "sls_done")
+        self._push(self._reserve(t, self.cfg.sls_duration, self.sls_intervals), "sls_done")
 
     def _drop_expired(self, t: float) -> None:
         drop_age = self.cfg.queue_drop_age
@@ -404,11 +429,19 @@ class Simulator:
             self.counters["frames_dropped"] += 1
 
     def _try_start_tx(self, t: float) -> None:
-        if self.tx_busy or self.in_bhi or self.sls_active or self.pending_sls:
+        """The one decision on a free medium: the owed sweep if it ends by
+        the next TBTT, else the queue head."""
+        if self.tx_busy or self.in_bhi or self.sls_active:
+            return
+        if self.sls_owed and t + self.cfg.sls_duration <= self.next_tbtt:
+            self.sls_owed = False
+            self._begin_sls(t)
             return
         self._drop_expired(t)
         if not self.queue:
             return
+        if t < self._reserved_until:
+            raise RuntimeError("MPDU start at t=%.9f inside a BHI or sweep" % t)
         mpdu = self.queue[0]
         ok = self._link_snr(t) >= self.mcs.snr_threshold_db
         self.counters["mpdu_attempts"] += 1
@@ -422,46 +455,41 @@ class Simulator:
 
     # -- handlers ---------------------------------------------------------
 
-    def _on_beacon_start(self, t: float, index) -> None:
+    def _on_beacon_start(self, t: float, index: int) -> None:
+        self.next_tbtt = self._schedule("beacon_start", index + 1)
         self.in_bhi = True
         self.counters["bhi_count"] += 1
-        if self.collect:
-            self.bhi_intervals.append((t, t + self.cfg.bhi_duration))
         self._log(t, "beacon_start", "index=%d" % index)
-        self._push(t + self.cfg.bhi_duration, "bhi_end")
+        self._push(self._reserve(t, self.cfg.bhi_duration, self.bhi_intervals), "bhi_end")
 
-    def _on_bhi_end(self, t: float) -> None:
+    def _on_bhi_end(self, t: float, _) -> None:
         self.in_bhi = False
         detail = ""
         if self.cfg.bf_location == "abft":
             detail = self._apply_beamform(t)
-        if self.postponed_bf:
-            self.postponed_bf = False
-            if self.tx_busy:
-                self.pending_sls = True
-            else:
-                self._begin_sls(t)
         self._log(t, "bhi_end", detail)
         self._try_start_tx(t)
 
-    def _on_bf_trigger(self, t: float) -> None:
-        if self.in_bhi:
-            self.postponed_bf = True
-            self._log(t, "bf_trigger", "postponed")
-        elif self.tx_busy:
-            self.pending_sls = True
-            self._log(t, "bf_trigger", "pending")
+    def _on_bf_trigger(self, t: float, index: int) -> None:
+        self._schedule("bf_trigger", index + 1)
+        self.sls_owed = True
+        self._try_start_tx(t)
+        if not self.sls_owed:
+            detail = "start"
+        elif self.in_bhi or t + self.cfg.sls_duration > self.next_tbtt:
+            detail = "postponed"
         else:
-            self._log(t, "bf_trigger", "start")
-            self._begin_sls(t)
+            detail = "pending"
+        self._log(t, "bf_trigger", detail)
 
-    def _on_sls_done(self, t: float) -> None:
+    def _on_sls_done(self, t: float, _) -> None:
         self.sls_active = False
         detail = self._apply_beamform(t)
         self._log(t, "sls_done", detail)
         self._try_start_tx(t)
 
     def _on_burst_arrival(self, t: float, frame_id: int) -> None:
+        self._schedule("burst_arrival", frame_id + 1)
         sizes = mpdu_sizes_bits(self.cfg)
         self.frames[frame_id] = FrameRecord(frame_id, t)
         self.remaining[frame_id] = len(sizes)
@@ -491,62 +519,33 @@ class Simulator:
                     self.counters["frames_delivered"] += 1
         if self.collect:
             self._log(t, "mpdu_tx_done", "frame=%d mpdu=%d ok=%d start=%.9f" % (fid, sent, int(ok), start))
-        if self.pending_sls:
-            self.pending_sls = False
-            if self.in_bhi:
-                self.postponed_bf = True
-            else:
-                self._begin_sls(t)
-            return
         self._try_start_tx(t)
 
     # -- loop -------------------------------------------------------------
 
     def run(self) -> RunResult:
-        cfg = self.cfg
-        n_bi = int(math.ceil(cfg.sim_time / cfg.bi_duration - 1e-9))
-        for k in range(n_bi):
-            self._push(k * cfg.bi_duration, "beacon_start", k)
-        if cfg.bf_location == "dti":
-            n_trig = int(math.ceil(cfg.sim_time / cfg.bf_interval - 1e-9))
-            for k in range(n_trig):
-                self._push(k * cfg.bf_interval, "bf_trigger")
-        n_bursts = int(math.ceil(cfg.sim_time / cfg.burst_interval - 1e-9))
-        for k in range(n_bursts):
-            self._push(k * cfg.burst_interval, "burst_arrival", k)
-        self._push(cfg.sim_time, "sim_end")
+        for kind in self._sources:
+            self._schedule(kind, 0)
+        self._push(self.cfg.sim_time, "sim_end")
+        handlers = {kind: getattr(self, "_on_" + kind) for kind in EVENT_KINDS if kind != "sim_end"}
 
+        last_t = 0.0
         while self._heap:
-            t, _, kind, payload = heapq.heappop(self._heap)
+            t, _, _, kind, payload = heapq.heappop(self._heap)
+            if t < last_t:
+                raise RuntimeError("event time ran back from %.9f to %.9f" % (last_t, t))
+            last_t = t
             if kind == "sim_end":
                 self._log(t, "sim_end", "")
                 break
-            if kind == "beacon_start":
-                self._on_beacon_start(t, payload)
-            elif kind == "bhi_end":
-                self._on_bhi_end(t)
-            elif kind == "bf_trigger":
-                self._on_bf_trigger(t)
-            elif kind == "sls_done":
-                self._on_sls_done(t)
-            elif kind == "burst_arrival":
-                self._on_burst_arrival(t, payload)
-            else:
-                self._on_mpdu_tx_done(t, payload)
+            handlers[kind](t, payload)
             # work conservation: a nonempty queue never waits on a free medium
             if self.queue and not (self.tx_busy or self.in_bhi or self.sls_active):
                 raise RuntimeError("medium idle with pending data at t=%.9f" % t)
 
         records = [self.frames[fid] for fid in sorted(self.frames)]
-        return RunResult(
-            cfg,
-            records,
-            dict(self.counters),
-            self.events if self.collect else None,
-            self.tx_intervals if self.collect else None,
-            self.bhi_intervals if self.collect else None,
-            self.sls_intervals if self.collect else None,
-        )
+        logs = (self.events, self.tx_intervals, self.bhi_intervals, self.sls_intervals) if self.collect else ()
+        return RunResult(self.cfg, records, dict(self.counters), *logs)
 
 
 def run(config: ScenarioConfig, collect_events: bool = False) -> RunResult:

@@ -136,17 +136,32 @@ def write_outputs(
                 fh.write("%s\n" % line)
 
 
+class FrameFormatError(ValueError):
+    """A per-frame CSV row that :func:`write_outputs` could not have written."""
+
+
 def read_frame_records(path) -> list[FrameRecord]:
-    """Read back a per-frame CSV written by :func:`write_outputs`."""
+    """Read back a per-frame CSV written by :func:`write_outputs`.  A row
+    that is short, not numeric, not finite, completes before it was created
+    or has a delivered flag other than 0 or 1 raises FrameFormatError
+    naming its line."""
     records = []
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
+        for n, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#") or line.startswith("frame_id"):
                 continue
             fields = line.split(",")
-            if len(fields) != 4:
-                raise ValueError("malformed frame row: %r" % line)
-            completed = float(fields[2]) if fields[2] else None
-            records.append(FrameRecord(int(fields[0]), float(fields[1]), completed, fields[3] == "1"))
+            try:
+                if len(fields) != 4 or fields[3] not in ("0", "1"):
+                    raise ValueError
+                created = float(fields[1])
+                completed = float(fields[2]) if fields[2] else None
+                if not math.isfinite(created) or not (
+                    completed is None or (math.isfinite(completed) and completed >= created)
+                ):
+                    raise ValueError
+                records.append(FrameRecord(int(fields[0]), created, completed, fields[3] == "1"))
+            except ValueError:
+                raise FrameFormatError("%s: line %d: malformed frame row %r" % (path, n, line)) from None
     return records

@@ -252,7 +252,10 @@ def generate_rotation_trace(
     # common factor so a few iterations reach machine precision
     c = peak_dps / max_speed(1.0, 1.0)
     for _ in range(6):
-        c *= peak_dps / max_speed(c, c)
+        speed = max_speed(c, c)
+        if speed == 0.0:
+            break  # steps too small for arccos to resolve: keep the linear estimate
+        c *= peak_dps / speed
     cy = cp = c
     pitch_peak = math.degrees(float(np.abs(cp * pit0).max()))
     if pitch_peak > 60.0:

@@ -2,11 +2,15 @@
 
 import contextlib
 import signal
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xrsim import cli
 from xrsim.config import (
+    WORK_CAP,
     ConfigError,
     ScenarioConfig,
     config_echo_lines,
@@ -120,6 +124,26 @@ class TestValidation:
     def test_missing_mcs_index(self):
         with pytest.raises(ConfigError, match="mcs_index"):
             ScenarioConfig(mcs_index=5).validate()
+
+    def test_a_dti_sweep_must_fit_between_beacon_headers(self):
+        ScenarioConfig(sls_duration=0.1004).validate()
+        with pytest.raises(ConfigError, match="sls_duration"):
+            ScenarioConfig(sls_duration=0.1005).validate()
+        # A-BFT beamforming runs no DTI sweep
+        ScenarioConfig(sls_duration=0.1005, bf_location="abft").validate()
+
+    def test_headset_below_the_ceiling_ap(self):
+        for height in (-0.1, 10.0):
+            with pytest.raises(ConfigError, match="hmd_height"):
+                ScenarioConfig(hmd_height=height).validate()
+        ScenarioConfig(hmd_height=0.0).validate()
+
+    def test_shipped_scenarios_stay_well_under_the_work_cap(self):
+        base = [[], ["data_rate = 8e9"], ["bi_duration = 1.024"], ["bf_interval = 1.0"]]
+        cells = [["%s = %s" % kv for kv in cell.items()] for cell in cli._fig4_cells()]
+        for overrides in base + cells:
+            counts = load_config(overrides=overrides).work_counts()
+            assert max(counts.values()) <= WORK_CAP / 2, (overrides, counts)
 
 
 class TestParsing:
@@ -239,6 +263,11 @@ class TestSimulateCommand:
             "mcs = 21 nan 18",
             "mcs = 21 -1 18",
             "per_mpdu_overhead = -1",
+            # overflow deep in set-up or the link: distances, wavelength
+            "room_z = 1e300",
+            "hmd_height = 1e300",
+            "carrier_hz = 1e-300",
+            "sls_duration = 0.1005",
         ],
     )
     def test_bad_value_exits_one_naming_the_field(self, tmp_path, capsys, override):
@@ -250,6 +279,83 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert override.split("=")[0].strip() in err
+
+
+    # each would run for hours or exhaust memory; load_config must reject it
+    # first, so a build without the cap never starts the run
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (["frame_rate = 1e9"], "frame_rate"),
+            (["mpdu_bytes = 1", "data_rate = 2e9"], "mpdu_bytes"),
+            (["mpdu_bytes = 1", "header_bytes = 0", "per_mpdu_overhead = 0"], "mpdu_bytes"),
+            # one 1-byte tail MPDU per burst, retried every nanosecond
+            (["mpdu_bytes = 6249999", "header_bytes = 0", "per_mpdu_overhead = 0"], "per_mpdu_overhead"),
+            (["trace_sample_rate = 1e9"], "trace_sample_rate"),
+            (["walk_step_interval = 1e-9"], "walk_step_interval"),
+            (["qo_samples = 1000000000"], "qo_samples"),
+        ],
+    )
+    def test_over_the_work_cap_exits_one_naming_the_field(self, tmp_path, capsys, overrides, field):
+        with pytest.raises(ConfigError, match="work cap"):
+            load_config(overrides=overrides)
+        argv = ["simulate", "--out-dir", str(tmp_path)]
+        with time_limit(10.0):
+            rc = cli.main(argv + [a for ov in overrides for a in ("--set", ov)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "work cap" in err and field in err
+
+
+# Fuzz draws per field kind: values to reject and values across a working
+# range.  Rate- and size-like fields are drawn ordinarily only up to what runs
+# in seconds at sim_time <= 0.3; far beyond that the work cap rejects the
+# config, which the 1e300 and 10**9 draws exercise.  In between, a run under
+# the cap may take longer than the time limit: a frame_rate below 1 or an
+# mpdu_bytes below 1000 makes bursts of up to 1e7 MPDUs, about 2 us each.
+_FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
+_FUZZ_INTS = (-1, 0, 1, 10**9)
+_FUZZ_RANGES = {
+    "frame_rate": (1.0, 1e4),
+    "trace_sample_rate": (1e-3, 1e5),
+    "walk_step_interval": (1e-4, 1e3),
+    "mpdu_bytes": (1000, 10**7),
+    "ap_rows": (1, 32),
+    "ap_cols": (1, 32),
+    "hmd_rows": (0, 16),
+    "hmd_cols": (0, 16),
+    "qo_samples": (1, 2000),
+    "qo_iters": (0, 60),
+    "qo_iters_large": (0, 8),
+}
+_FUZZ_WORDS = ("high", "low", "static", "abft", "dti", "sectors", "quasi_omni", "none", "oracle", "bogus")
+
+
+@st.composite
+def single_override(draw):
+    field = draw(st.sampled_from([f for f in fields(ScenarioConfig) if f.name not in ("sim_time", "mcs_table")]))
+    lo, hi = _FUZZ_RANGES.get(field.name, (-1e3, 1e3))
+    if field.type == "float":
+        value = draw(st.one_of(st.sampled_from(_FUZZ_FLOATS), st.floats(lo, hi).map(repr)))
+    elif field.type == "int":
+        value = draw(st.one_of(st.sampled_from(_FUZZ_INTS), st.integers(int(lo), int(hi))))
+    else:
+        value = draw(st.sampled_from(_FUZZ_WORDS))
+    return "%s = %s" % (field.name, value)
+
+
+class TestSingleOverrideFuzz:
+    @given(
+        override=st.one_of(single_override(), st.sampled_from(_FUZZ_FLOATS).map("mcs = 21 %s 18".__mod__)),
+        sim_time=st.floats(0.0, 0.3, exclude_min=True),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_exits_zero_or_one(self, tmp_path_factory, override, sim_time):
+        out = tmp_path_factory.mktemp("fuzz")
+        argv = ["simulate", "--out-dir", str(out), "--set", "sim_time = %r" % sim_time, "--set", override]
+        with time_limit(20.0):
+            rc = cli.main(argv)
+        assert rc in (0, 1), argv
 
 
 class TestReportCommand:
@@ -277,11 +383,32 @@ class TestReportCommand:
         assert rc == 1
         assert "argument --deadline:" in capsys.readouterr().err
 
-    def test_malformed_frames_exits_two(self, tmp_path, capsys):
+    # short and non-numeric rows exited 2 as a runtime error; the others
+    # exited 0 with a nan median or a negative latency
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1,0.01,0.02",
+            "1,0.01,0.02,1,0",
+            "x,0.01,0.02,1",
+            "1,0.01,late,1",
+            "1,nan,0.02,1",
+            "1,0.01,nan,1",
+            "1,0.01,inf,0",
+            "1,0.02,0.01,1",
+            "1,0.01,0.02,2",
+        ],
+        ids=[
+            "short", "long", "frame_id", "completed_text", "created_nan",
+            "completed_nan", "completed_inf", "completed_first", "delivered_2",
+        ],
+    )
+    def test_malformed_frames_exit_one_naming_the_line(self, tmp_path, capsys, row):
         bad = tmp_path / "bad.csv"
-        bad.write_text("frame_id,created_s,completed_s,delivered\n0,0.0,1.0\n")
-        assert cli.main(["report", "--frames", str(bad)]) == 2
-        assert "runtime error" in capsys.readouterr().err
+        bad.write_text("# sim_time = 0.02\nframe_id,created_s,completed_s,delivered\n0,0.0,0.006,1\n%s\n" % row)
+        assert cli.main(["report", "--frames", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "line 4:" in err
 
     def test_missing_frames_exits_one(self, tmp_path):
         assert cli.main(["report", "--frames", str(tmp_path / "nope.csv")]) == 1

@@ -174,6 +174,29 @@ class TestSchedule:
         assert s0 == pytest.approx(2e-3, abs=1e-15)
         assert s1 == pytest.approx(2.75e-3, abs=1e-15)
 
+    def test_heap_stays_a_few_entries_long(self):
+        # each periodic source holds one pending entry; at the parent commit
+        # every beacon, trigger and burst was pushed up front (2,397 entries)
+        sim = macsim.Simulator(load_config())
+        push, peak = sim._push, [0]
+
+        def recording_push(*args):
+            push(*args)
+            peak[0] = max(peak[0], len(sim._heap))
+
+        sim._push = recording_push
+        assert sim.run().counters["frames_total"] == 2000
+        assert peak[0] <= 7
+
+    def test_every_source_fires_at_time_zero(self, run_cached):
+        # ceil(sim_time / period - 1e-9) is 0 for a run this short; the t = 0
+        # beacon, trigger and burst still fall inside it
+        res = run_cached("sim_time = 1e-12", collect=True)
+        assert [(ev.t, ev.kind) for ev in res.events] == [
+            (0.0, "beacon_start"), (0.0, "bf_trigger"), (0.0, "burst_arrival"), (1e-12, "sim_end"),
+        ]
+        assert res.counters["frames_total"] == 1
+
     def test_sweep_starts_are_attributable(self, run_cached):
         # every sweep begins at a trigger, a BHI end, or an MPDU completion
         res = run_cached(*STATIC_2S, collect=True)
@@ -215,6 +238,46 @@ class TestMediumRules:
         assert any(
             s < b < e for s, e, _, _ in res.tx_intervals for b in boundaries
         )
+
+    @pytest.mark.parametrize("sls_duration", ["0.01", "0.1"])
+    def test_long_sweeps_keep_the_medium_exclusive(self, run_cached, sls_duration):
+        # at the parent commit these runs had 4 and 9 BHI/sweep overlaps and
+        # 0 and 3 sweep/sweep overlaps
+        res = run_cached("sim_time = 1.0", "sls_duration = %s" % sls_duration, collect=True)
+        windows = sorted(res.bhi_intervals + res.sls_intervals)
+        assert len(res.sls_intervals) == res.counters["sls_runs"] >= 9
+        for (_, e0), (s1, _) in zip(windows, windows[1:]):
+            assert s1 >= e0
+        for start, _, _, _ in res.tx_intervals:
+            assert not any(w0 <= start < w1 for w0, w1 in windows)
+        # a sweep starts only where it ends by the next beacon
+        tbtts = [b0 for b0, _ in res.bhi_intervals]
+        for s0, s1 in res.sls_intervals:
+            assert all(s1 <= b0 for b0 in tbtts if b0 > s0)
+        times = [ev.t for ev in res.events]
+        assert times == sorted(times)
+
+    def test_trigger_log_names_why_a_sweep_waits(self, run_cached):
+        # a 0.1 s sweep fits only right after a BHI, so every trigger waits
+        res = run_cached("sim_time = 1.0", "sls_duration = 0.1", collect=True)
+        details = [ev.payload for ev in res.events if ev.kind == "bf_trigger"]
+        assert details == ["postponed"] * 10
+        bhi_ends = [b1 for _, b1 in res.bhi_intervals]
+        assert [s0 for s0, _ in res.sls_intervals] == bhi_ends
+
+    def test_guard_rejects_overlaps_and_time_running_back(self):
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.05", "rotation = static"]))
+        sim._reserve(0.0, 2e-3, [])
+        with pytest.raises(RuntimeError, match="overlaps"):
+            sim._reserve(1e-3, 7.5e-4, [])
+        sim.queue.append(Mpdu(0, 1000, 0.0))
+        with pytest.raises(RuntimeError, match="inside a BHI or sweep"):
+            sim._try_start_tx(1e-3)
+
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.05", "rotation = static"]))
+        sim._push(-1.0, "bhi_end")
+        with pytest.raises(RuntimeError, match="ran back"):
+            sim.run()
 
     def test_mcs_gate_is_inclusive(self):
         # an attempt at exactly the threshold SNR succeeds, one just below fails
