@@ -11,12 +11,24 @@ long.  Every stochastic input (codebooks, rotation trace, walk) is derived
 from the scenario seed before the first event runs, so two runs of the same
 config replay identically, down to the bytes of the event log.
 
-Medium model: data MPDUs are non-preemptive; an MPDU in flight when a BHI
+Medium model: the MAC queue holds one :class:`Burst` per frame, whose
+MPDUs are all full size but the last (:func:`burst_shape`).  Data MPDUs are
+non-preemptive; an MPDU in flight when a BHI (beacon header interval)
 begins completes, and no other transmission starts inside a BHI or sweep.
 BHIs and sweeps never overlap each other.  A trigger only marks a sweep as
 owed.  Whenever the medium is free, :meth:`Simulator._try_start_tx` starts
 the owed sweep if it ends by the next target beacon transmission time
 (TBTT, the pending beacon's start), and otherwise serves the queue head.
+
+Run service: between two heap events nothing but the MPDU in flight can
+change the MAC's state, so each start is the previous one plus an airtime.
+:meth:`Simulator._try_start_tx` therefore serves every MPDU that ends
+strictly before the next heap event in one loop, completing each and taking
+the free-medium decision again at its end, with the same drop rule, the
+same counters and the same event lines as a heap round-trip.  Only the MPDU
+that ends at or after that event is pushed as ``mpdu_tx_done``, so a tie
+with a heap time runs in :data:`EVENT_KINDS` order as before.  A run of
+length 1 is the plain one-event-per-MPDU schedule.
 
 No MPDU starts before the first beamforming update: time 0 opens a BHI, at
 whose end the owed t = 0 sweep starts (DTI) or the update itself happens
@@ -31,10 +43,12 @@ winner.
 Link evaluation runs per beamforming epoch.  Between two updates the AWV
 pair is fixed, so an MPDU's SNR is a function of its start time alone, and
 back-to-back MPDUs start exactly one airtime apart.  The simulator predicts
-the start times of the queued MPDUs served back to back, evaluates the link
-at all of them in one array computation (:meth:`Simulator.snr_at`), and
-uses an entry only when the MAC's real start time equals it bit for bit.  A
-start that does not match, or a beamforming update, begins a new batch.
+the start times of the queued MPDUs served back to back, walking the burst
+entries and applying the age check at every predicted start, evaluates the
+link at all of them in one array computation (:meth:`Simulator.snr_at`),
+and uses an entry only when the MAC's real start time equals it bit for
+bit.  A start that does not match, or a beamforming update, begins a new
+batch.
 """
 
 from __future__ import annotations
@@ -73,11 +87,15 @@ _VELOCITY_EST_DT = 0.01
 _LINK_BATCH = 128
 
 
-@dataclass(frozen=True)
-class Mpdu:
+@dataclass(slots=True)
+class Burst:
+    """One frame's entry in the MAC queue: MPDU ``sent`` of ``count`` is the
+    next to go on air, and every MPDU but the last is full size."""
+
     frame_id: int
-    size_bits: int
-    enqueue_t: float
+    arrival: float
+    sent: int
+    count: int
 
 
 @dataclass
@@ -109,24 +127,26 @@ class RunResult:
     sls_intervals: Optional[list] = None
 
 
-def mpdu_sizes_bits(config: ScenarioConfig) -> list[int]:
-    """Per-MPDU on-air sizes for one burst: payload chunks plus the fixed
-    per-MPDU header."""
+def burst_shape(config: ScenarioConfig) -> tuple[int, int, int]:
+    """One burst as ``(count, full size, tail size)``: payload chunks plus
+    the fixed per-MPDU header, the last MPDU carrying what is left (a whole
+    chunk when the burst divides evenly)."""
     chunk = config.mpdu_bytes * 8
     header = config.header_bytes * 8
-    total = config.burst_bits
-    n_full, rem = divmod(total, chunk)
-    sizes = [chunk + header] * n_full
-    if rem:
-        sizes.append(rem + header)
-    return sizes
+    n_full, rem = divmod(config.burst_bits, chunk)
+    return n_full + (rem > 0), chunk + header, (rem or chunk) + header
+
+
+def mpdu_sizes_bits(config: ScenarioConfig) -> list[int]:
+    """Per-MPDU on-air sizes for one burst."""
+    count, full, tail = burst_shape(config)
+    return [full] * (count - 1) + [tail]
 
 
 def frame_airtime(config: ScenarioConfig) -> float:
     """Uninterrupted service time of one whole burst."""
-    rate = config.mcs.phy_rate_bps
-    sizes = mpdu_sizes_bits(config)
-    return sum(sizes) / rate + len(sizes) * config.per_mpdu_overhead
+    count, full, tail = burst_shape(config)
+    return ((count - 1) * full + tail) / config.mcs.phy_rate_bps + count * config.per_mpdu_overhead
 
 
 def best_sector(evals, direction, fixed_term_db: float = 0.0) -> int:
@@ -162,10 +182,11 @@ class Simulator:
         self._build_motion()
         self._build_arrays()
 
-        self.queue: deque = deque()
+        self.queue: deque[Burst] = deque()
         self.frames: dict[int, FrameRecord] = {}
-        self.remaining: dict[int, int] = {}
-        self.mpdu_count: dict[int, int] = {}
+        self.burst_count, full_bits, tail_bits = burst_shape(config)
+        self._full_airtime = self._airtime(full_bits)
+        self._tail_airtime = self._airtime(tail_bits)
 
         self.in_bhi = False
         self.sls_active = False
@@ -288,6 +309,10 @@ class Simulator:
         self._push(k * period, kind, k)
         return k * period
 
+    def _next_event_time(self) -> float:
+        """Time of the next heap event, which bounds a run of MPDUs."""
+        return self._heap[0][0] if self._heap else math.inf
+
     def _log(self, t: float, kind: str, detail: str) -> None:
         if self.collect:
             self.events.append(SimEvent(t, kind, detail))
@@ -339,21 +364,23 @@ class Simulator:
     def _predicted_starts(self, t: float) -> list:
         """t, at which the queue head starts, and the start times that follow
         while the queue is served back to back: every MPDU at its first
-        attempt, frames that age out dropped as :meth:`_drop_expired` would.
-        The last entry is the start after the queue's last MPDU (a retry
-        of it, or the next burst).  Starts at or after sim_time never
-        happen and are left out."""
+        attempt, frames that age out dropped as :meth:`_drop_expired` would,
+        checked at every predicted start.  The last entry is the start after
+        the queue's last MPDU (a retry of it, or the next burst).  Starts at
+        or after sim_time never happen and are left out."""
         drop_age, end = self.cfg.queue_drop_age, self.cfg.sim_time
         starts = [t]
-        for mpdu in self.queue:
-            if len(starts) == _LINK_BATCH:
-                break
-            if (t - mpdu.enqueue_t) > drop_age:
-                continue
-            t = t + self._airtime(mpdu.size_bits)
-            if t >= end:
-                break
-            starts.append(t)
+        for burst in self.queue:
+            last = burst.count - 1
+            for k in range(burst.sent, burst.count):
+                if len(starts) == _LINK_BATCH:
+                    return starts
+                if (t - burst.arrival) > drop_age:
+                    break  # t stands still, so the rest of the frame is stale too
+                t = t + (self._full_airtime if k < last else self._tail_airtime)
+                if t >= end:
+                    return starts
+                starts.append(t)
         return starts
 
     def _airtime(self, size_bits: int) -> float:
@@ -421,37 +448,60 @@ class Simulator:
 
     def _drop_expired(self, t: float) -> None:
         drop_age = self.cfg.queue_drop_age
-        while self.queue and (t - self.queue[0].enqueue_t) > drop_age:
-            fid = self.queue[0].frame_id
-            while self.queue and self.queue[0].frame_id == fid:
-                self.queue.popleft()
-            self.remaining.pop(fid, None)
+        while self.queue and (t - self.queue[0].arrival) > drop_age:
+            self.queue.popleft()
             self.counters["frames_dropped"] += 1
 
     def _try_start_tx(self, t: float) -> None:
         """The one decision on a free medium: the owed sweep if it ends by
-        the next TBTT, else the queue head."""
+        the next TBTT, else the queue head.  An MPDU that ends strictly
+        before the next heap event completes right here and the decision is
+        taken again at its end (run service, see the module docstring); only
+        the MPDU that ends at or after that event goes through the heap."""
         if self.tx_busy or self.in_bhi or self.sls_active:
             return
-        if self.sls_owed and t + self.cfg.sls_duration <= self.next_tbtt:
-            self.sls_owed = False
-            self._begin_sls(t)
-            return
-        self._drop_expired(t)
-        if not self.queue:
-            return
-        if t < self._reserved_until:
-            raise RuntimeError("MPDU start at t=%.9f inside a BHI or sweep" % t)
-        mpdu = self.queue[0]
-        ok = self._link_snr(t) >= self.mcs.snr_threshold_db
-        self.counters["mpdu_attempts"] += 1
-        if not ok:
-            self.counters["mpdu_failures"] += 1
-        airtime = self._airtime(mpdu.size_bits)
-        self.tx_busy = True
+        horizon = self._next_event_time()
+        while True:
+            if self.sls_owed and t + self.cfg.sls_duration <= self.next_tbtt:
+                self.sls_owed = False
+                self._begin_sls(t)
+                return
+            self._drop_expired(t)
+            if not self.queue:
+                return
+            if t < self._reserved_until:
+                raise RuntimeError("MPDU start at t=%.9f inside a BHI or sweep" % t)
+            burst = self.queue[0]
+            ok = self._link_snr(t) >= self.mcs.snr_threshold_db
+            self.counters["mpdu_attempts"] += 1
+            if not ok:
+                self.counters["mpdu_failures"] += 1
+            end = t + (self._full_airtime if burst.sent < burst.count - 1 else self._tail_airtime)
+            if self.collect:
+                self.tx_intervals.append((t, end, ok, burst.frame_id))
+            if end >= horizon:
+                self.tx_busy = True
+                self._push(end, "mpdu_tx_done", (ok, t))
+                return
+            self._complete_mpdu(end, ok, t)
+            t = end
+
+    def _complete_mpdu(self, t: float, ok: bool, start: float) -> None:
+        """End of the queue head's MPDU that started at ``start``."""
+        # drops only run on a free medium, so the MPDU's frame is still the head
+        burst = self.queue[0]
+        if ok:
+            burst.sent += 1
+            if burst.sent == burst.count:
+                self.queue.popleft()
+                rec = self.frames[burst.frame_id]
+                rec.completed = t
+                rec.delivered = (t - rec.created) <= self.cfg.deadline
+                if rec.delivered:
+                    self.counters["frames_delivered"] += 1
         if self.collect:
-            self.tx_intervals.append((t, t + airtime, ok, mpdu.frame_id))
-        self._push(t + airtime, "mpdu_tx_done", (mpdu, ok, t))
+            detail = "frame=%d mpdu=%d ok=%d start=%.9f" % (burst.frame_id, burst.sent, int(ok), start)
+            self._log(t, "mpdu_tx_done", detail)
 
     # -- handlers ---------------------------------------------------------
 
@@ -473,14 +523,15 @@ class Simulator:
     def _on_bf_trigger(self, t: float, index: int) -> None:
         self._schedule("bf_trigger", index + 1)
         self.sls_owed = True
-        self._try_start_tx(t)
-        if not self.sls_owed:
-            detail = "start"
-        elif self.in_bhi or t + self.cfg.sls_duration > self.next_tbtt:
+        # logged before the decision, which may serve MPDUs ending after t
+        if self.in_bhi or t + self.cfg.sls_duration > self.next_tbtt:
             detail = "postponed"
-        else:
+        elif self.tx_busy or self.sls_active:
             detail = "pending"
+        else:
+            detail = "start"
         self._log(t, "bf_trigger", detail)
+        self._try_start_tx(t)
 
     def _on_sls_done(self, t: float, _) -> None:
         self.sls_active = False
@@ -490,35 +541,16 @@ class Simulator:
 
     def _on_burst_arrival(self, t: float, frame_id: int) -> None:
         self._schedule("burst_arrival", frame_id + 1)
-        sizes = mpdu_sizes_bits(self.cfg)
         self.frames[frame_id] = FrameRecord(frame_id, t)
-        self.remaining[frame_id] = len(sizes)
-        self.mpdu_count[frame_id] = len(sizes)
-        for size in sizes:
-            self.queue.append(Mpdu(frame_id, size, t))
+        self.queue.append(Burst(frame_id, t, 0, self.burst_count))
         self.counters["frames_total"] += 1
-        self._log(t, "burst_arrival", "frame=%d mpdus=%d" % (frame_id, len(sizes)))
+        self._log(t, "burst_arrival", "frame=%d mpdus=%d" % (frame_id, self.burst_count))
         self._try_start_tx(t)
 
     def _on_mpdu_tx_done(self, t: float, payload) -> None:
-        mpdu, ok, start = payload
+        ok, start = payload
         self.tx_busy = False
-        fid = mpdu.frame_id
-        # drops only run on a free medium, so the in-flight MPDU is still the head
-        sent = self.mpdu_count[fid] - self.remaining[fid]
-        if ok:
-            self.queue.popleft()
-            sent += 1
-            self.remaining[fid] -= 1
-            if self.remaining[fid] == 0:
-                del self.remaining[fid]
-                rec = self.frames[fid]
-                rec.completed = t
-                rec.delivered = (t - rec.created) <= self.cfg.deadline
-                if rec.delivered:
-                    self.counters["frames_delivered"] += 1
-        if self.collect:
-            self._log(t, "mpdu_tx_done", "frame=%d mpdu=%d ok=%d start=%.9f" % (fid, sent, int(ok), start))
+        self._complete_mpdu(t, ok, start)
         self._try_start_tx(t)
 
     # -- loop -------------------------------------------------------------

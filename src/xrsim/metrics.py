@@ -144,7 +144,7 @@ def read_frame_records(path) -> list[FrameRecord]:
     """Read back a per-frame CSV written by :func:`write_outputs`.  A row
     that is short, not numeric, not finite, completes before it was created
     or has a delivered flag other than 0 or 1 raises FrameFormatError
-    naming its line."""
+    naming its line; a file without rows raises it naming the file."""
     records = []
     with open(path, "r", encoding="ascii") as fh:
         for n, raw in enumerate(fh, start=1):
@@ -164,4 +164,6 @@ def read_frame_records(path) -> list[FrameRecord]:
                 records.append(FrameRecord(int(fields[0]), created, completed, fields[3] == "1"))
             except ValueError:
                 raise FrameFormatError("%s: line %d: malformed frame row %r" % (path, n, line)) from None
+    if not records:
+        raise FrameFormatError("%s: no frame rows" % path)
     return records

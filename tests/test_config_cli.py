@@ -311,12 +311,12 @@ class TestSimulateCommand:
 # range.  Rate- and size-like fields are drawn ordinarily only up to what runs
 # in seconds at sim_time <= 0.3; far beyond that the work cap rejects the
 # config, which the 1e300 and 10**9 draws exercise.  In between, a run under
-# the cap may take longer than the time limit: a frame_rate below 1 or an
-# mpdu_bytes below 1000 makes bursts of up to 1e7 MPDUs, about 2 us each.
+# the cap may take longer than the time limit: an mpdu_bytes below 1000 makes
+# up to 1e7 MPDU attempts, each a few microseconds.
 _FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
 _FUZZ_INTS = (-1, 0, 1, 10**9)
 _FUZZ_RANGES = {
-    "frame_rate": (1.0, 1e4),
+    "frame_rate": (1e-3, 1e4),
     "trace_sample_rate": (1e-3, 1e5),
     "walk_step_interval": (1e-4, 1e3),
     "mpdu_bytes": (1000, 10**7),
@@ -342,6 +342,17 @@ def single_override(draw):
     else:
         value = draw(st.sampled_from(_FUZZ_WORDS))
     return "%s = %s" % (field.name, value)
+
+
+class TestOneHugeBurst:
+    # frame_rate = 0.001 makes one burst of 9.5e6 MPDUs, just under the work
+    # cap; building one queue entry per MPDU took 16-22 s and 1.2 GiB on a
+    # 2-core VM even in a run that ends right after the burst arrives
+    @pytest.mark.parametrize("sim_time", ["5e-324", "0.3"])
+    def test_runs_in_seconds(self, tmp_path, sim_time):
+        argv = ["simulate", "--out-dir", str(tmp_path), "--set", "sim_time = " + sim_time]
+        with time_limit(10.0):
+            assert cli.main(argv + ["--set", "frame_rate = 0.001"]) == 0
 
 
 class TestSingleOverrideFuzz:
@@ -409,6 +420,14 @@ class TestReportCommand:
         assert cli.main(["report", "--frames", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "line 4:" in err
+
+    def test_header_only_frames_exit_one_naming_the_file(self, tmp_path, capsys):
+        # exited 2 as a runtime error: nothing to summarize
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# sim_time = 0.02\nframe_id,created_s,completed_s,delivered\n")
+        assert cli.main(["report", "--frames", str(empty)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(empty) in err and "no frame rows" in err
 
     def test_missing_frames_exits_one(self, tmp_path):
         assert cli.main(["report", "--frames", str(tmp_path / "nope.csv")]) == 1
