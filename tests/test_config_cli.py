@@ -312,7 +312,7 @@ class TestSimulateCommand:
 # in seconds at sim_time <= 0.3; far beyond that the work cap rejects the
 # config, which the 1e300 and 10**9 draws exercise.  In between, a run under
 # the cap may take longer than the time limit: an mpdu_bytes below 1000 makes
-# up to 1e7 MPDU attempts, each a few microseconds.
+# up to 1e7 MPDU attempts, about 9 us each with the 64x64 headset.
 _FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
 _FUZZ_INTS = (-1, 0, 1, 10**9)
 _FUZZ_RANGES = {
