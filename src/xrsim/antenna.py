@@ -28,23 +28,19 @@ _GEMM_MACS = 8 * 64 * 64
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform rectangular array, element spacing in wavelengths.
-
-    ``element_exponent`` selects an optional cos^q single-element pattern
-    applied around boresight; the default 0 keeps elements isotropic.
-    """
+    """Uniform rectangular array of isotropic elements, element spacing in
+    wavelengths."""
 
     rows: int
     cols: int
     spacing_wavelengths: float = 0.5
     carrier_hz: float = 60e9
-    element_exponent: float = 0.0
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("array must have at least one row and one column")
-        if self.spacing_wavelengths <= 0.0 or self.carrier_hz <= 0.0:
-            raise ValueError("spacing and carrier frequency must be positive")
+        if not (0.0 < self.spacing_wavelengths < math.inf and 0.0 < self.carrier_hz < math.inf):
+            raise ValueError("spacing and carrier frequency must be positive and finite")
 
     @property
     def n_elements(self) -> int:
@@ -68,10 +64,10 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class Awv:
-    """Analog weight vector: per-element phases plus the shared amplitude."""
+    """Analog weight vector: per-element phases; every element shares the
+    amplitude 1/sqrt(N)."""
 
     phases: np.ndarray
-    amplitude: float = 0.0
 
     def __post_init__(self):
         phases = np.ascontiguousarray(self.phases, dtype=float)
@@ -81,12 +77,14 @@ class Awv:
             raise ValueError("phases must be finite")
         phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
-        if self.amplitude == 0.0:
-            object.__setattr__(self, "amplitude", 1.0 / math.sqrt(phases.size))
 
     @property
     def n_elements(self) -> int:
         return self.phases.size
+
+    @property
+    def amplitude(self) -> float:
+        return 1.0 / math.sqrt(self.phases.size)
 
 
 def steering_phases(geometry: ArrayGeometry, direction: Direction) -> Awv:
@@ -96,12 +94,6 @@ def steering_phases(geometry: ArrayGeometry, direction: Direction) -> Awv:
     return Awv(-k * (geometry.element_positions() @ u))
 
 
-def _element_factor(geometry: ArrayGeometry, u: np.ndarray) -> float:
-    if geometry.element_exponent <= 0.0:
-        return 1.0
-    return max(0.0, float(u[0])) ** geometry.element_exponent
-
-
 def field_at(geometry: ArrayGeometry, awv: Awv, direction: Direction) -> complex:
     """Complex far-field amplitude of the weighted array in one direction."""
     if awv.n_elements != geometry.n_elements:
@@ -109,8 +101,7 @@ def field_at(geometry: ArrayGeometry, awv: Awv, direction: Direction) -> complex
     u = direction.to_unit_vector()
     k = 2.0 * math.pi / geometry.wavelength
     phase = awv.phases + k * (geometry.element_positions() @ u)
-    total = awv.amplitude * complex(np.sum(np.exp(1j * phase)))
-    return total * _element_factor(geometry, u)
+    return awv.amplitude * complex(np.sum(np.exp(1j * phase)))
 
 
 def gain_db(geometry: ArrayGeometry, awv: Awv, direction: Direction) -> float:
@@ -164,7 +155,7 @@ class AwvEvaluator:
         col_phasors = np.exp(1j * (self._ky * u[1]))
         row_phasors = np.exp(1j * (self._kz * u[2]))
         total = complex(row_phasors @ (self._w @ col_phasors))
-        mag = abs(total * _element_factor(self.geometry, u))
+        mag = abs(total)
         if mag < _NULL_FIELD:
             return NULL_GAIN_DB
         return 20.0 * math.log10(mag)
@@ -184,22 +175,13 @@ class AwvEvaluator:
         n_products = -(-len(u) * self._w.size // _GEMM_MACS)
         per_column = np.concatenate([rows @ self._w for rows in np.array_split(row_phasors, n_products)])
         mags = np.abs(np.einsum("mc,mc->m", per_column, col_phasors))
-        if self.geometry.element_exponent > 0.0:
-            mags = mags * np.clip(u[:, 0], 0.0, None) ** self.geometry.element_exponent
         return np.where(mags < _NULL_FIELD, NULL_GAIN_DB, 20.0 * np.log10(np.maximum(mags, _NULL_FIELD)))
 
 
-def sample_directions(n: int, seed_or_rng, sphere_uniform: bool = True) -> list[Direction]:
-    """Fixed random direction set; sphere-uniform by default.
-
-    Sphere-uniform sampling draws azimuth uniformly and elevation as
-    asin(uniform(-1, 1)) so that directions are equidistributed on the
-    sphere rather than piling up at the poles.
-    """
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
+def sample_directions(n: int, rng: np.random.Generator) -> list[Direction]:
+    """Sphere-uniform random directions drawn from ``rng``: azimuth
+    uniformly and elevation as asin(uniform(-1, 1)), so that directions are
+    equidistributed on the sphere rather than piling up at the poles."""
     az = rng.uniform(-180.0, 180.0, size=n)
-    if sphere_uniform:
-        el = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, size=n)))
-    else:
-        el = rng.uniform(-90.0, 90.0, size=n)
+    el = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, size=n)))
     return [Direction(float(a), float(e)) for a, e in zip(az, el)]

@@ -261,11 +261,9 @@ def read_codebook(path) -> Codebook:
     if len(parts) != 4:
         raise CodebookFormatError(f"line {ln}: header must be 'rows cols spacing freq'")
     try:
-        rows, cols = int(parts[0]), int(parts[1])
-        spacing, freq = float(parts[2]), float(parts[3])
+        geometry = ArrayGeometry(int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
     except ValueError as exc:
         raise CodebookFormatError(f"line {ln}: bad header value ({exc})")
-    geometry = ArrayGeometry(rows, cols, spacing, freq)
 
     sectors: list[Sector] = []
     quasi_omni: Optional[Awv] = None
@@ -283,6 +281,8 @@ def read_codebook(path) -> Codebook:
                 aim = Direction(float(fields[2]), float(fields[3]))
             except ValueError as exc:
                 raise CodebookFormatError(f"line {ln}: bad sector header ({exc})")
+            if not (math.isfinite(aim.azimuth_deg) and math.isfinite(aim.elevation_deg)):
+                raise CodebookFormatError(f"line {ln}: sector aim must be finite")
             phases, idx = _read_phase_block(lines, idx + 1, geometry)
             sectors.append(Sector(sid, aim, Awv(phases)))
         elif fields[0] == "QUASIOMNI":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +20,8 @@ import numpy as np
 from .antenna import ArrayGeometry, Awv, steering_phases, _NULL_FIELD
 from .geometry import Direction, Pose, Quaternion, slerp
 
-K_MAX_DEFAULT = 8
+# most column blocks a composite beam is split into
+K_MAX = 8
 # fraction of the aperture-limited beamwidth formula 0.886 lambda / (n d)
 _BEAMWIDTH_COEFF = 0.886
 
@@ -55,21 +56,23 @@ def trajectory_from_poses(pose_now: Pose, pose_pred: Pose, ap_position: Sequence
 @dataclass(frozen=True)
 class SubArrayPlan:
     """Column-block partition with per-block steering targets, the lobe
-    crossover directions between adjacent blocks, and per-block phase
-    offsets."""
+    crossover directions between adjacent blocks, per-block phase offsets,
+    and the full-array steering phases toward each target, which both the
+    offsets and the composite AWV are built from."""
 
     blocks: tuple[tuple[int, int], ...]
     targets: tuple[Direction, ...]
     crossovers: tuple[Direction, ...]
     offsets: tuple[float, ...]
+    steers: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
         return len(self.blocks)
 
     def __post_init__(self):
-        if not (len(self.blocks) == len(self.targets) == len(self.offsets)):
-            raise ValueError("blocks, targets and offsets must have equal length")
+        if not (len(self.blocks) == len(self.targets) == len(self.offsets) == len(self.steers)):
+            raise ValueError("blocks, targets, offsets and steers must have equal length")
         if len(self.crossovers) != max(0, len(self.blocks) - 1):
             raise ValueError("need one crossover per adjacent block pair")
 
@@ -78,17 +81,17 @@ def subarray_beamwidth_deg(cols_per_block: int, spacing_wavelengths: float) -> f
     return math.degrees(_BEAMWIDTH_COEFF / (cols_per_block * spacing_wavelengths))
 
 
-def choose_block_count(cols: int, spacing_wavelengths: float, span_deg: float, k_max: int = K_MAX_DEFAULT) -> int:
+def choose_block_count(cols: int, spacing_wavelengths: float, span_deg: float) -> int:
     """Smallest block count whose combined sub-beam width covers the span.
 
     The needed count depends on the per-block beamwidth, which itself depends
     on the count, so the rule is iterated from k=1 upward until it stops
-    asking for more blocks or saturates at k_max.
+    asking for more blocks or saturates at :data:`K_MAX`.
     """
     k = 1
-    for _ in range(k_max + 1):
+    for _ in range(K_MAX + 1):
         width = subarray_beamwidth_deg(max(1, cols // k), spacing_wavelengths)
-        k_next = min(max(math.ceil(span_deg / width), 1), k_max)
+        k_next = min(max(math.ceil(span_deg / width), 1), K_MAX)
         if k_next <= k:
             break
         k = k_next
@@ -98,12 +101,6 @@ def choose_block_count(cols: int, spacing_wavelengths: float, span_deg: float, k
 def plan_with_k(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> SubArrayPlan:
     """Equal column blocks (remainder to the last), targets at the trajectory
     midpoints s=(i+0.5)/k, crossovers at the block boundaries s=i/k."""
-    return _plan_and_steers(geometry, trajectory, k)[0]
-
-
-def _plan_and_steers(geometry: ArrayGeometry, trajectory: Trajectory, k: int):
-    """:func:`plan_with_k` plus the full-array steering phases toward each
-    block target, which the offsets and the composite AWV both need."""
     if k < 1 or k > geometry.cols:
         raise ValueError("block count must be in [1, cols]")
     per = geometry.cols // k
@@ -114,13 +111,13 @@ def _plan_and_steers(geometry: ArrayGeometry, trajectory: Trajectory, k: int):
         blocks.append((c0, c1))
     targets = tuple(trajectory.direction_at((i + 0.5) / k) for i in range(k))
     crossovers = tuple(trajectory.direction_at(i / k) for i in range(1, k))
-    steers = [steering_phases(geometry, t).phases for t in targets]
+    steers = tuple(steering_phases(geometry, t).phases for t in targets)
     offsets = _alignment_offsets(geometry, tuple(blocks), steers, crossovers)
-    return SubArrayPlan(tuple(blocks), targets, crossovers, tuple(offsets)), steers
+    return SubArrayPlan(tuple(blocks), targets, crossovers, tuple(offsets), steers)
 
 
-def plan_subarrays(geometry: ArrayGeometry, trajectory: Trajectory, k_max: int = K_MAX_DEFAULT) -> SubArrayPlan:
-    k = choose_block_count(geometry.cols, geometry.spacing_wavelengths, trajectory.span_deg, k_max)
+def plan_subarrays(geometry: ArrayGeometry, trajectory: Trajectory) -> SubArrayPlan:
+    k = choose_block_count(geometry.cols, geometry.spacing_wavelengths, trajectory.span_deg)
     return plan_with_k(geometry, trajectory, k)
 
 
@@ -163,30 +160,17 @@ def _alignment_offsets(geometry, blocks, steers, crossovers) -> list[float]:
 def synthesize_awv(geometry: ArrayGeometry, plan: SubArrayPlan) -> Awv:
     """Assemble the composite AWV: each block gets the full-array steering
     phases toward its own target plus the block phase offset."""
-    return _composite_awv(geometry, plan, [steering_phases(geometry, t).phases for t in plan.targets])
-
-
-def _composite_awv(geometry: ArrayGeometry, plan: SubArrayPlan, steers) -> Awv:
     phases = np.empty((geometry.rows, geometry.cols))
-    for block, steer, offset in zip(plan.blocks, steers, plan.offsets):
-        c0, c1 = block
+    for (c0, c1), steer, offset in zip(plan.blocks, plan.steers, plan.offsets):
         phases[:, c0:c1] = steer.reshape(geometry.rows, geometry.cols)[:, c0:c1] + offset
     return Awv(phases.ravel())
 
 
-def covrage_beam(
-    geometry: ArrayGeometry,
-    pose_now: Pose,
-    pose_pred: Pose,
-    ap_position: Sequence[float],
-    k_max: int = K_MAX_DEFAULT,
-) -> Awv:
+def covrage_beam(geometry: ArrayGeometry, pose_now: Pose, pose_pred: Pose, ap_position: Sequence[float]) -> Awv:
     """Composite receive beam covering the predicted AP-direction arc.
 
     With no predicted rotation this degenerates to a single steered beam at
     the current AP direction.
     """
     trajectory = trajectory_from_poses(pose_now, pose_pred, ap_position)
-    k = choose_block_count(geometry.cols, geometry.spacing_wavelengths, trajectory.span_deg, k_max)
-    plan, steers = _plan_and_steers(geometry, trajectory, k)
-    return _composite_awv(geometry, plan, steers)
+    return synthesize_awv(geometry, plan_subarrays(geometry, trajectory))

@@ -1,5 +1,5 @@
 """Rigid-body math for head tracking: quaternions, poses, look directions,
-and short-horizon pose prediction.
+and short-horizon orientation prediction.
 
 Conventions used throughout the package:
 
@@ -244,32 +244,28 @@ def predict_pose(
     mode: str = "constant_velocity",
     trace=None,
 ) -> Pose:
-    """Predict the pose a fixed horizon ahead of the last history sample.
+    """Predict the orientation a fixed horizon ahead of the last history
+    sample.
+
+    The predicted position is the last sample's in every mode: the composite
+    beam is built from the current position and the predicted orientation
+    alone (:func:`xrsim.covrage.trajectory_from_poses`), so no predicted
+    position could change an outcome.
 
     Modes:
 
     * ``constant_velocity``: angular velocity estimated from the last two
       samples as the axis-angle of q_prev^-1 * q_now over their time gap,
-      applied forward; position extrapolated linearly.  A single-sample
-      history yields a zero-velocity prediction.
+      applied forward.  A single-sample history yields a zero-velocity
+      prediction.
     * ``device``: returns the device prediction recorded in the trace at the
       sample nearest the current time (requires device columns).
-    * ``oracle``: returns the trace orientation at t + horizon (interpolated);
-      position from the trace when present, else linear extrapolation.
+    * ``oracle``: returns the trace orientation at t + horizon (interpolated).
     """
     if not history:
         raise ValueError("history must contain at least one pose")
     now = history[-1]
     t_out = now.t + horizon
-
-    def _linear_position() -> np.ndarray:
-        if len(history) < 2:
-            return now.position
-        prev = history[-2]
-        dt = now.t - prev.t
-        if dt <= 0.0:
-            raise ValueError("history timestamps must be increasing")
-        return now.position + (now.position - prev.position) * (horizon / dt)
 
     if mode == "constant_velocity":
         if len(history) < 2:
@@ -281,19 +277,16 @@ def predict_pose(
         rel = (prev.orientation.conjugate() * now.orientation).normalized()
         axis, angle = rel.to_axis_angle()
         step = Quaternion.from_axis_angle(axis, angle * (horizon / dt)) if angle > 0.0 else Quaternion.identity()
-        return Pose(t_out, _linear_position(), (now.orientation * step).normalized())
+        return Pose(t_out, now.position, (now.orientation * step).normalized())
 
     if mode == "device":
         if trace is None or not trace.has_device:
             raise ValueError("device prediction requires a trace with device columns")
-        q = trace.device_prediction_nearest(now.t)
-        return Pose(t_out, _linear_position(), q)
+        return Pose(t_out, now.position, trace.device_prediction_nearest(now.t))
 
     if mode == "oracle":
         if trace is None:
             raise ValueError("oracle prediction requires a trace")
-        q = trace.orientation_at(t_out)
-        pos = trace.position_at(t_out) if trace.has_position else _linear_position()
-        return Pose(t_out, pos, q)
+        return Pose(t_out, now.position, trace.orientation_at(t_out))
 
     raise ValueError(f"unknown prediction mode {mode!r}")

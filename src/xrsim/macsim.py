@@ -152,11 +152,11 @@ def frame_airtime(config: ScenarioConfig) -> float:
 def best_sector(evals, direction, fixed_term_db: float = 0.0) -> int:
     """Sweep winner: highest combined gain, ties broken toward the lowest id.
 
-    ``evals`` is a list of (sector_id, AwvEvaluator) pairs in ascending id
-    order, so a strictly-greater scan lands on the first of any tied group.
+    ``evals`` is a list of AwvEvaluators indexed by sector id, so a
+    strictly-greater scan lands on the first of any tied group.
     """
     best_id, best_metric = None, None
-    for sid, ev in evals:
+    for sid, ev in enumerate(evals):
         metric = ev.gain_db(direction) + fixed_term_db
         if best_metric is None or metric > best_metric:
             best_id, best_metric = sid, metric
@@ -183,7 +183,7 @@ class Simulator:
         self._build_arrays()
 
         self.queue: deque[Burst] = deque()
-        self.frames: dict[int, FrameRecord] = {}
+        self.frames: list[FrameRecord] = []  # indexed by frame id
         self.burst_count, full_bits, tail_bits = burst_shape(config)
         self._full_airtime = self._airtime(full_bits)
         self._tail_airtime = self._airtime(tail_bits)
@@ -267,10 +267,9 @@ class Simulator:
         self.ap_codebook = generate_sector_codebook(
             self.ap_geometry, quasi_omni=self._qo(self.ap_geometry)
         )
-        self.ap_evals = [
-            (sid, AwvEvaluator(self.ap_geometry, awv)) for sid, awv in self.ap_codebook.all_awvs()
-        ]
-        self.ap_qo_eval = self.ap_evals[-1][1]
+        # indexed by sector id, the quasi-omni last
+        self.ap_evals = [AwvEvaluator(self.ap_geometry, awv) for _, awv in self.ap_codebook.all_awvs()]
+        self.ap_qo_eval = self.ap_evals[-1]
 
         rows, cols = cfg.hmd_shape()
         self.hmd_geometry = ArrayGeometry(rows, cols, cfg.spacing, cfg.carrier_hz)
@@ -282,8 +281,8 @@ class Simulator:
             book = generate_sector_codebook(
                 self.hmd_geometry, quasi_omni=self._qo(self.hmd_geometry)
             )
-            self.hmd_evals = [(sid, AwvEvaluator(self.hmd_geometry, awv)) for sid, awv in book.all_awvs()]
-            self.hmd_qo_eval = self.hmd_evals[-1][1]
+            self.hmd_evals = [AwvEvaluator(self.hmd_geometry, awv) for _, awv in book.all_awvs()]
+            self.hmd_qo_eval = self.hmd_evals[-1]
         elif cfg.rx_beamforming == "quasi_omni":
             self.hmd_qo_eval = AwvEvaluator(self.hmd_geometry, self._qo(self.hmd_geometry))
 
@@ -405,14 +404,17 @@ class Simulator:
         cfg = self.cfg
         hmd_pose = self._hmd_pose(t)
         d_at_ap = ap_direction_in_hmd_frame(self.ap_pose, hmd_pose.position)
-        d_at_hmd = ap_direction_in_hmd_frame(hmd_pose, self.ap_position)
 
         # initiator sweep: each AP sector probed against the quasi-omni
         # listener.  The listener's gain is one term shared by every sector,
-        # so covrage, which builds no HMD quasi-omni, leaves it out.
-        rx_term = 0.0 if self.hmd_qo_eval is None else self.hmd_qo_eval.gain_db(d_at_hmd)
+        # so covrage, which builds no HMD quasi-omni, leaves it out and
+        # needs no headset-frame AP direction.
+        rx_term = 0.0
+        if self.hmd_qo_eval is not None:
+            d_at_hmd = ap_direction_in_hmd_frame(hmd_pose, self.ap_position)
+            rx_term = self.hmd_qo_eval.gain_db(d_at_hmd)
         self.ap_sector = best_sector(self.ap_evals, d_at_ap, rx_term)
-        self.ap_eval = self.ap_evals[self.ap_sector][1]
+        self.ap_eval = self.ap_evals[self.ap_sector]
 
         if cfg.rx_beamforming == "covrage":
             horizon = cfg.bf_interval if cfg.bf_location == "dti" else cfg.bi_duration
@@ -421,10 +423,11 @@ class Simulator:
             self.hmd_eval = AwvEvaluator(self.hmd_geometry, awv)
             self.hmd_label = "covrage"
         elif cfg.rx_beamforming == "sectors":
-            # responder sweep against the AP's quasi-omni
+            # responder sweep against the AP's quasi-omni; the sectors
+            # codebook ends in the HMD quasi-omni, so d_at_hmd is set
             tx_term = self.ap_qo_eval.gain_db(d_at_ap)
             best_id = best_sector(self.hmd_evals, d_at_hmd, tx_term)
-            self.hmd_eval = self.hmd_evals[best_id][1]
+            self.hmd_eval = self.hmd_evals[best_id]
             self.hmd_label = "sector=%d" % best_id
         self._new_link_epoch()
         self.counters["bf_updates"] += 1
@@ -541,7 +544,7 @@ class Simulator:
 
     def _on_burst_arrival(self, t: float, frame_id: int) -> None:
         self._schedule("burst_arrival", frame_id + 1)
-        self.frames[frame_id] = FrameRecord(frame_id, t)
+        self.frames.append(FrameRecord(frame_id, t))
         self.queue.append(Burst(frame_id, t, 0, self.burst_count))
         self.counters["frames_total"] += 1
         self._log(t, "burst_arrival", "frame=%d mpdus=%d" % (frame_id, self.burst_count))
@@ -575,9 +578,8 @@ class Simulator:
             if self.queue and not (self.tx_busy or self.in_bhi or self.sls_active):
                 raise RuntimeError("medium idle with pending data at t=%.9f" % t)
 
-        records = [self.frames[fid] for fid in sorted(self.frames)]
         logs = (self.events, self.tx_intervals, self.bhi_intervals, self.sls_intervals) if self.collect else ()
-        return RunResult(self.cfg, records, dict(self.counters), *logs)
+        return RunResult(self.cfg, self.frames, dict(self.counters), *logs)
 
 
 def run(config: ScenarioConfig, collect_events: bool = False) -> RunResult:

@@ -11,7 +11,8 @@ Trace CSV schema (header required, extra column groups optional):
 ``qw..qz`` is the head orientation, ``px,py,pz`` an optional recorded
 position (``pw`` is padding, written as 0 and ignored on read), and the
 ``ph_*`` group an optional device-side orientation prediction with its
-horizon in seconds.  Timestamps must be strictly increasing and every
+horizon in seconds.  A recorded position is read, validated and written
+back but drives nothing: the headset position follows the random walk.  Timestamps must be strictly increasing and every
 value read must be finite (``nan`` and ``inf`` are rejected naming the
 row); quaternions off unit norm by more than 1% are rejected, smaller drift
 is renormalized.
@@ -29,6 +30,11 @@ from .geometry import Pose, Quaternion, slerp_arrays
 
 HMD_HEIGHT = 1.7
 _NORM_REJECT = 0.01
+
+# the walk steers away from walls closer than this, meters, turning its
+# drawn heading by at most MAX_TURN_DEG per step
+WALL_MARGIN = 1.0
+MAX_TURN_DEG = 30.0
 
 _HDR_BASE = ["t", "qw", "qx", "qy", "qz"]
 _HDR_POS = ["pw", "px", "py", "pz"]
@@ -307,14 +313,13 @@ def generate_walk(
     step_interval: float,
     duration: float,
     seed: int = 0,
-    wall_margin: float = 1.0,
-    max_turn_deg: float = 30.0,
 ) -> Walk:
     """Random-cardinal walk from the room center with wall steering.
 
-    Every step a cardinal heading is drawn; within ``wall_margin`` of a wall
-    the heading is rotated toward the interior by at most ``max_turn_deg``.
-    Positions are finally clipped to stay strictly inside the bounds.
+    Every step a cardinal heading is drawn; within ``WALL_MARGIN`` of a
+    wall the heading is rotated toward the interior by at most
+    ``MAX_TURN_DEG``.  Positions are finally clipped to stay strictly
+    inside the bounds.
     """
     if speed < 0.0 or step_interval <= 0.0:
         raise ValueError("speed must be nonnegative and step interval positive")
@@ -328,18 +333,18 @@ def generate_walk(
     for _ in range(n_steps):
         ang = math.radians(90.0 * int(rng.integers(0, 4)))
         away = np.zeros(2)
-        if pos[0] - xmin < wall_margin:
+        if pos[0] - xmin < WALL_MARGIN:
             away[0] += 1.0
-        if xmax - pos[0] < wall_margin:
+        if xmax - pos[0] < WALL_MARGIN:
             away[0] -= 1.0
-        if pos[1] - ymin < wall_margin:
+        if pos[1] - ymin < WALL_MARGIN:
             away[1] += 1.0
-        if ymax - pos[1] < wall_margin:
+        if ymax - pos[1] < WALL_MARGIN:
             away[1] -= 1.0
         if away[0] != 0.0 or away[1] != 0.0:
             target = math.atan2(away[1], away[0])
             diff = math.remainder(target - ang, 2.0 * math.pi)
-            limit = math.radians(max_turn_deg)
+            limit = math.radians(MAX_TURN_DEG)
             ang += max(-limit, min(limit, diff))
         pos = pos + speed * step_interval * np.array([math.cos(ang), math.sin(ang)])
         pos[0] = min(max(pos[0], xmin + eps), xmax - eps)

@@ -223,10 +223,10 @@ def test_criterion_8_property_suite(run_cached, tmp_path):
     for _ in range(100):
         g = ArrayGeometry(int(rng.integers(1, 7)), int(rng.integers(1, 7)))
         book = generate_sector_codebook(g, quasi_omni=Awv(np.zeros(g.n_elements)))
-        evals = [(sid, AwvEvaluator(g, awv)) for sid, awv in book.all_awvs()]
+        evals = [AwvEvaluator(g, awv) for _, awv in book.all_awvs()]
         d = _random_direction(rng)
         term = float(rng.uniform(-20.0, 20.0))
-        gains = [ev.gain_db(d) + term for _, ev in evals]
+        gains = [ev.gain_db(d) + term for ev in evals]
         ok &= len(evals) == 37 and best_sector(evals, d, term) == int(np.argmax(gains))
     checks.append(("sweep argmax vs brute force", ok))
 

@@ -17,9 +17,13 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer, instrument
 
-    pose_at, gain_db = macsim.pose_at, antenna.AwvEvaluator.gain_db
+    names = ("pose_at", "predict_pose", "covrage_beam", "best_sector", "ap_direction_in_hmd_frame")
+    originals = {name: getattr(macsim, name) for name in names}
+    gain_db = antenna.AwvEvaluator.gain_db
     with instrument(Tracer()):
-        assert macsim.pose_at is not pose_at
+        for name in names:
+            assert getattr(macsim, name) is not originals[name], name
         assert antenna.AwvEvaluator.gain_db is not gain_db
-    assert macsim.pose_at is pose_at
+    for name in names:
+        assert getattr(macsim, name) is originals[name], name
     assert antenna.AwvEvaluator.gain_db is gain_db

@@ -224,3 +224,16 @@ class TestCodebookFile:
         path.write_text(path.read_text().replace("QUASIOMNI\n0", "QUASIOMNI\nzero", 1))
         with pytest.raises(CodebookFormatError):
             read_codebook(path)
+
+    @pytest.mark.parametrize("header", ["0 8 0.5 60e9", "1 1 -0.5 60e9", "1 1 0.5 inf", "1 1 nan 60e9"])
+    def test_bad_header_value_names_line_one(self, tmp_path, header):
+        path = tmp_path / "header.cbk"
+        path.write_text(header + "\nQUASIOMNI\n0\n")
+        with pytest.raises(CodebookFormatError, match="^line 1: "):
+            read_codebook(path)
+
+    def test_non_finite_aim_names_its_line(self, tmp_path):
+        path = tmp_path / "aim.cbk"
+        path.write_text("1 1 0.5 60e9\nSECTOR 0 nan inf\n0\nQUASIOMNI\n0\n")
+        with pytest.raises(CodebookFormatError, match="^line 2: "):
+            read_codebook(path)

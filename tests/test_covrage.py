@@ -9,7 +9,7 @@ import pytest
 from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db, steering_phases
 from xrsim.codebook import cached_quasi_omni
 from xrsim.covrage import (
-    K_MAX_DEFAULT,
+    K_MAX,
     SubArrayPlan,
     _block_field,
     choose_block_count,
@@ -69,7 +69,7 @@ class TestBlockCount:
         assert choose_block_count(64, 0.5, 40.0) == 8
         assert choose_block_count(64, 0.5, 0.0) == 1
         assert choose_block_count(64, 0.5, 1e-6) == 1
-        assert choose_block_count(64, 0.5, 180.0) == K_MAX_DEFAULT
+        assert choose_block_count(64, 0.5, 180.0) == K_MAX
         assert choose_block_count(8, 0.5, 5.0) == 1
 
     def test_monotone_in_span(self):
@@ -106,7 +106,7 @@ class TestPlan:
 
     def test_inconsistent_plan_rejected(self):
         with pytest.raises(ValueError):
-            SubArrayPlan(((0, 2), (2, 4)), (), (), (0.0, 0.0))
+            SubArrayPlan(((0, 2), (2, 4)), (), (), (0.0, 0.0), ())
 
 
 class TestSynthesis:
@@ -206,6 +206,16 @@ class TestCovrageBeam:
         direct = covrage_beam(g, now, pred, AP)
         plan = plan_subarrays(g, trajectory_from_poses(now, pred, AP))
         assert np.allclose(direct.phases, synthesize_awv(g, plan).phases, atol=1e-12)
+
+    def test_predicted_position_is_not_read(self):
+        # the beam follows the predicted orientation from the current
+        # position, which is why predict_pose holds the position
+        g = ArrayGeometry(64, 64)
+        now = Pose(0.0, HERE, Quaternion.identity())
+        q_pred = Quaternion.from_axis_angle((0, 0, 1), math.radians(25.0))
+        a = covrage_beam(g, now, Pose(0.1, HERE, q_pred), AP)
+        b = covrage_beam(g, now, Pose(0.1, HERE + np.array([2.0, -1.5, 0.3]), q_pred), AP)
+        assert np.array_equal(a.phases, b.phases)
 
     def test_deterministic(self):
         g = ArrayGeometry(64, 64)

@@ -16,6 +16,7 @@ from xrsim.geometry import (
     slerp,
     slerp_arrays,
 )
+from xrsim.mobility import TraceSet
 
 
 def rand_quat(rng):
@@ -227,3 +228,17 @@ class TestPredictPose:
         assert pred.orientation.rotation_angle_to(hist[-1].orientation) == pytest.approx(
             0.0, abs=1e-9
         )
+
+    @pytest.mark.parametrize("mode", ["constant_velocity", "device", "oracle"])
+    def test_position_is_the_last_samples(self, mode):
+        # only the predicted orientation reaches the composite beam, so the
+        # position is held, even against a trace that records one
+        q = np.array([[1.0, 0.0, 0.0, 0.0], [math.cos(0.1), 0.0, 0.0, math.sin(0.1)]])
+        recorded = np.array([[5.0, 5.0, 1.0], [-5.0, 9.0, 2.0]])
+        trace = TraceSet(np.array([0.0, 1.0]), q, recorded, q, np.full(2, 0.1))
+        hist = [
+            Pose(0.0, np.array([0.0, 0.0, 1.7]), Quaternion(*q[0])),
+            Pose(0.01, np.array([0.3, -0.2, 1.7]), Quaternion(*q[1])),
+        ]
+        pred = predict_pose(hist, horizon=0.05, mode=mode, trace=trace)
+        assert np.array_equal(pred.position, hist[-1].position)

@@ -120,23 +120,23 @@ class TestBestSector:
     def test_matches_brute_force(self):
         g = ArrayGeometry(8, 8)
         book = generate_sector_codebook(g, seed=3)
-        evals = [(sid, AwvEvaluator(g, awv)) for sid, awv in book.all_awvs()]
+        evals = [AwvEvaluator(g, awv) for _, awv in book.all_awvs()]
         for az, el in [(20.0, -10.0), (0.0, 0.0), (-45.0, 30.0), (130.0, -60.0)]:
             d = Direction(az, el)
-            gains = [ev.gain_db(d) for _, ev in evals]
+            gains = [ev.gain_db(d) for ev in evals]
             assert best_sector(evals, d) == int(np.argmax(gains))
 
     def test_tie_breaks_to_the_lowest_id(self):
         # a single-element array radiates identically in every sector
         g = ArrayGeometry(1, 1)
         book = generate_sector_codebook(g)
-        evals = [(sid, AwvEvaluator(g, awv)) for sid, awv in book.all_awvs()]
+        evals = [AwvEvaluator(g, awv) for _, awv in book.all_awvs()]
         assert best_sector(evals, Direction(35.0, 10.0)) == 0
 
     def test_fixed_term_does_not_move_the_argmax(self):
         g = ArrayGeometry(8, 8)
         book = generate_sector_codebook(g, seed=5)
-        evals = [(sid, AwvEvaluator(g, awv)) for sid, awv in book.all_awvs()]
+        evals = [AwvEvaluator(g, awv) for _, awv in book.all_awvs()]
         d = Direction(-25.0, 15.0)
         assert best_sector(evals, d, 0.0) == best_sector(evals, d, -37.5)
 
