@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -127,55 +128,56 @@ def _lattice_phasors(k_offsets: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class AwvEvaluator:
-    """Fast gain evaluation for a fixed (geometry, AWV) pair: one direction
-    at a time (:meth:`gain_db`, used by sector sweeps) or many at once
-    (:meth:`gains_db`, used by link evaluation).
+    """Fast gain evaluation for one AWV, or for a codebook's stack of AWVs
+    (``awv`` is then their tuple, in the order given), toward many
+    directions at once (:meth:`gains_db`).  A link evaluates one AWV at a
+    batch of directions; a sector sweep evaluates a whole codebook toward one
+    direction (:meth:`gain_db`).
 
     Exploits the rectangular lattice: the element sum factors into a row
     combination of per-column sums, turning the O(N) phase sum into two
-    length-rows/cols contractions.  Produces the same value as ``gain_db``
-    up to floating-point summation order.
+    length-rows/cols contractions.  Produces the values of the per-element
+    :func:`gain_db` up to floating-point summation order.
     """
 
-    def __init__(self, geometry: ArrayGeometry, awv: Awv):
-        if awv.n_elements != geometry.n_elements:
+    def __init__(self, geometry: ArrayGeometry, awv: Awv | Sequence[Awv]):
+        stack = (awv,) if isinstance(awv, Awv) else tuple(awv)
+        if not stack or any(a.n_elements != geometry.n_elements for a in stack):
             raise ValueError("weight vector length does not match the array")
         self.geometry = geometry
-        self.awv = awv
+        self.awv = awv if isinstance(awv, Awv) else stack
         d = geometry.spacing_wavelengths * geometry.wavelength
         k = 2.0 * math.pi / geometry.wavelength
         self._ky = k * d * (np.arange(geometry.cols) - (geometry.cols - 1) / 2.0)
         self._kz = k * d * (np.arange(geometry.rows) - (geometry.rows - 1) / 2.0)
-        self._w = (awv.amplitude * np.exp(1j * awv.phases)).reshape(geometry.rows, geometry.cols)
+        # rows x (AWV, column): one matrix product serves the whole stack
+        self._w = np.stack(
+            [(a.amplitude * np.exp(1j * a.phases)).reshape(geometry.rows, geometry.cols) for a in stack], axis=1
+        ).reshape(geometry.rows, -1)
 
-    def gain_db(self, direction: Direction) -> float:
-        # Kept beside gains_db, which rounds differently: the last bit decides
-        # mirror-sector ties, and sweeping with gains_db moved the abft digest.
-        u = direction.to_unit_vector()
-        col_phasors = np.exp(1j * (self._ky * u[1]))
-        row_phasors = np.exp(1j * (self._kz * u[2]))
-        total = complex(row_phasors @ (self._w @ col_phasors))
-        mag = abs(total)
-        if mag < _NULL_FIELD:
-            return NULL_GAIN_DB
-        return 20.0 * math.log10(mag)
+    def gain_db(self, direction: Direction):
+        """Gain toward one direction: a float, or one per stacked AWV."""
+        return self.gains_db(direction.to_unit_vector()[None, :])[0]
 
     def gains_db(self, u: np.ndarray) -> np.ndarray:
         """Gains toward the rows of ``u``, (M, 3) unit vectors in the array
-        frame; the row-wise :meth:`gain_db`, equal to it up to rounding.
+        frame: (M,) for one AWV, (M, stack size) for a stack.
 
         The row sums are matrix products of at most ``_GEMM_MACS``
         multiply-adds each: OpenBLAS hands larger complex products, and a
         complex matrix-vector product of a 64x64 array, to its thread pool,
         whose spinning workers cost more CPU than they save.  Link batches
-        hold at least two directions, so they never form the latter.
+        hold at least two directions, so they never form the latter.  A
+        sweep is one direction and one vector-matrix product over the stack
+        (2,368 multiply-adds for the 37-entry 8x8 codebook).
         """
         col_phasors = _lattice_phasors(self._ky, u[:, 1])
         row_phasors = _lattice_phasors(self._kz, u[:, 2])
         n_products = -(-len(u) * self._w.size // _GEMM_MACS)
         per_column = np.concatenate([rows @ self._w for rows in np.array_split(row_phasors, n_products)])
-        mags = np.abs(np.einsum("mc,mc->m", per_column, col_phasors))
-        return np.where(mags < _NULL_FIELD, NULL_GAIN_DB, 20.0 * np.log10(np.maximum(mags, _NULL_FIELD)))
+        mags = np.abs(np.einsum("msc,mc->ms", per_column.reshape(len(u), -1, len(self._ky)), col_phasors))
+        gains = np.where(mags < _NULL_FIELD, NULL_GAIN_DB, 20.0 * np.log10(np.maximum(mags, _NULL_FIELD)))
+        return gains if isinstance(self.awv, tuple) else gains[:, 0]
 
 
 def sample_directions(n: int, rng: np.random.Generator) -> list[Direction]:

@@ -86,12 +86,14 @@ def choose_block_count(cols: int, spacing_wavelengths: float, span_deg: float) -
 
     The needed count depends on the per-block beamwidth, which itself depends
     on the count, so the rule is iterated from k=1 upward until it stops
-    asking for more blocks or saturates at :data:`K_MAX`.
+    asking for more blocks or saturates at :data:`K_MAX` or one column per
+    block, whichever is fewer.
     """
+    k_cap = min(K_MAX, cols)
     k = 1
-    for _ in range(K_MAX + 1):
-        width = subarray_beamwidth_deg(max(1, cols // k), spacing_wavelengths)
-        k_next = min(max(math.ceil(span_deg / width), 1), K_MAX)
+    for _ in range(k_cap + 1):
+        width = subarray_beamwidth_deg(cols // k, spacing_wavelengths)
+        k_next = min(max(math.ceil(span_deg / width), 1), k_cap)
         if k_next <= k:
             break
         k = k_next

@@ -30,15 +30,21 @@ that ends at or after that event is pushed as ``mpdu_tx_done``, so a tie
 with a heap time runs in :data:`EVENT_KINDS` order as before.  A run of
 length 1 is the plain one-event-per-MPDU schedule.
 
+Sector sweeps: the AP, and in the ``sectors`` mode the headset, probes
+every entry of its codebook toward the other end, one array pass over the
+stacked codebook.  The winner is the lowest sector id whose gain is within
+:data:`SWEEP_TIE_DB` of the best (:func:`best_sector`).  Mirror-image sectors
+about the probed direction have equal gains up to rounding, so without the
+tolerance their order would be decided by summation order.  A gain shared by
+every candidate, such as the other end's quasi-omni listener, cannot move
+the winner, so the sweep leaves it out.
+
 No MPDU starts before the first beamforming update: time 0 opens a BHI, at
 whose end the owed t = 0 sweep starts (DTI) or the update itself happens
-(A-BFT).  So the pre-sweep "discovery" state never carries data, and the
-headset's quasi-omni pattern is built only where it is a receive pattern
-that can carry data or win a sweep: the ``quasi_omni`` mode, and the last
-entry of the ``sectors`` codebook.  Covrage never synthesizes it, the
-costliest set-up step at 64x64: its only other use would be the listener
-term of the AP sweep, the same for every AP sector, which cannot move the
-winner.
+(A-BFT).  So there is no pre-sweep link state, and the headset's quasi-omni
+pattern is built only where it is a receive pattern: the ``quasi_omni``
+mode, and the last entry of the ``sectors`` codebook.  Covrage never
+synthesizes it, the costliest set-up step at 64x64.
 
 Link evaluation runs per beamforming epoch.  Between two updates the AWV
 pair is fixed, so an MPDU's SNR is a function of its start time alone, and
@@ -85,6 +91,9 @@ _VELOCITY_EST_DT = 0.01
 
 # predicted MPDU start times per link-evaluation batch
 _LINK_BATCH = 128
+
+# sweep candidates this close to the best gain (dB) tie; the lowest id wins
+SWEEP_TIE_DB = 1e-9
 
 
 @dataclass(slots=True)
@@ -149,18 +158,10 @@ def frame_airtime(config: ScenarioConfig) -> float:
     return ((count - 1) * full + tail) / config.mcs.phy_rate_bps + count * config.per_mpdu_overhead
 
 
-def best_sector(evals, direction, fixed_term_db: float = 0.0) -> int:
-    """Sweep winner: highest combined gain, ties broken toward the lowest id.
-
-    ``evals`` is a list of AwvEvaluators indexed by sector id, so a
-    strictly-greater scan lands on the first of any tied group.
-    """
-    best_id, best_metric = None, None
-    for sid, ev in enumerate(evals):
-        metric = ev.gain_db(direction) + fixed_term_db
-        if best_metric is None or metric > best_metric:
-            best_id, best_metric = sid, metric
-    return best_id
+def best_sector(gains_db: np.ndarray) -> int:
+    """Sweep winner from the gains indexed by sector id: the lowest id whose
+    gain is within :data:`SWEEP_TIE_DB` of the best."""
+    return int(np.argmax(gains_db >= gains_db.max() - SWEEP_TIE_DB))
 
 
 def write_event_log(path, events) -> None:
@@ -267,31 +268,27 @@ class Simulator:
         self.ap_codebook = generate_sector_codebook(
             self.ap_geometry, quasi_omni=self._qo(self.ap_geometry)
         )
-        # indexed by sector id, the quasi-omni last
-        self.ap_evals = [AwvEvaluator(self.ap_geometry, awv) for _, awv in self.ap_codebook.all_awvs()]
-        self.ap_qo_eval = self.ap_evals[-1]
+        # the stacked codebook, indexed by sector id, the quasi-omni last
+        self.ap_sweep = AwvEvaluator(self.ap_geometry, [awv for _, awv in self.ap_codebook.all_awvs()])
 
         rows, cols = cfg.hmd_shape()
         self.hmd_geometry = ArrayGeometry(rows, cols, cfg.spacing, cfg.carrier_hz)
         # the HMD quasi-omni is synthesized only where it is a receive
         # pattern: the quasi_omni mode and the sectors codebook's last entry
-        self.hmd_evals = None
-        self.hmd_qo_eval = None
+        self.hmd_sweep = None
         if cfg.rx_beamforming == "sectors":
             book = generate_sector_codebook(
                 self.hmd_geometry, quasi_omni=self._qo(self.hmd_geometry)
             )
-            self.hmd_evals = [AwvEvaluator(self.hmd_geometry, awv) for _, awv in book.all_awvs()]
-            self.hmd_qo_eval = self.hmd_evals[-1]
-        elif cfg.rx_beamforming == "quasi_omni":
-            self.hmd_qo_eval = AwvEvaluator(self.hmd_geometry, self._qo(self.hmd_geometry))
+            self.hmd_sweep = AwvEvaluator(self.hmd_geometry, [awv for _, awv in book.all_awvs()])
 
-        # discovery state until the first sweep completes; covrage has no
-        # HMD pattern yet, and needs none, since no MPDU starts before it
-        self.ap_sector = self.ap_codebook.quasi_omni_id
-        self.ap_eval = self.ap_qo_eval
-        self.hmd_eval = self.hmd_qo_eval
-        self.hmd_label = "qo"
+        # the link's AWV pair, set by the sweeps, before which no MPDU
+        # starts; only the quasi_omni mode's headset pattern is fixed
+        self.ap_eval = None
+        self.hmd_eval = None
+        if cfg.rx_beamforming == "quasi_omni":
+            self.hmd_eval = AwvEvaluator(self.hmd_geometry, self._qo(self.hmd_geometry))
+            self.hmd_label = "qo"
         self._new_link_epoch()
 
     # -- event plumbing ---------------------------------------------------
@@ -352,7 +349,7 @@ class Simulator:
         predicted from t (see the module docstring)."""
         k = self._batch_next
         if k >= len(self._batch_starts) or self._batch_starts[k] != t:
-            if self.hmd_eval is None:
+            if self.ap_eval is None:
                 raise RuntimeError("MPDU start before the first sweep at t=%.9f" % t)
             self._batch_starts = self._predicted_starts(t)
             self._batch_snr = self.snr_at(np.array(self._batch_starts)).tolist()
@@ -403,18 +400,10 @@ class Simulator:
         """Select the AP sector and refresh the HMD side; returns a log tag."""
         cfg = self.cfg
         hmd_pose = self._hmd_pose(t)
+        # initiator sweep: every AP sector probed toward the headset
         d_at_ap = ap_direction_in_hmd_frame(self.ap_pose, hmd_pose.position)
-
-        # initiator sweep: each AP sector probed against the quasi-omni
-        # listener.  The listener's gain is one term shared by every sector,
-        # so covrage, which builds no HMD quasi-omni, leaves it out and
-        # needs no headset-frame AP direction.
-        rx_term = 0.0
-        if self.hmd_qo_eval is not None:
-            d_at_hmd = ap_direction_in_hmd_frame(hmd_pose, self.ap_position)
-            rx_term = self.hmd_qo_eval.gain_db(d_at_hmd)
-        self.ap_sector = best_sector(self.ap_evals, d_at_ap, rx_term)
-        self.ap_eval = self.ap_evals[self.ap_sector]
+        self.ap_sector = best_sector(self.ap_sweep.gain_db(d_at_ap))
+        self.ap_eval = AwvEvaluator(self.ap_geometry, self.ap_sweep.awv[self.ap_sector])
 
         if cfg.rx_beamforming == "covrage":
             horizon = cfg.bf_interval if cfg.bf_location == "dti" else cfg.bi_duration
@@ -423,11 +412,10 @@ class Simulator:
             self.hmd_eval = AwvEvaluator(self.hmd_geometry, awv)
             self.hmd_label = "covrage"
         elif cfg.rx_beamforming == "sectors":
-            # responder sweep against the AP's quasi-omni; the sectors
-            # codebook ends in the HMD quasi-omni, so d_at_hmd is set
-            tx_term = self.ap_qo_eval.gain_db(d_at_ap)
-            best_id = best_sector(self.hmd_evals, d_at_hmd, tx_term)
-            self.hmd_eval = self.hmd_evals[best_id]
+            # responder sweep: every headset sector probed toward the AP
+            d_at_hmd = ap_direction_in_hmd_frame(hmd_pose, self.ap_position)
+            best_id = best_sector(self.hmd_sweep.gain_db(d_at_hmd))
+            self.hmd_eval = AwvEvaluator(self.hmd_geometry, self.hmd_sweep.awv[best_id])
             self.hmd_label = "sector=%d" % best_id
         self._new_link_epoch()
         self.counters["bf_updates"] += 1

@@ -126,6 +126,25 @@ class TestFieldAndGain:
         assert got[0] == NULL_GAIN_DB
         assert got[1] > NULL_GAIN_DB
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 8)])
+    def test_a_stack_gives_each_awv_its_gain(self, rng, shape):
+        g = ArrayGeometry(*shape)
+        awvs = [Awv(rng.uniform(-math.pi, math.pi, g.n_elements)) for _ in range(5)]
+        dirs = sample_directions(7, rng)
+        u = np.stack([d.to_unit_vector() for d in dirs])
+        stack = AwvEvaluator(g, awvs)
+        got = stack.gains_db(u)
+        assert got.shape == (7, 5)
+        for s, awv in enumerate(awvs):
+            for m, d in enumerate(dirs):
+                assert got[m, s] == pytest.approx(gain_db(g, awv, d), abs=1e-9)
+        # a sweep: every AWV of the stack toward one direction
+        assert np.array_equal(stack.gain_db(dirs[0]), stack.gains_db(u[:1])[0])
+
+    def test_stack_must_match_the_array(self):
+        with pytest.raises(ValueError):
+            AwvEvaluator(ArrayGeometry(2, 2), [Awv(np.zeros(4)), Awv(np.zeros(5))])
+
 
 class TestSampleDirections:
     def test_deterministic_per_seed(self):

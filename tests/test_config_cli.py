@@ -233,6 +233,16 @@ class TestSimulateCommand:
         assert rc == 0
         assert (tmp_path / "envout" / "envrun_frames.csv").exists()
 
+    def test_one_column_headset_under_fast_motion_runs(self, tmp_path):
+        # a wide predicted arc once asked covrage for more column blocks
+        # than the array has (exit 2, "block count must be in [1, cols]")
+        overrides = [
+            "hmd_rows=8", "hmd_cols=1", "bf_interval=1.0", "prediction=oracle",
+            "room_z=2.0", "peak_dps_high=1000", "sim_time=5",
+        ]
+        argv = ["simulate", "--out-dir", str(tmp_path)] + [a for ov in overrides for a in ("--set", ov)]
+        assert cli.main(argv) == 0
+
     def test_bad_override_exits_one(self, tmp_path, capsys):
         rc = cli.main(
             ["simulate", "--out-dir", str(tmp_path), "--set", "data_rate = 9e9"]

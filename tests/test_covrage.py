@@ -71,6 +71,9 @@ class TestBlockCount:
         assert choose_block_count(64, 0.5, 1e-6) == 1
         assert choose_block_count(64, 0.5, 180.0) == K_MAX
         assert choose_block_count(8, 0.5, 5.0) == 1
+        # two columns: 120 deg is three 50.8 deg widths of the whole array,
+        # but two blocks are all two columns can hold
+        assert choose_block_count(2, 0.5, 120.0) == 2
 
     def test_monotone_in_span(self):
         prev = 0
@@ -78,6 +81,15 @@ class TestBlockCount:
             k = choose_block_count(64, 0.5, float(span))
             assert k >= prev
             prev = k
+
+    @pytest.mark.parametrize("cols", range(1, 9))
+    def test_never_more_blocks_than_columns(self, cols):
+        g = ArrayGeometry(2, cols)
+        traj = make_trajectory(2, 5.0, 20.0)
+        for span in np.linspace(0.0, 180.0, 361):
+            k = choose_block_count(cols, 0.5, float(span))
+            assert 1 <= k <= min(K_MAX, cols)
+            assert plan_with_k(g, traj, k).k == k
 
     def test_beamwidth_shrinks_with_aperture(self):
         assert subarray_beamwidth_deg(8, 0.5) > subarray_beamwidth_deg(64, 0.5)
@@ -216,6 +228,16 @@ class TestCovrageBeam:
         a = covrage_beam(g, now, Pose(0.1, HERE, q_pred), AP)
         b = covrage_beam(g, now, Pose(0.1, HERE + np.array([2.0, -1.5, 0.3]), q_pred), AP)
         assert np.array_equal(a.phases, b.phases)
+
+    def test_arc_wider_than_two_columns_can_split(self):
+        # a 150 deg yaw with the AP level with the headset sweeps a 150 deg arc
+        g = ArrayGeometry(8, 2)
+        ap_ahead = HERE + np.array([5.0, 0.0, 0.0])
+        now = Pose(0.0, HERE, Quaternion.identity())
+        pred = Pose(1.0, HERE, Quaternion.from_axis_angle((0, 0, 1), math.radians(150.0)))
+        plan = plan_subarrays(g, trajectory_from_poses(now, pred, ap_ahead))
+        assert plan.blocks == ((0, 1), (1, 2))
+        assert covrage_beam(g, now, pred, ap_ahead).n_elements == 16
 
     def test_deterministic(self):
         g = ArrayGeometry(64, 64)

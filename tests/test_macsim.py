@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrsim import macsim
-from xrsim.antenna import ArrayGeometry, AwvEvaluator
+from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db
 from xrsim.channel import snr_db
 from xrsim.codebook import cached_quasi_omni, generate_sector_codebook
 from xrsim.config import ConfigError, ScenarioConfig, load_config
@@ -116,29 +116,65 @@ class TestBiConfig:
             load_config(overrides=["bf_location = beacon"])
 
 
+# the AP direction of the 1.9 s sweep in the 2 s digest runs, where AP
+# sectors 20 and 21 (aims -10 and +10 deg azimuth) are a mirror pair
+MIRROR_DIRECTION = Direction(3.3878870498648826e-16, 0.6851006141968146)
+
+
+def oracle_gains(g, awvs, d):
+    return np.array([gain_db(g, awv, d) for awv in awvs])
+
+
 class TestBestSector:
-    def test_matches_brute_force(self):
+    @pytest.fixture(scope="class")
+    def book(self):
         g = ArrayGeometry(8, 8)
-        book = generate_sector_codebook(g, seed=3)
-        evals = [AwvEvaluator(g, awv) for _, awv in book.all_awvs()]
-        for az, el in [(20.0, -10.0), (0.0, 0.0), (-45.0, 30.0), (130.0, -60.0)]:
-            d = Direction(az, el)
-            gains = [ev.gain_db(d) for ev in evals]
-            assert best_sector(evals, d) == int(np.argmax(gains))
+        return g, [awv for _, awv in generate_sector_codebook(g, seed=3).all_awvs()]
+
+    def test_matches_brute_force(self, book):
+        # one stacked pass against the per-element oracle, under the same rule
+        g, awvs = book
+        sweep = AwvEvaluator(g, awvs)
+        for d in [Direction(20.0, -10.0), Direction(0.0, 0.0), Direction(-45.0, 30.0), Direction(130.0, -60.0)]:
+            assert best_sector(sweep.gain_db(d)) == best_sector(oracle_gains(g, awvs, d))
+        assert best_sector(sweep.gain_db(MIRROR_DIRECTION)) == best_sector(oracle_gains(g, awvs, MIRROR_DIRECTION)) == 20
+
+    @pytest.fixture(scope="class")
+    def mirror_gains(self, book):
+        g, awvs = book
+        gains = oracle_gains(g, awvs, MIRROR_DIRECTION)
+        assert sorted(np.argsort(-gains)[:2]) == [20, 21]
+        assert abs(gains[20] - gains[21]) < macsim.SWEEP_TIE_DB
+        return gains
+
+    @pytest.mark.parametrize("delta", [1e-14, -1e-14])
+    def test_rounding_noise_goes_to_the_lowest_id(self, mirror_gains, delta):
+        for sid in (20, 21):
+            gains = mirror_gains.copy()
+            gains[sid] += delta
+            assert best_sector(gains) == 20
+
+    @pytest.mark.parametrize("delta", [1e-6, -1e-6])
+    def test_a_measurable_gap_picks_the_larger_gain(self, mirror_gains, delta):
+        gains = mirror_gains.copy()
+        gains[20] = gains[21] + delta
+        assert best_sector(gains) == (20 if delta > 0 else 21)
 
     def test_tie_breaks_to_the_lowest_id(self):
         # a single-element array radiates identically in every sector
         g = ArrayGeometry(1, 1)
-        book = generate_sector_codebook(g)
-        evals = [AwvEvaluator(g, awv) for _, awv in book.all_awvs()]
-        assert best_sector(evals, Direction(35.0, 10.0)) == 0
+        awvs = [awv for _, awv in generate_sector_codebook(g).all_awvs()]
+        assert best_sector(AwvEvaluator(g, awvs).gain_db(Direction(35.0, 10.0))) == 0
 
-    def test_fixed_term_does_not_move_the_argmax(self):
-        g = ArrayGeometry(8, 8)
-        book = generate_sector_codebook(g, seed=5)
-        evals = [AwvEvaluator(g, awv) for _, awv in book.all_awvs()]
-        d = Direction(-25.0, 15.0)
-        assert best_sector(evals, d, 0.0) == best_sector(evals, d, -37.5)
+    @given(shift=st.floats(-20.0, 20.0), k=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_term_does_not_move_the_argmax(self, book, shift, k):
+        # a gain shared by every sector, such as the other end's listener,
+        # cannot move the winner, which is why the sweep leaves it out
+        g, awvs = book
+        d = [Direction(-25.0, 15.0), Direction(0.0, 0.0), Direction(130.0, -60.0), MIRROR_DIRECTION][k]
+        gains = oracle_gains(g, awvs, d)
+        assert best_sector(gains + shift) == best_sector(gains)
 
 
 STATIC_2S = ("sim_time = 2.0", "rotation = static")
@@ -453,7 +489,7 @@ class TestLazyQuasiOmni:
         sim = macsim.Simulator(load_config(overrides=["sim_time = 0.5", "qo_samples = 97"]))
         hits1, misses1 = _cache_calls()
         assert (hits1 - hits0, misses1 - misses0) == (0, 1)
-        assert sim.hmd_qo_eval is None and sim.hmd_eval is None
+        assert sim.hmd_eval is None and sim.hmd_sweep is None
         # the one miss was the 8x8 AP: asking for it again is a hit
         assert sim._qo(sim.ap_geometry) is sim.ap_codebook.quasi_omni
         assert _cache_calls() == (hits1 + 1, misses1)
@@ -475,8 +511,13 @@ class TestLazyQuasiOmni:
         )
         hits1, misses1 = _cache_calls()
         assert (hits1 - hits0) + (misses1 - misses0) == 2
-        assert sim.hmd_qo_eval.awv is sim._qo(sim.hmd_geometry)
-        assert sim.hmd_eval is sim.hmd_qo_eval
+        # the quasi_omni mode's fixed pattern, or the sectors codebook's last
+        # entry, whose first sweep sets the headset pattern
+        if mode == "quasi_omni":
+            assert sim.hmd_eval.awv is sim._qo(sim.hmd_geometry)
+        else:
+            assert sim.hmd_sweep.awv[-1] is sim._qo(sim.hmd_geometry)
+            assert sim.hmd_eval is None
 
     @pytest.mark.parametrize(
         "overrides, first_update",
