@@ -10,8 +10,8 @@ shared by all elements (phase-only beamforming).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,12 +63,32 @@ class ArrayGeometry:
         return out
 
 
+class SteeredBlock(NamedTuple):
+    """Columns ``c0:c1`` of a weight vector, on every row: the full-array
+    :func:`steering_phases` toward a unit vector with y and z components
+    ``ty`` and ``tz``, plus the constant phase ``offset``."""
+
+    c0: int
+    c1: int
+    ty: float
+    tz: float
+    offset: float
+
+
 @dataclass(frozen=True)
 class Awv:
     """Analog weight vector: per-element phases; every element shares the
-    amplitude 1/sqrt(N)."""
+    amplitude 1/sqrt(N).
+
+    ``blocks`` records how the phases were built when they are steered
+    column blocks (a steered beam is one block over all columns), so that
+    :class:`AwvEvaluator` can sum the array in closed form.  It describes
+    ``phases`` and adds nothing to them: it takes no part in ``==`` or
+    ``repr``, and a weight vector read back from a file has none.
+    """
 
     phases: np.ndarray
+    blocks: tuple[SteeredBlock, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         phases = np.ascontiguousarray(self.phases, dtype=float)
@@ -92,7 +112,8 @@ def steering_phases(geometry: ArrayGeometry, direction: Direction) -> Awv:
     """Phases that align all element contributions toward ``direction``."""
     u = direction.to_unit_vector()
     k = 2.0 * math.pi / geometry.wavelength
-    return Awv(-k * (geometry.element_positions() @ u))
+    block = SteeredBlock(0, geometry.cols, float(u[1]), float(u[2]), 0.0)
+    return Awv(-k * (geometry.element_positions() @ u), (block,))
 
 
 def field_at(geometry: ArrayGeometry, awv: Awv, direction: Direction) -> complex:
@@ -127,6 +148,28 @@ def _lattice_phasors(k_offsets: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.cumprod(out, axis=1, out=out)
 
 
+def _dirichlet(theta: np.ndarray, n) -> np.ndarray:
+    """D_n(theta) = sin(n theta / 2) / sin(theta / 2), with D_n(0) = n: the
+    sum of exp(j theta x) over the n centred offsets x = i - (n - 1) / 2.
+    ``n`` is an int or an int array that broadcasts against ``theta``.
+
+    theta is first reduced to [-pi, pi] with D_n(theta + 2 pi) =
+    (-1)^(n - 1) D_n(theta).  Next to a grating lobe, theta near a nonzero
+    multiple of 2 pi, both sines nearly vanish, and the rounding of n theta
+    would swamp the numerator of the plain ratio.
+    """
+    turns = np.rint(theta / (2.0 * math.pi))
+    theta = theta - 2.0 * math.pi * turns
+    half = np.sin(theta / 2.0)
+    out = np.full(theta.shape, n, dtype=float)
+    np.divide(np.sin(n * theta / 2.0), half, out=out, where=half != 0.0)
+    # no sign to fix where every direction is within 1 / (2 spacing) of its
+    # target along the axis, as on a link that points at the other end
+    if turns.any():
+        out[(turns.astype(np.int64) * (n - 1)) & 1 == 1] *= -1.0
+    return out
+
+
 class AwvEvaluator:
     """Fast gain evaluation for one AWV, or for a codebook's stack of AWVs
     (``awv`` is then their tuple, in the order given), toward many
@@ -134,10 +177,14 @@ class AwvEvaluator:
     batch of directions; a sector sweep evaluates a whole codebook toward one
     direction (:meth:`gain_db`).
 
-    Exploits the rectangular lattice: the element sum factors into a row
-    combination of per-column sums, turning the O(N) phase sum into two
-    length-rows/cols contractions.  Produces the values of the per-element
-    :func:`gain_db` up to floating-point summation order.
+    One AWV that carries its :attr:`Awv.blocks` (a steered beam or a
+    covrage composite beam) is summed in closed form, O(blocks) per
+    direction: the planar array factor of each steered block is a product
+    of two Dirichlet kernels (Balanis, *Antenna Theory*, planar arrays).
+    Any other AWV, and every stack, goes through the rectangular lattice:
+    the element sum factors into a row combination of per-column sums, two
+    length-rows/cols contractions instead of the O(N) phase sum.  Both
+    produce the values of the per-element :func:`gain_db` up to rounding.
     """
 
     def __init__(self, geometry: ArrayGeometry, awv: Awv | Sequence[Awv]):
@@ -148,12 +195,24 @@ class AwvEvaluator:
         self.awv = awv if isinstance(awv, Awv) else stack
         d = geometry.spacing_wavelengths * geometry.wavelength
         k = 2.0 * math.pi / geometry.wavelength
-        self._ky = k * d * (np.arange(geometry.cols) - (geometry.cols - 1) / 2.0)
-        self._kz = k * d * (np.arange(geometry.rows) - (geometry.rows - 1) / 2.0)
-        # rows x (AWV, column): one matrix product serves the whole stack
-        self._w = np.stack(
-            [(a.amplitude * np.exp(1j * a.phases)).reshape(geometry.rows, geometry.cols) for a in stack], axis=1
-        ).reshape(geometry.rows, -1)
+        if isinstance(awv, Awv) and awv.blocks:
+            blocks = awv.blocks
+            if [b.c0 for b in blocks] + [geometry.cols] != [0] + [b.c1 for b in blocks]:
+                raise ValueError("steered blocks must tile the array's columns")
+            self._kd = k * d
+            self._target_y = np.array([b.ty for b in blocks])
+            self._target_z = np.array([b.tz for b in blocks])
+            self._block_cols = np.array([b.c1 - b.c0 for b in blocks])
+            self._block_centre = np.array([(b.c0 + b.c1 - geometry.cols) / 2.0 for b in blocks])
+            self._block_coef = awv.amplitude * np.exp(1j * np.array([b.offset for b in blocks]))
+            self._w = None
+        else:
+            self._ky = k * d * (np.arange(geometry.cols) - (geometry.cols - 1) / 2.0)
+            self._kz = k * d * (np.arange(geometry.rows) - (geometry.rows - 1) / 2.0)
+            # rows x (AWV, column): one matrix product serves the whole stack
+            self._w = np.stack(
+                [(a.amplitude * np.exp(1j * a.phases)).reshape(geometry.rows, geometry.cols) for a in stack], axis=1
+            ).reshape(geometry.rows, -1)
 
     def gain_db(self, direction: Direction):
         """Gain toward one direction: a float, or one per stacked AWV."""
@@ -163,19 +222,31 @@ class AwvEvaluator:
         """Gains toward the rows of ``u``, (M, 3) unit vectors in the array
         frame: (M,) for one AWV, (M, stack size) for a stack.
 
-        The row sums are matrix products of at most ``_GEMM_MACS``
-        multiply-adds each: OpenBLAS hands larger complex products, and a
-        complex matrix-vector product of a 64x64 array, to its thread pool,
-        whose spinning workers cost more CPU than they save.  Link batches
-        hold at least two directions, so they never form the latter.  A
-        sweep is one direction and one vector-matrix product over the stack
-        (2,368 multiply-adds for the 37-entry 8x8 codebook).
+        In closed form, block b of n columns, centred ``cen`` columns off the
+        array centre and steered at t, contributes e^{j offset} D_rows(kd
+        (u_z - t_z)) D_n(kd (u_y - t_y)) e^{j cen kd (u_y - t_y)} to the
+        field, times the element amplitude.
+
+        On the lattice the row sums are matrix products of at most
+        ``_GEMM_MACS`` multiply-adds each: OpenBLAS hands larger complex
+        products, and a complex matrix-vector product of a 64x64 array, to
+        its thread pool, whose spinning workers cost more CPU than they
+        save.  That path serves quasi-omni links, whose batches hold at
+        least two directions and so never form the latter, and sweeps: one
+        direction and one vector-matrix product over the stack (2,368
+        multiply-adds for the 37-entry 8x8 codebook).
         """
-        col_phasors = _lattice_phasors(self._ky, u[:, 1])
-        row_phasors = _lattice_phasors(self._kz, u[:, 2])
-        n_products = -(-len(u) * self._w.size // _GEMM_MACS)
-        per_column = np.concatenate([rows @ self._w for rows in np.array_split(row_phasors, n_products)])
-        mags = np.abs(np.einsum("msc,mc->ms", per_column.reshape(len(u), -1, len(self._ky)), col_phasors))
+        if self._w is None:
+            theta_y = self._kd * (u[:, 1:2] - self._target_y)
+            theta_z = self._kd * (u[:, 2:3] - self._target_z)
+            terms = _dirichlet(theta_z, self.geometry.rows) * _dirichlet(theta_y, self._block_cols)
+            mags = np.abs((terms * np.exp(1j * (self._block_centre * theta_y))) @ self._block_coef)[:, None]
+        else:
+            col_phasors = _lattice_phasors(self._ky, u[:, 1])
+            row_phasors = _lattice_phasors(self._kz, u[:, 2])
+            n_products = -(-len(u) * self._w.size // _GEMM_MACS)
+            per_column = np.concatenate([rows @ self._w for rows in np.array_split(row_phasors, n_products)])
+            mags = np.abs(np.einsum("msc,mc->ms", per_column.reshape(len(u), -1, len(self._ky)), col_phasors))
         gains = np.where(mags < _NULL_FIELD, NULL_GAIN_DB, 20.0 * np.log10(np.maximum(mags, _NULL_FIELD)))
         return gains if isinstance(self.awv, tuple) else gains[:, 0]
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .antenna import ArrayGeometry, Awv, steering_phases, _NULL_FIELD
+from .antenna import ArrayGeometry, Awv, SteeredBlock, steering_phases, _NULL_FIELD
 from .geometry import Direction, Pose, Quaternion, slerp
 
 # most column blocks a composite beam is split into
@@ -161,11 +161,15 @@ def _alignment_offsets(geometry, blocks, steers, crossovers) -> list[float]:
 
 def synthesize_awv(geometry: ArrayGeometry, plan: SubArrayPlan) -> Awv:
     """Assemble the composite AWV: each block gets the full-array steering
-    phases toward its own target plus the block phase offset."""
+    phases toward its own target plus the block phase offset, and the AWV
+    records those blocks."""
     phases = np.empty((geometry.rows, geometry.cols))
-    for (c0, c1), steer, offset in zip(plan.blocks, plan.steers, plan.offsets):
+    blocks = []
+    for (c0, c1), target, steer, offset in zip(plan.blocks, plan.targets, plan.steers, plan.offsets):
         phases[:, c0:c1] = steer.reshape(geometry.rows, geometry.cols)[:, c0:c1] + offset
-    return Awv(phases.ravel())
+        t = target.to_unit_vector()
+        blocks.append(SteeredBlock(c0, c1, float(t[1]), float(t[2]), offset))
+    return Awv(phases.ravel(), tuple(blocks))
 
 
 def covrage_beam(geometry: ArrayGeometry, pose_now: Pose, pose_pred: Pose, ap_position: Sequence[float]) -> Awv:

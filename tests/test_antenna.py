@@ -17,7 +17,9 @@ from xrsim.antenna import (
     sample_directions,
     steering_phases,
 )
-from xrsim.geometry import Direction
+from xrsim.codebook import generate_sector_codebook
+from xrsim.covrage import K_MAX, Trajectory, plan_with_k, synthesize_awv
+from xrsim.geometry import Direction, Quaternion
 
 
 def brute_field(geometry, awv, direction):
@@ -144,6 +146,167 @@ class TestFieldAndGain:
     def test_stack_must_match_the_array(self):
         with pytest.raises(ValueError):
             AwvEvaluator(ArrayGeometry(2, 2), [Awv(np.zeros(4)), Awv(np.zeros(5))])
+
+
+# a wide yawing and pitching arc, so that block targets differ in y and z
+_ARC = Trajectory(
+    Quaternion.from_axis_angle((0.0, 0.0, 1.0), 0.0),
+    Quaternion.from_axis_angle((0.3, 0.2, 1.0), 1.5),
+    np.array([1.0, 0.1, 0.2]) / math.sqrt(1.05),
+    90.0,
+)
+_ENDFIRE_AND_BACK = [
+    Direction(90.0, 0.0),
+    Direction(-90.0, 0.0),
+    Direction(0.0, 90.0),
+    Direction(0.0, -90.0),
+    Direction(180.0, 0.0),
+]
+
+
+def grating_lobes(g, aim):
+    """Visible directions whose y or z component differs from the aim's by
+    a nonzero multiple of 1 / spacing: there every element of a beam steered
+    at ``aim`` adds in phase again."""
+    t = aim.to_unit_vector()
+    step = 1.0 / g.spacing_wavelengths
+    out = []
+    for my in range(-2, 3):
+        for mz in range(-2, 3):
+            y, z = t[1] + my * step, t[2] + mz * step
+            if (my or mz) and y * y + z * z < 1.0:
+                out.append(Direction.from_unit_vector(np.array([math.sqrt(1.0 - y * y - z * z), y, z])))
+    return out
+
+
+def steered_and_composite_beams(g):
+    """(AWV, directions that matter to it): steered beams, broadside ones
+    included, then composite beams of every block count, each with its
+    aims or block targets, their grating lobes, and the crossovers."""
+    out = []
+    for aim in (Direction(0.0, 0.0), Direction(30.0, -20.0), Direction(-65.0, 40.0)):
+        out.append((steering_phases(g, aim), [aim] + grating_lobes(g, aim)))
+    for k in range(1, min(K_MAX, g.cols) + 1):
+        plan = plan_with_k(g, _ARC, k)
+        assert plan.k == k
+        lobes = [d for t in plan.targets for d in grating_lobes(g, t)]
+        out.append((synthesize_awv(g, plan), list(plan.targets + plan.crossovers) + lobes))
+    return out
+
+
+def phases_from_blocks(g, awv):
+    """The phases the AWV's blocks describe, element by element."""
+    k = 2.0 * math.pi / g.wavelength
+    pos = g.element_positions().reshape(g.rows, g.cols, 3)
+    phases = np.empty((g.rows, g.cols))
+    for b in awv.blocks:
+        block = pos[:, b.c0 : b.c1]
+        phases[:, b.c0 : b.c1] = -k * (block[..., 1] * b.ty + block[..., 2] * b.tz) + b.offset
+    return phases.ravel()
+
+
+def extended_block_gain_db(g, awv, direction):
+    """Gain of the phases the AWV's blocks describe, summed element by
+    element in long double: k p.(u - t) + offset per element, with the
+    program's double k and spacing."""
+    ld = np.longdouble
+    kd = ld(2.0 * math.pi / g.wavelength) * ld(g.spacing_wavelengths * g.wavelength)
+    rows = np.arange(g.rows, dtype=ld) - ld(g.rows - 1) / 2
+    cols = np.arange(g.cols, dtype=ld) - ld(g.cols - 1) / 2
+    u = direction.to_unit_vector()
+    re = im = ld(0)
+    for b in awv.blocks:
+        phase = kd * (cols[None, b.c0 : b.c1] * (ld(u[1]) - ld(b.ty)) + rows[:, None] * (ld(u[2]) - ld(b.tz)))
+        phase += ld(b.offset)
+        re += np.sum(np.cos(phase))
+        im += np.sum(np.sin(phase))
+    mag = float(np.hypot(re, im)) / math.sqrt(g.n_elements)
+    return NULL_GAIN_DB if mag < 1e-15 else 20.0 * math.log10(mag)
+
+
+class TestClosedForm:
+    """Steered and composite beams summed in closed form.
+
+    The reference is a per-element sum of the block phases in long double.
+    At 64x64 the double-precision oracle :func:`gain_db` rounds phases of up
+    to 400 rad, which moves gains near -80 dB by up to a few 1e-9 dB, and
+    so does rounding the steering phases to doubles."""
+
+    @staticmethod
+    def check_against(g, reference, rng):
+        """<= 1e-9 dB where the reference is above -80 dB, the floor where
+        it is a null, and below -80 dB elsewhere."""
+        for awv, own in steered_and_composite_beams(g):
+            ev = AwvEvaluator(g, awv)
+            assert ev._w is None
+            dirs = own + _ENDFIRE_AND_BACK + sample_directions(40, rng)
+            got = ev.gains_db(np.stack([d.to_unit_vector() for d in dirs]))
+            for value, d in zip(got, dirs):
+                want = reference(g, awv, d)
+                if want == NULL_GAIN_DB:
+                    assert value == NULL_GAIN_DB, (len(awv.blocks), d)
+                elif want > -80.0:
+                    assert abs(value - want) <= 1e-9, (len(awv.blocks), d)
+                else:
+                    assert value <= -80.0 + 1e-9, (len(awv.blocks), d)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).precision < 18, reason="long double is no wider than double")
+    @pytest.mark.parametrize("spacing", [0.5, 1.0])
+    @pytest.mark.parametrize("shape", [(64, 64), (8, 8), (5, 7), (1, 9), (9, 1)])
+    def test_matches_the_extended_precision_sum(self, rng, shape, spacing):
+        self.check_against(ArrayGeometry(*shape, spacing_wavelengths=spacing), extended_block_gain_db, rng)
+
+    @pytest.mark.parametrize("spacing", [0.5, 1.0])
+    @pytest.mark.parametrize("shape", [(8, 8), (5, 7), (1, 9), (9, 1)])
+    def test_matches_the_oracle(self, rng, shape, spacing):
+        self.check_against(ArrayGeometry(*shape, spacing_wavelengths=spacing), gain_db, rng)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 2)])
+    def test_exact_nulls_hit_the_floor(self, shape):
+        # a broadside beam at half-wavelength spacing: adjacent columns (or
+        # rows) are in antiphase at endfire
+        g = ArrayGeometry(*shape)
+        awv = steering_phases(g, Direction(0.0, 0.0))
+        ends = [Direction(90.0, 0.0), Direction(-90.0, 0.0)]
+        if g.rows > 1:
+            ends += [Direction(0.0, 90.0), Direction(0.0, -90.0)]
+        got = AwvEvaluator(g, awv).gains_db(np.stack([d.to_unit_vector() for d in ends]))
+        assert [gain_db(g, awv, d) for d in ends] == [NULL_GAIN_DB] * len(ends)
+        assert got.tolist() == [NULL_GAIN_DB] * len(ends)
+
+    @pytest.mark.parametrize("spacing", [0.5, 1.0])
+    @pytest.mark.parametrize("shape", [(64, 64), (8, 8), (5, 7), (1, 9), (9, 1)])
+    def test_blocks_describe_the_phases(self, shape, spacing):
+        g = ArrayGeometry(*shape, spacing_wavelengths=spacing)
+        awvs = [awv for awv, _ in steered_and_composite_beams(g)]
+        awvs += [s.awv for s in generate_sector_codebook(g, quasi_omni=Awv(np.zeros(g.n_elements))).sectors]
+        for awv in awvs:
+            assert awv.blocks
+            diff = np.angle(np.exp(1j * (awv.phases - phases_from_blocks(g, awv))))
+            assert np.max(np.abs(diff)) <= 1e-9
+
+    def test_blocks_take_no_part_in_equality_or_repr(self):
+        g = ArrayGeometry(4, 4)
+        awv = steering_phases(g, Direction(10.0, 5.0))
+        plain = Awv(awv.phases)
+        assert awv.blocks and not plain.blocks
+        assert awv == plain and repr(awv) == repr(plain)
+        assert "blocks" not in repr(awv)
+
+    def test_plain_phases_take_the_lattice(self):
+        g = ArrayGeometry(8, 8)
+        awv = steering_phases(g, Direction(10.0, 5.0))
+        lattice = AwvEvaluator(g, Awv(awv.phases))
+        assert lattice._w is not None
+        u = np.stack([d.to_unit_vector() for d in sample_directions(30, np.random.default_rng(4))])
+        assert np.max(np.abs(lattice.gains_db(u) - AwvEvaluator(g, awv).gains_db(u))) <= 1e-9
+        # a stack of steered beams is one matrix product
+        assert AwvEvaluator(g, [awv, awv])._w is not None
+
+    def test_blocks_must_tile_the_columns(self):
+        awv = steering_phases(ArrayGeometry(4, 16), Direction(10.0, 5.0))
+        with pytest.raises(ValueError):
+            AwvEvaluator(ArrayGeometry(8, 8), awv)
 
 
 class TestSampleDirections:

@@ -189,6 +189,23 @@ class TestCodebookFile:
             assert np.max(np.abs(got.awv.phases - orig.awv.phases)) <= 1e-9
         assert np.max(np.abs(back.quasi_omni.phases - ap_book.quasi_omni.phases)) <= 1e-9
 
+    def test_read_back_phases_take_the_lattice(self, ap_book, tmp_path):
+        # a file holds phases only: read back, a steered sector loses its
+        # blocks and is evaluated by the lattice product, to the same gains
+        path = tmp_path / "book.cbk"
+        write_codebook(path, ap_book)
+        back = read_codebook(path)
+        g = ap_book.geometry
+        u = np.stack([d.to_unit_vector() for d in sample_directions(25, np.random.default_rng(2))])
+        for orig, got in zip(ap_book.sectors, back.sectors):
+            assert orig.awv.blocks and not got.awv.blocks
+            assert np.array_equal(got.awv.phases, orig.awv.phases)
+            lattice = AwvEvaluator(g, got.awv)
+            assert lattice._w is not None and AwvEvaluator(g, orig.awv)._w is None
+            assert np.max(np.abs(lattice.gains_db(u) - AwvEvaluator(g, orig.awv).gains_db(u))) <= 1e-9
+        for qo in (ap_book.quasi_omni, back.quasi_omni):
+            assert not qo.blocks and AwvEvaluator(g, qo)._w is not None
+
     def test_truncated_phase_block_reports_line(self, ap_book, tmp_path):
         path = tmp_path / "bad.cbk"
         write_codebook(path, ap_book)

@@ -583,6 +583,39 @@ class TestBatchedLink:
         assert len(sim.walk.positions) == 3
         self.check(sim, [0.4999, 0.5, 0.9999, 1.0, 1.0001, 1.5])
 
+    @staticmethod
+    def epoch(overrides, t):
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 1.0"] + overrides))
+        sim._apply_beamform(t)
+        return sim
+
+    def check_epoch(self, sim, closed_form_hmd):
+        # steered sector and composite beams take the closed form, the
+        # quasi-omni pattern the lattice product
+        assert sim.ap_eval._w is None
+        assert (sim.hmd_eval._w is None) == closed_form_hmd
+        self.check(sim, [0.3 + 0.0137 * k for k in range(50)])
+
+    def test_multi_block_covrage_epoch(self):
+        sim = self.epoch(["prediction = oracle", "bf_interval = 1.0"], 0.0)
+        assert sim.hmd_label == "covrage" and len(sim.hmd_eval.awv.blocks) >= 2
+        self.check_epoch(sim, True)
+
+    def test_sectors_directional_winner(self):
+        sim = self.epoch(["rx_beamforming = sectors"], 0.5)
+        assert sim.hmd_label == "sector=33"
+        self.check_epoch(sim, True)
+
+    def test_sectors_quasi_omni_winner(self):
+        sim = self.epoch(["rx_beamforming = sectors"], 0.3)
+        assert sim.hmd_label == "sector=36" and not sim.hmd_eval.awv.blocks
+        self.check_epoch(sim, False)
+
+    def test_quasi_omni_mode(self):
+        sim = self.epoch(["rx_beamforming = quasi_omni", "prediction = none"], 0.3)
+        assert sim.hmd_label == "qo"
+        self.check_epoch(sim, False)
+
     def _fill_queue(self, sim):
         sim.queue.append(Burst(0, 0.3, 0, sim.burst_count))
 
