@@ -48,13 +48,19 @@ synthesizes it, the costliest set-up step at 64x64.
 
 Link evaluation runs per beamforming epoch.  Between two updates the AWV
 pair is fixed, so an MPDU's SNR is a function of its start time alone, and
-back-to-back MPDUs start exactly one airtime apart.  The simulator predicts
-the start times of the queued MPDUs served back to back, walking the burst
-entries and applying the age check at every predicted start, evaluates the
-link at all of them in one array computation (:meth:`Simulator.snr_at`),
-and uses an entry only when the MAC's real start time equals it bit for
-bit.  A start that does not match, or a beamforming update, begins a new
-batch.
+no update comes before the next TBTT or trigger.  Up to that horizon (or
+sim_time) the queue is served back to back and bursts arrive at the known
+times ``k * period``: each start is the previous MPDU's end, or the next
+arrival if the queue has drained by then.  So the simulator predicts the
+starts through the queued and the coming bursts up to the horizon, with the
+age check at each, evaluates the link at all of them in one array
+computation (:meth:`Simulator.snr_at`), and uses an entry only when the
+MAC's real start equals it bit for bit.  A mismatch or an update begins a
+new batch.  The batch cap doubles after a batch is used to its end, so an
+epoch takes a batch or two, and falls back to :data:`_LINK_BATCH` after a
+mismatch, so failures that shift every later start waste little.  Its
+ceiling bounds a batch's arrays (M x 64 complex values per M starts at
+64x64): a one-second epoch at 8 Gbps and 1000-byte MPDUs is 240,000 starts.
 """
 
 from __future__ import annotations
@@ -89,8 +95,10 @@ AP_ORIENTATION = Quaternion.from_axis_angle((0.0, 1.0, 0.0), math.pi / 2.0)
 # past-motion window for the velocity estimate behind extrapolated prediction
 _VELOCITY_EST_DT = 0.01
 
-# predicted MPDU start times per link-evaluation batch
+# predicted MPDU start times per link-evaluation batch: the adaptive cap's
+# floor and its ceiling
 _LINK_BATCH = 128
+_LINK_BATCH_CEILING = 16 * _LINK_BATCH
 
 # sweep candidates this close to the best gain (dB) tie; the lowest id wins
 SWEEP_TIE_DB = 1e-9
@@ -146,18 +154,6 @@ def burst_shape(config: ScenarioConfig) -> tuple[int, int, int]:
     return n_full + (rem > 0), chunk + header, (rem or chunk) + header
 
 
-def mpdu_sizes_bits(config: ScenarioConfig) -> list[int]:
-    """Per-MPDU on-air sizes for one burst."""
-    count, full, tail = burst_shape(config)
-    return [full] * (count - 1) + [tail]
-
-
-def frame_airtime(config: ScenarioConfig) -> float:
-    """Uninterrupted service time of one whole burst."""
-    count, full, tail = burst_shape(config)
-    return ((count - 1) * full + tail) / config.mcs.phy_rate_bps + count * config.per_mpdu_overhead
-
-
 def best_sector(gains_db: np.ndarray) -> int:
     """Sweep winner from the gains indexed by sector id: the lowest id whose
     gain is within :data:`SWEEP_TIE_DB` of the best."""
@@ -195,6 +191,8 @@ class Simulator:
         self.tx_busy = False
         self.next_tbtt = 0.0  # every run opens with a beacon at t = 0
         self._reserved_until = 0.0  # end of the latest BHI or sweep
+        self._link_cap = _LINK_BATCH
+        self._new_link_epoch()
 
         self.counters = {
             "frames_total": 0,
@@ -220,6 +218,8 @@ class Simulator:
         self._sources = {
             kind: (p, max(1, int(math.ceil(config.sim_time / p - 1e-9)))) for kind, p in periods.items()
         }
+        # a DTI run opens with a trigger at t = 0, an A-BFT run has none
+        self.next_trigger = 0.0 if "bf_trigger" in self._sources else math.inf
 
     # -- setup ------------------------------------------------------------
 
@@ -289,7 +289,6 @@ class Simulator:
         if cfg.rx_beamforming == "quasi_omni":
             self.hmd_eval = AwvEvaluator(self.hmd_geometry, self._qo(self.hmd_geometry))
             self.hmd_label = "qo"
-        self._new_link_epoch()
 
     # -- event plumbing ---------------------------------------------------
 
@@ -346,11 +345,17 @@ class Simulator:
     def _link_snr(self, t: float) -> float:
         """SNR of an MPDU starting at t: the batch's next entry when t is
         its predicted start bit for bit, else the first entry of a new batch
-        predicted from t (see the module docstring)."""
+        predicted from t, the cap doubled (up to the ceiling) if the old
+        batch was used to its end or reset to the floor if t missed it."""
         k = self._batch_next
-        if k >= len(self._batch_starts) or self._batch_starts[k] != t:
+        starts = self._batch_starts
+        if k >= len(starts) or starts[k] != t:
             if self.ap_eval is None:
                 raise RuntimeError("MPDU start before the first sweep at t=%.9f" % t)
+            if k < len(starts):
+                self._link_cap = _LINK_BATCH
+            elif starts:
+                self._link_cap = min(2 * self._link_cap, _LINK_BATCH_CEILING)
             self._batch_starts = self._predicted_starts(t)
             self._batch_snr = self.snr_at(np.array(self._batch_starts)).tolist()
             k = 0
@@ -359,24 +364,28 @@ class Simulator:
 
     def _predicted_starts(self, t: float) -> list:
         """t, at which the queue head starts, and the start times that follow
-        while the queue is served back to back: every MPDU at its first
-        attempt, frames that age out dropped as :meth:`_drop_expired` would,
-        checked at every predicted start.  The last entry is the start after
-        the queue's last MPDU (a retry of it, or the next burst).  Starts at
-        or after sim_time never happen and are left out."""
-        drop_age, end = self.cfg.queue_drop_age, self.cfg.sim_time
-        starts = [t]
-        for burst in self.queue:
-            last = burst.count - 1
-            for k in range(burst.sent, burst.count):
-                if len(starts) == _LINK_BATCH:
-                    return starts
-                if (t - burst.arrival) > drop_age:
+        while the queued bursts and then those still to arrive are served,
+        each from the later of its arrival and the previous MPDU's end: every
+        MPDU at its first attempt, frames that age out dropped as
+        :meth:`_drop_expired` would.  At most ``_link_cap`` starts, none at
+        or after the horizon (next TBTT, next trigger, sim_time)."""
+        drop_age, cap = self.cfg.queue_drop_age, self._link_cap
+        horizon = min(self.next_tbtt, self.next_trigger, self.cfg.sim_time)
+        period, n_bursts = self._sources["burst_arrival"]
+        # arrival times as _schedule computes them, bit for bit
+        arriving = ((k * period, 0, self.burst_count) for k in range(len(self.frames), n_bursts))
+        queued = ((burst.arrival, burst.sent, burst.count) for burst in self.queue)
+        starts = []
+        for arrival, sent, count in itertools.chain(queued, arriving):
+            t = max(t, arrival)  # an idle medium waits for the arrival
+            last = count - 1
+            for k in range(sent, count):
+                if t - arrival > drop_age:
                     break  # t stands still, so the rest of the frame is stale too
-                t = t + (self._full_airtime if k < last else self._tail_airtime)
-                if t >= end:
+                if starts and (t >= horizon or len(starts) == cap):
                     return starts
                 starts.append(t)
+                t = t + (self._full_airtime if k < last else self._tail_airtime)
         return starts
 
     def _airtime(self, size_bits: int) -> float:
@@ -512,7 +521,7 @@ class Simulator:
         self._try_start_tx(t)
 
     def _on_bf_trigger(self, t: float, index: int) -> None:
-        self._schedule("bf_trigger", index + 1)
+        self.next_trigger = self._schedule("bf_trigger", index + 1)
         self.sls_owed = True
         # logged before the decision, which may serve MPDUs ending after t
         if self.in_bhi or t + self.cfg.sls_duration > self.next_tbtt:

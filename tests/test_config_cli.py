@@ -322,8 +322,9 @@ class TestSimulateCommand:
 # in seconds at sim_time <= 0.3; far beyond that the work cap rejects the
 # config, which the 1e300 and 10**9 draws exercise.  In between, a run under
 # the cap may take longer than the time limit: an mpdu_bytes below 1000 makes
-# up to 1e7 MPDU attempts, about 6 us each with the 64x64 covrage headset
-# (2 s at mpdu_bytes = 1000: 475,740 attempts in 2.5-3.3 s on 2 cores).
+# up to 1e7 MPDU attempts, about 2.5 us each with the 64x64 covrage headset
+# (2 s at mpdu_bytes = 1000: 475,740 attempts in a 1.0-1.3 s event loop on
+# 2 cores).
 _FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
 _FUZZ_INTS = (-1, 0, 1, 10**9)
 _FUZZ_RANGES = {

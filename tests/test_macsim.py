@@ -1,6 +1,7 @@
 """Event loop, beacon-interval schedule, MPDU accounting and the medium rules."""
 
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +20,6 @@ from xrsim.macsim import (
     Burst,
     best_sector,
     burst_shape,
-    frame_airtime,
-    mpdu_sizes_bits,
     write_event_log,
 )
 from xrsim.mobility import pose_at
@@ -31,6 +30,18 @@ HDR = 100 * 8
 
 def shape(rate):
     return burst_shape(ScenarioConfig(data_rate=rate, frame_rate=100.0))
+
+
+def mpdu_sizes_bits(config):
+    """Per-MPDU on-air sizes for one burst, from ``burst_shape``."""
+    count, full, tail = burst_shape(config)
+    return [full] * (count - 1) + [tail]
+
+
+def frame_airtime(config):
+    """Uninterrupted service time of one whole burst, from ``burst_shape``."""
+    count, full, tail = burst_shape(config)
+    return ((count - 1) * full + tail) / config.mcs.phy_rate_bps + count * config.per_mpdu_overhead
 
 
 class TestMpduAccounting:
@@ -616,15 +627,35 @@ class TestBatchedLink:
         assert sim.hmd_label == "qo"
         self.check_epoch(sim, False)
 
+    @staticmethod
+    def open_epoch(sim, frames_seen, next_tbtt=4 * 0.1024, next_trigger=0.4):
+        """The epoch state that run() keeps: the pending beacon and trigger,
+        and the bursts that have arrived, each at ``k * period``."""
+        period = sim.cfg.burst_interval
+        sim.next_tbtt, sim.next_trigger = next_tbtt, next_trigger
+        sim.frames = [macsim.FrameRecord(k, k * period) for k in range(frames_seen)]
+
+    @staticmethod
+    def back_to_back(t, airtimes):
+        """t and the starts that follow it, one airtime apart, summed as the
+        MAC sums them."""
+        starts = [t]
+        for airtime in airtimes:
+            starts.append(starts[-1] + airtime)
+        return starts
+
     def _fill_queue(self, sim):
-        sim.queue.append(Burst(0, 0.3, 0, sim.burst_count))
+        # frame 30 arrived at 0.3; frames 31 on arrive every 10 ms
+        self.open_epoch(sim, 31)
+        sim.queue.append(Burst(30, 30 * sim.cfg.burst_interval, 0, sim.burst_count))
 
     def test_batch_cut_short_by_a_start_mismatch(self, sim):
         self._fill_queue(sim)
         t0 = 0.31
         assert sim._link_snr(t0) == pytest.approx(self.oracle(sim, t0), abs=1e-9)
         starts = list(sim._batch_starts)
-        assert len(starts) == min(macsim._LINK_BATCH, sim.queue[0].count + 1)
+        # the batch runs on through later bursts, up to the cap
+        assert len(starts) == macsim._LINK_BATCH > sim.queue[0].count
         assert starts[1] == t0 + sim._airtime(burst_shape(sim.cfg)[1])
         assert sim._link_snr(starts[1]) == pytest.approx(self.oracle(sim, starts[1]), abs=1e-9)
         # the MAC starts later than predicted: a new batch begins there
@@ -645,20 +676,127 @@ class TestBatchedLink:
 
     def test_prediction_skips_frames_that_age_out(self, sim):
         # frame 0 is one full MPDU and the short tail; it ages out while the
-        # full one is on air, so the next start is frame 1's first MPDU
+        # full one is on air, so the next start is frame 1's first MPDU;
+        # no burst is left to arrive
         _, full, tail = burst_shape(sim.cfg)
         assert tail < full
+        self.open_epoch(sim, 100, next_tbtt=1.0, next_trigger=1.0)
         sim.queue.extend([Burst(0, 0.3, 0, 2), Burst(1, 0.31, 0, 3)])
         t0 = 0.3 + sim.cfg.queue_drop_age - 1e-6
-        want = [t0]
-        for size in (full, full, full, tail):
-            want.append(want[-1] + sim._airtime(size))
-        assert sim._predicted_starts(t0) == want
+        assert sim._predicted_starts(t0) == self.back_to_back(t0, [sim._airtime(full)] * 3)
 
     def test_prediction_resumes_a_partly_sent_frame(self, sim):
+        # two MPDUs of frame 30 are left; frame 31 arrives while the last
+        # one is on air and starts at its end
         _, full, tail = burst_shape(sim.cfg)
-        sim.queue.append(Burst(0, 0.3, 2, 4))
-        want = [0.31]
-        for size in (full, tail):
-            want.append(want[-1] + sim._airtime(size))
-        assert sim._predicted_starts(0.31) == want
+        self.open_epoch(sim, 31, next_trigger=0.3115)
+        sim.queue.append(Burst(30, 0.3, 2, 4))
+        resumed = self.back_to_back(0.30992, [sim._airtime(full), sim._airtime(tail)])
+        assert resumed[-2] < 31 * sim.cfg.burst_interval < resumed[-1]
+        want = resumed + self.back_to_back(resumed[-1], [sim._full_airtime] * 50)[1:]
+        got = sim._predicted_starts(0.30992)
+        assert got == [t for t in want if t < 0.3115]
+        assert len(got) > len(resumed)
+
+    def test_a_drained_queue_waits_for_the_next_arrival(self, sim):
+        # frame 30's tail ends before frame 31 arrives: the next start is
+        # that arrival, 31 * period, bit for bit as _schedule computes it
+        period = sim.cfg.burst_interval
+        count, full, tail = burst_shape(sim.cfg)
+        self.open_epoch(sim, 31, next_trigger=0.3105)
+        sim.queue.append(Burst(30, 30 * period, count - 2, count))
+        head = self.back_to_back(0.305, [sim._airtime(full)])
+        assert head[-1] + sim._airtime(tail) < 31 * period
+        after = self.back_to_back(31 * period, [sim._full_airtime] * 50)
+        got = sim._predicted_starts(0.305)
+        assert got == head + [t for t in after if t < 0.3105]
+        assert got[len(head)] == 31 * period
+
+    @pytest.mark.parametrize("bound", ["next_tbtt", "next_trigger", "sim_time"])
+    def test_no_start_at_or_after_the_horizon(self, sim, bound):
+        # a start that lands exactly on the bound is left out
+        self.open_epoch(sim, 100, next_tbtt=1.0, next_trigger=1.0)
+        sim.queue.append(Burst(30, 0.3, 0, sim.burst_count))
+        want = self.back_to_back(0.301, [sim._full_airtime] * 10)
+        if bound == "sim_time":
+            sim.cfg = dataclasses.replace(sim.cfg, sim_time=want[6])
+        else:
+            setattr(sim, bound, want[6])
+        assert sim._predicted_starts(0.301) == want[:6]
+
+    def test_nothing_past_the_last_scheduled_burst(self):
+        # frame 99 is the run's last burst, also at a sim_time just past
+        # 100 periods; the epoch runs past its end and past 100 * period,
+        # but no MPDU starts after it
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 1.000000000005"]))
+        sim._apply_beamform(0.3)
+        period, count = sim.cfg.burst_interval, sim.burst_count
+        assert sim._sources["burst_arrival"][1] == 100
+        assert 100 * period < sim.cfg.sim_time
+        self.open_epoch(sim, 99, next_tbtt=1.024, next_trigger=math.inf)
+        sim.queue.append(Burst(98, 98 * period, count - 1, count))
+        last = self.back_to_back(99 * period, [sim._full_airtime] * (count - 1))
+        assert last[-1] + sim._tail_airtime < sim.cfg.sim_time
+        assert sim._predicted_starts(0.985) == [0.985] + last
+
+    def test_cap_doubles_to_the_ceiling_and_falls_back_on_a_mismatch(self):
+        # one long burst that never ages out and no burst to come: from any
+        # start, the MAC and the prediction step one full airtime at a time
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 1.0", "queue_drop = 1.0"]))
+        sim._apply_beamform(0.3)
+        self.open_epoch(sim, 100, next_tbtt=1.0, next_trigger=1.0)
+        sim.queue.append(Burst(0, 0.0, 0, 10**6))
+        sim.snr_at = lambda ts: np.zeros(len(ts))
+        floor, ceiling = macsim._LINK_BATCH, macsim._LINK_BATCH_CEILING
+        assert ceiling == 16 * floor
+
+        def use_batch(t, upto=None):
+            sim._link_snr(t)
+            starts = list(sim._batch_starts)
+            assert starts == self.back_to_back(t, [sim._full_airtime] * (len(starts) - 1))
+            for start in starts[1:upto]:
+                sim._link_snr(start)
+            return starts
+
+        t, lengths = 0.3, []
+        for _ in range(7):
+            starts = use_batch(t)
+            lengths.append(len(starts))
+            t = starts[-1] + sim._full_airtime
+        assert lengths == [floor, 2 * floor, 4 * floor, 8 * floor, ceiling, ceiling, ceiling]
+        # the MAC leaves the batch after two starts: back to the floor
+        starts = use_batch(t, upto=2)
+        assert len(starts) == ceiling
+        assert len(use_batch(starts[2] + 1e-6)) == floor
+        assert len(use_batch(sim._batch_starts[-1] + sim._full_airtime)) == 2 * floor
+
+    @staticmethod
+    def spied_run(overrides):
+        """Counters of a whole run and the length of every link batch."""
+        sim = macsim.Simulator(load_config(overrides=overrides))
+        batches, snr_at = [], sim.snr_at
+
+        def spy(ts):
+            batches.append(len(ts))
+            return snr_at(ts)
+
+        sim.snr_at = spy
+        return sim.run().counters, batches
+
+    @pytest.mark.parametrize("rate", ["8e9", "2e9"])
+    def test_whole_runs_evaluate_each_start_about_once(self, rate):
+        # 8 Gbps never drains the queue, 2 Gbps drains it after every burst;
+        # either way the batches follow the MAC through whole epochs
+        counters, batches = self.spied_run(["sim_time = 2.0", "data_rate = " + rate])
+        assert counters["mpdu_attempts"] <= sum(batches) <= 1.01 * counters["mpdu_attempts"]
+        assert len(batches) <= 3 * counters["bf_updates"]
+
+    def test_no_batch_exceeds_the_ceiling(self):
+        # one epoch of 0.3 s at 4 us per MPDU: an unbounded cap would reach
+        # tens of thousands of starts, and arrays of that many rows
+        counters, batches = self.spied_run([
+            "rx_beamforming = quasi_omni", "prediction = none", "bf_interval = 1.0", "bi_duration = 1.024",
+            "mpdu_bytes = 1000", "data_rate = 8e9", "sim_time = 0.3", "hmd_rows = 8", "hmd_cols = 8",
+        ])
+        assert counters["mpdu_attempts"] > 20 * macsim._LINK_BATCH_CEILING
+        assert max(batches) == macsim._LINK_BATCH_CEILING
