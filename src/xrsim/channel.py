@@ -1,39 +1,21 @@
-"""Line-of-sight link budget: free-space path loss, thermal noise, SNR
-composition, and the MCS table entries.
+"""Line-of-sight link budget: free-space path loss, thermal noise and SNR
+composition.
 
 No fading or blockage model is applied; link quality varies only through
 distance and the beamforming gains at both ends, which is the effect under
-study.  The MCS is fixed (no rate adaptation): an attempt at SNR below the
-threshold fails outright, one at or above it succeeds.
+study.  There is one modulation-coding point and no rate adaptation: the
+config's ``phy_rate_bps`` sets every airtime, and an attempt at SNR below
+``snr_threshold_db`` fails outright, one at or above it succeeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .antenna import SPEED_OF_LIGHT, ArrayGeometry, Awv, gain_db
 from .geometry import Pose, ap_direction_in_hmd_frame
-
-
-@dataclass(frozen=True)
-class McsEntry:
-    index: int
-    phy_rate_bps: float
-    snr_threshold_db: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.phy_rate_bps) and self.phy_rate_bps > 0.0):
-            raise ValueError("mcs rate_bps must be finite and positive")
-        if not math.isfinite(self.snr_threshold_db):
-            raise ValueError("mcs threshold_db must be finite")
-
-
-# fixed modulation-coding point used throughout; the threshold is a
-# calibration knob, not a measured value
-DEFAULT_MCS = McsEntry(21, 8.085e9, 18.0)
 
 
 def free_space_path_loss_db(distance_m, carrier_hz: float):
@@ -91,10 +73,3 @@ def snr_db(
         distance,
     )
 
-
-def parse_mcs_line(line: str) -> McsEntry:
-    """Parse one MCS table entry of the form ``index rate_bps threshold_db``."""
-    fields = line.split()
-    if len(fields) != 3:
-        raise ValueError("mcs entry must be 'index rate_bps threshold_db'")
-    return McsEntry(int(fields[0]), float(fields[1]), float(fields[2]))

@@ -25,7 +25,7 @@ from .metrics import (
     summary_lines,
     write_outputs,
 )
-from .mobility import TraceFormatError, generate_rotation_trace, save_trace, static_trace
+from .mobility import TraceFormatError, generate_rotation_trace, peak_dps_limit, save_trace, static_trace
 
 PRESETS = ("paper-fig4",)
 
@@ -206,6 +206,11 @@ def _cmd_generate_mobility(args) -> int:
     if args.kind == "static":
         trace = static_trace(args.duration)
     else:
+        limit = peak_dps_limit(args.rate)
+        if args.peak_dps >= limit:
+            raise ConfigError(
+                "argument --peak-dps: must be below 180 x --rate = %g deg/s, got %g" % (limit, args.peak_dps)
+            )
         trace = generate_rotation_trace(
             args.peak_dps, args.duration, args.rate, args.seed, args.device_horizon
         )

@@ -2,9 +2,9 @@
 beamforming, motion, arrays, and the link budget, plus the key = value
 config-file syntax used by the CLI.
 
-Config files hold one ``key = value`` pair per line; ``#`` starts a comment.
-Repeated ``mcs`` keys build the MCS table; ``mcs_index`` selects the active
-entry.  Command-line ``--set key=value`` overrides win over file values.
+Config files hold one ``key = value`` pair per line, each key a field name;
+``#`` starts a comment.  Command-line ``--set key=value`` overrides win over file
+values.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .channel import DEFAULT_MCS, McsEntry, parse_mcs_line
+from .mobility import peak_dps_limit
 
 ALLOWED_DATA_RATES = (2e9, 5e9, 7e9, 8e9)
 ALLOWED_BI = (0.1024, 1.024)
@@ -85,8 +85,10 @@ class ScenarioConfig:
     carrier_hz: float = 60e9
     implementation_loss_db: float = 5.0
     extra_loss_db: float = 0.0
-    mcs_index: int = 21
-    mcs_table: tuple[McsEntry, ...] = (DEFAULT_MCS,)
+    # the one modulation-coding point (no rate adaptation); the threshold is
+    # a calibration knob, not a measured value
+    phy_rate_bps: float = 8.085e9
+    snr_threshold_db: float = 18.0
 
     # -- derived views ----------------------------------------------------
 
@@ -113,13 +115,6 @@ class ScenarioConfig:
     @property
     def ap_position(self) -> tuple[float, float, float]:
         return (0.0, 0.0, self.room_z)
-
-    @property
-    def mcs(self) -> McsEntry:
-        for entry in self.mcs_table:
-            if entry.index == self.mcs_index:
-                return entry
-        raise ConfigError(f"mcs_index {self.mcs_index} not present in the mcs table")
 
     def hmd_shape(self) -> tuple[int, int]:
         """HMD array size; defaults to 64x64 except for the sector-codebook
@@ -168,6 +163,14 @@ class ScenarioConfig:
             raise ConfigError(
                 f"rotation must be one of {', '.join(ROTATION_MODES)} or an existing trace file"
             )
+        if self.rotation in ("low", "high"):
+            name = "peak_dps_" + self.rotation
+            peak, limit = getattr(self, name), peak_dps_limit(self.trace_sample_rate)
+            if peak >= limit:
+                raise ConfigError(
+                    f"{name} must be below 180 x trace_sample_rate = {limit:g} deg/s, got {peak!r}: "
+                    "one trace step turns by at most 180 deg"
+                )
         bits = self.data_rate / self.frame_rate
         if not (math.isfinite(bits) and bits >= 1.0 and abs(bits - round(bits)) <= 1e-9):
             raise ConfigError("data_rate / frame_rate must be a positive integer number of bits")
@@ -181,7 +184,6 @@ class ScenarioConfig:
         rows, cols = self.hmd_shape()
         if self.rx_beamforming == "sectors" and (rows > 16 or cols > 16):
             raise ConfigError("sectors beamforming supports arrays up to 16x16")
-        self.mcs  # raises if the index is missing
         for what, count in self.work_counts().items():
             if not count <= WORK_CAP:
                 raise ConfigError(f"{what} = {count:.3g} exceeds the work cap of {WORK_CAP:g}")
@@ -199,13 +201,11 @@ class ScenarioConfig:
             periodic += 1.0 / self.bf_interval
         rows, cols = self.hmd_shape()
         chunk = self.mpdu_bytes * 8
-        n_full, rem = divmod(self.burst_bits, chunk)
-        shortest = (min(chunk, rem or chunk) + self.header_bytes * 8) / self.mcs.phy_rate_bps
+        rem = self.burst_bits % chunk
+        shortest = (min(chunk, rem or chunk) + self.header_bytes * 8) / self.phy_rate_bps
         return {
             "periodic events sim_time x (frame_rate + 1/bi_duration + 1/bf_interval)":
                 self.sim_time * periodic,
-            "MPDUs (sim_time x frame_rate + 1) x ceil(data_rate / frame_rate / (8 mpdu_bytes))":
-                (self.sim_time * self.frame_rate + 1.0) * (n_full + (rem > 0)),
             "MPDU attempts sim_time / shortest airtime (mpdu_bytes, header_bytes, per_mpdu_overhead)":
                 self.sim_time / (shortest + self.per_mpdu_overhead),
             "trace samples sim_time x trace_sample_rate": self.sim_time * self.trace_sample_rate,
@@ -221,7 +221,7 @@ _LOWER_BOUNDS = {
     (0.0, False): (
         "sim_time", "room_x", "room_y", "room_z", "peak_dps_low", "peak_dps_high",
         "trace_sample_rate", "walk_step_interval", "frame_rate", "deadline",
-        "sls_duration", "spacing", "bandwidth_hz",
+        "sls_duration", "spacing", "bandwidth_hz", "phy_rate_bps",
     ),
     (0.0, True): (
         "seed", "walk_speed", "queue_drop", "header_bytes", "per_mpdu_overhead",
@@ -231,9 +231,7 @@ _LOWER_BOUNDS = {
     (1, True): ("mpdu_bytes", "ap_rows", "ap_cols", "qo_samples", "carrier_hz"),
 }
 
-_SCALAR_FIELDS = {
-    f.name: f.type for f in fields(ScenarioConfig) if f.name != "mcs_table"
-}
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
 def _coerce(name: str, typ: str, value: str):
@@ -249,9 +247,8 @@ def _coerce(name: str, typ: str, value: str):
 
 
 def parse_config_lines(lines, source: str = "<config>") -> dict:
-    """Parse key = value lines into a field dict (mcs lines accumulate)."""
+    """Parse key = value lines into a field dict."""
     values: dict = {}
-    mcs_entries: list[McsEntry] = []
     for n, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -260,18 +257,10 @@ def parse_config_lines(lines, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{n}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key == "mcs":
-            try:
-                mcs_entries.append(parse_mcs_line(value))
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{n}: {exc}")
-            continue
-        if key not in _SCALAR_FIELDS:
-            known = ", ".join(sorted(_SCALAR_FIELDS) + ["mcs"])
+        if key not in _FIELD_TYPES:
+            known = ", ".join(sorted(_FIELD_TYPES))
             raise ConfigError(f"{source}:{n}: unknown key {key!r}; valid keys: {known}")
-        values[key] = _coerce(key, _SCALAR_FIELDS[key], value)
-    if mcs_entries:
-        values["mcs_table"] = tuple(mcs_entries)
+        values[key] = _coerce(key, _FIELD_TYPES[key], value)
     return values
 
 
@@ -295,10 +284,6 @@ def config_echo_lines(cfg: ScenarioConfig) -> list[str]:
     out = []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
-        if f.name == "mcs_table":
-            for entry in v:
-                out.append(f"mcs = {entry.index} {entry.phy_rate_bps:.17g} {entry.snr_threshold_db:.17g}")
-            continue
         if isinstance(v, float):
             out.append(f"{f.name} = {v:.17g}")
         else:

@@ -21,6 +21,10 @@ import numpy as np
 # below this quaternion angle slerp degenerates to nlerp
 _SLERP_MIN_ANGLE = 1e-7
 
+# past-motion window, seconds, for the velocity estimate behind extrapolated
+# prediction
+VELOCITY_EST_DT = 0.01
+
 
 @dataclass(frozen=True)
 class Quaternion:
@@ -93,11 +97,6 @@ class Quaternion:
     def rotate_inverse(self, v: Sequence[float]) -> np.ndarray:
         """Rotate a world-frame 3-vector into the local frame."""
         return self.conjugate().rotate(v)
-
-    def rotation_angle_to(self, other: "Quaternion") -> float:
-        """Angle in radians of the relative rotation between two orientations."""
-        d = min(1.0, abs(self.dot(other)))
-        return 2.0 * math.acos(d)
 
     def to_axis_angle(self) -> tuple[np.ndarray, float]:
         """Canonical axis-angle with angle in [0, pi]."""
@@ -208,11 +207,6 @@ class Direction:
             az += 360.0
         return Direction(az, el)
 
-    def angle_to(self, other: "Direction") -> float:
-        """Great-circle angle to another direction, degrees."""
-        d = float(np.dot(self.to_unit_vector(), other.to_unit_vector()))
-        return math.degrees(math.acos(max(-1.0, min(1.0, d))))
-
 
 @dataclass(frozen=True)
 class Pose:
@@ -238,55 +232,42 @@ def ap_direction_in_hmd_frame(pose: Pose, ap_position: Sequence[float]) -> Direc
     return Direction.from_unit_vector(local)
 
 
-def predict_pose(
-    history: Sequence[Pose],
-    horizon: float,
-    mode: str = "constant_velocity",
-    trace=None,
-) -> Pose:
-    """Predict the orientation a fixed horizon ahead of the last history
-    sample.
+def predict_pose(now: Pose, horizon: float, mode: str, trace) -> Pose:
+    """Predict the headset orientation ``horizon`` seconds after ``now``, the
+    current pose, in one of the config's prediction modes.  ``trace`` is the
+    head-motion trace (:class:`xrsim.mobility.TraceSet`) that ``now`` was
+    read from.
 
-    The predicted position is the last sample's in every mode: the composite
+    The predicted position is the current one in every mode: the composite
     beam is built from the current position and the predicted orientation
     alone (:func:`xrsim.covrage.trajectory_from_poses`), so no predicted
     position could change an outcome.
 
     Modes:
 
-    * ``constant_velocity``: angular velocity estimated from the last two
-      samples as the axis-angle of q_prev^-1 * q_now over their time gap,
-      applied forward.  A single-sample history yields a zero-velocity
-      prediction.
-    * ``device``: returns the device prediction recorded in the trace at the
-      sample nearest the current time (requires device columns).
-    * ``oracle``: returns the trace orientation at t + horizon (interpolated).
+    * ``none``: the current orientation, held.
+    * ``extrapolation``: the angular velocity from the trace orientation at
+      ``max(0, now.t - VELOCITY_EST_DT)`` to the current one, as the
+      axis-angle of q_prev^-1 * q_now over their time gap, applied forward.
+      At t = 0 there is no past, so the orientation is held.
+    * ``device``: the device prediction recorded in the trace at the sample
+      nearest the current time (requires device columns).
+    * ``oracle``: the trace orientation at t + horizon (interpolated).
     """
-    if not history:
-        raise ValueError("history must contain at least one pose")
-    now = history[-1]
     t_out = now.t + horizon
-
-    if mode == "constant_velocity":
-        if len(history) < 2:
+    if mode == "none":
+        return Pose(t_out, now.position, now.orientation)
+    if mode == "extrapolation":
+        t_prev = max(0.0, now.t - VELOCITY_EST_DT)
+        if t_prev >= now.t:
             return Pose(t_out, now.position, now.orientation)
-        prev = history[-2]
-        dt = now.t - prev.t
-        if dt <= 0.0:
-            raise ValueError("history timestamps must be increasing")
-        rel = (prev.orientation.conjugate() * now.orientation).normalized()
+        rel = (trace.orientation_at(t_prev).conjugate() * now.orientation).normalized()
         axis, angle = rel.to_axis_angle()
-        step = Quaternion.from_axis_angle(axis, angle * (horizon / dt)) if angle > 0.0 else Quaternion.identity()
+        rate = horizon / (now.t - t_prev)
+        step = Quaternion.from_axis_angle(axis, angle * rate) if angle > 0.0 else Quaternion.identity()
         return Pose(t_out, now.position, (now.orientation * step).normalized())
-
     if mode == "device":
-        if trace is None or not trace.has_device:
-            raise ValueError("device prediction requires a trace with device columns")
         return Pose(t_out, now.position, trace.device_prediction_nearest(now.t))
-
     if mode == "oracle":
-        if trace is None:
-            raise ValueError("oracle prediction requires a trace")
         return Pose(t_out, now.position, trace.orientation_at(t_out))
-
     raise ValueError(f"unknown prediction mode {mode!r}")

@@ -92,9 +92,6 @@ _RANK = {kind: min(i, EVENT_KINDS.index("sim_end") + 1) for i, kind in enumerate
 # ceiling-mounted array, boresight straight down (+x local -> -z world)
 AP_ORIENTATION = Quaternion.from_axis_angle((0.0, 1.0, 0.0), math.pi / 2.0)
 
-# past-motion window for the velocity estimate behind extrapolated prediction
-_VELOCITY_EST_DT = 0.01
-
 # predicted MPDU start times per link-evaluation batch: the adaptive cap's
 # floor and its ceiling
 _LINK_BATCH = 128
@@ -173,7 +170,6 @@ class Simulator:
     def __init__(self, config: ScenarioConfig, collect_events: bool = False):
         config.validate()
         self.cfg = config
-        self.mcs = config.mcs
         self.collect = collect_events
 
         self._build_motion()
@@ -389,21 +385,9 @@ class Simulator:
         return starts
 
     def _airtime(self, size_bits: int) -> float:
-        return size_bits / self.mcs.phy_rate_bps + self.cfg.per_mpdu_overhead
+        return size_bits / self.cfg.phy_rate_bps + self.cfg.per_mpdu_overhead
 
     # -- beamforming ------------------------------------------------------
-
-    def _predicted_pose(self, now: Pose, horizon: float) -> Pose:
-        mode = self.cfg.prediction
-        if mode == "none":
-            return Pose(now.t + horizon, now.position, now.orientation)
-        if mode == "extrapolation":
-            t_prev = max(0.0, now.t - _VELOCITY_EST_DT)
-            history = [self._hmd_pose(t_prev), now] if t_prev < now.t else [now]
-            return predict_pose(history, horizon, "constant_velocity")
-        if mode == "device":
-            return predict_pose([now], horizon, "device", self.trace)
-        return predict_pose([now], horizon, "oracle", self.trace)
 
     def _apply_beamform(self, t: float) -> str:
         """Select the AP sector and refresh the HMD side; returns a log tag."""
@@ -416,7 +400,7 @@ class Simulator:
 
         if cfg.rx_beamforming == "covrage":
             horizon = cfg.bf_interval if cfg.bf_location == "dti" else cfg.bi_duration
-            pred = self._predicted_pose(hmd_pose, horizon)
+            pred = predict_pose(hmd_pose, horizon, cfg.prediction, self.trace)
             awv = covrage_beam(self.hmd_geometry, hmd_pose, pred, self.ap_position)
             self.hmd_eval = AwvEvaluator(self.hmd_geometry, awv)
             self.hmd_label = "covrage"
@@ -472,7 +456,7 @@ class Simulator:
             if t < self._reserved_until:
                 raise RuntimeError("MPDU start at t=%.9f inside a BHI or sweep" % t)
             burst = self.queue[0]
-            ok = self._link_snr(t) >= self.mcs.snr_threshold_db
+            ok = self._link_snr(t) >= self.cfg.snr_threshold_db
             self.counters["mpdu_attempts"] += 1
             if not ok:
                 self.counters["mpdu_failures"] += 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -74,13 +73,6 @@ def summarize(records: Sequence[FrameRecord], deadline: float) -> RunSummary:
         p90_latency=quantile(latencies, 0.90),
         p99_latency=quantile(latencies, 0.99),
     )
-
-
-def cdf_value(cdf: Sequence[tuple], latency: float) -> float:
-    """Step-function lookup: fraction of frames with latency <= the argument."""
-    values = [pair[0] for pair in cdf]
-    i = bisect_right(values, latency)
-    return cdf[i - 1][1] if i else 0.0
 
 
 def format_ms(value: Optional[float]) -> str:

@@ -4,18 +4,17 @@ generation, a random-cardinal walk, and pose lookup.
 A trace is held as arrays only (:class:`TraceSet`), one row per sample, and
 every lookup goes through one row-wise wrap-and-bracket step.
 
-Trace CSV schema (header required, extra column groups optional):
+Trace CSV schema (header required, the device group optional):
 
-    t,qw,qx,qy,qz[,pw,px,py,pz][,ph_qw,ph_qx,ph_qy,ph_qz,ph_h]
+    t,qw,qx,qy,qz[,ph_qw,ph_qx,ph_qy,ph_qz,ph_h]
 
-``qw..qz`` is the head orientation, ``px,py,pz`` an optional recorded
-position (``pw`` is padding, written as 0 and ignored on read), and the
-``ph_*`` group an optional device-side orientation prediction with its
-horizon in seconds.  A recorded position is read, validated and written
-back but drives nothing: the headset position follows the random walk.  Timestamps must be strictly increasing and every
-value read must be finite (``nan`` and ``inf`` are rejected naming the
-row); quaternions off unit norm by more than 1% are rejected, smaller drift
-is renormalized.
+``qw..qz`` is the head orientation and the ``ph_*`` group a device-side
+orientation prediction with its horizon in seconds.  A trace holds no
+position: the headset position follows the random walk, so any other header
+is rejected.  Timestamps must be strictly increasing and every value read
+must be finite (``nan`` and ``inf`` are rejected naming the row);
+quaternions off unit norm by more than 1% are rejected, smaller drift is
+renormalized.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numpy as np
 
 from .geometry import Pose, Quaternion, slerp_arrays
 
-HMD_HEIGHT = 1.7
 _NORM_REJECT = 0.01
 
 # the walk steers away from walls closer than this, meters, turning its
@@ -37,7 +35,6 @@ WALL_MARGIN = 1.0
 MAX_TURN_DEG = 30.0
 
 _HDR_BASE = ["t", "qw", "qx", "qy", "qz"]
-_HDR_POS = ["pw", "px", "py", "pz"]
 _HDR_DEV = ["ph_qw", "ph_qx", "ph_qy", "ph_qz", "ph_h"]
 
 
@@ -54,18 +51,17 @@ class TraceFormatError(ValueError):
 class TraceSet:
     """Head orientations sampled at increasing times, with looping lookup.
 
-    ``times`` is (n,), ``orientations`` (n, 4) scalar-first quaternions,
-    ``positions`` an optional (n, 3), and ``device_orientations`` (n, 4) with
-    ``device_horizons`` (n,) an optional device-side prediction.  Every value
-    must be finite.  Lookups past the last sample wrap around to the start,
-    so a short recorded trace can drive an arbitrarily long simulation.
+    ``times`` is (n,), ``orientations`` (n, 4) scalar-first quaternions, and
+    ``device_orientations`` (n, 4) with ``device_horizons`` (n,) an optional
+    device-side prediction.  Every value must be finite.  Lookups past the
+    last sample wrap around to the start, so a short recorded trace can drive
+    an arbitrarily long simulation.
     """
 
     def __init__(
         self,
         times: np.ndarray,
         orientations: np.ndarray,
-        positions: Optional[np.ndarray] = None,
         device_orientations: Optional[np.ndarray] = None,
         device_horizons: Optional[np.ndarray] = None,
     ):
@@ -76,15 +72,13 @@ class TraceSet:
         if (device_orientations is None) != (device_horizons is None):
             raise TraceFormatError("device orientations and horizons come together")
         self.orientations = np.asarray(orientations, dtype=float)
-        self.positions, self.device_orientations, self.device_horizons = (
-            a if a is None else np.asarray(a, dtype=float)
-            for a in (positions, device_orientations, device_horizons)
+        self.device_orientations, self.device_horizons = (
+            a if a is None else np.asarray(a, dtype=float) for a in (device_orientations, device_horizons)
         )
-        self.has_position = positions is not None
         self.has_device = device_orientations is not None
         finite = np.isfinite(self.times)
-        names = ("orientations", "positions", "device_orientations", "device_horizons")
-        for name, shape in zip(names, ((n, 4), (n, 3), (n, 4), (n,))):
+        names = ("orientations", "device_orientations", "device_horizons")
+        for name, shape in zip(names, ((n, 4), (n, 4), (n,))):
             a = getattr(self, name)
             if a is not None:
                 if a.shape != shape:
@@ -122,12 +116,6 @@ class TraceSet:
     def orientation_at(self, t: float) -> Quaternion:
         return Quaternion(*self.orientations_at(np.array([t]))[0].tolist())
 
-    def position_at(self, t: float) -> np.ndarray:
-        if not self.has_position:
-            raise ValueError("trace has no position columns")
-        (i,), (u,) = self._locate(np.array([t]))
-        return self.positions[i] * (1.0 - u) + self.positions[i + 1] * u
-
     def device_prediction_nearest(self, t: float) -> Quaternion:
         """Device-side prediction recorded at the sample nearest to t."""
         if not self.has_device:
@@ -153,12 +141,10 @@ def load_trace(path) -> TraceSet:
     if not lines or not lines[0]:
         raise TraceFormatError("line 1: missing header")
     header = [h.strip() for h in lines[0].split(",")]
-    with_pos = header[5:9] == _HDR_POS
     with_dev = header[-5:] == _HDR_DEV
-    if header != _HDR_BASE + _HDR_POS * with_pos + _HDR_DEV * with_dev:
+    if header != _HDR_BASE + _HDR_DEV * with_dev:
         raise TraceFormatError(f"line 1: unrecognized header {','.join(header)!r}")
     n_cols = len(header)
-    read = [j for j, h in enumerate(header) if h != "pw"]
 
     rows = []
     values = []
@@ -169,18 +155,17 @@ def load_trace(path) -> TraceSet:
         if len(fields) != n_cols:
             raise TraceFormatError(f"row {row}: expected {n_cols} fields, got {len(fields)}")
         try:
-            values.append([float(fields[j]) for j in read])
+            values.append([float(f) for f in fields])
         except ValueError as exc:
             raise TraceFormatError(f"row {row}: bad value ({exc})")
         rows.append(row)
-    data = np.array(values, dtype=float).reshape(-1, len(read))
-    positions = data[:, 5:8] if with_pos else None
+    data = np.array(values, dtype=float).reshape(-1, n_cols)
     device = horizons = None
     if with_dev:
         device = _unit_rows(data[:, -5:-1], rows, "device prediction")
         horizons = data[:, -1]
     try:
-        return TraceSet(data[:, 0], _unit_rows(data[:, 1:5], rows, "orientation"), positions, device, horizons)
+        return TraceSet(data[:, 0], _unit_rows(data[:, 1:5], rows, "orientation"), device, horizons)
     except TraceFormatError as exc:
         if exc.sample is None:
             raise
@@ -190,9 +175,6 @@ def load_trace(path) -> TraceSet:
 def save_trace(path, trace: TraceSet) -> None:
     header = list(_HDR_BASE)
     columns = [trace.times[:, None], trace.orientations]
-    if trace.has_position:
-        header += _HDR_POS
-        columns += [np.zeros((len(trace.times), 1)), trace.positions]
     if trace.has_device:
         header += _HDR_DEV
         columns += [trace.device_orientations, trace.device_horizons[:, None]]
@@ -218,6 +200,12 @@ def _max_step_speed_dps(quats: np.ndarray, dt: float) -> float:
     return math.degrees(float(ang.max())) / dt
 
 
+def peak_dps_limit(sample_rate: float) -> float:
+    """The speed no generated trace reaches: one sample step turns the head
+    by at most 180 degrees, so a peak must lie below 180 x sample_rate."""
+    return 180.0 * sample_rate
+
+
 def generate_rotation_trace(
     peak_dps: float,
     duration: float,
@@ -229,10 +217,16 @@ def generate_rotation_trace(
     random-phase sinusoids, jointly rescaled so the maximum instantaneous
     angular speed matches ``peak_dps`` within 1%.  Pitch amplitude is capped
     at 60 degrees.  A device-prediction column holds the exact model value
-    ``device_horizon`` seconds ahead.
+    ``device_horizon`` seconds ahead.  ``peak_dps`` must lie below
+    :func:`peak_dps_limit`.
     """
     if peak_dps <= 0.0 or duration <= 0.0 or sample_rate <= 0.0:
         raise ValueError("peak speed, duration and sample rate must be positive")
+    if peak_dps >= peak_dps_limit(sample_rate):
+        raise ValueError(
+            f"peak speed {peak_dps:g} deg/s must be below 180 x sample rate = "
+            f"{peak_dps_limit(sample_rate):g} deg/s: a sample step turns by at most 180 deg"
+        )
     rng = np.random.default_rng(seed)
     yaw_f = rng.uniform(0.15, 0.9, 3)
     yaw_p = rng.uniform(0.0, 2.0 * math.pi, 3)
@@ -277,13 +271,13 @@ def generate_rotation_trace(
     pit_ahead = cp * np.radians(series(t_ahead, pit_a, pit_f, pit_p))
     dev = _compose_yaw_pitch(yaw_ahead, pit_ahead)
 
-    return TraceSet(t, quats, None, dev, np.full(n, device_horizon))
+    return TraceSet(t, quats, dev, np.full(n, device_horizon))
 
 
 def static_trace(duration: float) -> TraceSet:
     """Identity-orientation trace for a motionless head."""
     identity = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)
-    return TraceSet(np.array([0.0, duration]), identity, None, identity, np.full(2, 0.1))
+    return TraceSet(np.array([0.0, duration]), identity, identity, np.full(2, 0.1))
 
 
 @dataclass(frozen=True)
@@ -353,7 +347,7 @@ def generate_walk(
     return Walk(np.stack(out), step_interval)
 
 
-def pose_at(trace: TraceSet, walk: Walk, t: float, height: float = HMD_HEIGHT) -> Pose:
+def pose_at(trace: TraceSet, walk: Walk, t: float, height: float) -> Pose:
     """Headset pose at time t: walk position at fixed height, trace
     orientation (looped)."""
     xy = walk.position_at(t)

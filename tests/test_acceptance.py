@@ -29,6 +29,8 @@ from xrsim.geometry import Direction, Pose, Quaternion, slerp
 from xrsim.macsim import best_sector, write_event_log
 from xrsim.metrics import summarize
 
+from angles import rotation_angle
+
 
 def report(name, ok, detail):
     print("%s: %s  [%s]" % (name, "PASS" if ok else "FAIL", detail))
@@ -187,14 +189,14 @@ def test_criterion_8_property_suite(run_cached, tmp_path):
         ax /= np.linalg.norm(ax)
         ang = float(rng.uniform(0.01, math.pi - 0.01))
         q = Quaternion.from_axis_angle(ax, ang)
-        ok &= (q * q.conjugate()).rotation_angle_to(Quaternion.identity()) < 1e-6
+        ok &= rotation_angle(q * q.conjugate(), Quaternion.identity()) < 1e-6
         q2 = Quaternion.from_axis_angle(rng.normal(size=3), float(rng.uniform(0.1, 2.0)))
         v = rng.normal(size=3)
         ok &= np.allclose((q * q2).rotate(v), q.rotate(q2.rotate(v)), atol=1e-9)
-        ok &= slerp(q, q2, 0.0).rotation_angle_to(q) < 1e-6
-        ok &= slerp(q, q2, 1.0).rotation_angle_to(q2) < 1e-6
+        ok &= rotation_angle(slerp(q, q2, 0.0), q) < 1e-6
+        ok &= rotation_angle(slerp(q, q2, 1.0), q2) < 1e-6
         half = slerp(q, q2, 0.5)
-        ok &= abs(q.rotation_angle_to(half) - half.rotation_angle_to(q2)) < 1e-6
+        ok &= abs(rotation_angle(q, half) - rotation_angle(half, q2)) < 1e-6
     checks.append(("rotation algebra", ok))
 
     # array gain never beats coherent addition; steering attains it

@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 
 from xrsim.antenna import ArrayGeometry, steering_phases
-from xrsim.channel import (
-    DEFAULT_MCS,
-    free_space_path_loss_db,
-    link_snr_db,
-    noise_floor_dbm,
-    parse_mcs_line,
-    snr_db,
-)
-from xrsim.config import ScenarioConfig
+from xrsim.channel import free_space_path_loss_db, link_snr_db, noise_floor_dbm, snr_db
+from xrsim.config import ConfigError, ScenarioConfig, load_config, parse_config_lines
 from xrsim.geometry import Pose, Quaternion, ap_direction_in_hmd_frame
 
 # the link budget functions read the six budget fields of the scenario config
@@ -99,23 +92,29 @@ class TestNoiseAndSnr:
 
 
 class TestMcs:
+    """The one modulation-coding point: two plain config fields."""
+
     def test_default_entry(self):
-        assert DEFAULT_MCS.phy_rate_bps == 8.085e9
-        assert DEFAULT_MCS.snr_threshold_db == 18.0
+        assert CFG.phy_rate_bps == 8.085e9
+        assert CFG.snr_threshold_db == 18.0
 
     def test_parse_mcs_line(self):
-        entry = parse_mcs_line("12 4620e6 14.5")
-        assert entry.index == 12
-        assert entry.phy_rate_bps == 4.62e9
-        assert entry.snr_threshold_db == 14.5
+        lines = ["phy_rate_bps = 4620e6", "snr_threshold_db = 14.5"]
+        assert parse_config_lines(lines) == {"phy_rate_bps": 4.62e9, "snr_threshold_db": 14.5}
+        cfg = load_config(overrides=lines)
+        assert (cfg.phy_rate_bps, cfg.snr_threshold_db) == (4.62e9, 14.5)
 
     def test_parse_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            parse_mcs_line("12 4620e6")
-        with pytest.raises(ValueError):
-            parse_mcs_line("12 4620e6 14.5 extra")
+        # a table row is no key: the error lists the two fields instead
+        for line in ("mcs = 12 4620e6 14.5", "mcs_index = 12"):
+            with pytest.raises(ConfigError, match="unknown key.*phy_rate_bps.*snr_threshold_db"):
+                load_config(overrides=[line])
 
-    @pytest.mark.parametrize("line", ["21 nan 18", "21 inf 18", "21 0 18", "21 -1 18", "21 8.085e9 nan"])
-    def test_parse_rejects_bad_numbers(self, line):
-        with pytest.raises(ValueError, match="rate_bps|threshold_db"):
-            parse_mcs_line(line)
+    @pytest.mark.parametrize(
+        "line",
+        ["phy_rate_bps = nan", "phy_rate_bps = inf", "phy_rate_bps = 0", "phy_rate_bps = -1",
+         "snr_threshold_db = nan"],
+    )
+    def test_rejects_bad_numbers(self, line):
+        with pytest.raises(ConfigError, match=line.split(" =")[0]):
+            load_config(overrides=[line])

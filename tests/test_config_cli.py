@@ -65,9 +65,8 @@ class TestDefaults:
         assert cfg.bandwidth_hz == 1.76e9
         assert cfg.carrier_hz == 60e9
         assert cfg.implementation_loss_db == 5.0
-        assert cfg.mcs.index == 21
-        assert cfg.mcs.phy_rate_bps == 8.085e9
-        assert cfg.mcs.snr_threshold_db == 18.0
+        assert cfg.phy_rate_bps == 8.085e9
+        assert cfg.snr_threshold_db == 18.0
 
     def test_derived_views(self):
         cfg = ScenarioConfig()
@@ -122,8 +121,19 @@ class TestValidation:
             ScenarioConfig(data_rate=5e9, frame_rate=300.0).validate()
 
     def test_missing_mcs_index(self):
-        with pytest.raises(ConfigError, match="mcs_index"):
-            ScenarioConfig(mcs_index=5).validate()
+        # the one MCS is the fields phy_rate_bps and snr_threshold_db
+        with pytest.raises(ConfigError, match="unknown key 'mcs_index'"):
+            load_config(overrides=["mcs_index = 5"])
+
+    def test_peak_within_a_trace_steps_reach(self):
+        # a trace step turns by at most 180 deg; only the peak that the
+        # rotation mode reads is checked
+        with pytest.raises(ConfigError, match="peak_dps_low must be below 180 x trace_sample_rate"):
+            ScenarioConfig(rotation="low", peak_dps_low=180_000.0).validate()
+        ScenarioConfig(rotation="low", peak_dps_low=179_990.0).validate()
+        ScenarioConfig(peak_dps_low=2e5).validate()
+        with pytest.raises(ConfigError, match="peak_dps_high"):
+            ScenarioConfig(peak_dps_high=2000.0, trace_sample_rate=10.0).validate()
 
     def test_a_dti_sweep_must_fit_between_beacon_headers(self):
         ScenarioConfig(sls_duration=0.1004).validate()
@@ -159,18 +169,6 @@ class TestParsing:
         with pytest.raises(ConfigError, match=":2:"):
             parse_config_lines(["sim_time = 1.0", "oops"])
 
-    def test_mcs_lines_accumulate(self):
-        cfg = load_config(
-            overrides=[
-                "mcs = 10 1e9 5",
-                "mcs = 21 8.085e9 18",
-                "mcs_index = 10",
-                "sim_time = 1.0",
-            ]
-        )
-        assert cfg.mcs.phy_rate_bps == 1e9
-        assert len(cfg.mcs_table) == 2
-
     def test_file_plus_override_precedence(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("sim_time = 5.0\nrotation = static\n")
@@ -187,7 +185,7 @@ class TestParsing:
         from dataclasses import fields
 
         for f in fields(ScenarioConfig):
-            assert (f.name if f.name != "mcs_table" else "mcs") in names
+            assert f.name in names
         rebuilt = ScenarioConfig(**parse_config_lines(lines))
         assert rebuilt == cfg
 
@@ -256,9 +254,10 @@ class TestSimulateCommand:
         )
         assert rc == 1
 
-    # non-finite floats, values below a field's lower bound and bad MCS
-    # numbers: without the checks these run to a quiet "reliability 0", fail
-    # deep in set-up (exit 2) or make time run backwards (a hang)
+    # non-finite floats, values below a field's lower bound and peaks a trace
+    # step cannot reach: without the checks these run to a quiet "reliability
+    # 0", fail deep in set-up (exit 2) or make time run backwards (a hang).
+    # mcs is an unknown key: the one MCS is phy_rate_bps and snr_threshold_db.
     @pytest.mark.parametrize(
         "override",
         [
@@ -278,6 +277,8 @@ class TestSimulateCommand:
             "hmd_height = 1e300",
             "carrier_hz = 1e-300",
             "sls_duration = 0.1005",
+            "peak_dps_high = 2e5",
+            "peak_dps_high = 1e30",
         ],
     )
     def test_bad_value_exits_one_naming_the_field(self, tmp_path, capsys, override):
@@ -297,7 +298,6 @@ class TestSimulateCommand:
         "overrides, field",
         [
             (["frame_rate = 1e9"], "frame_rate"),
-            (["mpdu_bytes = 1", "data_rate = 2e9"], "mpdu_bytes"),
             (["mpdu_bytes = 1", "header_bytes = 0", "per_mpdu_overhead = 0"], "mpdu_bytes"),
             # one 1-byte tail MPDU per burst, retried every nanosecond
             (["mpdu_bytes = 6249999", "header_bytes = 0", "per_mpdu_overhead = 0"], "per_mpdu_overhead"),
@@ -345,7 +345,7 @@ _FUZZ_WORDS = ("high", "low", "static", "abft", "dti", "sectors", "quasi_omni", 
 
 @st.composite
 def single_override(draw):
-    field = draw(st.sampled_from([f for f in fields(ScenarioConfig) if f.name not in ("sim_time", "mcs_table")]))
+    field = draw(st.sampled_from([f for f in fields(ScenarioConfig) if f.name != "sim_time"]))
     lo, hi = _FUZZ_RANGES.get(field.name, (-1e3, 1e3))
     if field.type == "float":
         value = draw(st.one_of(st.sampled_from(_FUZZ_FLOATS), st.floats(lo, hi).map(repr)))
@@ -357,19 +357,26 @@ def single_override(draw):
 
 
 class TestOneHugeBurst:
-    # frame_rate = 0.001 makes one burst of 9.5e6 MPDUs, just under the work
-    # cap; building one queue entry per MPDU took 16-22 s and 1.2 GiB on a
-    # 2-core VM even in a run that ends right after the burst arrives
+    # frame_rate = 0.001 makes one burst of 9.5e6 MPDUs; building one queue
+    # entry per MPDU took 16-22 s and 1.2 GiB on a 2-core VM even in a run
+    # that ends right after the burst arrives
     @pytest.mark.parametrize("sim_time", ["5e-324", "0.3"])
     def test_runs_in_seconds(self, tmp_path, sim_time):
         argv = ["simulate", "--out-dir", str(tmp_path), "--set", "sim_time = " + sim_time]
         with time_limit(10.0):
             assert cli.main(argv + ["--set", "frame_rate = 0.001"]) == 0
 
+    def test_mpdu_count_is_no_bound(self, tmp_path):
+        # 1.9e7 MPDUs of 10 bytes arrive, but a burst is one queue entry and
+        # only the ~9.4e4 MPDUs that fit on the medium are attempted
+        argv = ["simulate", "--out-dir", str(tmp_path), "--set", "sim_time = 0.3", "--set", "mpdu_bytes = 10"]
+        with time_limit(20.0):
+            assert cli.main(argv) == 0
+
 
 class TestSingleOverrideFuzz:
     @given(
-        override=st.one_of(single_override(), st.sampled_from(_FUZZ_FLOATS).map("mcs = 21 %s 18".__mod__)),
+        override=single_override(),
         sim_time=st.floats(0.0, 0.3, exclude_min=True),
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -596,6 +603,9 @@ class TestGenerators:
             (["generate-codebook", "--rows", "0"], "--rows"),
             (["generate-codebook", "--seed", "-1"], "--seed"),
             (["generate-codebook", "--aims", "10,nan"], "--aims"),
+            # a sample step turns by at most 180 deg: 180 x --rate is out of reach
+            (["generate-mobility", "--peak-dps", "2e5"], "--peak-dps"),
+            (["generate-mobility", "--peak-dps", "1e30"], "--peak-dps"),
         ],
     )
     def test_bad_argument_exits_one_naming_it(self, tmp_path, capsys, argv, option):

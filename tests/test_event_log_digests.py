@@ -1,4 +1,4 @@
-"""Behaviour fingerprint: SHA-256 of the event-log bytes of six fixed 2 s runs.
+"""Behaviour fingerprint: SHA-256 of the event-log bytes of eight fixed 2 s runs.
 
 Every event, its time to the nanosecond and its detail (sweep winners, MPDU
 outcomes and start times) lands in the log, so these digests pin the
@@ -42,6 +42,18 @@ DIGESTS = {
     "quasi_omni": (
         ("rx_beamforming = quasi_omni", "prediction = none"),
         "022401d13454d5b46f9c573085a571052757364d567e7562562315786dd6cd89",
+    ),
+    # the covrage beam from the held orientation: 84 failed attempts
+    "prediction_none": (
+        ("prediction = none",),
+        "9f8d668aaf37afcfa843d1adefb738916a9baf30f813d5cc2da71e2a7077843f",
+    ),
+    # at bf_interval = 0.1 no attempt fails and the log, which never names
+    # the headset beam, has the bytes of the static one; over 1 s epochs
+    # 18,643 attempts fail
+    "extrapolation_1s": (
+        ("prediction = extrapolation", "bf_interval = 1.0"),
+        "4b904e90e32683438d6e4841f99b4eac09560a938ed8c8ccb5cd2d89e91d6d0d",
     ),
 }
 

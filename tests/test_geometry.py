@@ -16,7 +16,10 @@ from xrsim.geometry import (
     slerp,
     slerp_arrays,
 )
+from xrsim.config import PREDICTION_MODES
 from xrsim.mobility import TraceSet
+
+from angles import direction_angle, rotation_angle
 
 
 def rand_quat(rng):
@@ -74,32 +77,32 @@ class TestQuaternion:
     def test_conjugate_is_inverse_for_unit(self, rng):
         q = rand_quat(rng)
         qq = q * q.conjugate()
-        assert qq.rotation_angle_to(Quaternion.identity()) == pytest.approx(0.0, abs=1e-9)
+        assert rotation_angle(qq, Quaternion.identity()) == pytest.approx(0.0, abs=1e-9)
 
     def test_canonicalized_keeps_rotation(self, rng):
         q = rand_quat(rng)
         neg = Quaternion(-q.w, -q.x, -q.y, -q.z)
         assert neg.canonicalized().w >= 0.0
-        assert neg.rotation_angle_to(q) == pytest.approx(0.0, abs=1e-12)
+        assert rotation_angle(neg, q) == pytest.approx(0.0, abs=1e-12)
 
     def test_rotation_angle_to(self):
         q0 = Quaternion.identity()
         q1 = Quaternion.from_axis_angle((0, 0, 1), 0.7)
-        assert q0.rotation_angle_to(q1) == pytest.approx(0.7, abs=1e-12)
+        assert rotation_angle(q0, q1) == pytest.approx(0.7, abs=1e-12)
 
 
 class TestSlerp:
     def test_endpoints(self, rng):
         # acos near 1.0 costs ~sqrt(eps) of angular resolution, hence 1e-6
         q0, q1 = rand_quat(rng), rand_quat(rng)
-        assert slerp(q0, q1, 0.0).rotation_angle_to(q0) == pytest.approx(0.0, abs=1e-6)
-        assert slerp(q0, q1, 1.0).rotation_angle_to(q1) == pytest.approx(0.0, abs=1e-6)
+        assert rotation_angle(slerp(q0, q1, 0.0), q0) == pytest.approx(0.0, abs=1e-6)
+        assert rotation_angle(slerp(q0, q1, 1.0), q1) == pytest.approx(0.0, abs=1e-6)
 
     def test_midpoint_halves_the_angle(self):
         q0 = Quaternion.identity()
         q1 = Quaternion.from_axis_angle((1, 0, 0), 1.0)
         mid = slerp(q0, q1, 0.5)
-        assert q0.rotation_angle_to(mid) == pytest.approx(0.5, abs=1e-12)
+        assert rotation_angle(q0, mid) == pytest.approx(0.5, abs=1e-12)
 
     def test_shortest_path(self):
         # antipodal representation of the same small rotation must not take
@@ -108,15 +111,15 @@ class TestSlerp:
         q1 = Quaternion.from_axis_angle((0, 0, 1), 0.2)
         q1n = Quaternion(-q1.w, -q1.x, -q1.y, -q1.z)
         mid = slerp(q0, q1n, 0.5)
-        assert q0.rotation_angle_to(mid) == pytest.approx(0.1, abs=1e-9)
+        assert rotation_angle(q0, mid) == pytest.approx(0.1, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
     def test_angle_proportionality(self, s, seed):
         rng = np.random.default_rng(seed)
         q0, q1 = rand_quat(rng), rand_quat(rng)
-        total = q0.rotation_angle_to(q1)
-        part = q0.rotation_angle_to(slerp(q0, q1, s))
+        total = rotation_angle(q0, q1)
+        part = rotation_angle(q0, slerp(q0, q1, s))
         assert part == pytest.approx(s * total, abs=1e-6)
 
     def test_rowwise_form_matches_the_scalar_one(self, rng):
@@ -176,9 +179,10 @@ class TestDirection:
 
     def test_angle_to(self):
         a = Direction(0.0, 0.0)
-        assert a.angle_to(Direction(90.0, 0.0)) == pytest.approx(90.0)
-        assert a.angle_to(a) == pytest.approx(0.0, abs=1e-9)
-        assert Direction(10.0, 20.0).angle_to(a) == pytest.approx(a.angle_to(Direction(10.0, 20.0)))
+        assert direction_angle(a, Direction(90.0, 0.0)) == pytest.approx(90.0)
+        assert direction_angle(a, a) == pytest.approx(0.0, abs=1e-9)
+        b = Direction(10.0, 20.0)
+        assert direction_angle(b, a) == pytest.approx(direction_angle(a, b))
 
 
 class TestPoseFrame:
@@ -203,42 +207,67 @@ class TestPoseFrame:
 
 
 class TestPredictPose:
-    def _history(self, omega, dt=0.01):
-        q0 = Quaternion.identity()
-        q1 = Quaternion.from_axis_angle((0, 0, 1), omega * dt)
-        p = np.array([1.0, 2.0, 1.7])
-        return [Pose(0.0, p, q0), Pose(dt, p, q1)]
+    HERE = np.array([1.0, 2.0, 1.7])
+
+    @staticmethod
+    def _trace(omega, horizon=0.1):
+        """Yaw at a steady omega rad/s for 1 s, sampled every 10 ms, with a
+        device column holding the orientation ``horizon`` seconds ahead."""
+        t = np.linspace(0.0, 1.0, 101)
+
+        def yaw(angle):
+            return np.stack([np.cos(angle / 2), 0 * angle, 0 * angle, np.sin(angle / 2)], axis=1)
+
+        return TraceSet(t, yaw(omega * t), yaw(omega * (t + horizon)), np.full(t.size, horizon))
+
+    def _now(self, trace, t):
+        return Pose(t, self.HERE, trace.orientation_at(t))
 
     def test_constant_velocity_extends_the_rotation(self):
         omega = 2.0  # rad/s
-        hist = self._history(omega)
-        pred = predict_pose(hist, horizon=0.05, mode="constant_velocity")
-        expect = Quaternion.from_axis_angle((0, 0, 1), omega * (0.01 + 0.05))
-        assert pred.orientation.rotation_angle_to(expect) == pytest.approx(0.0, abs=1e-9)
-        assert pred.t == pytest.approx(0.06)
+        trace = self._trace(omega)
+        pred = predict_pose(self._now(trace, 0.5), 0.05, "extrapolation", trace)
+        expect = Quaternion.from_axis_angle((0, 0, 1), omega * (0.5 + 0.05))
+        assert rotation_angle(pred.orientation, expect) == pytest.approx(0.0, abs=1e-9)
+        assert pred.t == pytest.approx(0.55)
 
     def test_single_sample_history_holds_still(self):
-        p = Pose(0.0, np.zeros(3), Quaternion.from_axis_angle((0, 1, 0), 0.4))
-        pred = predict_pose([p], horizon=0.1, mode="constant_velocity")
-        assert pred.orientation.rotation_angle_to(p.orientation) == pytest.approx(0.0, abs=1e-12)
+        # at t = 0 there is no past orientation to estimate a velocity from
+        trace = self._trace(2.0)
+        now = self._now(trace, 0.0)
+        pred = predict_pose(now, 0.1, "extrapolation", trace)
+        assert pred.orientation == now.orientation
 
     def test_zero_horizon_is_identity(self):
-        hist = self._history(1.0)
-        pred = predict_pose(hist, horizon=0.0, mode="constant_velocity")
-        assert pred.orientation.rotation_angle_to(hist[-1].orientation) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        trace = self._trace(1.0)
+        now = self._now(trace, 0.3)
+        pred = predict_pose(now, 0.0, "extrapolation", trace)
+        assert rotation_angle(pred.orientation, now.orientation) == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("mode", ["constant_velocity", "device", "oracle"])
+    def test_each_mode_reads_its_orientation(self):
+        omega = 2.0
+        trace = self._trace(omega)
+        now = self._now(trace, 0.5)
+
+        def yaw_of(mode):
+            q = predict_pose(now, 0.05, mode, trace).orientation
+            return 2.0 * math.atan2(q.z, q.w)
+
+        assert predict_pose(now, 0.05, "none", trace).orientation == now.orientation
+        # the recorded column whatever the horizon asked for
+        assert yaw_of("device") == pytest.approx(omega * (0.5 + 0.1), abs=1e-12)
+        assert yaw_of("oracle") == pytest.approx(omega * (0.5 + 0.05), abs=1e-12)
+
+    @pytest.mark.parametrize("mode", PREDICTION_MODES)
     def test_position_is_the_last_samples(self, mode):
         # only the predicted orientation reaches the composite beam, so the
-        # position is held, even against a trace that records one
-        q = np.array([[1.0, 0.0, 0.0, 0.0], [math.cos(0.1), 0.0, 0.0, math.sin(0.1)]])
-        recorded = np.array([[5.0, 5.0, 1.0], [-5.0, 9.0, 2.0]])
-        trace = TraceSet(np.array([0.0, 1.0]), q, recorded, q, np.full(2, 0.1))
-        hist = [
-            Pose(0.0, np.array([0.0, 0.0, 1.7]), Quaternion(*q[0])),
-            Pose(0.01, np.array([0.3, -0.2, 1.7]), Quaternion(*q[1])),
-        ]
-        pred = predict_pose(hist, horizon=0.05, mode=mode, trace=trace)
-        assert np.array_equal(pred.position, hist[-1].position)
+        # current position is held
+        trace = self._trace(2.0)
+        pred = predict_pose(self._now(trace, 0.5), 0.05, mode, trace)
+        assert np.array_equal(pred.position, self.HERE)
+
+    @pytest.mark.parametrize("mode", ["constant_velocity", "kalman"])
+    def test_unknown_mode_is_rejected(self, mode):
+        trace = self._trace(2.0)
+        with pytest.raises(ValueError, match="unknown prediction mode"):
+            predict_pose(self._now(trace, 0.5), 0.05, mode, trace)

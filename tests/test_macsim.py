@@ -41,7 +41,7 @@ def mpdu_sizes_bits(config):
 def frame_airtime(config):
     """Uninterrupted service time of one whole burst, from ``burst_shape``."""
     count, full, tail = burst_shape(config)
-    return ((count - 1) * full + tail) / config.mcs.phy_rate_bps + count * config.per_mpdu_overhead
+    return ((count - 1) * full + tail) / config.phy_rate_bps + count * config.per_mpdu_overhead
 
 
 class TestMpduAccounting:
@@ -355,10 +355,11 @@ class TestMediumRules:
             sim.run()
 
     def test_mcs_gate_is_inclusive(self):
-        # an attempt at exactly the threshold SNR succeeds, one just below fails
+        # an attempt at exactly snr_threshold_db succeeds, one just below fails
         for offset_db, fails_all in ((0.0, False), (-1e-9, True)):
-            sim = macsim.Simulator(load_config(overrides=["sim_time = 0.05", "rotation = static"]))
-            snr = sim.mcs.snr_threshold_db + offset_db
+            overrides = ["sim_time = 0.05", "rotation = static", "snr_threshold_db = 12.5"]
+            sim = macsim.Simulator(load_config(overrides=overrides))
+            snr = 12.5 + offset_db
             sim.snr_at = lambda ts: np.full(len(ts), snr)
             counters = sim.run().counters
             assert counters["mpdu_attempts"] > 0

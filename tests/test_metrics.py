@@ -1,13 +1,21 @@
 """Reliability, latency CDF and the run output files."""
 
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrsim.macsim import FrameRecord
-from xrsim.metrics import cdf_value, quantile, read_frame_records, summarize, write_outputs
+from xrsim.metrics import quantile, read_frame_records, summarize, write_outputs
 
 DEADLINE = 0.020
+
+
+def cdf_value(cdf, latency):
+    """Step-function lookup: fraction of frames with latency <= the argument."""
+    i = bisect_right([pair[0] for pair in cdf], latency)
+    return cdf[i - 1][1] if i else 0.0
 
 
 def frame(fid, created, latency):

@@ -9,7 +9,6 @@ import pytest
 from xrsim import cli
 from xrsim.geometry import Quaternion, slerp
 from xrsim.mobility import (
-    HMD_HEIGHT,
     TraceFormatError,
     TraceSet,
     generate_rotation_trace,
@@ -20,13 +19,15 @@ from xrsim.mobility import (
     static_trace,
 )
 
+from angles import rotation_angle
+
 
 def step_peak_dps(trace):
     """Largest sample-to-sample angular speed, the quantity the generator
     promises to hit."""
     qs = [Quaternion(*q) for q in trace.orientations.tolist()]
     dt = trace.times[1] - trace.times[0]
-    worst = max(a.rotation_angle_to(b) for a, b in zip(qs[:-1], qs[1:]))
+    worst = max(rotation_angle(a, b) for a, b in zip(qs[:-1], qs[1:]))
     return math.degrees(worst) / dt
 
 
@@ -36,7 +37,8 @@ def pitch_deg(q):
 
 
 class TestRotationTrace:
-    @pytest.mark.parametrize("peak", [100.0, 200.0, 600.0])
+    # 179,990 deg/s lies just under a step's reach at 1000 Hz
+    @pytest.mark.parametrize("peak", [100.0, 200.0, 600.0, 179_990.0])
     def test_peak_speed_is_hit(self, peak):
         tr = generate_rotation_trace(peak, 2.0, seed=1)
         assert step_peak_dps(tr) == pytest.approx(peak, rel=0.01)
@@ -56,7 +58,7 @@ class TestRotationTrace:
             assert tr.device_horizons[i] == 0.1
             ahead = tr.orientation_at(tr.times[i] + tr.device_horizons[i])
             recorded = Quaternion(*tr.device_orientations[i].tolist())
-            assert recorded.rotation_angle_to(ahead) < 1e-6
+            assert rotation_angle(recorded, ahead) < 1e-6
             # the nearest sample's column, on both sides of the midpoint
             assert tr.device_prediction_nearest(tr.times[i] + 0.0004) == recorded
             assert tr.device_prediction_nearest(tr.times[i] - 0.0004) == recorded
@@ -87,24 +89,29 @@ class TestRotationTrace:
         with pytest.raises(ValueError):
             generate_rotation_trace(100.0, -1.0)
 
+    # a sample step turns by at most 180 deg, so 180 x sample_rate is out of
+    # reach: 2e5 deg/s came out 10% slow, 1e30 as non-finite quaternions
+    @pytest.mark.parametrize("peak", [180_000.0, 2e5, 1e30])
+    def test_peak_out_of_a_steps_reach(self, peak):
+        with pytest.raises(ValueError, match="below 180 x sample rate = 180000 deg/s"):
+            generate_rotation_trace(peak, 1.0, sample_rate=1000.0)
+
 
 IDENTITY2 = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)
 
 
 class TestTraceSet:
     def test_wrap_and_seams(self):
-        # x position and yaw both run linearly over the 2 s window, so every
-        # lookup reads back the wrapped time
+        # yaw runs linearly over the 2 s window, so every lookup reads back
+        # the wrapped time
         yaw = np.radians([0.0, 90.0, 180.0])
         tr = TraceSet(
             [0.0, 1.0, 2.0],
             np.stack([np.cos(yaw / 2), 0 * yaw, 0 * yaw, np.sin(yaw / 2)], axis=1),
-            positions=[[0.0, 0.0, 1.7], [1.0, 0.0, 1.7], [2.0, 0.0, 1.7]],
             device_orientations=np.eye(4)[:3],
             device_horizons=[0.1, 0.2, 0.3],
         )
         for t, wrapped in ((0.5, 0.5), (2.0, 2.0), (2.5, 0.5), (6.0, 0.0), (-0.5, 1.5), (3.4, 1.4)):
-            assert tr.position_at(t)[0] == pytest.approx(wrapped, abs=1e-12)
             q = tr.orientation_at(t)
             assert math.degrees(2 * math.atan2(q.z, q.w)) == pytest.approx(90.0 * wrapped, abs=1e-9)
             assert np.allclose(tr.orientations_at(np.array([t]))[0], [q.w, q.x, q.y, q.z], atol=1e-15)
@@ -116,7 +123,7 @@ class TestTraceSet:
         tr = generate_rotation_trace(200.0, 1.0, seed=8)
         a = tr.orientation_at(0.3)
         b = tr.orientation_at(tr.duration + 0.3)
-        assert a.rotation_angle_to(b) < 1e-9
+        assert rotation_angle(a, b) < 1e-9
 
     def test_rowwise_lookup_matches_the_scalar_one(self):
         # interior points, exact sample instants, the seam and past it, and
@@ -137,17 +144,9 @@ class TestTraceSet:
     def test_static_trace_is_identity_everywhere(self):
         tr = static_trace(3.0)
         for t in (0.0, 0.7, 2.999, 5.2):
-            assert tr.orientation_at(t).rotation_angle_to(Quaternion.identity()) < 1e-12
+            assert rotation_angle(tr.orientation_at(t), Quaternion.identity()) < 1e-12
         assert tr.has_device
-        assert tr.device_prediction_nearest(1.0).rotation_angle_to(Quaternion.identity()) < 1e-12
-
-    def test_position_interpolation(self):
-        tr = TraceSet([0.0, 1.0], IDENTITY2, positions=[[0.0, 0.0, 1.7], [2.0, -1.0, 1.7]])
-        assert np.allclose(tr.position_at(0.5), [1.0, -0.5, 1.7])
-
-    def test_position_missing_raises(self):
-        with pytest.raises(ValueError, match="position"):
-            static_trace(1.0).position_at(0.5)
+        assert rotation_angle(tr.device_prediction_nearest(1.0), Quaternion.identity()) < 1e-12
 
     def test_device_missing_raises(self):
         tr = TraceSet([0.0, 1.0], IDENTITY2)
@@ -161,21 +160,18 @@ class TestTraceSet:
             TraceSet([0.0, 0.0], IDENTITY2)
         with pytest.raises(ValueError, match="orientations has shape"):
             TraceSet([0.0, 1.0], IDENTITY2[:, :3])
-        with pytest.raises(ValueError, match="positions has shape"):
-            TraceSet([0.0, 1.0], IDENTITY2, positions=[[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="come together"):
             TraceSet([0.0, 1.0], IDENTITY2, device_orientations=IDENTITY2)
 
     @pytest.mark.parametrize(
         "column, value",
-        [("times", np.nan), ("times", np.inf), ("orientations", np.nan), ("positions", -np.inf),
+        [("times", np.nan), ("times", np.inf), ("orientations", np.nan),
          ("device_orientations", np.nan), ("device_horizons", np.nan)],
     )
     def test_rejects_non_finite_values(self, column, value):
         arrays = {
             "times": np.array([0.0, 0.5, 1.0]),
             "orientations": np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)),
-            "positions": np.zeros((3, 3)),
             "device_orientations": np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)),
             "device_horizons": np.full(3, 0.1),
         }
@@ -190,7 +186,7 @@ class TestTraceFile:
         path = tmp_path / "trace.csv"
         save_trace(path, tr)
         back = load_trace(path)
-        assert back.has_device and not back.has_position
+        assert back.has_device
         assert np.array_equal(back.times, tr.times)
         # loading renormalizes, so components can move by an ulp; compare
         # them directly rather than through the angle metric
@@ -198,13 +194,16 @@ class TestTraceFile:
         assert np.allclose(back.device_orientations, tr.device_orientations, rtol=0.0, atol=1e-15)
         assert np.array_equal(back.device_horizons, tr.device_horizons)
 
-    def test_position_round_trip(self, tmp_path):
-        tr = TraceSet([0.0, 0.5], IDENTITY2, positions=[[0.25, -1.5, 1.7], [0.5, -1.0, 1.7]])
+    def test_position_header_is_rejected(self, tmp_path, capsys):
+        # the headset position comes from the walk, so a trace holds none
         path = tmp_path / "pos.csv"
-        save_trace(path, tr)
-        back = load_trace(path)
-        assert back.has_position
-        assert np.allclose(back.position_at(0.25), [0.375, -1.25, 1.7])
+        path.write_text("t,qw,qx,qy,qz,pw,px,py,pz\n0,1,0,0,0,0,0.25,-1.5,1.7\n0.5,1,0,0,0,0,0.5,-1,1.7\n")
+        with pytest.raises(TraceFormatError, match="line 1: unrecognized header"):
+            load_trace(path)
+        argv = ["simulate", "--out-dir", str(tmp_path), "--set", "rotation = %s" % path,
+                "--set", "sim_time = 0.3", "--set", "prediction = none"]
+        assert cli.main(argv) == 1
+        assert "line 1: unrecognized header" in capsys.readouterr().err
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -239,10 +238,9 @@ class TestTraceFile:
             ("t,qw,qx,qy,qz", "nan,1,0,0,0"),
             ("t,qw,qx,qy,qz", "inf,1,0,0,0"),
             ("t,qw,qx,qy,qz", "0.1,nan,0,0,0"),
-            ("t,qw,qx,qy,qz,pw,px,py,pz", "0.1,1,0,0,0,0,0,nan,1.7"),
             ("t,qw,qx,qy,qz,ph_qw,ph_qx,ph_qy,ph_qz,ph_h", "0.1,1,0,0,0,1,0,0,0,nan"),
         ],
-        ids=["nan_time", "inf_time", "nan_quaternion", "nan_position", "nan_horizon"],
+        ids=["nan_time", "inf_time", "nan_quaternion", "nan_horizon"],
     )
     def test_non_finite_value_names_the_row(self, tmp_path, capsys, header, bad_row):
         cols = header.split(",")
@@ -266,15 +264,14 @@ class TestTraceFile:
             load_trace(path)
 
 
-# A hand-written file with position columns: one quaternion 0.4% off unit
-# norm (renormalized on load), a padding column that is not 0 (ignored) and
-# a blank line (skipped).
+# A hand-written file: one quaternion 0.4% off unit norm (renormalized on
+# load) and a blank line (skipped).
 HAND_WRITTEN = (
-    "t,qw,qx,qy,qz,pw,px,py,pz\n"
-    "0,1,0,0,0,0,0.25,-1.5,1.7\n"
-    "0.125,0.999,0.0999,0,0,7,0.375,-1.25,1.65\n"
+    "t,qw,qx,qy,qz\n"
+    "0,1,0,0,0\n"
+    "0.125,0.999,0.0999,0,0\n"
     "\n"
-    "0.5,0.7071067811865476,0,0,0.7071067811865476,0,0.5,-1,1.7\n"
+    "0.5,0.7071067811865476,0,0,0.7071067811865476\n"
 )
 
 # SHA-256 of the bytes save_trace writes: pins the file format, number
@@ -282,7 +279,7 @@ HAND_WRITTEN = (
 TRACE_FILE_DIGESTS = {
     "generated_2s": "ff23a8d78d43e5f850531eb9f1e52edfe7f5be30eaf227a877cce00c891a855c",
     "static": "cef7be385a438adf9c234a5b5401877a7566a49676de19a3286ee9ca85b8634e",
-    "hand_written_positions": "c2bc8bf44d068562c59f428a25c0414275b31f3120e7d98c29a0cc60a1d78e15",
+    "hand_written": "0f0b1e702b575cad0622c64d6b311da89bad61c8d705d22fa598cc1ba2e54a89",
 }
 
 
@@ -367,8 +364,8 @@ class TestPoseAt:
     def test_combines_walk_and_trace_at_height(self):
         tr = generate_rotation_trace(200.0, 2.0, seed=2)
         w = generate_walk((-5.0, 5.0), (-3.0, 3.0), 1.0, 0.5, 2.0, seed=2)
-        p = pose_at(tr, w, 0.73)
+        p = pose_at(tr, w, 0.73, 1.7)
         assert p.t == 0.73
-        assert p.position[2] == HMD_HEIGHT
+        assert p.position[2] == 1.7
         assert np.allclose(p.position[:2], w.position_at(0.73))
-        assert p.orientation.rotation_angle_to(tr.orientation_at(0.73)) < 1e-12
+        assert rotation_angle(p.orientation, tr.orientation_at(0.73)) < 1e-12
