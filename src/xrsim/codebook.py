@@ -113,18 +113,75 @@ def _initial_phase_candidates(geometry: ArrayGeometry, rng: np.random.Generator)
     return starts
 
 
+def _spread_db(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Gain spread in dB between largest and smallest field magnitudes."""
+    return 20.0 * np.log10(np.maximum(hi, _NULL_FIELD)) - 20.0 * np.log10(np.maximum(lo, _NULL_FIELD))
+
+
 def _gain_ranges_db(fields: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """Per-row spread max - min of 20 log10 max(|field|, null floor), dB.
 
     The floor, log10 and the x20 are monotone, so they are applied to each
     row's largest and smallest magnitude only; the result equals the spread
-    of the full per-sample gain row bit for bit.  ``mags`` is a scratch
-    buffer of the same shape as ``fields``.
+    of the full per-sample gain row bit for bit.  The spread depends on the
+    row only through those two magnitudes, which is also why a trial can be
+    scored from the few samples that can hold them (``_candidate_ranges_db``)
+    and get the same float.  ``mags`` is a scratch buffer of the same shape
+    as ``fields`` and is left holding ``|fields|``.
     """
     np.abs(fields, out=mags)
-    hi = 20.0 * np.log10(np.maximum(mags.max(axis=1), _NULL_FIELD))
-    lo = 20.0 * np.log10(np.maximum(mags.min(axis=1), _NULL_FIELD))
-    return hi - lo
+    return _spread_db(mags.max(axis=1), mags.min(axis=1))
+
+
+def _candidate_reach(step: np.ndarray, n_elements: int) -> np.ndarray:
+    """How far below a row's largest (above its smallest) magnitude a sample
+    can sit and still hold an extreme after one +-``step`` trial.
+
+    Changing one element's phase by s moves every sample's field by at most
+    d = amplitude * |e^{js} - 1| = amplitude * 2 sin(s/2).  The current
+    largest magnitude falls by at most d and any other sample rises by at
+    most d, so a sample more than 2d below it cannot overtake it (and the
+    same holds at the smallest).  The slack covers rounding: of the
+    magnitudes, of the trial products and sums, and of the phases, each a
+    few ulps of the largest possible field, n_elements * amplitude =
+    sqrt(n_elements).  It trades nothing: it is far below 2d at the 1e-3
+    rad stop, and any safe value gives the same weights.
+    """
+    amplitude = 1.0 / math.sqrt(n_elements)
+    slack = 32.0 * np.finfo(float).eps * math.sqrt(n_elements)
+    return 2.0 * (amplitude * 2.0 * np.sin(step / 2.0)) + slack
+
+
+def _near_extremes(mags: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Mask of the samples within ``reach`` (one value per row) of their
+    row's largest or smallest magnitude."""
+    hi = mags.max(axis=1, keepdims=True)
+    lo = mags.min(axis=1, keepdims=True)
+    reach = reach[:, None]
+    return (mags >= hi - reach) | (mags <= lo + reach)
+
+
+def _candidate_layout(fields: np.ndarray, near: np.ndarray):
+    """The candidates of all rows as one flat run, row after row: their row
+    and sample indices, where each row's run starts, and their fields."""
+    flat = np.flatnonzero(near)
+    n_samples = near.shape[1]
+    rows = flat // n_samples
+    starts = np.searchsorted(flat, np.arange(len(near)) * n_samples)
+    return rows, flat - rows * n_samples, starts, np.take(fields, flat)
+
+
+def _candidate_ranges_db(layout, delta: np.ndarray, contrib: np.ndarray) -> np.ndarray:
+    """Spread of each trial row ``fields + delta[..., row] * contrib``,
+    evaluated at the row's candidates only; a leading axis of ``delta``
+    stacks trials.  Each trial value is the same elementwise product and sum
+    as in the full row, so when the row's extremes are among its candidates
+    the spread equals ``_gain_ranges_db`` of the full row bit for bit."""
+    rows, cols, starts, fields = layout
+    mags = delta[..., rows] * contrib[cols]
+    mags += fields
+    mags = np.abs(mags)
+    return _spread_db(np.maximum.reduceat(mags, starts, axis=-1), np.minimum.reduceat(mags, starts, axis=-1))
 
 
 def synthesize_quasi_omni(
@@ -141,15 +198,32 @@ def synthesize_quasi_omni(
     ``max_iters`` passes).  Deterministic for fixed inputs; ties between
     starts resolve to the lowest start index.
 
-    All starts descend in lockstep: each (element, +-step) trial is one
-    array pass over the (active starts x samples) field rows, and a start
-    leaves the active rows once its step falls below the stop.  Each row
-    follows exactly the arithmetic of a descent run on its own: +step is
-    tried before -step and accepted only on a strict 1e-12 dB improvement,
-    an improved row is resynced once per pass with the same 1-D ``unit @
-    base`` product, and the spread is read from each row's extreme
-    magnitudes (see ``_gain_ranges_db``).  The weights are therefore those
-    of one-start-after-another descents, bit for bit.
+    All starts descend in lockstep: per element, one array pass scores the
+    +step and the -step trial of every active start (row), and a start
+    leaves the active rows once its step falls below the stop.  A trial is
+    scored at its row's candidates only: the samples whose magnitude lies
+    within 2d plus a rounding slack of the row's largest or smallest one,
+    where d = amplitude * 2 sin(step/2) bounds how far the trial moves any
+    sample (``_candidate_reach``), so that no other sample can hold an
+    extreme of the trial row.  A row's candidates are picked from its exact
+    magnitudes at the start of each pass, after the resync and at the pass's
+    step, and re-picked whenever the row moves, so they always describe the
+    fields the trial starts from and need no allowance for moves made since;
+    the re-pick reads no extra row, as an accepted trial is computed in full
+    anyway.
+
+    Each row follows exactly the arithmetic of a descent run on its own:
+    +step is tried before -step, so a row that takes +step gets its -step
+    trial from its new state, and a trial is accepted only on a strict
+    1e-12 dB improvement.  A trial value at a candidate is the same
+    elementwise product and sum as in the full row, and the spread depends
+    on the row only through its extremes, which are candidates; so the
+    candidate spread equals the full-row spread bit for bit and every accept
+    decision is that of a full read.  An accepted trial row is computed over
+    all samples with the same arithmetic, an improved row is resynced once
+    per pass with the same 1-D ``unit @ base`` product, and the final
+    spreads come from full rows.  The weights are therefore those of
+    full-read descents run one start after another, bit for bit.
     """
     rng = np.random.default_rng(seed)
     directions = sample_directions(n_samples, rng)
@@ -171,6 +245,19 @@ def synthesize_quasi_omni(
     final_phases = np.empty_like(phases)
     final_range = np.empty(len(phases))
 
+    def take(rows, i, new, delta, contrib):
+        # accept the trial: the rows are computed in full, as a lone descent
+        # computes them, and their candidates are re-picked from them
+        n = np.count_nonzero(rows)
+        np.multiply((new - unit[:, i])[rows][:, None], contrib, out=trial[:n])
+        np.add(fields[rows], trial[:n], out=trial[:n])
+        current[rows] = _gain_ranges_db(trial[:n], mags[:n])
+        phases[rows, i] += delta[rows]
+        unit[rows, i] = new[rows]
+        fields[rows] = trial[:n]
+        near[rows] = _near_extremes(mags[:n], reach[rows])
+        improved[rows] = True
+
     for n_pass in range(max_iters + 1):
         # retire the starts whose step fell below the stop, and all of them
         # once the pass budget is spent
@@ -185,23 +272,32 @@ def synthesize_quasi_omni(
         if start_ids.size == 0:
             break
         n_active = start_ids.size
-        trial_rows, mag_rows = trial[:n_active], mags[:n_active]
         improved = np.zeros(n_active, dtype=bool)
+        signed = np.stack((step, -step))
+        reach = _candidate_reach(step, geometry.n_elements)
+        near = _near_extremes(np.abs(fields, out=mags[:n_active]), reach)
+        layout = _candidate_layout(fields, near)
         for i in range(phases.shape[1]):
             contrib = amplitude * base[i]
-            for delta in (step, -step):
-                new = np.exp(1j * (phases[:, i] + delta))
-                np.multiply((new - unit[:, i])[:, None], contrib, out=trial_rows)
-                np.add(fields, trial_rows, out=trial_rows)
-                r = _gain_ranges_db(trial_rows, mag_rows)
-                # strict margin so rounding noise cannot masquerade as progress
-                accept = r < current - 1e-12
-                if accept.any():
-                    phases[accept, i] += delta[accept]
-                    unit[accept, i] = new[accept]
-                    fields[accept] = trial_rows[accept]
-                    current[accept] = r[accept]
-                    improved |= accept
+            new = np.exp(1j * (phases[:, i] + signed))
+            r = _candidate_ranges_db(layout, new - unit[:, i], contrib)
+            # strict margin so rounding noise cannot masquerade as progress
+            better = r < current - 1e-12
+            if not better.any():
+                continue
+            plus = better[0]
+            if plus.any():
+                take(plus, i, new[0], signed[0], contrib)
+                # these rows try -step from where +step took them
+                new[1, plus] = np.exp(1j * (phases[plus, i] + signed[1, plus]))
+                r[1, plus] = _candidate_ranges_db(
+                    _candidate_layout(fields[plus], near[plus]), new[1, plus] - unit[plus, i], contrib
+                )
+                better[1] = r[1] < current - 1e-12
+            minus = better[1]
+            if minus.any():
+                take(minus, i, new[1], signed[1], contrib)
+            layout = _candidate_layout(fields, near)
         step[~improved] *= 0.5
         # incremental updates accumulate error; resync once per pass
         for s in np.flatnonzero(improved):

@@ -134,9 +134,10 @@ class FrameFormatError(ValueError):
 
 def read_frame_records(path) -> list[FrameRecord]:
     """Read back a per-frame CSV written by :func:`write_outputs`.  A row
-    that is short, not numeric, not finite, completes before it was created
-    or has a delivered flag other than 0 or 1 raises FrameFormatError
-    naming its line; a file without rows raises it naming the file."""
+    that is short, not numeric, not finite, completes before it was created,
+    has a delivered flag other than 0 or 1, or is delivered without a
+    completion time raises FrameFormatError naming its line; a file without
+    rows raises it naming the file."""
     records = []
     with open(path, "r", encoding="ascii") as fh:
         for n, raw in enumerate(fh, start=1):
@@ -149,11 +150,15 @@ def read_frame_records(path) -> list[FrameRecord]:
                     raise ValueError
                 created = float(fields[1])
                 completed = float(fields[2]) if fields[2] else None
+                delivered = fields[3] == "1"
                 if not math.isfinite(created) or not (
                     completed is None or (math.isfinite(completed) and completed >= created)
                 ):
                     raise ValueError
-                records.append(FrameRecord(int(fields[0]), created, completed, fields[3] == "1"))
+                # a frame is delivered only by completing in time
+                if delivered and completed is None:
+                    raise ValueError
+                records.append(FrameRecord(int(fields[0]), created, completed, delivered))
             except ValueError:
                 raise FrameFormatError("%s: line %d: malformed frame row %r" % (path, n, line)) from None
     if not records:

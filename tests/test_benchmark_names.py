@@ -5,34 +5,73 @@ name from outside the package.  Entering and leaving its instrumentation,
 without simulating anything, fails here in milliseconds when one of those
 names is deleted or renamed.  A sweep must book one stacked ``gain_db``
 call, which is what the per-layer ``gain_db`` and ``best_sector`` counts
-count.
+count, and a cold set-up must book its one 8x8 quasi-omni synthesis, which
+is where the per-layer figures show set-up savings.
 """
 
 from pathlib import Path
 
-from xrsim import antenna, macsim
+import pytest
+
+from xrsim import antenna, codebook, macsim
 from xrsim.antenna import ArrayGeometry
-from xrsim.codebook import generate_sector_codebook
+from xrsim.codebook import cached_quasi_omni, generate_sector_codebook
 from xrsim.config import load_config
 from xrsim.geometry import Direction
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# (owner, attribute) of every target perfbench/tracer.py wraps
+TRACED = [
+    (macsim, "generate_rotation_trace"),
+    (macsim, "generate_walk"),
+    (macsim, "generate_sector_codebook"),
+    (macsim, "pose_at"),
+    (macsim, "ap_direction_in_hmd_frame"),
+    (macsim, "predict_pose"),
+    (macsim, "link_snr_db"),
+    (macsim, "covrage_beam"),
+    (macsim, "best_sector"),
+    (codebook, "synthesize_quasi_omni"),
+    (antenna.AwvEvaluator, "gain_db"),
+    (antenna.AwvEvaluator, "__init__"),
+]
 
 
 def test_tracer_wraps_and_restores_every_name(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer, instrument
 
-    names = ("pose_at", "predict_pose", "covrage_beam", "best_sector", "ap_direction_in_hmd_frame")
-    originals = {name: getattr(macsim, name) for name in names}
-    gain_db = antenna.AwvEvaluator.gain_db
+    originals = [owner.__dict__[attr] for owner, attr in TRACED]
     with instrument(Tracer()):
-        for name in names:
-            assert getattr(macsim, name) is not originals[name], name
-        assert antenna.AwvEvaluator.gain_db is not gain_db
-    for name in names:
-        assert getattr(macsim, name) is originals[name], name
-    assert antenna.AwvEvaluator.gain_db is gain_db
+        for (owner, attr), fn in zip(TRACED, originals):
+            assert owner.__dict__[attr] is not fn, attr
+    for (owner, attr), fn in zip(TRACED, originals):
+        assert owner.__dict__[attr] is fn, attr
+
+
+@pytest.mark.parametrize("workload", ["saturated_8g", "light_2g", "sectors_abft"])
+def test_cold_setup_books_one_8x8_synthesis(monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer, instrument
+    from workloads import WORKLOADS, overrides_for
+
+    # the benchmark measures set-up in a fresh interpreter, so the quasi-omni
+    # cache starts empty; a codebook seed no other test uses gives the same
+    # misses here without clearing the cache the other tests share
+    seed = {"saturated_8g": 101, "light_2g": 102, "sectors_abft": 103}[workload]
+    cfg = load_config(overrides=overrides_for(WORKLOADS[workload], 1, 0.3) + ["codebook_seed = %d" % seed])
+    before = cached_quasi_omni.cache_info()
+    with instrument(Tracer()) as tracer:
+        macsim.Simulator(cfg)
+    after = cached_quasi_omni.cache_info()
+    totals = tracer.totals()
+    assert totals["codebook.synthesize_quasi_omni.8x8"][0] == 1
+    assert "codebook.synthesize_quasi_omni.64x64" not in totals
+    # reached through the cache: one miss, and a hit for the 8x8 sector
+    # headset, which shares the access point's parameters
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == (1 if workload == "sectors_abft" else 0)
 
 
 def test_one_sweep_books_one_gain_call(monkeypatch):

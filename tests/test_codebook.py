@@ -6,13 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from xrsim.antenna import ArrayGeometry, Awv, AwvEvaluator, gain_db, sample_directions, steering_phases
+from xrsim.antenna import _NULL_FIELD, ArrayGeometry, Awv, AwvEvaluator, gain_db, sample_directions, steering_phases
 from xrsim.codebook import (
+    _STEP_INIT,
+    _STEP_MIN,
     DEFAULT_AIMS,
     Codebook,
     CodebookFormatError,
     Sector,
+    _candidate_layout,
+    _candidate_ranges_db,
+    _candidate_reach,
     _initial_phase_candidates,
+    _near_extremes,
     cached_quasi_omni,
     generate_sector_codebook,
     read_codebook,
@@ -27,6 +33,69 @@ def sampled_range_db(geometry, awv, seed, n=1000):
     dirs = sample_directions(n, np.random.default_rng(seed))
     g = AwvEvaluator(geometry, awv).gains_db(np.stack([d.to_unit_vector() for d in dirs]))
     return float(g.max() - g.min())
+
+
+def shape_id(shape):
+    return "%dx%d" % shape
+
+
+def full_read_descent(geometry, n_samples, seed, max_iters):
+    """Reference quasi-omni synthesis: the lockstep descent that reads every
+    sample of every trial row.  ``synthesize_quasi_omni`` must return its
+    weights bit for bit."""
+
+    def ranges_db(fields):
+        mags = np.abs(fields)
+        hi = 20.0 * np.log10(np.maximum(mags.max(axis=1), _NULL_FIELD))
+        lo = 20.0 * np.log10(np.maximum(mags.min(axis=1), _NULL_FIELD))
+        return hi - lo
+
+    rng = np.random.default_rng(seed)
+    directions = sample_directions(n_samples, rng)
+    u = np.stack([d.to_unit_vector() for d in directions])
+    k = 2.0 * math.pi / geometry.wavelength
+    base = np.exp(1j * k * (geometry.element_positions() @ u.T))
+    amplitude = 1.0 / math.sqrt(geometry.n_elements)
+
+    phases = np.array(_initial_phase_candidates(geometry, rng))
+    unit = np.exp(1j * phases)
+    fields = np.stack([amplitude * (row @ base) for row in unit])
+    current = ranges_db(fields)
+    step = np.full(len(phases), _STEP_INIT)
+    start_ids = np.arange(len(phases))
+    final_phases = np.empty_like(phases)
+    final_range = np.empty(len(phases))
+
+    for n_pass in range(max_iters + 1):
+        done = (step < _STEP_MIN) | (n_pass == max_iters)
+        if done.any():
+            final_phases[start_ids[done]] = phases[done]
+            final_range[start_ids[done]] = current[done]
+            keep = ~done
+            phases, unit, fields, current, step, start_ids = (
+                a[keep] for a in (phases, unit, fields, current, step, start_ids)
+            )
+        if start_ids.size == 0:
+            break
+        improved = np.zeros(start_ids.size, dtype=bool)
+        for i in range(phases.shape[1]):
+            contrib = amplitude * base[i]
+            for delta in (step, -step):
+                new = np.exp(1j * (phases[:, i] + delta))
+                trial = fields + (new - unit[:, i])[:, None] * contrib
+                r = ranges_db(trial)
+                accept = r < current - 1e-12
+                phases[accept, i] += delta[accept]
+                unit[accept, i] = new[accept]
+                fields[accept] = trial[accept]
+                current[accept] = r[accept]
+                improved |= accept
+        step[~improved] *= 0.5
+        for s in np.flatnonzero(improved):
+            fields[s] = amplitude * (unit[s] @ base)
+        current[improved] = ranges_db(fields[improved])
+
+    return Awv(final_phases[np.argmin(final_range)])
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +243,73 @@ class TestQuasiOmni:
         assert a is b
         direct = synthesize_quasi_omni(ArrayGeometry(4, 4), n_samples=200, seed=3, max_iters=8)
         assert np.array_equal(a.phases, direct.phases)
+
+
+class TestCandidateDescent:
+    """Synthesis scores each trial at its candidate samples only; these
+    tests hold it to the full-read descent and check the candidate bound on
+    its own."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 7), (3, 5), (4, 4), (8, 8)], ids=shape_id)
+    @pytest.mark.parametrize("n_samples", [1, 2, 37, 300])
+    def test_matches_the_full_read_descent(self, shape, n_samples):
+        # 1x1 and one-sample runs make every sample a candidate
+        g = ArrayGeometry(*shape)
+        for seed in range(4):
+            for max_iters in (0, 1, 10):
+                got = synthesize_quasi_omni(g, n_samples=n_samples, seed=seed, max_iters=max_iters)
+                want = full_read_descent(g, n_samples, seed, max_iters)
+                assert np.array_equal(got.phases, want.phases), (seed, max_iters)
+
+    @staticmethod
+    def fields_of(geometry, phases, n_samples, seed):
+        dirs = sample_directions(n_samples, np.random.default_rng(seed))
+        u = np.stack([d.to_unit_vector() for d in dirs])
+        base = np.exp(1j * (2.0 * math.pi / geometry.wavelength) * (geometry.element_positions() @ u.T))
+        amplitude = 1.0 / math.sqrt(geometry.n_elements)
+        return amplitude * np.exp(1j * phases) @ base, amplitude * base
+
+    # from the first step down to the stop, and a synthesized pattern whose
+    # flat gain puts many samples close to both extremes
+    STEPS = [_STEP_INIT * 0.5**k for k in range(11)] + [_STEP_MIN, 0.3, 0.05, 2e-3]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (3, 5), (8, 8)], ids=shape_id)
+    def test_every_trial_extreme_is_a_candidate(self, shape):
+        g = ArrayGeometry(*shape)
+        rng = np.random.default_rng(sum(shape))
+        phases = rng.uniform(-math.pi, math.pi, size=(6, g.n_elements))
+        if shape == (8, 8):
+            phases[0] = synthesize_quasi_omni(g, n_samples=300, seed=2, max_iters=10).phases
+        fields, contribs = self.fields_of(g, phases, 300, 2)
+        mags = np.abs(fields)
+        unit = np.exp(1j * phases)
+        for step in self.STEPS:
+            reach = _candidate_reach(np.full(len(fields), step), g.n_elements)
+            near = _near_extremes(mags, reach)
+            layout = _candidate_layout(fields, near)
+            rows = np.arange(len(fields))
+            for i in range(g.n_elements):
+                delta = np.exp(1j * (phases[:, i] + np.array([[step], [-step]]))) - unit[:, i]
+                trial = np.abs(fields + delta[:, :, None] * contribs[i])  # (sign, row, sample)
+                assert near[rows, trial.argmax(axis=2)].all(), (step, i)
+                assert near[rows, trial.argmin(axis=2)].all(), (step, i)
+                hi = 20.0 * np.log10(np.maximum(trial.max(axis=2), _NULL_FIELD))
+                lo = 20.0 * np.log10(np.maximum(trial.min(axis=2), _NULL_FIELD))
+                assert np.array_equal(_candidate_ranges_db(layout, delta, contribs[i]), hi - lo), (step, i)
+
+    def test_candidates_are_few_at_small_steps(self):
+        # the point of the bound: at the stop step a row keeps a handful of
+        # its samples, at the first step still well under all of them
+        g = ArrayGeometry(8, 8)
+        phases = np.random.default_rng(0).uniform(-math.pi, math.pi, size=(4, g.n_elements))
+        fields, _ = self.fields_of(g, phases, 1000, 0)
+        mags = np.abs(fields)
+        sizes = {
+            step: np.count_nonzero(_near_extremes(mags, _candidate_reach(np.full(4, step), 64)), axis=1)
+            for step in (_STEP_INIT, _STEP_MIN)
+        }
+        assert (sizes[_STEP_MIN] >= 2).all() and (sizes[_STEP_MIN] <= 20).all()
+        assert (sizes[_STEP_INIT] < 1000).all()
 
 
 class TestCodebookFile:

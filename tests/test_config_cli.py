@@ -414,7 +414,8 @@ class TestReportCommand:
         assert "argument --deadline:" in capsys.readouterr().err
 
     # short and non-numeric rows exited 2 as a runtime error; the others
-    # exited 0 with a nan median or a negative latency
+    # exited 0 with a nan median, a negative latency, or a row flagged
+    # delivered that never completed
     @pytest.mark.parametrize(
         "row",
         [
@@ -427,10 +428,12 @@ class TestReportCommand:
             "1,0.01,inf,0",
             "1,0.02,0.01,1",
             "1,0.01,0.02,2",
+            "1,0.01,,1",
         ],
         ids=[
             "short", "long", "frame_id", "completed_text", "created_nan",
             "completed_nan", "completed_inf", "completed_first", "delivered_2",
+            "delivered_never_completed",
         ],
     )
     def test_malformed_frames_exit_one_naming_the_line(self, tmp_path, capsys, row):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrsim.macsim import FrameRecord
-from xrsim.metrics import quantile, read_frame_records, summarize, write_outputs
+from xrsim.metrics import FrameFormatError, quantile, read_frame_records, summarize, write_outputs
 
 DEADLINE = 0.020
 
@@ -176,4 +176,12 @@ class TestOutputs:
         path = tmp_path / "frames.csv"
         path.write_text("frame_id,created_s,completed_s,delivered\n0,0.0,1.0\n")
         with pytest.raises(ValueError, match="malformed"):
+            read_frame_records(path)
+
+    def test_delivered_row_without_completion_raises_naming_its_line(self, tmp_path):
+        # read back as FrameRecord(completed=None, delivered=True), a record
+        # write_outputs never writes
+        path = tmp_path / "frames.csv"
+        path.write_text("frame_id,created_s,completed_s,delivered\n1,0.01,0.02,1\n0,0.0,,1\n")
+        with pytest.raises(FrameFormatError, match="line 3: malformed frame row '0,0.0,,1'"):
             read_frame_records(path)
