@@ -111,9 +111,26 @@ class Awv:
 def steering_phases(geometry: ArrayGeometry, direction: Direction) -> Awv:
     """Phases that align all element contributions toward ``direction``."""
     u = direction.to_unit_vector()
+    return steered_awv(geometry, (SteeredBlock(0, geometry.cols, float(u[1]), float(u[2]), 0.0),))
+
+
+def steered_awv(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> Awv:
+    """Weight vector of steered blocks that tile the columns in order: the
+    elements at y and z in block b take the phase -k (y t_y + z t_z) +
+    offset, and the weight vector records the blocks."""
+    _check_tiling(geometry, blocks)
     k = 2.0 * math.pi / geometry.wavelength
-    block = SteeredBlock(0, geometry.cols, float(u[1]), float(u[2]), 0.0)
-    return Awv(-k * (geometry.element_positions() @ u), (block,))
+    pos = geometry.element_positions().reshape(geometry.rows, geometry.cols, 3)
+    phases = np.empty((geometry.rows, geometry.cols))
+    for b in blocks:
+        phases[:, b.c0 : b.c1] = -k * (pos[:, b.c0 : b.c1, 1] * b.ty + pos[:, b.c0 : b.c1, 2] * b.tz) + b.offset
+    return Awv(phases.ravel(), tuple(blocks))
+
+
+def _check_tiling(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> None:
+    starts, ends = [b.c0 for b in blocks], [b.c1 for b in blocks]
+    if starts + [geometry.cols] != [0] + ends or any(c0 >= c1 for c0, c1 in zip(starts, ends)):
+        raise ValueError("steered blocks must tile the array's columns")
 
 
 def field_at(geometry: ArrayGeometry, awv: Awv, direction: Direction) -> complex:
@@ -170,6 +187,22 @@ def _dirichlet(theta: np.ndarray, n) -> np.ndarray:
     return out
 
 
+def block_fields(geometry: ArrayGeometry, blocks, u: np.ndarray) -> np.ndarray:
+    """Field of each of B steered blocks, :class:`SteeredBlock` s or their
+    (B, 5) array, toward the rows of ``u``, (M, 3) unit vectors in the array
+    frame: (M, B), per unit element amplitude and before the block's offset.
+    Block b of n columns, centred ``cen`` columns off the array centre and
+    steered at t, gives D_rows(kd (u_z - t_z)) D_n(kd (u_y - t_y)) e^{j cen
+    kd (u_y - t_y)}, a product of two Dirichlet kernels (Balanis, *Antenna
+    Theory*, planar arrays)."""
+    kd = (2.0 * math.pi / geometry.wavelength) * (geometry.spacing_wavelengths * geometry.wavelength)
+    c0, c1, ty, tz, _ = np.asarray(blocks, dtype=float).T
+    theta_y = kd * (u[:, 1:2] - ty)
+    theta_z = kd * (u[:, 2:3] - tz)
+    terms = _dirichlet(theta_z, geometry.rows) * _dirichlet(theta_y, (c1 - c0).astype(np.int64))
+    return terms * np.exp(1j * ((c0 + c1 - geometry.cols) / 2.0 * theta_y))
+
+
 class AwvEvaluator:
     """Fast gain evaluation for one AWV, or for a codebook's stack of AWVs
     (``awv`` is then their tuple, in the order given), toward many
@@ -179,10 +212,9 @@ class AwvEvaluator:
 
     One AWV that carries its :attr:`Awv.blocks` (a steered beam or a
     covrage composite beam) is summed in closed form, O(blocks) per
-    direction: the planar array factor of each steered block is a product
-    of two Dirichlet kernels (Balanis, *Antenna Theory*, planar arrays).
-    Any other AWV, and every stack, goes through the rectangular lattice:
-    the element sum factors into a row combination of per-column sums, two
+    direction, from its :func:`block_fields` turned by their offsets.  Any
+    other AWV, and every stack, goes through the rectangular lattice: the
+    element sum factors into a row combination of per-column sums, two
     length-rows/cols contractions instead of the O(N) phase sum.  Both
     produce the values of the per-element :func:`gain_db` up to rounding.
     """
@@ -193,20 +225,14 @@ class AwvEvaluator:
             raise ValueError("weight vector length does not match the array")
         self.geometry = geometry
         self.awv = awv if isinstance(awv, Awv) else stack
-        d = geometry.spacing_wavelengths * geometry.wavelength
-        k = 2.0 * math.pi / geometry.wavelength
         if isinstance(awv, Awv) and awv.blocks:
-            blocks = awv.blocks
-            if [b.c0 for b in blocks] + [geometry.cols] != [0] + [b.c1 for b in blocks]:
-                raise ValueError("steered blocks must tile the array's columns")
-            self._kd = k * d
-            self._target_y = np.array([b.ty for b in blocks])
-            self._target_z = np.array([b.tz for b in blocks])
-            self._block_cols = np.array([b.c1 - b.c0 for b in blocks])
-            self._block_centre = np.array([(b.c0 + b.c1 - geometry.cols) / 2.0 for b in blocks])
-            self._block_coef = awv.amplitude * np.exp(1j * np.array([b.offset for b in blocks]))
+            _check_tiling(geometry, awv.blocks)
+            self._blocks = np.array(awv.blocks, dtype=float)
+            self._block_coef = awv.amplitude * np.exp(1j * self._blocks[:, 4])
             self._w = None
         else:
+            d = geometry.spacing_wavelengths * geometry.wavelength
+            k = 2.0 * math.pi / geometry.wavelength
             self._ky = k * d * (np.arange(geometry.cols) - (geometry.cols - 1) / 2.0)
             self._kz = k * d * (np.arange(geometry.rows) - (geometry.rows - 1) / 2.0)
             # rows x (AWV, column): one matrix product serves the whole stack
@@ -222,11 +248,6 @@ class AwvEvaluator:
         """Gains toward the rows of ``u``, (M, 3) unit vectors in the array
         frame: (M,) for one AWV, (M, stack size) for a stack.
 
-        In closed form, block b of n columns, centred ``cen`` columns off the
-        array centre and steered at t, contributes e^{j offset} D_rows(kd
-        (u_z - t_z)) D_n(kd (u_y - t_y)) e^{j cen kd (u_y - t_y)} to the
-        field, times the element amplitude.
-
         On the lattice the row sums are matrix products of at most
         ``_GEMM_MACS`` multiply-adds each: OpenBLAS hands larger complex
         products, and a complex matrix-vector product of a 64x64 array, to
@@ -237,10 +258,7 @@ class AwvEvaluator:
         multiply-adds for the 37-entry 8x8 codebook).
         """
         if self._w is None:
-            theta_y = self._kd * (u[:, 1:2] - self._target_y)
-            theta_z = self._kd * (u[:, 2:3] - self._target_z)
-            terms = _dirichlet(theta_z, self.geometry.rows) * _dirichlet(theta_y, self._block_cols)
-            mags = np.abs((terms * np.exp(1j * (self._block_centre * theta_y))) @ self._block_coef)[:, None]
+            mags = np.abs(block_fields(self.geometry, self._blocks, u) @ self._block_coef)[:, None]
         else:
             col_phasors = _lattice_phasors(self._ky, u[:, 1])
             row_phasors = _lattice_phasors(self._kz, u[:, 2])

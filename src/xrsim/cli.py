@@ -15,7 +15,7 @@ import sys
 
 from .antenna import ArrayGeometry
 from .codebook import DEFAULT_AIMS, CodebookFormatError, generate_sector_codebook, write_codebook
-from .config import ConfigError, config_echo_lines, load_config
+from .config import ConfigError, check_work_cap, config_echo_lines, load_config
 from .macsim import run, write_event_log
 from .metrics import (
     FrameFormatError,
@@ -51,9 +51,9 @@ def _number(kind, or_zero=False):
 
 
 def _aims(text):
-    """argparse type for --aims: comma-separated finite angles."""
+    """argparse type for --aims: comma-separated finite angles, at least one."""
     try:
-        aims = [float(a) for a in text.split(",")] if text else []
+        aims = [float(a) for a in text.split(",")]
     except ValueError:
         aims = [math.nan]
     if not all(map(math.isfinite, aims)):
@@ -192,8 +192,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_generate_codebook(args) -> int:
-    geometry = ArrayGeometry(args.rows, args.cols, args.spacing, args.freq)
     aims = args.aims or DEFAULT_AIMS
+    check_work_cap(
+        {"(--samples + len(--aims)^2) x --rows x --cols": (args.n_samples + len(aims) ** 2) * args.rows * args.cols}
+    )
+    geometry = ArrayGeometry(args.rows, args.cols, args.spacing, args.freq)
     book = generate_sector_codebook(
         geometry, aims, aims, seed=args.seed, n_samples=args.n_samples, max_iters=args.iters
     )
@@ -211,6 +214,7 @@ def _cmd_generate_mobility(args) -> int:
             raise ConfigError(
                 "argument --peak-dps: must be below 180 x --rate = %g deg/s, got %g" % (limit, args.peak_dps)
             )
+        check_work_cap({"trace samples --duration x --rate": args.duration * args.rate})
         trace = generate_rotation_trace(
             args.peak_dps, args.duration, args.rate, args.seed, args.device_horizon
         )
@@ -280,7 +284,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, TraceFormatError, CodebookFormatError, FrameFormatError, FileNotFoundError) as exc:
+    except (
+        ConfigError, TraceFormatError, CodebookFormatError, FrameFormatError, FileNotFoundError, IsADirectoryError
+    ) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:

@@ -347,7 +347,10 @@ def read_codebook(path) -> Codebook:
     """Parse a codebook file; malformed input raises CodebookFormatError
     naming the offending line."""
     with open(path) as fh:
-        raw = fh.read().splitlines()
+        try:
+            raw = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise CodebookFormatError(f"{path}: not a text codebook file ({exc.reason})") from None
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
     if not lines:
         raise CodebookFormatError("line 1: empty codebook file")

@@ -159,9 +159,9 @@ class ScenarioConfig:
             raise ConfigError(f"prediction must be one of {', '.join(PREDICTION_MODES)}")
         if self.rx_beamforming == "quasi_omni" and self.prediction != "none":
             raise ConfigError("quasi_omni beamforming requires prediction = none")
-        if self.rotation not in ROTATION_MODES and not os.path.exists(self.rotation):
+        if self.rotation not in ROTATION_MODES and not os.path.isfile(self.rotation):
             raise ConfigError(
-                f"rotation must be one of {', '.join(ROTATION_MODES)} or an existing trace file"
+                f"rotation must be one of {', '.join(ROTATION_MODES)} or a trace file, got {self.rotation!r}"
             )
         if self.rotation in ("low", "high"):
             name = "peak_dps_" + self.rotation
@@ -184,9 +184,7 @@ class ScenarioConfig:
         rows, cols = self.hmd_shape()
         if self.rx_beamforming == "sectors" and (rows > 16 or cols > 16):
             raise ConfigError("sectors beamforming supports arrays up to 16x16")
-        for what, count in self.work_counts().items():
-            if not count <= WORK_CAP:
-                raise ConfigError(f"{what} = {count:.3g} exceeds the work cap of {WORK_CAP:g}")
+        check_work_cap(self.work_counts())
         return self
 
     def work_counts(self) -> dict:
@@ -213,6 +211,14 @@ class ScenarioConfig:
             "set-up (qo_samples + 37 sectors) x (ap_rows x ap_cols + hmd_rows x hmd_cols)":
                 (self.qo_samples + 37) * (self.ap_rows * self.ap_cols + rows * cols),
         }
+
+
+def check_work_cap(counts: dict) -> None:
+    """Raise ConfigError naming the first count, keyed by how it is formed,
+    that exceeds :data:`WORK_CAP`."""
+    for what, count in counts.items():
+        if not count <= WORK_CAP:
+            raise ConfigError(f"{what} = {count:.3g} exceeds the work cap of {WORK_CAP:g}")
 
 
 # (lower bound, whether the bound itself is allowed) -> the fields it limits;
@@ -269,7 +275,11 @@ def load_config(path=None, overrides=None) -> ScenarioConfig:
     values: dict = {}
     if path is not None:
         with open(path) as fh:
-            values.update(parse_config_lines(fh.read().splitlines(), source=str(path)))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not a text config file ({exc.reason})") from None
+        values.update(parse_config_lines(text.splitlines(), source=str(path)))
     if overrides:
         values.update(parse_config_lines(overrides, source="<override>"))
     try:

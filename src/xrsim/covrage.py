@@ -5,19 +5,21 @@ contiguous column blocks.  Each block steers at one point of the predicted
 rotational trajectory of the AP direction in the headset frame, so the union
 of sub-beams covers the whole arc the AP will sweep through between
 beamforming updates.  Per-block phase offsets align adjacent blocks where
-their lobes cross so the composite pattern has no destructive seams.
+their lobes cross so the composite pattern has no destructive seams.  The
+offsets come from the closed-form block fields the link is evaluated with,
+:func:`antenna.block_fields`, and :func:`antenna.steered_awv` builds the beam.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .antenna import ArrayGeometry, Awv, SteeredBlock, steering_phases, _NULL_FIELD
+from .antenna import ArrayGeometry, Awv, SteeredBlock, block_fields, steered_awv, _NULL_FIELD
 from .geometry import Direction, Pose, Quaternion, slerp
 
 # most column blocks a composite beam is split into
@@ -56,23 +58,21 @@ def trajectory_from_poses(pose_now: Pose, pose_pred: Pose, ap_position: Sequence
 @dataclass(frozen=True)
 class SubArrayPlan:
     """Column-block partition with per-block steering targets, the lobe
-    crossover directions between adjacent blocks, per-block phase offsets,
-    and the full-array steering phases toward each target, which both the
-    offsets and the composite AWV are built from."""
+    crossover directions between adjacent blocks, and per-block phase
+    offsets."""
 
     blocks: tuple[tuple[int, int], ...]
     targets: tuple[Direction, ...]
     crossovers: tuple[Direction, ...]
     offsets: tuple[float, ...]
-    steers: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
         return len(self.blocks)
 
     def __post_init__(self):
-        if not (len(self.blocks) == len(self.targets) == len(self.offsets) == len(self.steers)):
-            raise ValueError("blocks, targets, offsets and steers must have equal length")
+        if not (len(self.blocks) == len(self.targets) == len(self.offsets)):
+            raise ValueError("blocks, targets and offsets must have equal length")
         if len(self.crossovers) != max(0, len(self.blocks) - 1):
             raise ValueError("need one crossover per adjacent block pair")
 
@@ -113,9 +113,8 @@ def plan_with_k(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> SubA
         blocks.append((c0, c1))
     targets = tuple(trajectory.direction_at((i + 0.5) / k) for i in range(k))
     crossovers = tuple(trajectory.direction_at(i / k) for i in range(1, k))
-    steers = tuple(steering_phases(geometry, t).phases for t in targets)
-    offsets = _alignment_offsets(geometry, tuple(blocks), steers, crossovers)
-    return SubArrayPlan(tuple(blocks), targets, crossovers, tuple(offsets), steers)
+    offsets = _alignment_offsets(geometry, _steered_blocks(blocks, targets, [0.0] * k), crossovers)
+    return SubArrayPlan(tuple(blocks), targets, crossovers, tuple(offsets))
 
 
 def plan_subarrays(geometry: ArrayGeometry, trajectory: Trajectory) -> SubArrayPlan:
@@ -123,35 +122,23 @@ def plan_subarrays(geometry: ArrayGeometry, trajectory: Trajectory) -> SubArrayP
     return plan_with_k(geometry, trajectory, k)
 
 
-def _block_field(
-    geometry: ArrayGeometry, positions: np.ndarray, block: tuple[int, int], phases: np.ndarray, direction: Direction
-) -> complex:
-    """Far-field contribution of one column block; ``positions`` are the
-    global element positions, ``geometry.element_positions()``."""
-    c0, c1 = block
-    u = direction.to_unit_vector()
-    k = 2.0 * math.pi / geometry.wavelength
-    pos = positions.reshape(geometry.rows, geometry.cols, 3)[:, c0:c1]
-    ph = phases.reshape(geometry.rows, geometry.cols)[:, c0:c1]
-    amplitude = 1.0 / math.sqrt(geometry.n_elements)
-    total = np.exp(1j * (ph + k * (pos @ u))).sum()
-    return amplitude * complex(total)
+def _steered_blocks(blocks, targets, offsets) -> tuple[SteeredBlock, ...]:
+    units = [t.to_unit_vector() for t in targets]
+    return tuple(SteeredBlock(c0, c1, float(u[1]), float(u[2]), o) for (c0, c1), u, o in zip(blocks, units, offsets))
 
 
-def _alignment_offsets(geometry, blocks, steers, crossovers) -> list[float]:
+def _alignment_offsets(geometry: ArrayGeometry, blocks, crossovers) -> list[float]:
     """Sequential phase offsets: block 1 is the reference; each later block is
     rotated so its field adds in phase with the accumulated field of all
     earlier blocks at the crossover direction between them.  A block whose
-    field is a perfect null at the crossover keeps offset 0.  ``steers`` are
-    the full-array steering phases toward each block's target."""
-    positions = geometry.element_positions()
+    field is a perfect null at the crossover keeps offset 0.  ``blocks`` are
+    the plan's steered blocks, their own offsets unused."""
+    u = np.array([c.to_unit_vector() for c in crossovers]).reshape(-1, 3)
+    fields = block_fields(geometry, blocks, u) / math.sqrt(geometry.n_elements)
     offsets = [0.0]
-    for i in range(1, len(blocks)):
-        u_cross = crossovers[i - 1]
-        acc = 0j
-        for j in range(i):
-            acc += _block_field(geometry, positions, blocks[j], steers[j], u_cross) * cmath.exp(1j * offsets[j])
-        own = _block_field(geometry, positions, blocks[i], steers[i], u_cross)
+    for i, at_crossover in enumerate(fields, start=1):
+        acc = sum(at_crossover[j] * cmath.exp(1j * offsets[j]) for j in range(i))
+        own = at_crossover[i]
         if abs(acc) < _NULL_FIELD or abs(own) < _NULL_FIELD:
             offsets.append(0.0)
         else:
@@ -160,16 +147,9 @@ def _alignment_offsets(geometry, blocks, steers, crossovers) -> list[float]:
 
 
 def synthesize_awv(geometry: ArrayGeometry, plan: SubArrayPlan) -> Awv:
-    """Assemble the composite AWV: each block gets the full-array steering
-    phases toward its own target plus the block phase offset, and the AWV
-    records those blocks."""
-    phases = np.empty((geometry.rows, geometry.cols))
-    blocks = []
-    for (c0, c1), target, steer, offset in zip(plan.blocks, plan.targets, plan.steers, plan.offsets):
-        phases[:, c0:c1] = steer.reshape(geometry.rows, geometry.cols)[:, c0:c1] + offset
-        t = target.to_unit_vector()
-        blocks.append(SteeredBlock(c0, c1, float(t[1]), float(t[2]), offset))
-    return Awv(phases.ravel(), tuple(blocks))
+    """The composite AWV: each block steered at its own target, turned by its
+    phase offset."""
+    return steered_awv(geometry, _steered_blocks(plan.blocks, plan.targets, plan.offsets))
 
 
 def covrage_beam(geometry: ArrayGeometry, pose_now: Pose, pose_pred: Pose, ap_position: Sequence[float]) -> Awv:

@@ -140,7 +140,11 @@ def read_frame_records(path) -> list[FrameRecord]:
     rows raises it naming the file."""
     records = []
     with open(path, "r", encoding="ascii") as fh:
-        for n, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise FrameFormatError("%s: not an ASCII frame file (%s)" % (path, exc.reason)) from None
+        for n, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#") or line.startswith("frame_id"):
                 continue

@@ -136,7 +136,10 @@ def _unit_rows(q: np.ndarray, rows: list[int], what: str) -> np.ndarray:
 
 def load_trace(path) -> TraceSet:
     with open(path) as fh:
-        raw = fh.read().splitlines()
+        try:
+            raw = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"{path}: not a text trace file ({exc.reason})") from None
     lines = [ln.strip() for ln in raw]
     if not lines or not lines[0]:
         raise TraceFormatError("line 1: missing header")

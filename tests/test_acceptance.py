@@ -24,12 +24,13 @@ from xrsim.codebook import (
     write_codebook,
 )
 from xrsim.config import load_config
-from xrsim.covrage import _block_field, plan_subarrays, plan_with_k, synthesize_awv
+from xrsim.covrage import plan_subarrays, plan_with_k, synthesize_awv
 from xrsim.geometry import Direction, Pose, Quaternion, slerp
 from xrsim.macsim import best_sector, write_event_log
 from xrsim.metrics import summarize
 
 from angles import rotation_angle
+from fields import block_field
 
 
 def report(name, ok, detail):
@@ -264,11 +265,11 @@ def test_criterion_8_property_suite(run_cached, tmp_path):
         for idx in range(1, plan.k):
             cross = plan.crossovers[idx - 1]
             acc = sum(
-                _block_field(g, pos, plan.blocks[j], steers[j], cross)
+                block_field(g, pos, plan.blocks[j], steers[j], cross)
                 * cmath.exp(1j * plan.offsets[j])
                 for j in range(idx)
             )
-            own = _block_field(g, pos, plan.blocks[idx], steers[idx], cross) * cmath.exp(
+            own = block_field(g, pos, plan.blocks[idx], steers[idx], cross) * cmath.exp(
                 1j * plan.offsets[idx]
             )
             ok &= abs(acc + own) >= abs(acc) - 1e-9

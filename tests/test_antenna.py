@@ -12,9 +12,12 @@ from xrsim.antenna import (
     ArrayGeometry,
     Awv,
     AwvEvaluator,
+    SteeredBlock,
+    block_fields,
     field_at,
     gain_db,
     sample_directions,
+    steered_awv,
     steering_phases,
 )
 from xrsim.codebook import generate_sector_codebook
@@ -224,6 +227,22 @@ def extended_block_gain_db(g, awv, direction):
     return NULL_GAIN_DB if mag < 1e-15 else 20.0 * math.log10(mag)
 
 
+def extended_block_fields(g, blocks, direction):
+    """Each block's field per unit element amplitude and without its
+    offset, summed element by element in long double as in
+    :func:`extended_block_gain_db`, then rounded to complex doubles."""
+    ld = np.longdouble
+    kd = ld(2.0 * math.pi / g.wavelength) * ld(g.spacing_wavelengths * g.wavelength)
+    rows = np.arange(g.rows, dtype=ld) - ld(g.rows - 1) / 2
+    cols = np.arange(g.cols, dtype=ld) - ld(g.cols - 1) / 2
+    u = direction.to_unit_vector()
+    out = []
+    for b in blocks:
+        phase = kd * (cols[None, b.c0 : b.c1] * (ld(u[1]) - ld(b.ty)) + rows[:, None] * (ld(u[2]) - ld(b.tz)))
+        out.append(complex(float(np.sum(np.cos(phase))), float(np.sum(np.sin(phase)))))
+    return np.array(out)
+
+
 class TestClosedForm:
     """Steered and composite beams summed in closed form.
 
@@ -233,13 +252,18 @@ class TestClosedForm:
     so does rounding the steering phases to doubles."""
 
     @staticmethod
-    def check_against(g, reference, rng):
+    def beams_and_directions(g, rng):
+        """Each steered and composite beam, with the directions that matter
+        to it, endfire, backfire and random ones."""
+        for awv, own in steered_and_composite_beams(g):
+            yield awv, own + _ENDFIRE_AND_BACK + sample_directions(40, rng)
+
+    def check_against(self, g, reference, rng):
         """<= 1e-9 dB where the reference is above -80 dB, the floor where
         it is a null, and below -80 dB elsewhere."""
-        for awv, own in steered_and_composite_beams(g):
+        for awv, dirs in self.beams_and_directions(g, rng):
             ev = AwvEvaluator(g, awv)
             assert ev._w is None
-            dirs = own + _ENDFIRE_AND_BACK + sample_directions(40, rng)
             got = ev.gains_db(np.stack([d.to_unit_vector() for d in dirs]))
             for value, d in zip(got, dirs):
                 want = reference(g, awv, d)
@@ -255,6 +279,20 @@ class TestClosedForm:
     @pytest.mark.parametrize("shape", [(64, 64), (8, 8), (5, 7), (1, 9), (9, 1)])
     def test_matches_the_extended_precision_sum(self, rng, shape, spacing):
         self.check_against(ArrayGeometry(*shape, spacing_wavelengths=spacing), extended_block_gain_db, rng)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).precision < 18, reason="long double is no wider than double")
+    @pytest.mark.parametrize("spacing", [0.5, 1.0])
+    @pytest.mark.parametrize("shape", [(64, 64), (8, 8), (5, 7), (1, 9), (9, 1)])
+    def test_block_fields_match_the_extended_precision_sum(self, rng, shape, spacing):
+        # within 1e-12 of each block's peak field, rows x columns: the
+        # closed form is 2e-14 off at worst over these beams
+        g = ArrayGeometry(*shape, spacing_wavelengths=spacing)
+        for awv, dirs in self.beams_and_directions(g, rng):
+            got = block_fields(g, awv.blocks, np.stack([d.to_unit_vector() for d in dirs]))
+            peak = g.rows * np.array([b.c1 - b.c0 for b in awv.blocks])
+            for row, d in zip(got, dirs):
+                err = np.abs(row - extended_block_fields(g, awv.blocks, d))
+                assert np.all(err <= 1e-12 * peak), (len(awv.blocks), d)
 
     @pytest.mark.parametrize("spacing", [0.5, 1.0])
     @pytest.mark.parametrize("shape", [(8, 8), (5, 7), (1, 9), (9, 1)])
@@ -307,6 +345,11 @@ class TestClosedForm:
         awv = steering_phases(ArrayGeometry(4, 16), Direction(10.0, 5.0))
         with pytest.raises(ValueError):
             AwvEvaluator(ArrayGeometry(8, 8), awv)
+        # none, short, late, an empty block, a gap, an overlap, a backward block
+        for columns in ([], [(0, 7)], [(1, 8)], [(0, 8), (8, 8)], [(0, 3), (4, 8)], [(0, 5), (3, 8)],
+                        [(0, 5), (5, 3), (3, 8)]):
+            with pytest.raises(ValueError, match="tile"):
+                steered_awv(ArrayGeometry(4, 8), [SteeredBlock(c0, c1, 0.1, 0.2, 0.0) for c0, c1 in columns])
 
 
 class TestSampleDirections:

@@ -385,6 +385,13 @@ class TestCodebookFile:
         with pytest.raises(CodebookFormatError, match="^line 1: "):
             read_codebook(path)
 
+    def test_not_text_names_the_file(self, tmp_path):
+        # raised the 'utf-8' codec's decode error
+        path = tmp_path / "binary.cbk"
+        path.write_bytes(b"\xff1 1 0.5 60e9\nQUASIOMNI\n0\n")
+        with pytest.raises(CodebookFormatError, match="binary.cbk"):
+            read_codebook(path)
+
     def test_non_finite_aim_names_its_line(self, tmp_path):
         path = tmp_path / "aim.cbk"
         path.write_text("1 1 0.5 60e9\nSECTOR 0 nan inf\n0\nQUASIOMNI\n0\n")

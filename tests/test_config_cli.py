@@ -248,6 +248,28 @@ class TestSimulateCommand:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    # a directory exited 2 on "Is a directory", and a file that is not text
+    # on the 'utf-8' codec's decode error
+    @pytest.mark.parametrize(
+        "option, value, named",
+        [
+            ("--set", "rotation = {directory}", "rotation"),
+            ("--config", "{directory}", "{directory}"),
+            ("--set", "rotation = {binary}", "{binary}"),
+            ("--config", "{binary}", "{binary}"),
+        ],
+        ids=["rotation_directory", "config_directory", "trace_not_text", "config_not_text"],
+    )
+    def test_unreadable_input_exits_one_naming_it(self, tmp_path, capsys, option, value, named):
+        paths = {"directory": tmp_path / "a_directory", "binary": tmp_path / "binary.csv"}
+        paths["directory"].mkdir()
+        paths["binary"].write_bytes(b"\xfft,qw,qx,qy,qz\n")
+        argv = ["simulate", "--out-dir", str(tmp_path / "out"), "--set", "sim_time = 0.2"]
+        with time_limit(20.0):
+            assert cli.main(argv + [option, value.format(**paths)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named.format(**paths) in err
+
     def test_missing_trace_exits_one(self, tmp_path):
         rc = cli.main(
             ["simulate", "--out-dir", str(tmp_path), "--set", "rotation = /no/file.csv"]
@@ -451,6 +473,14 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(empty) in err and "no frame rows" in err
 
+    def test_frames_not_text_exit_one_naming_the_file(self, tmp_path, capsys):
+        # exited 2 on the 'ascii' codec's decode error
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\xffframe_id,created_s,completed_s,delivered\n")
+        assert cli.main(["report", "--frames", str(binary)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(binary) in err
+
     def test_missing_frames_exits_one(self, tmp_path):
         assert cli.main(["report", "--frames", str(tmp_path / "nope.csv")]) == 1
 
@@ -609,6 +639,8 @@ class TestGenerators:
             # a sample step turns by at most 180 deg: 180 x --rate is out of reach
             (["generate-mobility", "--peak-dps", "2e5"], "--peak-dps"),
             (["generate-mobility", "--peak-dps", "1e30"], "--peak-dps"),
+            # wrote the default 36-sector grid
+            (["generate-codebook", "--aims", ""], "--aims"),
         ],
     )
     def test_bad_argument_exits_one_naming_it(self, tmp_path, capsys, argv, option):
@@ -616,6 +648,32 @@ class TestGenerators:
         assert cli.main(argv + ["--out", str(out)]) == 1
         assert "argument %s:" % option in capsys.readouterr().err
         assert not out.exists()
+
+    # each asked for petabytes or gigabytes (exit 2, or worse, a swapping
+    # host); the cap must reject it before anything is allocated
+    @pytest.mark.parametrize(
+        "argv, options",
+        [
+            (["generate-mobility", "--duration", "1e12"], ("--duration", "--rate")),
+            (
+                ["generate-codebook", "--rows", "100000", "--cols", "100000"],
+                ("--samples", "--aims", "--rows", "--cols"),
+            ),
+        ],
+    )
+    def test_over_the_work_cap_exits_one_naming_the_options(self, tmp_path, capsys, argv, options):
+        out = tmp_path / "out"
+        with time_limit(10.0):
+            assert cli.main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "work cap" in err
+        assert all(option in err for option in options)
+        assert not out.exists()
+
+    def test_default_invocations_exit_zero(self, tmp_path, capsys):
+        for command in ("generate-mobility", "generate-codebook"):
+            assert cli.main([command, "--out", str(tmp_path / command)]) == 0
+        capsys.readouterr()
 
     def test_generated_trace_drives_a_run(self, tmp_path):
         out = tmp_path / "t.csv"

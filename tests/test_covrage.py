@@ -11,7 +11,6 @@ from xrsim.codebook import cached_quasi_omni
 from xrsim.covrage import (
     K_MAX,
     SubArrayPlan,
-    _block_field,
     choose_block_count,
     covrage_beam,
     plan_subarrays,
@@ -23,6 +22,7 @@ from xrsim.covrage import (
 from xrsim.geometry import Pose, Quaternion
 
 from angles import direction_angle
+from fields import block_field
 
 AP = (0.0, 0.0, 10.0)
 HERE = np.array([1.0, 0.5, 1.7])
@@ -120,10 +120,37 @@ class TestPlan:
 
     def test_inconsistent_plan_rejected(self):
         with pytest.raises(ValueError):
-            SubArrayPlan(((0, 2), (2, 4)), (), (), (0.0, 0.0), ())
+            SubArrayPlan(((0, 2), (2, 4)), (), (), (0.0, 0.0))
+
+
+def oracle_offsets(g, plan):
+    """The plan's alignment offsets, from block fields summed element by
+    element over the blocks' steering phases."""
+    pos = g.element_positions()
+    steers = [steering_phases(g, t).phases for t in plan.targets]
+    offsets = [0.0]
+    for i in range(1, plan.k):
+        cross = plan.crossovers[i - 1]
+        acc = sum(
+            block_field(g, pos, plan.blocks[j], steers[j], cross) * cmath.exp(1j * offsets[j]) for j in range(i)
+        )
+        own = block_field(g, pos, plan.blocks[i], steers[i], cross)
+        offsets.append(0.0 if min(abs(acc), abs(own)) < 1e-15 else cmath.phase(acc) - cmath.phase(own))
+    return offsets
 
 
 class TestSynthesis:
+    @pytest.mark.parametrize("shape", [(64, 64), (8, 8), (5, 7), (16, 16), (1, 9)])
+    @pytest.mark.parametrize("spacing", [0.5, 1.0])
+    def test_offsets_match_the_per_element_oracle(self, shape, spacing):
+        g = ArrayGeometry(*shape, spacing_wavelengths=spacing)
+        for seed in range(4):
+            traj = make_trajectory(200 + seed, 10.0, 80.0)
+            for k in range(1, min(K_MAX, g.cols) + 1):
+                plan = plan_with_k(g, traj, k)
+                diff = np.angle(np.exp(1j * (np.array(plan.offsets) - oracle_offsets(g, plan))))
+                assert np.max(np.abs(diff)) <= 1e-9, (seed, k)
+
     def test_k1_is_plain_steering(self):
         g = ArrayGeometry(64, 64)
         for seed in range(5):
@@ -149,16 +176,16 @@ class TestSynthesis:
             for idx in range(1, plan.k):
                 cross = plan.crossovers[idx - 1]
                 acc = sum(
-                    _block_field(g, pos, plan.blocks[j], steers[j], cross)
+                    block_field(g, pos, plan.blocks[j], steers[j], cross)
                     * cmath.exp(1j * plan.offsets[j])
                     for j in range(idx)
                 )
-                own = _block_field(g, pos, plan.blocks[idx], steers[idx], cross) * cmath.exp(
+                own = block_field(g, pos, plan.blocks[idx], steers[idx], cross) * cmath.exp(
                     1j * plan.offsets[idx]
                 )
                 assert abs(acc + own) >= abs(acc) - 1e-9
-                acc0 = sum(_block_field(g, pos, plan.blocks[j], steers[j], cross) for j in range(idx))
-                own0 = _block_field(g, pos, plan.blocks[idx], steers[idx], cross)
+                acc0 = sum(block_field(g, pos, plan.blocks[j], steers[j], cross) for j in range(idx))
+                own0 = block_field(g, pos, plan.blocks[idx], steers[idx], cross)
                 if abs(acc0 + own0) < abs(acc0) - 1e-9:
                     zero_offset_drops += 1
         # without the offsets some joins interfere destructively
