@@ -187,20 +187,29 @@ def _dirichlet(theta: np.ndarray, n) -> np.ndarray:
     return out
 
 
-def block_fields(geometry: ArrayGeometry, blocks, u: np.ndarray) -> np.ndarray:
-    """Field of each of B steered blocks, :class:`SteeredBlock` s or their
-    (B, 5) array, toward the rows of ``u``, (M, 3) unit vectors in the array
-    frame: (M, B), per unit element amplitude and before the block's offset.
-    Block b of n columns, centred ``cen`` columns off the array centre and
-    steered at t, gives D_rows(kd (u_z - t_z)) D_n(kd (u_y - t_y)) e^{j cen
-    kd (u_y - t_y)}, a product of two Dirichlet kernels (Balanis, *Antenna
-    Theory*, planar arrays)."""
-    kd = (2.0 * math.pi / geometry.wavelength) * (geometry.spacing_wavelengths * geometry.wavelength)
+def block_layout(geometry: ArrayGeometry, blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`block_fields` reads of B steered blocks,
+    :class:`SteeredBlock` s or their (B, 5) array: each block's target y
+    and z components, its column count n and its centre ``cen``, in columns
+    off the array centre."""
     c0, c1, ty, tz, _ = np.asarray(blocks, dtype=float).T
+    return ty, tz, (c1 - c0).astype(np.int64), (c0 + c1 - geometry.cols) / 2.0
+
+
+def block_fields(geometry: ArrayGeometry, layout, u: np.ndarray) -> np.ndarray:
+    """Field of each of B steered blocks, given by their
+    :func:`block_layout`, toward the rows of ``u``, (M, 3) unit vectors in
+    the array frame: (M, B), per unit element amplitude and before the
+    block's offset.  Block b of n columns, centred ``cen`` columns off the
+    array centre and steered at t, gives D_rows(kd (u_z - t_z)) D_n(kd (u_y
+    - t_y)) e^{j cen kd (u_y - t_y)}, a product of two Dirichlet kernels
+    (Balanis, *Antenna Theory*, planar arrays)."""
+    kd = (2.0 * math.pi / geometry.wavelength) * (geometry.spacing_wavelengths * geometry.wavelength)
+    ty, tz, n, cen = layout
     theta_y = kd * (u[:, 1:2] - ty)
     theta_z = kd * (u[:, 2:3] - tz)
-    terms = _dirichlet(theta_z, geometry.rows) * _dirichlet(theta_y, (c1 - c0).astype(np.int64))
-    return terms * np.exp(1j * ((c0 + c1 - geometry.cols) / 2.0 * theta_y))
+    terms = _dirichlet(theta_z, geometry.rows) * _dirichlet(theta_y, n)
+    return terms * np.exp(1j * (cen * theta_y))
 
 
 class AwvEvaluator:
@@ -227,8 +236,8 @@ class AwvEvaluator:
         self.awv = awv if isinstance(awv, Awv) else stack
         if isinstance(awv, Awv) and awv.blocks:
             _check_tiling(geometry, awv.blocks)
-            self._blocks = np.array(awv.blocks, dtype=float)
-            self._block_coef = awv.amplitude * np.exp(1j * self._blocks[:, 4])
+            self._layout = block_layout(geometry, awv.blocks)
+            self._block_coef = awv.amplitude * np.exp(1j * np.array([b.offset for b in awv.blocks]))
             self._w = None
         else:
             d = geometry.spacing_wavelengths * geometry.wavelength
@@ -258,7 +267,7 @@ class AwvEvaluator:
         multiply-adds for the 37-entry 8x8 codebook).
         """
         if self._w is None:
-            mags = np.abs(block_fields(self.geometry, self._blocks, u) @ self._block_coef)[:, None]
+            mags = np.abs(block_fields(self.geometry, self._layout, u) @ self._block_coef)[:, None]
         else:
             col_phasors = _lattice_phasors(self._ky, u[:, 1])
             row_phasors = _lattice_phasors(self._kz, u[:, 2])

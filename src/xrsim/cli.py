@@ -86,14 +86,14 @@ def _cmd_simulate(args) -> int:
     if args.events:
         write_event_log(base + "_events.csv", result.events)
     print(
-        "%s: frames=%d delivered=%d reliability=%.4f min=%s median=%s max=%s"
+        "%s: frames=%d delivered=%d reliability=%.4f min=%s p50=%s max=%s"
         % (
             args.label,
             summary.frame_count,
             summary.frame_count - summary.lost_count,
             summary.reliability,
             format_ms(summary.min_latency),
-            format_ms(summary.median_latency),
+            format_ms(summary.p50_latency),
             format_ms(summary.max_latency),
         )
     )

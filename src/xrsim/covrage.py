@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .antenna import ArrayGeometry, Awv, SteeredBlock, block_fields, steered_awv, _NULL_FIELD
+from .antenna import ArrayGeometry, Awv, SteeredBlock, block_fields, block_layout, steered_awv, _NULL_FIELD
 from .geometry import Direction, Pose, Quaternion, slerp
 
 # most column blocks a composite beam is split into
@@ -134,7 +134,7 @@ def _alignment_offsets(geometry: ArrayGeometry, blocks, crossovers) -> list[floa
     field is a perfect null at the crossover keeps offset 0.  ``blocks`` are
     the plan's steered blocks, their own offsets unused."""
     u = np.array([c.to_unit_vector() for c in crossovers]).reshape(-1, 3)
-    fields = block_fields(geometry, blocks, u) / math.sqrt(geometry.n_elements)
+    fields = block_fields(geometry, block_layout(geometry, blocks), u) / math.sqrt(geometry.n_elements)
     offsets = [0.0]
     for i, at_crossover in enumerate(fields, start=1):
         acc = sum(at_crossover[j] * cmath.exp(1j * offsets[j]) for j in range(i))

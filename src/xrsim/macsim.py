@@ -22,13 +22,20 @@ the owed sweep if it ends by the next target beacon transmission time
 
 Run service: between two heap events nothing but the MPDU in flight can
 change the MAC's state, so each start is the previous one plus an airtime.
-:meth:`Simulator._try_start_tx` therefore serves every MPDU that ends
-strictly before the next heap event in one loop, completing each and taking
-the free-medium decision again at its end, with the same drop rule, the
-same counters and the same event lines as a heap round-trip.  Only the MPDU
-that ends at or after that event is pushed as ``mpdu_tx_done``, so a tie
-with a heap time runs in :data:`EVENT_KINDS` order as before.  A run of
-length 1 is the plain one-event-per-MPDU schedule.
+:meth:`Simulator._try_start_tx` therefore serves the queue head in array
+steps over the link batch (below).  From a start that is the batch entry k,
+the outcomes are ``snr >= snr_threshold_db``, the MPDU index before each
+attempt is ``sent + cumsum(ok) - ok``, which gives each attempt its full or
+tail airtime, and ``ends = starts + airtime``.  A step stops at the first
+attempt that ends at or after the next heap event, completes the burst, is
+followed by a start that fails the age check, or is followed by a batch
+entry that differs from its end bit for bit.  The counters, the
+``tx_intervals`` and the event lines come from the same arrays, with the
+drop rule applied at each step's end as at every start of a heap
+round-trip.  Only the MPDU that ends at or after the next heap event is
+pushed as ``mpdu_tx_done``, so a tie with a heap time runs in
+:data:`EVENT_KINDS` order as before.  A run of length 1 is the plain
+one-event-per-MPDU schedule.
 
 Sector sweeps: the AP, and in the ``sectors`` mode the headset, probes
 every entry of its codebook toward the other end, one array pass over the
@@ -53,14 +60,18 @@ sim_time) the queue is served back to back and bursts arrive at the known
 times ``k * period``: each start is the previous MPDU's end, or the next
 arrival if the queue has drained by then.  So the simulator predicts the
 starts through the queued and the coming bursts up to the horizon, with the
-age check at each, evaluates the link at all of them in one array
-computation (:meth:`Simulator.snr_at`), and uses an entry only when the
-MAC's real start equals it bit for bit.  A mismatch or an update begins a
-new batch.  The batch cap doubles after a batch is used to its end, so an
-epoch takes a batch or two, and falls back to :data:`_LINK_BATCH` after a
-mismatch, so failures that shift every later start waste little.  Its
-ceiling bounds a batch's arrays (M x 64 complex values per M starts at
-64x64): a one-second epoch at 8 Gbps and 1000-byte MPDUs is 240,000 starts.
+age check at each and every attempt taking the outcome of the last real
+one: after a success each MPDU goes once, after a failure each burst's next
+MPDU is retried at its own airtime until its frame ages out.  It evaluates
+the link at all of them in one array computation (:meth:`Simulator.snr_at`),
+and an array step uses an entry only when the MAC's real start equals it
+bit for bit.  A mismatch or an update begins a new batch.  The batch cap
+doubles after a batch is used to its end, so an epoch takes a batch or two,
+and falls back to :data:`_LINK_BATCH` after a mismatch, so an outcome that
+changes and shifts every later start wastes little.  Its ceiling bounds a
+batch's arrays (M x 64 complex values per M starts at 64x64): a one-second
+epoch at 8 Gbps and 1000-byte MPDUs is 240,000 starts.  A step's arrays
+stop at the next heap event, so a burst pays for its own entries only.
 """
 
 from __future__ import annotations
@@ -99,6 +110,9 @@ _LINK_BATCH_CEILING = 16 * _LINK_BATCH
 
 # sweep candidates this close to the best gain (dB) tie; the lowest id wins
 SWEEP_TIE_DB = 1e-9
+
+# the event-log detail of an MPDU's end; mpdu is the burst's delivered count
+_TX_DONE = "frame=%d mpdu=%d ok=%d start=%.9f"
 
 
 @dataclass(slots=True)
@@ -188,6 +202,7 @@ class Simulator:
         self.next_tbtt = 0.0  # every run opens with a beacon at t = 0
         self._reserved_until = 0.0  # end of the latest BHI or sweep
         self._link_cap = _LINK_BATCH
+        self._last_ok = True  # outcome of the latest attempt, which predicts the next
         self._new_link_epoch()
 
         self.counters = {
@@ -334,15 +349,16 @@ class Simulator:
 
     def _new_link_epoch(self) -> None:
         """Forget the link batch; called whenever either AWV changes."""
-        self._batch_starts = []
-        self._batch_snr = []
+        self._batch_starts = np.empty(0)
+        self._batch_snr = np.empty(0)
         self._batch_next = 0
 
-    def _link_snr(self, t: float) -> float:
-        """SNR of an MPDU starting at t: the batch's next entry when t is
-        its predicted start bit for bit, else the first entry of a new batch
-        predicted from t, the cap doubled (up to the ceiling) if the old
-        batch was used to its end or reset to the floor if t missed it."""
+    def _link_index(self, t: float) -> int:
+        """Index in the link batch of an MPDU starting at t, which takes the
+        entry: the batch's next entry when t is its predicted start bit for
+        bit, else the first entry of a new batch predicted from t, the cap
+        doubled (up to the ceiling) if the old batch was used to its end or
+        reset to the floor if t missed it."""
         k = self._batch_next
         starts = self._batch_starts
         if k >= len(starts) or starts[k] != t:
@@ -350,23 +366,26 @@ class Simulator:
                 raise RuntimeError("MPDU start before the first sweep at t=%.9f" % t)
             if k < len(starts):
                 self._link_cap = _LINK_BATCH
-            elif starts:
+            elif len(starts):
                 self._link_cap = min(2 * self._link_cap, _LINK_BATCH_CEILING)
-            self._batch_starts = self._predicted_starts(t)
-            self._batch_snr = self.snr_at(np.array(self._batch_starts)).tolist()
+            self._batch_starts = np.array(self._predicted_starts(t))
+            self._batch_snr = self.snr_at(self._batch_starts)
             k = 0
         self._batch_next = k + 1
-        return self._batch_snr[k]
+        return k
 
     def _predicted_starts(self, t: float) -> list:
         """t, at which the queue head starts, and the start times that follow
         while the queued bursts and then those still to arrive are served,
-        each from the later of its arrival and the previous MPDU's end: every
-        MPDU at its first attempt, frames that age out dropped as
-        :meth:`_drop_expired` would.  At most ``_link_cap`` starts, none at
+        each from the later of its arrival and the previous MPDU's end, every
+        attempt with the outcome of the last real one: after a success each
+        MPDU goes at its first attempt, after a failure each burst's next
+        MPDU is retried at its own airtime.  Frames that age out are dropped
+        as :meth:`_drop_expired` would.  At most ``_link_cap`` starts, none at
         or after the horizon (next TBTT, next trigger, sim_time)."""
         drop_age, cap = self.cfg.queue_drop_age, self._link_cap
         horizon = min(self.next_tbtt, self.next_trigger, self.cfg.sim_time)
+        full, tail = self._full_airtime, self._tail_airtime
         period, n_bursts = self._sources["burst_arrival"]
         # arrival times as _schedule computes them, bit for bit
         arriving = ((k * period, 0, self.burst_count) for k in range(len(self.frames), n_bursts))
@@ -374,14 +393,17 @@ class Simulator:
         starts = []
         for arrival, sent, count in itertools.chain(queued, arriving):
             t = max(t, arrival)  # an idle medium waits for the arrival
-            last = count - 1
-            for k in range(sent, count):
+            if self._last_ok:
+                airtimes = itertools.chain(itertools.repeat(full, count - 1 - sent), (tail,))
+            else:
+                airtimes = itertools.repeat(full if sent < count - 1 else tail)
+            for airtime in airtimes:
                 if t - arrival > drop_age:
                     break  # t stands still, so the rest of the frame is stale too
                 if starts and (t >= horizon or len(starts) == cap):
                     return starts
                 starts.append(t)
-                t = t + (self._full_airtime if k < last else self._tail_airtime)
+                t = t + airtime
         return starts
 
     def _airtime(self, size_bits: int) -> float:
@@ -438,54 +460,83 @@ class Simulator:
 
     def _try_start_tx(self, t: float) -> None:
         """The one decision on a free medium: the owed sweep if it ends by
-        the next TBTT, else the queue head.  An MPDU that ends strictly
-        before the next heap event completes right here and the decision is
-        taken again at its end (run service, see the module docstring); only
-        the MPDU that ends at or after that event goes through the heap."""
+        the next TBTT, else the queue head.  The head's MPDUs that end
+        strictly before the next heap event are served in array steps right
+        here (run service, see the module docstring); only the MPDU that
+        ends at or after that event goes through the heap."""
         if self.tx_busy or self.in_bhi or self.sls_active:
             return
+        # until the next heap event t only grows and next_tbtt stays fixed,
+        # so a sweep that does not fit now fits at no later MPDU end either
+        if self.sls_owed and t + self.cfg.sls_duration <= self.next_tbtt:
+            self.sls_owed = False
+            self._begin_sls(t)
+            return
         horizon = self._next_event_time()
-        while True:
-            if self.sls_owed and t + self.cfg.sls_duration <= self.next_tbtt:
-                self.sls_owed = False
-                self._begin_sls(t)
-                return
+        while t is not None:
             self._drop_expired(t)
             if not self.queue:
                 return
             if t < self._reserved_until:
                 raise RuntimeError("MPDU start at t=%.9f inside a BHI or sweep" % t)
-            burst = self.queue[0]
-            ok = self._link_snr(t) >= self.cfg.snr_threshold_db
-            self.counters["mpdu_attempts"] += 1
-            if not ok:
-                self.counters["mpdu_failures"] += 1
-            end = t + (self._full_airtime if burst.sent < burst.count - 1 else self._tail_airtime)
-            if self.collect:
-                self.tx_intervals.append((t, end, ok, burst.frame_id))
-            if end >= horizon:
-                self.tx_busy = True
-                self._push(end, "mpdu_tx_done", (ok, t))
-                return
-            self._complete_mpdu(end, ok, t)
-            t = end
+            t = self._serve_head(t, horizon)
 
-    def _complete_mpdu(self, t: float, ok: bool, start: float) -> None:
-        """End of the queue head's MPDU that started at ``start``."""
-        # drops only run on a free medium, so the MPDU's frame is still the head
-        burst = self.queue[0]
-        if ok:
-            burst.sent += 1
-            if burst.sent == burst.count:
-                self.queue.popleft()
-                rec = self.frames[burst.frame_id]
-                rec.completed = t
-                rec.delivered = (t - rec.created) <= self.cfg.deadline
-                if rec.delivered:
-                    self.counters["frames_delivered"] += 1
+    def _serve_head(self, t: float, horizon: float) -> Optional[float]:
+        """One array step over the link batch: the queue head's attempts
+        from t on, back to back, up to the first that ends at or after the
+        horizon (it goes through the heap; returns None), completes the
+        burst, is followed by a start that fails the age check, or is
+        followed by a batch entry other than its end.  Returns the last
+        attempt's end, at which the next decision is taken."""
+        cfg, burst = self.cfg, self.queue[0]
+        k = self._link_index(t)
+        starts = self._batch_starts
+        # no attempt after the one that reaches the horizon is in the step
+        hi = max(k + 1, int(starts.searchsorted(horizon)))
+        at = starts[k:hi]
+        ok = self._batch_snr[k:hi] >= cfg.snr_threshold_db
+        done = np.cumsum(ok)  # MPDUs delivered through each attempt
+        left = burst.count - burst.sent
+        ends = at + np.where(done - ok < left - 1, self._full_airtime, self._tail_airtime)
+        stop = (ends >= horizon) | (done == left) | (ends - burst.arrival > cfg.queue_drop_age)
+        follows = starts[k + 1 : hi + 1]
+        stop[: len(follows)] |= ends[: len(follows)] != follows
+        stop[len(follows) :] = True  # the batch's last entry
+        n = int(stop.argmax()) + 1
+        self._batch_next = k + n
+        self._last_ok = bool(ok[n - 1])
+        end = float(ends[n - 1])
+        through_heap = end >= horizon
+        completed = n - 1 if through_heap else n
+        self.counters["mpdu_attempts"] += n
+        self.counters["mpdu_failures"] += n - int(done[n - 1])
         if self.collect:
-            detail = "frame=%d mpdu=%d ok=%d start=%.9f" % (burst.frame_id, burst.sent, int(ok), start)
-            self._log(t, "mpdu_tx_done", detail)
+            at_l, ends_l, ok_l = at[:n].tolist(), ends[:n].tolist(), ok[:n].tolist()
+            self.tx_intervals.extend(zip(at_l, ends_l, ok_l, itertools.repeat(burst.frame_id)))
+            sent = (burst.sent + done[:completed]).tolist()
+            for start, finish, mpdu, success in zip(at_l, ends_l, sent, ok_l):
+                self._log(finish, "mpdu_tx_done", _TX_DONE % (burst.frame_id, mpdu, success, start))
+        if completed:
+            self._deliver(int(done[completed - 1]), float(ends[completed - 1]))
+        if through_heap:
+            self.tx_busy = True
+            self._push(end, "mpdu_tx_done", (self._last_ok, float(at[n - 1])))
+            return None
+        return end
+
+    def _deliver(self, n_ok: int, t: float) -> None:
+        """Count ``n_ok`` more of the queue head's MPDUs delivered by
+        attempts that end by t; a burst delivered whole completes its frame
+        at t."""
+        burst = self.queue[0]
+        burst.sent += n_ok
+        if burst.sent == burst.count:
+            self.queue.popleft()
+            rec = self.frames[burst.frame_id]
+            rec.completed = t
+            rec.delivered = (t - rec.created) <= self.cfg.deadline
+            if rec.delivered:
+                self.counters["frames_delivered"] += 1
 
     # -- handlers ---------------------------------------------------------
 
@@ -534,7 +585,11 @@ class Simulator:
     def _on_mpdu_tx_done(self, t: float, payload) -> None:
         ok, start = payload
         self.tx_busy = False
-        self._complete_mpdu(t, ok, start)
+        # drops only run on a free medium, so the MPDU's frame is still the head
+        burst = self.queue[0]
+        self._deliver(int(ok), t)
+        if self.collect:
+            self._log(t, "mpdu_tx_done", _TX_DONE % (burst.frame_id, burst.sent, ok, start))
         self._try_start_tx(t)
 
     # -- loop -------------------------------------------------------------

@@ -10,7 +10,6 @@ denominator.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,7 +23,6 @@ class RunSummary:
     frame_count: int
     lost_count: int
     min_latency: Optional[float]
-    median_latency: Optional[float]
     max_latency: Optional[float]
     p50_latency: Optional[float]
     p90_latency: Optional[float]
@@ -67,7 +65,6 @@ def summarize(records: Sequence[FrameRecord], deadline: float) -> RunSummary:
         frame_count=total,
         lost_count=total - delivered,
         min_latency=latencies[0] if latencies else None,
-        median_latency=statistics.median(latencies) if latencies else None,
         max_latency=latencies[-1] if latencies else None,
         p50_latency=quantile(latencies, 0.50),
         p90_latency=quantile(latencies, 0.90),
@@ -88,7 +85,7 @@ def summary_lines(summary: RunSummary) -> list[str]:
         "lost_count=%d" % summary.lost_count,
         "reliability=%.4f" % summary.reliability,
         "min_latency_ms=%s" % format_ms(summary.min_latency),
-        "median_latency_ms=%s" % format_ms(summary.median_latency),
+        "p50_latency_ms=%s" % format_ms(summary.p50_latency),
         "max_latency_ms=%s" % format_ms(summary.max_latency),
     ]
 

@@ -14,6 +14,7 @@ from xrsim.antenna import (
     AwvEvaluator,
     SteeredBlock,
     block_fields,
+    block_layout,
     field_at,
     gain_db,
     sample_directions,
@@ -288,7 +289,7 @@ class TestClosedForm:
         # closed form is 2e-14 off at worst over these beams
         g = ArrayGeometry(*shape, spacing_wavelengths=spacing)
         for awv, dirs in self.beams_and_directions(g, rng):
-            got = block_fields(g, awv.blocks, np.stack([d.to_unit_vector() for d in dirs]))
+            got = block_fields(g, block_layout(g, awv.blocks), np.stack([d.to_unit_vector() for d in dirs]))
             peak = g.rows * np.array([b.c1 - b.c0 for b in awv.blocks])
             for row, d in zip(got, dirs):
                 err = np.abs(row - extended_block_fields(g, awv.blocks, d))

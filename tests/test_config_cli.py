@@ -17,7 +17,7 @@ from xrsim.config import (
     load_config,
     parse_config_lines,
 )
-from xrsim.macsim import run
+from xrsim.macsim import FrameRecord, RunResult, run
 from xrsim.metrics import format_ms, read_frame_records, summarize
 
 
@@ -342,18 +342,20 @@ class TestSimulateCommand:
 # Fuzz draws per field kind: values to reject and values across a working
 # range.  Rate- and size-like fields are drawn ordinarily only up to what runs
 # in seconds at sim_time <= 0.3; far beyond that the work cap rejects the
-# config, which the 1e300 and 10**9 draws exercise.  In between, a run under
-# the cap may take longer than the time limit: an mpdu_bytes below 1000 makes
-# up to 1e7 MPDU attempts, about 2.5 us each with the 64x64 covrage headset
-# (2 s at mpdu_bytes = 1000: 475,740 attempts in a 1.0-1.3 s event loop on
-# 2 cores).
+# config, which the 1e300 and 10**9 draws exercise.  mpdu_bytes runs from 1:
+# with the default 3 us per-MPDU overhead, 0.3 s holds at most 9.7e4
+# attempts, and mpdu_bytes = 1 at sim_time = 0.3 (94,116 attempts with the
+# 64x64 covrage headset) takes about 0.15 s of event loop on 2 cores.  Only
+# with header_bytes and per_mpdu_overhead also at 0 does a run reach the
+# cap's 1e7 attempts, about 1.7 us each (sim_time = 0.0098: 7.1e6 attempts,
+# 12.4 s of event loop).
 _FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
 _FUZZ_INTS = (-1, 0, 1, 10**9)
 _FUZZ_RANGES = {
     "frame_rate": (1e-3, 1e4),
     "trace_sample_rate": (1e-3, 1e5),
     "walk_step_interval": (1e-4, 1e3),
-    "mpdu_bytes": (1000, 10**7),
+    "mpdu_bytes": (1, 10**7),
     "ap_rows": (1, 32),
     "ap_cols": (1, 32),
     "hmd_rows": (0, 16),
@@ -408,6 +410,31 @@ class TestSingleOverrideFuzz:
         with time_limit(20.0):
             rc = cli.main(argv)
         assert rc in (0, 1), argv
+
+
+class TestOneMedian:
+    """Frames of 1 ms and 3 ms: every output gives the nearest-rank p50,
+    1 ms.  The summary file, report and simulate used to print an
+    interpolating median of 2 ms, while sweep printed 1 ms."""
+
+    def test_every_output_prints_the_nearest_rank_p50(self, tmp_path, capsys, monkeypatch):
+        frames = [FrameRecord(0, 0.0, 0.001, True), FrameRecord(1, 0.01, 0.013, True)]
+        assert summarize(frames, 0.02).p50_latency == 0.001
+        monkeypatch.setattr(cli, "run", lambda cfg, collect_events=False: RunResult(cfg, frames, {}))
+        base = ["--out-dir", str(tmp_path), "--set", "sim_time = 0.02"]
+
+        assert cli.main(["simulate", "--label", "m"] + base) == 0
+        assert " min=1.000000 p50=1.000000 max=3.000000\n" in capsys.readouterr().out
+        summary = (tmp_path / "m_summary.txt").read_text()
+        assert "p50_latency_ms=1.000000\n" in summary and "2.000000" not in summary
+
+        assert cli.main(["report", "--frames", str(tmp_path / "m_frames.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "p50_latency_ms=1.000000\n" in out and "2.000000" not in out
+
+        assert cli.main(["sweep", "--label", "s", "--vary", "data_rate=2e9"] + base) == 0
+        header, row = (tmp_path / "s.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["p50_ms"] == "1.000000"
 
 
 class TestReportCommand:

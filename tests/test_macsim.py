@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -263,6 +264,20 @@ class TestSchedule:
         others = ("beacon_start", "bhi_end", "bf_trigger", "sls_done", "burst_arrival")
         assert 0 < pushes["mpdu_tx_done"] <= sum(pushes[kind] for kind in others)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [STATIC_2S, ("sim_time = 2.0", "rx_beamforming = sectors", "prediction = none", "bf_location = abft")],
+        ids=["static", "all_fail"],
+    )
+    def test_outputs_hold_python_numbers(self, run_cached, overrides):
+        # the array step sums numpy arrays; its counters must still be ints
+        # that json accepts, and its records plain floats and bools
+        res = run_cached(*overrides, collect=True)
+        assert all(type(v) is int for v in res.counters.values()), res.counters
+        assert json.loads(json.dumps(res.counters)) == res.counters
+        assert {tuple(map(type, iv)) for iv in res.tx_intervals} == {(float, float, bool, int)}
+        assert {type(r.completed) for r in res.frames} <= {float, type(None)}
+
     def test_every_source_fires_at_time_zero(self, run_cached):
         # ceil(sim_time / period - 1e-9) is 0 for a run this short; the t = 0
         # beacon, trigger and burst still fall inside it
@@ -411,6 +426,55 @@ class TestRunService:
         want = self.outcome(single)
         assert self.outcome(macsim.Simulator(cfg, collect_events=True)) == want
 
+    @staticmethod
+    def stop_reasons(sim):
+        """Record why each array step of ``sim`` stopped."""
+        serve, reasons = sim._serve_head, []
+
+        def spy(t, horizon):
+            burst = sim.queue[0]
+            end = serve(t, horizon)
+            if end is None:
+                reasons.append("heap_event")
+            elif not sim.queue or sim.queue[0] is not burst:
+                reasons.append("completion")
+            elif end - burst.arrival > sim.cfg.queue_drop_age:
+                reasons.append("age_out")
+            elif sim._batch_next < len(sim._batch_starts):
+                reasons.append("start_mismatch")
+            else:
+                reasons.append("batch_end")
+            return end
+
+        sim._serve_head = spy
+        return reasons
+
+    @pytest.mark.parametrize(
+        "stop, overrides, snr_db",
+        [
+            # 8 Gbps: a burst outlasts the burst interval, so steps end at arrivals
+            ("heap_event", ["data_rate = 8e9"], lambda ts: np.full(len(ts), 100.0)),
+            ("completion", ["data_rate = 2e9"], lambda ts: np.full(len(ts), 100.0)),
+            # every attempt fails; a frame ages out 15 ms after its arrival,
+            # while the next frame waits and no heap event is due
+            ("age_out", ["queue_drop = 0.015"], lambda ts: np.full(len(ts), -100.0)),
+            # outcomes flip every 100 us, so the retry prediction misses
+            # wherever a burst's tail or next burst starts
+            ("start_mismatch", [], lambda ts: np.where(np.floor(ts / 1e-4) % 2 == 0, 100.0, -100.0)),
+        ],
+    )
+    def test_each_stop_matches_the_oracle(self, stop, overrides, snr_db):
+        cfg = load_config(overrides=["sim_time = 0.1", "rotation = static"] + overrides)
+        single = macsim.Simulator(cfg, collect_events=True)
+        single.snr_at = snr_db
+        single._next_event_time = lambda: -math.inf
+        want = self.outcome(single)
+        sim = macsim.Simulator(cfg, collect_events=True)
+        sim.snr_at = snr_db
+        reasons = self.stop_reasons(sim)
+        assert self.outcome(sim) == want
+        assert want[0]["mpdu_attempts"] > len(reasons) and reasons.count(stop) >= 2, collections.Counter(reasons)
+
 
 class TestModes:
     def test_abft_beamforms_once_per_beacon(self, run_cached):
@@ -547,7 +611,7 @@ class TestLazyQuasiOmni:
         sim = macsim.Simulator(load_config(overrides=["sim_time = 0.5"]))
         sim.queue.append(Burst(0, 0.0, 0, 1))
         with pytest.raises(RuntimeError, match="before the first sweep"):
-            sim._link_snr(0.01)
+            sim._link_index(0.01)
 
 
 class TestBatchedLink:
@@ -573,6 +637,12 @@ class TestBatchedLink:
             sim.hmd_geometry,
             sim.hmd_eval.awv,
         )
+
+    @staticmethod
+    def link_snr(sim, t):
+        """SNR of an MPDU starting at t: the batch entry the lookup gives it."""
+        k = sim._link_index(t)  # may replace the batch
+        return sim._batch_snr[k]
 
     def check(self, sim, ts):
         got = sim.snr_at(np.array(ts))
@@ -653,27 +723,27 @@ class TestBatchedLink:
     def test_batch_cut_short_by_a_start_mismatch(self, sim):
         self._fill_queue(sim)
         t0 = 0.31
-        assert sim._link_snr(t0) == pytest.approx(self.oracle(sim, t0), abs=1e-9)
+        assert self.link_snr(sim, t0) == pytest.approx(self.oracle(sim, t0), abs=1e-9)
         starts = list(sim._batch_starts)
         # the batch runs on through later bursts, up to the cap
         assert len(starts) == macsim._LINK_BATCH > sim.queue[0].count
         assert starts[1] == t0 + sim._airtime(burst_shape(sim.cfg)[1])
-        assert sim._link_snr(starts[1]) == pytest.approx(self.oracle(sim, starts[1]), abs=1e-9)
+        assert self.link_snr(sim, starts[1]) == pytest.approx(self.oracle(sim, starts[1]), abs=1e-9)
         # the MAC starts later than predicted: a new batch begins there
         late = starts[2] + 1e-6
-        assert sim._link_snr(late) == pytest.approx(self.oracle(sim, late), abs=1e-9)
+        assert self.link_snr(sim, late) == pytest.approx(self.oracle(sim, late), abs=1e-9)
         assert sim._batch_starts[0] == late and sim._batch_next == 1
 
     def test_batch_cut_short_by_a_beamforming_update(self, sim):
         self._fill_queue(sim)
         t0 = 0.31
-        sim._link_snr(t0)
+        self.link_snr(sim, t0)
         t1 = sim._batch_starts[1]
         stale = self.oracle(sim, t1)
         sim._apply_beamform(0.8)
         fresh = self.oracle(sim, t1)
         assert abs(fresh - stale) > 1e-3
-        assert sim._link_snr(t1) == pytest.approx(fresh, abs=1e-9)
+        assert self.link_snr(sim, t1) == pytest.approx(fresh, abs=1e-9)
 
     def test_prediction_skips_frames_that_age_out(self, sim):
         # frame 0 is one full MPDU and the short tail; it ages out while the
@@ -712,6 +782,28 @@ class TestBatchedLink:
         got = sim._predicted_starts(0.305)
         assert got == head + [t for t in after if t < 0.3105]
         assert got[len(head)] == 31 * period
+
+    def test_prediction_after_a_failure_retries_until_the_frame_ages_out(self, sim):
+        # the last attempt failed: frame 29's tail is retried at its own
+        # airtime until the frame ages out, then frame 30's first MPDU at
+        # the full airtime, up to the cap
+        count, full, tail = burst_shape(sim.cfg)
+        drop_age = sim.cfg.queue_drop_age
+        self.open_epoch(sim, 31, next_tbtt=1.0, next_trigger=1.0)
+        sim.queue.extend([Burst(29, 0.29, count - 1, count), Burst(30, 0.3, 0, count)])
+        sim._last_ok = False
+        t0 = 0.29 + drop_age - 5e-4
+        want, t = [], t0
+        for arrival, airtime in ((0.29, sim._airtime(tail)), (0.3, sim._airtime(full))):
+            while t - arrival <= drop_age:
+                want.append(t)
+                t = t + airtime
+            if arrival == 0.29:
+                assert 0 < len(want) < macsim._LINK_BATCH  # both frames are in the batch
+        assert sim._predicted_starts(t0) == want[: macsim._LINK_BATCH]
+        # after a success each MPDU is predicted at its first attempt
+        sim._last_ok = True
+        assert sim._predicted_starts(t0)[:2] == self.back_to_back(t0, [sim._airtime(tail)])
 
     @pytest.mark.parametrize("bound", ["next_tbtt", "next_trigger", "sim_time"])
     def test_no_start_at_or_after_the_horizon(self, sim, bound):
@@ -752,11 +844,11 @@ class TestBatchedLink:
         assert ceiling == 16 * floor
 
         def use_batch(t, upto=None):
-            sim._link_snr(t)
+            self.link_snr(sim, t)
             starts = list(sim._batch_starts)
             assert starts == self.back_to_back(t, [sim._full_airtime] * (len(starts) - 1))
             for start in starts[1:upto]:
-                sim._link_snr(start)
+                self.link_snr(sim, start)
             return starts
 
         t, lengths = 0.3, []
@@ -784,11 +876,22 @@ class TestBatchedLink:
         sim.snr_at = spy
         return sim.run().counters, batches
 
-    @pytest.mark.parametrize("rate", ["8e9", "2e9"])
-    def test_whole_runs_evaluate_each_start_about_once(self, rate):
-        # 8 Gbps never drains the queue, 2 Gbps drains it after every burst;
-        # either way the batches follow the MAC through whole epochs
-        counters, batches = self.spied_run(["sim_time = 2.0", "data_rate = " + rate])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(["data_rate = 8e9"], id="8e9"),
+            pytest.param(["data_rate = 2e9"], id="2e9"),
+            pytest.param(["rx_beamforming = sectors", "prediction = none", "bf_location = abft"], id="all_fail"),
+        ],
+    )
+    def test_whole_runs_evaluate_each_start_about_once(self, overrides):
+        # 8 Gbps never drains the queue, 2 Gbps drains it after every burst,
+        # and on the sectors A-BFT path every attempt fails, so each frame's
+        # head MPDU is retried until it ages out; either way the batches
+        # follow the MAC through whole epochs
+        counters, batches = self.spied_run(["sim_time = 2.0"] + overrides)
+        if "bf_location = abft" in overrides:
+            assert counters["mpdu_failures"] == counters["mpdu_attempts"] > 0
         assert counters["mpdu_attempts"] <= sum(batches) <= 1.01 * counters["mpdu_attempts"]
         assert len(batches) <= 3 * counters["bf_updates"]
 

@@ -30,7 +30,7 @@ class TestSummarize:
         assert s.reliability == 1.0
         assert s.lost_count == 0
         assert s.latency_cdf == ((0.005, 1.0),)
-        assert s.min_latency == s.median_latency == s.max_latency == 0.005
+        assert s.min_latency == s.p50_latency == s.max_latency == 0.005
 
     def test_one_loss_in_two_thousand(self):
         records = [frame(i, i * 0.01, 0.0065) for i in range(1999)]
