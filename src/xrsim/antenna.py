@@ -263,8 +263,9 @@ class AwvEvaluator:
         its thread pool, whose spinning workers cost more CPU than they
         save.  That path serves quasi-omni links, whose batches hold at
         least two directions and so never form the latter, and sweeps: one
-        direction and one vector-matrix product over the stack (2,368
-        multiply-adds for the 37-entry 8x8 codebook).
+        direction and one vector-matrix product over the stack (2,304
+        multiply-adds for the AP's 36 sectors at 8x8, 2,368 for a 37-entry
+        8x8 headset codebook).
         """
         if self._w is None:
             mags = np.abs(block_fields(self.geometry, self._layout, u) @ self._block_coef)[:, None]

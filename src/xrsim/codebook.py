@@ -1,10 +1,12 @@
 """Sector codebooks and quasi-omni weight synthesis.
 
-A codebook holds directional sectors (steered beams on a fixed aim grid) plus
-one quasi-omni AWV used for sweep listening and as the omnidirectional
-fallback sector.  The quasi-omni weights are synthesized by minimizing the
-spread between the strongest and weakest gain over a fixed set of random
-directions, with phase-only control and fixed amplitudes.
+The directional sectors are steered beams on a fixed aim grid
+(:func:`steered_sectors`); they are all an access point's transmit sweep
+probes.  A codebook adds one quasi-omni AWV, a receive pattern, as its last
+candidate (:func:`generate_sector_codebook`).  The quasi-omni weights are
+synthesized by minimizing the spread between the strongest and weakest gain
+over a fixed set of random directions, with phase-only control and fixed
+amplitudes.
 """
 
 from __future__ import annotations
@@ -59,6 +61,17 @@ class Codebook:
         return out
 
 
+def steered_sectors(
+    geometry: ArrayGeometry,
+    azimuths: Sequence[float] = DEFAULT_AIMS,
+    elevations: Sequence[float] = DEFAULT_AIMS,
+) -> tuple[Sector, ...]:
+    """Steered sector per (azimuth, elevation) grid point, elevation-outer
+    order, with ids from 0."""
+    aims = [Direction(float(az), float(el)) for el in elevations for az in azimuths]
+    return tuple(Sector(sid, aim, steering_phases(geometry, aim)) for sid, aim in enumerate(aims))
+
+
 def generate_sector_codebook(
     geometry: ArrayGeometry,
     azimuths: Sequence[float] = DEFAULT_AIMS,
@@ -68,18 +81,13 @@ def generate_sector_codebook(
     n_samples: int = 1000,
     max_iters: int = 40,
 ) -> Codebook:
-    """Steered sector per (azimuth, elevation) grid point, elevation-outer
-    order, plus a quasi-omni AWV (synthesized here unless provided)."""
-    sectors = []
-    sid = 0
-    for el in elevations:
-        for az in azimuths:
-            aim = Direction(float(az), float(el))
-            sectors.append(Sector(sid, aim, steering_phases(geometry, aim)))
-            sid += 1
+    """The :func:`steered_sectors` plus a quasi-omni receive pattern as the
+    last candidate (synthesized here unless provided): a headset's sweep
+    codebook.  An access point's transmit sweep probes the steered sectors
+    alone."""
     if quasi_omni is None:
         quasi_omni = synthesize_quasi_omni(geometry, n_samples=n_samples, seed=seed, max_iters=max_iters)
-    return Codebook(geometry, tuple(sectors), quasi_omni)
+    return Codebook(geometry, steered_sectors(geometry, azimuths, elevations), quasi_omni)
 
 
 def _chirp_phases(geometry: ArrayGeometry, alpha: float) -> np.ndarray:

@@ -37,21 +37,25 @@ pushed as ``mpdu_tx_done``, so a tie with a heap time runs in
 :data:`EVENT_KINDS` order as before.  A run of length 1 is the plain
 one-event-per-MPDU schedule.
 
-Sector sweeps: the AP, and in the ``sectors`` mode the headset, probes
-every entry of its codebook toward the other end, one array pass over the
-stacked codebook.  The winner is the lowest sector id whose gain is within
-:data:`SWEEP_TIE_DB` of the best (:func:`best_sector`).  Mirror-image sectors
-about the probed direction have equal gains up to rounding, so without the
-tolerance their order would be decided by summation order.  A gain shared by
-every candidate, such as the other end's quasi-omni listener, cannot move
-the winner, so the sweep leaves it out.
+Sector sweeps: the AP probes its 36 steered transmit sectors toward the
+headset, as the initiator's transmit sector sweep of IEEE 802.11ad does, and
+in the ``sectors`` mode the headset probes every entry of its codebook, the
+steered sectors and then the quasi-omni, toward the AP.  Each sweep is one
+array pass over its stacked weight vectors.  The winner is the lowest sector
+id whose gain is within :data:`SWEEP_TIE_DB` of the best
+(:func:`best_sector`).  Mirror-image sectors about the probed direction have
+equal gains up to rounding, so without the tolerance their order would be
+decided by summation order.  A gain shared by every candidate, such as the
+other end's quasi-omni listener, cannot move the winner, so the sweep leaves
+it out.
 
 No MPDU starts before the first beamforming update: time 0 opens a BHI, at
 whose end the owed t = 0 sweep starts (DTI) or the update itself happens
-(A-BFT).  So there is no pre-sweep link state, and the headset's quasi-omni
-pattern is built only where it is a receive pattern: the ``quasi_omni``
-mode, and the last entry of the ``sectors`` codebook.  Covrage never
-synthesizes it, the costliest set-up step at 64x64.
+(A-BFT).  So there is no pre-sweep link state, and a quasi-omni pattern is
+built only where it is a receive pattern: the headset's in the
+``quasi_omni`` mode, and as the last entry of the ``sectors`` codebook.  The
+AP transmits on steered sectors alone, so covrage synthesizes none; at
+64x64 that synthesis is the costliest set-up step.
 
 Link evaluation runs per beamforming epoch.  Between two updates the AWV
 pair is fixed, so an MPDU's SNR is a function of its start time alone, and
@@ -87,7 +91,7 @@ import numpy as np
 
 from .antenna import ArrayGeometry, Awv, AwvEvaluator
 from .channel import link_snr_db
-from .codebook import cached_quasi_omni, generate_sector_codebook
+from .codebook import cached_quasi_omni, generate_sector_codebook, steered_sectors
 from .config import ConfigError, ScenarioConfig
 from .covrage import covrage_beam
 from .geometry import Pose, Quaternion, ap_direction_in_hmd_frame, predict_pose, rotate_into_frames
@@ -276,11 +280,8 @@ class Simulator:
     def _build_arrays(self) -> None:
         cfg = self.cfg
         self.ap_geometry = ArrayGeometry(cfg.ap_rows, cfg.ap_cols, cfg.spacing, cfg.carrier_hz)
-        self.ap_codebook = generate_sector_codebook(
-            self.ap_geometry, quasi_omni=self._qo(self.ap_geometry)
-        )
-        # the stacked codebook, indexed by sector id, the quasi-omni last
-        self.ap_sweep = AwvEvaluator(self.ap_geometry, [awv for _, awv in self.ap_codebook.all_awvs()])
+        # the initiator's transmit sectors, stacked and indexed by sector id
+        self.ap_sweep = AwvEvaluator(self.ap_geometry, [s.awv for s in steered_sectors(self.ap_geometry)])
 
         rows, cols = cfg.hmd_shape()
         self.hmd_geometry = ArrayGeometry(rows, cols, cfg.spacing, cfg.carrier_hz)

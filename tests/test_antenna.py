@@ -21,7 +21,7 @@ from xrsim.antenna import (
     steered_awv,
     steering_phases,
 )
-from xrsim.codebook import generate_sector_codebook
+from xrsim.codebook import steered_sectors
 from xrsim.covrage import K_MAX, Trajectory, plan_with_k, synthesize_awv
 from xrsim.geometry import Direction, Quaternion
 
@@ -318,7 +318,7 @@ class TestClosedForm:
     def test_blocks_describe_the_phases(self, shape, spacing):
         g = ArrayGeometry(*shape, spacing_wavelengths=spacing)
         awvs = [awv for awv, _ in steered_and_composite_beams(g)]
-        awvs += [s.awv for s in generate_sector_codebook(g, quasi_omni=Awv(np.zeros(g.n_elements))).sectors]
+        awvs += [s.awv for s in steered_sectors(g)]
         for awv in awvs:
             assert awv.blocks
             diff = np.angle(np.exp(1j * (awv.phases - phases_from_blocks(g, awv))))

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from xrsim import macsim
 from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db
 from xrsim.channel import snr_db
-from xrsim.codebook import cached_quasi_omni, generate_sector_codebook
+from xrsim.codebook import cached_quasi_omni, generate_sector_codebook, steered_sectors
 from xrsim.config import ConfigError, ScenarioConfig, load_config
-from xrsim.geometry import Direction
+from xrsim.geometry import Direction, ap_direction_in_hmd_frame
 from xrsim.macsim import (
     EVENT_KINDS,
     Burst,
@@ -187,6 +187,43 @@ class TestBestSector:
         d = [Direction(-25.0, 15.0), Direction(0.0, 0.0), Direction(130.0, -60.0), MIRROR_DIRECTION][k]
         gains = oracle_gains(g, awvs, d)
         assert best_sector(gains + shift) == best_sector(gains)
+
+
+class TestApSweep:
+    """The AP's initiator sweep probes its 36 steered transmit sectors."""
+
+    @pytest.fixture(scope="class")
+    def sim(self):
+        return macsim.Simulator(load_config(overrides=["sim_time = 0.5"]))
+
+    @staticmethod
+    def directions(sim, xs, ys):
+        positions = [np.array([x, y, sim.cfg.hmd_height]) for x in xs for y in ys]
+        return [ap_direction_in_hmd_frame(sim.ap_pose, p) for p in positions]
+
+    def test_a_steered_sector_beats_the_quasi_omni_across_the_room(self, sim):
+        # why the AP needs no quasi-omni candidate: over the default room the
+        # best steered sector beats the synthesized 8x8 pattern by >= 1 dB,
+        # so adding it to the sweep could move no winner
+        dirs = self.directions(sim, np.linspace(*sim.cfg.x_bounds, 41), np.linspace(*sim.cfg.y_bounds, 21))
+        u = np.stack([d.to_unit_vector() for d in dirs])
+        quasi_omni = AwvEvaluator(sim.ap_geometry, sim._qo(sim.ap_geometry)).gains_db(u)
+        assert np.min(sim.ap_sweep.gains_db(u).max(axis=1) - quasi_omni) >= 1.0
+
+    def test_off_axis_winners_are_decided_by_gain(self, sim):
+        # off the axes through the AP's foot point no mirror pair ties, so
+        # the sweep must pick the per-element oracle's best sector by a
+        # clear margin, not by the tie rule
+        xs = [f * sim.cfg.room_x for f in (-0.375, -0.125, 0.125, 0.375)]
+        ys = [f * sim.cfg.room_y for f in (-0.375, -0.125, 0.125, 0.375)]
+        winners = []
+        for d in self.directions(sim, xs, ys):
+            gains = oracle_gains(sim.ap_geometry, sim.ap_sweep.awv, d)
+            first, second = np.sort(gains)[::-1][:2]
+            assert first - second > 1e6 * macsim.SWEEP_TIE_DB
+            winners.append(best_sector(sim.ap_sweep.gain_db(d)))
+            assert winners[-1] == int(np.argmax(gains))
+        assert len(set(winners)) == 16
 
 
 STATIC_2S = ("sim_time = 2.0", "rotation = static")
@@ -560,15 +597,17 @@ def _cache_calls():
 
 class TestLazyQuasiOmni:
     # qo_samples values no other test uses, so the first lookups miss
-    def test_covrage_synthesizes_only_the_ap_quasi_omni(self):
+    def test_covrage_synthesizes_no_quasi_omni(self):
         hits0, misses0 = _cache_calls()
         sim = macsim.Simulator(load_config(overrides=["sim_time = 0.5", "qo_samples = 97"]))
         hits1, misses1 = _cache_calls()
-        assert (hits1 - hits0, misses1 - misses0) == (0, 1)
+        assert (hits1 - hits0, misses1 - misses0) == (0, 0)
         assert sim.hmd_eval is None and sim.hmd_sweep is None
-        # the one miss was the 8x8 AP: asking for it again is a hit
-        assert sim._qo(sim.ap_geometry) is sim.ap_codebook.quasi_omni
-        assert _cache_calls() == (hits1 + 1, misses1)
+        # the AP sweeps its 36 steered transmit sectors, in id order
+        sectors = steered_sectors(sim.ap_geometry)
+        assert len(sim.ap_sweep.awv) == len(sectors) == 36
+        for awv, sector in zip(sim.ap_sweep.awv, sectors):
+            assert awv.blocks and np.array_equal(awv.phases, sector.awv.phases)
 
     @pytest.mark.parametrize("mode", ["quasi_omni", "sectors"])
     def test_other_modes_synthesize_their_hmd_quasi_omni(self, mode):
@@ -586,7 +625,9 @@ class TestLazyQuasiOmni:
             )
         )
         hits1, misses1 = _cache_calls()
-        assert (hits1 - hits0) + (misses1 - misses0) == 2
+        # the headset's pattern is the one lookup (a miss for the first mode
+        # run, a hit for the second): the AP sweeps steered sectors alone
+        assert (hits1 - hits0) + (misses1 - misses0) == 1
         # the quasi_omni mode's fixed pattern, or the sectors codebook's last
         # entry, whose first sweep sets the headset pattern
         if mode == "quasi_omni":
