@@ -122,23 +122,16 @@ def _initial_phase_candidates(geometry: ArrayGeometry, rng: np.random.Generator)
 
 
 def _spread_db(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Gain spread in dB between largest and smallest field magnitudes."""
-    return 20.0 * np.log10(np.maximum(hi, _NULL_FIELD)) - 20.0 * np.log10(np.maximum(lo, _NULL_FIELD))
+    """Gain spread in dB between largest and smallest field magnitudes.
 
-
-def _gain_ranges_db(fields: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    """Per-row spread max - min of 20 log10 max(|field|, null floor), dB.
-
-    The floor, log10 and the x20 are monotone, so they are applied to each
-    row's largest and smallest magnitude only; the result equals the spread
-    of the full per-sample gain row bit for bit.  The spread depends on the
-    row only through those two magnitudes, which is also why a trial can be
-    scored from the few samples that can hold them (``_candidate_ranges_db``)
-    and get the same float.  ``mags`` is a scratch buffer of the same shape
-    as ``fields`` and is left holding ``|fields|``.
+    The floor, log10 and the x20 are monotone, so applying them to a row's
+    largest and smallest magnitude only gives the spread of the row's full
+    per-sample gains bit for bit.  The spread depends on the row only
+    through those two magnitudes, which is why a trial can be scored from
+    the few samples that can hold them (its candidates) and get the same
+    float.
     """
-    np.abs(fields, out=mags)
-    return _spread_db(mags.max(axis=1), mags.min(axis=1))
+    return 20.0 * np.log10(np.maximum(hi, _NULL_FIELD)) - 20.0 * np.log10(np.maximum(lo, _NULL_FIELD))
 
 
 def _candidate_reach(step: np.ndarray, n_elements: int) -> np.ndarray:
@@ -160,36 +153,48 @@ def _candidate_reach(step: np.ndarray, n_elements: int) -> np.ndarray:
     return 2.0 * (amplitude * 2.0 * np.sin(step / 2.0)) + slack
 
 
-def _near_extremes(mags: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Mask of the samples within ``reach`` (one value per row) of their
-    row's largest or smallest magnitude."""
-    hi = mags.max(axis=1, keepdims=True)
-    lo = mags.min(axis=1, keepdims=True)
-    reach = reach[:, None]
-    return (mags >= hi - reach) | (mags <= lo + reach)
+def _spread_and_candidates(mags: np.ndarray, reach: np.ndarray):
+    """Each row's gain spread (``_spread_db`` of its largest and smallest
+    magnitude) and the mask of its candidates: the samples within ``reach``
+    (one value per row) of its largest or smallest magnitude."""
+    hi = mags.max(axis=1)
+    lo = mags.min(axis=1)
+    near = (mags >= (hi - reach)[:, None]) | (mags <= (lo + reach)[:, None])
+    return _spread_db(hi, lo), near
 
 
-def _candidate_layout(fields: np.ndarray, near: np.ndarray):
-    """The candidates of all rows as one flat run, row after row: their row
-    and sample indices, where each row's run starts, and their fields."""
-    flat = np.flatnonzero(near)
-    n_samples = near.shape[1]
-    rows = flat // n_samples
-    starts = np.searchsorted(flat, np.arange(len(near)) * n_samples)
-    return rows, flat - rows * n_samples, starts, np.take(fields, flat)
+def _window_layout(flat: np.ndarray, bounds: np.ndarray, first: np.ndarray, widths: np.ndarray):
+    """Flat layout of one array pass.
+
+    Row s's candidates are ``flat[bounds[s]:bounds[s + 1]]`` (flat sample
+    indices, row after row), and it scores them at the ``widths[s]``
+    elements from element ``first[s]``: one trial group per (row, element),
+    row after row, each holding the row's candidates.  Returns each group's
+    row and element, each row's first group, where each group's values
+    start and how many there are, and the candidate of each value.  A row
+    that scores anything has at least one candidate, its largest sample, so
+    no group is empty.
+    """
+    owner = np.repeat(np.arange(len(widths)), widths)
+    group_first = np.cumsum(widths) - widths
+    elements = np.arange(len(owner)) + np.repeat(first - group_first, widths)
+    lens = np.diff(bounds)[owner]
+    runs = np.cumsum(lens) - lens
+    cand = flat[np.arange(runs[-1] + lens[-1]) + np.repeat(bounds[owner] - runs, lens)]
+    return owner, elements, group_first, runs, lens, cand
 
 
-def _candidate_ranges_db(layout, delta: np.ndarray, contrib: np.ndarray) -> np.ndarray:
-    """Spread of each trial row ``fields + delta[..., row] * contrib``,
-    evaluated at the row's candidates only; a leading axis of ``delta``
-    stacks trials.  Each trial value is the same elementwise product and sum
-    as in the full row, so when the row's extremes are among its candidates
-    the spread equals ``_gain_ranges_db`` of the full row bit for bit."""
-    rows, cols, starts, fields = layout
-    mags = delta[..., rows] * contrib[cols]
-    mags += fields
+def _window_ranges_db(runs, lens, values, delta, contrib) -> np.ndarray:
+    """Spread of each trial group ``values + delta[..., group] * contrib``
+    over the group's ``lens`` values from ``runs``; a leading axis of
+    ``delta`` stacks trials.  Each trial value is the same elementwise
+    product and sum as in the full row, so when the row's extremes are among
+    the group's values the spread equals that of the full row bit for bit."""
+    mags = np.repeat(delta, lens, axis=-1)
+    mags *= contrib
+    mags += values
     mags = np.abs(mags)
-    return _spread_db(np.maximum.reduceat(mags, starts, axis=-1), np.minimum.reduceat(mags, starts, axis=-1))
+    return _spread_db(np.maximum.reduceat(mags, runs, axis=-1), np.minimum.reduceat(mags, runs, axis=-1))
 
 
 def synthesize_quasi_omni(
@@ -203,116 +208,136 @@ def synthesize_quasi_omni(
     Multi-start coordinate descent: each start is refined by per-element
     phase perturbation with a shrinking step (pi/4 initially, halved when a
     full pass finds no improving move, stopped below 1e-3 rad or after
-    ``max_iters`` passes).  Deterministic for fixed inputs; ties between
-    starts resolve to the lowest start index.
+    ``max_iters`` passes).  A pass tries +step, then -step from wherever
+    +step left the start, at each element in turn, and accepts a trial only
+    on a strict 1e-12 dB improvement.  Deterministic for fixed inputs; ties
+    between starts resolve to the lowest start index.
 
-    All starts descend in lockstep: per element, one array pass scores the
-    +step and the -step trial of every active start (row), and a start
-    leaves the active rows once its step falls below the stop.  A trial is
-    scored at its row's candidates only: the samples whose magnitude lies
-    within 2d plus a rounding slack of the row's largest or smallest one,
-    where d = amplitude * 2 sin(step/2) bounds how far the trial moves any
-    sample (``_candidate_reach``), so that no other sample can hold an
-    extreme of the trial row.  A row's candidates are picked from its exact
-    magnitudes at the start of each pass, after the resync and at the pass's
-    step, and re-picked whenever the row moves, so they always describe the
-    fields the trial starts from and need no allowance for moves made since;
-    the re-pick reads no extra row, as an accepted trial is computed in full
-    anyway.
+    Each start (row) descends on its own cursor, the next trial of its pass.
+    In one array pass every running start scores both trials of a window of
+    its next elements, all from its current state, at its candidates only:
+    the samples whose magnitude lies within 2d plus a rounding slack of the
+    row's largest or smallest one, where d = amplitude * 2 sin(step/2)
+    bounds how far one trial moves any sample (``_candidate_reach``), so no
+    other sample can hold an extreme of the trial row.  All windows are
+    equally long, the most elements (at least one) for which the array pass
+    holds at most starts x ``n_samples`` trial values over both signs: the
+    size of one full-read trial pass over every start's row.  A window also
+    ends at its start's pass end.  Equal windows keep the starts abreast, so
+    a start with many candidates does not need many more array passes than
+    the others.
 
-    Each row follows exactly the arithmetic of a descent run on its own:
-    +step is tried before -step, so a row that takes +step gets its -step
-    trial from its new state, and a trial is accepted only on a strict
-    1e-12 dB improvement.  A trial value at a candidate is the same
-    elementwise product and sum as in the full row, and the spread depends
-    on the row only through its extremes, which are candidates; so the
-    candidate spread equals the full-row spread bit for bit and every accept
-    decision is that of a full read.  An accepted trial row is computed over
-    all samples with the same arithmetic, an improved row is resynced once
-    per pass with the same 1-D ``unit @ base`` product, and the final
-    spreads come from full rows.  The weights are therefore those of
-    full-read descents run one start after another, bit for bit.
+    The start then takes the window's first improving trial and drops the
+    rest.  This makes the accept decisions of the descent run element by
+    element: up to that trial the start has not moved, so each trial before
+    it is the one the sequential descent makes, from the same state, and is
+    rejected there too; the first improving trial is accepted there too.
+    The trials after it were scored from a state the descent has left, so
+    the cursor moves to the trial after the taken one (the -step of the same
+    element after a +step) and the next window starts there.  A window with
+    no improving trial moves the cursor past its last element.  A trial
+    value at a candidate is the same elementwise product and sum as in the
+    full row, and the spread depends on the row only through its extremes,
+    which are candidates, so the window spread equals the full-read spread
+    bit for bit.
+
+    The taken trials of all starts, at their different elements, are
+    computed over all samples in one batched row update with the full-read
+    arithmetic, and the start's candidates are re-picked from the new row
+    (the accepted row is computed in full anyway).  A start whose cursor
+    reaches the end of its pass halves its step if it did not move, or else
+    resyncs its row with the same 1-D ``unit @ base`` product; it then
+    retires (below the stop step or out of passes) or re-picks its
+    candidates at its new step and starts its next pass, whatever the other
+    starts are doing.  The weights are therefore those of full-read descents
+    run one start after another, bit for bit.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be at least 0, got {max_iters}")
     rng = np.random.default_rng(seed)
     directions = sample_directions(n_samples, rng)
     u = np.stack([d.to_unit_vector() for d in directions])
     k = 2.0 * math.pi / geometry.wavelength
     # per-element sample phasors; element phase enters as a scalar multiplier
-    base = np.exp(1j * k * (geometry.element_positions() @ u.T))  # (N, M)
+    base = 1j * k * (geometry.element_positions() @ u.T)  # (N, M)
+    np.exp(base, out=base)
+    base_flat = base.ravel()
     amplitude = 1.0 / math.sqrt(geometry.n_elements)
 
-    # one row per start, compacted to the still-active starts once per pass
+    # one row per start for the whole descent; a retired row has no
+    # candidates and its cursor stays at the end, so it scores nothing
     phases = np.array(_initial_phase_candidates(geometry, rng))
+    n_starts, n_elements = phases.shape
+    phases_flat = phases.ravel()
     unit = np.exp(1j * phases)
+    unit_flat = unit.ravel()
     fields = np.stack([amplitude * (row @ base) for row in unit])
-    trial = np.empty_like(fields)
-    mags = np.empty(fields.shape)
-    current = _gain_ranges_db(fields, mags)
-    step = np.full(len(phases), _STEP_INIT)
-    start_ids = np.arange(len(phases))
-    final_phases = np.empty_like(phases)
-    final_range = np.empty(len(phases))
+    step = np.full(n_starts, _STEP_INIT)
+    signed = np.stack((step, -step))
+    reach = _candidate_reach(step, n_elements)
+    current, near = _spread_and_candidates(np.abs(fields), reach)
+    passes = np.zeros(n_starts, dtype=int)
+    improved = np.zeros(n_starts, dtype=bool)
+    running = np.full(n_starts, max_iters > 0)
+    near[~running] = False
+    row_bounds = np.arange(n_starts + 1) * n_samples
+    end = 2 * n_elements
+    # the next trial of each start's pass: 2 * element, plus 1 for -step
+    cursor = np.where(running, 0, end)
 
-    def take(rows, i, new, delta, contrib):
-        # accept the trial: the rows are computed in full, as a lone descent
-        # computes them, and their candidates are re-picked from them
-        n = np.count_nonzero(rows)
-        np.multiply((new - unit[:, i])[rows][:, None], contrib, out=trial[:n])
-        np.add(fields[rows], trial[:n], out=trial[:n])
-        current[rows] = _gain_ranges_db(trial[:n], mags[:n])
-        phases[rows, i] += delta[rows]
-        unit[rows, i] = new[rows]
-        fields[rows] = trial[:n]
-        near[rows] = _near_extremes(mags[:n], reach[rows])
-        improved[rows] = True
+    while running.any():
+        first = cursor >> 1
+        flat = np.flatnonzero(near)
+        bounds = np.searchsorted(flat, row_bounds)
+        widths = np.minimum(n_elements - first, max(n_starts * n_samples // (2 * flat.size), 1))
+        owner, elements, group_first, runs, lens, cand = _window_layout(flat, bounds, first, widths)
+        contrib = np.take(base_flat, cand + np.repeat((elements - owner) * n_samples, lens))
+        np.multiply(amplitude, contrib, out=contrib)
+        at = owner * n_elements + elements
+        trial_step = signed[:, owner]
+        new = np.exp(1j * (np.take(phases_flat, at) + trial_step))
+        delta = new - np.take(unit_flat, at)
+        r = _window_ranges_db(runs, lens, np.take(fields, cand), delta, contrib)
+        # strict margin so rounding noise cannot masquerade as progress
+        better = r < (current - 1e-12)[owner]
+        better[0, group_first[cursor % 2 == 1]] = False  # +step already tried
+        cursor = 2 * (first + widths)
+        # each start takes its first improving trial, in trial order
+        hits = np.flatnonzero(better.T)
+        if hits.size:
+            rows = owner[hits >> 1]
+            lead = np.ones(hits.size, dtype=bool)
+            lead[1:] = rows[1:] != rows[:-1]
+            s, hits = rows[lead], hits[lead]
+            g, sign = hits >> 1, hits & 1
+            full = np.multiply(delta[sign, g][:, None], amplitude * base[elements[g]])
+            np.add(fields[s], full, out=full)
+            current[s], near[s] = _spread_and_candidates(np.abs(full), reach[s])
+            phases_flat[at[g]] += trial_step[sign, g]
+            unit_flat[at[g]] = new[sign, g]
+            fields[s] = full
+            improved[s] = True
+            cursor[s] = 2 * elements[g] + sign + 1
+        ended = np.flatnonzero(running & (cursor == end))
+        if ended.size:
+            moved = improved[ended]
+            step[ended[~moved]] *= 0.5
+            signed = np.stack((step, -step))
+            # incremental updates accumulate error; resync once per pass
+            for s in ended[moved]:
+                fields[s] = amplitude * (unit[s] @ base)
+            reach[ended] = _candidate_reach(step[ended], n_elements)
+            current[ended], near[ended] = _spread_and_candidates(np.abs(fields[ended]), reach[ended])
+            passes[ended] += 1
+            improved[ended] = False
+            retired = ended[(step[ended] < _STEP_MIN) | (passes[ended] == max_iters)]
+            running[retired] = False
+            near[retired] = False
+            cursor[ended] = np.where(running[ended], 0, end)
 
-    for n_pass in range(max_iters + 1):
-        # retire the starts whose step fell below the stop, and all of them
-        # once the pass budget is spent
-        done = (step < _STEP_MIN) | (n_pass == max_iters)
-        if done.any():
-            final_phases[start_ids[done]] = phases[done]
-            final_range[start_ids[done]] = current[done]
-            keep = ~done
-            phases, unit, fields, current, step, start_ids = (
-                a[keep] for a in (phases, unit, fields, current, step, start_ids)
-            )
-        if start_ids.size == 0:
-            break
-        n_active = start_ids.size
-        improved = np.zeros(n_active, dtype=bool)
-        signed = np.stack((step, -step))
-        reach = _candidate_reach(step, geometry.n_elements)
-        near = _near_extremes(np.abs(fields, out=mags[:n_active]), reach)
-        layout = _candidate_layout(fields, near)
-        for i in range(phases.shape[1]):
-            contrib = amplitude * base[i]
-            new = np.exp(1j * (phases[:, i] + signed))
-            r = _candidate_ranges_db(layout, new - unit[:, i], contrib)
-            # strict margin so rounding noise cannot masquerade as progress
-            better = r < current - 1e-12
-            if not better.any():
-                continue
-            plus = better[0]
-            if plus.any():
-                take(plus, i, new[0], signed[0], contrib)
-                # these rows try -step from where +step took them
-                new[1, plus] = np.exp(1j * (phases[plus, i] + signed[1, plus]))
-                r[1, plus] = _candidate_ranges_db(
-                    _candidate_layout(fields[plus], near[plus]), new[1, plus] - unit[plus, i], contrib
-                )
-                better[1] = r[1] < current - 1e-12
-            minus = better[1]
-            if minus.any():
-                take(minus, i, new[1], signed[1], contrib)
-            layout = _candidate_layout(fields, near)
-        step[~improved] *= 0.5
-        # incremental updates accumulate error; resync once per pass
-        for s in np.flatnonzero(improved):
-            fields[s] = amplitude * (unit[s] @ base)
-        current[improved] = _gain_ranges_db(fields[improved], mags[: improved.sum()])
-
-    return Awv(final_phases[np.argmin(final_range)])
+    return Awv(phases[np.argmin(current)])
 
 
 @lru_cache(maxsize=16)

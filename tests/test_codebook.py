@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from xrsim.codebook import (
     Codebook,
     CodebookFormatError,
     Sector,
-    _candidate_layout,
-    _candidate_ranges_db,
     _candidate_reach,
     _initial_phase_candidates,
-    _near_extremes,
+    _spread_and_candidates,
+    _window_layout,
+    _window_ranges_db,
     cached_quasi_omni,
     generate_sector_codebook,
     read_codebook,
@@ -39,10 +40,11 @@ def shape_id(shape):
     return "%dx%d" % shape
 
 
-def full_read_descent(geometry, n_samples, seed, max_iters):
+def full_read_descent(geometry, n_samples, seed, max_iters, log=None):
     """Reference quasi-omni synthesis: the lockstep descent that reads every
     sample of every trial row.  ``synthesize_quasi_omni`` must return its
-    weights bit for bit."""
+    weights bit for bit.  A ``log`` dict receives each start's number of
+    passes (``"passes"``) and the set of elements it moved (``"moved"``)."""
 
     def ranges_db(fields):
         mags = np.abs(fields)
@@ -65,12 +67,15 @@ def full_read_descent(geometry, n_samples, seed, max_iters):
     start_ids = np.arange(len(phases))
     final_phases = np.empty_like(phases)
     final_range = np.empty(len(phases))
+    passes = np.zeros(len(phases), dtype=int)
+    moved = [set() for _ in phases]
 
     for n_pass in range(max_iters + 1):
         done = (step < _STEP_MIN) | (n_pass == max_iters)
         if done.any():
             final_phases[start_ids[done]] = phases[done]
             final_range[start_ids[done]] = current[done]
+            passes[start_ids[done]] = n_pass
             keep = ~done
             phases, unit, fields, current, step, start_ids = (
                 a[keep] for a in (phases, unit, fields, current, step, start_ids)
@@ -90,11 +95,15 @@ def full_read_descent(geometry, n_samples, seed, max_iters):
                 fields[accept] = trial[accept]
                 current[accept] = r[accept]
                 improved |= accept
+                for sid in start_ids[accept]:
+                    moved[sid].add(i)
         step[~improved] *= 0.5
         for s in np.flatnonzero(improved):
             fields[s] = amplitude * (unit[s] @ base)
         current[improved] = ranges_db(fields[improved])
 
+    if log is not None:
+        log.update(passes=passes, moved=moved)
     return Awv(final_phases[np.argmin(final_range)])
 
 
@@ -237,6 +246,13 @@ class TestQuasiOmni:
         synthesize, want = self.WEIGHT_DIGESTS[name]
         assert hashlib.sha256(synthesize().phases.tobytes()).hexdigest() == want
 
+    @pytest.mark.parametrize("name, value", [("max_iters", -1), ("n_samples", 0)])
+    def test_rejects_an_empty_budget_by_name(self, name, value):
+        # a negative pass budget would return unwritten weights, and no
+        # samples leave no spread to minimize
+        with pytest.raises(ValueError, match=name):
+            synthesize_quasi_omni(ArrayGeometry(2, 2), **{name: value})
+
     def test_cached_variant_matches_and_memoizes(self):
         a = cached_quasi_omni(4, 4, 0.5, 60e9, 200, 3, 8)
         b = cached_quasi_omni(4, 4, 0.5, 60e9, 200, 3, 8)
@@ -261,6 +277,34 @@ class TestCandidateDescent:
                 want = full_read_descent(g, n_samples, seed, max_iters)
                 assert np.array_equal(got.phases, want.phases), (seed, max_iters)
 
+    @pytest.mark.parametrize("shape", [(1, 7), (3, 5), (4, 4), (2, 9)], ids=shape_id)
+    def test_matches_ragged_full_read_descents(self, shape):
+        # a 40-pass budget lets the starts reach the stop step after
+        # different numbers of passes and move at different elements, so
+        # their cursors drift apart
+        g = ArrayGeometry(*shape)
+        for seed in range(2):
+            log = {}
+            want = full_read_descent(g, 37, seed, 40, log)
+            assert len(set(log["passes"])) > 1, seed
+            assert len({frozenset(m) for m in log["moved"]}) > 1, seed
+            got = synthesize_quasi_omni(g, n_samples=37, seed=seed, max_iters=40)
+            assert np.array_equal(got.phases, want.phases), seed
+
+    def test_working_set_stays_below_the_phasor_table(self):
+        # an array pass holds at most starts x n_samples trial values, so the
+        # peak is building the (N, M) sample phasor table (its real-valued
+        # phases beside it), not the descent
+        g = ArrayGeometry(32, 32)
+        table_bytes = g.n_elements * 1000 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            synthesize_quasi_omni(g, n_samples=1000, seed=0, max_iters=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * table_bytes, peak / table_bytes
+
     @staticmethod
     def fields_of(geometry, phases, n_samples, seed):
         dirs = sample_directions(n_samples, np.random.default_rng(seed))
@@ -283,19 +327,29 @@ class TestCandidateDescent:
         fields, contribs = self.fields_of(g, phases, 300, 2)
         mags = np.abs(fields)
         unit = np.exp(1j * phases)
+        rows = np.arange(len(fields))
         for step in self.STEPS:
             reach = _candidate_reach(np.full(len(fields), step), g.n_elements)
-            near = _near_extremes(mags, reach)
-            layout = _candidate_layout(fields, near)
-            rows = np.arange(len(fields))
+            near = _spread_and_candidates(mags, reach)[1]
+            # one window per row over all of its elements
+            flat = np.flatnonzero(near)
+            bounds = np.searchsorted(flat, np.arange(len(fields) + 1) * 300)
+            owner, elements, _, runs, lens, cand = _window_layout(
+                flat, bounds, np.zeros(len(fields), dtype=int), np.full(len(fields), g.n_elements)
+            )
+            signed = np.array([[step], [-step]])
+            window_delta = np.exp(1j * (phases[owner, elements] + signed)) - unit[owner, elements]
+            window_contrib = contribs[np.repeat(elements, lens), cand % 300]
+            got = _window_ranges_db(runs, lens, np.take(fields, cand), window_delta, window_contrib)
+            got = got.reshape(2, len(fields), g.n_elements)
             for i in range(g.n_elements):
-                delta = np.exp(1j * (phases[:, i] + np.array([[step], [-step]]))) - unit[:, i]
+                delta = np.exp(1j * (phases[:, i] + signed)) - unit[:, i]
                 trial = np.abs(fields + delta[:, :, None] * contribs[i])  # (sign, row, sample)
                 assert near[rows, trial.argmax(axis=2)].all(), (step, i)
                 assert near[rows, trial.argmin(axis=2)].all(), (step, i)
                 hi = 20.0 * np.log10(np.maximum(trial.max(axis=2), _NULL_FIELD))
                 lo = 20.0 * np.log10(np.maximum(trial.min(axis=2), _NULL_FIELD))
-                assert np.array_equal(_candidate_ranges_db(layout, delta, contribs[i]), hi - lo), (step, i)
+                assert np.array_equal(got[:, :, i], hi - lo), (step, i)
 
     def test_candidates_are_few_at_small_steps(self):
         # the point of the bound: at the stop step a row keeps a handful of
@@ -305,7 +359,7 @@ class TestCandidateDescent:
         fields, _ = self.fields_of(g, phases, 1000, 0)
         mags = np.abs(fields)
         sizes = {
-            step: np.count_nonzero(_near_extremes(mags, _candidate_reach(np.full(4, step), 64)), axis=1)
+            step: np.count_nonzero(_spread_and_candidates(mags, _candidate_reach(np.full(4, step), 64))[1], axis=1)
             for step in (_STEP_INIT, _STEP_MIN)
         }
         assert (sizes[_STEP_MIN] >= 2).all() and (sizes[_STEP_MIN] <= 20).all()
