@@ -84,7 +84,7 @@ class Awv:
     column blocks (a steered beam is one block over all columns), so that
     :class:`AwvEvaluator` can sum the array in closed form.  It describes
     ``phases`` and adds nothing to them: it takes no part in ``==`` or
-    ``repr``, and a weight vector read back from a file has none.
+    ``repr``, and a weight vector built from bare phases has none.
     """
 
     phases: np.ndarray

@@ -1,5 +1,5 @@
-"""Command-line front end: single runs, parameter sweeps, codebook and trace
-generation, and re-summarizing saved frame logs.
+"""Command-line front end: single runs, parameter sweeps, trace generation,
+and re-summarizing saved frame logs.
 
 Exit codes: 0 success, 1 configuration problem, 2 runtime failure.
 """
@@ -13,8 +13,6 @@ import math
 import os
 import sys
 
-from .antenna import ArrayGeometry
-from .codebook import DEFAULT_AIMS, CodebookFormatError, generate_sector_codebook, write_codebook
 from .config import ConfigError, check_work_cap, config_echo_lines, load_config
 from .macsim import run, write_event_log
 from .metrics import (
@@ -48,17 +46,6 @@ def _number(kind, or_zero=False):
 
     parse.__name__ = "finite %s %s" % (kind.__name__, ">= 0" if or_zero else "> 0")
     return parse
-
-
-def _aims(text):
-    """argparse type for --aims: comma-separated finite angles, at least one."""
-    try:
-        aims = [float(a) for a in text.split(",")]
-    except ValueError:
-        aims = [math.nan]
-    if not all(map(math.isfinite, aims)):
-        raise argparse.ArgumentTypeError("expected comma-separated finite angles, got %r" % text)
-    return aims
 
 
 def _cell_seed(base_seed: int, cell_key: str) -> int:
@@ -120,19 +107,27 @@ def _fig4_cells() -> list[dict]:
 
 
 def _vary_cells(vary_args) -> list[dict]:
-    axes = []
+    axes = {}
     for spec in vary_args:
         if "=" not in spec:
             raise ConfigError("--vary expects key=v1,v2,... got %r" % spec)
         key, _, values = spec.partition("=")
+        key = key.strip()
         parts = [v.strip() for v in values.split(",") if v.strip()]
         if not parts:
             raise ConfigError("--vary %r lists no values" % spec)
-        axes.append([(key.strip(), v) for v in parts])
-    return [dict(combo) for combo in itertools.product(*axes)]
+        # a repeated key or value would drop an axis or run a cell twice
+        if key in axes:
+            raise ConfigError("--vary key %r is given twice" % key)
+        if len(set(parts)) < len(parts):
+            raise ConfigError("--vary %r lists a value twice" % spec)
+        axes[key] = parts
+    return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
 def _cmd_sweep(args) -> int:
+    if args.preset and args.vary:
+        raise ConfigError("--preset takes no --vary axis: the preset fixes its own cells")
     if args.preset:
         cells = _fig4_cells()
     elif args.vary:
@@ -191,20 +186,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_generate_codebook(args) -> int:
-    aims = args.aims or DEFAULT_AIMS
-    check_work_cap(
-        {"(--samples + len(--aims)^2) x --rows x --cols": (args.n_samples + len(aims) ** 2) * args.rows * args.cols}
-    )
-    geometry = ArrayGeometry(args.rows, args.cols, args.spacing, args.freq)
-    book = generate_sector_codebook(
-        geometry, aims, aims, seed=args.seed, n_samples=args.n_samples, max_iters=args.iters
-    )
-    write_codebook(args.out, book)
-    print("wrote %s (%d sectors + quasi-omni)" % (args.out, len(book.sectors)))
-    return 0
-
-
 def _cmd_generate_mobility(args) -> int:
     if args.kind == "static":
         trace = static_trace(args.duration)
@@ -252,18 +233,6 @@ def _parser() -> argparse.ArgumentParser:
     rep.add_argument("--deadline", type=_number(float), default=0.020)
     rep.set_defaults(func=_cmd_report)
 
-    gc = sub.add_parser("generate-codebook", help="write a sector codebook file")
-    gc.add_argument("--rows", type=_number(int), default=8)
-    gc.add_argument("--cols", type=_number(int), default=8)
-    gc.add_argument("--spacing", type=_number(float), default=0.5)
-    gc.add_argument("--freq", type=_number(float), default=60e9)
-    gc.add_argument("--samples", dest="n_samples", metavar="SAMPLES", type=_number(int), default=1000)
-    gc.add_argument("--seed", type=_number(int, or_zero=True), default=7)
-    gc.add_argument("--iters", type=_number(int, or_zero=True), default=40)
-    gc.add_argument("--aims", type=_aims, help="comma-separated aim angles for both axes")
-    gc.add_argument("--out", required=True)
-    gc.set_defaults(func=_cmd_generate_codebook)
-
     gm = sub.add_parser("generate-mobility", help="write a rotation trace CSV")
     gm.add_argument("--kind", choices=("rotation", "static"), default="rotation")
     gm.add_argument("--peak-dps", type=_number(float), default=300.0)
@@ -284,9 +253,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (
-        ConfigError, TraceFormatError, CodebookFormatError, FrameFormatError, FileNotFoundError, IsADirectoryError
-    ) as exc:
+    except (ConfigError, TraceFormatError, FrameFormatError, FileNotFoundError, IsADirectoryError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:

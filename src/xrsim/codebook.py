@@ -1,20 +1,19 @@
 """Sector codebooks and quasi-omni weight synthesis.
 
-The directional sectors are steered beams on a fixed aim grid
+A codebook is the tuple of weight vectors a sweep probes, indexed by sector
+id.  The directional sectors are steered beams on a fixed aim grid
 (:func:`steered_sectors`); they are all an access point's transmit sweep
-probes.  A codebook adds one quasi-omni AWV, a receive pattern, as its last
-candidate (:func:`generate_sector_codebook`).  The quasi-omni weights are
-synthesized by minimizing the spread between the strongest and weakest gain
-over a fixed set of random directions, with phase-only control and fixed
-amplitudes.
+probes.  A headset's codebook adds one quasi-omni AWV, a receive pattern,
+as its last candidate (:func:`generate_sector_codebook`).  The quasi-omni
+weights are synthesized by minimizing the spread between the strongest and
+weakest gain over a fixed set of random directions, with phase-only control
+and fixed amplitudes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,66 +27,17 @@ _STEP_MIN = 1e-3  # rad, coordinate-descent stop
 _STEP_INIT = math.pi / 4.0
 
 
-class CodebookFormatError(ValueError):
-    """Raised when a codebook file cannot be parsed."""
+def steered_sectors(geometry: ArrayGeometry) -> tuple[Awv, ...]:
+    """Steered sector per (azimuth, elevation) point of the ``DEFAULT_AIMS``
+    grid, elevation-outer, so that a sector's index is its id."""
+    return tuple(steering_phases(geometry, Direction(az, el)) for el in DEFAULT_AIMS for az in DEFAULT_AIMS)
 
 
-@dataclass(frozen=True)
-class Sector:
-    id: int
-    aim: Direction
-    awv: Awv
-
-
-@dataclass(frozen=True)
-class Codebook:
-    geometry: ArrayGeometry
-    sectors: tuple[Sector, ...]
-    quasi_omni: Awv
-
-    def __post_init__(self):
-        ids = [s.id for s in self.sectors]
-        if len(set(ids)) != len(ids):
-            raise ValueError("sector ids must be unique")
-
-    @property
-    def quasi_omni_id(self) -> int:
-        return len(self.sectors)
-
-    def all_awvs(self) -> list[tuple[int, Awv]]:
-        """Directional sectors plus the quasi-omni as the last candidate."""
-        out = [(s.id, s.awv) for s in self.sectors]
-        out.append((self.quasi_omni_id, self.quasi_omni))
-        return out
-
-
-def steered_sectors(
-    geometry: ArrayGeometry,
-    azimuths: Sequence[float] = DEFAULT_AIMS,
-    elevations: Sequence[float] = DEFAULT_AIMS,
-) -> tuple[Sector, ...]:
-    """Steered sector per (azimuth, elevation) grid point, elevation-outer
-    order, with ids from 0."""
-    aims = [Direction(float(az), float(el)) for el in elevations for az in azimuths]
-    return tuple(Sector(sid, aim, steering_phases(geometry, aim)) for sid, aim in enumerate(aims))
-
-
-def generate_sector_codebook(
-    geometry: ArrayGeometry,
-    azimuths: Sequence[float] = DEFAULT_AIMS,
-    elevations: Sequence[float] = DEFAULT_AIMS,
-    quasi_omni: Optional[Awv] = None,
-    seed: int = 0,
-    n_samples: int = 1000,
-    max_iters: int = 40,
-) -> Codebook:
-    """The :func:`steered_sectors` plus a quasi-omni receive pattern as the
-    last candidate (synthesized here unless provided): a headset's sweep
-    codebook.  An access point's transmit sweep probes the steered sectors
-    alone."""
-    if quasi_omni is None:
-        quasi_omni = synthesize_quasi_omni(geometry, n_samples=n_samples, seed=seed, max_iters=max_iters)
-    return Codebook(geometry, steered_sectors(geometry, azimuths, elevations), quasi_omni)
+def generate_sector_codebook(geometry: ArrayGeometry, quasi_omni: Awv) -> tuple[Awv, ...]:
+    """A headset's sweep codebook: the :func:`steered_sectors` plus a
+    quasi-omni receive pattern as the last candidate.  An access point's
+    transmit sweep probes the steered sectors alone."""
+    return steered_sectors(geometry) + (quasi_omni,)
 
 
 def _chirp_phases(geometry: ArrayGeometry, alpha: float) -> np.ndarray:
@@ -354,100 +304,3 @@ def cached_quasi_omni(
     across simulator instances with identical parameters."""
     geometry = ArrayGeometry(rows, cols, spacing_wavelengths, carrier_hz)
     return synthesize_quasi_omni(geometry, n_samples=n_samples, seed=seed, max_iters=max_iters)
-
-
-def write_codebook(path, codebook: Codebook) -> None:
-    """Plain-text codebook: header line, one SECTOR block per sector in id
-    order, then a single QUASIOMNI block.  Phases are written with full
-    precision so a read-back reproduces them exactly."""
-    g = codebook.geometry
-    lines = [f"{g.rows} {g.cols} {g.spacing_wavelengths:.17g} {g.carrier_hz:.17g}"]
-    for s in sorted(codebook.sectors, key=lambda s: s.id):
-        lines.append(f"SECTOR {s.id} {s.aim.azimuth_deg:.17g} {s.aim.elevation_deg:.17g}")
-        lines.extend(_phase_lines(g, s.awv))
-    lines.append("QUASIOMNI")
-    lines.extend(_phase_lines(g, codebook.quasi_omni))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _phase_lines(geometry: ArrayGeometry, awv: Awv) -> list[str]:
-    grid = awv.phases.reshape(geometry.rows, geometry.cols)
-    return [" ".join(f"{p:.17g}" for p in row) for row in grid]
-
-
-def read_codebook(path) -> Codebook:
-    """Parse a codebook file; malformed input raises CodebookFormatError
-    naming the offending line."""
-    with open(path) as fh:
-        try:
-            raw = fh.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise CodebookFormatError(f"{path}: not a text codebook file ({exc.reason})") from None
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
-    if not lines:
-        raise CodebookFormatError("line 1: empty codebook file")
-
-    ln, header = lines[0]
-    parts = header.split()
-    if len(parts) != 4:
-        raise CodebookFormatError(f"line {ln}: header must be 'rows cols spacing freq'")
-    try:
-        geometry = ArrayGeometry(int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
-    except ValueError as exc:
-        raise CodebookFormatError(f"line {ln}: bad header value ({exc})")
-
-    sectors: list[Sector] = []
-    quasi_omni: Optional[Awv] = None
-    idx = 1
-    while idx < len(lines):
-        ln, line = lines[idx]
-        fields = line.split()
-        if fields[0] == "SECTOR":
-            if quasi_omni is not None:
-                raise CodebookFormatError(f"line {ln}: SECTOR after QUASIOMNI block")
-            if len(fields) != 4:
-                raise CodebookFormatError(f"line {ln}: SECTOR needs 'SECTOR id aim_az aim_el'")
-            try:
-                sid = int(fields[1])
-                aim = Direction(float(fields[2]), float(fields[3]))
-            except ValueError as exc:
-                raise CodebookFormatError(f"line {ln}: bad sector header ({exc})")
-            if not (math.isfinite(aim.azimuth_deg) and math.isfinite(aim.elevation_deg)):
-                raise CodebookFormatError(f"line {ln}: sector aim must be finite")
-            phases, idx = _read_phase_block(lines, idx + 1, geometry)
-            sectors.append(Sector(sid, aim, Awv(phases)))
-        elif fields[0] == "QUASIOMNI":
-            if quasi_omni is not None:
-                raise CodebookFormatError(f"line {ln}: duplicate QUASIOMNI block")
-            if len(fields) != 1:
-                raise CodebookFormatError(f"line {ln}: QUASIOMNI takes no arguments")
-            phases, idx = _read_phase_block(lines, idx + 1, geometry)
-            quasi_omni = Awv(phases)
-        else:
-            raise CodebookFormatError(f"line {ln}: expected SECTOR or QUASIOMNI, got {fields[0]!r}")
-    if quasi_omni is None:
-        raise CodebookFormatError(f"line {lines[-1][0]}: missing QUASIOMNI block")
-    try:
-        return Codebook(geometry, tuple(sectors), quasi_omni)
-    except ValueError as exc:
-        raise CodebookFormatError(f"line {lines[-1][0]}: {exc}")
-
-
-def _read_phase_block(lines, idx, geometry: ArrayGeometry):
-    phases = np.empty((geometry.rows, geometry.cols))
-    for r in range(geometry.rows):
-        if idx >= len(lines):
-            raise CodebookFormatError(f"line {lines[-1][0]}: truncated phase block ({r} of {geometry.rows} rows)")
-        ln, line = lines[idx]
-        values = line.split()
-        if len(values) != geometry.cols:
-            raise CodebookFormatError(f"line {ln}: expected {geometry.cols} phases, got {len(values)}")
-        try:
-            phases[r] = [float(v) for v in values]
-        except ValueError as exc:
-            raise CodebookFormatError(f"line {ln}: bad phase value ({exc})")
-        if not np.all(np.isfinite(phases[r])):
-            raise CodebookFormatError(f"line {ln}: phases must be finite")
-        idx += 1
-    return phases.ravel(), idx

@@ -281,7 +281,7 @@ class Simulator:
         cfg = self.cfg
         self.ap_geometry = ArrayGeometry(cfg.ap_rows, cfg.ap_cols, cfg.spacing, cfg.carrier_hz)
         # the initiator's transmit sectors, stacked and indexed by sector id
-        self.ap_sweep = AwvEvaluator(self.ap_geometry, [s.awv for s in steered_sectors(self.ap_geometry)])
+        self.ap_sweep = AwvEvaluator(self.ap_geometry, steered_sectors(self.ap_geometry))
 
         rows, cols = cfg.hmd_shape()
         self.hmd_geometry = ArrayGeometry(rows, cols, cfg.spacing, cfg.carrier_hz)
@@ -289,10 +289,8 @@ class Simulator:
         # pattern: the quasi_omni mode and the sectors codebook's last entry
         self.hmd_sweep = None
         if cfg.rx_beamforming == "sectors":
-            book = generate_sector_codebook(
-                self.hmd_geometry, quasi_omni=self._qo(self.hmd_geometry)
-            )
-            self.hmd_sweep = AwvEvaluator(self.hmd_geometry, [awv for _, awv in book.all_awvs()])
+            codebook = generate_sector_codebook(self.hmd_geometry, self._qo(self.hmd_geometry))
+            self.hmd_sweep = AwvEvaluator(self.hmd_geometry, codebook)
 
         # the link's AWV pair, set by the sweeps, before which no MPDU
         # starts; only the quasi_omni mode's headset pattern is fixed

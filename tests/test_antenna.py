@@ -318,7 +318,7 @@ class TestClosedForm:
     def test_blocks_describe_the_phases(self, shape, spacing):
         g = ArrayGeometry(*shape, spacing_wavelengths=spacing)
         awvs = [awv for awv, _ in steered_and_composite_beams(g)]
-        awvs += [s.awv for s in steered_sectors(g)]
+        awvs += steered_sectors(g)
         for awv in awvs:
             assert awv.blocks
             diff = np.angle(np.exp(1j * (awv.phases - phases_from_blocks(g, awv))))

@@ -15,7 +15,7 @@ import pytest
 
 from xrsim import antenna, codebook, macsim
 from xrsim.antenna import ArrayGeometry
-from xrsim.codebook import cached_quasi_omni, generate_sector_codebook
+from xrsim.codebook import cached_quasi_omni, generate_sector_codebook, synthesize_quasi_omni
 from xrsim.config import load_config
 from xrsim.geometry import Direction
 
@@ -81,7 +81,7 @@ def test_one_sweep_books_one_gain_call(monkeypatch):
     from tracer import Tracer, instrument
 
     g = ArrayGeometry(8, 8)
-    awvs = [awv for _, awv in generate_sector_codebook(g, seed=3).all_awvs()]
+    awvs = generate_sector_codebook(g, synthesize_quasi_omni(g, seed=3))
     sim = macsim.Simulator(load_config(overrides=["sim_time = 0.3", "rx_beamforming = sectors", "prediction = none"]))
     with instrument(Tracer()) as tracer:
         antenna.AwvEvaluator(g, awvs).gain_db(Direction(20.0, -10.0))

@@ -1,4 +1,4 @@
-"""Sector codebooks, quasi-omni synthesis, and the file format."""
+"""Sector codebooks and quasi-omni synthesis."""
 
 import hashlib
 import math
@@ -12,9 +12,6 @@ from xrsim.codebook import (
     _STEP_INIT,
     _STEP_MIN,
     DEFAULT_AIMS,
-    Codebook,
-    CodebookFormatError,
-    Sector,
     _candidate_reach,
     _initial_phase_candidates,
     _spread_and_candidates,
@@ -22,9 +19,8 @@ from xrsim.codebook import (
     _window_ranges_db,
     cached_quasi_omni,
     generate_sector_codebook,
-    read_codebook,
+    steered_sectors,
     synthesize_quasi_omni,
-    write_codebook,
 )
 from xrsim.geometry import Direction
 
@@ -107,51 +103,66 @@ def full_read_descent(geometry, n_samples, seed, max_iters, log=None):
     return Awv(final_phases[np.argmin(final_range)])
 
 
+# the sector grid in id order: elevation-outer, azimuth varies fastest
+AIMS = [Direction(az, el) for el in DEFAULT_AIMS for az in DEFAULT_AIMS]
+
+
 @pytest.fixture(scope="module")
-def ap_book():
-    return generate_sector_codebook(ArrayGeometry(8, 8), seed=7)
+def ap_qo():
+    # the 8x8, seed 7, 1000-sample, 40-pass synthesis
+    return synthesize_quasi_omni(ArrayGeometry(8, 8), seed=7)
+
+
+@pytest.fixture(scope="module")
+def ap_book(ap_qo):
+    return generate_sector_codebook(ArrayGeometry(8, 8), ap_qo)
 
 
 class TestSectorCodebook:
-    def test_default_book_shape(self, ap_book):
-        assert len(ap_book.sectors) == 36
-        assert ap_book.quasi_omni_id == 36
-        assert [s.id for s in ap_book.sectors] == list(range(36))
-        assert len(ap_book.all_awvs()) == 37
+    def test_default_book_shape(self, ap_book, ap_qo):
+        assert len(ap_book) == 37
+        assert ap_book[36] is ap_qo
+        assert len(steered_sectors(ArrayGeometry(8, 8))) == 36
 
-    def test_aim_grid_order(self, ap_book):
+    def test_aim_grid_order(self):
         # elevation-outer: azimuth varies fastest
-        assert ap_book.sectors[0].aim == Direction(-50.0, -50.0)
-        assert ap_book.sectors[1].aim == Direction(-30.0, -50.0)
-        assert ap_book.sectors[6].aim == Direction(-50.0, -30.0)
-        assert ap_book.sectors[35].aim == Direction(50.0, 50.0)
+        assert AIMS[0] == Direction(-50.0, -50.0)
+        assert AIMS[1] == Direction(-30.0, -50.0)
+        assert AIMS[6] == Direction(-50.0, -30.0)
+        assert AIMS[35] == Direction(50.0, 50.0)
         assert DEFAULT_AIMS == (-50.0, -30.0, -10.0, 10.0, 30.0, 50.0)
 
     def test_single_broadside_sector(self):
-        book = generate_sector_codebook(
-            ArrayGeometry(4, 4), azimuths=[0.0], elevations=[0.0], quasi_omni=Awv(np.zeros(16))
-        )
-        assert len(book.sectors) == 1
-        assert np.allclose(book.sectors[0].awv.phases, 0.0)
+        awv = steering_phases(ArrayGeometry(4, 4), Direction(0.0, 0.0))
+        assert np.allclose(awv.phases, 0.0)
 
     def test_sectors_are_steering_vectors(self, ap_book):
-        g = ap_book.geometry
-        for s in (ap_book.sectors[0], ap_book.sectors[17], ap_book.sectors[35]):
-            assert np.allclose(s.awv.phases, steering_phases(g, s.aim).phases, atol=1e-12)
+        g = ArrayGeometry(8, 8)
+        for sid in range(36):
+            assert np.allclose(ap_book[sid].phases, steering_phases(g, AIMS[sid]).phases, atol=1e-12)
 
     def test_own_aim_dominates_every_other_sector(self, ap_book):
-        g = ap_book.geometry
-        for s in ap_book.sectors:
-            own = gain_db(g, s.awv, s.aim)
-            for other in ap_book.sectors:
-                assert own >= gain_db(g, other.awv, s.aim) - 1e-9
+        g = ArrayGeometry(8, 8)
+        sectors = ap_book[:36]
+        for awv, aim in zip(sectors, AIMS):
+            own = gain_db(g, awv, aim)
+            for other in sectors:
+                assert own >= gain_db(g, other, aim) - 1e-9
 
-    def test_duplicate_ids_rejected(self):
-        g = ArrayGeometry(2, 2)
-        aim = Direction(0.0, 0.0)
-        awv = Awv(np.zeros(4))
-        with pytest.raises(ValueError):
-            Codebook(g, (Sector(0, aim, awv), Sector(0, aim, awv)), awv)
+    def test_read_back_phases_take_the_lattice(self, ap_book, ap_qo):
+        # bare phases carry no blocks: a steered sector rebuilt from its
+        # phases is evaluated by the lattice product, to the same gains
+        g = ArrayGeometry(8, 8)
+        u = np.stack([d.to_unit_vector() for d in sample_directions(25, np.random.default_rng(2))])
+        for orig in ap_book[:36]:
+            got = Awv(orig.phases)
+            assert orig.blocks and not got.blocks
+            assert np.array_equal(got.phases, orig.phases)
+            lattice = AwvEvaluator(g, got)
+            assert lattice._w is not None and AwvEvaluator(g, orig)._w is None
+            assert np.max(np.abs(lattice.gains_db(u) - AwvEvaluator(g, orig).gains_db(u))) <= 1e-9
+        for qo in (ap_qo, Awv(ap_qo.phases)):
+            assert not qo.blocks and AwvEvaluator(g, qo)._w is not None
 
 
 class TestQuasiOmni:
@@ -164,12 +175,11 @@ class TestQuasiOmni:
         opt = synthesize_quasi_omni(g, n_samples=1000, seed=0, max_iters=40)
         assert sampled_range_db(g, opt, 0) < sampled_range_db(g, Awv(np.zeros(64)), 0)
 
-    def test_desk_scale_quality_gates(self, ap_book):
+    def test_desk_scale_quality_gates(self, ap_qo):
         # artifact gates: optimized spread stays under 15 dB, the unshaped
-        # array is far worse; ap_book's quasi-omni is the 8x8, seed 7,
-        # 1000-sample, 40-pass synthesis
+        # array is far worse
         g = ArrayGeometry(8, 8)
-        opt = ap_book.quasi_omni
+        opt = ap_qo
         assert sampled_range_db(g, opt, 7) <= 15.0
         assert sampled_range_db(g, Awv(np.zeros(64)), 7) >= 25.0
 
@@ -364,90 +374,3 @@ class TestCandidateDescent:
         }
         assert (sizes[_STEP_MIN] >= 2).all() and (sizes[_STEP_MIN] <= 20).all()
         assert (sizes[_STEP_INIT] < 1000).all()
-
-
-class TestCodebookFile:
-    def test_round_trip(self, ap_book, tmp_path):
-        path = tmp_path / "book.cbk"
-        write_codebook(path, ap_book)
-        back = read_codebook(path)
-        assert back.geometry.rows == 8 and back.geometry.cols == 8
-        assert len(back.sectors) == 36
-        for orig, got in zip(ap_book.sectors, back.sectors):
-            assert got.id == orig.id
-            assert got.aim.azimuth_deg == pytest.approx(orig.aim.azimuth_deg, abs=1e-9)
-            assert np.max(np.abs(got.awv.phases - orig.awv.phases)) <= 1e-9
-        assert np.max(np.abs(back.quasi_omni.phases - ap_book.quasi_omni.phases)) <= 1e-9
-
-    def test_read_back_phases_take_the_lattice(self, ap_book, tmp_path):
-        # a file holds phases only: read back, a steered sector loses its
-        # blocks and is evaluated by the lattice product, to the same gains
-        path = tmp_path / "book.cbk"
-        write_codebook(path, ap_book)
-        back = read_codebook(path)
-        g = ap_book.geometry
-        u = np.stack([d.to_unit_vector() for d in sample_directions(25, np.random.default_rng(2))])
-        for orig, got in zip(ap_book.sectors, back.sectors):
-            assert orig.awv.blocks and not got.awv.blocks
-            assert np.array_equal(got.awv.phases, orig.awv.phases)
-            lattice = AwvEvaluator(g, got.awv)
-            assert lattice._w is not None and AwvEvaluator(g, orig.awv)._w is None
-            assert np.max(np.abs(lattice.gains_db(u) - AwvEvaluator(g, orig.awv).gains_db(u))) <= 1e-9
-        for qo in (ap_book.quasi_omni, back.quasi_omni):
-            assert not qo.blocks and AwvEvaluator(g, qo)._w is not None
-
-    def test_truncated_phase_block_reports_line(self, ap_book, tmp_path):
-        path = tmp_path / "bad.cbk"
-        write_codebook(path, ap_book)
-        lines = path.read_text().splitlines()
-        # drop one phase row from the first sector block
-        del lines[2]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CodebookFormatError) as err:
-            read_codebook(path)
-        assert any(ch.isdigit() for ch in str(err.value))
-
-    def test_wrong_phase_count_is_structural_error(self, tmp_path):
-        g = ArrayGeometry(2, 2)
-        book = generate_sector_codebook(
-            g, azimuths=[0.0], elevations=[0.0], quasi_omni=Awv(np.zeros(4))
-        )
-        path = tmp_path / "short.cbk"
-        write_codebook(path, book)
-        text = path.read_text()
-        # remove the final phase of the quasi-omni block
-        body = text.rstrip("\n").rsplit(" ", 1)[0] + "\n"
-        path.write_text(body)
-        with pytest.raises(CodebookFormatError):
-            read_codebook(path)
-
-    def test_unparseable_phase(self, tmp_path):
-        g = ArrayGeometry(2, 2)
-        book = generate_sector_codebook(
-            g, azimuths=[0.0], elevations=[0.0], quasi_omni=Awv(np.zeros(4))
-        )
-        path = tmp_path / "junk.cbk"
-        write_codebook(path, book)
-        path.write_text(path.read_text().replace("QUASIOMNI\n0", "QUASIOMNI\nzero", 1))
-        with pytest.raises(CodebookFormatError):
-            read_codebook(path)
-
-    @pytest.mark.parametrize("header", ["0 8 0.5 60e9", "1 1 -0.5 60e9", "1 1 0.5 inf", "1 1 nan 60e9"])
-    def test_bad_header_value_names_line_one(self, tmp_path, header):
-        path = tmp_path / "header.cbk"
-        path.write_text(header + "\nQUASIOMNI\n0\n")
-        with pytest.raises(CodebookFormatError, match="^line 1: "):
-            read_codebook(path)
-
-    def test_not_text_names_the_file(self, tmp_path):
-        # raised the 'utf-8' codec's decode error
-        path = tmp_path / "binary.cbk"
-        path.write_bytes(b"\xff1 1 0.5 60e9\nQUASIOMNI\n0\n")
-        with pytest.raises(CodebookFormatError, match="binary.cbk"):
-            read_codebook(path)
-
-    def test_non_finite_aim_names_its_line(self, tmp_path):
-        path = tmp_path / "aim.cbk"
-        path.write_text("1 1 0.5 60e9\nSECTOR 0 nan inf\n0\nQUASIOMNI\n0\n")
-        with pytest.raises(CodebookFormatError, match="^line 2: "):
-            read_codebook(path)

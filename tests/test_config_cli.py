@@ -1,8 +1,10 @@
 """Config parsing and validation, plus the command-line front end."""
 
+import argparse
 import contextlib
 import signal
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -552,6 +554,25 @@ class TestSweepCommand:
     def test_sweep_needs_an_axis(self, tmp_path):
         assert cli.main(["sweep", "--out-dir", str(tmp_path)]) == 1
 
+    # each ran something other than it was asked, with exit 0: the preset's
+    # 12 cells without the axis, one cell at the last value, or two
+    # identical rows
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--preset", "paper-fig4", "--vary", "data_rate=2e9"], ("--preset", "--vary")),
+            (["--vary", "data_rate=2e9", "--vary", "data_rate=5e9"], ("--vary", "'data_rate'")),
+            (["--vary", "data_rate=2e9,2e9"], ("--vary", "data_rate=2e9,2e9")),
+        ],
+    )
+    def test_a_conflicting_sweep_exits_one_before_any_cell(self, tmp_path, capsys, monkeypatch, argv, named):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a))
+        assert cli.main(["sweep", "--out-dir", str(tmp_path), "--label", "s"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and all(name in err for name in named)
+        assert calls == [] and not (tmp_path / "s.csv").exists()
+
     def test_malformed_vary_exits_one(self, tmp_path):
         assert (
             cli.main(["sweep", "--out-dir", str(tmp_path), "--vary", "data_rate"]) == 1
@@ -621,21 +642,6 @@ class TestSweepCommand:
 
 
 class TestGenerators:
-    def test_generate_codebook_round_trip(self, tmp_path, capsys):
-        from xrsim.codebook import read_codebook
-
-        out = tmp_path / "book.cb"
-        rc = cli.main(
-            [
-                "generate-codebook", "--rows", "4", "--cols", "4",
-                "--samples", "200", "--iters", "5", "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        assert "wrote" in capsys.readouterr().out
-        book = read_codebook(out)
-        assert len(book.sectors) == 36
-
     def test_generate_mobility_round_trip(self, tmp_path):
         from xrsim.mobility import load_trace
 
@@ -660,14 +666,9 @@ class TestGenerators:
             (["generate-mobility", "--kind", "static", "--duration", "-1"], "--duration"),
             (["generate-mobility", "--rate", "0"], "--rate"),
             (["generate-mobility", "--device-horizon", "inf"], "--device-horizon"),
-            (["generate-codebook", "--rows", "0"], "--rows"),
-            (["generate-codebook", "--seed", "-1"], "--seed"),
-            (["generate-codebook", "--aims", "10,nan"], "--aims"),
             # a sample step turns by at most 180 deg: 180 x --rate is out of reach
             (["generate-mobility", "--peak-dps", "2e5"], "--peak-dps"),
             (["generate-mobility", "--peak-dps", "1e30"], "--peak-dps"),
-            # wrote the default 36-sector grid
-            (["generate-codebook", "--aims", ""], "--aims"),
         ],
     )
     def test_bad_argument_exits_one_naming_it(self, tmp_path, capsys, argv, option):
@@ -682,10 +683,6 @@ class TestGenerators:
         "argv, options",
         [
             (["generate-mobility", "--duration", "1e12"], ("--duration", "--rate")),
-            (
-                ["generate-codebook", "--rows", "100000", "--cols", "100000"],
-                ("--samples", "--aims", "--rows", "--cols"),
-            ),
         ],
     )
     def test_over_the_work_cap_exits_one_naming_the_options(self, tmp_path, capsys, argv, options):
@@ -698,8 +695,7 @@ class TestGenerators:
         assert not out.exists()
 
     def test_default_invocations_exit_zero(self, tmp_path, capsys):
-        for command in ("generate-mobility", "generate-codebook"):
-            assert cli.main([command, "--out", str(tmp_path / command)]) == 0
+        assert cli.main(["generate-mobility", "--out", str(tmp_path / "trace.csv")]) == 0
         capsys.readouterr()
 
     def test_generated_trace_drives_a_run(self, tmp_path):
@@ -726,6 +722,19 @@ class TestEntry:
         assert cli.main([]) == 1
         capsys.readouterr()
 
-    def test_unknown_command_exits_one(self, capsys):
-        assert cli.main(["frobnicate"]) == 1
-        capsys.readouterr()
+    def test_unknown_command_exits_one(self, tmp_path, capsys):
+        # the deleted codebook generator wrote a file that nothing read
+        out = tmp_path / "out"
+        for argv in (["frobnicate"], ["generate-codebook", "--out", str(out)]):
+            assert cli.main(argv) == 1
+            assert "invalid choice" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_readme_cli_block_names_every_command(self):
+        # the `xrsim <command>` lines of the README's CLI block, so that an
+        # added or deleted command cannot leave the docs stale
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+        documented = {line.split()[1] for line in block.splitlines() if line.startswith("xrsim ")}
+        (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert documented == set(sub.choices)
