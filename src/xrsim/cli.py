@@ -145,16 +145,17 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     rows = []
     for key, cell in keyed:
-        seed = _cell_seed(base_cfg.seed, key)
+        # a seed axis runs its own values; other cells derive one
+        seed = cell.get("seed", "%d" % _cell_seed(base_cfg.seed, key))
         overrides = (args.set or []) + ["%s=%s" % (k, v) for k, v in sorted(cell.items())]
-        overrides.append("seed=%d" % seed)
+        overrides.append("seed=%s" % seed)
         try:
             cfg = load_config(args.config, overrides)
             result = run(cfg)
             summary = summarize(result.frames, cfg.deadline)
             row = (
                 key,
-                "%d" % seed,
+                "%d" % cfg.seed,
                 "%.6f" % summary.reliability,
                 "%d" % (summary.frame_count - summary.lost_count),
                 "%d" % summary.lost_count,
@@ -165,7 +166,7 @@ def _cmd_sweep(args) -> int:
                 "",
             )
         except Exception as exc:  # record the failure, keep sweeping
-            row = (key, "%d" % seed, "none", "0", "0", "none", "none", "none", "none", str(exc))
+            row = (key, seed, "none", "0", "0", "none", "none", "none", "none", str(exc))
         rows.append(row)
         print("%s: reliability=%s" % (key, row[2]))
 

@@ -26,6 +26,17 @@ DEFAULT_AIMS = (-50.0, -30.0, -10.0, 10.0, 30.0, 50.0)
 _STEP_MIN = 1e-3  # rad, coordinate-descent stop
 _STEP_INIT = math.pi / 4.0
 
+# the simulator's quasi-omni synthesis budget (cached_quasi_omni): sample
+# directions and their seed, and passes, fewer for large arrays
+QO_SAMPLES = 1000
+QO_SEED = 7
+QO_ITERS = 40
+QO_ITERS_LARGE = 6  # for arrays of 1024 elements or more
+
+# entries of a headset's sweep codebook: the steered sectors plus the
+# quasi-omni pattern (generate_sector_codebook)
+CODEBOOK_SIZE = len(DEFAULT_AIMS) ** 2 + 1
+
 
 def steered_sectors(geometry: ArrayGeometry) -> tuple[Awv, ...]:
     """Steered sector per (azimuth, elevation) point of the ``DEFAULT_AIMS``
@@ -291,16 +302,11 @@ def synthesize_quasi_omni(
 
 
 @lru_cache(maxsize=16)
-def cached_quasi_omni(
-    rows: int,
-    cols: int,
-    spacing_wavelengths: float,
-    carrier_hz: float,
-    n_samples: int,
-    seed: int,
-    max_iters: int,
-) -> Awv:
-    """Memoized synthesis; large arrays are expensive and weights are reused
-    across simulator instances with identical parameters."""
-    geometry = ArrayGeometry(rows, cols, spacing_wavelengths, carrier_hz)
-    return synthesize_quasi_omni(geometry, n_samples=n_samples, seed=seed, max_iters=max_iters)
+def cached_quasi_omni(geometry: ArrayGeometry) -> Awv:
+    """The quasi-omni pattern of ``geometry`` at the simulator's synthesis
+    budget: :data:`QO_SAMPLES` directions drawn from :data:`QO_SEED`, and
+    :data:`QO_ITERS` passes, or :data:`QO_ITERS_LARGE` from 1024 elements
+    up.  Memoized, because large arrays are expensive and simulators of one
+    geometry share the weights."""
+    iters = QO_ITERS_LARGE if geometry.n_elements >= 1024 else QO_ITERS
+    return synthesize_quasi_omni(geometry, n_samples=QO_SAMPLES, seed=QO_SEED, max_iters=iters)

@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
+from .codebook import CODEBOOK_SIZE, QO_SAMPLES
 from .mobility import peak_dps_limit
 
 ALLOWED_DATA_RATES = (2e9, 5e9, 7e9, 8e9)
@@ -74,10 +75,6 @@ class ScenarioConfig:
     hmd_rows: int = 0  # 0 = resolved from rx_beamforming
     hmd_cols: int = 0
     spacing: float = 0.5
-    codebook_seed: int = 7
-    qo_samples: int = 1000
-    qo_iters: int = 40
-    qo_iters_large: int = 6  # synthesis budget for arrays of 1024+ elements
     # link budget
     tx_power_dbm: float = 10.0
     noise_figure_db: float = 10.0
@@ -192,15 +189,14 @@ class ScenarioConfig:
         are formed.  Every MPDU attempt occupies the medium for at least the
         shortest MPDU's airtime, so sim_time over that airtime bounds the
         attempts, retries of a failing MPDU included.  Set-up builds, per
-        array element, a quasi-omni field over qo_samples directions and a
-        37-entry sector codebook."""
+        array element, a quasi-omni field over the synthesis budget's sample
+        directions and a sector codebook."""
         periodic = self.frame_rate + 1.0 / self.bi_duration
         if self.bf_location == "dti":
             periodic += 1.0 / self.bf_interval
         rows, cols = self.hmd_shape()
-        chunk = self.mpdu_bytes * 8
-        rem = self.burst_bits % chunk
-        shortest = (min(chunk, rem or chunk) + self.header_bytes * 8) / self.phy_rate_bps
+        # the tail is the shortest MPDU: it is never longer than a full one
+        shortest = burst_shape(self)[2] / self.phy_rate_bps
         return {
             "periodic events sim_time x (frame_rate + 1/bi_duration + 1/bf_interval)":
                 self.sim_time * periodic,
@@ -208,9 +204,20 @@ class ScenarioConfig:
                 self.sim_time / (shortest + self.per_mpdu_overhead),
             "trace samples sim_time x trace_sample_rate": self.sim_time * self.trace_sample_rate,
             "walk steps sim_time / walk_step_interval": self.sim_time / self.walk_step_interval,
-            "set-up (qo_samples + 37 sectors) x (ap_rows x ap_cols + hmd_rows x hmd_cols)":
-                (self.qo_samples + 37) * (self.ap_rows * self.ap_cols + rows * cols),
+            f"set-up ({QO_SAMPLES} quasi-omni samples + {CODEBOOK_SIZE} sectors) x "
+            "(ap_rows x ap_cols + hmd_rows x hmd_cols)":
+                (QO_SAMPLES + CODEBOOK_SIZE) * (self.ap_rows * self.ap_cols + rows * cols),
         }
+
+
+def burst_shape(config: ScenarioConfig) -> tuple[int, int, int]:
+    """One burst as ``(count, full size, tail size)``: payload chunks plus
+    the fixed per-MPDU header, the last MPDU carrying what is left (a whole
+    chunk when the burst divides evenly)."""
+    chunk = config.mpdu_bytes * 8
+    header = config.header_bytes * 8
+    n_full, rem = divmod(config.burst_bits, chunk)
+    return n_full + (rem > 0), chunk + header, (rem or chunk) + header
 
 
 def check_work_cap(counts: dict) -> None:
@@ -231,10 +238,10 @@ _LOWER_BOUNDS = {
     ),
     (0.0, True): (
         "seed", "walk_speed", "queue_drop", "header_bytes", "per_mpdu_overhead",
-        "hmd_rows", "hmd_cols", "codebook_seed", "qo_iters", "qo_iters_large",
+        "hmd_rows", "hmd_cols",
     ),
     # a carrier below 1 Hz has a wavelength that overflows to inf
-    (1, True): ("mpdu_bytes", "ap_rows", "ap_cols", "qo_samples", "carrier_hz"),
+    (1, True): ("mpdu_bytes", "ap_rows", "ap_cols", "carrier_hz"),
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}

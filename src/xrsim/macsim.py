@@ -7,14 +7,16 @@ trigger, burst arrival, ``sim_end``, then the other kinds in push order.
 Beacons, triggers and bursts are periodic sources that push their own
 successor: event k of a source with period P runs at ``k * P`` for
 k < max(1, ceil(sim_time / P - 1e-9)), so the heap stays a few entries
-long.  Every stochastic input (codebooks, rotation trace, walk) is derived
-from the scenario seed before the first event runs, so two runs of the same
-config replay identically, down to the bytes of the event log.
+long.  Every stochastic input is drawn before the first event runs: the
+rotation trace and walk from the scenario seed, the quasi-omni pattern from
+the fixed seed of its synthesis budget (:mod:`codebook`).  So two runs of
+the same config replay identically, down to the bytes of the event log.
 
 Medium model: the MAC queue holds one :class:`Burst` per frame, whose
-MPDUs are all full size but the last (:func:`burst_shape`).  Data MPDUs are
-non-preemptive; an MPDU in flight when a BHI (beacon header interval)
-begins completes, and no other transmission starts inside a BHI or sweep.
+MPDUs are all full size but the last (:func:`config.burst_shape`).  Data
+MPDUs are non-preemptive; an MPDU in flight when a BHI (beacon header
+interval) begins completes, and no other transmission starts inside a BHI
+or sweep.
 BHIs and sweeps never overlap each other.  A trigger only marks a sweep as
 owed.  Whenever the medium is free, :meth:`Simulator._try_start_tx` starts
 the owed sweep if it ends by the next target beacon transmission time
@@ -89,10 +91,10 @@ from typing import Optional
 
 import numpy as np
 
-from .antenna import ArrayGeometry, Awv, AwvEvaluator
+from .antenna import ArrayGeometry, AwvEvaluator
 from .channel import link_snr_db
 from .codebook import cached_quasi_omni, generate_sector_codebook, steered_sectors
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, burst_shape
 from .covrage import covrage_beam
 from .geometry import Pose, Quaternion, ap_direction_in_hmd_frame, predict_pose, rotate_into_frames
 from .mobility import generate_rotation_trace, generate_walk, load_trace, pose_at, static_trace
@@ -157,16 +159,6 @@ class RunResult:
     tx_intervals: Optional[list] = None  # (start, end, ok, frame_id)
     bhi_intervals: Optional[list] = None
     sls_intervals: Optional[list] = None
-
-
-def burst_shape(config: ScenarioConfig) -> tuple[int, int, int]:
-    """One burst as ``(count, full size, tail size)``: payload chunks plus
-    the fixed per-MPDU header, the last MPDU carrying what is left (a whole
-    chunk when the burst divides evenly)."""
-    chunk = config.mpdu_bytes * 8
-    header = config.header_bytes * 8
-    n_full, rem = divmod(config.burst_bits, chunk)
-    return n_full + (rem > 0), chunk + header, (rem or chunk) + header
 
 
 def best_sector(gains_db: np.ndarray) -> int:
@@ -264,19 +256,6 @@ class Simulator:
         q = AP_ORIENTATION
         self._ap_quat = np.array([q.w, q.x, q.y, q.z])
 
-    def _qo(self, geometry: ArrayGeometry) -> Awv:
-        cfg = self.cfg
-        iters = cfg.qo_iters_large if geometry.n_elements >= 1024 else cfg.qo_iters
-        return cached_quasi_omni(
-            geometry.rows,
-            geometry.cols,
-            geometry.spacing_wavelengths,
-            geometry.carrier_hz,
-            cfg.qo_samples,
-            cfg.codebook_seed,
-            iters,
-        )
-
     def _build_arrays(self) -> None:
         cfg = self.cfg
         self.ap_geometry = ArrayGeometry(cfg.ap_rows, cfg.ap_cols, cfg.spacing, cfg.carrier_hz)
@@ -289,7 +268,7 @@ class Simulator:
         # pattern: the quasi_omni mode and the sectors codebook's last entry
         self.hmd_sweep = None
         if cfg.rx_beamforming == "sectors":
-            codebook = generate_sector_codebook(self.hmd_geometry, self._qo(self.hmd_geometry))
+            codebook = generate_sector_codebook(self.hmd_geometry, cached_quasi_omni(self.hmd_geometry))
             self.hmd_sweep = AwvEvaluator(self.hmd_geometry, codebook)
 
         # the link's AWV pair, set by the sweeps, before which no MPDU
@@ -297,7 +276,7 @@ class Simulator:
         self.ap_eval = None
         self.hmd_eval = None
         if cfg.rx_beamforming == "quasi_omni":
-            self.hmd_eval = AwvEvaluator(self.hmd_geometry, self._qo(self.hmd_geometry))
+            self.hmd_eval = AwvEvaluator(self.hmd_geometry, cached_quasi_omni(self.hmd_geometry))
             self.hmd_label = "qo"
 
     # -- event plumbing ---------------------------------------------------

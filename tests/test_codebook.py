@@ -246,7 +246,7 @@ class TestQuasiOmni:
             "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
         ),
         "64x64_cached": (
-            lambda: cached_quasi_omni(64, 64, 0.5, 60e9, 1000, 7, 6),
+            lambda: cached_quasi_omni(ArrayGeometry(64, 64)),
             "fe3f17f2bd1247dd91e4ed27dac6671635f9a1eba0c28166cc45875af2a443f6",
         ),
     }
@@ -264,10 +264,11 @@ class TestQuasiOmni:
             synthesize_quasi_omni(ArrayGeometry(2, 2), **{name: value})
 
     def test_cached_variant_matches_and_memoizes(self):
-        a = cached_quasi_omni(4, 4, 0.5, 60e9, 200, 3, 8)
-        b = cached_quasi_omni(4, 4, 0.5, 60e9, 200, 3, 8)
+        # keyed by the geometry's value: an equal geometry is a hit
+        a = cached_quasi_omni(ArrayGeometry(4, 4))
+        b = cached_quasi_omni(ArrayGeometry(4, 4))
         assert a is b
-        direct = synthesize_quasi_omni(ArrayGeometry(4, 4), n_samples=200, seed=3, max_iters=8)
+        direct = synthesize_quasi_omni(ArrayGeometry(4, 4), n_samples=1000, seed=7, max_iters=40)
         assert np.array_equal(a.phases, direct.phases)
 
 

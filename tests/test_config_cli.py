@@ -250,6 +250,20 @@ class TestSimulateCommand:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    # the quasi-omni synthesis budget is a set of codebook constants, not
+    # scenario fields
+    @pytest.mark.parametrize("via", ["--set", "--config"])
+    @pytest.mark.parametrize("key", ["qo_samples", "qo_iters", "qo_iters_large", "codebook_seed"])
+    def test_synthesis_budget_keys_are_unknown(self, tmp_path, capsys, key, via):
+        line = "%s = 10" % key
+        if via == "--config":
+            path = tmp_path / "scenario.cfg"
+            path.write_text("sim_time = 0.3\n%s\n" % line)
+            line = str(path)
+        assert cli.main(["simulate", "--out-dir", str(tmp_path), via, line]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "unknown key %r; valid keys:" % key in err
+
     # a directory exited 2 on "Is a directory", and a file that is not text
     # on the 'utf-8' codec's decode error
     @pytest.mark.parametrize(
@@ -281,7 +295,8 @@ class TestSimulateCommand:
     # non-finite floats, values below a field's lower bound and peaks a trace
     # step cannot reach: without the checks these run to a quiet "reliability
     # 0", fail deep in set-up (exit 2) or make time run backwards (a hang).
-    # mcs is an unknown key: the one MCS is phy_rate_bps and snr_threshold_db.
+    # mcs is an unknown key: the one MCS is phy_rate_bps and snr_threshold_db;
+    # so is qo_samples, a codebook constant.
     @pytest.mark.parametrize(
         "override",
         [
@@ -327,7 +342,7 @@ class TestSimulateCommand:
             (["mpdu_bytes = 6249999", "header_bytes = 0", "per_mpdu_overhead = 0"], "per_mpdu_overhead"),
             (["trace_sample_rate = 1e9"], "trace_sample_rate"),
             (["walk_step_interval = 1e-9"], "walk_step_interval"),
-            (["qo_samples = 1000000000"], "qo_samples"),
+            (["ap_rows = 100000"], "ap_rows"),
         ],
     )
     def test_over_the_work_cap_exits_one_naming_the_field(self, tmp_path, capsys, overrides, field):
@@ -362,9 +377,6 @@ _FUZZ_RANGES = {
     "ap_cols": (1, 32),
     "hmd_rows": (0, 16),
     "hmd_cols": (0, 16),
-    "qo_samples": (1, 2000),
-    "qo_iters": (0, 60),
-    "qo_iters_large": (0, 8),
 }
 _FUZZ_WORDS = ("high", "low", "static", "abft", "dti", "sectors", "quasi_omni", "none", "oracle", "bogus")
 
@@ -626,6 +638,26 @@ class TestSweepCommand:
         assert a != cli._cell_seed(1, "data_rate=2e9")
         assert a != cli._cell_seed(2, "data_rate=5e9")
         assert 0 <= a < 2**31
+
+    def test_a_seed_axis_runs_its_own_seeds(self, tmp_path, capsys):
+        # the derived cell seed used to replace the axis values, so the rows
+        # ran seeds 1048701970 and 1474878502
+        base = ["--set", "sim_time = 0.2"]
+        assert cli.main(["sweep", "--out-dir", str(tmp_path), "--label", "s", "--vary", "seed=1,2"] + base) == 0
+        header, *rows = (tmp_path / "s.csv").read_text().splitlines()
+        cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert [cell["seed"] for cell in cells] == ["1", "2"]
+        for cell in cells:
+            argv = ["simulate", "--out-dir", str(tmp_path), "--label", "r", "--set", "seed=" + cell["seed"]]
+            assert cli.main(argv + base) == 0
+            summary = (tmp_path / "r_summary.txt").read_text()
+            assert "# seed = %s\n" % cell["seed"] in summary
+            values = dict(ln.split("=", 1) for ln in summary.splitlines() if not ln.startswith("#"))
+            assert values["reliability"] == "%.4f" % float(cell["reliability"])
+            assert values["delivered_count"] == cell["delivered"]
+            assert values["lost_count"] == cell["lost"]
+            assert values["p50_latency_ms"] == cell["p50_ms"]
+            assert values["max_latency_ms"] == cell["max_ms"]
 
     def test_cell_quantiles_are_the_run_summary_ones(self, tmp_path):
         base = ["sim_time = 0.3", "data_rate = 8e9"]

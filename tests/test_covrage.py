@@ -206,7 +206,7 @@ class TestSynthesis:
         # moderate spans: every direction along the path stays well above the
         # best quasi-omni gain on the same path
         g = ArrayGeometry(64, 64)
-        qo = AwvEvaluator(g, cached_quasi_omni(64, 64, 0.5, 60e9, 1000, 7, 6))
+        qo = AwvEvaluator(g, cached_quasi_omni(g))
         for seed in range(3):
             traj = make_trajectory(200 + seed, 3.0, 15.0)
             awv = synthesize_awv(g, plan_subarrays(g, traj))

@@ -207,7 +207,7 @@ class TestApSweep:
         # so adding it to the sweep could move no winner
         dirs = self.directions(sim, np.linspace(*sim.cfg.x_bounds, 41), np.linspace(*sim.cfg.y_bounds, 21))
         u = np.stack([d.to_unit_vector() for d in dirs])
-        quasi_omni = AwvEvaluator(sim.ap_geometry, sim._qo(sim.ap_geometry)).gains_db(u)
+        quasi_omni = AwvEvaluator(sim.ap_geometry, cached_quasi_omni(sim.ap_geometry)).gains_db(u)
         assert np.min(sim.ap_sweep.gains_db(u).max(axis=1) - quasi_omni) >= 1.0
 
     def test_off_axis_winners_are_decided_by_gain(self, sim):
@@ -596,10 +596,10 @@ def _cache_calls():
 
 
 class TestLazyQuasiOmni:
-    # qo_samples values no other test uses, so the first lookups miss
+    # element spacings no other test uses, so the first lookups miss
     def test_covrage_synthesizes_no_quasi_omni(self):
         hits0, misses0 = _cache_calls()
-        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.5", "qo_samples = 97"]))
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.5", "spacing = 0.47"]))
         hits1, misses1 = _cache_calls()
         assert (hits1 - hits0, misses1 - misses0) == (0, 0)
         assert sim.hmd_eval is None and sim.hmd_sweep is None
@@ -616,7 +616,7 @@ class TestLazyQuasiOmni:
             load_config(
                 overrides=[
                     "sim_time = 0.5",
-                    "qo_samples = 89",
+                    "spacing = 0.49",
                     "rx_beamforming = %s" % mode,
                     "prediction = none",
                     "hmd_rows = 4",
@@ -631,9 +631,9 @@ class TestLazyQuasiOmni:
         # the quasi_omni mode's fixed pattern, or the sectors codebook's last
         # entry, whose first sweep sets the headset pattern
         if mode == "quasi_omni":
-            assert sim.hmd_eval.awv is sim._qo(sim.hmd_geometry)
+            assert sim.hmd_eval.awv is cached_quasi_omni(sim.hmd_geometry)
         else:
-            assert sim.hmd_sweep.awv[-1] is sim._qo(sim.hmd_geometry)
+            assert sim.hmd_sweep.awv[-1] is cached_quasi_omni(sim.hmd_geometry)
             assert sim.hmd_eval is None
 
     @pytest.mark.parametrize(
