@@ -7,13 +7,12 @@ Exit codes: 0 success, 1 configuration problem, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import math
 import os
 import sys
 
-from .config import ConfigError, check_work_cap, config_echo_lines, load_config
+from .config import ConfigError, check_work_cap, config_echo_lines, load_config, parse_config_lines
 from .macsim import run, write_event_log
 from .metrics import (
     FrameFormatError,
@@ -46,11 +45,6 @@ def _number(kind, or_zero=False):
 
     parse.__name__ = "finite %s %s" % (kind.__name__, ">= 0" if or_zero else "> 0")
     return parse
-
-
-def _cell_seed(base_seed: int, cell_key: str) -> int:
-    digest = hashlib.sha256(("%d|%s" % (base_seed, cell_key)).encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big") % (2**31)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -132,6 +126,10 @@ def _cmd_sweep(args) -> int:
         cells = _fig4_cells()
     elif args.vary:
         cells = _vary_cells(args.vary)
+        # a key that is no config field, or a value that does not parse,
+        # would fail its cells alike: line n of "--vary" is the n-th axis
+        for cell in cells:
+            parse_config_lines(["%s=%s" % kv for kv in cell.items()], source="--vary")
     else:
         raise ConfigError("sweep needs --preset or at least one --vary axis")
 
@@ -145,10 +143,9 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     rows = []
     for key, cell in keyed:
-        # a seed axis runs its own values; other cells derive one
-        seed = cell.get("seed", "%d" % _cell_seed(base_cfg.seed, key))
+        # every cell runs the base seed, so all see the same motion, unless
+        # a seed axis gives its own
         overrides = (args.set or []) + ["%s=%s" % (k, v) for k, v in sorted(cell.items())]
-        overrides.append("seed=%s" % seed)
         try:
             cfg = load_config(args.config, overrides)
             result = run(cfg)
@@ -166,6 +163,7 @@ def _cmd_sweep(args) -> int:
                 "",
             )
         except Exception as exc:  # record the failure, keep sweeping
+            seed = cell.get("seed", "%d" % base_cfg.seed)
             row = (key, seed, "none", "0", "0", "none", "none", "none", "none", str(exc))
         rows.append(row)
         print("%s: reliability=%s" % (key, row[2]))

@@ -30,8 +30,8 @@ _BEAMWIDTH_COEFF = 0.886
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Rotation of the headset from now (s=0) to the predicted pose (s=1),
-    together with the world-frame unit vector toward the AP."""
+    """Rotation of the headset from now (s=0) to the predicted orientation
+    (s=1), together with the world-frame unit vector toward the AP."""
 
     q_now: Quaternion
     q_pred: Quaternion
@@ -43,38 +43,16 @@ class Trajectory:
         return Direction.from_unit_vector(q.rotate_inverse(self.d_world))
 
 
-def trajectory_from_poses(pose_now: Pose, pose_pred: Pose, ap_position: Sequence[float]) -> Trajectory:
+def trajectory_from_poses(pose_now: Pose, q_pred: Quaternion, ap_position: Sequence[float]) -> Trajectory:
     diff = np.asarray(ap_position, dtype=float) - pose_now.position
     n = float(np.linalg.norm(diff))
     if n < 1e-12:
         raise ValueError("headset and access point positions coincide")
     d_world = diff / n
     a = pose_now.orientation.rotate_inverse(d_world)
-    b = pose_pred.orientation.rotate_inverse(d_world)
+    b = q_pred.rotate_inverse(d_world)
     dot = max(-1.0, min(1.0, float(np.dot(a, b))))
-    return Trajectory(pose_now.orientation, pose_pred.orientation, d_world, math.degrees(math.acos(dot)))
-
-
-@dataclass(frozen=True)
-class SubArrayPlan:
-    """Column-block partition with per-block steering targets, the lobe
-    crossover directions between adjacent blocks, and per-block phase
-    offsets."""
-
-    blocks: tuple[tuple[int, int], ...]
-    targets: tuple[Direction, ...]
-    crossovers: tuple[Direction, ...]
-    offsets: tuple[float, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
-    def __post_init__(self):
-        if not (len(self.blocks) == len(self.targets) == len(self.offsets)):
-            raise ValueError("blocks, targets and offsets must have equal length")
-        if len(self.crossovers) != max(0, len(self.blocks) - 1):
-            raise ValueError("need one crossover per adjacent block pair")
+    return Trajectory(pose_now.orientation, q_pred, d_world, math.degrees(math.acos(dot)))
 
 
 def subarray_beamwidth_deg(cols_per_block: int, spacing_wavelengths: float) -> float:
@@ -100,39 +78,29 @@ def choose_block_count(cols: int, spacing_wavelengths: float, span_deg: float) -
     return k
 
 
-def plan_with_k(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> SubArrayPlan:
-    """Equal column blocks (remainder to the last), targets at the trajectory
-    midpoints s=(i+0.5)/k, crossovers at the block boundaries s=i/k."""
+def plan_with_k(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> tuple[SteeredBlock, ...]:
+    """The composite beam's k steered blocks: equal column blocks (remainder
+    to the last), steered at the trajectory midpoints s=(i+0.5)/k and turned
+    by their alignment offsets at the block boundaries s=i/k."""
     if k < 1 or k > geometry.cols:
         raise ValueError("block count must be in [1, cols]")
     per = geometry.cols // k
     blocks = []
     for i in range(k):
-        c0 = i * per
         c1 = (i + 1) * per if i < k - 1 else geometry.cols
-        blocks.append((c0, c1))
-    targets = tuple(trajectory.direction_at((i + 0.5) / k) for i in range(k))
-    crossovers = tuple(trajectory.direction_at(i / k) for i in range(1, k))
-    offsets = _alignment_offsets(geometry, _steered_blocks(blocks, targets, [0.0] * k), crossovers)
-    return SubArrayPlan(tuple(blocks), targets, crossovers, tuple(offsets))
-
-
-def plan_subarrays(geometry: ArrayGeometry, trajectory: Trajectory) -> SubArrayPlan:
-    k = choose_block_count(geometry.cols, geometry.spacing_wavelengths, trajectory.span_deg)
-    return plan_with_k(geometry, trajectory, k)
-
-
-def _steered_blocks(blocks, targets, offsets) -> tuple[SteeredBlock, ...]:
-    units = [t.to_unit_vector() for t in targets]
-    return tuple(SteeredBlock(c0, c1, float(u[1]), float(u[2]), o) for (c0, c1), u, o in zip(blocks, units, offsets))
+        u = trajectory.direction_at((i + 0.5) / k).to_unit_vector()
+        blocks.append(SteeredBlock(i * per, c1, float(u[1]), float(u[2]), 0.0))
+    crossovers = [trajectory.direction_at(i / k) for i in range(1, k)]
+    offsets = _alignment_offsets(geometry, blocks, crossovers)
+    return tuple(b._replace(offset=o) for b, o in zip(blocks, offsets))
 
 
 def _alignment_offsets(geometry: ArrayGeometry, blocks, crossovers) -> list[float]:
     """Sequential phase offsets: block 1 is the reference; each later block is
     rotated so its field adds in phase with the accumulated field of all
     earlier blocks at the crossover direction between them.  A block whose
-    field is a perfect null at the crossover keeps offset 0.  ``blocks`` are
-    the plan's steered blocks, their own offsets unused."""
+    field is a perfect null at the crossover keeps offset 0.  The blocks'
+    own offsets are unused."""
     u = np.array([c.to_unit_vector() for c in crossovers]).reshape(-1, 3)
     fields = block_fields(geometry, block_layout(geometry, blocks), u) / math.sqrt(geometry.n_elements)
     offsets = [0.0]
@@ -146,17 +114,13 @@ def _alignment_offsets(geometry: ArrayGeometry, blocks, crossovers) -> list[floa
     return offsets
 
 
-def synthesize_awv(geometry: ArrayGeometry, plan: SubArrayPlan) -> Awv:
-    """The composite AWV: each block steered at its own target, turned by its
-    phase offset."""
-    return steered_awv(geometry, _steered_blocks(plan.blocks, plan.targets, plan.offsets))
-
-
-def covrage_beam(geometry: ArrayGeometry, pose_now: Pose, pose_pred: Pose, ap_position: Sequence[float]) -> Awv:
-    """Composite receive beam covering the predicted AP-direction arc.
+def covrage_beam(geometry: ArrayGeometry, pose_now: Pose, q_pred: Quaternion, ap_position: Sequence[float]) -> Awv:
+    """Composite receive beam covering the AP-direction arc from the current
+    pose to the predicted orientation ``q_pred``.
 
     With no predicted rotation this degenerates to a single steered beam at
     the current AP direction.
     """
-    trajectory = trajectory_from_poses(pose_now, pose_pred, ap_position)
-    return synthesize_awv(geometry, plan_subarrays(geometry, trajectory))
+    trajectory = trajectory_from_poses(pose_now, q_pred, ap_position)
+    k = choose_block_count(geometry.cols, geometry.spacing_wavelengths, trajectory.span_deg)
+    return steered_awv(geometry, plan_with_k(geometry, trajectory, k))

@@ -232,16 +232,12 @@ def ap_direction_in_hmd_frame(pose: Pose, ap_position: Sequence[float]) -> Direc
     return Direction.from_unit_vector(local)
 
 
-def predict_pose(now: Pose, horizon: float, mode: str, trace) -> Pose:
+def predict_pose(now: Pose, horizon: float, mode: str, trace) -> Quaternion:
     """Predict the headset orientation ``horizon`` seconds after ``now``, the
     current pose, in one of the config's prediction modes.  ``trace`` is the
     head-motion trace (:class:`xrsim.mobility.TraceSet`) that ``now`` was
-    read from.
-
-    The predicted position is the current one in every mode: the composite
-    beam is built from the current position and the predicted orientation
-    alone (:func:`xrsim.covrage.trajectory_from_poses`), so no predicted
-    position could change an outcome.
+    read from.  Only the orientation is predicted: the composite beam is
+    built from the current position (:func:`xrsim.covrage.covrage_beam`).
 
     Modes:
 
@@ -251,23 +247,24 @@ def predict_pose(now: Pose, horizon: float, mode: str, trace) -> Pose:
       axis-angle of q_prev^-1 * q_now over their time gap, applied forward.
       At t = 0 there is no past, so the orientation is held.
     * ``device``: the device prediction recorded in the trace at the sample
-      nearest the current time (requires device columns).
+      nearest the current time (requires device columns).  That is the
+      orientation at the trace's own ``ph_h`` horizon, whatever ``horizon``
+      is asked: xrsim has no device model to re-extrapolate it.
     * ``oracle``: the trace orientation at t + horizon (interpolated).
     """
-    t_out = now.t + horizon
     if mode == "none":
-        return Pose(t_out, now.position, now.orientation)
+        return now.orientation
     if mode == "extrapolation":
         t_prev = max(0.0, now.t - VELOCITY_EST_DT)
         if t_prev >= now.t:
-            return Pose(t_out, now.position, now.orientation)
+            return now.orientation
         rel = (trace.orientation_at(t_prev).conjugate() * now.orientation).normalized()
         axis, angle = rel.to_axis_angle()
         rate = horizon / (now.t - t_prev)
         step = Quaternion.from_axis_angle(axis, angle * rate) if angle > 0.0 else Quaternion.identity()
-        return Pose(t_out, now.position, (now.orientation * step).normalized())
+        return (now.orientation * step).normalized()
     if mode == "device":
-        return Pose(t_out, now.position, trace.device_prediction_nearest(now.t))
+        return trace.device_prediction_nearest(now.t)
     if mode == "oracle":
-        return Pose(t_out, now.position, trace.orientation_at(t_out))
+        return trace.orientation_at(now.t + horizon)
     raise ValueError(f"unknown prediction mode {mode!r}")

@@ -400,8 +400,8 @@ class Simulator:
 
         if cfg.rx_beamforming == "covrage":
             horizon = cfg.bf_interval if cfg.bf_location == "dti" else cfg.bi_duration
-            pred = predict_pose(hmd_pose, horizon, cfg.prediction, self.trace)
-            awv = covrage_beam(self.hmd_geometry, hmd_pose, pred, self.ap_position)
+            q_pred = predict_pose(hmd_pose, horizon, cfg.prediction, self.trace)
+            awv = covrage_beam(self.hmd_geometry, hmd_pose, q_pred, self.ap_position)
             self.hmd_eval = AwvEvaluator(self.hmd_geometry, awv)
             self.hmd_label = "covrage"
         elif cfg.rx_beamforming == "sectors":

@@ -6,10 +6,12 @@ import numpy as np
 
 
 def block_field(geometry, positions, block, phases, direction) -> complex:
-    """Far-field contribution of the column block ``block = (c0, c1)`` of a
-    weight vector with ``phases``, summed element by element; ``positions``
-    are the global element positions, ``geometry.element_positions()``."""
-    c0, c1 = block
+    """Far-field contribution of the columns ``block.c0:block.c1`` of a
+    weight vector with ``phases``, summed element by element; ``block`` is a
+    :class:`xrsim.antenna.SteeredBlock`, whose steering and offset are not
+    read, and ``positions`` are the global element positions,
+    ``geometry.element_positions()``."""
+    c0, c1 = block.c0, block.c1
     u = direction.to_unit_vector()
     k = 2.0 * math.pi / geometry.wavelength
     pos = positions.reshape(geometry.rows, geometry.cols, 3)[:, c0:c1]

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from xrsim import macsim
-from xrsim.antenna import ArrayGeometry, Awv, AwvEvaluator, gain_db, steering_phases
+from xrsim.antenna import ArrayGeometry, Awv, AwvEvaluator, gain_db, steered_awv, steering_phases
 from xrsim.codebook import generate_sector_codebook, sample_directions, synthesize_quasi_omni
 from xrsim.config import load_config
-from xrsim.covrage import plan_subarrays, plan_with_k, synthesize_awv
+from xrsim.covrage import choose_block_count, plan_with_k, trajectory_from_poses
 from xrsim.geometry import Direction, Pose, Quaternion, slerp
 from xrsim.macsim import best_sector, write_event_log
 from xrsim.metrics import summarize
@@ -160,8 +160,6 @@ def _random_direction(rng):
 
 def _trajectory(seed, span_lo, span_hi):
     rng = np.random.default_rng(seed)
-    from xrsim.covrage import trajectory_from_poses
-
     pos = np.array([1.0, 0.5, 1.7])
     ax = rng.normal(size=3)
     ax /= np.linalg.norm(ax)
@@ -169,7 +167,7 @@ def _trajectory(seed, span_lo, span_hi):
     ax2 = rng.normal(size=3)
     ax2 /= np.linalg.norm(ax2)
     q1 = (Quaternion.from_axis_angle(ax2, math.radians(rng.uniform(span_lo, span_hi))) * q0).normalized()
-    return trajectory_from_poses(Pose(0.0, pos, q0), Pose(0.1, pos, q1), (0.0, 0.0, 10.0))
+    return trajectory_from_poses(Pose(0.0, pos, q0), q1, (0.0, 0.0, 10.0))
 
 
 def test_criterion_8_property_suite(run_cached, tmp_path):
@@ -243,7 +241,7 @@ def test_criterion_8_property_suite(run_cached, tmp_path):
     g = ArrayGeometry(64, 64)
     for seed in range(5):
         traj = _trajectory(seed, 3.0, 30.0)
-        awv = synthesize_awv(g, plan_with_k(g, traj, 1))
+        awv = steered_awv(g, plan_with_k(g, traj, 1))
         expect = steering_phases(g, traj.direction_at(0.5))
         ok &= np.allclose(awv.phases, expect.phases, atol=1e-12)
     checks.append(("single-block degeneracy", ok))
@@ -252,19 +250,17 @@ def test_criterion_8_property_suite(run_cached, tmp_path):
     ok = True
     for seed in range(20):
         traj = _trajectory(100 + seed, 5.0, 40.0)
-        plan = plan_subarrays(g, traj)
-        steers = [steering_phases(g, t).phases for t in plan.targets]
+        k = choose_block_count(g.cols, g.spacing_wavelengths, traj.span_deg)
+        blocks = plan_with_k(g, traj, k)
+        steers = [steering_phases(g, traj.direction_at((i + 0.5) / k)).phases for i in range(k)]
         pos = g.element_positions()
-        for idx in range(1, plan.k):
-            cross = plan.crossovers[idx - 1]
+        for idx in range(1, k):
+            cross = traj.direction_at(idx / k)
             acc = sum(
-                block_field(g, pos, plan.blocks[j], steers[j], cross)
-                * cmath.exp(1j * plan.offsets[j])
+                block_field(g, pos, blocks[j], steers[j], cross) * cmath.exp(1j * blocks[j].offset)
                 for j in range(idx)
             )
-            own = block_field(g, pos, plan.blocks[idx], steers[idx], cross) * cmath.exp(
-                1j * plan.offsets[idx]
-            )
+            own = block_field(g, pos, blocks[idx], steers[idx], cross) * cmath.exp(1j * blocks[idx].offset)
             ok &= abs(acc + own) >= abs(acc) - 1e-9
     checks.append(("crossover alignment", ok))
 

@@ -22,7 +22,7 @@ from xrsim.antenna import (
     steering_phases,
 )
 from xrsim.codebook import steered_sectors
-from xrsim.covrage import K_MAX, Trajectory, plan_with_k, synthesize_awv
+from xrsim.covrage import K_MAX, Trajectory, plan_with_k
 from xrsim.geometry import Direction, Quaternion
 
 
@@ -191,10 +191,12 @@ def steered_and_composite_beams(g):
     for aim in (Direction(0.0, 0.0), Direction(30.0, -20.0), Direction(-65.0, 40.0)):
         out.append((steering_phases(g, aim), [aim] + grating_lobes(g, aim)))
     for k in range(1, min(K_MAX, g.cols) + 1):
-        plan = plan_with_k(g, _ARC, k)
-        assert plan.k == k
-        lobes = [d for t in plan.targets for d in grating_lobes(g, t)]
-        out.append((synthesize_awv(g, plan), list(plan.targets + plan.crossovers) + lobes))
+        blocks = plan_with_k(g, _ARC, k)
+        assert len(blocks) == k
+        targets = [_ARC.direction_at((i + 0.5) / k) for i in range(k)]
+        crossovers = [_ARC.direction_at(i / k) for i in range(1, k)]
+        lobes = [d for t in targets for d in grating_lobes(g, t)]
+        out.append((steered_awv(g, blocks), targets + crossovers + lobes))
     return out
 
 

@@ -567,14 +567,15 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--out-dir", str(tmp_path)]) == 1
 
     # each ran something other than it was asked, with exit 0: the preset's
-    # 12 cells without the axis, one cell at the last value, or two
-    # identical rows
+    # 12 cells without the axis, one cell at the last value, two identical
+    # rows, or a row per value holding the same unknown-key error
     @pytest.mark.parametrize(
         "argv, named",
         [
             (["--preset", "paper-fig4", "--vary", "data_rate=2e9"], ("--preset", "--vary")),
             (["--vary", "data_rate=2e9", "--vary", "data_rate=5e9"], ("--vary", "'data_rate'")),
             (["--vary", "data_rate=2e9,2e9"], ("--vary", "data_rate=2e9,2e9")),
+            (["--vary", "bogus=1,2"], ("--vary", "'bogus'")),
         ],
     )
     def test_a_conflicting_sweep_exits_one_before_any_cell(self, tmp_path, capsys, monkeypatch, argv, named):
@@ -632,23 +633,15 @@ class TestSweepCommand:
         )
         assert covrage > max(sectors, qo8, qo64)
 
-    def test_cell_seed_derivation(self):
-        a = cli._cell_seed(1, "data_rate=5e9")
-        assert a == cli._cell_seed(1, "data_rate=5e9")
-        assert a != cli._cell_seed(1, "data_rate=2e9")
-        assert a != cli._cell_seed(2, "data_rate=5e9")
-        assert 0 <= a < 2**31
-
-    def test_a_seed_axis_runs_its_own_seeds(self, tmp_path, capsys):
-        # the derived cell seed used to replace the axis values, so the rows
-        # ran seeds 1048701970 and 1474878502
-        base = ["--set", "sim_time = 0.2"]
-        assert cli.main(["sweep", "--out-dir", str(tmp_path), "--label", "s", "--vary", "seed=1,2"] + base) == 0
+    @staticmethod
+    def _sweep_rows_match_simulate(tmp_path, axis, base):
+        """Sweep one --vary axis, check each row against `xrsim simulate`
+        with that cell's override, and return the rows."""
+        assert cli.main(["sweep", "--out-dir", str(tmp_path), "--label", "s", "--vary", axis] + base) == 0
         header, *rows = (tmp_path / "s.csv").read_text().splitlines()
         cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
-        assert [cell["seed"] for cell in cells] == ["1", "2"]
         for cell in cells:
-            argv = ["simulate", "--out-dir", str(tmp_path), "--label", "r", "--set", "seed=" + cell["seed"]]
+            argv = ["simulate", "--out-dir", str(tmp_path), "--label", "r", "--set", cell["cell"]]
             assert cli.main(argv + base) == 0
             summary = (tmp_path / "r_summary.txt").read_text()
             assert "# seed = %s\n" % cell["seed"] in summary
@@ -658,6 +651,22 @@ class TestSweepCommand:
             assert values["lost_count"] == cell["lost"]
             assert values["p50_latency_ms"] == cell["p50_ms"]
             assert values["max_latency_ms"] == cell["max_ms"]
+        return cells
+
+    def test_a_seed_axis_runs_its_own_seeds(self, tmp_path, capsys):
+        # the derived cell seed used to replace the axis values, so the rows
+        # ran seeds 1048701970 and 1474878502
+        cells = self._sweep_rows_match_simulate(tmp_path, "seed=1,2", ["--set", "sim_time = 0.2"])
+        assert [cell["seed"] for cell in cells] == ["1", "2"]
+
+    def test_every_cell_runs_the_base_seed(self, tmp_path, capsys):
+        # each cell used to hash its key into a seed of its own, so the
+        # strategies ran different walks and head traces
+        cells = self._sweep_rows_match_simulate(
+            tmp_path, "rx_beamforming=covrage,sectors", ["--set", "sim_time = 0.2"]
+        )
+        assert [cell["cell"] for cell in cells] == ["rx_beamforming=covrage", "rx_beamforming=sectors"]
+        assert [cell["seed"] for cell in cells] == ["1", "1"]
 
     def test_cell_quantiles_are_the_run_summary_ones(self, tmp_path):
         base = ["sim_time = 0.3", "data_rate = 8e9"]

@@ -1,22 +1,20 @@
 """Sub-array planning, phase-offset alignment and composite beam coverage."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db, steering_phases
+from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db, steered_awv, steering_phases
 from xrsim.codebook import cached_quasi_omni
 from xrsim.covrage import (
     K_MAX,
-    SubArrayPlan,
     choose_block_count,
     covrage_beam,
-    plan_subarrays,
     plan_with_k,
     subarray_beamwidth_deg,
-    synthesize_awv,
     trajectory_from_poses,
 )
 from xrsim.geometry import Pose, Quaternion
@@ -37,7 +35,15 @@ def make_trajectory(seed, span_lo, span_hi):
     ax2 /= np.linalg.norm(ax2)
     ang = math.radians(rng.uniform(span_lo, span_hi))
     q1 = (Quaternion.from_axis_angle(ax2, ang) * q0).normalized()
-    return trajectory_from_poses(Pose(0.0, HERE, q0), Pose(0.1, HERE, q1), AP)
+    return trajectory_from_poses(Pose(0.0, HERE, q0), q1, AP)
+
+
+def chosen_k(g, traj):
+    return choose_block_count(g.cols, g.spacing_wavelengths, traj.span_deg)
+
+
+def column_blocks(blocks):
+    return [(b.c0, b.c1) for b in blocks]
 
 
 class TestTrajectory:
@@ -52,14 +58,14 @@ class TestTrajectory:
     def test_span_matches_the_rotation(self):
         q0 = Quaternion.identity()
         q1 = Quaternion.from_axis_angle((0, 0, 1), math.radians(20.0))
-        traj = trajectory_from_poses(Pose(0.0, HERE, q0), Pose(0.1, HERE, q1), AP)
+        traj = trajectory_from_poses(Pose(0.0, HERE, q0), q1, AP)
         d0, d1 = traj.direction_at(0.0), traj.direction_at(1.0)
         assert traj.span_deg == pytest.approx(direction_angle(d0, d1), abs=1e-9)
         assert traj.span_deg <= 20.0 + 1e-6
 
     def test_static_pose_spans_nothing(self):
         q = Quaternion.from_axis_angle((0, 1, 0), 0.2)
-        traj = trajectory_from_poses(Pose(0.0, HERE, q), Pose(0.1, HERE, q), AP)
+        traj = trajectory_from_poses(Pose(0.0, HERE, q), q, AP)
         # acos between near-identical unit vectors keeps ~1e-6 deg of noise
         assert traj.span_deg == pytest.approx(0.0, abs=1e-5)
 
@@ -91,7 +97,7 @@ class TestBlockCount:
         for span in np.linspace(0.0, 180.0, 361):
             k = choose_block_count(cols, 0.5, float(span))
             assert 1 <= k <= min(K_MAX, cols)
-            assert plan_with_k(g, traj, k).k == k
+            assert len(plan_with_k(g, traj, k)) == k
 
     def test_beamwidth_shrinks_with_aperture(self):
         assert subarray_beamwidth_deg(8, 0.5) > subarray_beamwidth_deg(64, 0.5)
@@ -101,40 +107,43 @@ class TestPlan:
     def test_equal_blocks_and_s_grid(self):
         g = ArrayGeometry(64, 64)
         traj = make_trajectory(11, 20.0, 40.0)
-        plan = plan_with_k(g, traj, 4)
-        assert plan.blocks == ((0, 16), (16, 32), (32, 48), (48, 64))
-        for i, target in enumerate(plan.targets):
-            assert direction_angle(target, traj.direction_at((i + 0.5) / 4)) < 1e-9
-        for i, cross in enumerate(plan.crossovers, start=1):
-            assert direction_angle(cross, traj.direction_at(i / 4)) < 1e-9
+        blocks = plan_with_k(g, traj, 4)
+        assert column_blocks(blocks) == [(0, 16), (16, 32), (32, 48), (48, 64)]
+        for i, b in enumerate(blocks):
+            target = traj.direction_at((i + 0.5) / 4).to_unit_vector()
+            assert (b.ty, b.tz) == (float(target[1]), float(target[2]))
+        # the offsets align the blocks at the crossovers s = i / 4
+        diff = np.angle(np.exp(1j * (np.array([b.offset for b in blocks]) - oracle_offsets(g, traj, blocks))))
+        assert np.max(np.abs(diff)) <= 1e-9
 
     def test_remainder_columns_go_to_the_last_block(self):
         g = ArrayGeometry(4, 10)
-        plan = plan_with_k(g, make_trajectory(2, 5.0, 20.0), 3)
-        assert plan.blocks == ((0, 3), (3, 6), (6, 10))
+        blocks = plan_with_k(g, make_trajectory(2, 5.0, 20.0), 3)
+        assert column_blocks(blocks) == [(0, 3), (3, 6), (6, 10)]
 
     def test_block_count_bounds(self):
         g = ArrayGeometry(4, 4)
         with pytest.raises(ValueError):
             plan_with_k(g, make_trajectory(2, 5.0, 20.0), 5)
 
-    def test_inconsistent_plan_rejected(self):
-        with pytest.raises(ValueError):
-            SubArrayPlan(((0, 2), (2, 4)), (), (), (0.0, 0.0))
+
+def block_steers(g, traj, k):
+    """Each block's steering phases over the whole array, toward its target
+    s = (i + 0.5) / k on the trajectory."""
+    return [steering_phases(g, traj.direction_at((i + 0.5) / k)).phases for i in range(k)]
 
 
-def oracle_offsets(g, plan):
-    """The plan's alignment offsets, from block fields summed element by
-    element over the blocks' steering phases."""
+def oracle_offsets(g, traj, blocks):
+    """The blocks' alignment offsets at the crossovers s = i / k, from block
+    fields summed element by element over the blocks' steering phases."""
+    k = len(blocks)
     pos = g.element_positions()
-    steers = [steering_phases(g, t).phases for t in plan.targets]
+    steers = block_steers(g, traj, k)
     offsets = [0.0]
-    for i in range(1, plan.k):
-        cross = plan.crossovers[i - 1]
-        acc = sum(
-            block_field(g, pos, plan.blocks[j], steers[j], cross) * cmath.exp(1j * offsets[j]) for j in range(i)
-        )
-        own = block_field(g, pos, plan.blocks[i], steers[i], cross)
+    for i in range(1, k):
+        cross = traj.direction_at(i / k)
+        acc = sum(block_field(g, pos, blocks[j], steers[j], cross) * cmath.exp(1j * offsets[j]) for j in range(i))
+        own = block_field(g, pos, blocks[i], steers[i], cross)
         offsets.append(0.0 if min(abs(acc), abs(own)) < 1e-15 else cmath.phase(acc) - cmath.phase(own))
     return offsets
 
@@ -147,18 +156,18 @@ class TestSynthesis:
         for seed in range(4):
             traj = make_trajectory(200 + seed, 10.0, 80.0)
             for k in range(1, min(K_MAX, g.cols) + 1):
-                plan = plan_with_k(g, traj, k)
-                diff = np.angle(np.exp(1j * (np.array(plan.offsets) - oracle_offsets(g, plan))))
+                blocks = plan_with_k(g, traj, k)
+                diff = np.angle(np.exp(1j * (np.array([b.offset for b in blocks]) - oracle_offsets(g, traj, blocks))))
                 assert np.max(np.abs(diff)) <= 1e-9, (seed, k)
 
     def test_k1_is_plain_steering(self):
         g = ArrayGeometry(64, 64)
         for seed in range(5):
             traj = make_trajectory(seed, 3.0, 30.0)
-            plan = plan_with_k(g, traj, 1)
-            awv = synthesize_awv(g, plan)
+            blocks = plan_with_k(g, traj, 1)
+            awv = steered_awv(g, blocks)
             expect = steering_phases(g, traj.direction_at(0.5))
-            assert plan.offsets == (0.0,)
+            assert tuple(b.offset for b in blocks) == (0.0,)
             assert np.allclose(awv.phases, expect.phases, atol=1e-12)
 
     def test_aligned_blocks_add_up_at_their_crossover(self):
@@ -168,24 +177,22 @@ class TestSynthesis:
         zero_offset_drops = 0
         for seed in range(20):
             traj = make_trajectory(100 + seed, 5.0, 40.0)
-            plan = plan_subarrays(g, traj)
-            if plan.k < 2:
+            k = chosen_k(g, traj)
+            if k < 2:
                 continue
-            steers = [steering_phases(g, t).phases for t in plan.targets]
+            blocks = plan_with_k(g, traj, k)
+            steers = block_steers(g, traj, k)
             pos = g.element_positions()
-            for idx in range(1, plan.k):
-                cross = plan.crossovers[idx - 1]
+            for idx in range(1, k):
+                cross = traj.direction_at(idx / k)
                 acc = sum(
-                    block_field(g, pos, plan.blocks[j], steers[j], cross)
-                    * cmath.exp(1j * plan.offsets[j])
+                    block_field(g, pos, blocks[j], steers[j], cross) * cmath.exp(1j * blocks[j].offset)
                     for j in range(idx)
                 )
-                own = block_field(g, pos, plan.blocks[idx], steers[idx], cross) * cmath.exp(
-                    1j * plan.offsets[idx]
-                )
+                own = block_field(g, pos, blocks[idx], steers[idx], cross) * cmath.exp(1j * blocks[idx].offset)
                 assert abs(acc + own) >= abs(acc) - 1e-9
-                acc0 = sum(block_field(g, pos, plan.blocks[j], steers[j], cross) for j in range(idx))
-                own0 = block_field(g, pos, plan.blocks[idx], steers[idx], cross)
+                acc0 = sum(block_field(g, pos, blocks[j], steers[j], cross) for j in range(idx))
+                own0 = block_field(g, pos, blocks[idx], steers[idx], cross)
                 if abs(acc0 + own0) < abs(acc0) - 1e-9:
                     zero_offset_drops += 1
         # without the offsets some joins interfere destructively
@@ -196,9 +203,8 @@ class TestSynthesis:
         traj = make_trajectory(7, 35.0, 40.0)
         floors = []
         for k in (1, 2, 4, 8):
-            awv = synthesize_awv(g, plan_with_k(g, traj, k))
-            plan = plan_with_k(g, traj, k)
-            floors.append(min(gain_db(g, awv, t) for t in plan.targets))
+            awv = steered_awv(g, plan_with_k(g, traj, k))
+            floors.append(min(gain_db(g, awv, traj.direction_at((i + 0.5) / k)) for i in range(k)))
         assert floors[0] == pytest.approx(36.1236, abs=0.01)
         assert floors[0] > floors[1] > floors[2] > floors[3]
 
@@ -209,7 +215,7 @@ class TestSynthesis:
         qo = AwvEvaluator(g, cached_quasi_omni(g))
         for seed in range(3):
             traj = make_trajectory(200 + seed, 3.0, 15.0)
-            awv = synthesize_awv(g, plan_subarrays(g, traj))
+            awv = steered_awv(g, plan_with_k(g, traj, chosen_k(g, traj)))
             ev = AwvEvaluator(g, awv)
             dirs = [traj.direction_at(s) for s in np.linspace(0.0, 1.0, 101)]
             floor = min(ev.gain_db(d) for d in dirs)
@@ -221,8 +227,8 @@ class TestSynthesis:
         q0 = Quaternion.from_axis_angle((0, 0, 1), math.radians(-8.0))
         q1 = Quaternion.from_axis_angle((0, 0, 1), math.radians(8.0))
         pos = np.array([0.0, 0.0, 1.7])
-        traj = trajectory_from_poses(Pose(0.0, pos, q0), Pose(0.1, pos, q1), AP)
-        awv = synthesize_awv(g, plan_subarrays(g, traj))
+        traj = trajectory_from_poses(Pose(0.0, pos, q0), q1, AP)
+        awv = steered_awv(g, plan_with_k(g, traj, chosen_k(g, traj)))
         g0 = gain_db(g, awv, traj.direction_at(0.0))
         g1 = gain_db(g, awv, traj.direction_at(1.0))
         assert g0 == pytest.approx(g1, abs=0.1)
@@ -232,7 +238,7 @@ class TestCovrageBeam:
     def test_static_prediction_degenerates_to_steering(self):
         g = ArrayGeometry(64, 64)
         pose = Pose(0.0, HERE, Quaternion.from_axis_angle((0, 1, 0), 0.1))
-        awv = covrage_beam(g, pose, pose, AP)
+        awv = covrage_beam(g, pose, pose.orientation, AP)
         from xrsim.geometry import ap_direction_in_hmd_frame
 
         aim = ap_direction_in_hmd_frame(pose, AP)
@@ -243,35 +249,49 @@ class TestCovrageBeam:
         g = ArrayGeometry(64, 64)
         q0 = Quaternion.identity()
         q1 = Quaternion.from_axis_angle((0, 0, 1), math.radians(12.0))
-        now, pred = Pose(0.0, HERE, q0), Pose(0.1, HERE, q1)
-        direct = covrage_beam(g, now, pred, AP)
-        plan = plan_subarrays(g, trajectory_from_poses(now, pred, AP))
-        assert np.allclose(direct.phases, synthesize_awv(g, plan).phases, atol=1e-12)
-
-    def test_predicted_position_is_not_read(self):
-        # the beam follows the predicted orientation from the current
-        # position, which is why predict_pose holds the position
-        g = ArrayGeometry(64, 64)
-        now = Pose(0.0, HERE, Quaternion.identity())
-        q_pred = Quaternion.from_axis_angle((0, 0, 1), math.radians(25.0))
-        a = covrage_beam(g, now, Pose(0.1, HERE, q_pred), AP)
-        b = covrage_beam(g, now, Pose(0.1, HERE + np.array([2.0, -1.5, 0.3]), q_pred), AP)
-        assert np.array_equal(a.phases, b.phases)
+        now = Pose(0.0, HERE, q0)
+        direct = covrage_beam(g, now, q1, AP)
+        traj = trajectory_from_poses(now, q1, AP)
+        blocks = plan_with_k(g, traj, chosen_k(g, traj))
+        assert np.allclose(direct.phases, steered_awv(g, blocks).phases, atol=1e-12)
 
     def test_arc_wider_than_two_columns_can_split(self):
         # a 150 deg yaw with the AP level with the headset sweeps a 150 deg arc
         g = ArrayGeometry(8, 2)
         ap_ahead = HERE + np.array([5.0, 0.0, 0.0])
         now = Pose(0.0, HERE, Quaternion.identity())
-        pred = Pose(1.0, HERE, Quaternion.from_axis_angle((0, 0, 1), math.radians(150.0)))
-        plan = plan_subarrays(g, trajectory_from_poses(now, pred, ap_ahead))
-        assert plan.blocks == ((0, 1), (1, 2))
-        assert covrage_beam(g, now, pred, ap_ahead).n_elements == 16
+        q_pred = Quaternion.from_axis_angle((0, 0, 1), math.radians(150.0))
+        traj = trajectory_from_poses(now, q_pred, ap_ahead)
+        assert column_blocks(plan_with_k(g, traj, chosen_k(g, traj))) == [(0, 1), (1, 2)]
+        assert covrage_beam(g, now, q_pred, ap_ahead).n_elements == 16
 
     def test_deterministic(self):
         g = ArrayGeometry(64, 64)
         now = Pose(0.0, HERE, Quaternion.identity())
-        pred = Pose(0.1, HERE, Quaternion.from_axis_angle((1, 0, 0), 0.2))
-        a = covrage_beam(g, now, pred, AP)
-        b = covrage_beam(g, now, pred, AP)
+        q_pred = Quaternion.from_axis_angle((1, 0, 0), 0.2)
+        a = covrage_beam(g, now, q_pred, AP)
+        b = covrage_beam(g, now, q_pred, AP)
         assert np.array_equal(a.phases, b.phases)
+
+
+# SHA-256 of the phases of beams whose poses give each block count: a yaw
+# of the predicted orientation away from a tilted headset, with the AP level
+# ahead of it, on a 64x64 array and, for the 150 deg arc, on two columns
+PHASE_DIGESTS = [
+    ((64, 64), 1.0, 1, "3b57ad82c4191f7c49f1c898d48c12203088d7ab4e69a03bd3c4a64420ccfafd"),
+    ((64, 64), 2.5, 2, "4512704240976ea9f3ed4758fce2e1d1a7ca87c5ac489afb2961800910fba316"),
+    ((64, 64), 7.0, 5, "cb2bbdb722b2cfafd12e56d46dec3513c59daa139893e329dafa19c580c8097b"),
+    ((64, 64), 20.0, 8, "cb9763fce53eb0382214004a95dd8a6100fae008e5696d9ea88920d2f9010d56"),
+    ((8, 2), 150.0, 2, "1d5c61bafca5bdcb813761cee0c62bfe2be67f4d7cd83bfd198889b807db90f1"),
+]
+
+
+@pytest.mark.parametrize("shape, yaw_deg, k, want", PHASE_DIGESTS)
+def test_phase_digests(shape, yaw_deg, k, want):
+    g = ArrayGeometry(*shape)
+    tilt = Quaternion.from_axis_angle((1, 1, 0), 0.1)
+    now = Pose(0.0, HERE, tilt)
+    q_pred = (Quaternion.from_axis_angle((0, 0, 1), math.radians(yaw_deg)) * tilt).normalized()
+    awv = covrage_beam(g, now, q_pred, HERE + np.array([5.0, 0.0, 0.0]))
+    assert len(awv.blocks) == k
+    assert hashlib.sha256(awv.phases.tobytes()).hexdigest() == want
