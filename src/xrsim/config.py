@@ -57,7 +57,6 @@ class ScenarioConfig:
     data_rate: float = 5e9
     frame_rate: float = 100.0
     deadline: float = 0.020
-    queue_drop: float = 0.0  # 0 means "same as deadline"
     mpdu_bytes: int = 65536
     header_bytes: int = 100
     per_mpdu_overhead: float = 3e-6
@@ -96,10 +95,6 @@ class ScenarioConfig:
     @property
     def burst_bits(self) -> int:
         return int(round(self.data_rate * self.burst_interval))
-
-    @property
-    def queue_drop_age(self) -> float:
-        return self.queue_drop if self.queue_drop > 0.0 else self.deadline
 
     @property
     def x_bounds(self) -> tuple[float, float]:
@@ -237,7 +232,7 @@ _LOWER_BOUNDS = {
         "sls_duration", "spacing", "bandwidth_hz", "phy_rate_bps",
     ),
     (0.0, True): (
-        "seed", "walk_speed", "queue_drop", "header_bytes", "per_mpdu_overhead",
+        "seed", "walk_speed", "header_bytes", "per_mpdu_overhead",
         "hmd_rows", "hmd_cols",
     ),
     # a carrier below 1 Hz has a wavelength that overflows to inf

@@ -232,12 +232,13 @@ def ap_direction_in_hmd_frame(pose: Pose, ap_position: Sequence[float]) -> Direc
     return Direction.from_unit_vector(local)
 
 
-def predict_pose(now: Pose, horizon: float, mode: str, trace) -> Quaternion:
+def predict_pose(now: Pose, horizon: float, mode: str, trace, end: float) -> Quaternion:
     """Predict the headset orientation ``horizon`` seconds after ``now``, the
     current pose, in one of the config's prediction modes.  ``trace`` is the
     head-motion trace (:class:`xrsim.mobility.TraceSet`) that ``now`` was
-    read from.  Only the orientation is predicted: the composite beam is
-    built from the current position (:func:`xrsim.covrage.covrage_beam`).
+    read from, and ``end`` the run's end.  Only the orientation is
+    predicted: the composite beam is built from the current position
+    (:func:`xrsim.covrage.covrage_beam`).
 
     Modes:
 
@@ -250,7 +251,10 @@ def predict_pose(now: Pose, horizon: float, mode: str, trace) -> Quaternion:
       nearest the current time (requires device columns).  That is the
       orientation at the trace's own ``ph_h`` horizon, whatever ``horizon``
       is asked: xrsim has no device model to re-extrapolate it.
-    * ``oracle``: the trace orientation at t + horizon (interpolated).
+    * ``oracle``: the trace orientation at ``min(t + horizon, end)``
+      (interpolated): the lookup time is clamped, as ``t + (end - t)`` can
+      round past ``end``.  A recorded trace shorter than the run wraps, and
+      the oracle then reads what the link sees at that instant.
     """
     if mode == "none":
         return now.orientation
@@ -266,5 +270,5 @@ def predict_pose(now: Pose, horizon: float, mode: str, trace) -> Quaternion:
     if mode == "device":
         return trace.device_prediction_nearest(now.t)
     if mode == "oracle":
-        return trace.orientation_at(now.t + horizon)
+        return trace.orientation_at(min(now.t + horizon, end))
     raise ValueError(f"unknown prediction mode {mode!r}")

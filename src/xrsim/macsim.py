@@ -12,11 +12,13 @@ rotation trace and walk from the scenario seed, the quasi-omni pattern from
 the fixed seed of its synthesis budget (:mod:`codebook`).  So two runs of
 the same config replay identically, down to the bytes of the event log.
 
-Medium model: the MAC queue holds one :class:`Burst` per frame, whose
-MPDUs are all full size but the last (:func:`config.burst_shape`).  Data
-MPDUs are non-preemptive; an MPDU in flight when a BHI (beacon header
-interval) begins completes, and no other transmission starts inside a BHI
-or sweep.
+Medium model: drops and completions take the queue head and arrivals
+append, so the MAC queue is ``frames[head:]``, the arrived frames neither
+complete nor dropped.  Every burst's MPDUs are full size but the last
+(:func:`config.burst_shape`), so the queue's one other state is ``sent``, the
+head's delivered MPDU count.  A frame older than ``deadline`` is dropped.
+Data MPDUs are non-preemptive; an MPDU in flight when a BHI (beacon header
+interval) begins completes, and no transmission starts inside a BHI or sweep.
 BHIs and sweeps never overlap each other.  A trigger only marks a sweep as
 owed.  Whenever the medium is free, :meth:`Simulator._try_start_tx` starts
 the owed sweep if it ends by the next target beacon transmission time
@@ -85,7 +87,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -119,17 +120,6 @@ SWEEP_TIE_DB = 1e-9
 
 # the event-log detail of an MPDU's end; mpdu is the burst's delivered count
 _TX_DONE = "frame=%d mpdu=%d ok=%d start=%.9f"
-
-
-@dataclass(slots=True)
-class Burst:
-    """One frame's entry in the MAC queue: MPDU ``sent`` of ``count`` is the
-    next to go on air, and every MPDU but the last is full size."""
-
-    frame_id: int
-    arrival: float
-    sent: int
-    count: int
 
 
 @dataclass
@@ -185,8 +175,9 @@ class Simulator:
         self._build_motion()
         self._build_arrays()
 
-        self.queue: deque[Burst] = deque()
         self.frames: list[FrameRecord] = []  # indexed by frame id
+        self.head = 0  # the queue is frames[head:]
+        self.sent = 0  # MPDUs of the head frame delivered
         self.burst_count, full_bits, tail_bits = burst_shape(config)
         self._full_airtime = self._airtime(full_bits)
         self._tail_airtime = self._airtime(tail_bits)
@@ -354,22 +345,21 @@ class Simulator:
 
     def _predicted_starts(self, t: float) -> list:
         """t, at which the queue head starts, and the start times that follow
-        while the queued bursts and then those still to arrive are served,
-        each from the later of its arrival and the previous MPDU's end, every
-        attempt with the outcome of the last real one: after a success each
-        MPDU goes at its first attempt, after a failure each burst's next
-        MPDU is retried at its own airtime.  Frames that age out are dropped
-        as :meth:`_drop_expired` would.  At most ``_link_cap`` starts, none at
-        or after the horizon (next TBTT, next trigger, sim_time)."""
-        drop_age, cap = self.cfg.queue_drop_age, self._link_cap
+        while the head and every later burst are served, each from the later
+        of its arrival and the previous MPDU's end, every attempt with the
+        outcome of the last real one: after a success each MPDU goes at its
+        first attempt, after a failure each burst's next MPDU is retried at
+        its own airtime.  Frames that age out are dropped as
+        :meth:`_drop_expired` would.  At most ``_link_cap`` starts, none at or
+        after the horizon (next TBTT, next trigger, sim_time)."""
+        drop_age, cap, count = self.cfg.deadline, self._link_cap, self.burst_count
         horizon = min(self.next_tbtt, self.next_trigger, self.cfg.sim_time)
         full, tail = self._full_airtime, self._tail_airtime
         period, n_bursts = self._sources["burst_arrival"]
-        # arrival times as _schedule computes them, bit for bit
-        arriving = ((k * period, 0, self.burst_count) for k in range(len(self.frames), n_bursts))
-        queued = ((burst.arrival, burst.sent, burst.count) for burst in self.queue)
         starts = []
-        for arrival, sent, count in itertools.chain(queued, arriving):
+        for k in range(self.head, n_bursts):
+            arrival = k * period  # as _schedule computes it, bit for bit
+            sent = self.sent if k == self.head else 0
             t = max(t, arrival)  # an idle medium waits for the arrival
             if self._last_ok:
                 airtimes = itertools.chain(itertools.repeat(full, count - 1 - sent), (tail,))
@@ -400,7 +390,7 @@ class Simulator:
 
         if cfg.rx_beamforming == "covrage":
             horizon = cfg.bf_interval if cfg.bf_location == "dti" else cfg.bi_duration
-            q_pred = predict_pose(hmd_pose, horizon, cfg.prediction, self.trace)
+            q_pred = predict_pose(hmd_pose, horizon, cfg.prediction, self.trace, cfg.sim_time)
             awv = covrage_beam(self.hmd_geometry, hmd_pose, q_pred, self.ap_position)
             self.hmd_eval = AwvEvaluator(self.hmd_geometry, awv)
             self.hmd_label = "covrage"
@@ -431,9 +421,10 @@ class Simulator:
         self._push(self._reserve(t, self.cfg.sls_duration, self.sls_intervals), "sls_done")
 
     def _drop_expired(self, t: float) -> None:
-        drop_age = self.cfg.queue_drop_age
-        while self.queue and (t - self.queue[0].arrival) > drop_age:
-            self.queue.popleft()
+        frames, deadline = self.frames, self.cfg.deadline
+        while self.head < len(frames) and (t - frames[self.head].created) > deadline:
+            self.head += 1
+            self.sent = 0
             self.counters["frames_dropped"] += 1
 
     def _try_start_tx(self, t: float) -> None:
@@ -453,7 +444,7 @@ class Simulator:
         horizon = self._next_event_time()
         while t is not None:
             self._drop_expired(t)
-            if not self.queue:
+            if self.head == len(self.frames):
                 return
             if t < self._reserved_until:
                 raise RuntimeError("MPDU start at t=%.9f inside a BHI or sweep" % t)
@@ -466,7 +457,7 @@ class Simulator:
         burst, is followed by a start that fails the age check, or is
         followed by a batch entry other than its end.  Returns the last
         attempt's end, at which the next decision is taken."""
-        cfg, burst = self.cfg, self.queue[0]
+        cfg, frame_id = self.cfg, self.head
         k = self._link_index(t)
         starts = self._batch_starts
         # no attempt after the one that reaches the horizon is in the step
@@ -474,9 +465,9 @@ class Simulator:
         at = starts[k:hi]
         ok = self._batch_snr[k:hi] >= cfg.snr_threshold_db
         done = np.cumsum(ok)  # MPDUs delivered through each attempt
-        left = burst.count - burst.sent
+        left = self.burst_count - self.sent
         ends = at + np.where(done - ok < left - 1, self._full_airtime, self._tail_airtime)
-        stop = (ends >= horizon) | (done == left) | (ends - burst.arrival > cfg.queue_drop_age)
+        stop = (ends >= horizon) | (done == left) | (ends - self.frames[frame_id].created > cfg.deadline)
         follows = starts[k + 1 : hi + 1]
         stop[: len(follows)] |= ends[: len(follows)] != follows
         stop[len(follows) :] = True  # the batch's last entry
@@ -490,10 +481,10 @@ class Simulator:
         self.counters["mpdu_failures"] += n - int(done[n - 1])
         if self.collect:
             at_l, ends_l, ok_l = at[:n].tolist(), ends[:n].tolist(), ok[:n].tolist()
-            self.tx_intervals.extend(zip(at_l, ends_l, ok_l, itertools.repeat(burst.frame_id)))
-            sent = (burst.sent + done[:completed]).tolist()
+            self.tx_intervals.extend(zip(at_l, ends_l, ok_l, itertools.repeat(frame_id)))
+            sent = (self.sent + done[:completed]).tolist()
             for start, finish, mpdu, success in zip(at_l, ends_l, sent, ok_l):
-                self._log(finish, "mpdu_tx_done", _TX_DONE % (burst.frame_id, mpdu, success, start))
+                self._log(finish, "mpdu_tx_done", _TX_DONE % (frame_id, mpdu, success, start))
         if completed:
             self._deliver(int(done[completed - 1]), float(ends[completed - 1]))
         if through_heap:
@@ -506,11 +497,11 @@ class Simulator:
         """Count ``n_ok`` more of the queue head's MPDUs delivered by
         attempts that end by t; a burst delivered whole completes its frame
         at t."""
-        burst = self.queue[0]
-        burst.sent += n_ok
-        if burst.sent == burst.count:
-            self.queue.popleft()
-            rec = self.frames[burst.frame_id]
+        self.sent += n_ok
+        if self.sent == self.burst_count:
+            rec = self.frames[self.head]
+            self.head += 1
+            self.sent = 0
             rec.completed = t
             rec.delivered = (t - rec.created) <= self.cfg.deadline
             if rec.delivered:
@@ -555,7 +546,6 @@ class Simulator:
     def _on_burst_arrival(self, t: float, frame_id: int) -> None:
         self._schedule("burst_arrival", frame_id + 1)
         self.frames.append(FrameRecord(frame_id, t))
-        self.queue.append(Burst(frame_id, t, 0, self.burst_count))
         self.counters["frames_total"] += 1
         self._log(t, "burst_arrival", "frame=%d mpdus=%d" % (frame_id, self.burst_count))
         self._try_start_tx(t)
@@ -564,10 +554,10 @@ class Simulator:
         ok, start = payload
         self.tx_busy = False
         # drops only run on a free medium, so the MPDU's frame is still the head
-        burst = self.queue[0]
+        frame_id, sent = self.head, self.sent + int(ok)
         self._deliver(int(ok), t)
         if self.collect:
-            self._log(t, "mpdu_tx_done", _TX_DONE % (burst.frame_id, burst.sent, ok, start))
+            self._log(t, "mpdu_tx_done", _TX_DONE % (frame_id, sent, ok, start))
         self._try_start_tx(t)
 
     # -- loop -------------------------------------------------------------
@@ -589,7 +579,7 @@ class Simulator:
                 break
             handlers[kind](t, payload)
             # work conservation: a nonempty queue never waits on a free medium
-            if self.queue and not (self.tx_busy or self.in_bhi or self.sls_active):
+            if self.head < len(self.frames) and not (self.tx_busy or self.in_bhi or self.sls_active):
                 raise RuntimeError("medium idle with pending data at t=%.9f" % t)
 
         logs = (self.events, self.tx_intervals, self.bhi_intervals, self.sls_intervals) if self.collect else ()

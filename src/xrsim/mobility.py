@@ -49,13 +49,15 @@ class TraceFormatError(ValueError):
 
 
 class TraceSet:
-    """Head orientations sampled at increasing times, with looping lookup.
+    """Head orientations sampled at increasing times, with wrapping lookup.
 
     ``times`` is (n,), ``orientations`` (n, 4) scalar-first quaternions, and
     ``device_orientations`` (n, 4) with ``device_horizons`` (n,) an optional
     device-side prediction.  Every value must be finite.  Lookups past the
     last sample wrap around to the start, so a short recorded trace can drive
-    an arbitrarily long simulation.
+    an arbitrarily long simulation.  A generated trace ends at or after
+    ``sim_time``, and the oracle reads no later, so only a recorded trace
+    shorter than the run is read across the wrap.
     """
 
     def __init__(
@@ -239,7 +241,8 @@ def generate_rotation_trace(
     pit_a = np.array([14.0, 7.0, 4.0]) * rng.uniform(0.7, 1.3, 3)
 
     dt = 1.0 / sample_rate
-    n = max(int(round(duration * sample_rate)), 1) + 1
+    # enough steps that the last sample is at or after the duration
+    n = max(int(math.ceil(duration * sample_rate - 1e-9)), 1) + 1
     t = np.arange(n) * dt
 
     def series(times, amps, freqs, phases):
@@ -352,6 +355,6 @@ def generate_walk(
 
 def pose_at(trace: TraceSet, walk: Walk, t: float, height: float) -> Pose:
     """Headset pose at time t: walk position at fixed height, trace
-    orientation (looped)."""
+    orientation (wrapped past the trace's end, see :class:`TraceSet`)."""
     xy = walk.position_at(t)
     return Pose(t, np.array([xy[0], xy[1], height]), trace.orientation_at(t))

@@ -74,8 +74,6 @@ class TestDefaults:
         cfg = ScenarioConfig()
         assert cfg.burst_interval == 0.01
         assert cfg.burst_bits == 50_000_000
-        assert cfg.queue_drop_age == cfg.deadline
-        assert ScenarioConfig(queue_drop=0.005).queue_drop_age == 0.005
         assert cfg.x_bounds == (-10.0, 10.0)
         assert cfg.y_bounds == (-5.0, 5.0)
         assert cfg.ap_position == (0.0, 0.0, 10.0)

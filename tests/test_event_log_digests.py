@@ -1,4 +1,4 @@
-"""Behaviour fingerprint: SHA-256 of the event-log bytes of eight fixed 2 s runs.
+"""Behaviour fingerprint: SHA-256 of the event-log bytes of nine fixed 2 s runs.
 
 Every event, its time to the nanosecond and its detail (sweep winners, MPDU
 outcomes and start times) lands in the log, so these digests pin the
@@ -17,9 +17,18 @@ DIGESTS = {
         ("rotation = static",),
         "c2353a84e3d3cc5172d436c49ac6489fab69306b51e167d3d3c2f641c55f4668",
     ),
+    # the oracle reads the trace no later than the run's end; before that
+    # clamp its last epoch read the head orientation of t = 0 across the
+    # trace's wrap, and 1,433 attempts failed.  Now none fails, and the log,
+    # which never names the headset beam, has the bytes of the static one
     "high_oracle": (
         ("prediction = oracle",),
-        "d245c2bce885a80106fde6bd8374a04b301d46cfd6ee24c711250e5fabb8eeb8",
+        "c2353a84e3d3cc5172d436c49ac6489fab69306b51e167d3d3c2f641c55f4668",
+    ),
+    # so a pin still sees the oracle beam: over 1 s epochs 27,253 attempts fail
+    "oracle_1s": (
+        ("prediction = oracle", "bf_interval = 1.0"),
+        "af02dd64a3cbf0346592d4345d09240956130ce92753057cde2252a219afc043",
     ),
     "rate_8g": (
         ("data_rate = 8e9",),

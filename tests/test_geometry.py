@@ -17,7 +17,7 @@ from xrsim.geometry import (
     slerp_arrays,
 )
 from xrsim.config import PREDICTION_MODES
-from xrsim.mobility import TraceSet
+from xrsim.mobility import TraceSet, load_trace, save_trace
 
 from angles import direction_angle, rotation_angle
 
@@ -208,6 +208,7 @@ class TestPoseFrame:
 
 class TestPredictPose:
     HERE = np.array([1.0, 2.0, 1.7])
+    END = 1.0  # the run's end, where the test trace ends
 
     @staticmethod
     def _trace(omega, horizon=0.1):
@@ -226,7 +227,7 @@ class TestPredictPose:
     def test_constant_velocity_extends_the_rotation(self):
         omega = 2.0  # rad/s
         trace = self._trace(omega)
-        q_pred = predict_pose(self._now(trace, 0.5), 0.05, "extrapolation", trace)
+        q_pred = predict_pose(self._now(trace, 0.5), 0.05, "extrapolation", trace, self.END)
         expect = Quaternion.from_axis_angle((0, 0, 1), omega * (0.5 + 0.05))
         assert rotation_angle(q_pred, expect) == pytest.approx(0.0, abs=1e-9)
 
@@ -234,12 +235,12 @@ class TestPredictPose:
         # at t = 0 there is no past orientation to estimate a velocity from
         trace = self._trace(2.0)
         now = self._now(trace, 0.0)
-        assert predict_pose(now, 0.1, "extrapolation", trace) == now.orientation
+        assert predict_pose(now, 0.1, "extrapolation", trace, self.END) == now.orientation
 
     def test_zero_horizon_is_identity(self):
         trace = self._trace(1.0)
         now = self._now(trace, 0.3)
-        q_pred = predict_pose(now, 0.0, "extrapolation", trace)
+        q_pred = predict_pose(now, 0.0, "extrapolation", trace, self.END)
         assert rotation_angle(q_pred, now.orientation) == pytest.approx(0.0, abs=1e-9)
 
     def test_each_mode_reads_its_orientation(self):
@@ -248,17 +249,38 @@ class TestPredictPose:
         now = self._now(trace, 0.5)
 
         def yaw_of(mode):
-            q = predict_pose(now, 0.05, mode, trace)
+            q = predict_pose(now, 0.05, mode, trace, self.END)
             return 2.0 * math.atan2(q.z, q.w)
 
-        assert predict_pose(now, 0.05, "none", trace) == now.orientation
+        assert predict_pose(now, 0.05, "none", trace, self.END) == now.orientation
         # the recorded column whatever the horizon asked for
         assert yaw_of("device") == pytest.approx(omega * (0.5 + 0.1), abs=1e-12)
         assert yaw_of("oracle") == pytest.approx(omega * (0.5 + 0.05), abs=1e-12)
-        assert all(isinstance(predict_pose(now, 0.05, mode, trace), Quaternion) for mode in PREDICTION_MODES)
+        assert all(isinstance(predict_pose(now, 0.05, mode, trace, self.END), Quaternion) for mode in PREDICTION_MODES)
+
+    def test_oracle_reads_no_later_than_the_run_end(self):
+        # in the last epoch t + horizon passes the run's end, where the
+        # trace ends; read there, the lookup wrapped to t = 0.05
+        omega = 2.0
+        trace = self._trace(omega)
+        for t in (0.95, 1.0 - 2**-40, 1.0):
+            q = predict_pose(self._now(trace, t), 0.1, "oracle", trace, self.END)
+            assert 2.0 * math.atan2(q.z, q.w) == pytest.approx(omega * self.END, abs=1e-12)
+
+    def test_oracle_past_a_short_recorded_trace_reads_what_the_link_sees(self, tmp_path):
+        # a recorded 1 s trace drives a 3 s run and wraps; the oracle reads
+        # the orientation that the link (Simulator.snr_at) takes at the
+        # predicted instant, clamped to the run's end
+        path = tmp_path / "short.csv"
+        save_trace(path, self._trace(2.0))
+        trace = load_trace(path)
+        for t, horizon, read_at, yaw in ((0.95, 0.1, 1.05, 0.1), (2.95, 0.1, 3.0, 0.0)):
+            q = predict_pose(self._now(trace, t), horizon, "oracle", trace, 3.0)
+            assert q == Quaternion(*trace.orientations_at(np.array([read_at]))[0].tolist())
+            assert 2.0 * math.atan2(q.z, q.w) == pytest.approx(yaw, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["constant_velocity", "kalman"])
     def test_unknown_mode_is_rejected(self, mode):
         trace = self._trace(2.0)
         with pytest.raises(ValueError, match="unknown prediction mode"):
-            predict_pose(self._now(trace, 0.5), 0.05, mode, trace)
+            predict_pose(self._now(trace, 0.5), 0.05, mode, trace, self.END)

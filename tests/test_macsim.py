@@ -18,7 +18,7 @@ from xrsim.config import ConfigError, ScenarioConfig, load_config
 from xrsim.geometry import Direction, ap_direction_in_hmd_frame
 from xrsim.macsim import (
     EVENT_KINDS,
-    Burst,
+    FrameRecord,
     best_sector,
     burst_shape,
     write_event_log,
@@ -397,7 +397,7 @@ class TestMediumRules:
         sim._reserve(0.0, 2e-3, [])
         with pytest.raises(RuntimeError, match="overlaps"):
             sim._reserve(1e-3, 7.5e-4, [])
-        sim.queue.append(Burst(0, 0.0, 0, 1))
+        sim.frames.append(FrameRecord(0, 0.0))  # frame 0 is queued
         with pytest.raises(RuntimeError, match="inside a BHI or sweep"):
             sim._try_start_tx(1e-3)
 
@@ -430,7 +430,7 @@ class TestRunService:
 
     @given(
         data_rate=st.sampled_from([2e9, 5e9, 7e9, 8e9]),
-        queue_drop=st.sampled_from([0.0, 0.002, 0.005, 0.012]),
+        deadline=st.sampled_from([0.02, 0.002, 0.005, 0.012]),
         per_mpdu_overhead=st.floats(0.0, 2e-4),
         bf_location=st.sampled_from(["dti", "abft"]),
         rx_beamforming=st.sampled_from(["covrage", "sectors", "quasi_omni"]),
@@ -441,13 +441,13 @@ class TestRunService:
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_matches_one_mpdu_per_heap_event(
-        self, data_rate, queue_drop, per_mpdu_overhead, bf_location, rx_beamforming, tx_power_dbm, sim_time
+        self, data_rate, deadline, per_mpdu_overhead, bf_location, rx_beamforming, tx_power_dbm, sim_time
     ):
         cfg = load_config(
             overrides=[
                 "sim_time = %r" % sim_time,
                 "data_rate = %r" % data_rate,
-                "queue_drop = %r" % queue_drop,
+                "deadline = %r" % deadline,
                 "per_mpdu_overhead = %r" % per_mpdu_overhead,
                 "bf_location = %s" % bf_location,
                 "rx_beamforming = %s" % rx_beamforming,
@@ -469,13 +469,13 @@ class TestRunService:
         serve, reasons = sim._serve_head, []
 
         def spy(t, horizon):
-            burst = sim.queue[0]
+            head = sim.head
             end = serve(t, horizon)
             if end is None:
                 reasons.append("heap_event")
-            elif not sim.queue or sim.queue[0] is not burst:
+            elif sim.head != head:
                 reasons.append("completion")
-            elif end - burst.arrival > sim.cfg.queue_drop_age:
+            elif end - sim.frames[head].created > sim.cfg.deadline:
                 reasons.append("age_out")
             elif sim._batch_next < len(sim._batch_starts):
                 reasons.append("start_mismatch")
@@ -494,7 +494,7 @@ class TestRunService:
             ("completion", ["data_rate = 2e9"], lambda ts: np.full(len(ts), 100.0)),
             # every attempt fails; a frame ages out 15 ms after its arrival,
             # while the next frame waits and no heap event is due
-            ("age_out", ["queue_drop = 0.015"], lambda ts: np.full(len(ts), -100.0)),
+            ("age_out", ["deadline = 0.015"], lambda ts: np.full(len(ts), -100.0)),
             # outcomes flip every 100 us, so the retry prediction misses
             # wherever a burst's tail or next burst starts
             ("start_mismatch", [], lambda ts: np.where(np.floor(ts / 1e-4) % 2 == 0, 100.0, -100.0)),
@@ -525,14 +525,34 @@ class TestModes:
         assert reliability < 0.15
 
     def test_queue_drop_discards_stale_frames(self, run_cached):
-        res = run_cached(
-            "sim_time = 1.0", "rotation = static", "data_rate = 8e9", "queue_drop = 0.005"
-        )
+        # a frame leaves the queue once it is older than the deadline
+        res = run_cached("sim_time = 1.0", "rotation = static", "data_rate = 8e9")
         c = res.counters
         assert c["frames_dropped"] >= 1
         assert c["frames_delivered"] + c["frames_dropped"] <= c["frames_total"]
         incomplete = sum(1 for r in res.frames if r.completed is None)
         assert incomplete >= c["frames_dropped"]
+
+    def test_the_queue_is_the_arrived_frames_from_the_head(self):
+        # after every decision: each frame below the head is completed or
+        # dropped, none at or above it has completed, and the head's
+        # delivered count is part of one burst
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 1.0", "rotation = static", "data_rate = 8e9"]))
+        try_start, checked = sim._try_start_tx, []
+
+        def check(t):
+            try_start(t)
+            below, queued = sim.frames[: sim.head], sim.frames[sim.head :]
+            dropped = sum(1 for r in below if r.completed is None)
+            assert dropped == sim.counters["frames_dropped"]
+            assert all(r.completed is None for r in queued)
+            assert 0 <= sim.sent < sim.burst_count and (sim.sent == 0 or queued)
+            checked.append(t)
+
+        sim._try_start_tx = check
+        counters = sim.run().counters
+        assert len(checked) > 100 and counters["frames_dropped"] >= 1
+        assert 0 < counters["frames_delivered"] < counters["frames_total"] - counters["frames_dropped"]
 
     def test_single_mpdu_latency_closed_form(self, run_cached):
         # one burst fits one MPDU, so mid-interval frames finish in exactly
@@ -650,7 +670,7 @@ class TestLazyQuasiOmni:
 
     def test_a_link_evaluation_before_the_first_sweep_is_refused(self):
         sim = macsim.Simulator(load_config(overrides=["sim_time = 0.5"]))
-        sim.queue.append(Burst(0, 0.0, 0, 1))
+        sim.frames.append(FrameRecord(0, 0.0))  # frame 0 is queued
         with pytest.raises(RuntimeError, match="before the first sweep"):
             sim._link_index(0.01)
 
@@ -740,12 +760,14 @@ class TestBatchedLink:
         self.check_epoch(sim, False)
 
     @staticmethod
-    def open_epoch(sim, frames_seen, next_tbtt=4 * 0.1024, next_trigger=0.4):
+    def open_epoch(sim, frames_seen, head, sent=0, next_tbtt=4 * 0.1024, next_trigger=0.4):
         """The epoch state that run() keeps: the pending beacon and trigger,
-        and the bursts that have arrived, each at ``k * period``."""
+        the bursts that have arrived, each at ``k * period``, and the queue,
+        from frame ``head`` of which ``sent`` MPDUs are delivered."""
         period = sim.cfg.burst_interval
         sim.next_tbtt, sim.next_trigger = next_tbtt, next_trigger
-        sim.frames = [macsim.FrameRecord(k, k * period) for k in range(frames_seen)]
+        sim.frames = [FrameRecord(k, k * period) for k in range(frames_seen)]
+        sim.head, sim.sent = head, sent
 
     @staticmethod
     def back_to_back(t, airtimes):
@@ -758,8 +780,7 @@ class TestBatchedLink:
 
     def _fill_queue(self, sim):
         # frame 30 arrived at 0.3; frames 31 on arrive every 10 ms
-        self.open_epoch(sim, 31)
-        sim.queue.append(Burst(30, 30 * sim.cfg.burst_interval, 0, sim.burst_count))
+        self.open_epoch(sim, 31, head=30)
 
     def test_batch_cut_short_by_a_start_mismatch(self, sim):
         self._fill_queue(sim)
@@ -767,7 +788,7 @@ class TestBatchedLink:
         assert self.link_snr(sim, t0) == pytest.approx(self.oracle(sim, t0), abs=1e-9)
         starts = list(sim._batch_starts)
         # the batch runs on through later bursts, up to the cap
-        assert len(starts) == macsim._LINK_BATCH > sim.queue[0].count
+        assert len(starts) == macsim._LINK_BATCH > sim.burst_count
         assert starts[1] == t0 + sim._airtime(burst_shape(sim.cfg)[1])
         assert self.link_snr(sim, starts[1]) == pytest.approx(self.oracle(sim, starts[1]), abs=1e-9)
         # the MAC starts later than predicted: a new batch begins there
@@ -787,22 +808,23 @@ class TestBatchedLink:
         assert self.link_snr(sim, t1) == pytest.approx(fresh, abs=1e-9)
 
     def test_prediction_skips_frames_that_age_out(self, sim):
-        # frame 0 is one full MPDU and the short tail; it ages out while the
-        # full one is on air, so the next start is frame 1's first MPDU;
-        # no burst is left to arrive
-        _, full, tail = burst_shape(sim.cfg)
+        # frame 30 has one full MPDU and the short tail left; it ages out
+        # while the full one is on air, so the next start is frame 31's
+        # first MPDU, and frame 32's MPDUs follow frame 31's tail
+        count, full, tail = burst_shape(sim.cfg)
         assert tail < full
-        self.open_epoch(sim, 100, next_tbtt=1.0, next_trigger=1.0)
-        sim.queue.extend([Burst(0, 0.3, 0, 2), Burst(1, 0.31, 0, 3)])
-        t0 = 0.3 + sim.cfg.queue_drop_age - 1e-6
-        assert sim._predicted_starts(t0) == self.back_to_back(t0, [sim._airtime(full)] * 3)
+        self.open_epoch(sim, 32, head=30, sent=count - 2, next_tbtt=1.0, next_trigger=1.0)
+        t0 = 0.3 + sim.cfg.deadline - 1e-6
+        assert t0 + sim._airtime(full) - 0.3 > sim.cfg.deadline
+        frame_31 = [sim._airtime(full)] * (count - 1) + [sim._airtime(tail)]
+        want = self.back_to_back(t0, [sim._airtime(full)] + frame_31 + [sim._full_airtime] * macsim._LINK_BATCH)
+        assert sim._predicted_starts(t0) == want[: macsim._LINK_BATCH]
 
     def test_prediction_resumes_a_partly_sent_frame(self, sim):
         # two MPDUs of frame 30 are left; frame 31 arrives while the last
         # one is on air and starts at its end
-        _, full, tail = burst_shape(sim.cfg)
-        self.open_epoch(sim, 31, next_trigger=0.3115)
-        sim.queue.append(Burst(30, 0.3, 2, 4))
+        count, full, tail = burst_shape(sim.cfg)
+        self.open_epoch(sim, 31, head=30, sent=count - 2, next_trigger=0.3115)
         resumed = self.back_to_back(0.30992, [sim._airtime(full), sim._airtime(tail)])
         assert resumed[-2] < 31 * sim.cfg.burst_interval < resumed[-1]
         want = resumed + self.back_to_back(resumed[-1], [sim._full_airtime] * 50)[1:]
@@ -815,8 +837,7 @@ class TestBatchedLink:
         # that arrival, 31 * period, bit for bit as _schedule computes it
         period = sim.cfg.burst_interval
         count, full, tail = burst_shape(sim.cfg)
-        self.open_epoch(sim, 31, next_trigger=0.3105)
-        sim.queue.append(Burst(30, 30 * period, count - 2, count))
+        self.open_epoch(sim, 31, head=30, sent=count - 2, next_trigger=0.3105)
         head = self.back_to_back(0.305, [sim._airtime(full)])
         assert head[-1] + sim._airtime(tail) < 31 * period
         after = self.back_to_back(31 * period, [sim._full_airtime] * 50)
@@ -829,9 +850,8 @@ class TestBatchedLink:
         # airtime until the frame ages out, then frame 30's first MPDU at
         # the full airtime, up to the cap
         count, full, tail = burst_shape(sim.cfg)
-        drop_age = sim.cfg.queue_drop_age
-        self.open_epoch(sim, 31, next_tbtt=1.0, next_trigger=1.0)
-        sim.queue.extend([Burst(29, 0.29, count - 1, count), Burst(30, 0.3, 0, count)])
+        drop_age = sim.cfg.deadline
+        self.open_epoch(sim, 31, head=29, sent=count - 1, next_tbtt=1.0, next_trigger=1.0)
         sim._last_ok = False
         t0 = 0.29 + drop_age - 5e-4
         want, t = [], t0
@@ -849,8 +869,7 @@ class TestBatchedLink:
     @pytest.mark.parametrize("bound", ["next_tbtt", "next_trigger", "sim_time"])
     def test_no_start_at_or_after_the_horizon(self, sim, bound):
         # a start that lands exactly on the bound is left out
-        self.open_epoch(sim, 100, next_tbtt=1.0, next_trigger=1.0)
-        sim.queue.append(Burst(30, 0.3, 0, sim.burst_count))
+        self.open_epoch(sim, 31, head=30, next_tbtt=1.0, next_trigger=1.0)
         want = self.back_to_back(0.301, [sim._full_airtime] * 10)
         if bound == "sim_time":
             sim.cfg = dataclasses.replace(sim.cfg, sim_time=want[6])
@@ -867,8 +886,7 @@ class TestBatchedLink:
         period, count = sim.cfg.burst_interval, sim.burst_count
         assert sim._sources["burst_arrival"][1] == 100
         assert 100 * period < sim.cfg.sim_time
-        self.open_epoch(sim, 99, next_tbtt=1.024, next_trigger=math.inf)
-        sim.queue.append(Burst(98, 98 * period, count - 1, count))
+        self.open_epoch(sim, 99, head=98, sent=count - 1, next_tbtt=1.024, next_trigger=math.inf)
         last = self.back_to_back(99 * period, [sim._full_airtime] * (count - 1))
         assert last[-1] + sim._tail_airtime < sim.cfg.sim_time
         assert sim._predicted_starts(0.985) == [0.985] + last
@@ -876,10 +894,11 @@ class TestBatchedLink:
     def test_cap_doubles_to_the_ceiling_and_falls_back_on_a_mismatch(self):
         # one long burst that never ages out and no burst to come: from any
         # start, the MAC and the prediction step one full airtime at a time
-        sim = macsim.Simulator(load_config(overrides=["sim_time = 1.0", "queue_drop = 1.0"]))
+        overrides = ["sim_time = 1.0", "frame_rate = 1", "data_rate = 8e9", "deadline = 1.0"]
+        sim = macsim.Simulator(load_config(overrides=overrides))
         sim._apply_beamform(0.3)
-        self.open_epoch(sim, 100, next_tbtt=1.0, next_trigger=1.0)
-        sim.queue.append(Burst(0, 0.0, 0, 10**6))
+        self.open_epoch(sim, 1, head=0, next_tbtt=1.0, next_trigger=1.0)
+        assert sim._sources["burst_arrival"][1] == 1 and sim.burst_count > 4 * macsim._LINK_BATCH_CEILING
         sim.snr_at = lambda ts: np.zeros(len(ts))
         floor, ceiling = macsim._LINK_BATCH, macsim._LINK_BATCH_CEILING
         assert ceiling == 16 * floor

@@ -74,6 +74,11 @@ class TestRotationTrace:
         short = generate_rotation_trace(200.0, 0.0004, seed=0)
         assert short.times.tolist() == [0.0, 0.001]
         assert step_peak_dps(short) == pytest.approx(200.0, rel=0.01)
+        # a duration between samples ends on the sample after it, so no
+        # lookup inside the run wraps (round() ended 0.1234 at 0.123)
+        for duration in (0.0025, 0.0105, 0.1234):
+            tr = generate_rotation_trace(200.0, duration, seed=0)
+            assert tr.times[-1] >= duration > tr.times[-2]
 
     def test_deterministic(self):
         a = generate_rotation_trace(300.0, 1.0, seed=4)
