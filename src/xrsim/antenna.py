@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Direction
+from .geometry import unit_vector
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -108,9 +108,8 @@ class Awv:
         return 1.0 / math.sqrt(self.phases.size)
 
 
-def steering_phases(geometry: ArrayGeometry, direction: Direction) -> Awv:
-    """Phases that align all element contributions toward ``direction``."""
-    u = direction.to_unit_vector()
+def steering_phases(geometry: ArrayGeometry, u: np.ndarray) -> Awv:
+    """Phases that align all element contributions toward unit vector ``u``."""
     return steered_awv(geometry, (SteeredBlock(0, geometry.cols, float(u[1]), float(u[2]), 0.0),))
 
 
@@ -133,19 +132,19 @@ def _check_tiling(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> No
         raise ValueError("steered blocks must tile the array's columns")
 
 
-def field_at(geometry: ArrayGeometry, awv: Awv, direction: Direction) -> complex:
-    """Complex far-field amplitude of the weighted array in one direction."""
+def field_at(geometry: ArrayGeometry, awv: Awv, u: np.ndarray) -> complex:
+    """Complex far-field amplitude of the weighted array toward unit vector ``u``."""
     if awv.n_elements != geometry.n_elements:
         raise ValueError("weight vector length does not match the array")
-    u = direction.to_unit_vector()
     k = 2.0 * math.pi / geometry.wavelength
     phase = awv.phases + k * (geometry.element_positions() @ u)
     return awv.amplitude * complex(np.sum(np.exp(1j * phase)))
 
 
-def gain_db(geometry: ArrayGeometry, awv: Awv, direction: Direction) -> float:
-    """Array gain 20 log10 |field| in dB; perfect nulls floor at -300 dB."""
-    mag = abs(field_at(geometry, awv, direction))
+def gain_db(geometry: ArrayGeometry, awv: Awv, u: np.ndarray) -> float:
+    """Array gain 20 log10 |field| in dB toward the unit vector ``u``;
+    perfect nulls floor at -300 dB."""
+    mag = abs(field_at(geometry, awv, u))
     if mag < _NULL_FIELD:
         return NULL_GAIN_DB
     return 20.0 * math.log10(mag)
@@ -183,7 +182,7 @@ def _dirichlet(theta: np.ndarray, n) -> np.ndarray:
     # no sign to fix where every direction is within 1 / (2 spacing) of its
     # target along the axis, as on a link that points at the other end
     if turns.any():
-        out[(turns.astype(np.int64) * (n - 1)) & 1 == 1] *= -1.0
+        out[(np.fmod(turns, 2.0) != 0.0) & ((n - 1) % 2 == 1)] *= -1.0
     return out
 
 
@@ -249,9 +248,9 @@ class AwvEvaluator:
                 [(a.amplitude * np.exp(1j * a.phases)).reshape(geometry.rows, geometry.cols) for a in stack], axis=1
             ).reshape(geometry.rows, -1)
 
-    def gain_db(self, direction: Direction):
-        """Gain toward one direction: a float, or one per stacked AWV."""
-        return self.gains_db(direction.to_unit_vector()[None, :])[0]
+    def gain_db(self, u: np.ndarray):
+        """Gain toward one unit vector: a float, or one per stacked AWV."""
+        return self.gains_db(u[None, :])[0]
 
     def gains_db(self, u: np.ndarray) -> np.ndarray:
         """Gains toward the rows of ``u``, (M, 3) unit vectors in the array
@@ -279,10 +278,10 @@ class AwvEvaluator:
         return gains if isinstance(self.awv, tuple) else gains[:, 0]
 
 
-def sample_directions(n: int, rng: np.random.Generator) -> list[Direction]:
-    """Sphere-uniform random directions drawn from ``rng``: azimuth
+def sample_directions(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sphere-uniform random unit vectors, (n, 3), drawn from ``rng``: azimuth
     uniformly and elevation as asin(uniform(-1, 1)), so that directions are
     equidistributed on the sphere rather than piling up at the poles."""
     az = rng.uniform(-180.0, 180.0, size=n)
     el = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, size=n)))
-    return [Direction(float(a), float(e)) for a, e in zip(az, el)]
+    return np.array([unit_vector(float(a), float(e)) for a, e in zip(az, el)]).reshape(n, 3)

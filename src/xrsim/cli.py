@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration problem, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import math
 import os
@@ -169,10 +170,10 @@ def _cmd_sweep(args) -> int:
         print("%s: reliability=%s" % (key, row[2]))
 
     path = os.path.join(out, args.label + ".csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("cell,seed,reliability,delivered,lost,p50_ms,p90_ms,p99_ms,max_ms,error\n")
-        for row in rows:
-            fh.write(",".join('"%s"' % f if ("," in f) else f for f in row) + "\n")
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow("cell,seed,reliability,delivered,lost,p50_ms,p90_ms,p99_ms,max_ms,error".split(","))
+        writer.writerows(rows)
     print("wrote %s (%d cells)" % (path, len(rows)))
     return 0
 

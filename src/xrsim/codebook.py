@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .antenna import ArrayGeometry, Awv, sample_directions, steering_phases, _NULL_FIELD
-from .geometry import Direction
+from .geometry import unit_vector
 
 # default aim grid, degrees, used on both azimuth and elevation
 DEFAULT_AIMS = (-50.0, -30.0, -10.0, 10.0, 30.0, 50.0)
@@ -41,7 +41,7 @@ CODEBOOK_SIZE = len(DEFAULT_AIMS) ** 2 + 1
 def steered_sectors(geometry: ArrayGeometry) -> tuple[Awv, ...]:
     """Steered sector per (azimuth, elevation) point of the ``DEFAULT_AIMS``
     grid, elevation-outer, so that a sector's index is its id."""
-    return tuple(steering_phases(geometry, Direction(az, el)) for el in DEFAULT_AIMS for az in DEFAULT_AIMS)
+    return tuple(steering_phases(geometry, unit_vector(az, el)) for el in DEFAULT_AIMS for az in DEFAULT_AIMS)
 
 
 def generate_sector_codebook(geometry: ArrayGeometry, quasi_omni: Awv) -> tuple[Awv, ...]:
@@ -218,8 +218,7 @@ def synthesize_quasi_omni(
     if max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, got {max_iters}")
     rng = np.random.default_rng(seed)
-    directions = sample_directions(n_samples, rng)
-    u = np.stack([d.to_unit_vector() for d in directions])
+    u = sample_directions(n_samples, rng)
     k = 2.0 * math.pi / geometry.wavelength
     # per-element sample phasors; element phase enters as a scalar multiplier
     base = 1j * k * (geometry.element_positions() @ u.T)  # (N, M)

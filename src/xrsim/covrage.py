@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .antenna import ArrayGeometry, Awv, SteeredBlock, block_fields, block_layout, steered_awv, _NULL_FIELD
-from .geometry import Direction, Pose, Quaternion, slerp
+from .geometry import Pose, Quaternion, slerp
 
 # most column blocks a composite beam is split into
 K_MAX = 8
@@ -38,9 +38,9 @@ class Trajectory:
     d_world: np.ndarray
     span_deg: float
 
-    def direction_at(self, s: float) -> Direction:
-        q = slerp(self.q_now, self.q_pred, s)
-        return Direction.from_unit_vector(q.rotate_inverse(self.d_world))
+    def direction_at(self, s: float) -> np.ndarray:
+        """Unit vector toward the AP in the headset frame at s."""
+        return slerp(self.q_now, self.q_pred, s).rotate_inverse(self.d_world)
 
 
 def trajectory_from_poses(pose_now: Pose, q_pred: Quaternion, ap_position: Sequence[float]) -> Trajectory:
@@ -88,7 +88,7 @@ def plan_with_k(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> tupl
     blocks = []
     for i in range(k):
         c1 = (i + 1) * per if i < k - 1 else geometry.cols
-        u = trajectory.direction_at((i + 0.5) / k).to_unit_vector()
+        u = trajectory.direction_at((i + 0.5) / k)
         blocks.append(SteeredBlock(i * per, c1, float(u[1]), float(u[2]), 0.0))
     crossovers = [trajectory.direction_at(i / k) for i in range(1, k)]
     offsets = _alignment_offsets(geometry, blocks, crossovers)
@@ -101,7 +101,7 @@ def _alignment_offsets(geometry: ArrayGeometry, blocks, crossovers) -> list[floa
     earlier blocks at the crossover direction between them.  A block whose
     field is a perfect null at the crossover keeps offset 0.  The blocks'
     own offsets are unused."""
-    u = np.array([c.to_unit_vector() for c in crossovers]).reshape(-1, 3)
+    u = np.array(crossovers).reshape(-1, 3)
     fields = block_fields(geometry, block_layout(geometry, blocks), u) / math.sqrt(geometry.n_elements)
     offsets = [0.0]
     for i, at_crossover in enumerate(fields, start=1):

@@ -6,8 +6,10 @@ Conventions used throughout the package:
 * quaternions are Hamilton, scalar-first ``(w, x, y, z)``, right handed;
 * an orientation quaternion maps local-frame vectors into the world frame;
 * the local frame has boresight along +x and up along +z at identity;
-* directions are (azimuth, elevation) in degrees, azimuth measured from +x
-  toward +y, elevation positive toward +z.
+* a direction is a unit 3-vector in a named frame (world, or a device's
+  local frame); :func:`unit_vector` holds the one (azimuth, elevation)
+  convention: degrees, azimuth measured from +x toward +y, elevation
+  positive toward +z.
 """
 
 from __future__ import annotations
@@ -175,37 +177,12 @@ def rotate_into_frames(quats: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Look direction as (azimuth, elevation) in degrees.
-
-    Azimuth lies in (-180, 180], elevation in [-90, 90]. At the poles the
-    azimuth is fixed to 0 by convention.
-    """
-
-    azimuth_deg: float
-    elevation_deg: float
-
-    def to_unit_vector(self) -> np.ndarray:
-        az = math.radians(self.azimuth_deg)
-        el = math.radians(self.elevation_deg)
-        ce = math.cos(el)
-        return np.array([ce * math.cos(az), ce * math.sin(az), math.sin(el)])
-
-    @staticmethod
-    def from_unit_vector(u: Sequence[float]) -> "Direction":
-        ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
-        n = math.sqrt(ux * ux + uy * uy + uz * uz)
-        if n < 1e-12:
-            raise ValueError("direction vector must be nonzero")
-        uz = max(-1.0, min(1.0, uz / n))
-        el = math.degrees(math.asin(uz))
-        if 90.0 - abs(el) < 1e-9:
-            return Direction(0.0, el)
-        az = math.degrees(math.atan2(uy, ux))
-        if az <= -180.0:
-            az += 360.0
-        return Direction(az, el)
+def unit_vector(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
+    """Unit vector toward (azimuth, elevation) in degrees."""
+    az = math.radians(azimuth_deg)
+    el = math.radians(elevation_deg)
+    ce = math.cos(el)
+    return np.array([ce * math.cos(az), ce * math.sin(az), math.sin(el)])
 
 
 @dataclass(frozen=True)
@@ -222,14 +199,16 @@ class Pose:
             raise ValueError("position must be a 3-vector")
 
 
-def ap_direction_in_hmd_frame(pose: Pose, ap_position: Sequence[float]) -> Direction:
-    """Direction from the headset toward the access point, in the headset frame."""
+def ap_direction_in_hmd_frame(pose: Pose, ap_position: Sequence[float]) -> np.ndarray:
+    """Unit vector from ``pose`` toward the point ``ap_position``, in the
+    pose's own frame.  The simulator calls it for both ends of the link:
+    the access point seen from the headset, and the headset seen from the
+    access point."""
     diff = np.asarray(ap_position, dtype=float) - pose.position
     n = float(np.linalg.norm(diff))
     if n < 1e-12:
         raise ValueError("headset and access point positions coincide")
-    local = pose.orientation.rotate_inverse(diff / n)
-    return Direction.from_unit_vector(local)
+    return pose.orientation.rotate_inverse(diff / n)
 
 
 def predict_pose(now: Pose, horizon: float, mode: str, trace, end: float) -> Quaternion:

@@ -300,8 +300,7 @@ class Simulator:
     def snr_at(self, ts: np.ndarray) -> np.ndarray:
         """Link SNR for the current AWV pair at an array of instants: the
         row-wise ``channel.snr_db`` of the posed arrays, equal to it up to
-        rounding (the directions stay unit vectors instead of passing
-        through azimuth and elevation)."""
+        rounding."""
         xy = self.walk.positions_at(ts)
         hmd_position = np.column_stack([xy, np.full(len(ts), self.cfg.hmd_height)])
         diff = hmd_position - self.ap_position

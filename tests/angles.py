@@ -12,6 +12,6 @@ def rotation_angle(a, b) -> float:
 
 
 def direction_angle(a, b) -> float:
-    """Great-circle angle between two directions, degrees."""
-    d = float(np.dot(a.to_unit_vector(), b.to_unit_vector()))
+    """Great-circle angle between two unit vectors, degrees."""
+    d = float(np.dot(a, b))
     return math.degrees(math.acos(max(-1.0, min(1.0, d))))

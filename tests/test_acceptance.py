@@ -19,7 +19,7 @@ from xrsim.antenna import ArrayGeometry, Awv, AwvEvaluator, gain_db, steered_awv
 from xrsim.codebook import generate_sector_codebook, sample_directions, synthesize_quasi_omni
 from xrsim.config import load_config
 from xrsim.covrage import choose_block_count, plan_with_k, trajectory_from_poses
-from xrsim.geometry import Direction, Pose, Quaternion, slerp
+from xrsim.geometry import Pose, Quaternion, slerp, unit_vector
 from xrsim.macsim import best_sector, write_event_log
 from xrsim.metrics import summarize
 
@@ -155,7 +155,7 @@ def test_criterion_7_prediction_insensitivity(run_cached):
 
 
 def _random_direction(rng):
-    return Direction(float(rng.uniform(-179.0, 180.0)), float(rng.uniform(-89.0, 89.0)))
+    return unit_vector(float(rng.uniform(-179.0, 180.0)), float(rng.uniform(-89.0, 89.0)))
 
 
 def _trajectory(seed, span_lo, span_hi):

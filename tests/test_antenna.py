@@ -23,12 +23,11 @@ from xrsim.antenna import (
 )
 from xrsim.codebook import steered_sectors
 from xrsim.covrage import K_MAX, Trajectory, plan_with_k
-from xrsim.geometry import Direction, Quaternion
+from xrsim.geometry import Quaternion, unit_vector
 
 
-def brute_field(geometry, awv, direction):
+def brute_field(geometry, awv, u):
     """Direct per-element complex summation, kept independent of field_at."""
-    u = direction.to_unit_vector()
     k = 2.0 * math.pi / geometry.wavelength
     amp = 1.0 / math.sqrt(geometry.n_elements)
     total = 0j
@@ -65,7 +64,7 @@ class TestAwv:
     def test_length_checked_against_use(self):
         g = ArrayGeometry(2, 2)
         with pytest.raises(ValueError):
-            field_at(g, Awv(np.zeros(3)), Direction(0.0, 0.0))
+            field_at(g, Awv(np.zeros(3)), unit_vector(0.0, 0.0))
 
     def test_n_elements(self):
         assert Awv(np.zeros(6)).n_elements == 6
@@ -75,18 +74,18 @@ class TestFieldAndGain:
     def test_broadside_peak_is_coherent(self):
         # steered gain equals 10*log10(N): amplitudes 1/sqrt(N), coherent sum
         g = ArrayGeometry(8, 8)
-        got = gain_db(g, Awv(np.zeros(64)), Direction(0.0, 0.0))
+        got = gain_db(g, Awv(np.zeros(64)), unit_vector(0.0, 0.0))
         assert got == pytest.approx(10.0 * math.log10(64), abs=1e-9)
         assert got == pytest.approx(18.0617997398, abs=1e-9)
 
     def test_large_array_peak(self):
         g = ArrayGeometry(64, 64)
-        got = gain_db(g, steering_phases(g, Direction(17.0, -9.0)), Direction(17.0, -9.0))
+        got = gain_db(g, steering_phases(g, unit_vector(17.0, -9.0)), unit_vector(17.0, -9.0))
         assert got == pytest.approx(36.1235994797, abs=1e-9)
 
     def test_steering_reaches_the_peak_off_broadside(self):
         g = ArrayGeometry(8, 8)
-        aim = Direction(30.0, 0.0)
+        aim = unit_vector(30.0, 0.0)
         awv = steering_phases(g, aim)
         assert gain_db(g, awv, aim) == pytest.approx(10.0 * math.log10(64), abs=1e-9)
 
@@ -95,21 +94,21 @@ class TestFieldAndGain:
             g = ArrayGeometry(rows, cols)
             for _ in range(5):
                 awv = Awv(rng.uniform(-math.pi, math.pi, g.n_elements))
-                d = Direction(rng.uniform(-180, 180), rng.uniform(-90, 90))
+                d = unit_vector(rng.uniform(-180, 180), rng.uniform(-90, 90))
                 assert field_at(g, awv, d) == pytest.approx(brute_field(g, awv, d), abs=1e-9)
 
     def test_perfect_null_hits_the_floor(self):
         # two elements in antiphase cancel exactly at broadside
         g = ArrayGeometry(2, 1)
         awv = Awv(np.array([0.0, math.pi]))
-        assert gain_db(g, awv, Direction(0.0, 0.0)) == NULL_GAIN_DB
+        assert gain_db(g, awv, unit_vector(0.0, 0.0)) == NULL_GAIN_DB
 
     def test_evaluator_agrees_with_direct_calls(self, rng):
         g = ArrayGeometry(8, 8)
         awv = Awv(rng.uniform(-math.pi, math.pi, 64))
         ev = AwvEvaluator(g, awv)
         for _ in range(20):
-            d = Direction(rng.uniform(-180, 180), rng.uniform(-90, 90))
+            d = unit_vector(rng.uniform(-180, 180), rng.uniform(-90, 90))
             assert ev.gain_db(d) == pytest.approx(gain_db(g, awv, d), abs=1e-12)
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 8), (64, 64)])
@@ -117,11 +116,10 @@ class TestFieldAndGain:
         # more directions than one matrix product takes at 64x64, and nulls
         g = ArrayGeometry(*shape)
         awv = Awv(rng.uniform(-math.pi, math.pi, g.n_elements))
-        dirs = sample_directions(19, rng) + [Direction(0.0, 90.0), Direction(180.0, -90.0)]
-        u = np.stack([d.to_unit_vector() for d in dirs])
+        u = np.vstack([sample_directions(19, rng), unit_vector(0.0, 90.0), unit_vector(180.0, -90.0)])
         got = AwvEvaluator(g, awv).gains_db(u)
-        assert got.shape == (len(dirs),)
-        for value, d in zip(got, dirs):
+        assert got.shape == (len(u),)
+        for value, d in zip(got, u):
             assert value == pytest.approx(gain_db(g, awv, d), abs=1e-9)
         assert AwvEvaluator(g, awv).gains_db(u[:1])[0] == pytest.approx(got[0], abs=1e-12)
 
@@ -136,16 +134,24 @@ class TestFieldAndGain:
     def test_a_stack_gives_each_awv_its_gain(self, rng, shape):
         g = ArrayGeometry(*shape)
         awvs = [Awv(rng.uniform(-math.pi, math.pi, g.n_elements)) for _ in range(5)]
-        dirs = sample_directions(7, rng)
-        u = np.stack([d.to_unit_vector() for d in dirs])
+        u = sample_directions(7, rng)
         stack = AwvEvaluator(g, awvs)
         got = stack.gains_db(u)
         assert got.shape == (7, 5)
         for s, awv in enumerate(awvs):
-            for m, d in enumerate(dirs):
+            for m, d in enumerate(u):
                 assert got[m, s] == pytest.approx(gain_db(g, awv, d), abs=1e-9)
         # a sweep: every AWV of the stack toward one direction
-        assert np.array_equal(stack.gain_db(dirs[0]), stack.gains_db(u[:1])[0])
+        assert np.array_equal(stack.gain_db(u[0]), stack.gains_db(u[:1])[0])
+
+    def test_gain_db_is_the_batch_of_one(self, rng):
+        # bit for bit on the lattice, on a stack and in closed form
+        g = ArrayGeometry(8, 8)
+        awvs = [Awv(rng.uniform(-math.pi, math.pi, g.n_elements)) for _ in range(3)]
+        steered = steering_phases(g, unit_vector(20.0, -10.0))
+        for ev in (AwvEvaluator(g, awvs[0]), AwvEvaluator(g, awvs), AwvEvaluator(g, steered)):
+            for u in sample_directions(5, rng):
+                assert np.array_equal(ev.gain_db(u), ev.gains_db(u[None])[0])
 
     def test_stack_must_match_the_array(self):
         with pytest.raises(ValueError):
@@ -160,26 +166,25 @@ _ARC = Trajectory(
     90.0,
 )
 _ENDFIRE_AND_BACK = [
-    Direction(90.0, 0.0),
-    Direction(-90.0, 0.0),
-    Direction(0.0, 90.0),
-    Direction(0.0, -90.0),
-    Direction(180.0, 0.0),
+    unit_vector(90.0, 0.0),
+    unit_vector(-90.0, 0.0),
+    unit_vector(0.0, 90.0),
+    unit_vector(0.0, -90.0),
+    unit_vector(180.0, 0.0),
 ]
 
 
-def grating_lobes(g, aim):
-    """Visible directions whose y or z component differs from the aim's by
-    a nonzero multiple of 1 / spacing: there every element of a beam steered
-    at ``aim`` adds in phase again."""
-    t = aim.to_unit_vector()
+def grating_lobes(g, t):
+    """Visible directions whose y or z component differs from the aim
+    ``t``'s by a nonzero multiple of 1 / spacing: there every element of a
+    beam steered at ``t`` adds in phase again."""
     step = 1.0 / g.spacing_wavelengths
     out = []
     for my in range(-2, 3):
         for mz in range(-2, 3):
             y, z = t[1] + my * step, t[2] + mz * step
             if (my or mz) and y * y + z * z < 1.0:
-                out.append(Direction.from_unit_vector(np.array([math.sqrt(1.0 - y * y - z * z), y, z])))
+                out.append(np.array([math.sqrt(1.0 - y * y - z * z), y, z]))
     return out
 
 
@@ -188,7 +193,7 @@ def steered_and_composite_beams(g):
     included, then composite beams of every block count, each with its
     aims or block targets, their grating lobes, and the crossovers."""
     out = []
-    for aim in (Direction(0.0, 0.0), Direction(30.0, -20.0), Direction(-65.0, 40.0)):
+    for aim in (unit_vector(0.0, 0.0), unit_vector(30.0, -20.0), unit_vector(-65.0, 40.0)):
         out.append((steering_phases(g, aim), [aim] + grating_lobes(g, aim)))
     for k in range(1, min(K_MAX, g.cols) + 1):
         blocks = plan_with_k(g, _ARC, k)
@@ -211,7 +216,7 @@ def phases_from_blocks(g, awv):
     return phases.ravel()
 
 
-def extended_block_gain_db(g, awv, direction):
+def extended_block_gain_db(g, awv, u):
     """Gain of the phases the AWV's blocks describe, summed element by
     element in long double: k p.(u - t) + offset per element, with the
     program's double k and spacing."""
@@ -219,7 +224,6 @@ def extended_block_gain_db(g, awv, direction):
     kd = ld(2.0 * math.pi / g.wavelength) * ld(g.spacing_wavelengths * g.wavelength)
     rows = np.arange(g.rows, dtype=ld) - ld(g.rows - 1) / 2
     cols = np.arange(g.cols, dtype=ld) - ld(g.cols - 1) / 2
-    u = direction.to_unit_vector()
     re = im = ld(0)
     for b in awv.blocks:
         phase = kd * (cols[None, b.c0 : b.c1] * (ld(u[1]) - ld(b.ty)) + rows[:, None] * (ld(u[2]) - ld(b.tz)))
@@ -230,7 +234,7 @@ def extended_block_gain_db(g, awv, direction):
     return NULL_GAIN_DB if mag < 1e-15 else 20.0 * math.log10(mag)
 
 
-def extended_block_fields(g, blocks, direction):
+def extended_block_fields(g, blocks, u):
     """Each block's field per unit element amplitude and without its
     offset, summed element by element in long double as in
     :func:`extended_block_gain_db`, then rounded to complex doubles."""
@@ -238,7 +242,6 @@ def extended_block_fields(g, blocks, direction):
     kd = ld(2.0 * math.pi / g.wavelength) * ld(g.spacing_wavelengths * g.wavelength)
     rows = np.arange(g.rows, dtype=ld) - ld(g.rows - 1) / 2
     cols = np.arange(g.cols, dtype=ld) - ld(g.cols - 1) / 2
-    u = direction.to_unit_vector()
     out = []
     for b in blocks:
         phase = kd * (cols[None, b.c0 : b.c1] * (ld(u[1]) - ld(b.ty)) + rows[:, None] * (ld(u[2]) - ld(b.tz)))
@@ -259,7 +262,7 @@ class TestClosedForm:
         """Each steered and composite beam, with the directions that matter
         to it, endfire, backfire and random ones."""
         for awv, own in steered_and_composite_beams(g):
-            yield awv, own + _ENDFIRE_AND_BACK + sample_directions(40, rng)
+            yield awv, np.vstack([own, _ENDFIRE_AND_BACK, sample_directions(40, rng)])
 
     def check_against(self, g, reference, rng):
         """<= 1e-9 dB where the reference is above -80 dB, the floor where
@@ -267,7 +270,7 @@ class TestClosedForm:
         for awv, dirs in self.beams_and_directions(g, rng):
             ev = AwvEvaluator(g, awv)
             assert ev._w is None
-            got = ev.gains_db(np.stack([d.to_unit_vector() for d in dirs]))
+            got = ev.gains_db(dirs)
             for value, d in zip(got, dirs):
                 want = reference(g, awv, d)
                 if want == NULL_GAIN_DB:
@@ -291,7 +294,7 @@ class TestClosedForm:
         # closed form is 2e-14 off at worst over these beams
         g = ArrayGeometry(*shape, spacing_wavelengths=spacing)
         for awv, dirs in self.beams_and_directions(g, rng):
-            got = block_fields(g, block_layout(g, awv.blocks), np.stack([d.to_unit_vector() for d in dirs]))
+            got = block_fields(g, block_layout(g, awv.blocks), dirs)
             peak = g.rows * np.array([b.c1 - b.c0 for b in awv.blocks])
             for row, d in zip(got, dirs):
                 err = np.abs(row - extended_block_fields(g, awv.blocks, d))
@@ -307,11 +310,11 @@ class TestClosedForm:
         # a broadside beam at half-wavelength spacing: adjacent columns (or
         # rows) are in antiphase at endfire
         g = ArrayGeometry(*shape)
-        awv = steering_phases(g, Direction(0.0, 0.0))
-        ends = [Direction(90.0, 0.0), Direction(-90.0, 0.0)]
+        awv = steering_phases(g, unit_vector(0.0, 0.0))
+        ends = [unit_vector(90.0, 0.0), unit_vector(-90.0, 0.0)]
         if g.rows > 1:
-            ends += [Direction(0.0, 90.0), Direction(0.0, -90.0)]
-        got = AwvEvaluator(g, awv).gains_db(np.stack([d.to_unit_vector() for d in ends]))
+            ends += [unit_vector(0.0, 90.0), unit_vector(0.0, -90.0)]
+        got = AwvEvaluator(g, awv).gains_db(np.stack(ends))
         assert [gain_db(g, awv, d) for d in ends] == [NULL_GAIN_DB] * len(ends)
         assert got.tolist() == [NULL_GAIN_DB] * len(ends)
 
@@ -328,7 +331,7 @@ class TestClosedForm:
 
     def test_blocks_take_no_part_in_equality_or_repr(self):
         g = ArrayGeometry(4, 4)
-        awv = steering_phases(g, Direction(10.0, 5.0))
+        awv = steering_phases(g, unit_vector(10.0, 5.0))
         plain = Awv(awv.phases)
         assert awv.blocks and not plain.blocks
         assert awv == plain and repr(awv) == repr(plain)
@@ -336,16 +339,16 @@ class TestClosedForm:
 
     def test_plain_phases_take_the_lattice(self):
         g = ArrayGeometry(8, 8)
-        awv = steering_phases(g, Direction(10.0, 5.0))
+        awv = steering_phases(g, unit_vector(10.0, 5.0))
         lattice = AwvEvaluator(g, Awv(awv.phases))
         assert lattice._w is not None
-        u = np.stack([d.to_unit_vector() for d in sample_directions(30, np.random.default_rng(4))])
+        u = sample_directions(30, np.random.default_rng(4))
         assert np.max(np.abs(lattice.gains_db(u) - AwvEvaluator(g, awv).gains_db(u))) <= 1e-9
         # a stack of steered beams is one matrix product
         assert AwvEvaluator(g, [awv, awv])._w is not None
 
     def test_blocks_must_tile_the_columns(self):
-        awv = steering_phases(ArrayGeometry(4, 16), Direction(10.0, 5.0))
+        awv = steering_phases(ArrayGeometry(4, 16), unit_vector(10.0, 5.0))
         with pytest.raises(ValueError):
             AwvEvaluator(ArrayGeometry(8, 8), awv)
         # none, short, late, an empty block, a gap, an overlap, a backward block
@@ -359,17 +362,17 @@ class TestSampleDirections:
     def test_deterministic_per_seed(self):
         a = sample_directions(100, np.random.default_rng(5))
         b = sample_directions(100, np.random.default_rng(5))
-        assert all(x == y for x, y in zip(a, b))
+        assert np.array_equal(a, b)
         c = sample_directions(100, np.random.default_rng(6))
-        assert any(x != y for x, y in zip(a, c))
+        assert not np.array_equal(a, c)
 
     def test_covers_the_sphere(self):
         dirs = sample_directions(1000, np.random.default_rng(0))
-        assert len(dirs) == 1000
-        z = [d.to_unit_vector()[2] for d in dirs]
+        assert dirs.shape == (1000, 3)
+        z = dirs[:, 2]
         assert max(z) > 0.95 and min(z) < -0.95
         for d in dirs:
-            assert np.linalg.norm(d.to_unit_vector()) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -381,7 +384,7 @@ def test_global_phase_invariance(seed, shift):
     rng = np.random.default_rng(seed)
     g = ArrayGeometry(4, 4)
     phases = rng.uniform(-math.pi, math.pi, 16)
-    d = Direction(rng.uniform(-180, 180), rng.uniform(-90, 90))
+    d = unit_vector(rng.uniform(-180, 180), rng.uniform(-90, 90))
     g0 = gain_db(g, Awv(phases), d)
     g1 = gain_db(g, Awv(phases + shift), d)
     assert abs(g1 - g0) <= 1e-9
@@ -394,5 +397,5 @@ def test_coherence_bound(seed):
     rng = np.random.default_rng(seed)
     g = ArrayGeometry(4, 4)
     awv = Awv(rng.uniform(-math.pi, math.pi, 16))
-    d = Direction(rng.uniform(-180, 180), rng.uniform(-90, 90))
+    d = unit_vector(rng.uniform(-180, 180), rng.uniform(-90, 90))
     assert gain_db(g, awv, d) <= 10.0 * math.log10(16) + 1e-9

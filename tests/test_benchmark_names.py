@@ -17,7 +17,7 @@ from xrsim import antenna, codebook, macsim
 from xrsim.antenna import ArrayGeometry
 from xrsim.codebook import cached_quasi_omni, generate_sector_codebook, synthesize_quasi_omni
 from xrsim.config import load_config
-from xrsim.geometry import Direction
+from xrsim.geometry import unit_vector
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -84,7 +84,7 @@ def test_one_sweep_books_one_gain_call(monkeypatch):
     awvs = generate_sector_codebook(g, synthesize_quasi_omni(g, seed=3))
     sim = macsim.Simulator(load_config(overrides=["sim_time = 0.3", "rx_beamforming = sectors", "prediction = none"]))
     with instrument(Tracer()) as tracer:
-        antenna.AwvEvaluator(g, awvs).gain_db(Direction(20.0, -10.0))
+        antenna.AwvEvaluator(g, awvs).gain_db(unit_vector(20.0, -10.0))
         assert tracer.totals()["antenna.AwvEvaluator.gain_db.8x8"][0] == 1
         sim._apply_beamform(0.0)  # the AP sweep and the headset sweep
     totals = tracer.totals()

@@ -22,13 +22,13 @@ from xrsim.codebook import (
     steered_sectors,
     synthesize_quasi_omni,
 )
-from xrsim.geometry import Direction
+from xrsim.geometry import unit_vector
 
 
 def sampled_range_db(geometry, awv, seed, n=1000):
     """Gain spread over the synthesis sample set for (seed, n)."""
-    dirs = sample_directions(n, np.random.default_rng(seed))
-    g = AwvEvaluator(geometry, awv).gains_db(np.stack([d.to_unit_vector() for d in dirs]))
+    u = sample_directions(n, np.random.default_rng(seed))
+    g = AwvEvaluator(geometry, awv).gains_db(u)
     return float(g.max() - g.min())
 
 
@@ -49,8 +49,7 @@ def full_read_descent(geometry, n_samples, seed, max_iters, log=None):
         return hi - lo
 
     rng = np.random.default_rng(seed)
-    directions = sample_directions(n_samples, rng)
-    u = np.stack([d.to_unit_vector() for d in directions])
+    u = sample_directions(n_samples, rng)
     k = 2.0 * math.pi / geometry.wavelength
     base = np.exp(1j * k * (geometry.element_positions() @ u.T))
     amplitude = 1.0 / math.sqrt(geometry.n_elements)
@@ -104,7 +103,7 @@ def full_read_descent(geometry, n_samples, seed, max_iters, log=None):
 
 
 # the sector grid in id order: elevation-outer, azimuth varies fastest
-AIMS = [Direction(az, el) for el in DEFAULT_AIMS for az in DEFAULT_AIMS]
+AIMS = [unit_vector(az, el) for el in DEFAULT_AIMS for az in DEFAULT_AIMS]
 
 
 @pytest.fixture(scope="module")
@@ -126,14 +125,14 @@ class TestSectorCodebook:
 
     def test_aim_grid_order(self):
         # elevation-outer: azimuth varies fastest
-        assert AIMS[0] == Direction(-50.0, -50.0)
-        assert AIMS[1] == Direction(-30.0, -50.0)
-        assert AIMS[6] == Direction(-50.0, -30.0)
-        assert AIMS[35] == Direction(50.0, 50.0)
+        assert np.array_equal(AIMS[0], unit_vector(-50.0, -50.0))
+        assert np.array_equal(AIMS[1], unit_vector(-30.0, -50.0))
+        assert np.array_equal(AIMS[6], unit_vector(-50.0, -30.0))
+        assert np.array_equal(AIMS[35], unit_vector(50.0, 50.0))
         assert DEFAULT_AIMS == (-50.0, -30.0, -10.0, 10.0, 30.0, 50.0)
 
     def test_single_broadside_sector(self):
-        awv = steering_phases(ArrayGeometry(4, 4), Direction(0.0, 0.0))
+        awv = steering_phases(ArrayGeometry(4, 4), unit_vector(0.0, 0.0))
         assert np.allclose(awv.phases, 0.0)
 
     def test_sectors_are_steering_vectors(self, ap_book):
@@ -153,7 +152,7 @@ class TestSectorCodebook:
         # bare phases carry no blocks: a steered sector rebuilt from its
         # phases is evaluated by the lattice product, to the same gains
         g = ArrayGeometry(8, 8)
-        u = np.stack([d.to_unit_vector() for d in sample_directions(25, np.random.default_rng(2))])
+        u = sample_directions(25, np.random.default_rng(2))
         for orig in ap_book[:36]:
             got = Awv(orig.phases)
             assert orig.blocks and not got.blocks
@@ -198,8 +197,7 @@ class TestQuasiOmni:
         # lower-bounds anything the optimizer can return
         g = ArrayGeometry(2, 1)
         seed = 0
-        dirs = sample_directions(1000, np.random.default_rng(seed))
-        u = np.stack([d.to_unit_vector() for d in dirs])
+        u = sample_directions(1000, np.random.default_rng(seed))
         base = np.exp(1j * (2 * math.pi / g.wavelength) * (g.element_positions() @ u.T))
 
         def scan_range(rel):
@@ -318,8 +316,7 @@ class TestCandidateDescent:
 
     @staticmethod
     def fields_of(geometry, phases, n_samples, seed):
-        dirs = sample_directions(n_samples, np.random.default_rng(seed))
-        u = np.stack([d.to_unit_vector() for d in dirs])
+        u = sample_directions(n_samples, np.random.default_rng(seed))
         base = np.exp(1j * (2.0 * math.pi / geometry.wavelength) * (geometry.element_positions() @ u.T))
         amplitude = 1.0 / math.sqrt(geometry.n_elements)
         return amplitude * np.exp(1j * phases) @ base, amplitude * base

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import signal
 from dataclasses import fields
 from pathlib import Path
@@ -423,6 +424,14 @@ class TestSingleOverrideFuzz:
             rc = cli.main(argv)
         assert rc in (0, 1), argv
 
+    # the grating-lobe turn counts pass 2**63 here, which an int64 cast of
+    # them could not hold: it warned and flipped signs at random
+    @pytest.mark.parametrize("spacing", ["1e300", "1e200"])
+    def test_a_huge_spacing_runs(self, tmp_path, spacing):
+        argv = ["simulate", "--out-dir", str(tmp_path), "--set", "sim_time = 0.1", "--set", "spacing = " + spacing]
+        with time_limit(20.0):
+            assert cli.main(argv) == 0
+
 
 class TestOneMedian:
     """Frames of 1 ms and 3 ms: every output gives the nearest-rank p50,
@@ -560,6 +569,20 @@ class TestSweepCommand:
         assert len(lines) == 3
         bad = next(ln for ln in lines if "/missing/trace.csv" in ln)
         assert bad.split(",")[2] == "none" or '"' in bad
+
+    def test_a_quote_in_a_cell_reads_back(self, tmp_path, capsys):
+        # the quote was written undoubled, so a csv reader dropped it and
+        # read a stray quote after the message
+        cell = 'rotation=a"b'
+        argv = ["sweep", "--out-dir", str(tmp_path), "--label", "q", "--set", "sim_time = 0.05"]
+        assert cli.main(argv + ["--vary", cell + ",static"]) == 0
+        with pytest.raises(ConfigError) as exc:
+            load_config(overrides=["sim_time = 0.05", cell])
+        with open(tmp_path / "q.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [10, 10, 10]
+        bad = next(row for row in rows if row[0] == cell)
+        assert bad[2] == "none" and bad[9] == str(exc.value)
 
     def test_sweep_needs_an_axis(self, tmp_path):
         assert cli.main(["sweep", "--out-dir", str(tmp_path)]) == 1

@@ -110,7 +110,7 @@ class TestPlan:
         blocks = plan_with_k(g, traj, 4)
         assert column_blocks(blocks) == [(0, 16), (16, 32), (32, 48), (48, 64)]
         for i, b in enumerate(blocks):
-            target = traj.direction_at((i + 0.5) / 4).to_unit_vector()
+            target = traj.direction_at((i + 0.5) / 4)
             assert (b.ty, b.tz) == (float(target[1]), float(target[2]))
         # the offsets align the blocks at the crossovers s = i / 4
         diff = np.angle(np.exp(1j * (np.array([b.offset for b in blocks]) - oracle_offsets(g, traj, blocks))))
@@ -276,22 +276,25 @@ class TestCovrageBeam:
 
 # SHA-256 of the phases of beams whose poses give each block count: a yaw
 # of the predicted orientation away from a tilted headset, with the AP level
-# ahead of it, on a 64x64 array and, for the 150 deg arc, on two columns
-PHASE_DIGESTS = [
-    ((64, 64), 1.0, 1, "3b57ad82c4191f7c49f1c898d48c12203088d7ab4e69a03bd3c4a64420ccfafd"),
-    ((64, 64), 2.5, 2, "4512704240976ea9f3ed4758fce2e1d1a7ca87c5ac489afb2961800910fba316"),
-    ((64, 64), 7.0, 5, "cb2bbdb722b2cfafd12e56d46dec3513c59daa139893e329dafa19c580c8097b"),
-    ((64, 64), 20.0, 8, "cb9763fce53eb0382214004a95dd8a6100fae008e5696d9ea88920d2f9010d56"),
-    ((8, 2), 150.0, 2, "1d5c61bafca5bdcb813761cee0c62bfe2be67f4d7cd83bfd198889b807db90f1"),
-]
+# ahead of it, on a 64x64 array and, for the 150 deg arc, on two columns.
+# Re-pinned when the block targets stopped passing through azimuth and
+# elevation: that round trip rounded them, and the phases moved by at most
+# 7.1e-15 rad.
+PHASE_DIGESTS = {
+    ((64, 64), 1.0, 1): "d034bcd88d9d5695128f0937d924ff08104cbe4d9aaf60afc499fdf46fe07301",
+    ((64, 64), 2.5, 2): "64f6d5d1113db357e3624a4708671dbd3b935df277ce96f5d46d0c73009ac3fa",
+    ((64, 64), 7.0, 5): "141fe55d985a302b75d8ca27263d19fd4a8d88f6af8980ff8c3764c743f37477",
+    ((64, 64), 20.0, 8): "d759b8ff07980515a7341c639a014946f9bba5c4461ef873d1b3e120bae4f36e",
+    ((8, 2), 150.0, 2): "9ff3b0473caa14defcad9853f1edc4ff673428ff5280dce957bfb5996181f1ea",
+}
 
 
-@pytest.mark.parametrize("shape, yaw_deg, k, want", PHASE_DIGESTS)
-def test_phase_digests(shape, yaw_deg, k, want):
+@pytest.mark.parametrize("shape, yaw_deg, k", PHASE_DIGESTS)
+def test_phase_digests(shape, yaw_deg, k):
     g = ArrayGeometry(*shape)
     tilt = Quaternion.from_axis_angle((1, 1, 0), 0.1)
     now = Pose(0.0, HERE, tilt)
     q_pred = (Quaternion.from_axis_angle((0, 0, 1), math.radians(yaw_deg)) * tilt).normalized()
     awv = covrage_beam(g, now, q_pred, HERE + np.array([5.0, 0.0, 0.0]))
     assert len(awv.blocks) == k
-    assert hashlib.sha256(awv.phases.tobytes()).hexdigest() == want
+    assert hashlib.sha256(awv.phases.tobytes()).hexdigest() == PHASE_DIGESTS[shape, yaw_deg, k]

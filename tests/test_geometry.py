@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xrsim.geometry import (
-    Direction,
     Pose,
     Quaternion,
     ap_direction_in_hmd_frame,
@@ -15,6 +14,7 @@ from xrsim.geometry import (
     rotate_into_frames,
     slerp,
     slerp_arrays,
+    unit_vector,
 )
 from xrsim.config import PREDICTION_MODES
 from xrsim.mobility import TraceSet, load_trace, save_trace
@@ -157,31 +157,17 @@ class TestRotateIntoFrames:
 
 class TestDirection:
     def test_unit_vector_conventions(self):
-        assert np.allclose(Direction(0.0, 0.0).to_unit_vector(), [1, 0, 0])
-        assert np.allclose(Direction(90.0, 0.0).to_unit_vector(), [0, 1, 0], atol=1e-15)
-        assert np.allclose(Direction(0.0, 90.0).to_unit_vector(), [0, 0, 1], atol=1e-15)
-
-    def test_round_trip(self, rng):
-        for _ in range(100):
-            d = Direction(rng.uniform(-179.9, 180.0), rng.uniform(-89.9, 89.9))
-            d2 = Direction.from_unit_vector(d.to_unit_vector())
-            assert d2.azimuth_deg == pytest.approx(d.azimuth_deg, abs=1e-9)
-            assert d2.elevation_deg == pytest.approx(d.elevation_deg, abs=1e-9)
-
-    def test_pole_azimuth_pinned_to_zero(self):
-        d = Direction.from_unit_vector([0, 0, 1])
-        assert d.azimuth_deg == 0.0
-        assert d.elevation_deg == pytest.approx(90.0)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            Direction.from_unit_vector([0.0, 0.0, 0.0])
+        assert np.allclose(unit_vector(0.0, 0.0), [1, 0, 0])
+        assert np.allclose(unit_vector(90.0, 0.0), [0, 1, 0], atol=1e-15)
+        assert np.allclose(unit_vector(180.0, 0.0), [-1, 0, 0], atol=1e-15)
+        assert np.allclose(unit_vector(0.0, 90.0), [0, 0, 1], atol=1e-15)
+        assert np.allclose(unit_vector(0.0, -90.0), [0, 0, -1], atol=1e-15)
 
     def test_angle_to(self):
-        a = Direction(0.0, 0.0)
-        assert direction_angle(a, Direction(90.0, 0.0)) == pytest.approx(90.0)
+        a = unit_vector(0.0, 0.0)
+        assert direction_angle(a, unit_vector(90.0, 0.0)) == pytest.approx(90.0)
         assert direction_angle(a, a) == pytest.approx(0.0, abs=1e-9)
-        b = Direction(10.0, 20.0)
+        b = unit_vector(10.0, 20.0)
         assert direction_angle(b, a) == pytest.approx(direction_angle(a, b))
 
 
@@ -189,7 +175,7 @@ class TestPoseFrame:
     def test_overhead_source_is_at_the_zenith(self):
         pose = Pose(0.0, np.array([0.0, 0.0, 1.7]), Quaternion.identity())
         d = ap_direction_in_hmd_frame(pose, (0.0, 0.0, 10.0))
-        assert d.elevation_deg == pytest.approx(90.0)
+        assert math.degrees(math.asin(d[2])) == pytest.approx(90.0)
 
     def test_yaw_rotates_apparent_azimuth_backwards(self):
         # head yaws +90 deg about z; a source on the world +x axis appears
@@ -197,8 +183,8 @@ class TestPoseFrame:
         q = Quaternion.from_axis_angle((0, 0, 1), math.pi / 2)
         pose = Pose(0.0, np.zeros(3), q)
         d = ap_direction_in_hmd_frame(pose, (5.0, 0.0, 0.0))
-        assert d.azimuth_deg == pytest.approx(-90.0, abs=1e-9)
-        assert d.elevation_deg == pytest.approx(0.0, abs=1e-9)
+        assert math.degrees(math.atan2(d[1], d[0])) == pytest.approx(-90.0, abs=1e-9)
+        assert math.degrees(math.asin(d[2])) == pytest.approx(0.0, abs=1e-9)
 
     def test_coincident_positions_rejected(self):
         pose = Pose(0.0, np.array([1.0, 2.0, 3.0]), Quaternion.identity())

@@ -15,7 +15,7 @@ from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db
 from xrsim.channel import snr_db
 from xrsim.codebook import cached_quasi_omni, generate_sector_codebook, steered_sectors, synthesize_quasi_omni
 from xrsim.config import ConfigError, ScenarioConfig, load_config
-from xrsim.geometry import Direction, ap_direction_in_hmd_frame
+from xrsim.geometry import ap_direction_in_hmd_frame, unit_vector
 from xrsim.macsim import (
     EVENT_KINDS,
     FrameRecord,
@@ -129,8 +129,9 @@ class TestBiConfig:
 
 
 # the AP direction of the 1.9 s sweep in the 2 s digest runs, where AP
-# sectors 20 and 21 (aims -10 and +10 deg azimuth) are a mirror pair
-MIRROR_DIRECTION = Direction(3.3878870498648826e-16, 0.6851006141968146)
+# sectors 20 and 21 (aims -10 and +10 deg azimuth) are a mirror pair, as
+# azimuth and elevation (the run's own vector is 1.7e-18 lower in z)
+MIRROR_DIRECTION = unit_vector(3.3878870498648826e-16, 0.6851006141968146)
 
 
 def oracle_gains(g, awvs, d):
@@ -147,7 +148,7 @@ class TestBestSector:
         # one stacked pass against the per-element oracle, under the same rule
         g, awvs = book
         sweep = AwvEvaluator(g, awvs)
-        for d in [Direction(20.0, -10.0), Direction(0.0, 0.0), Direction(-45.0, 30.0), Direction(130.0, -60.0)]:
+        for d in [unit_vector(20.0, -10.0), unit_vector(0.0, 0.0), unit_vector(-45.0, 30.0), unit_vector(130.0, -60.0)]:
             assert best_sector(sweep.gain_db(d)) == best_sector(oracle_gains(g, awvs, d))
         assert best_sector(sweep.gain_db(MIRROR_DIRECTION)) == best_sector(oracle_gains(g, awvs, MIRROR_DIRECTION)) == 20
 
@@ -176,7 +177,7 @@ class TestBestSector:
         # a single-element array radiates identically in every sector
         g = ArrayGeometry(1, 1)
         awvs = generate_sector_codebook(g, synthesize_quasi_omni(g))
-        assert best_sector(AwvEvaluator(g, awvs).gain_db(Direction(35.0, 10.0))) == 0
+        assert best_sector(AwvEvaluator(g, awvs).gain_db(unit_vector(35.0, 10.0))) == 0
 
     @given(shift=st.floats(-20.0, 20.0), k=st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -184,7 +185,7 @@ class TestBestSector:
         # a gain shared by every sector, such as the other end's listener,
         # cannot move the winner, which is why the sweep leaves it out
         g, awvs = book
-        d = [Direction(-25.0, 15.0), Direction(0.0, 0.0), Direction(130.0, -60.0), MIRROR_DIRECTION][k]
+        d = [unit_vector(-25.0, 15.0), unit_vector(0.0, 0.0), unit_vector(130.0, -60.0), MIRROR_DIRECTION][k]
         gains = oracle_gains(g, awvs, d)
         assert best_sector(gains + shift) == best_sector(gains)
 
@@ -206,7 +207,7 @@ class TestApSweep:
         # best steered sector beats the synthesized 8x8 pattern by >= 1 dB,
         # so adding it to the sweep could move no winner
         dirs = self.directions(sim, np.linspace(*sim.cfg.x_bounds, 41), np.linspace(*sim.cfg.y_bounds, 21))
-        u = np.stack([d.to_unit_vector() for d in dirs])
+        u = np.stack(dirs)
         quasi_omni = AwvEvaluator(sim.ap_geometry, cached_quasi_omni(sim.ap_geometry)).gains_db(u)
         assert np.min(sim.ap_sweep.gains_db(u).max(axis=1) - quasi_omni) >= 1.0
 
