@@ -10,7 +10,7 @@ shared by all elements (phase-only beamforming).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,8 +23,10 @@ SPEED_OF_LIGHT = 299_792_458.0
 _NULL_FIELD = 1e-15
 NULL_GAIN_DB = -300.0
 
-# complex multiply-adds per matrix product in AwvEvaluator.gains_db
+# complex multiply-adds per matrix product in AwvEvaluator.gains_db, on
+# the lattice and in the closed form
 _GEMM_MACS = 8 * 64 * 64
+_GEMV_MACS = 2048
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,16 @@ class ArrayGeometry:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
 
+    def axis_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Element y per column and z per row, in meters off the array
+        centre."""
+        d = self.spacing_wavelengths * self.wavelength
+        return (np.arange(self.cols) - (self.cols - 1) / 2.0) * d, (np.arange(self.rows) - (self.rows - 1) / 2.0) * d
+
     def element_positions(self) -> np.ndarray:
         """(N, 3) element positions in meters, row-major (r * cols + c)."""
-        d = self.spacing_wavelengths * self.wavelength
-        r = np.arange(self.rows) - (self.rows - 1) / 2.0
-        c = np.arange(self.cols) - (self.cols - 1) / 2.0
-        zz, yy = np.meshgrid(r * d, c * d, indexing="ij")
+        y, z = self.axis_positions()
+        zz, yy = np.meshgrid(z, y, indexing="ij")
         out = np.zeros((self.n_elements, 3))
         out[:, 1] = yy.ravel()
         out[:, 2] = zz.ravel()
@@ -75,37 +81,55 @@ class SteeredBlock(NamedTuple):
     offset: float
 
 
-@dataclass(frozen=True)
 class Awv:
     """Analog weight vector: per-element phases; every element shares the
     amplitude 1/sqrt(N).
 
-    ``blocks`` records how the phases were built when they are steered
-    column blocks (a steered beam is one block over all columns), so that
-    :class:`AwvEvaluator` can sum the array in closed form.  It describes
-    ``phases`` and adds nothing to them: it takes no part in ``==`` or
-    ``repr``, and a weight vector built from bare phases has none.
+    A weight vector of steered column blocks (:func:`steered_awv`; a steered
+    beam is one block over all columns) records them in ``blocks``, so that
+    :class:`AwvEvaluator` can sum the array in closed form, and builds its
+    phases from them when they are first read: a link never reads them.
+    ``blocks`` describes ``phases`` and adds nothing to them: it takes no
+    part in ``==`` or ``repr``, and a weight vector built from bare phases
+    has none.
     """
 
-    phases: np.ndarray
-    blocks: tuple[SteeredBlock, ...] = field(default=(), repr=False, compare=False)
-
-    def __post_init__(self):
-        phases = np.ascontiguousarray(self.phases, dtype=float)
+    def __init__(self, phases: np.ndarray):
+        phases = np.ascontiguousarray(phases, dtype=float)
         if phases.ndim != 1 or phases.size == 0:
             raise ValueError("phases must be a nonempty 1-D array")
-        if not np.all(np.isfinite(phases)):
-            raise ValueError("phases must be finite")
-        phases.flags.writeable = False
-        object.__setattr__(self, "phases", phases)
+        self._phases = _finite(phases)
+        self._geometry = None
+        self.blocks: tuple[SteeredBlock, ...] = ()
+        self.n_elements = phases.size
 
     @property
-    def n_elements(self) -> int:
-        return self.phases.size
+    def phases(self) -> np.ndarray:
+        if self._phases is None:
+            self._phases = _finite(_block_phases(self._geometry, self.blocks))
+        return self._phases
 
     @property
     def amplitude(self) -> float:
-        return 1.0 / math.sqrt(self.phases.size)
+        return 1.0 / math.sqrt(self.n_elements)
+
+    def __eq__(self, other):
+        if not isinstance(other, Awv):
+            return NotImplemented
+        return np.array_equal(self.phases, other.phases)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "Awv(phases=%r)" % (self.phases,)
+
+
+def _finite(phases: np.ndarray) -> np.ndarray:
+    """``phases``, made read-only, once they are known to be finite."""
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("phases must be finite")
+    phases.flags.writeable = False
+    return phases
 
 
 def steering_phases(geometry: ArrayGeometry, u: np.ndarray) -> Awv:
@@ -116,14 +140,25 @@ def steering_phases(geometry: ArrayGeometry, u: np.ndarray) -> Awv:
 def steered_awv(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> Awv:
     """Weight vector of steered blocks that tile the columns in order: the
     elements at y and z in block b take the phase -k (y t_y + z t_z) +
-    offset, and the weight vector records the blocks."""
+    offset, and the weight vector records the blocks.  Its phases are built
+    when first read (:func:`_block_phases`)."""
     _check_tiling(geometry, blocks)
+    if not all(math.isfinite(v) for b in blocks for v in (b.ty, b.tz, b.offset)):
+        raise ValueError("phases must be finite")
+    awv = Awv.__new__(Awv)
+    awv._phases, awv._geometry = None, geometry
+    awv.blocks, awv.n_elements = tuple(blocks), geometry.n_elements
+    return awv
+
+
+def _block_phases(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> np.ndarray:
+    """The phases of :func:`steered_awv`, row-major, element by element from
+    the positions of :meth:`ArrayGeometry.element_positions`."""
     k = 2.0 * math.pi / geometry.wavelength
-    pos = geometry.element_positions().reshape(geometry.rows, geometry.cols, 3)
-    phases = np.empty((geometry.rows, geometry.cols))
-    for b in blocks:
-        phases[:, b.c0 : b.c1] = -k * (pos[:, b.c0 : b.c1, 1] * b.ty + pos[:, b.c0 : b.c1, 2] * b.tz) + b.offset
-    return Awv(phases.ravel(), tuple(blocks))
+    y, z = geometry.axis_positions()
+    per_block = [(b.ty, b.tz, b.offset) for b in blocks]
+    ty, tz, offset = np.repeat(per_block, [b.c1 - b.c0 for b in blocks], axis=0).T
+    return (-k * (y * ty + z[:, None] * tz) + offset).ravel()
 
 
 def _check_tiling(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> None:
@@ -264,10 +299,16 @@ class AwvEvaluator:
         least two directions and so never form the latter, and sweeps: one
         direction and one vector-matrix product over the stack (2,304
         multiply-adds for the AP's 36 sectors at 8x8, 2,368 for a 37-entry
-        8x8 headset codebook).
+        8x8 headset codebook).  In the closed form the M x B block fields
+        are summed in matrix-vector products of about ``_GEMV_MACS``
+        multiply-adds, for OpenBLAS threads one from 4,096 on.  No chunk has
+        one row: that product takes the dot path, which rounds differently.
         """
         if self._w is None:
-            mags = np.abs(block_fields(self.geometry, self._layout, u) @ self._block_coef)[:, None]
+            fields = block_fields(self.geometry, self._layout, u)
+            n_products = max(min(-(-fields.size // _GEMV_MACS), len(u) // 2), 1)
+            sums = [rows @ self._block_coef for rows in np.array_split(fields, n_products)]
+            mags = np.abs(np.concatenate(sums))[:, None]
         else:
             col_phasors = _lattice_phasors(self._ky, u[:, 1])
             row_phasors = _lattice_phasors(self._kz, u[:, 2])

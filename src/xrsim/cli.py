@@ -116,6 +116,10 @@ def _vary_cells(vary_args) -> list[dict]:
             raise ConfigError("--vary key %r is given twice" % key)
         if len(set(parts)) < len(parts):
             raise ConfigError("--vary %r lists a value twice" % spec)
+        # the CSV is ASCII, and each row's cell key repeats the value
+        for value in parts:
+            if not value.isascii():
+                raise ConfigError("--vary value %r is not ASCII" % value)
         axes[key] = parts
     return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 

@@ -62,24 +62,28 @@ AP transmits on steered sectors alone, so covrage synthesizes none; at
 64x64 that synthesis is the costliest set-up step.
 
 Link evaluation runs per beamforming epoch.  Between two updates the AWV
-pair is fixed, so an MPDU's SNR is a function of its start time alone, and
-no update comes before the next TBTT or trigger.  Up to that horizon (or
-sim_time) the queue is served back to back and bursts arrive at the known
-times ``k * period``: each start is the previous MPDU's end, or the next
-arrival if the queue has drained by then.  So the simulator predicts the
-starts through the queued and the coming bursts up to the horizon, with the
-age check at each and every attempt taking the outcome of the last real
-one: after a success each MPDU goes once, after a failure each burst's next
-MPDU is retried at its own airtime until its frame ages out.  It evaluates
-the link at all of them in one array computation (:meth:`Simulator.snr_at`),
-and an array step uses an entry only when the MAC's real start equals it
-bit for bit.  A mismatch or an update begins a new batch.  The batch cap
-doubles after a batch is used to its end, so an epoch takes a batch or two,
-and falls back to :data:`_LINK_BATCH` after a mismatch, so an outcome that
-changes and shifts every later start wastes little.  Its ceiling bounds a
-batch's arrays (M x 64 complex values per M starts at 64x64): a one-second
-epoch at 8 Gbps and 1000-byte MPDUs is 240,000 starts.  A step's arrays
-stop at the next heap event, so a burst pays for its own entries only.
+pair is fixed, so an MPDU's SNR is a function of its start time alone.  In
+DTI mode no update comes before the next trigger, and a BHI changes neither
+AWV; only while a sweep is owed, which may start at a BHI's end, does the
+next TBTT bound the epoch, as it does on the A-BFT path, where every BHI end
+beamforms.  Up to that horizon (or sim_time) the queue is served back to
+back and bursts arrive at the known times ``k * period``: each start is the
+previous MPDU's end, or the next arrival if the queue has drained by then,
+and a start that would fall in a BHI waits for its end.  So the simulator
+predicts the starts through the queued and the coming bursts up to the
+horizon, with the age check at each and every attempt taking the outcome of
+the last real one: after a success each MPDU goes once, after a failure each
+burst's next MPDU is retried at its own airtime until its frame ages out.
+It evaluates the link at all of them in one array computation
+(:meth:`Simulator.snr_at`), and an array step uses an entry only when the
+MAC's real start equals it bit for bit.  A mismatch or an update begins a
+new batch.  The batch cap doubles after a batch is used to its end, so an
+epoch takes a batch or two, and falls back to :data:`_LINK_BATCH` after a
+mismatch, so an outcome that changes and shifts every later start wastes
+little.  Its ceiling bounds a batch's arrays (M x 64 complex values per M
+starts at 64x64): a one-second epoch at 8 Gbps and 1000-byte MPDUs is
+240,000 starts.  A step's arrays stop at the next heap event, so a burst
+pays for its own entries only.
 """
 
 from __future__ import annotations
@@ -349,12 +353,22 @@ class Simulator:
         outcome of the last real one: after a success each MPDU goes at its
         first attempt, after a failure each burst's next MPDU is retried at
         its own airtime.  Frames that age out are dropped as
-        :meth:`_drop_expired` would.  At most ``_link_cap`` starts, none at or
-        after the horizon (next TBTT, next trigger, sim_time)."""
-        drop_age, cap, count = self.cfg.deadline, self._link_cap, self.burst_count
-        horizon = min(self.next_tbtt, self.next_trigger, self.cfg.sim_time)
+        :meth:`_drop_expired` would.  A DTI beacon header changes neither
+        AWV, so a start at or after a TBTT moves to the later of itself and
+        the BHI's end, where the MAC takes its next decision.  At most
+        ``_link_cap`` starts, none at or after the horizon: the next trigger
+        or sim_time, and the next TBTT on the A-BFT path, where every BHI end
+        beamforms, or while a sweep is owed, which may start at a BHI's end."""
+        cfg = self.cfg
+        drop_age, cap, count = cfg.deadline, self._link_cap, self.burst_count
+        horizon = min(self.next_trigger, cfg.sim_time)
+        tbtt = self.next_tbtt
+        if cfg.bf_location == "abft" or self.sls_owed:
+            horizon, tbtt = min(horizon, tbtt), math.inf
+        bound = min(horizon, tbtt)  # the one comparison per start
         full, tail = self._full_airtime, self._tail_airtime
         period, n_bursts = self._sources["burst_arrival"]
+        bi, n_beacons = self._sources["beacon_start"]
         starts = []
         for k in range(self.head, n_bursts):
             arrival = k * period  # as _schedule computes it, bit for bit
@@ -365,9 +379,19 @@ class Simulator:
             else:
                 airtimes = itertools.repeat(full if sent < count - 1 else tail)
             for airtime in airtimes:
+                if starts and t >= bound:
+                    while tbtt <= t < horizon:
+                        # the BHI ends as _reserve computes it; the next TBTT
+                        # is taken as _schedule computes it
+                        t = max(t, tbtt + cfg.bhi_duration)
+                        j = round(tbtt / bi) + 1
+                        tbtt = j * bi if j < n_beacons else math.inf
+                    if t >= horizon:
+                        return starts
+                    bound = min(horizon, tbtt)
                 if t - arrival > drop_age:
                     break  # t stands still, so the rest of the frame is stale too
-                if starts and (t >= horizon or len(starts) == cap):
+                if len(starts) == cap:
                     return starts
                 starts.append(t)
                 t = t + airtime

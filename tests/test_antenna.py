@@ -69,6 +69,19 @@ class TestAwv:
     def test_n_elements(self):
         assert Awv(np.zeros(6)).n_elements == 6
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phases_and_blocks_are_rejected(self, bad):
+        g = ArrayGeometry(4, 8)
+        with pytest.raises(ValueError, match="finite"):
+            Awv(np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            steering_phases(g, np.array([1.0, bad, 0.0]))
+        for field in ("ty", "tz", "offset"):
+            blocks = [SteeredBlock(0, 3, 0.1, 0.2, 0.0), SteeredBlock(3, 8, 0.1, 0.2, 0.3)]
+            blocks[1] = blocks[1]._replace(**{field: bad})
+            with pytest.raises(ValueError, match="finite"):
+                steered_awv(g, blocks)
+
 
 class TestFieldAndGain:
     def test_broadside_peak_is_coherent(self):
@@ -328,6 +341,19 @@ class TestClosedForm:
             assert awv.blocks
             diff = np.angle(np.exp(1j * (awv.phases - phases_from_blocks(g, awv))))
             assert np.max(np.abs(diff)) <= 1e-9
+
+    @pytest.mark.parametrize("spacing", [0.5, 1.0])
+    @pytest.mark.parametrize("shape", [(64, 64), (8, 8), (5, 7), (1, 9), (9, 1)])
+    def test_phases_are_built_on_first_read_bit_for_bit(self, shape, spacing):
+        # a link never reads the phases, so a steered weight vector builds
+        # them when they are first read, with the element-by-element
+        # arithmetic of the per-element positions
+        g = ArrayGeometry(*shape, spacing_wavelengths=spacing)
+        awvs = [awv for awv, _ in steered_and_composite_beams(g)] + list(steered_sectors(g))
+        assert all(awv._phases is None for awv in awvs)
+        for awv in awvs:
+            assert np.array_equal(awv.phases, phases_from_blocks(g, awv))
+            assert awv.phases is awv.phases and not awv.phases.flags.writeable
 
     def test_blocks_take_no_part_in_equality_or_repr(self):
         g = ArrayGeometry(4, 4)

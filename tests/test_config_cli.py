@@ -589,7 +589,8 @@ class TestSweepCommand:
 
     # each ran something other than it was asked, with exit 0: the preset's
     # 12 cells without the axis, one cell at the last value, two identical
-    # rows, or a row per value holding the same unknown-key error
+    # rows, or a row per value holding the same unknown-key error; a value
+    # that is not ASCII ran every cell, then could not be written to the CSV
     @pytest.mark.parametrize(
         "argv, named",
         [
@@ -597,6 +598,7 @@ class TestSweepCommand:
             (["--vary", "data_rate=2e9", "--vary", "data_rate=5e9"], ("--vary", "'data_rate'")),
             (["--vary", "data_rate=2e9,2e9"], ("--vary", "data_rate=2e9,2e9")),
             (["--vary", "bogus=1,2"], ("--vary", "'bogus'")),
+            (["--vary", "rotation=\u00e9,static"], ("--vary", "'\u00e9'", "ASCII")),
         ],
     )
     def test_a_conflicting_sweep_exits_one_before_any_cell(self, tmp_path, capsys, monkeypatch, argv, named):

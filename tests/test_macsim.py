@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xrsim import macsim
+from xrsim import antenna, macsim
 from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db
 from xrsim.channel import snr_db
 from xrsim.codebook import cached_quasi_omni, generate_sector_codebook, steered_sectors, synthesize_quasi_omni
@@ -630,6 +630,17 @@ class TestLazyQuasiOmni:
         for awv, sector in zip(sim.ap_sweep.awv, sectors):
             assert awv.blocks and np.array_equal(awv.phases, sector.phases)
 
+    def test_a_covrage_run_builds_no_phases(self, monkeypatch):
+        # the closed form sums steered blocks, so no beam the loop plans
+        # builds its 4,096 phases; the AP's stacked sweep built its own
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.5"]))
+        built = []
+        block_phases = antenna._block_phases
+        monkeypatch.setattr(antenna, "_block_phases", lambda *a: built.append(a) or block_phases(*a))
+        counters = sim.run().counters
+        assert counters["bf_updates"] == 5 and counters["mpdu_attempts"] > 0
+        assert sim.hmd_eval.awv.blocks and built == []
+
     @pytest.mark.parametrize("mode", ["quasi_omni", "sectors"])
     def test_other_modes_synthesize_their_hmd_quasi_omni(self, mode):
         hits0, misses0 = _cache_calls()
@@ -867,16 +878,68 @@ class TestBatchedLink:
         sim._last_ok = True
         assert sim._predicted_starts(t0)[:2] == self.back_to_back(t0, [sim._airtime(tail)])
 
-    @pytest.mark.parametrize("bound", ["next_tbtt", "next_trigger", "sim_time"])
+    @pytest.mark.parametrize("bound", ["abft_tbtt", "owed_sweep_tbtt", "next_trigger", "sim_time"])
     def test_no_start_at_or_after_the_horizon(self, sim, bound):
-        # a start that lands exactly on the bound is left out
+        # a start that lands exactly on the bound is left out; a TBTT bounds
+        # the batch on the A-BFT path, where every BHI end beamforms, and
+        # while a sweep is owed, which starts at the BHI end
         self.open_epoch(sim, 31, head=30, next_tbtt=1.0, next_trigger=1.0)
         want = self.back_to_back(0.301, [sim._full_airtime] * 10)
         if bound == "sim_time":
             sim.cfg = dataclasses.replace(sim.cfg, sim_time=want[6])
+        elif bound == "next_trigger":
+            sim.next_trigger = want[6]
         else:
-            setattr(sim, bound, want[6])
+            sim.next_tbtt = want[6]
+            if bound == "abft_tbtt":
+                sim.cfg = dataclasses.replace(sim.cfg, bf_location="abft")
+            else:
+                sim.sls_owed = True
         assert sim._predicted_starts(0.301) == want[:6]
+
+    @pytest.mark.parametrize("landing", ["at", "after"])
+    def test_a_dti_start_at_or_after_a_tbtt_moves_to_the_bhi_end(self, sim, landing):
+        # a DTI beacon header changes neither AWV, so the batch runs on:
+        # the start that meets the BHI moves to its end, where the MAC takes
+        # its next decision, and the starts go on back to back from there
+        full = sim._full_airtime
+        self.open_epoch(sim, 31, head=30, next_tbtt=1.0, next_trigger=1.0)
+        want = self.back_to_back(0.301, [full] * 10)
+        sim.next_tbtt = want[6] if landing == "at" else (want[5] + want[6]) / 2.0
+        bhi_end = sim.next_tbtt + sim.cfg.bhi_duration  # as _reserve computes it
+        assert bhi_end > want[6]
+        got = sim._predicted_starts(0.301)
+        assert got[:6] == want[:6]
+        assert got[6:11] == self.back_to_back(bhi_end, [full] * 4)
+
+    def test_an_mpdu_in_flight_past_the_bhi_end_keeps_its_own_end(self, sim):
+        # the MPDU on air when the BHI begins completes; the next start is
+        # its end, which comes after the BHI's
+        full = sim._full_airtime
+        sim.cfg = dataclasses.replace(sim.cfg, bhi_duration=full / 4.0)
+        self.open_epoch(sim, 31, head=30, next_tbtt=1.0, next_trigger=1.0)
+        want = self.back_to_back(0.301, [full] * 10)
+        sim.next_tbtt = (want[5] + want[6]) / 2.0
+        assert sim.next_tbtt + sim.cfg.bhi_duration < want[6]
+        assert sim._predicted_starts(0.301)[:11] == want
+
+    def test_a_one_second_epoch_crosses_several_bhis(self):
+        # with bf_interval = 1.0 only the run's end bounds the batch: every
+        # start follows the previous one's airtime, an arrival or a BHI end
+        # (each TBTT as _schedule computes it), and none falls in a BHI
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 1.0", "bf_interval = 1.0"]))
+        assert sim._sources["bf_trigger"][1] == 1
+        cfg, period = sim.cfg, sim.cfg.burst_interval
+        self.open_epoch(sim, 31, head=30, next_tbtt=3 * cfg.bi_duration, next_trigger=math.inf)
+        sim._link_cap = 10**6
+        got = sim._predicted_starts(0.301)
+        bhis = [(j * cfg.bi_duration, j * cfg.bi_duration + cfg.bhi_duration) for j in range(3, 10)]
+        arrivals, bhi_ends = {k * period for k in range(31, 100)}, {end for _, end in bhis}
+        assert got[-1] < cfg.sim_time < got[-1] + sim._full_airtime + period
+        assert not any(begin <= t < end for t in got for begin, end in bhis)
+        for prev, t in zip(got, got[1:]):
+            assert t in (prev + sim._full_airtime, prev + sim._tail_airtime) or t in arrivals | bhi_ends
+        assert len(bhi_ends & set(got)) >= 3
 
     def test_nothing_past_the_last_scheduled_burst(self):
         # frame 99 is the run's last burst, also at a sim_time just past
@@ -954,7 +1017,9 @@ class TestBatchedLink:
         if "bf_location = abft" in overrides:
             assert counters["mpdu_failures"] == counters["mpdu_attempts"] > 0
         assert counters["mpdu_attempts"] <= sum(batches) <= 1.01 * counters["mpdu_attempts"]
-        assert len(batches) <= 3 * counters["bf_updates"]
+        # a DTI batch runs across beacon headers: about one per epoch
+        per_update = 3 if "bf_location = abft" in overrides else 1.25
+        assert len(batches) <= per_update * counters["bf_updates"]
 
     def test_no_batch_exceeds_the_ceiling(self):
         # one epoch of 0.3 s at 4 us per MPDU: an unbounded cap would reach
