@@ -237,13 +237,13 @@ def block_fields(geometry: ArrayGeometry, layout, u: np.ndarray) -> np.ndarray:
     block's offset.  Block b of n columns, centred ``cen`` columns off the
     array centre and steered at t, gives D_rows(kd (u_z - t_z)) D_n(kd (u_y
     - t_y)) e^{j cen kd (u_y - t_y)}, a product of two Dirichlet kernels
-    (Balanis, *Antenna Theory*, planar arrays)."""
+    (Balanis, *Antenna Theory*, planar arrays), real for one centred block."""
     kd = (2.0 * math.pi / geometry.wavelength) * (geometry.spacing_wavelengths * geometry.wavelength)
     ty, tz, n, cen = layout
     theta_y = kd * (u[:, 1:2] - ty)
     theta_z = kd * (u[:, 2:3] - tz)
     terms = _dirichlet(theta_z, geometry.rows) * _dirichlet(theta_y, n)
-    return terms * np.exp(1j * (cen * theta_y))
+    return terms * np.exp(1j * (cen * theta_y)) if cen.any() else terms
 
 
 class AwvEvaluator:
@@ -255,7 +255,8 @@ class AwvEvaluator:
 
     One AWV that carries its :attr:`Awv.blocks` (a steered beam or a
     covrage composite beam) is summed in closed form, O(blocks) per
-    direction, from its :func:`block_fields` turned by their offsets.  Any
+    direction, from its :func:`block_fields` turned by their offsets (one
+    block at offset 0, as a steered sector, from its real field).  Any
     other AWV, and every stack, goes through the rectangular lattice: the
     element sum factors into a row combination of per-column sums, two
     length-rows/cols contractions instead of the O(N) phase sum.  Both
@@ -271,7 +272,8 @@ class AwvEvaluator:
         if isinstance(awv, Awv) and awv.blocks:
             _check_tiling(geometry, awv.blocks)
             self._layout = block_layout(geometry, awv.blocks)
-            self._block_coef = awv.amplitude * np.exp(1j * np.array([b.offset for b in awv.blocks]))
+            real = len(awv.blocks) == 1 and awv.blocks[0].offset == 0.0
+            self._block_coef = None if real else awv.amplitude * np.exp(1j * np.array([b.offset for b in awv.blocks]))
             self._w = None
         else:
             d = geometry.spacing_wavelengths * geometry.wavelength
@@ -303,18 +305,21 @@ class AwvEvaluator:
         are summed in matrix-vector products of about ``_GEMV_MACS``
         multiply-adds, for OpenBLAS threads one from 4,096 on.  No chunk has
         one row: that product takes the dot path, which rounds differently.
+        A real field is that sum's magnitude bit for bit: one term, real.
         """
-        if self._w is None:
-            fields = block_fields(self.geometry, self._layout, u)
-            n_products = max(min(-(-fields.size // _GEMV_MACS), len(u) // 2), 1)
-            sums = [rows @ self._block_coef for rows in np.array_split(fields, n_products)]
-            mags = np.abs(np.concatenate(sums))[:, None]
-        else:
+        if self._w is not None:
             col_phasors = _lattice_phasors(self._ky, u[:, 1])
             row_phasors = _lattice_phasors(self._kz, u[:, 2])
             n_products = -(-len(u) * self._w.size // _GEMM_MACS)
             per_column = np.concatenate([rows @ self._w for rows in np.array_split(row_phasors, n_products)])
             mags = np.abs(np.einsum("msc,mc->ms", per_column.reshape(len(u), -1, len(self._ky)), col_phasors))
+        elif self._block_coef is None:
+            mags = np.abs(block_fields(self.geometry, self._layout, u) * self.awv.amplitude)
+        else:
+            fields = block_fields(self.geometry, self._layout, u)
+            n_products = max(min(-(-fields.size // _GEMV_MACS), len(u) // 2), 1)
+            sums = [rows @ self._block_coef for rows in np.array_split(fields, n_products)]
+            mags = np.abs(np.concatenate(sums))[:, None]
         gains = np.where(mags < _NULL_FIELD, NULL_GAIN_DB, 20.0 * np.log10(np.maximum(mags, _NULL_FIELD)))
         return gains if isinstance(self.awv, tuple) else gains[:, 0]
 

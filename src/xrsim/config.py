@@ -176,6 +176,8 @@ class ScenarioConfig:
         rows, cols = self.hmd_shape()
         if self.rx_beamforming == "sectors" and (rows > 16 or cols > 16):
             raise ConfigError("sectors beamforming supports arrays up to 16x16")
+        if not math.isfinite(2.0 * math.pi * self.spacing * max(self.ap_rows + self.ap_cols, rows + cols)):
+            raise ConfigError(f"spacing {self.spacing!r} overflows the phase bound 2 pi spacing (rows + cols)")
         check_work_cap(self.work_counts())
         return self
 

@@ -141,22 +141,6 @@ def slerp(q0: Quaternion, q1: Quaternion, s: float) -> Quaternion:
     )
 
 
-def slerp_arrays(q0: np.ndarray, q1: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`slerp` over (M, 4) scalar-first quaternion arrays and
-    (M,) fractions; the same arithmetic, so equal to it up to rounding."""
-    d = q0[:, 0] * q1[:, 0] + q0[:, 1] * q1[:, 1] + q0[:, 2] * q1[:, 2] + q0[:, 3] * q1[:, 3]
-    q1 = np.where((d < 0.0)[:, None], -q1, q1)
-    angle = np.arccos(np.minimum(1.0, np.abs(d)))
-    s = s[:, None]
-    lin = q0 + s * (q1 - q0)
-    lin /= np.sqrt(lin[:, 0] * lin[:, 0] + lin[:, 1] * lin[:, 1] + lin[:, 2] * lin[:, 2] + lin[:, 3] * lin[:, 3])[:, None]
-    near = (angle < _SLERP_MIN_ANGLE)[:, None]
-    angle = angle[:, None]
-    sa = np.sin(np.where(near, 1.0, angle))
-    arc = np.sin((1.0 - s) * angle) / sa * q0 + np.sin(s * angle) / sa * q1
-    return np.where(near, lin, arc)
-
-
 def rotate_into_frames(quats: np.ndarray, v: np.ndarray) -> np.ndarray:
     """World-frame vectors into the local frames of orientations: the
     row-wise :meth:`Quaternion.rotate_inverse`.  ``quats`` is (..., 4)

@@ -75,15 +75,16 @@ horizon, with the age check at each and every attempt taking the outcome of
 the last real one: after a success each MPDU goes once, after a failure each
 burst's next MPDU is retried at its own airtime until its frame ages out.
 It evaluates the link at all of them in one array computation
-(:meth:`Simulator.snr_at`), and an array step uses an entry only when the
-MAC's real start equals it bit for bit.  A mismatch or an update begins a
-new batch.  The batch cap doubles after a batch is used to its end, so an
-epoch takes a batch or two, and falls back to :data:`_LINK_BATCH` after a
-mismatch, so an outcome that changes and shifts every later start wastes
-little.  Its ceiling bounds a batch's arrays (M x 64 complex values per M
-starts at 64x64): a one-second epoch at 8 Gbps and 1000-byte MPDUs is
-240,000 starts.  A step's arrays stop at the next heap event, so a burst
-pays for its own entries only.
+(:meth:`Simulator.snr_at`), which per start reads the trace's per-segment
+slerp table and, for a one-block beam such as a steered sector, a real
+field.  An array step uses an entry only when the MAC's real start equals
+it bit for bit.  A mismatch or an update begins a new batch.  The batch cap
+doubles after a batch is used to its end, so an epoch takes a batch or two,
+and falls back to :data:`_LINK_BATCH` after a mismatch, so an outcome that
+changes and shifts every later start wastes little.  Its ceiling bounds a
+batch's arrays (M x 64 complex values per M starts at 64x64): a one-second
+epoch at 8 Gbps and 1000-byte MPDUs is 240,000 starts.  A step's arrays
+stop at the next heap event, so a burst pays for its own entries only.
 """
 
 from __future__ import annotations
@@ -298,9 +299,6 @@ class Simulator:
 
     # -- channel ----------------------------------------------------------
 
-    def _hmd_pose(self, t: float) -> Pose:
-        return pose_at(self.trace, self.walk, t, self.cfg.hmd_height)
-
     def snr_at(self, ts: np.ndarray) -> np.ndarray:
         """Link SNR for the current AWV pair at an array of instants: the
         row-wise ``channel.snr_db`` of the posed arrays, equal to it up to
@@ -405,7 +403,7 @@ class Simulator:
     def _apply_beamform(self, t: float) -> str:
         """Select the AP sector and refresh the HMD side; returns a log tag."""
         cfg = self.cfg
-        hmd_pose = self._hmd_pose(t)
+        hmd_pose = pose_at(self.trace, self.walk, t, cfg.hmd_height)
         # initiator sweep: every AP sector probed toward the headset
         d_at_ap = ap_direction_in_hmd_frame(self.ap_pose, hmd_pose.position)
         self.ap_sector = best_sector(self.ap_sweep.gain_db(d_at_ap))

@@ -1,8 +1,8 @@
 """Head motion and user mobility: orientation traces, synthetic rotation
 generation, a random-cardinal walk, and pose lookup.
 
-A trace is held as arrays only (:class:`TraceSet`), one row per sample, and
-every lookup goes through one row-wise wrap-and-bracket step.
+A trace is held as arrays only (:class:`TraceSet`), one row per sample; a
+lookup brackets each time and reads a per-segment slerp table.
 
 Trace CSV schema (header required, the device group optional):
 
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Pose, Quaternion, slerp_arrays
+from .geometry import _SLERP_MIN_ANGLE, Pose, Quaternion
 
 _NORM_REJECT = 0.01
 
@@ -92,37 +92,68 @@ class TraceSet:
         bad = np.flatnonzero(np.diff(self.times) <= 0.0)
         if bad.size:
             raise TraceFormatError("timestamps not increasing", int(bad[0]) + 1)
+        self._segments = None
 
     @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
-    def _locate(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Segment index i and fraction u in [0, 1] of each time, wrapped
-        into the recorded window: t lies at u of the way from sample i to
-        sample i + 1."""
-        t0 = self.times[0]
-        w = np.fmod(ts - t0, self.duration)
-        w = np.where(w < 0.0, w + self.duration, w)
-        tw = np.where((t0 <= ts) & (ts <= self.times[-1]), ts, t0 + w)
-        i = np.minimum(np.searchsorted(self.times, tw, side="right") - 1, len(self.times) - 2)
-        u = (tw - self.times[i]) / (self.times[i + 1] - self.times[i])
-        return i, u
+    def _segment_table(self) -> tuple:
+        """Per segment, made on the first lookup, :func:`geometry.slerp`'s
+        set-up: the later sample in the earlier one's hemisphere, the angle,
+        its sine (1.0 where the angle is near 0: lerp) and the near flag."""
+        if self._segments is None:
+            q0, q1 = self.orientations[:-1], self.orientations[1:]
+            d = q0[:, 0] * q1[:, 0] + q0[:, 1] * q1[:, 1] + q0[:, 2] * q1[:, 2] + q0[:, 3] * q1[:, 3]
+            angle = np.arccos(np.minimum(1.0, np.abs(d)))
+            near = angle < _SLERP_MIN_ANGLE
+            self._segments = (np.where((d < 0.0)[:, None], -q1, q1), angle, np.sin(np.where(near, 1.0, angle)), near)
+        return self._segments
+
+    def _locate(self, ts):
+        """Segment index i and fraction u in [0, 1] of each time, or of one,
+        wrapped into the recorded window: t lies at u of the way from sample
+        i to sample i + 1."""
+        times = self.times
+        outside = (ts < times[0]) | (ts > times[-1])
+        if np.any(outside):
+            w = np.fmod(ts - times[0], self.duration)
+            ts = np.where(outside, times[0] + np.where(w < 0.0, w + self.duration, w), ts)
+        i = np.minimum(np.searchsorted(times, ts, side="right") - 1, len(times) - 2)
+        return i, (ts - times.take(i)) / (times.take(i + 1) - times.take(i))
 
     def orientations_at(self, ts: np.ndarray) -> np.ndarray:
         """(M, 4) orientation quaternions at an array of times."""
         i, u = self._locate(ts)
-        q0 = self.orientations[i]
-        return np.where((u == 0.0)[:, None], q0, slerp_arrays(q0, self.orientations[i + 1], u))
+        q1, angle, sine, near = self._segment_table()
+        q0, q1, angle, sine = self.orientations.take(i, axis=0), q1.take(i, axis=0), angle.take(i), sine.take(i)
+        out = (np.sin((1.0 - u) * angle) / sine)[:, None] * q0 + (np.sin(u * angle) / sine)[:, None] * q1
+        lin = near.take(i)
+        if lin.any():
+            q = q0[lin] + u[lin, None] * (q1[lin] - q0[lin])
+            norm = np.sqrt(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] + q[:, 3] * q[:, 3])
+            out[lin] = q / norm[:, None]
+        out[u == 0.0] = q0[u == 0.0]
+        return out
 
     def orientation_at(self, t: float) -> Quaternion:
-        return Quaternion(*self.orientations_at(np.array([t]))[0].tolist())
+        """One row of :meth:`orientations_at`, with the same arithmetic."""
+        i, u = self._locate(t)
+        q = self.orientations[i]
+        if u != 0.0:
+            q1, angle, sine, near = self._segment_table()
+            if near[i]:
+                q = q + u * (q1[i] - q)
+                q = q / np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+            else:
+                q = np.sin((1.0 - u) * angle[i]) / sine[i] * q + np.sin(u * angle[i]) / sine[i] * q1[i]
+        return Quaternion(*q.tolist())
 
     def device_prediction_nearest(self, t: float) -> Quaternion:
         """Device-side prediction recorded at the sample nearest to t."""
         if not self.has_device:
             raise ValueError("trace has no device-prediction columns")
-        (i,), (u,) = self._locate(np.array([t]))
+        i, u = self._locate(t)
         return Quaternion(*self.device_orientations[i + 1 if u > 0.5 else i].tolist())
 
 

@@ -318,6 +318,29 @@ class TestClosedForm:
     def test_matches_the_oracle(self, rng, shape, spacing):
         self.check_against(ArrayGeometry(*shape, spacing_wavelengths=spacing), gain_db, rng)
 
+    @pytest.mark.parametrize("spacing", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("shape", [(8, 8), (64, 64), (5, 7), (1, 9), (9, 1), (16, 4)])
+    def test_a_real_one_block_field_is_the_complex_block_sum(self, rng, shape, spacing):
+        # 20 steered beams, each toward its peak, its grating lobes, endfire,
+        # backfire and random directions: bit for bit, nulls included.  The
+        # complex sum gets an off-centre block weighted 0, so that
+        # block_fields forms the beam's field with its e^{j 0} factor
+        g = ArrayGeometry(*shape, spacing_wavelengths=spacing)
+        aims = [unit_vector(0.0, 0.0), unit_vector(30.0, -20.0), unit_vector(-65.0, 40.0)]
+        got = []
+        for aim in aims + list(sample_directions(17, rng)):
+            awv = steering_phases(g, aim)
+            real, complex_sum = AwvEvaluator(g, awv), AwvEvaluator(g, awv)
+            assert real._block_coef is None
+            complex_sum._layout = block_layout(g, awv.blocks + (SteeredBlock(0, g.cols + 1, 0.0, 0.0, 0.0),))
+            complex_sum._block_coef = np.array([awv.amplitude, 0.0], dtype=complex)
+            dirs = np.vstack([[aim], *grating_lobes(g, aim), _ENDFIRE_AND_BACK, sample_directions(200, rng)])
+            got.append(real.gains_db(dirs))
+            assert np.array_equal(got[-1], complex_sum.gains_db(dirs)), aim
+        if (shape, spacing) == ((8, 8), 0.5):
+            # the broadside beam's exact nulls at endfire are among them
+            assert np.count_nonzero(got[0] == NULL_GAIN_DB) == 4
+
     @pytest.mark.parametrize("shape", [(8, 8), (1, 2)])
     def test_exact_nulls_hit_the_floor(self, shape):
         # a broadside beam at half-wavelength spacing: adjacent columns (or

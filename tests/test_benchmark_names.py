@@ -6,7 +6,9 @@ without simulating anything, fails here in milliseconds when one of those
 names is deleted or renamed.  A sweep must book one stacked ``gain_db``
 call, which is what the per-layer ``gain_db`` and ``best_sector`` counts
 count, and a cold set-up must book its one 8x8 quasi-omni synthesis, which
-is where the per-layer figures show set-up savings.
+is where the per-layer figures show set-up savings.  A run must book one
+``link_snr_db`` call per link batch, which is what the per-layer link count
+counts.
 """
 
 from pathlib import Path
@@ -90,3 +92,27 @@ def test_one_sweep_books_one_gain_call(monkeypatch):
     totals = tracer.totals()
     assert totals["antenna.AwvEvaluator.gain_db.8x8"][0] == 3
     assert totals["macsim.best_sector"][0] == 2
+
+
+@pytest.mark.parametrize("workload", ["saturated_8g", "light_2g", "sectors_abft"])
+def test_a_traced_run_books_one_link_call_per_link_batch(monkeypatch, workload):
+    # channel.link_snr_db.calls is the benchmark's count of link batches:
+    # Simulator.snr_at must reach the budget once per batch, through the
+    # name the tracer wraps
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer, instrument
+    from workloads import WORKLOADS, overrides_for
+
+    batches = []
+    snr_at = macsim.Simulator.snr_at
+
+    def counting(self, ts):
+        batches.append(len(ts))
+        return snr_at(self, ts)
+
+    monkeypatch.setattr(macsim.Simulator, "snr_at", counting)
+    sim = macsim.Simulator(load_config(overrides=overrides_for(WORKLOADS[workload], 1, 0.3)))
+    with instrument(Tracer()) as tracer:
+        sim.run()
+    assert len(batches) >= 2
+    assert tracer.totals()["channel.link_snr_db"][0] == len(batches)

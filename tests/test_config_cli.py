@@ -432,6 +432,21 @@ class TestSingleOverrideFuzz:
         with time_limit(20.0):
             assert cli.main(argv) == 0
 
+    # 2 pi x spacing x (rows + cols) overflows: each exited 2 deep in set-up
+    # or the link (the quasi-omni synthesis divided by zero), where the
+    # default 64x64 headset overflows from about 2.2e305 and the 8x8 one
+    # from about 1.8e306
+    @pytest.mark.parametrize(
+        "spacing, mode", [("1e306", "quasi_omni"), ("3e306", "covrage"), ("1e307", "sectors")]
+    )
+    def test_a_spacing_that_overflows_the_phases_exits_one(self, tmp_path, capsys, spacing, mode):
+        argv = ["simulate", "--out-dir", str(tmp_path), "--set", "spacing = " + spacing,
+                "--set", "rx_beamforming = " + mode, "--set", "prediction = none"]
+        with time_limit(20.0):
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: spacing")
+
 
 class TestOneMedian:
     """Frames of 1 ms and 3 ms: every output gives the nearest-rank p50,

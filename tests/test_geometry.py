@@ -13,7 +13,6 @@ from xrsim.geometry import (
     predict_pose,
     rotate_into_frames,
     slerp,
-    slerp_arrays,
     unit_vector,
 )
 from xrsim.config import PREDICTION_MODES
@@ -130,11 +129,10 @@ class TestSlerp:
         q1[1] = q0[1]
         s = rng.uniform(0.0, 1.0, 30)
         s[2] = 0.0
-        got = slerp_arrays(
-            np.array([[q.w, q.x, q.y, q.z] for q in q0]),
-            np.array([[q.w, q.x, q.y, q.z] for q in q1]),
-            s,
-        )
+        # each pair is a two-sample trace over [0, 1], so the lookup's
+        # fraction at time s is s itself
+        pairs = [np.array([[a.w, a.x, a.y, a.z], [b.w, b.x, b.y, b.z]]) for a, b in zip(q0, q1)]
+        got = [TraceSet([0.0, 1.0], q).orientations_at(np.array([si]))[0] for q, si in zip(pairs, s)]
         for row, a, b, si in zip(got, q0, q1, s):
             want = slerp(a, b, si)
             assert np.allclose(row, [want.w, want.x, want.y, want.z], rtol=0.0, atol=1e-14)

@@ -744,32 +744,44 @@ class TestBatchedLink:
         sim._apply_beamform(t)
         return sim
 
-    def check_epoch(self, sim, closed_form_hmd):
-        # steered sector and composite beams take the closed form, the
-        # quasi-omni pattern the lattice product
-        assert sim.ap_eval._w is None
-        assert (sim.hmd_eval._w is None) == closed_form_hmd
+    @staticmethod
+    def path(ev):
+        """The sum an evaluator takes: the lattice product, the complex block
+        sum, or the real field of one full-width block at offset 0."""
+        if ev._w is not None:
+            return "lattice"
+        return "real" if ev._block_coef is None else "complex"
+
+    def check_epoch(self, sim, hmd_path):
+        # a steered sector, the AP's on every epoch, takes the real field
+        assert self.path(sim.ap_eval) == "real"
+        assert self.path(sim.hmd_eval) == hmd_path
         self.check(sim, [0.3 + 0.0137 * k for k in range(50)])
 
     def test_multi_block_covrage_epoch(self):
         sim = self.epoch(["prediction = oracle", "bf_interval = 1.0"], 0.0)
         assert sim.hmd_label == "covrage" and len(sim.hmd_eval.awv.blocks) >= 2
-        self.check_epoch(sim, True)
+        self.check_epoch(sim, "complex")
+
+    def test_one_block_covrage_epoch(self):
+        sim = self.epoch(["prediction = none"], 0.3)
+        assert sim.hmd_label == "covrage" and len(sim.hmd_eval.awv.blocks) == 1
+        self.check_epoch(sim, "real")
 
     def test_sectors_directional_winner(self):
         sim = self.epoch(["rx_beamforming = sectors"], 0.5)
         assert sim.hmd_label == "sector=33"
-        self.check_epoch(sim, True)
+        self.check_epoch(sim, "real")
 
     def test_sectors_quasi_omni_winner(self):
         sim = self.epoch(["rx_beamforming = sectors"], 0.3)
         assert sim.hmd_label == "sector=36" and not sim.hmd_eval.awv.blocks
-        self.check_epoch(sim, False)
+        self.check_epoch(sim, "lattice")
 
     def test_quasi_omni_mode(self):
         sim = self.epoch(["rx_beamforming = quasi_omni", "prediction = none"], 0.3)
         assert sim.hmd_label == "qo"
-        self.check_epoch(sim, False)
+        self.check_epoch(sim, "lattice")
 
     @staticmethod
     def open_epoch(sim, frames_seen, head, sent=0, next_tbtt=4 * 0.1024, next_trigger=0.4):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from xrsim import cli
+from xrsim import cli, macsim
+from xrsim.config import load_config
 from xrsim.geometry import Quaternion, slerp
 from xrsim.mobility import (
     TraceFormatError,
@@ -20,6 +21,7 @@ from xrsim.mobility import (
 )
 
 from angles import rotation_angle
+from lookups import lookup_rows
 
 
 def step_peak_dps(trace):
@@ -183,6 +185,83 @@ class TestTraceSet:
         arrays[column][1] = value
         with pytest.raises(TraceFormatError, match="sample 1: value not finite"):
             TraceSet(**arrays)
+
+
+class TestSegmentTable:
+    """The lookup on the per-segment slerp table against the row-wise
+    reference that sets up each row's slerp itself (``tests/lookups.py``),
+    bit for bit, and each single-instant lookup against its row."""
+
+    @staticmethod
+    def check(tr, ts):
+        got = tr.orientations_at(ts)
+        assert np.array_equal(got, lookup_rows(tr, ts))
+        for row, t in zip(got, ts.tolist()):
+            q = tr.orientation_at(t)
+            assert np.array_equal([q.w, q.x, q.y, q.z], row), t
+
+    def test_high_motion(self):
+        tr = generate_rotation_trace(600.0, 2.0, seed=11)
+        self.check(tr, np.sort(np.random.default_rng(3).uniform(0.0, 2.0, 3000)))
+
+    def test_static_trace_has_only_near_segments(self):
+        tr = static_trace(3.0)
+        assert tr._segment_table()[3].all()
+        self.check(tr, np.array([0.0, 0.7, 1.5, 2.999, 3.0, 5.2, -0.4]))
+
+    def test_near_and_far_segments_mixed(self):
+        # repeated samples make near segments between turning ones
+        tr = generate_rotation_trace(300.0, 0.05, seed=2)
+        q = tr.orientations.copy()
+        q[10:20] = q[10]
+        q[31] = q[30]
+        tr = TraceSet(tr.times, q)
+        near = tr._segment_table()[3]
+        assert near[10:19].all() and near[30] and not near[:10].any()
+        self.check(tr, np.random.default_rng(4).uniform(0.0, 0.05, 500))
+
+    def test_across_a_recorded_traces_wrap(self, tmp_path):
+        path = tmp_path / "short.csv"
+        save_trace(path, generate_rotation_trace(300.0, 0.2, seed=6))
+        tr = load_trace(path)
+        ts = np.concatenate([np.linspace(-0.5, 1.3, 701), [0.2, 0.2 + 1e-12, 0.4, 0.4003, -1e-9]])
+        self.check(tr, ts)
+
+    def test_on_samples_and_at_the_last_sample(self):
+        tr = generate_rotation_trace(300.0, 0.3, seed=5)
+        got = tr.orientations_at(tr.times)
+        # u = 0 at every sample but the last, which is u = 1 of the last segment
+        assert np.array_equal(got[:-1], tr.orientations[:-1])
+        self.check(tr, tr.times)
+        self.check(tr, tr.times[-1:])
+
+    def test_set_up_builds_no_table_and_the_first_link_batch_builds_it_once(self, monkeypatch):
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.3"]))
+        assert sim.trace._segments is None
+        sim._apply_beamform(0.0)  # at a sample the lookup needs no table
+        assert sim.trace._segments is None
+        sim.snr_at(np.array([0.0101, 0.0203]))
+        table = sim.trace._segments
+        assert table is not None
+        sim.snr_at(np.array([0.0305, 0.2]))
+        sim._apply_beamform(0.1234)
+        assert sim.trace._segments is table
+
+        # and through a whole run: every batch reads the one table
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.3"]))
+        assert sim.trace._segments is None
+        tables = []
+        snr_at = macsim.Simulator.snr_at
+
+        def recording(self, ts):
+            snr = snr_at(self, ts)
+            tables.append(self.trace._segments)
+            return snr
+
+        monkeypatch.setattr(macsim.Simulator, "snr_at", recording)
+        sim.run()
+        assert len(tables) >= 2 and tables[0] is not None
+        assert all(t is tables[0] for t in tables)
 
 
 class TestTraceFile:
