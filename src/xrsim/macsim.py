@@ -1,16 +1,18 @@
 """Event-driven downlink simulator.
 
 One heap of ``(time, rank, sequence)`` entries drives the beacon-interval
-schedule, sector sweeps, burst traffic and per-MPDU transmission.  At one
-instant events run in :data:`EVENT_KINDS` order: beacon start, beamforming
-trigger, burst arrival, ``sim_end``, then the other kinds in push order.
-Beacons, triggers and bursts are periodic sources that push their own
-successor: event k of a source with period P runs at ``k * P`` for
-k < max(1, ceil(sim_time / P - 1e-9)), so the heap stays a few entries
-long.  Every stochastic input is drawn before the first event runs: the
-rotation trace and walk from the scenario seed, the quasi-omni pattern from
-the fixed seed of its synthesis budget (:mod:`codebook`).  So two runs of
-the same config replay identically, down to the bytes of the event log.
+schedule, sector sweeps and MPDU completions.  At one instant events run in
+:data:`EVENT_KINDS` order: beacon start, beamforming trigger, burst arrival,
+``sim_end``, then the other kinds in push order.  Beacons, triggers and
+bursts are periodic sources: event k of one with period P runs at ``k * P``
+for k < max(1, ceil(sim_time / P - 1e-9)).  A beacon or trigger pushes its
+own successor, so the heap stays a few entries long.  The bursts, known
+before the run, have no heap entry: the loop runs the next arrival whenever
+it comes before the heap's top in (time, rank), so it keeps its rank.  Every
+stochastic input is drawn before the first event runs: the rotation trace
+and walk from the scenario seed, the quasi-omni pattern from the fixed seed
+of its synthesis budget (:mod:`codebook`).  So two runs of the same config
+replay identically, down to the bytes of the event log.
 
 Medium model: drops and completions take the queue head and arrivals
 append, so the MAC queue is ``frames[head:]``, the arrived frames neither
@@ -22,36 +24,32 @@ interval) begins completes, and no transmission starts inside a BHI or sweep.
 BHIs and sweeps never overlap each other.  A trigger only marks a sweep as
 owed.  Whenever the medium is free, :meth:`Simulator._try_start_tx` starts
 the owed sweep if it ends by the next target beacon transmission time
-(TBTT, the pending beacon's start), and otherwise serves the queue head.
+(TBTT, the pending beacon's start), and otherwise serves the queue.
 
-Run service: between two heap events nothing but the MPDU in flight can
-change the MAC's state, so each start is the previous one plus an airtime.
-:meth:`Simulator._try_start_tx` therefore serves the queue head in array
-steps over the link batch (below).  From a start that is the batch entry k,
-the outcomes are ``snr >= snr_threshold_db``, the MPDU index before each
-attempt is ``sent + cumsum(ok) - ok``, which gives each attempt its full or
-tail airtime, and ``ends = starts + airtime``.  A step stops at the first
-attempt that ends at or after the next heap event, completes the burst, is
-followed by a start that fails the age check, or is followed by a batch
-entry that differs from its end bit for bit.  The counters, the
-``tx_intervals`` and the event lines come from the same arrays, with the
-drop rule applied at each step's end as at every start of a heap
-round-trip.  Only the MPDU that ends at or after the next heap event is
-pushed as ``mpdu_tx_done``, so a tie with a heap time runs in
-:data:`EVENT_KINDS` order as before.  A run of length 1 is the plain
+Run service: between two heap events nothing but the MPDU in flight and the
+known arrivals changes the MAC's state, so each start is the previous MPDU's
+end or, on a drained queue, the next arrival.  So the queue is served in
+array steps over the link batch (below), each up to the next heap event,
+frame after frame.  The running sum of the batch's outcomes, ``snr >=
+snr_threshold_db``, gives a frame the attempt that completes it and its
+first at the tail airtime; its attempts run back to back up to that one, the
+last before a start at which it is stale, or one whose end is not the next
+batch entry.  There the MAC decides as at a heap event.  A step stops at the
+attempt that ends at or after the next heap event, the only one pushed as
+``mpdu_tx_done``, at a start other than its batch entry bit for bit, or when
+the queue drains with no arrival before that event.  Its arrivals and MPDU
+ends are logged in (time, rank) order.  A run of length 1 is the plain
 one-event-per-MPDU schedule.
 
 Sector sweeps: the AP probes its 36 steered transmit sectors toward the
 headset, as the initiator's transmit sector sweep of IEEE 802.11ad does, and
 in the ``sectors`` mode the headset probes every entry of its codebook, the
-steered sectors and then the quasi-omni, toward the AP.  Each sweep is one
-array pass over its stacked weight vectors.  The winner is the lowest sector
-id whose gain is within :data:`SWEEP_TIE_DB` of the best
-(:func:`best_sector`).  Mirror-image sectors about the probed direction have
-equal gains up to rounding, so without the tolerance their order would be
-decided by summation order.  A gain shared by every candidate, such as the
-other end's quasi-omni listener, cannot move the winner, so the sweep leaves
-it out.
+steered sectors and then the quasi-omni, toward the AP, each sweep in one
+array pass.  The winner is the lowest sector id within :data:`SWEEP_TIE_DB`
+of the best gain (:func:`best_sector`): mirror-image sectors about the
+probed direction tie up to rounding.  A gain shared by every candidate, such
+as the other end's quasi-omni listener, cannot move the winner, so the sweep
+leaves it out.
 
 No MPDU starts before the first beamforming update: time 0 opens a BHI, at
 whose end the owed t = 0 sweep starts (DTI) or the update itself happens
@@ -66,25 +64,14 @@ pair is fixed, so an MPDU's SNR is a function of its start time alone.  In
 DTI mode no update comes before the next trigger, and a BHI changes neither
 AWV; only while a sweep is owed, which may start at a BHI's end, does the
 next TBTT bound the epoch, as it does on the A-BFT path, where every BHI end
-beamforms.  Up to that horizon (or sim_time) the queue is served back to
-back and bursts arrive at the known times ``k * period``: each start is the
-previous MPDU's end, or the next arrival if the queue has drained by then,
-and a start that would fall in a BHI waits for its end.  So the simulator
-predicts the starts through the queued and the coming bursts up to the
-horizon, with the age check at each and every attempt taking the outcome of
-the last real one: after a success each MPDU goes once, after a failure each
-burst's next MPDU is retried at its own airtime until its frame ages out.
-It evaluates the link at all of them in one array computation
-(:meth:`Simulator.snr_at`), which per start reads the trace's per-segment
-slerp table and, for a one-block beam such as a steered sector, a real
-field.  An array step uses an entry only when the MAC's real start equals
-it bit for bit.  A mismatch or an update begins a new batch.  The batch cap
-doubles after a batch is used to its end, so an epoch takes a batch or two,
-and falls back to :data:`_LINK_BATCH` after a mismatch, so an outcome that
-changes and shifts every later start wastes little.  Its ceiling bounds a
-batch's arrays (M x 64 complex values per M starts at 64x64): a one-second
-epoch at 8 Gbps and 1000-byte MPDUs is 240,000 starts.  A step's arrays
-stop at the next heap event, so a burst pays for its own entries only.
+beamforms.  Up to that horizon (or sim_time) the simulator predicts the
+starts as the MAC takes them, every attempt with the outcome of the last
+real one, and evaluates the link at all of them in one array computation
+(:meth:`Simulator.snr_at`).  An array step uses an entry only when the MAC's
+real start equals it bit for bit.  A mismatch or an update begins a new
+batch.  The batch cap doubles after a batch is used to its end, so an epoch
+takes a batch or two, and falls back to :data:`_LINK_BATCH` after a
+mismatch; its ceiling bounds a batch's arrays.
 """
 
 from __future__ import annotations
@@ -92,6 +79,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -107,9 +95,7 @@ from .mobility import generate_rotation_trace, generate_walk, load_trace, pose_a
 
 # in the order they run at one instant; the kinds after sim_end share one
 # rank and run in push order
-EVENT_KINDS = (
-    "beacon_start", "bf_trigger", "burst_arrival", "sim_end", "bhi_end", "sls_done", "mpdu_tx_done",
-)
+EVENT_KINDS = ("beacon_start", "bf_trigger", "burst_arrival", "sim_end", "bhi_end", "sls_done", "mpdu_tx_done")
 _RANK = {kind: min(i, EVENT_KINDS.index("sim_end") + 1) for i, kind in enumerate(EVENT_KINDS)}
 
 # ceiling-mounted array, boresight straight down (+x local -> -z world)
@@ -192,22 +178,17 @@ class Simulator:
         self.sls_owed = False
         self.tx_busy = False
         self.next_tbtt = 0.0  # every run opens with a beacon at t = 0
+        self.next_arrival = 0.0  # and frame 0
         self._reserved_until = 0.0  # end of the latest BHI or sweep
         self._link_cap = _LINK_BATCH
         self._last_ok = True  # outcome of the latest attempt, which predicts the next
         self._new_link_epoch()
 
-        self.counters = {
-            "frames_total": 0,
-            "frames_delivered": 0,
-            "frames_dropped": 0,
-            "mpdu_attempts": 0,
-            "mpdu_failures": 0,
-            "sls_runs": 0,
-            "bf_updates": 0,
-            "bhi_count": 0,
-        }
+        self.counters = dict.fromkeys(
+            ("frames_total", "frames_delivered", "frames_dropped", "mpdu_attempts", "mpdu_failures", "sls_runs",
+             "bf_updates", "bhi_count"), 0)
         self.events: list[SimEvent] = []
+        self._arrivals_logged = 0
         self.tx_intervals: list = []
         self.bhi_intervals: list = []
         self.sls_intervals: list = []
@@ -228,8 +209,7 @@ class Simulator:
 
     def _build_motion(self) -> None:
         cfg = self.cfg
-        ss = np.random.SeedSequence(cfg.seed)
-        trace_seed, walk_seed = ss.spawn(2)
+        trace_seed, walk_seed = np.random.SeedSequence(cfg.seed).spawn(2)
         if cfg.rotation == "static":
             self.trace = static_trace(max(cfg.sim_time, 1.0))
         elif cfg.rotation in ("low", "high"):
@@ -240,17 +220,11 @@ class Simulator:
         if cfg.prediction == "device" and not self.trace.has_device:
             raise ConfigError("prediction = device needs a trace with device-prediction columns")
         self.walk = generate_walk(
-            cfg.x_bounds,
-            cfg.y_bounds,
-            cfg.walk_speed,
-            cfg.walk_step_interval,
-            cfg.sim_time,
-            walk_seed,
+            cfg.x_bounds, cfg.y_bounds, cfg.walk_speed, cfg.walk_step_interval, cfg.sim_time, walk_seed
         )
         self.ap_position = np.array(cfg.ap_position, dtype=float)
         self.ap_pose = Pose(0.0, self.ap_position, AP_ORIENTATION)
-        q = AP_ORIENTATION
-        self._ap_quat = np.array([q.w, q.x, q.y, q.z])
+        self._ap_quat = np.array([AP_ORIENTATION.w, AP_ORIENTATION.x, AP_ORIENTATION.y, AP_ORIENTATION.z])
 
     def _build_arrays(self) -> None:
         cfg = self.cfg
@@ -297,31 +271,30 @@ class Simulator:
         if self.collect:
             self.events.append(SimEvent(t, kind, detail))
 
+    def _log_arrivals(self, until: float) -> None:
+        """Log the arrival of each queued frame not yet logged, up to ``until``."""
+        frames, k = self.frames, self._arrivals_logged
+        while k < len(frames) and frames[k].created <= until:
+            self._log(frames[k].created, "burst_arrival", "frame=%d mpdus=%d" % (k, self.burst_count))
+            k = self._arrivals_logged = k + 1
+
     # -- channel ----------------------------------------------------------
 
     def snr_at(self, ts: np.ndarray) -> np.ndarray:
         """Link SNR for the current AWV pair at an array of instants: the
         row-wise ``channel.snr_db`` of the posed arrays, equal to it up to
         rounding."""
-        xy = self.walk.positions_at(ts)
-        hmd_position = np.column_stack([xy, np.full(len(ts), self.cfg.hmd_height)])
+        hmd_position = np.column_stack([self.walk.positions_at(ts), np.full(len(ts), self.cfg.hmd_height)])
         diff = hmd_position - self.ap_position
         distance = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         toward_hmd = diff / distance[:, None]
         d_at_ap = rotate_into_frames(self._ap_quat, toward_hmd)
         d_at_hmd = rotate_into_frames(self.trace.orientations_at(ts), -toward_hmd)
-        return link_snr_db(
-            self.cfg,
-            self.ap_eval.gains_db(d_at_ap),
-            self.hmd_eval.gains_db(d_at_hmd),
-            distance,
-        )
+        return link_snr_db(self.cfg, self.ap_eval.gains_db(d_at_ap), self.hmd_eval.gains_db(d_at_hmd), distance)
 
     def _new_link_epoch(self) -> None:
         """Forget the link batch; called whenever either AWV changes."""
-        self._batch_starts = np.empty(0)
-        self._batch_snr = np.empty(0)
-        self._batch_next = 0
+        self._batch_starts, self._batch_next = [], 0
 
     def _link_index(self, t: float) -> int:
         """Index in the link batch of an MPDU starting at t, which takes the
@@ -338,8 +311,16 @@ class Simulator:
                 self._link_cap = _LINK_BATCH
             elif len(starts):
                 self._link_cap = min(2 * self._link_cap, _LINK_BATCH_CEILING)
-            self._batch_starts = np.array(self._predicted_starts(t))
-            self._batch_snr = self.snr_at(self._batch_starts)
+            self._batch_starts = self._predicted_starts(t)
+            at = np.array(self._batch_starts)
+            self._batch_snr = self.snr_at(at)
+            # for the array steps: the MPDUs delivered before each entry and after the
+            # last, and the entries not followed by their end at a full (tail) airtime
+            self._batch_done = [0] + np.cumsum(self._batch_snr >= self.cfg.snr_threshold_db).tolist()
+            self._batch_breaks = [
+                np.flatnonzero(at[:-1] + air != at[1:]).tolist() + [len(at) + 1]
+                for air in (self._full_airtime, self._tail_airtime)
+            ]
             k = 0
         self._batch_next = k + 1
         return k
@@ -351,7 +332,7 @@ class Simulator:
         outcome of the last real one: after a success each MPDU goes at its
         first attempt, after a failure each burst's next MPDU is retried at
         its own airtime.  Frames that age out are dropped as
-        :meth:`_drop_expired` would.  A DTI beacon header changes neither
+        :meth:`_next_start` would.  A DTI beacon header changes neither
         AWV, so a start at or after a TBTT moves to the later of itself and
         the BHI's end, where the MAC takes its next decision.  At most
         ``_link_cap`` starts, none at or after the horizon: the next trigger
@@ -441,92 +422,110 @@ class Simulator:
         self.counters["sls_runs"] += 1
         self._push(self._reserve(t, self.cfg.sls_duration, self.sls_intervals), "sls_done")
 
-    def _drop_expired(self, t: float) -> None:
-        frames, deadline = self.frames, self.cfg.deadline
-        while self.head < len(frames) and (t - frames[self.head].created) > deadline:
-            self.head += 1
-            self.sent = 0
+    def _admit(self, t: float) -> None:
+        """Append every frame that has arrived by t to the queue."""
+        while self.next_arrival <= t:
+            self.frames.append(FrameRecord(len(self.frames), self.next_arrival))
+            self.counters["frames_total"] = k = len(self.frames)
+            period, count = self._sources["burst_arrival"]
+            self.next_arrival = k * period if k < count else math.inf  # as _schedule computes it
+
+    def _next_start(self, t: float, horizon: float) -> Optional[float]:
+        """The queue head's start on a free medium at t, once the frames that
+        arrived by t join the queue and stale ones leave it; a drained queue
+        waits for the next arrival.  None if none comes before the horizon."""
+        self._admit(t)
+        frames = self.frames
+        while self.head < len(frames) and (t - frames[self.head].created) > self.cfg.deadline:
+            self.head, self.sent = self.head + 1, 0
             self.counters["frames_dropped"] += 1
+        if self.head == len(frames):
+            t = self.next_arrival
+            if t >= horizon:
+                return None
+            self._admit(t)
+        return t
 
     def _try_start_tx(self, t: float) -> None:
         """The one decision on a free medium: the owed sweep if it ends by
-        the next TBTT, else the queue head.  The head's MPDUs that end
-        strictly before the next heap event are served in array steps right
-        here (run service, see the module docstring); only the MPDU that
-        ends at or after that event goes through the heap."""
+        the next TBTT, else the queue, served right here in array steps up to
+        the next heap event (run service, see the module docstring)."""
         if self.tx_busy or self.in_bhi or self.sls_active:
             return
         # until the next heap event t only grows and next_tbtt stays fixed,
-        # so a sweep that does not fit now fits at no later MPDU end either
+        # so a sweep that does not fit now fits at no later decision either
         if self.sls_owed and t + self.cfg.sls_duration <= self.next_tbtt:
             self.sls_owed = False
             self._begin_sls(t)
             return
         horizon = self._next_event_time()
+        t = self._next_start(t, horizon)
         while t is not None:
-            self._drop_expired(t)
-            if self.head == len(self.frames):
-                return
             if t < self._reserved_until:
                 raise RuntimeError("MPDU start at t=%.9f inside a BHI or sweep" % t)
-            t = self._serve_head(t, horizon)
+            t = self._step(t, horizon)
 
-    def _serve_head(self, t: float, horizon: float) -> Optional[float]:
-        """One array step over the link batch: the queue head's attempts
-        from t on, back to back, up to the first that ends at or after the
-        horizon (it goes through the heap; returns None), completes the
-        burst, is followed by a start that fails the age check, or is
-        followed by a batch entry other than its end.  Returns the last
-        attempt's end, at which the next decision is taken."""
-        cfg, frame_id = self.cfg, self.head
+    def _step(self, t: float, horizon: float) -> Optional[float]:
+        """One array step over the link batch from the queue head's start t,
+        frame after frame, up to the first attempt that ends at or after the
+        horizon (it goes through the heap) or the first start other than its
+        batch entry, which is returned.  None if an attempt goes through the
+        heap or the queue drains with no arrival before the horizon."""
+        full, tail, deadline = self._full_airtime, self._tail_airtime, self.cfg.deadline
         k = self._link_index(t)
-        starts = self._batch_starts
+        starts, done, (full_breaks, tail_breaks) = self._batch_starts, self._batch_done, self._batch_breaks
         # no attempt after the one that reaches the horizon is in the step
-        hi = max(k + 1, int(starts.searchsorted(horizon)))
-        at = starts[k:hi]
-        ok = self._batch_snr[k:hi] >= cfg.snr_threshold_db
-        done = np.cumsum(ok)  # MPDUs delivered through each attempt
-        left = self.burst_count - self.sent
-        ends = at + np.where(done - ok < left - 1, self._full_airtime, self._tail_airtime)
-        stop = (ends >= horizon) | (done == left) | (ends - self.frames[frame_id].created > cfg.deadline)
-        follows = starts[k + 1 : hi + 1]
-        stop[: len(follows)] |= ends[: len(follows)] != follows
-        stop[len(follows) :] = True  # the batch's last entry
-        n = int(stop.argmax()) + 1
-        self._batch_next = k + n
-        self._last_ok = bool(ok[n - 1])
-        end = float(ends[n - 1])
-        through_heap = end >= horizon
-        completed = n - 1 if through_heap else n
-        self.counters["mpdu_attempts"] += n
-        self.counters["mpdu_failures"] += n - int(done[n - 1])
-        if self.collect:
-            at_l, ends_l, ok_l = at[:n].tolist(), ends[:n].tolist(), ok[:n].tolist()
-            self.tx_intervals.extend(zip(at_l, ends_l, ok_l, itertools.repeat(frame_id)))
-            sent = (self.sent + done[:completed]).tolist()
-            for start, finish, mpdu, success in zip(at_l, ends_l, sent, ok_l):
-                self._log(finish, "mpdu_tx_done", _TX_DONE % (frame_id, mpdu, success, start))
-        if completed:
-            self._deliver(int(done[completed - 1]), float(ends[completed - 1]))
-        if through_heap:
-            self.tx_busy = True
-            self._push(end, "mpdu_tx_done", (self._last_ok, float(at[n - 1])))
-            return None
-        return end
+        hi = max(k + 1, bisect_left(starts, horizon))
+        runs = []  # per frame served: its first and last entry, id, sent - done, first tail entry
+        i = k
+        while True:
+            created, base, left = self.frames[self.head].created, done[i], self.burst_count - self.sent
+            tail_from = bisect_left(done, base + left - 1, i)
+            full_break = full_breaks[bisect_left(full_breaks, i)]
+            # the frame's attempts run back to back up to the first that
+            # completes it, is followed by a stale start or breaks the batch
+            r = min(
+                hi - 1, bisect_left(done, base + left, i + 1) - 1,
+                bisect_left(starts, True, i + 1, hi, key=lambda s: s - created > deadline) - 1,
+                full_break if full_break < tail_from else hi, tail_breaks[bisect_left(tail_breaks, tail_from)],
+            )
+            runs.append((i, r, self.head, self.sent - base, tail_from))
+            end = starts[r] + (full if r < tail_from else tail)
+            if end >= horizon:
+                self._admit(starts[r])  # the arrivals that the logged MPDU ends may follow
+                self.sent += done[r] - base
+                self.tx_busy = True
+                self._push(end, "mpdu_tx_done", (done[r + 1] > done[r], starts[r]))
+                t = None
+                break
+            self._deliver(done[r + 1] - base, end)
+            t = self._next_start(end, horizon)
+            if t is None or r + 1 == hi or starts[r + 1] != t:
+                break
+            i = r + 1
+        self._batch_next = r + 1
+        self._last_ok = done[r + 1] > done[r]
+        self.counters["mpdu_attempts"] += r + 1 - k
+        self.counters["mpdu_failures"] += r + 1 - k - (done[r + 1] - done[k])
+        for first, last, frame_id, sent, tail_from in runs if self.collect else ():
+            for j in range(first, last + 1):
+                end, ok = starts[j] + (full if j < tail_from else tail), done[j + 1] > done[j]
+                self.tx_intervals.append((starts[j], end, ok, frame_id))
+                if end < horizon:  # else it goes through the heap
+                    self._log_arrivals(end)
+                    self._log(end, "mpdu_tx_done", _TX_DONE % (frame_id, sent + done[j + 1], ok, starts[j]))
+        return t
 
     def _deliver(self, n_ok: int, t: float) -> None:
-        """Count ``n_ok`` more of the queue head's MPDUs delivered by
-        attempts that end by t; a burst delivered whole completes its frame
-        at t."""
+        """Count ``n_ok`` more of the queue head's MPDUs delivered by attempts
+        that end by t; a burst delivered whole completes its frame at t."""
         self.sent += n_ok
         if self.sent == self.burst_count:
             rec = self.frames[self.head]
-            self.head += 1
-            self.sent = 0
+            self.head, self.sent = self.head + 1, 0
             rec.completed = t
             rec.delivered = (t - rec.created) <= self.cfg.deadline
-            if rec.delivered:
-                self.counters["frames_delivered"] += 1
+            self.counters["frames_delivered"] += rec.delivered
 
     # -- handlers ---------------------------------------------------------
 
@@ -539,23 +538,16 @@ class Simulator:
 
     def _on_bhi_end(self, t: float, _) -> None:
         self.in_bhi = False
-        detail = ""
-        if self.cfg.bf_location == "abft":
-            detail = self._apply_beamform(t)
-        self._log(t, "bhi_end", detail)
+        self._log(t, "bhi_end", self._apply_beamform(t) if self.cfg.bf_location == "abft" else "")
         self._try_start_tx(t)
 
     def _on_bf_trigger(self, t: float, index: int) -> None:
         self.next_trigger = self._schedule("bf_trigger", index + 1)
         self.sls_owed = True
         # logged before the decision, which may serve MPDUs ending after t
-        if self.in_bhi or t + self.cfg.sls_duration > self.next_tbtt:
-            detail = "postponed"
-        elif self.tx_busy or self.sls_active:
-            detail = "pending"
-        else:
-            detail = "start"
-        self._log(t, "bf_trigger", detail)
+        postponed = self.in_bhi or t + self.cfg.sls_duration > self.next_tbtt
+        waits = "pending" if self.tx_busy or self.sls_active else "start"
+        self._log(t, "bf_trigger", "postponed" if postponed else waits)
         self._try_start_tx(t)
 
     def _on_sls_done(self, t: float, _) -> None:
@@ -564,34 +556,39 @@ class Simulator:
         self._log(t, "sls_done", detail)
         self._try_start_tx(t)
 
-    def _on_burst_arrival(self, t: float, frame_id: int) -> None:
-        self._schedule("burst_arrival", frame_id + 1)
-        self.frames.append(FrameRecord(frame_id, t))
-        self.counters["frames_total"] += 1
-        self._log(t, "burst_arrival", "frame=%d mpdus=%d" % (frame_id, self.burst_count))
+    def _on_burst_arrival(self, t: float, _) -> None:
+        self._admit(t)
         self._try_start_tx(t)
 
     def _on_mpdu_tx_done(self, t: float, payload) -> None:
         ok, start = payload
         self.tx_busy = False
         # drops only run on a free medium, so the MPDU's frame is still the head
-        frame_id, sent = self.head, self.sent + int(ok)
-        self._deliver(int(ok), t)
         if self.collect:
-            self._log(t, "mpdu_tx_done", _TX_DONE % (frame_id, sent, ok, start))
+            self._log(t, "mpdu_tx_done", _TX_DONE % (self.head, self.sent + ok, ok, start))
+        self._deliver(int(ok), t)
         self._try_start_tx(t)
 
     # -- loop -------------------------------------------------------------
 
     def run(self) -> RunResult:
+        # every run opens with a beacon at t = 0
+        if self.counters["bhi_count"]:
+            raise RuntimeError("a Simulator runs once: build a new one for another run")
         for kind in self._sources:
-            self._schedule(kind, 0)
+            if kind != "burst_arrival":
+                self._schedule(kind, 0)
         self._push(self.cfg.sim_time, "sim_end")
         handlers = {kind: getattr(self, "_on_" + kind) for kind in EVENT_KINDS if kind != "sim_end"}
 
         last_t = 0.0
-        while self._heap:
-            t, _, _, kind, payload = heapq.heappop(self._heap)
+        while True:
+            # the next arrival has no heap entry; it runs in its rank
+            t = self.next_arrival
+            if (t, _RANK["burst_arrival"]) < self._heap[0][:2]:
+                kind, payload = "burst_arrival", None
+            else:
+                t, _, _, kind, payload = heapq.heappop(self._heap)
             if t < last_t:
                 raise RuntimeError("event time ran back from %.9f to %.9f" % (last_t, t))
             last_t = t
@@ -599,6 +596,8 @@ class Simulator:
                 self._log(t, "sim_end", "")
                 break
             handlers[kind](t, payload)
+            if self.collect:
+                self._log_arrivals(math.inf)
             # work conservation: a nonempty queue never waits on a free medium
             if self.head < len(self.frames) and not (self.tx_busy or self.in_bhi or self.sls_active):
                 raise RuntimeError("medium idle with pending data at t=%.9f" % t)

@@ -3,14 +3,15 @@
 Every event, its time to the nanosecond and its detail (sweep winners, MPDU
 outcomes and start times) lands in the log, so these digests pin the
 simulated outcome of each receive mode and schedule path.  A refactor or a
-speed-up must keep them; a change that moves them on purpose says why.
+speed-up must keep them; a change that moves them on purpose says why.  The
+same logs are checked to run in (time, rank) order.
 """
 
 import hashlib
 
 import pytest
 
-from xrsim.macsim import write_event_log
+from xrsim.macsim import _RANK, write_event_log
 
 DIGESTS = {
     "static": (
@@ -74,3 +75,16 @@ def test_event_log_digest(name, run_cached, tmp_path):
     path = tmp_path / "events.csv"
     write_event_log(path, res.events)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_events_run_in_time_and_rank_order(name, run_cached):
+    # an arrival has no heap entry, yet keeps its rank: at one instant it
+    # follows a beacon start or a trigger, as every log here has it at least
+    # once (16 times at bf_interval = 0.1), and precedes every other kind
+    overrides, _ = DIGESTS[name]
+    events = run_cached("sim_time = 2.0", *overrides, collect=True).events
+    keys = [(ev.t, _RANK[ev.kind]) for ev in events]
+    assert keys == sorted(keys)
+    shared = [(a.kind, b.kind) for a, b in zip(events, events[1:]) if a.t == b.t and a.kind != b.kind]
+    assert sum(kind == "burst_arrival" for _, kind in shared) >= 1

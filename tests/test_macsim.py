@@ -288,10 +288,12 @@ class TestSchedule:
 
     def test_heap_stays_a_few_entries_long(self, recorded_default_run):
         # each periodic source holds one pending entry; pushing every beacon,
-        # trigger and burst up front took 2,397 entries
-        counters, _, peak = recorded_default_run
+        # trigger and burst up front took 2,397 entries.  Arrivals keep their
+        # rank without one
+        counters, pushes, peak = recorded_default_run
         assert counters["frames_total"] == 2000
         assert peak <= 7
+        assert pushes["burst_arrival"] == 0
 
     def test_back_to_back_mpdus_skip_the_heap(self, recorded_default_run):
         # only an MPDU that ends at or after the next heap event is pushed, so
@@ -299,7 +301,7 @@ class TestSchedule:
         # round-trip per MPDU there were 192,000
         counters, pushes, _ = recorded_default_run
         assert counters["mpdu_attempts"] == 192_000
-        others = ("beacon_start", "bhi_end", "bf_trigger", "sls_done", "burst_arrival")
+        others = ("beacon_start", "bhi_end", "bf_trigger", "sls_done")
         assert 0 < pushes["mpdu_tx_done"] <= sum(pushes[kind] for kind in others)
 
     @pytest.mark.parametrize(
@@ -465,53 +467,102 @@ class TestRunService:
         assert self.outcome(macsim.Simulator(cfg, collect_events=True)) == want
 
     @staticmethod
-    def stop_reasons(sim):
-        """Record why each array step of ``sim`` stopped."""
-        serve, reasons = sim._serve_head, []
+    def step_log(sim):
+        """Record each array step of ``sim``: why it stopped, its horizon
+        and the ``tx_intervals`` rows of its attempts."""
+        step, steps = sim._step, []
 
         def spy(t, horizon):
-            head = sim.head
-            end = serve(t, horizon)
-            if end is None:
-                reasons.append("heap_event")
-            elif sim.head != head:
-                reasons.append("completion")
-            elif end - sim.frames[head].created > sim.cfg.deadline:
-                reasons.append("age_out")
+            first = len(sim.tx_intervals)
+            start = step(t, horizon)
+            if start is None:
+                reason = "heap_event" if sim.tx_busy else "drained"
             elif sim._batch_next < len(sim._batch_starts):
-                reasons.append("start_mismatch")
+                reason = "start_mismatch"
             else:
-                reasons.append("batch_end")
-            return end
+                reason = "batch_end"
+            steps.append((reason, horizon, sim.tx_intervals[first:]))
+            return start
 
-        sim._serve_head = spy
-        return reasons
+        sim._step = spy
+        return steps
+
+    @staticmethod
+    def seen(steps, frames):
+        """Why each step stopped, and what the steps crossed: where a frame's
+        attempts follow another's, an idle gap to an arrival, a completion
+        or an age-out drop, and each MPDU end at an arrival time.  ``frames`` as
+        :meth:`outcome` gives them."""
+        arrivals = {created for _, created, _, _ in frames}
+        for reason, horizon, rows in steps:
+            yield reason
+            for (_, end, _, frame_id), (start, _, _, next_id) in zip(rows, rows[1:]):
+                if next_id != frame_id:
+                    if start > end:
+                        yield "idle_gap"
+                    else:
+                        yield "completion" if frames[frame_id][2] == end else "age_out"
+            yield from ("tie" for _, end, _, _ in rows if end < horizon and end in arrivals)
 
     @pytest.mark.parametrize(
-        "stop, overrides, snr_db",
+        "seen, overrides, snr_db",
         [
-            # 8 Gbps: a burst outlasts the burst interval, so steps end at arrivals
+            # 8 Gbps: a burst outlasts the burst interval, so an MPDU is on
+            # air at each trigger and beacon
             ("heap_event", ["data_rate = 8e9"], lambda ts: np.full(len(ts), 100.0)),
-            ("completion", ["data_rate = 2e9"], lambda ts: np.full(len(ts), 100.0)),
+            # and the next frame waits queued while one completes
+            ("completion", ["data_rate = 8e9"], lambda ts: np.full(len(ts), 100.0)),
             # every attempt fails; a frame ages out 15 ms after its arrival,
             # while the next frame waits and no heap event is due
             ("age_out", ["deadline = 0.015"], lambda ts: np.full(len(ts), -100.0)),
             # outcomes flip every 100 us, so the retry prediction misses
             # wherever a burst's tail or next burst starts
             ("start_mismatch", [], lambda ts: np.where(np.floor(ts / 1e-4) % 2 == 0, 100.0, -100.0)),
+            # 2 Gbps drains the queue after every burst: a step waits for
+            # the next arrival, and stops where none comes before a trigger
+            ("idle_gap", ["data_rate = 2e9"], lambda ts: np.full(len(ts), 100.0)),
+            ("drained", ["data_rate = 2e9"], lambda ts: np.full(len(ts), 100.0)),
+            # every time a binary fraction of a second: 64 frames a second,
+            # MPDUs of 2**-11 s from the sweep's end at 6 * 2**-11 s, and one
+            # beacon interval, so every 32nd MPDU ends as a frame arrives
+            (
+                "tie",
+                [
+                    "sim_time = 0.1", "frame_rate = 64", "data_rate = 2e9", "mpdu_bytes = 31250",
+                    "header_bytes = 0", "per_mpdu_overhead = 0", "phy_rate_bps = 512e6",
+                    "bhi_duration = 0.001953125", "sls_duration = 0.0009765625",
+                ],
+                lambda ts: np.full(len(ts), 100.0),
+            ),
         ],
     )
-    def test_each_stop_matches_the_oracle(self, stop, overrides, snr_db):
-        cfg = load_config(overrides=["sim_time = 0.1", "rotation = static"] + overrides)
+    def test_each_stop_matches_the_oracle(self, seen, overrides, snr_db):
+        cfg = load_config(overrides=["sim_time = 0.3", "rotation = static"] + overrides)
         single = macsim.Simulator(cfg, collect_events=True)
         single.snr_at = snr_db
         single._next_event_time = lambda: -math.inf
         want = self.outcome(single)
         sim = macsim.Simulator(cfg, collect_events=True)
         sim.snr_at = snr_db
-        reasons = self.stop_reasons(sim)
+        steps = self.step_log(sim)
         assert self.outcome(sim) == want
-        assert want[0]["mpdu_attempts"] > len(reasons) and reasons.count(stop) >= 2, collections.Counter(reasons)
+        counts = collections.Counter(self.seen(steps, want[1]))
+        assert want[0]["mpdu_attempts"] > len(steps) and counts[seen] >= 2, counts
+
+    def test_a_step_serves_many_bursts(self):
+        # 2 Gbps drains the queue after every burst; one step per burst
+        # took 211 steps for these 200 bursts
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 2.0", "data_rate = 2e9"]))
+        steps = self.step_log(sim)
+        counters = sim.run().counters
+        assert counters["frames_delivered"] == counters["frames_total"] == 200
+        assert len(steps) <= 50
+
+    def test_a_simulator_runs_once(self):
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.2"]))
+        sim.run()
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run()
 
 
 class TestModes:
@@ -539,18 +590,21 @@ class TestModes:
         # dropped, none at or above it has completed, and the head's
         # delivered count is part of one burst
         sim = macsim.Simulator(load_config(overrides=["sim_time = 1.0", "rotation = static", "data_rate = 8e9"]))
-        try_start, checked = sim._try_start_tx, []
+        try_start, next_start, checked = sim._try_start_tx, sim._next_start, []
 
-        def check(t):
-            try_start(t)
+        def check(t, *horizon):
+            start = (next_start if horizon else try_start)(t, *horizon)
             below, queued = sim.frames[: sim.head], sim.frames[sim.head :]
             dropped = sum(1 for r in below if r.completed is None)
             assert dropped == sim.counters["frames_dropped"]
             assert all(r.completed is None for r in queued)
             assert 0 <= sim.sent < sim.burst_count and (sim.sent == 0 or queued)
             checked.append(t)
+            return start
 
-        sim._try_start_tx = check
+        # a decision is taken on every free medium, and inside an array step
+        # wherever a frame completes or leaves the queue
+        sim._try_start_tx, sim._next_start = check, check
         counters = sim.run().counters
         assert len(checked) > 100 and counters["frames_dropped"] >= 1
         assert 0 < counters["frames_delivered"] < counters["frames_total"] - counters["frames_dropped"]
