@@ -116,10 +116,14 @@ def _vary_cells(vary_args) -> list[dict]:
             raise ConfigError("--vary key %r is given twice" % key)
         if len(set(parts)) < len(parts):
             raise ConfigError("--vary %r lists a value twice" % spec)
-        # the CSV is ASCII, and each row's cell key repeats the value
+        # the CSV is ASCII, and each row's cell key repeats the value; the
+        # config reader cuts a value at "#", so its cell would run another
+        # value than the one its row names
         for value in parts:
             if not value.isascii():
                 raise ConfigError("--vary value %r is not ASCII" % value)
+            if "#" in value:
+                raise ConfigError("--vary value %r holds '#', which starts a comment" % value)
         axes[key] = parts
     return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 

@@ -1,14 +1,14 @@
 """Event-driven downlink simulator.
 
-One heap of ``(time, rank, sequence)`` entries drives the beacon-interval
-schedule, sector sweeps and MPDU completions.  At one instant events run in
-:data:`EVENT_KINDS` order: beacon start, beamforming trigger, burst arrival,
-``sim_end``, then the other kinds in push order.  Beacons, triggers and
-bursts are periodic sources: event k of one with period P runs at ``k * P``
-for k < max(1, ceil(sim_time / P - 1e-9)).  A beacon or trigger pushes its
-own successor, so the heap stays a few entries long.  The bursts, known
-before the run, have no heap entry: the loop runs the next arrival whenever
-it comes before the heap's top in (time, rank), so it keeps its rank.  Every
+The schedule is one slot per event kind: its pending event, if any, as a
+``(time, rank, sequence)`` entry, else one at time inf, and the loop runs
+the least.  At one instant events run in :data:`EVENT_KINDS` order: beacon
+start, beamforming trigger, burst arrival, ``sim_end``, then the other kinds
+in push order.  Beacons, triggers and bursts are periodic sources: event k
+of one with period P runs at ``k * P`` for k < max(1, ceil(sim_time / P -
+1e-9)).  A beacon or trigger pushes its own successor; the next arrival is
+written, never pushed, wherever frames join the queue, array steps included.
+The medium is busy while a BHI, sweep or MPDU end is pending.  Every
 stochastic input is drawn before the first event runs: the rotation trace
 and walk from the scenario seed, the quasi-omni pattern from the fixed seed
 of its synthesis budget (:mod:`codebook`).  So two runs of the same config
@@ -22,20 +22,20 @@ head's delivered MPDU count.  A frame older than ``deadline`` is dropped.
 Data MPDUs are non-preemptive; an MPDU in flight when a BHI (beacon header
 interval) begins completes, and no transmission starts inside a BHI or sweep.
 BHIs and sweeps never overlap each other.  A trigger only marks a sweep as
-owed.  Whenever the medium is free, :meth:`Simulator._try_start_tx` starts
-the owed sweep if it ends by the next target beacon transmission time
+owed.  After every event, on a free medium, :meth:`Simulator._try_start_tx`
+starts the owed sweep if it ends by the next target beacon transmission time
 (TBTT, the pending beacon's start), and otherwise serves the queue.
 
-Run service: between two heap events nothing but the MPDU in flight and the
-known arrivals changes the MAC's state, so each start is the previous MPDU's
-end or, on a drained queue, the next arrival.  So the queue is served in
-array steps over the link batch (below), each up to the next heap event,
-frame after frame.  The running sum of the batch's outcomes, ``snr >=
-snr_threshold_db``, gives a frame the attempt that completes it and its
-first at the tail airtime; its attempts run back to back up to that one, the
-last before a start at which it is stale, or one whose end is not the next
-batch entry.  There the MAC decides as at a heap event.  A step stops at the
-attempt that ends at or after the next heap event, the only one pushed as
+Run service: up to the next event other than an arrival nothing but the MPDU
+in flight and the known arrivals changes the MAC's state, so each start is
+the previous MPDU's end or, on a drained queue, the next arrival.  So the
+queue is served in array steps over the link batch (below), each up to the
+next event, frame after frame.  The running sum of the batch's outcomes,
+``snr >= snr_threshold_db``, gives a frame the attempt that completes it and
+its first at the tail airtime; its attempts run back to back up to that one,
+the last before a start at which it is stale, or one whose end is not the
+next batch entry.  There the MAC decides as at an event.  A step stops at
+the attempt that ends at or after the next event, the only one pushed as
 ``mpdu_tx_done``, at a start other than its batch entry bit for bit, or when
 the queue drains with no arrival before that event.  Its arrivals and MPDU
 ends are logged in (time, rank) order.  A run of length 1 is the plain
@@ -76,7 +76,6 @@ mismatch; its ceiling bounds a batch's arrays.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from bisect import bisect_left
@@ -97,6 +96,8 @@ from .mobility import generate_rotation_trace, generate_walk, load_trace, pose_a
 # rank and run in push order
 EVENT_KINDS = ("beacon_start", "bf_trigger", "burst_arrival", "sim_end", "bhi_end", "sls_done", "mpdu_tx_done")
 _RANK = {kind: min(i, EVENT_KINDS.index("sim_end") + 1) for i, kind in enumerate(EVENT_KINDS)}
+# a slot whose kind has no pending event
+_IDLE = {kind: (math.inf, _RANK[kind], 0, kind, None) for kind in EVENT_KINDS}
 
 # ceiling-mounted array, boresight straight down (+x local -> -z world)
 AP_ORIENTATION = Quaternion.from_axis_angle((0.0, 1.0, 0.0), math.pi / 2.0)
@@ -173,12 +174,7 @@ class Simulator:
         self._full_airtime = self._airtime(full_bits)
         self._tail_airtime = self._airtime(tail_bits)
 
-        self.in_bhi = False
-        self.sls_active = False
         self.sls_owed = False
-        self.tx_busy = False
-        self.next_tbtt = 0.0  # every run opens with a beacon at t = 0
-        self.next_arrival = 0.0  # and frame 0
         self._reserved_until = 0.0  # end of the latest BHI or sweep
         self._link_cap = _LINK_BATCH
         self._last_ok = True  # outcome of the latest attempt, which predicts the next
@@ -193,8 +189,8 @@ class Simulator:
         self.bhi_intervals: list = []
         self.sls_intervals: list = []
 
-        self._heap: list = []
-        self._seq = itertools.count()
+        self._slots = dict(_IDLE)
+        self._seq = itertools.count()  # orders same-rank events at one instant
         periods = {"beacon_start": config.bi_duration, "burst_arrival": config.burst_interval}
         if config.bf_location == "dti":
             periods["bf_trigger"] = config.bf_interval
@@ -202,8 +198,6 @@ class Simulator:
         self._sources = {
             kind: (p, max(1, int(math.ceil(config.sim_time / p - 1e-9)))) for kind, p in periods.items()
         }
-        # a DTI run opens with a trigger at t = 0, an A-BFT run has none
-        self.next_trigger = 0.0 if "bf_trigger" in self._sources else math.inf
 
     # -- setup ------------------------------------------------------------
 
@@ -252,20 +246,23 @@ class Simulator:
     # -- event plumbing ---------------------------------------------------
 
     def _push(self, t: float, kind: str, payload=None) -> None:
-        heapq.heappush(self._heap, (t, _RANK[kind], next(self._seq), kind, payload))
+        if self._slots[kind][0] != math.inf:
+            raise RuntimeError("a %s event is already pending" % kind)
+        self._slots[kind] = (t, _RANK[kind], next(self._seq), kind, payload)
 
-    def _schedule(self, kind: str, k: int) -> float:
-        """Push the k-th event of a periodic source; returns its time, or
-        inf when the source has no k-th event."""
+    def _schedule(self, kind: str, k: int) -> None:
+        """Push the k-th event of a periodic source, if it has one."""
         period, count = self._sources[kind]
-        if k >= count:
-            return math.inf
-        self._push(k * period, kind, k)
-        return k * period
+        if k < count:
+            self._push(k * period, kind, k)
 
     def _next_event_time(self) -> float:
-        """Time of the next heap event, which bounds a run of MPDUs."""
-        return self._heap[0][0] if self._heap else math.inf
+        """Time of the next event but an arrival; it bounds a run of MPDUs."""
+        return min(slot[0] for kind, slot in self._slots.items() if kind != "burst_arrival")
+
+    def _busy(self) -> bool:
+        """Whether a BHI, sweep or MPDU holds the medium: its end is pending."""
+        return any(self._slots[kind][0] != math.inf for kind in ("bhi_end", "sls_done", "mpdu_tx_done"))
 
     def _log(self, t: float, kind: str, detail: str) -> None:
         if self.collect:
@@ -340,8 +337,8 @@ class Simulator:
         beamforms, or while a sweep is owed, which may start at a BHI's end."""
         cfg = self.cfg
         drop_age, cap, count = cfg.deadline, self._link_cap, self.burst_count
-        horizon = min(self.next_trigger, cfg.sim_time)
-        tbtt = self.next_tbtt
+        horizon = min(self._slots["bf_trigger"][0], cfg.sim_time)
+        tbtt = self._slots["beacon_start"][0]
         if cfg.bf_location == "abft" or self.sls_owed:
             horizon, tbtt = min(horizon, tbtt), math.inf
         bound = min(horizon, tbtt)  # the one comparison per start
@@ -418,17 +415,18 @@ class Simulator:
         return self._reserved_until
 
     def _begin_sls(self, t: float) -> None:
-        self.sls_active = True
         self.counters["sls_runs"] += 1
         self._push(self._reserve(t, self.cfg.sls_duration, self.sls_intervals), "sls_done")
 
     def _admit(self, t: float) -> None:
-        """Append every frame that has arrived by t to the queue."""
-        while self.next_arrival <= t:
-            self.frames.append(FrameRecord(len(self.frames), self.next_arrival))
-            self.counters["frames_total"] = k = len(self.frames)
-            period, count = self._sources["burst_arrival"]
-            self.next_arrival = k * period if k < count else math.inf  # as _schedule computes it
+        """Append every frame that has arrived by t to the queue, and write
+        the next arrival into its slot."""
+        period, count = self._sources["burst_arrival"]
+        k = len(self.frames)
+        while k < count and k * period <= t:  # as _schedule computes it
+            self.frames.append(FrameRecord(k, k * period))
+            self.counters["frames_total"] = k = k + 1
+        self._slots["burst_arrival"] = (k * period if k < count else math.inf,) + _IDLE["burst_arrival"][1:]
 
     def _next_start(self, t: float, horizon: float) -> Optional[float]:
         """The queue head's start on a free medium at t, once the frames that
@@ -440,21 +438,21 @@ class Simulator:
             self.head, self.sent = self.head + 1, 0
             self.counters["frames_dropped"] += 1
         if self.head == len(frames):
-            t = self.next_arrival
+            t = self._slots["burst_arrival"][0]
             if t >= horizon:
                 return None
             self._admit(t)
         return t
 
     def _try_start_tx(self, t: float) -> None:
-        """The one decision on a free medium: the owed sweep if it ends by
-        the next TBTT, else the queue, served right here in array steps up to
-        the next heap event (run service, see the module docstring)."""
-        if self.tx_busy or self.in_bhi or self.sls_active:
+        """The one decision after each event on a free medium: the owed sweep
+        if it ends by the next TBTT, else the queue, served right here in array
+        steps up to the next event (run service, see the module docstring)."""
+        if self._busy():
             return
-        # until the next heap event t only grows and next_tbtt stays fixed,
-        # so a sweep that does not fit now fits at no later decision either
-        if self.sls_owed and t + self.cfg.sls_duration <= self.next_tbtt:
+        # until the next event t only grows and the TBTT stays fixed, so a
+        # sweep that does not fit now fits at no later decision either
+        if self.sls_owed and t + self.cfg.sls_duration <= self._slots["beacon_start"][0]:
             self.sls_owed = False
             self._begin_sls(t)
             return
@@ -468,9 +466,9 @@ class Simulator:
     def _step(self, t: float, horizon: float) -> Optional[float]:
         """One array step over the link batch from the queue head's start t,
         frame after frame, up to the first attempt that ends at or after the
-        horizon (it goes through the heap) or the first start other than its
-        batch entry, which is returned.  None if an attempt goes through the
-        heap or the queue drains with no arrival before the horizon."""
+        horizon (it is pushed as the next event) or the first start other
+        than its batch entry, which is returned.  None if an attempt is
+        pushed or the queue drains with no arrival before the horizon."""
         full, tail, deadline = self._full_airtime, self._tail_airtime, self.cfg.deadline
         k = self._link_index(t)
         starts, done, (full_breaks, tail_breaks) = self._batch_starts, self._batch_done, self._batch_breaks
@@ -494,7 +492,6 @@ class Simulator:
             if end >= horizon:
                 self._admit(starts[r])  # the arrivals that the logged MPDU ends may follow
                 self.sent += done[r] - base
-                self.tx_busy = True
                 self._push(end, "mpdu_tx_done", (done[r + 1] > done[r], starts[r]))
                 t = None
                 break
@@ -511,7 +508,7 @@ class Simulator:
             for j in range(first, last + 1):
                 end, ok = starts[j] + (full if j < tail_from else tail), done[j + 1] > done[j]
                 self.tx_intervals.append((starts[j], end, ok, frame_id))
-                if end < horizon:  # else it goes through the heap
+                if end < horizon:  # else it is pushed and logged as an event
                     self._log_arrivals(end)
                     self._log(end, "mpdu_tx_done", _TX_DONE % (frame_id, sent + done[j + 1], ok, starts[j]))
         return t
@@ -530,44 +527,35 @@ class Simulator:
     # -- handlers ---------------------------------------------------------
 
     def _on_beacon_start(self, t: float, index: int) -> None:
-        self.next_tbtt = self._schedule("beacon_start", index + 1)
-        self.in_bhi = True
+        self._schedule("beacon_start", index + 1)
         self.counters["bhi_count"] += 1
         self._log(t, "beacon_start", "index=%d" % index)
         self._push(self._reserve(t, self.cfg.bhi_duration, self.bhi_intervals), "bhi_end")
 
     def _on_bhi_end(self, t: float, _) -> None:
-        self.in_bhi = False
         self._log(t, "bhi_end", self._apply_beamform(t) if self.cfg.bf_location == "abft" else "")
-        self._try_start_tx(t)
 
     def _on_bf_trigger(self, t: float, index: int) -> None:
-        self.next_trigger = self._schedule("bf_trigger", index + 1)
+        self._schedule("bf_trigger", index + 1)
         self.sls_owed = True
         # logged before the decision, which may serve MPDUs ending after t
-        postponed = self.in_bhi or t + self.cfg.sls_duration > self.next_tbtt
-        waits = "pending" if self.tx_busy or self.sls_active else "start"
+        postponed = self._slots["bhi_end"][0] != math.inf or t + self.cfg.sls_duration > self._slots["beacon_start"][0]
+        waits = "pending" if self._busy() else "start"
         self._log(t, "bf_trigger", "postponed" if postponed else waits)
-        self._try_start_tx(t)
 
     def _on_sls_done(self, t: float, _) -> None:
-        self.sls_active = False
         detail = self._apply_beamform(t)
         self._log(t, "sls_done", detail)
-        self._try_start_tx(t)
 
     def _on_burst_arrival(self, t: float, _) -> None:
         self._admit(t)
-        self._try_start_tx(t)
 
     def _on_mpdu_tx_done(self, t: float, payload) -> None:
         ok, start = payload
-        self.tx_busy = False
         # drops only run on a free medium, so the MPDU's frame is still the head
         if self.collect:
             self._log(t, "mpdu_tx_done", _TX_DONE % (self.head, self.sent + ok, ok, start))
         self._deliver(int(ok), t)
-        self._try_start_tx(t)
 
     # -- loop -------------------------------------------------------------
 
@@ -579,27 +567,24 @@ class Simulator:
             if kind != "burst_arrival":
                 self._schedule(kind, 0)
         self._push(self.cfg.sim_time, "sim_end")
-        handlers = {kind: getattr(self, "_on_" + kind) for kind in EVENT_KINDS if kind != "sim_end"}
+        self._admit(-math.inf)  # admits none: writes frame 0's arrival at t = 0
 
-        last_t = 0.0
+        slots, last_t = self._slots, 0.0
         while True:
-            # the next arrival has no heap entry; it runs in its rank
-            t = self.next_arrival
-            if (t, _RANK["burst_arrival"]) < self._heap[0][:2]:
-                kind, payload = "burst_arrival", None
-            else:
-                t, _, _, kind, payload = heapq.heappop(self._heap)
+            t, _, _, kind, payload = min(slots.values())
+            slots[kind] = _IDLE[kind]
             if t < last_t:
                 raise RuntimeError("event time ran back from %.9f to %.9f" % (last_t, t))
             last_t = t
             if kind == "sim_end":
                 self._log(t, "sim_end", "")
                 break
-            handlers[kind](t, payload)
+            getattr(self, "_on_" + kind)(t, payload)
+            self._try_start_tx(t)
             if self.collect:
                 self._log_arrivals(math.inf)
             # work conservation: a nonempty queue never waits on a free medium
-            if self.head < len(self.frames) and not (self.tx_busy or self.in_bhi or self.sls_active):
+            if self.head < len(self.frames) and not self._busy():
                 raise RuntimeError("medium idle with pending data at t=%.9f" % t)
 
         logs = (self.events, self.tx_intervals, self.bhi_intervals, self.sls_intervals) if self.collect else ()

@@ -605,7 +605,8 @@ class TestSweepCommand:
     # each ran something other than it was asked, with exit 0: the preset's
     # 12 cells without the axis, one cell at the last value, two identical
     # rows, or a row per value holding the same unknown-key error; a value
-    # that is not ASCII ran every cell, then could not be written to the CSV
+    # that is not ASCII ran every cell, then could not be written to the CSV;
+    # one holding "#" ran only what comes before it, the rest a comment
     @pytest.mark.parametrize(
         "argv, named",
         [
@@ -614,6 +615,7 @@ class TestSweepCommand:
             (["--vary", "data_rate=2e9,2e9"], ("--vary", "data_rate=2e9,2e9")),
             (["--vary", "bogus=1,2"], ("--vary", "'bogus'")),
             (["--vary", "rotation=\u00e9,static"], ("--vary", "'\u00e9'", "ASCII")),
+            (["--vary", "seed=1,1#x"], ("--vary", "'1#x'", "'#'")),
         ],
     )
     def test_a_conflicting_sweep_exits_one_before_any_cell(self, tmp_path, capsys, monkeypatch, argv, named):

@@ -79,7 +79,7 @@ def test_event_log_digest(name, run_cached, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_events_run_in_time_and_rank_order(name, run_cached):
-    # an arrival has no heap entry, yet keeps its rank: at one instant it
+    # an arrival is never pushed, yet keeps its rank: at one instant it
     # follows a beacon start or a trigger, as every log here has it at least
     # once (16 times at bf_interval = 0.1), and precedes every other kind
     overrides, _ = DIGESTS[name]

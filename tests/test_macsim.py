@@ -39,6 +39,16 @@ def mpdu_sizes_bits(config):
     return [full] * (count - 1) + [tail]
 
 
+def pending(sim, kind):
+    """Whether an event of ``kind`` is pending in ``sim``'s schedule."""
+    return sim._slots[kind][0] != math.inf
+
+
+def set_slot(sim, kind, t):
+    """Make ``kind``'s pending event fall at t, or none pending at inf."""
+    sim._slots[kind] = (t,) + sim._slots[kind][1:]
+
+
 def frame_airtime(config):
     """Uninterrupted service time of one whole burst, from ``burst_shape``."""
     count, full, tail = burst_shape(config)
@@ -232,15 +242,15 @@ STATIC_2S = ("sim_time = 2.0", "rotation = static")
 
 @pytest.fixture(scope="class")
 def recorded_default_run():
-    """A default 20 s run with every heap push recorded: its counters, the
-    pushes per event kind and the heap's peak length."""
+    """A default 20 s run with every push recorded: its counters, the pushes
+    per event kind and the peak count of pending events."""
     sim = macsim.Simulator(load_config())
     push, pushes, peak = sim._push, collections.Counter(), [0]
 
     def recording_push(t, kind, payload=None):
         push(t, kind, payload)
         pushes[kind] += 1
-        peak[0] = max(peak[0], len(sim._heap))
+        peak[0] = max(peak[0], sum(pending(sim, k) for k in EVENT_KINDS))
 
     sim._push = recording_push
     return sim.run().counters, pushes, peak[0]
@@ -287,18 +297,19 @@ class TestSchedule:
         assert s1 == pytest.approx(2.75e-3, abs=1e-15)
 
     def test_heap_stays_a_few_entries_long(self, recorded_default_run):
-        # each periodic source holds one pending entry; pushing every beacon,
-        # trigger and burst up front took 2,397 entries.  Arrivals keep their
-        # rank without one
+        # each kind holds at most one pending event, in its slot; pushing
+        # every beacon, trigger and burst up front took 2,397 heap entries.
+        # Arrivals keep their rank without a push: admitting frames writes
+        # the next one into its slot
         counters, pushes, peak = recorded_default_run
         assert counters["frames_total"] == 2000
         assert peak <= 7
         assert pushes["burst_arrival"] == 0
 
     def test_back_to_back_mpdus_skip_the_heap(self, recorded_default_run):
-        # only an MPDU that ends at or after the next heap event is pushed, so
-        # each such event accounts for at most one push; with one heap
-        # round-trip per MPDU there were 192,000
+        # only an MPDU that ends at or after the next event is pushed, so
+        # each such event accounts for at most one push; with one event per
+        # MPDU there were 192,000
         counters, pushes, _ = recorded_default_run
         assert counters["mpdu_attempts"] == 192_000
         others = ("beacon_start", "bhi_end", "bf_trigger", "sls_done")
@@ -409,6 +420,23 @@ class TestMediumRules:
         with pytest.raises(RuntimeError, match="ran back"):
             sim.run()
 
+    def test_a_kind_is_pending_at_most_once(self):
+        # one slot per kind: a second push of a pending kind is a fault
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.05", "rotation = static"]))
+        sim._push(1e-3, "mpdu_tx_done", (True, 0.0))
+        with pytest.raises(RuntimeError, match="mpdu_tx_done"):
+            sim._push(2e-3, "mpdu_tx_done", (True, 1e-3))
+
+    def test_same_rank_events_at_one_instant_run_in_push_order(self):
+        # no pinned log has two same-rank events at one instant: here an MPDU
+        # end pushed before the run falls where the t = 0 beacon's BHI ends,
+        # and runs first because it was pushed first
+        cfg = load_config(overrides=["sim_time = 0.05", "rotation = static"])
+        sim = macsim.Simulator(cfg, collect_events=True)
+        sim._push(cfg.bhi_duration, "mpdu_tx_done", (True, 0.0))
+        events = sim.run().events
+        assert [ev.kind for ev in events if ev.t == cfg.bhi_duration] == ["mpdu_tx_done", "bhi_end"]
+
     def test_mcs_gate_is_inclusive(self):
         # an attempt at exactly snr_threshold_db succeeds, one just below fails
         for offset_db, fails_all in ((0.0, False), (-1e-9, True)):
@@ -422,8 +450,8 @@ class TestMediumRules:
 
 
 class TestRunService:
-    """Serving back-to-back MPDUs in one pass against one heap round-trip
-    per MPDU, the run length forced to 1."""
+    """Serving back-to-back MPDUs in one pass against one event per MPDU,
+    the run length forced to 1."""
 
     @staticmethod
     def outcome(sim):
@@ -461,7 +489,7 @@ class TestRunService:
             ]
         )
         single = macsim.Simulator(cfg, collect_events=True)
-        # every MPDU end is at or after the next event: each goes through the heap
+        # every MPDU end is at or after the next event: each is pushed
         single._next_event_time = lambda: -math.inf
         want = self.outcome(single)
         assert self.outcome(macsim.Simulator(cfg, collect_events=True)) == want
@@ -476,7 +504,7 @@ class TestRunService:
             first = len(sim.tx_intervals)
             start = step(t, horizon)
             if start is None:
-                reason = "heap_event" if sim.tx_busy else "drained"
+                reason = "heap_event" if pending(sim, "mpdu_tx_done") else "drained"
             elif sim._batch_next < len(sim._batch_starts):
                 reason = "start_mismatch"
             else:
@@ -513,7 +541,7 @@ class TestRunService:
             # and the next frame waits queued while one completes
             ("completion", ["data_rate = 8e9"], lambda ts: np.full(len(ts), 100.0)),
             # every attempt fails; a frame ages out 15 ms after its arrival,
-            # while the next frame waits and no heap event is due
+            # while the next frame waits and no other event is due
             ("age_out", ["deadline = 0.015"], lambda ts: np.full(len(ts), -100.0)),
             # outcomes flip every 100 us, so the retry prediction misses
             # wherever a burst's tail or next burst starts
@@ -839,11 +867,13 @@ class TestBatchedLink:
 
     @staticmethod
     def open_epoch(sim, frames_seen, head, sent=0, next_tbtt=4 * 0.1024, next_trigger=0.4):
-        """The epoch state that run() keeps: the pending beacon and trigger,
-        the bursts that have arrived, each at ``k * period``, and the queue,
-        from frame ``head`` of which ``sent`` MPDUs are delivered."""
+        """The epoch state that run() keeps: the pending beacon and trigger
+        in their slots, the bursts that have arrived, each at ``k * period``,
+        and the queue, from frame ``head`` of which ``sent`` MPDUs are
+        delivered."""
         period = sim.cfg.burst_interval
-        sim.next_tbtt, sim.next_trigger = next_tbtt, next_trigger
+        set_slot(sim, "beacon_start", next_tbtt)
+        set_slot(sim, "bf_trigger", next_trigger)
         sim.frames = [FrameRecord(k, k * period) for k in range(frames_seen)]
         sim.head, sim.sent = head, sent
 
@@ -954,9 +984,9 @@ class TestBatchedLink:
         if bound == "sim_time":
             sim.cfg = dataclasses.replace(sim.cfg, sim_time=want[6])
         elif bound == "next_trigger":
-            sim.next_trigger = want[6]
+            set_slot(sim, "bf_trigger", want[6])
         else:
-            sim.next_tbtt = want[6]
+            set_slot(sim, "beacon_start", want[6])
             if bound == "abft_tbtt":
                 sim.cfg = dataclasses.replace(sim.cfg, bf_location="abft")
             else:
@@ -971,8 +1001,9 @@ class TestBatchedLink:
         full = sim._full_airtime
         self.open_epoch(sim, 31, head=30, next_tbtt=1.0, next_trigger=1.0)
         want = self.back_to_back(0.301, [full] * 10)
-        sim.next_tbtt = want[6] if landing == "at" else (want[5] + want[6]) / 2.0
-        bhi_end = sim.next_tbtt + sim.cfg.bhi_duration  # as _reserve computes it
+        tbtt = want[6] if landing == "at" else (want[5] + want[6]) / 2.0
+        set_slot(sim, "beacon_start", tbtt)
+        bhi_end = tbtt + sim.cfg.bhi_duration  # as _reserve computes it
         assert bhi_end > want[6]
         got = sim._predicted_starts(0.301)
         assert got[:6] == want[:6]
@@ -985,8 +1016,9 @@ class TestBatchedLink:
         sim.cfg = dataclasses.replace(sim.cfg, bhi_duration=full / 4.0)
         self.open_epoch(sim, 31, head=30, next_tbtt=1.0, next_trigger=1.0)
         want = self.back_to_back(0.301, [full] * 10)
-        sim.next_tbtt = (want[5] + want[6]) / 2.0
-        assert sim.next_tbtt + sim.cfg.bhi_duration < want[6]
+        tbtt = (want[5] + want[6]) / 2.0
+        set_slot(sim, "beacon_start", tbtt)
+        assert tbtt + sim.cfg.bhi_duration < want[6]
         assert sim._predicted_starts(0.301)[:11] == want
 
     def test_a_one_second_epoch_crosses_several_bhis(self):
