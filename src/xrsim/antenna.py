@@ -202,7 +202,7 @@ def _lattice_phasors(k_offsets: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _dirichlet(theta: np.ndarray, n) -> np.ndarray:
     """D_n(theta) = sin(n theta / 2) / sin(theta / 2), with D_n(0) = n: the
     sum of exp(j theta x) over the n centred offsets x = i - (n - 1) / 2.
-    ``n`` is an int or an int array that broadcasts against ``theta``.
+    ``n`` is a whole number or an array of them that broadcasts on ``theta``.
 
     theta is first reduced to [-pi, pi] with D_n(theta + 2 pi) =
     (-1)^(n - 1) D_n(theta).  Next to a grating lobe, theta near a nonzero
@@ -210,24 +210,30 @@ def _dirichlet(theta: np.ndarray, n) -> np.ndarray:
     would swamp the numerator of the plain ratio.
     """
     turns = np.rint(theta / (2.0 * math.pi))
-    theta = theta - 2.0 * math.pi * turns
+    # nothing to reduce and no sign to fix where every direction is within
+    # 1 / (2 spacing) of its target along the axis, as on a link
+    wrapped = np.count_nonzero(turns)
+    theta = theta - 2.0 * math.pi * turns if wrapped else theta
     half = np.sin(theta / 2.0)
     out = np.full(theta.shape, n, dtype=float)
     np.divide(np.sin(n * theta / 2.0), half, out=out, where=half != 0.0)
-    # no sign to fix where every direction is within 1 / (2 spacing) of its
-    # target along the axis, as on a link that points at the other end
-    if turns.any():
-        out[(np.fmod(turns, 2.0) != 0.0) & ((n - 1) % 2 == 1)] *= -1.0
+    if wrapped:
+        np.negative(out, out=out, where=(np.fmod(turns, 2.0) != 0.0) & ((n - 1) % 2 == 1))
     return out
 
 
-def block_layout(geometry: ArrayGeometry, blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What :func:`block_fields` reads of B steered blocks,
-    :class:`SteeredBlock` s or their (B, 5) array: each block's target y
-    and z components, its column count n and its centre ``cen``, in columns
-    off the array centre."""
-    c0, c1, ty, tz, _ = np.asarray(blocks, dtype=float).T
-    return ty, tz, (c1 - c0).astype(np.int64), (c0 + c1 - geometry.cols) / 2.0
+def block_layout(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]):
+    """What :func:`block_fields` reads of B steered blocks, one row per
+    Dirichlet factor: the targets (the distinct row t_z, shared by the blocks
+    that have it, then each block's t_y), the component of u and the element
+    count of each; then each block's row factor, and the block centres in
+    columns off the array centre, or None if all are centred."""
+    rows: dict = {}
+    row_of = [rows.setdefault(b.tz, len(rows)) for b in blocks]
+    n = [geometry.rows] * len(rows) + [b.c1 - b.c0 for b in blocks]
+    cen = [[(b.c0 + b.c1 - geometry.cols) / 2.0] for b in blocks]
+    return (np.array(list(rows) + [b.ty for b in blocks])[:, None], np.array([2] * len(rows) + [1] * len(blocks)),
+            np.array(n, dtype=float)[:, None], np.array(row_of), np.array(cen) if any(c for c, in cen) else None)
 
 
 def block_fields(geometry: ArrayGeometry, layout, u: np.ndarray) -> np.ndarray:
@@ -237,13 +243,16 @@ def block_fields(geometry: ArrayGeometry, layout, u: np.ndarray) -> np.ndarray:
     block's offset.  Block b of n columns, centred ``cen`` columns off the
     array centre and steered at t, gives D_rows(kd (u_z - t_z)) D_n(kd (u_y
     - t_y)) e^{j cen kd (u_y - t_y)}, a product of two Dirichlet kernels
-    (Balanis, *Antenna Theory*, planar arrays), real for one centred block."""
+    (Balanis, *Antenna Theory*, planar arrays), real for centred blocks.
+    The factors are taken factor-major, so that each array operation runs
+    along the directions."""
     kd = (2.0 * math.pi / geometry.wavelength) * (geometry.spacing_wavelengths * geometry.wavelength)
-    ty, tz, n, cen = layout
-    theta_y = kd * (u[:, 1:2] - ty)
-    theta_z = kd * (u[:, 2:3] - tz)
-    terms = _dirichlet(theta_z, geometry.rows) * _dirichlet(theta_y, n)
-    return terms * np.exp(1j * (cen * theta_y)) if cen.any() else terms
+    targets, axis, n, row_of, cen = layout
+    theta = kd * (u.T[axis] - targets)
+    factors = _dirichlet(theta, n)
+    first = len(targets) - len(row_of)
+    terms = factors[row_of] * factors[first:]
+    return np.ascontiguousarray((terms if cen is None else terms * np.exp(1j * (cen * theta[first:]))).T)
 
 
 class AwvEvaluator:
@@ -255,12 +264,13 @@ class AwvEvaluator:
 
     One AWV that carries its :attr:`Awv.blocks` (a steered beam or a
     covrage composite beam) is summed in closed form, O(blocks) per
-    direction, from its :func:`block_fields` turned by their offsets (one
-    block at offset 0, as a steered sector, from its real field).  Any
-    other AWV, and every stack, goes through the rectangular lattice: the
-    element sum factors into a row combination of per-column sums, two
-    length-rows/cols contractions instead of the O(N) phase sum.  Both
-    produce the values of the per-element :func:`gain_db` up to rounding.
+    direction, from its :func:`block_fields` turned by their offsets, and so
+    is a stack of steered beams (an AP's sectors), each its one block's real
+    field.  Any other AWV, and a stack that holds one (a headset codebook's
+    quasi-omni), goes through the rectangular lattice: the element sum
+    factors into a row combination of per-column sums, two length-rows/cols
+    contractions instead of the O(N) phase sum.  Both produce the values of
+    the per-element :func:`gain_db` up to rounding.
     """
 
     def __init__(self, geometry: ArrayGeometry, awv: Awv | Sequence[Awv]):
@@ -269,11 +279,14 @@ class AwvEvaluator:
             raise ValueError("weight vector length does not match the array")
         self.geometry = geometry
         self.awv = awv if isinstance(awv, Awv) else stack
-        if isinstance(awv, Awv) and awv.blocks:
-            _check_tiling(geometry, awv.blocks)
-            self._layout = block_layout(geometry, awv.blocks)
-            real = len(awv.blocks) == 1 and awv.blocks[0].offset == 0.0
-            self._block_coef = None if real else awv.amplitude * np.exp(1j * np.array([b.offset for b in awv.blocks]))
+        self._amplitude = stack[0].amplitude
+        real = all(len(a.blocks) == 1 and a.blocks[0].offset == 0.0 for a in stack)
+        if real or isinstance(awv, Awv) and awv.blocks:
+            for a in stack:
+                _check_tiling(geometry, a.blocks)
+            blocks = [b for a in stack for b in a.blocks]
+            self._layout = block_layout(geometry, blocks)
+            self._block_coef = None if real else self._amplitude * np.exp(1j * np.array([b.offset for b in blocks]))
             self._w = None
         else:
             d = geometry.spacing_wavelengths * geometry.wavelength
@@ -298,14 +311,15 @@ class AwvEvaluator:
         products, and a complex matrix-vector product of a 64x64 array, to
         its thread pool, whose spinning workers cost more CPU than they
         save.  That path serves quasi-omni links, whose batches hold at
-        least two directions and so never form the latter, and sweeps: one
-        direction and one vector-matrix product over the stack (2,304
-        multiply-adds for the AP's 36 sectors at 8x8, 2,368 for a 37-entry
-        8x8 headset codebook).  In the closed form the M x B block fields
-        are summed in matrix-vector products of about ``_GEMV_MACS``
-        multiply-adds, for OpenBLAS threads one from 4,096 on.  No chunk has
-        one row: that product takes the dot path, which rounds differently.
-        A real field is that sum's magnitude bit for bit: one term, real.
+        least two directions and so never form the latter, and sweeps of a
+        codebook with a quasi-omni: one direction and one vector-matrix
+        product (2,368 multiply-adds for a 37-entry 8x8 codebook).  In the
+        closed form the M x B block fields are summed in matrix-vector
+        products of about ``_GEMV_MACS`` multiply-adds, for OpenBLAS threads
+        one from 4,096 on.  No chunk has one row: that product takes the dot
+        path, which rounds differently.  A real field is that sum's
+        magnitude bit for bit: one term, real.  The AP's 36-sector sweep is
+        6 row and 36 column Dirichlet factors.
         """
         if self._w is not None:
             col_phasors = _lattice_phasors(self._ky, u[:, 1])
@@ -314,11 +328,12 @@ class AwvEvaluator:
             per_column = np.concatenate([rows @ self._w for rows in np.array_split(row_phasors, n_products)])
             mags = np.abs(np.einsum("msc,mc->ms", per_column.reshape(len(u), -1, len(self._ky)), col_phasors))
         elif self._block_coef is None:
-            mags = np.abs(block_fields(self.geometry, self._layout, u) * self.awv.amplitude)
+            mags = np.abs(block_fields(self.geometry, self._layout, u) * self._amplitude)
         else:
             fields = block_fields(self.geometry, self._layout, u)
             n_products = max(min(-(-fields.size // _GEMV_MACS), len(u) // 2), 1)
-            sums = [rows @ self._block_coef for rows in np.array_split(fields, n_products)]
+            chunks = np.array_split(fields, n_products) if n_products > 1 else [fields]
+            sums = [rows @ self._block_coef for rows in chunks]
             mags = np.abs(np.concatenate(sums))[:, None]
         gains = np.where(mags < _NULL_FIELD, NULL_GAIN_DB, 20.0 * np.log10(np.maximum(mags, _NULL_FIELD)))
         return gains if isinstance(self.awv, tuple) else gains[:, 0]

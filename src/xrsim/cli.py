@@ -57,48 +57,23 @@ def _cmd_simulate(args) -> int:
     summary = summarize(result.frames, cfg.deadline)
     out = _out_dir(args)
     base = os.path.join(out, args.label)
-    write_outputs(
-        summary,
-        result.frames,
-        frames_path=base + "_frames.csv",
-        cdf_path=base + "_cdf.csv",
-        summary_path=base + "_summary.txt",
-        header_lines=config_echo_lines(cfg),
-    )
+    write_outputs(summary, result.frames, frames_path=base + "_frames.csv", cdf_path=base + "_cdf.csv",
+                  summary_path=base + "_summary.txt", header_lines=config_echo_lines(cfg))
     if args.events:
         write_event_log(base + "_events.csv", result.events)
-    print(
-        "%s: frames=%d delivered=%d reliability=%.4f min=%s p50=%s max=%s"
-        % (
-            args.label,
-            summary.frame_count,
-            summary.frame_count - summary.lost_count,
-            summary.reliability,
-            format_ms(summary.min_latency),
-            format_ms(summary.p50_latency),
-            format_ms(summary.max_latency),
-        )
-    )
+    latencies = (summary.min_latency, summary.p50_latency, summary.max_latency)
+    print("%s: frames=%d delivered=%d reliability=%.4f min=%s p50=%s max=%s" % (
+        args.label, summary.frame_count, summary.frame_count - summary.lost_count, summary.reliability,
+        *map(format_ms, latencies)))
     return 0
 
 
 def _fig4_cells() -> list[dict]:
-    cells = []
-    for rate in ("2e9", "5e9", "7e9"):
-        cells.append(
-            {"data_rate": rate, "rx_beamforming": "covrage", "prediction": "device",
-             "hmd_rows": "64", "hmd_cols": "64"}
-        )
-        cells.append(
-            {"data_rate": rate, "rx_beamforming": "sectors", "prediction": "none",
-             "hmd_rows": "8", "hmd_cols": "8"}
-        )
-        for shape in ("8", "64"):
-            cells.append(
-                {"data_rate": rate, "rx_beamforming": "quasi_omni", "prediction": "none",
-                 "hmd_rows": shape, "hmd_cols": shape}
-            )
-    return cells
+    # per rate: covrage on 64x64, sectors on 8x8 and the quasi-omni on both
+    modes = (("covrage", "device", "64"), ("sectors", "none", "8"), ("quasi_omni", "none", "8"),
+             ("quasi_omni", "none", "64"))
+    return [{"data_rate": rate, "rx_beamforming": mode, "prediction": prediction, "hmd_rows": n, "hmd_cols": n}
+            for rate in ("2e9", "5e9", "7e9") for mode, prediction, n in modes]
 
 
 def _vary_cells(vary_args) -> list[dict]:
@@ -111,11 +86,8 @@ def _vary_cells(vary_args) -> list[dict]:
         parts = [v.strip() for v in values.split(",") if v.strip()]
         if not parts:
             raise ConfigError("--vary %r lists no values" % spec)
-        # a repeated key or value would drop an axis or run a cell twice
         if key in axes:
             raise ConfigError("--vary key %r is given twice" % key)
-        if len(set(parts)) < len(parts):
-            raise ConfigError("--vary %r lists a value twice" % spec)
         # the CSV is ASCII, and each row's cell key repeats the value; the
         # config reader cuts a value at "#", so its cell would run another
         # value than the one its row names
@@ -124,6 +96,12 @@ def _vary_cells(vary_args) -> list[dict]:
                 raise ConfigError("--vary value %r is not ASCII" % value)
             if "#" in value:
                 raise ConfigError("--vary value %r holds '#', which starts a comment" % value)
+        # a key that is no config field, or a value that does not parse,
+        # would fail every cell alike; a value read twice, as 2e9 and
+        # 2000000000 are, would run one cell twice
+        read = [parse_config_lines(["%s=%s" % (key, v)], source="--vary %r" % spec)[key] for v in parts]
+        if len(set(read)) < len(parts):
+            raise ConfigError("--vary %r lists a value twice" % spec)
         axes[key] = parts
     return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
@@ -135,10 +113,6 @@ def _cmd_sweep(args) -> int:
         cells = _fig4_cells()
     elif args.vary:
         cells = _vary_cells(args.vary)
-        # a key that is no config field, or a value that does not parse,
-        # would fail its cells alike: line n of "--vary" is the n-th axis
-        for cell in cells:
-            parse_config_lines(["%s=%s" % kv for kv in cell.items()], source="--vary")
     else:
         raise ConfigError("sweep needs --preset or at least one --vary axis")
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .antenna import ArrayGeometry, Awv, SteeredBlock, block_fields, block_layout, steered_awv, _NULL_FIELD
-from .geometry import Pose, Quaternion, slerp
+from .geometry import Pose, Quaternion, _rotate, slerps, unit_toward
 
 # most column blocks a composite beam is split into
 K_MAX = 8
@@ -40,18 +40,20 @@ class Trajectory:
 
     def direction_at(self, s: float) -> np.ndarray:
         """Unit vector toward the AP in the headset frame at s."""
-        return slerp(self.q_now, self.q_pred, s).rotate_inverse(self.d_world)
+        return np.array(self.directions((s,))[0])
+
+    def directions(self, ss: Sequence[float]) -> list[tuple[float, float, float]]:
+        """:meth:`direction_at` at each s of ``ss``, bit for bit, from one
+        slerp set-up, as tuples."""
+        d = self.d_world.tolist()
+        return [_rotate(w, -x, -y, -z, *d) for w, x, y, z in slerps(self.q_now, self.q_pred, ss)]
 
 
 def trajectory_from_poses(pose_now: Pose, q_pred: Quaternion, ap_position: Sequence[float]) -> Trajectory:
-    diff = np.asarray(ap_position, dtype=float) - pose_now.position
-    n = float(np.linalg.norm(diff))
-    if n < 1e-12:
-        raise ValueError("headset and access point positions coincide")
-    d_world = diff / n
+    d_world = unit_toward(pose_now.position, ap_position)
     a = pose_now.orientation.rotate_inverse(d_world)
     b = q_pred.rotate_inverse(d_world)
-    dot = max(-1.0, min(1.0, float(np.dot(a, b))))
+    dot = max(-1.0, min(1.0, float(a @ b)))
     return Trajectory(pose_now.orientation, q_pred, d_world, math.degrees(math.acos(dot)))
 
 
@@ -84,15 +86,13 @@ def plan_with_k(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> tupl
     by their alignment offsets at the block boundaries s=i/k."""
     if k < 1 or k > geometry.cols:
         raise ValueError("block count must be in [1, cols]")
-    per = geometry.cols // k
-    blocks = []
-    for i in range(k):
-        c1 = (i + 1) * per if i < k - 1 else geometry.cols
-        u = trajectory.direction_at((i + 0.5) / k)
-        blocks.append(SteeredBlock(i * per, c1, float(u[1]), float(u[2]), 0.0))
-    crossovers = [trajectory.direction_at(i / k) for i in range(1, k)]
-    offsets = _alignment_offsets(geometry, blocks, crossovers)
-    return tuple(b._replace(offset=o) for b, o in zip(blocks, offsets))
+    edges = [i * (geometry.cols // k) for i in range(k)] + [geometry.cols]
+    # the k block targets, then the k - 1 crossovers
+    u = trajectory.directions([(i + 0.5) / k for i in range(k)] + [i / k for i in range(1, k)])
+    blocks = [SteeredBlock(edges[i], edges[i + 1], u[i][1], u[i][2], 0.0) for i in range(k)]
+    if k == 1:
+        return tuple(blocks)
+    return tuple(SteeredBlock(*b[:4], o) for b, o in zip(blocks, _alignment_offsets(geometry, blocks, u[k:])))
 
 
 def _alignment_offsets(geometry: ArrayGeometry, blocks, crossovers) -> list[float]:
@@ -102,7 +102,7 @@ def _alignment_offsets(geometry: ArrayGeometry, blocks, crossovers) -> list[floa
     field is a perfect null at the crossover keeps offset 0.  The blocks'
     own offsets are unused."""
     u = np.array(crossovers).reshape(-1, 3)
-    fields = block_fields(geometry, block_layout(geometry, blocks), u) / math.sqrt(geometry.n_elements)
+    fields = (block_fields(geometry, block_layout(geometry, blocks), u) / math.sqrt(geometry.n_elements)).tolist()
     offsets = [0.0]
     for i, at_crossover in enumerate(fields, start=1):
         acc = sum(at_crossover[j] * cmath.exp(1j * offsets[j]) for j in range(i))

@@ -82,23 +82,11 @@ class Quaternion:
 
     def rotate(self, v: Sequence[float]) -> np.ndarray:
         """Rotate a 3-vector from the local frame into the world frame."""
-        vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-        w, x, y, z = self.w, self.x, self.y, self.z
-        # t = 2 q_v x v; v' = v + w t + q_v x t
-        tx = 2.0 * (y * vz - z * vy)
-        ty = 2.0 * (z * vx - x * vz)
-        tz = 2.0 * (x * vy - y * vx)
-        return np.array(
-            [
-                vx + w * tx + (y * tz - z * ty),
-                vy + w * ty + (z * tx - x * tz),
-                vz + w * tz + (x * ty - y * tx),
-            ]
-        )
+        return np.array(_rotate(self.w, self.x, self.y, self.z, *map(float, v)))
 
     def rotate_inverse(self, v: Sequence[float]) -> np.ndarray:
         """Rotate a world-frame 3-vector into the local frame."""
-        return self.conjugate().rotate(v)
+        return np.array(_rotate(self.w, -self.x, -self.y, -self.z, *map(float, v)))
 
     def to_axis_angle(self) -> tuple[np.ndarray, float]:
         """Canonical axis-angle with angle in [0, pi]."""
@@ -110,55 +98,53 @@ class Quaternion:
         return np.array([q.x / s, q.y / s, q.z / s]), angle
 
 
+def _rotate(w, x, y, z, vx, vy, vz) -> tuple:
+    """The vector (vx, vy, vz) turned by the unit quaternion (w, x, y, z):
+    floats, or arrays that broadcast, component by component."""
+    # t = 2 q_v x v; v' = v + w t + q_v x t
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (vx + w * tx + (y * tz - z * ty), vy + w * ty + (z * tx - x * tz), vz + w * tz + (x * ty - y * tx))
+
+
 def slerp(q0: Quaternion, q1: Quaternion, s: float) -> Quaternion:
     """Spherical interpolation from q0 (s=0) to q1 (s=1), shortest path.
 
     Falls back to normalized linear interpolation when the quaternions are
     nearly parallel, where the sine denominator loses precision.
     """
+    return Quaternion(*slerps(q0, q1, (s,))[0])
+
+
+def slerps(q0: Quaternion, q1: Quaternion, ss: Sequence[float]) -> list[tuple[float, float, float, float]]:
+    """:func:`slerp` at each s of ``ss``, as (w, x, y, z) tuples, from one
+    set-up of the pair."""
     d = q0.dot(q1)
+    w0, x0, y0, z0 = q0.w, q0.x, q0.y, q0.z
     w1, x1, y1, z1 = q1.w, q1.x, q1.y, q1.z
     if d < 0.0:
         d = -d
         w1, x1, y1, z1 = -w1, -x1, -y1, -z1
-    d = min(1.0, d)
-    angle = math.acos(d)
-    if angle < _SLERP_MIN_ANGLE:
-        w = q0.w + s * (w1 - q0.w)
-        x = q0.x + s * (x1 - q0.x)
-        y = q0.y + s * (y1 - q0.y)
-        z = q0.z + s * (z1 - q0.z)
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        return Quaternion(w / n, x / n, y / n, z / n)
-    sa = math.sin(angle)
-    c0 = math.sin((1.0 - s) * angle) / sa
-    c1 = math.sin(s * angle) / sa
-    return Quaternion(
-        c0 * q0.w + c1 * w1,
-        c0 * q0.x + c1 * x1,
-        c0 * q0.y + c1 * y1,
-        c0 * q0.z + c1 * z1,
-    )
+    angle = math.acos(min(1.0, d))
+    sa, out = math.sin(angle), []
+    for s in ss:
+        if angle < _SLERP_MIN_ANGLE:
+            w, x, y, z = w0 + s * (w1 - w0), x0 + s * (x1 - x0), y0 + s * (y1 - y0), z0 + s * (z1 - z0)
+            n = math.sqrt(w * w + x * x + y * y + z * z)
+            out.append((w / n, x / n, y / n, z / n))
+        else:
+            c0, c1 = math.sin((1.0 - s) * angle) / sa, math.sin(s * angle) / sa
+            out.append((c0 * w0 + c1 * w1, c0 * x0 + c1 * x1, c0 * y0 + c1 * y1, c0 * z0 + c1 * z1))
+    return out
 
 
 def rotate_into_frames(quats: np.ndarray, v: np.ndarray) -> np.ndarray:
     """World-frame vectors into the local frames of orientations: the
     row-wise :meth:`Quaternion.rotate_inverse`.  ``quats`` is (..., 4)
     scalar-first and ``v`` is (..., 3); leading dimensions broadcast."""
-    w = quats[..., 0]
-    x, y, z = -quats[..., 1], -quats[..., 2], -quats[..., 3]
-    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return np.stack(
-        [
-            vx + w * tx + (y * tz - z * ty),
-            vy + w * ty + (z * tx - x * tz),
-            vz + w * tz + (x * ty - y * tx),
-        ],
-        axis=-1,
-    )
+    w, x, y, z = quats[..., 0], -quats[..., 1], -quats[..., 2], -quats[..., 3]
+    return np.stack(_rotate(w, x, y, z, v[..., 0], v[..., 1], v[..., 2]), axis=-1)
 
 
 def unit_vector(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
@@ -183,16 +169,21 @@ class Pose:
             raise ValueError("position must be a 3-vector")
 
 
+def unit_toward(origin: np.ndarray, target: Sequence[float]) -> np.ndarray:
+    """World-frame unit vector from the point ``origin`` toward ``target``."""
+    diff = np.asarray(target, dtype=float) - origin
+    n = math.sqrt(diff @ diff)  # np.linalg.norm's arithmetic
+    if n < 1e-12:
+        raise ValueError("headset and access point positions coincide")
+    return diff / n
+
+
 def ap_direction_in_hmd_frame(pose: Pose, ap_position: Sequence[float]) -> np.ndarray:
     """Unit vector from ``pose`` toward the point ``ap_position``, in the
     pose's own frame.  The simulator calls it for both ends of the link:
     the access point seen from the headset, and the headset seen from the
     access point."""
-    diff = np.asarray(ap_position, dtype=float) - pose.position
-    n = float(np.linalg.norm(diff))
-    if n < 1e-12:
-        raise ValueError("headset and access point positions coincide")
-    return pose.orientation.rotate_inverse(diff / n)
+    return pose.orientation.rotate_inverse(unit_toward(pose.position, ap_position))
 
 
 def predict_pose(now: Pose, horizon: float, mode: str, trace, end: float) -> Quaternion:

@@ -146,7 +146,7 @@ class RunResult:
 def best_sector(gains_db: np.ndarray) -> int:
     """Sweep winner from the gains indexed by sector id: the lowest id whose
     gain is within :data:`SWEEP_TIE_DB` of the best."""
-    return int(np.argmax(gains_db >= gains_db.max() - SWEEP_TIE_DB))
+    return int((gains_db >= gains_db[gains_db.argmax()] - SWEEP_TIE_DB).argmax())
 
 
 def write_event_log(path, events) -> None:
@@ -239,6 +239,7 @@ class Simulator:
         # starts; only the quasi_omni mode's headset pattern is fixed
         self.ap_eval = None
         self.hmd_eval = None
+        self._sector_links: dict = {}
         if cfg.rx_beamforming == "quasi_omni":
             self.hmd_eval = AwvEvaluator(self.hmd_geometry, cached_quasi_omni(self.hmd_geometry))
             self.hmd_label = "qo"
@@ -383,10 +384,7 @@ class Simulator:
         cfg = self.cfg
         hmd_pose = pose_at(self.trace, self.walk, t, cfg.hmd_height)
         # initiator sweep: every AP sector probed toward the headset
-        d_at_ap = ap_direction_in_hmd_frame(self.ap_pose, hmd_pose.position)
-        self.ap_sector = best_sector(self.ap_sweep.gain_db(d_at_ap))
-        self.ap_eval = AwvEvaluator(self.ap_geometry, self.ap_sweep.awv[self.ap_sector])
-
+        self.ap_sector, self.ap_eval = self._sweep(self.ap_sweep, self.ap_pose, hmd_pose.position)
         if cfg.rx_beamforming == "covrage":
             horizon = cfg.bf_interval if cfg.bf_location == "dti" else cfg.bi_duration
             q_pred = predict_pose(hmd_pose, horizon, cfg.prediction, self.trace, cfg.sim_time)
@@ -395,13 +393,20 @@ class Simulator:
             self.hmd_label = "covrage"
         elif cfg.rx_beamforming == "sectors":
             # responder sweep: every headset sector probed toward the AP
-            d_at_hmd = ap_direction_in_hmd_frame(hmd_pose, self.ap_position)
-            best_id = best_sector(self.hmd_sweep.gain_db(d_at_hmd))
-            self.hmd_eval = AwvEvaluator(self.hmd_geometry, self.hmd_sweep.awv[best_id])
+            best_id, self.hmd_eval = self._sweep(self.hmd_sweep, hmd_pose, self.ap_position)
             self.hmd_label = "sector=%d" % best_id
         self._new_link_epoch()
         self.counters["bf_updates"] += 1
         return "sector=%d hmd=%s" % (self.ap_sector, self.hmd_label)
+
+    def _sweep(self, sweep: AwvEvaluator, pose: Pose, target: np.ndarray) -> tuple[int, AwvEvaluator]:
+        """The winner of a sweep from ``pose`` toward the point ``target``, and
+        its link evaluator, built on the sector's first win and kept: a
+        sector's weights never change."""
+        best = best_sector(sweep.gain_db(ap_direction_in_hmd_frame(pose, target)))
+        if (sweep, best) not in self._sector_links:
+            self._sector_links[sweep, best] = AwvEvaluator(sweep.geometry, sweep.awv[best])
+        return best, self._sector_links[sweep, best]
 
     # -- medium -----------------------------------------------------------
 

@@ -111,9 +111,9 @@ class TraceSet:
         return self._segments
 
     def _locate(self, ts):
-        """Segment index i and fraction u in [0, 1] of each time, or of one,
-        wrapped into the recorded window: t lies at u of the way from sample
-        i to sample i + 1."""
+        """Segment index i and fraction u in [0, 1] of each time, wrapped
+        into the recorded window: t lies at u of the way from sample i to
+        sample i + 1."""
         times = self.times
         outside = (ts < times[0]) | (ts > times[-1])
         if np.any(outside):
@@ -136,24 +136,36 @@ class TraceSet:
         out[u == 0.0] = q0[u == 0.0]
         return out
 
+    def _locate_one(self, t: float) -> tuple[int, float]:
+        """:meth:`_locate` of one time, in Python floats."""
+        times, duration = self.times, self.duration
+        if t < times.item(0) or t > times.item(-1):
+            w = math.fmod(t - times.item(0), duration)
+            t = times.item(0) + (w + duration if w < 0.0 else w)
+        i = min(int(times.searchsorted(t, side="right")) - 1, len(times) - 2)
+        t0, t1 = times[i : i + 2].tolist()
+        return i, (t - t0) / (t1 - t0)
+
     def orientation_at(self, t: float) -> Quaternion:
-        """One row of :meth:`orientations_at`, with the same arithmetic."""
-        i, u = self._locate(t)
-        q = self.orientations[i]
+        """One row of :meth:`orientations_at`, with its arithmetic in floats."""
+        i, u = self._locate_one(t)
+        q = self.orientations[i].tolist()
         if u != 0.0:
-            q1, angle, sine, near = self._segment_table()
-            if near[i]:
-                q = q + u * (q1[i] - q)
-                q = q / np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+            q1, angle, sine, near = (a[i].tolist() for a in self._segment_table())
+            if near:
+                q = [a + u * (b - a) for a, b in zip(q, q1)]
+                n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+                q = [a / n for a in q]
             else:
-                q = np.sin((1.0 - u) * angle[i]) / sine[i] * q + np.sin(u * angle[i]) / sine[i] * q1[i]
-        return Quaternion(*q.tolist())
+                c0, c1 = math.sin((1.0 - u) * angle) / sine, math.sin(u * angle) / sine
+                q = [c0 * a + c1 * b for a, b in zip(q, q1)]
+        return Quaternion(*q)
 
     def device_prediction_nearest(self, t: float) -> Quaternion:
         """Device-side prediction recorded at the sample nearest to t."""
         if not self.has_device:
             raise ValueError("trace has no device-prediction columns")
-        i, u = self._locate(t)
+        i, u = self._locate_one(t)
         return Quaternion(*self.device_orientations[i + 1 if u > 0.5 else i].tolist())
 
 
@@ -324,8 +336,13 @@ class Walk:
     positions: np.ndarray
     step_interval: float
 
-    def position_at(self, t: float) -> np.ndarray:
-        return self.positions_at(np.array([t]))[0]
+    def position_at(self, t: float) -> tuple[float, float]:
+        """One row of :meth:`positions_at`, with its arithmetic in floats."""
+        s = max(t, 0.0) / self.step_interval
+        i = min(int(s), len(self.positions) - 2)
+        u = min(s - i, 1.0)
+        (x0, y0), (x1, y1) = self.positions[i : i + 2].tolist()
+        return x0 * (1.0 - u) + x1 * u, y0 * (1.0 - u) + y1 * u
 
     def positions_at(self, ts: np.ndarray) -> np.ndarray:
         """(M, 2) positions at an array of times.  Times before the start or
@@ -363,17 +380,11 @@ def generate_walk(
     out = [pos.copy()]
     for _ in range(n_steps):
         ang = math.radians(90.0 * int(rng.integers(0, 4)))
-        away = np.zeros(2)
-        if pos[0] - xmin < WALL_MARGIN:
-            away[0] += 1.0
-        if xmax - pos[0] < WALL_MARGIN:
-            away[0] -= 1.0
-        if pos[1] - ymin < WALL_MARGIN:
-            away[1] += 1.0
-        if ymax - pos[1] < WALL_MARGIN:
-            away[1] -= 1.0
-        if away[0] != 0.0 or away[1] != 0.0:
-            target = math.atan2(away[1], away[0])
+        # toward the interior: +1, -1 or 0 per axis, 0 between two near walls
+        away_x = int(pos[0] - xmin < WALL_MARGIN) - int(xmax - pos[0] < WALL_MARGIN)
+        away_y = int(pos[1] - ymin < WALL_MARGIN) - int(ymax - pos[1] < WALL_MARGIN)
+        if away_x or away_y:
+            target = math.atan2(away_y, away_x)
             diff = math.remainder(target - ang, 2.0 * math.pi)
             limit = math.radians(MAX_TURN_DEG)
             ang += max(-limit, min(limit, diff))
@@ -387,5 +398,5 @@ def generate_walk(
 def pose_at(trace: TraceSet, walk: Walk, t: float, height: float) -> Pose:
     """Headset pose at time t: walk position at fixed height, trace
     orientation (wrapped past the trace's end, see :class:`TraceSet`)."""
-    xy = walk.position_at(t)
-    return Pose(t, np.array([xy[0], xy[1], height]), trace.orientation_at(t))
+    x, y = walk.position_at(t)
+    return Pose(t, np.array([x, y, height]), trace.orientation_at(t))

@@ -393,8 +393,11 @@ class TestClosedForm:
         assert lattice._w is not None
         u = sample_directions(30, np.random.default_rng(4))
         assert np.max(np.abs(lattice.gains_db(u) - AwvEvaluator(g, awv).gains_db(u))) <= 1e-9
-        # a stack of steered beams is one matrix product
-        assert AwvEvaluator(g, [awv, awv])._w is not None
+        # a stack of steered beams is summed in closed form, and one that
+        # holds plain phases, as a headset codebook's quasi-omni, is one
+        # matrix product
+        assert AwvEvaluator(g, [awv, awv])._w is None
+        assert AwvEvaluator(g, [awv, Awv(awv.phases)])._w is not None
 
     def test_blocks_must_tile_the_columns(self):
         awv = steering_phases(ArrayGeometry(4, 16), unit_vector(10.0, 5.0))

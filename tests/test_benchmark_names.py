@@ -5,10 +5,11 @@ name from outside the package.  Entering and leaving its instrumentation,
 without simulating anything, fails here in milliseconds when one of those
 names is deleted or renamed.  A sweep must book one stacked ``gain_db``
 call, which is what the per-layer ``gain_db`` and ``best_sector`` counts
-count, and a cold set-up must book its one 8x8 quasi-omni synthesis, which
-is where the per-layer figures show set-up savings.  A run must book one
-``link_snr_db`` call per link batch, which is what the per-layer link count
-counts.
+count; one covrage update must book each of its traced steps once, so that
+no fast path goes round a wrapped name; and a cold set-up must book its one
+8x8 quasi-omni synthesis, which is where the per-layer figures show set-up
+savings.  A run must book one ``link_snr_db`` call per link batch, which is
+what the per-layer link count counts.
 """
 
 from pathlib import Path
@@ -92,6 +93,28 @@ def test_one_sweep_books_one_gain_call(monkeypatch):
     totals = tracer.totals()
     assert totals["antenna.AwvEvaluator.gain_db.8x8"][0] == 3
     assert totals["macsim.best_sector"][0] == 2
+
+
+def test_one_covrage_update_books_each_traced_step_once(monkeypatch):
+    # the per-layer counts of a covrage run are per update: a fast path
+    # that skipped a wrapped name, or took it twice, would move them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer, instrument
+
+    sim = macsim.Simulator(load_config(overrides=["sim_time = 0.3"]))
+    assert sim.cfg.rx_beamforming == "covrage"
+    with instrument(Tracer()) as tracer:
+        sim._apply_beamform(0.1234)
+    totals = {name: calls for name, (calls, _) in tracer.totals().items()}
+    assert totals == {
+        "mobility.pose_at": 1,
+        "geometry.ap_direction_in_hmd_frame": 1,
+        "macsim.best_sector": 1,
+        "antenna.AwvEvaluator.gain_db.8x8": 1,
+        "geometry.predict_pose": 1,
+        "covrage.covrage_beam": 1,
+        "antenna.AwvEvaluator.init": 2,  # the AP sector's link, on its first win, and the beam's
+    }
 
 
 @pytest.mark.parametrize("workload", ["saturated_8g", "light_2g", "sectors_abft"])

@@ -613,6 +613,7 @@ class TestSweepCommand:
             (["--preset", "paper-fig4", "--vary", "data_rate=2e9"], ("--preset", "--vary")),
             (["--vary", "data_rate=2e9", "--vary", "data_rate=5e9"], ("--vary", "'data_rate'")),
             (["--vary", "data_rate=2e9,2e9"], ("--vary", "data_rate=2e9,2e9")),
+            (["--vary", "data_rate=2e9,2000000000"], ("--vary", "data_rate=2e9,2000000000", "twice")),
             (["--vary", "bogus=1,2"], ("--vary", "'bogus'")),
             (["--vary", "rotation=\u00e9,static"], ("--vary", "'\u00e9'", "ASCII")),
             (["--vary", "seed=1,1#x"], ("--vary", "'1#x'", "'#'")),
@@ -641,10 +642,11 @@ class TestSweepCommand:
             assert sorted(modes) == ["covrage", "quasi_omni", "quasi_omni", "sectors"]
 
     def test_vary_axes_form_a_cartesian_product(self):
-        cells = cli._vary_cells(["a=1,2,3", "b=x,y,z"])
+        # the axes are config fields: each value is read as the config reads it
+        cells = cli._vary_cells(["seed=1,2,3", "rotation=static,low,high"])
         assert len(cells) == 9
-        assert {(c["a"], c["b"]) for c in cells} == {
-            (a, b) for a in "123" for b in "xyz"
+        assert {(c["seed"], c["rotation"]) for c in cells} == {
+            (a, b) for a in "123" for b in ("static", "low", "high")
         }
 
     def test_preset_mode_ordering_at_seven_gbps(self, run_cached):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from xrsim import covrage
 from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db, steered_awv, steering_phases
 from xrsim.codebook import cached_quasi_omni
 from xrsim.covrage import (
@@ -232,6 +233,25 @@ class TestSynthesis:
         g0 = gain_db(g, awv, traj.direction_at(0.0))
         g1 = gain_db(g, awv, traj.direction_at(1.0))
         assert g0 == pytest.approx(g1, abs=0.1)
+
+
+class TestOnePassPlan:
+    def test_directions_are_direction_at_bit_for_bit(self):
+        # one slerp set-up serves every s, in floats, near parallel too
+        for traj in (make_trajectory(3, 5.0, 40.0), make_trajectory(4, 0.0, 1e-6)):
+            ss = [0.0, 1.0 / 16, 0.25, 0.5, 0.9, 1.0]
+            assert traj.directions(ss) == [tuple(traj.direction_at(s).tolist()) for s in ss]
+
+    def test_one_block_computes_no_crossover_field(self, monkeypatch):
+        calls = []
+        fields = covrage.block_fields
+        monkeypatch.setattr(covrage, "block_fields", lambda *a: calls.append(a) or fields(*a))
+        g = ArrayGeometry(64, 64)
+        traj = make_trajectory(2, 5.0, 20.0)
+        assert plan_with_k(g, traj, 1)[0].offset == 0.0
+        assert calls == []
+        plan_with_k(g, traj, 3)
+        assert len(calls) == 1 and len(calls[0][2]) == 2
 
 
 class TestCovrageBeam:

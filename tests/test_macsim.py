@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +236,53 @@ class TestApSweep:
             winners.append(best_sector(sim.ap_sweep.gain_db(d)))
             assert winners[-1] == int(np.argmax(gains))
         assert len(set(winners)) == 16
+
+    def test_closed_form_winners_are_the_oracles_across_the_room(self, sim):
+        # the sweep sums its steered sectors in closed form, not on the
+        # lattice, so its gains differ from the per-element oracle's by
+        # rounding; under the tie rule the winner must not.  On the axes
+        # through the AP's foot point mirror-image sectors tie, and so they
+        # do at the digest runs' mirror direction
+        assert sim.ap_sweep._w is None
+        dirs = self.directions(sim, np.linspace(*sim.cfg.x_bounds, 41), np.linspace(*sim.cfg.y_bounds, 21))
+        ties = 0
+        for d in dirs + [MIRROR_DIRECTION]:
+            gains = oracle_gains(sim.ap_geometry, sim.ap_sweep.awv, d)
+            assert best_sector(sim.ap_sweep.gain_db(d)) == best_sector(gains), d
+            first, second = np.sort(gains)[::-1][:2]
+            ties += bool(first - second < macsim.SWEEP_TIE_DB)
+        assert ties >= 60
+        assert best_sector(sim.ap_sweep.gain_db(MIRROR_DIRECTION)) == 20
+
+
+def test_each_sector_link_is_built_once_and_reused(monkeypatch):
+    # a sector's weights never change, so its link evaluator is built on
+    # the sector's first win and the same object serves every later win
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS, overrides_for
+
+    sim = macsim.Simulator(load_config(overrides=overrides_for(WORKLOADS["light_2g"], 1, 0.3)))
+    built, init, apply = [], AwvEvaluator.__init__, macsim.Simulator._apply_beamform
+    links = []
+
+    def counting(self, geometry, awv):
+        built.append(geometry)
+        init(self, geometry, awv)
+
+    def recording(self, t):
+        tag = apply(self, t)
+        links.append((self.ap_sector, self.ap_eval))
+        return tag
+
+    monkeypatch.setattr(AwvEvaluator, "__init__", counting)
+    monkeypatch.setattr(macsim.Simulator, "_apply_beamform", recording)
+    sim.run()
+    sim._apply_beamform(0.1)  # a sector that has won before
+    assert len(links) == 4
+    assert len({id(ev) for _, ev in links}) == len({sector for sector, _ in links})
+    assert all(ev is sim._sector_links[sim.ap_sweep, sector] for sector, ev in links)
+    assert built.count(sim.ap_geometry) == len({sector for sector, _ in links})
+    assert built.count(sim.hmd_geometry) == 4  # a covrage beam is new at every update
 
 
 STATIC_2S = ("sim_time = 2.0", "rotation = static")

@@ -227,6 +227,38 @@ class TestSegmentTable:
         ts = np.concatenate([np.linspace(-0.5, 1.3, 701), [0.2, 0.2 + 1e-12, 0.4, 0.4003, -1e-9]])
         self.check(tr, ts)
 
+    def test_single_instant_lookups_are_rows_in_python_floats(self, tmp_path):
+        # one instant is looked up in Python floats, not as a one-row array,
+        # and must give that row bit for bit: before the start, past the
+        # end, on a sample (u = 0), on near segments, across a recorded
+        # trace's wrap; and so must the walk and the device prediction
+        tr = generate_rotation_trace(300.0, 0.05, seed=2)
+        q = tr.orientations.copy()
+        q[10:20] = q[10]
+        near = TraceSet(tr.times, q, tr.device_orientations, tr.device_horizons)
+        path = tmp_path / "short.csv"
+        save_trace(path, generate_rotation_trace(300.0, 0.2, seed=6))
+        recorded = load_trace(path)
+        for trace, ts in (
+            (near, [-0.02, -1e-9, 0.0, tr.times[12], 0.0125, 0.01501, 0.05, 0.0731, 1.3]),
+            (recorded, [-0.5, 0.0, 0.2, 0.2 + 1e-12, 0.2003, 0.4, 0.4003, 1.3]),
+        ):
+            rows = trace.orientations_at(np.array(ts))
+            for t, row in zip(ts, rows.tolist()):
+                got = trace.orientation_at(t)
+                assert [got.w, got.x, got.y, got.z] == row and type(got.w) is float, t
+                i = min(int(np.searchsorted(trace.times, t, side="right")) - 1, len(trace.times) - 2)
+                if trace.times[0] <= t <= trace.times[-1]:
+                    u = (t - trace.times[i]) / (trace.times[i + 1] - trace.times[i])
+                    want = trace.device_orientations[i + 1 if u > 0.5 else i].tolist()
+                    got = trace.device_prediction_nearest(t)
+                    assert [got.w, got.x, got.y, got.z] == want, t
+        w = generate_walk((-5.0, 5.0), (-5.0, 5.0), 1.0, 0.5, 2.0, seed=1)
+        ts = [-1.0, -0.0, 0.0, 0.2, 0.5, 1.37, 1.999, 2.0, 2.3, 100.0]
+        for t, row in zip(ts, w.positions_at(np.array(ts)).tolist()):
+            x, y = w.position_at(t)
+            assert [x, y] == row and type(x) is float, t
+
     def test_on_samples_and_at_the_last_sample(self):
         tr = generate_rotation_trace(300.0, 0.3, seed=5)
         got = tr.orientations_at(tr.times)
