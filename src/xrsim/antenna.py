@@ -99,7 +99,7 @@ class Awv:
         if phases.ndim != 1 or phases.size == 0:
             raise ValueError("phases must be a nonempty 1-D array")
         self._phases = _finite(phases)
-        self._geometry = None
+        self._geometry = self._layout = None
         self.blocks: tuple[SteeredBlock, ...] = ()
         self.n_elements = phases.size
 
@@ -137,16 +137,17 @@ def steering_phases(geometry: ArrayGeometry, u: np.ndarray) -> Awv:
     return steered_awv(geometry, (SteeredBlock(0, geometry.cols, float(u[1]), float(u[2]), 0.0),))
 
 
-def steered_awv(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> Awv:
+def steered_awv(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock], layout=None) -> Awv:
     """Weight vector of steered blocks that tile the columns in order: the
     elements at y and z in block b take the phase -k (y t_y + z t_z) +
     offset, and the weight vector records the blocks.  Its phases are built
-    when first read (:func:`_block_phases`)."""
+    when first read (:func:`_block_phases`).  ``layout``, the blocks'
+    :func:`block_layout` if the caller built it, is what its evaluator reads."""
     _check_tiling(geometry, blocks)
     if not all(math.isfinite(v) for b in blocks for v in (b.ty, b.tz, b.offset)):
         raise ValueError("phases must be finite")
     awv = Awv.__new__(Awv)
-    awv._phases, awv._geometry = None, geometry
+    awv._phases, awv._geometry, awv._layout = None, geometry, layout
     awv.blocks, awv.n_elements = tuple(blocks), geometry.n_elements
     return awv
 
@@ -193,10 +194,18 @@ def _lattice_phasors(k_offsets: np.ndarray, u: np.ndarray) -> np.ndarray:
     per element, accurate to a few ulps per step.
     """
     out = np.empty((len(u), len(k_offsets)), dtype=complex)
-    out[:, 0] = np.exp(1j * (u * k_offsets[0]))
+    _cis(u * k_offsets[0], out[:, 0])
     if len(k_offsets) > 1:
-        out[:, 1:] = np.exp(1j * (u * (k_offsets[1] - k_offsets[0])))[:, None]
+        out[:, 1:] = _cis(u * (k_offsets[1] - k_offsets[0]))[:, None]
     return np.cumprod(out, axis=1, out=out)
+
+
+def _cis(x: np.ndarray, out=None) -> np.ndarray:
+    """e^{j x} as cos x + j sin x, into ``out`` if given: np.exp(1j * x) is
+    slower and equal bit for bit with numpy 2.4.6 (0 of 600,000 x differ)."""
+    out = np.empty(x.shape, dtype=complex) if out is None else out
+    np.cos(x, out=out.real), np.sin(x, out=out.imag)
+    return out
 
 
 def _dirichlet(theta: np.ndarray, n) -> np.ndarray:
@@ -213,10 +222,13 @@ def _dirichlet(theta: np.ndarray, n) -> np.ndarray:
     # nothing to reduce and no sign to fix where every direction is within
     # 1 / (2 spacing) of its target along the axis, as on a link
     wrapped = np.count_nonzero(turns)
-    theta = theta - 2.0 * math.pi * turns if wrapped else theta
-    half = np.sin(theta / 2.0)
-    out = np.full(theta.shape, n, dtype=float)
-    np.divide(np.sin(n * theta / 2.0), half, out=out, where=half != 0.0)
+    half = (theta - 2.0 * math.pi * turns if wrapped else theta) / 2.0
+    out = np.sin(n * half)  # n theta / 2 is n (theta / 2): halving is exact
+    np.sin(half, out=half)
+    if half.all():
+        out /= half
+    else:
+        out = np.divide(out, half, out=np.full(half.shape, n, dtype=float), where=half != 0.0)
     if wrapped:
         np.negative(out, out=out, where=(np.fmod(turns, 2.0) != 0.0) & ((n - 1) % 2 == 1))
     return out
@@ -245,14 +257,15 @@ def block_fields(geometry: ArrayGeometry, layout, u: np.ndarray) -> np.ndarray:
     - t_y)) e^{j cen kd (u_y - t_y)}, a product of two Dirichlet kernels
     (Balanis, *Antenna Theory*, planar arrays), real for centred blocks.
     The factors are taken factor-major, so that each array operation runs
-    along the directions."""
+    along the directions; a link batch's ``u`` is the transposed view of a
+    component-major (3, M) array, whose rows the factors read whole."""
     kd = (2.0 * math.pi / geometry.wavelength) * (geometry.spacing_wavelengths * geometry.wavelength)
     targets, axis, n, row_of, cen = layout
-    theta = kd * (u.T[axis] - targets)
+    theta = (u.T[axis] - targets) * kd
     factors = _dirichlet(theta, n)
     first = len(targets) - len(row_of)
     terms = factors[row_of] * factors[first:]
-    return np.ascontiguousarray((terms if cen is None else terms * np.exp(1j * (cen * theta[first:]))).T)
+    return np.ascontiguousarray((terms if cen is None else terms * _cis(cen * theta[first:])).T)
 
 
 class AwvEvaluator:
@@ -285,7 +298,7 @@ class AwvEvaluator:
             for a in stack:
                 _check_tiling(geometry, a.blocks)
             blocks = [b for a in stack for b in a.blocks]
-            self._layout = block_layout(geometry, blocks)
+            self._layout = (len(stack) == 1 and stack[0]._layout) or block_layout(geometry, blocks)
             self._block_coef = None if real else self._amplitude * np.exp(1j * np.array([b.offset for b in blocks]))
             self._w = None
         else:
@@ -335,7 +348,9 @@ class AwvEvaluator:
             chunks = np.array_split(fields, n_products) if n_products > 1 else [fields]
             sums = [rows @ self._block_coef for rows in chunks]
             mags = np.abs(np.concatenate(sums))[:, None]
-        gains = np.where(mags < _NULL_FIELD, NULL_GAIN_DB, 20.0 * np.log10(np.maximum(mags, _NULL_FIELD)))
+        gains = 20.0 * np.log10(np.maximum(mags, _NULL_FIELD))
+        if mags.min(initial=_NULL_FIELD) < _NULL_FIELD:  # a perfect null: the floor
+            gains[mags < _NULL_FIELD] = NULL_GAIN_DB
         return gains if isinstance(self.awv, tuple) else gains[:, 0]
 
 

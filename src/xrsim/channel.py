@@ -20,7 +20,7 @@ from .geometry import Pose, ap_direction_in_hmd_frame
 
 def free_space_path_loss_db(distance_m, carrier_hz: float):
     """Friis loss in dB; ``distance_m`` is a scalar or an array of distances."""
-    if np.any(np.asarray(distance_m) <= 0.0):
+    if np.min(distance_m, initial=math.inf) <= 0.0:
         raise ValueError("distance must be positive")
     if carrier_hz <= 0.0:
         raise ValueError("carrier frequency must be positive")
@@ -36,16 +36,13 @@ def link_snr_db(config, tx_gain_db, rx_gain_db, distance_m):
     implementation and extra losses, referenced to the thermal noise floor.
     ``config`` is the scenario config, read for its six budget fields.
     Gains and distance may be scalars or equal-length arrays."""
-    fspl = free_space_path_loss_db(distance_m, config.carrier_hz)
-    return (
-        config.tx_power_dbm
-        + tx_gain_db
-        + rx_gain_db
-        - fspl
-        - config.implementation_loss_db
-        - config.extra_loss_db
-        - noise_floor_dbm(config)
-    )
+    snr = config.tx_power_dbm + tx_gain_db
+    snr += rx_gain_db
+    snr -= free_space_path_loss_db(distance_m, config.carrier_hz)
+    snr -= config.implementation_loss_db
+    snr -= config.extra_loss_db
+    snr -= noise_floor_dbm(config)
+    return snr
 
 
 def snr_db(

@@ -84,6 +84,12 @@ def plan_with_k(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> tupl
     """The composite beam's k steered blocks: equal column blocks (remainder
     to the last), steered at the trajectory midpoints s=(i+0.5)/k and turned
     by their alignment offsets at the block boundaries s=i/k."""
+    return _plan(geometry, trajectory, k)[0]
+
+
+def _plan(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> tuple:
+    """:func:`plan_with_k`'s blocks and, at k > 1, the :func:`block_layout` the
+    offsets read, which reads no offset: the beam's evaluator reads it too."""
     if k < 1 or k > geometry.cols:
         raise ValueError("block count must be in [1, cols]")
     edges = [i * (geometry.cols // k) for i in range(k)] + [geometry.cols]
@@ -91,18 +97,19 @@ def plan_with_k(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> tupl
     u = trajectory.directions([(i + 0.5) / k for i in range(k)] + [i / k for i in range(1, k)])
     blocks = [SteeredBlock(edges[i], edges[i + 1], u[i][1], u[i][2], 0.0) for i in range(k)]
     if k == 1:
-        return tuple(blocks)
-    return tuple(SteeredBlock(*b[:4], o) for b, o in zip(blocks, _alignment_offsets(geometry, blocks, u[k:])))
+        return tuple(blocks), None
+    layout = block_layout(geometry, blocks)
+    return tuple(SteeredBlock(*b[:4], o) for b, o in zip(blocks, _alignment_offsets(geometry, layout, u[k:]))), layout
 
 
-def _alignment_offsets(geometry: ArrayGeometry, blocks, crossovers) -> list[float]:
-    """Sequential phase offsets: block 1 is the reference; each later block is
-    rotated so its field adds in phase with the accumulated field of all
-    earlier blocks at the crossover direction between them.  A block whose
-    field is a perfect null at the crossover keeps offset 0.  The blocks'
-    own offsets are unused."""
+def _alignment_offsets(geometry: ArrayGeometry, layout, crossovers) -> list[float]:
+    """Sequential phase offsets of the blocks laid out in ``layout``: block 1
+    is the reference; each later block is rotated so its field adds in phase
+    with the accumulated field of all earlier blocks at the crossover
+    direction between them.  A block whose field is a perfect null at the
+    crossover keeps offset 0."""
     u = np.array(crossovers).reshape(-1, 3)
-    fields = (block_fields(geometry, block_layout(geometry, blocks), u) / math.sqrt(geometry.n_elements)).tolist()
+    fields = (block_fields(geometry, layout, u) / math.sqrt(geometry.n_elements)).tolist()
     offsets = [0.0]
     for i, at_crossover in enumerate(fields, start=1):
         acc = sum(at_crossover[j] * cmath.exp(1j * offsets[j]) for j in range(i))
@@ -123,4 +130,4 @@ def covrage_beam(geometry: ArrayGeometry, pose_now: Pose, q_pred: Quaternion, ap
     """
     trajectory = trajectory_from_poses(pose_now, q_pred, ap_position)
     k = choose_block_count(geometry.cols, geometry.spacing_wavelengths, trajectory.span_deg)
-    return steered_awv(geometry, plan_with_k(geometry, trajectory, k))
+    return steered_awv(geometry, *_plan(geometry, trajectory, k))

@@ -142,9 +142,11 @@ def slerps(q0: Quaternion, q1: Quaternion, ss: Sequence[float]) -> list[tuple[fl
 def rotate_into_frames(quats: np.ndarray, v: np.ndarray) -> np.ndarray:
     """World-frame vectors into the local frames of orientations: the
     row-wise :meth:`Quaternion.rotate_inverse`.  ``quats`` is (..., 4)
-    scalar-first and ``v`` is (..., 3); leading dimensions broadcast."""
+    scalar-first and ``v`` is (..., 3); leading dimensions broadcast.  The
+    result is the (..., 3) view of a component-major (3, ...) array."""
     w, x, y, z = quats[..., 0], -quats[..., 1], -quats[..., 2], -quats[..., 3]
-    return np.stack(_rotate(w, x, y, z, v[..., 0], v[..., 1], v[..., 2]), axis=-1)
+    out = np.array(_rotate(w, x, y, z, v[..., 0], v[..., 1], v[..., 2]))
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def unit_vector(azimuth_deg: float, elevation_deg: float) -> np.ndarray:

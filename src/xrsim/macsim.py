@@ -281,13 +281,19 @@ class Simulator:
     def snr_at(self, ts: np.ndarray) -> np.ndarray:
         """Link SNR for the current AWV pair at an array of instants: the
         row-wise ``channel.snr_db`` of the posed arrays, equal to it up to
-        rounding."""
-        hmd_position = np.column_stack([self.walk.positions_at(ts), np.full(len(ts), self.cfg.hmd_height)])
-        diff = hmd_position - self.ap_position
-        distance = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        toward_hmd = diff / distance[:, None]
-        d_at_ap = rotate_into_frames(self._ap_quat, toward_hmd)
-        d_at_hmd = rotate_into_frames(self.trace.orientations_at(ts), -toward_hmd)
+        rounding.  The batch is component-major from the walk and trace
+        lookups to the budget, one contiguous row per component, so that no
+        pass strides: what takes (M, 3) or (M, 4) rows reads the transposed
+        view of a (3, M) or (4, M) array.  Both ends turn in one pass."""
+        quats, toward = np.empty((4, 2, len(ts))), np.empty((3, 2, len(ts)))
+        dx, dy = np.subtract(self.walk.positions_at(ts).T, self.ap_position[:2, None], out=toward[:2, 0])
+        dz = toward[2, 0] = self.cfg.hmd_height - self.ap_position[2]
+        # np.einsum("ij,ij->i") over (M, 3) rows sums this, bit for bit with numpy
+        # 2.4.6: 0 of 100,000 random rows differ (x*x + y*y + z*z: 22,705 do)
+        distance = np.sqrt(dx * dx + dz * dz + dy * dy)
+        np.negative(np.divide(toward[:, 0], distance, out=toward[:, 0]), out=toward[:, 1])
+        quats[:, 0], quats[:, 1] = self._ap_quat[:, None], self.trace.orientations_at(ts).T
+        d_at_ap, d_at_hmd = rotate_into_frames(quats.transpose(1, 2, 0), toward.transpose(1, 2, 0))
         return link_snr_db(self.cfg, self.ap_eval.gains_db(d_at_ap), self.hmd_eval.gains_db(d_at_hmd), distance)
 
     def _new_link_epoch(self) -> None:
@@ -310,7 +316,7 @@ class Simulator:
             elif len(starts):
                 self._link_cap = min(2 * self._link_cap, _LINK_BATCH_CEILING)
             self._batch_starts = self._predicted_starts(t)
-            at = np.array(self._batch_starts)
+            at = np.fromiter(self._batch_starts, float, len(self._batch_starts))
             self._batch_snr = self.snr_at(at)
             # for the array steps: the MPDUs delivered before each entry and after the
             # last, and the entries not followed by their end at a full (tail) airtime

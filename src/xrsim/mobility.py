@@ -57,7 +57,8 @@ class TraceSet:
     last sample wrap around to the start, so a short recorded trace can drive
     an arbitrarily long simulation.  A generated trace ends at or after
     ``sim_time``, and the oracle reads no later, so only a recorded trace
-    shorter than the run is read across the wrap.
+    shorter than the run is read across the wrap.  A batch lookup is
+    component-major: each pass over a link batch reads contiguous rows.
     """
 
     def __init__(
@@ -100,44 +101,51 @@ class TraceSet:
 
     def _segment_table(self) -> tuple:
         """Per segment, made on the first lookup, :func:`geometry.slerp`'s
-        set-up: the later sample in the earlier one's hemisphere, the angle,
-        its sine (1.0 where the angle is near 0: lerp) and the near flag."""
+        set-up: the later sample in the earlier one's hemisphere (4, n - 1),
+        the angle, its sine (1.0 near 0: lerp) and the near flag; then the
+        (12, n - 1) rows a batch takes at once: the earlier sample, those
+        three, and the segment's start time and length."""
         if self._segments is None:
-            q0, q1 = self.orientations[:-1], self.orientations[1:]
-            d = q0[:, 0] * q1[:, 0] + q0[:, 1] * q1[:, 1] + q0[:, 2] * q1[:, 2] + q0[:, 3] * q1[:, 3]
+            q0, q1 = self.orientations[:-1].T, self.orientations[1:].T
+            d = q0[0] * q1[0] + q0[1] * q1[1] + q0[2] * q1[2] + q0[3] * q1[3]
             angle = np.arccos(np.minimum(1.0, np.abs(d)))
             near = angle < _SLERP_MIN_ANGLE
-            self._segments = (np.where((d < 0.0)[:, None], -q1, q1), angle, np.sin(np.where(near, 1.0, angle)), near)
+            sine = np.sin(np.where(near, 1.0, angle))
+            rows = np.array([*q0, *np.where(d < 0.0, -q1, q1), angle, sine, self.times[:-1], np.diff(self.times)])
+            self._segments = (rows[4:8], rows[8], rows[9], near, rows)
         return self._segments
 
-    def _locate(self, ts):
-        """Segment index i and fraction u in [0, 1] of each time, wrapped
-        into the recorded window: t lies at u of the way from sample i to
-        sample i + 1."""
-        times = self.times
-        outside = (ts < times[0]) | (ts > times[-1])
-        if np.any(outside):
-            w = np.fmod(ts - times[0], self.duration)
-            ts = np.where(outside, times[0] + np.where(w < 0.0, w + self.duration, w), ts)
-        i = np.minimum(np.searchsorted(times, ts, side="right") - 1, len(times) - 2)
-        return i, (ts - times.take(i)) / (times.take(i + 1) - times.take(i))
-
     def orientations_at(self, ts: np.ndarray) -> np.ndarray:
-        """(M, 4) orientation quaternions at an array of times."""
-        i, u = self._locate(ts)
-        q1, angle, sine, near = self._segment_table()
-        q0, q1, angle, sine = self.orientations.take(i, axis=0), q1.take(i, axis=0), angle.take(i), sine.take(i)
-        out = (np.sin((1.0 - u) * angle) / sine)[:, None] * q0 + (np.sin(u * angle) / sine)[:, None] * q1
-        lin = near.take(i)
+        """(M, 4) orientation quaternions at an array of times, the
+        transposed view of a component-major (4, M) array.  Each time is
+        wrapped into the recorded window and lies in segment i, between
+        samples i and i + 1; a batch inside the window is searched over the
+        samples between its first and last time only."""
+        times, n = self.times, len(self.times)
+        lo, hi = (ts.min(), ts.max()) if len(ts) else (times[0], times[0])
+        if lo < times[0] or hi > times[-1]:
+            w = np.fmod(ts - times[0], self.duration)
+            ts = np.where((ts < times[0]) | (ts > times[-1]), times[0] + np.where(w < 0.0, w + self.duration, w), ts)
+            a, b = 0, n
+        else:
+            a, b = times.searchsorted(lo, side="right") - 1, times.searchsorted(hi, side="right")
+        i = np.minimum(times[a:b].searchsorted(ts, side="right") + (a - 1), n - 2)
+        rows = self._segment_table()[4].take(i, axis=1)
+        q0, q1, (angle, sine, t0, dt) = rows[:4], rows[4:8], rows[8:]
+        u = (ts - t0) / dt
+        c = np.sin([(1.0 - u) * angle, u * angle])
+        c /= sine
+        out = c[0] * q0 + c[1] * q1
+        lin = angle < _SLERP_MIN_ANGLE
         if lin.any():
-            q = q0[lin] + u[lin, None] * (q1[lin] - q0[lin])
-            norm = np.sqrt(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] + q[:, 3] * q[:, 3])
-            out[lin] = q / norm[:, None]
-        out[u == 0.0] = q0[u == 0.0]
-        return out
+            q = q0[:, lin] + u[lin] * (q1[:, lin] - q0[:, lin])
+            out[:, lin] = q / np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+        np.copyto(out, q0, where=u == 0.0)
+        return out.T
 
     def _locate_one(self, t: float) -> tuple[int, float]:
-        """:meth:`_locate` of one time, in Python floats."""
+        """The segment i of one time, as :meth:`orientations_at` finds it, and
+        the fraction u of the way to sample i + 1, in Python floats."""
         times, duration = self.times, self.duration
         if t < times.item(0) or t > times.item(-1):
             w = math.fmod(t - times.item(0), duration)
@@ -151,7 +159,7 @@ class TraceSet:
         i, u = self._locate_one(t)
         q = self.orientations[i].tolist()
         if u != 0.0:
-            q1, angle, sine, near = (a[i].tolist() for a in self._segment_table())
+            q1, angle, sine, near = (a[..., i].tolist() for a in self._segment_table()[:4])
             if near:
                 q = [a + u * (b - a) for a, b in zip(q, q1)]
                 n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
@@ -345,13 +353,15 @@ class Walk:
         return x0 * (1.0 - u) + x1 * u, y0 * (1.0 - u) + y1 * u
 
     def positions_at(self, ts: np.ndarray) -> np.ndarray:
-        """(M, 2) positions at an array of times.  Times before the start or
-        past the last step interpolate at u = 0 or u = 1 of the end segment,
-        which lands exactly on the end position."""
+        """(M, 2) positions at an array of times, the transposed view of a
+        component-major (2, M) array.  Times before the start or past the
+        last step interpolate at u = 0 or u = 1 of the end segment, which
+        lands exactly on the end position."""
         s = np.maximum(ts, 0.0) / self.step_interval
         i = np.minimum(s.astype(np.intp), len(self.positions) - 2)
-        u = np.minimum(s - i, 1.0)[:, None]
-        return self.positions[i] * (1.0 - u) + self.positions[i + 1] * u
+        u = np.minimum(s - i, 1.0)
+        j = i[:1] if len(i) and i.min() == i.max() else i  # a batch inside one step reads its ends once
+        return (self.positions.T.take(j, axis=1) * (1.0 - u) + self.positions.T.take(j + 1, axis=1) * u).T
 
 
 def generate_walk(

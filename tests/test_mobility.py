@@ -203,6 +203,8 @@ class TestSegmentTable:
     def test_high_motion(self):
         tr = generate_rotation_trace(600.0, 2.0, seed=11)
         self.check(tr, np.sort(np.random.default_rng(3).uniform(0.0, 2.0, 3000)))
+        # a sorted batch that starts before the first sample
+        self.check(tr, np.sort(np.random.default_rng(5).uniform(-0.01, 0.05, 200)))
 
     def test_static_trace_has_only_near_segments(self):
         tr = static_trace(3.0)
@@ -219,6 +221,9 @@ class TestSegmentTable:
         near = tr._segment_table()[3]
         assert near[10:19].all() and near[30] and not near[:10].any()
         self.check(tr, np.random.default_rng(4).uniform(0.0, 0.05, 500))
+        # a sorted batch holding sample instants (u = 0) among lerp segments
+        ts = np.concatenate([tr.times[8:22], tr.times[29:33], np.random.default_rng(7).uniform(0.007, 0.034, 60)])
+        self.check(tr, np.sort(ts))
 
     def test_across_a_recorded_traces_wrap(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -226,6 +231,8 @@ class TestSegmentTable:
         tr = load_trace(path)
         ts = np.concatenate([np.linspace(-0.5, 1.3, 701), [0.2, 0.2 + 1e-12, 0.4, 0.4003, -1e-9]])
         self.check(tr, ts)
+        # a sorted batch that straddles the wrap
+        self.check(tr, np.sort(np.random.default_rng(8).uniform(0.15, 0.25, 300)))
 
     def test_single_instant_lookups_are_rows_in_python_floats(self, tmp_path):
         # one instant is looked up in Python floats, not as a one-row array,
@@ -254,10 +261,13 @@ class TestSegmentTable:
                     got = trace.device_prediction_nearest(t)
                     assert [got.w, got.x, got.y, got.z] == want, t
         w = generate_walk((-5.0, 5.0), (-5.0, 5.0), 1.0, 0.5, 2.0, seed=1)
-        ts = [-1.0, -0.0, 0.0, 0.2, 0.5, 1.37, 1.999, 2.0, 2.3, 100.0]
-        for t, row in zip(ts, w.positions_at(np.array(ts)).tolist()):
-            x, y = w.position_at(t)
-            assert [x, y] == row and type(x) is float, t
+        # a mixed batch, a sorted one across a step boundary (0.5 s), and one
+        # inside a step, whose ends the lookup reads as scalars
+        mixed = [-1.0, -0.0, 0.0, 0.2, 0.5, 1.37, 1.999, 2.0, 2.3, 100.0]
+        for ts in (mixed, [0.43, 0.4999, 0.5, 0.5001, 0.61], [0.6, 0.7, 0.9]):
+            for t, row in zip(ts, w.positions_at(np.array(ts)).tolist()):
+                x, y = w.position_at(t)
+                assert [x, y] == row and type(x) is float, t
 
     def test_on_samples_and_at_the_last_sample(self):
         tr = generate_rotation_trace(300.0, 0.3, seed=5)
