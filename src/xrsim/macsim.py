@@ -259,11 +259,14 @@ class Simulator:
 
     def _next_event_time(self) -> float:
         """Time of the next event but an arrival; it bounds a run of MPDUs."""
-        return min(slot[0] for kind, slot in self._slots.items() if kind != "burst_arrival")
+        s = self._slots
+        return min(s["beacon_start"][0], s["bf_trigger"][0], s["sim_end"][0],
+                   s["bhi_end"][0], s["sls_done"][0], s["mpdu_tx_done"][0])
 
     def _busy(self) -> bool:
         """Whether a BHI, sweep or MPDU holds the medium: its end is pending."""
-        return any(self._slots[kind][0] != math.inf for kind in ("bhi_end", "sls_done", "mpdu_tx_done"))
+        s = self._slots
+        return s["bhi_end"][0] != math.inf or s["sls_done"][0] != math.inf or s["mpdu_tx_done"][0] != math.inf
 
     def _log(self, t: float, kind: str, detail: str) -> None:
         if self.collect:
@@ -432,6 +435,8 @@ class Simulator:
     def _admit(self, t: float) -> None:
         """Append every frame that has arrived by t to the queue, and write
         the next arrival into its slot."""
+        if t < self._slots["burst_arrival"][0] < math.inf:
+            return  # that arrival is already in its slot
         period, count = self._sources["burst_arrival"]
         k = len(self.frames)
         while k < count and k * period <= t:  # as _schedule computes it

@@ -53,6 +53,15 @@ class TestRotationTrace:
         assert pmax >= 59.9
         assert step_peak_dps(tr) == pytest.approx(800.0, rel=0.01)
 
+    def test_speed_fit_sums_rows_in_np_sums_order(self):
+        # the speed fit adds each step's products w, x, y, z in turn into one
+        # row; it keeps the bits of np.sum(axis=1) over an (n, 4) product
+        # only while this host fact holds
+        a = np.random.default_rng(7).standard_normal((100_001, 4))
+        p = a[1:] * a[:-1]
+        w, x, y, z = p.T
+        assert np.array_equal(np.sum(p, axis=1), ((w + x) + y) + z)
+
     def test_device_column_holds_the_future_orientation(self):
         tr = generate_rotation_trace(400.0, 2.0, seed=5)
         assert tr.has_device
@@ -173,7 +182,9 @@ class TestTraceSet:
     @pytest.mark.parametrize(
         "column, value",
         [("times", np.nan), ("times", np.inf), ("orientations", np.nan),
-         ("device_orientations", np.nan), ("device_horizons", np.nan)],
+         ("device_orientations", np.nan), ("device_horizons", np.nan),
+         # one component only, the last: each column is checked
+         ("orientations", [1.0, 0.0, 0.0, -np.inf]), ("device_orientations", [1.0, 0.0, 0.0, np.nan])],
     )
     def test_rejects_non_finite_values(self, column, value):
         arrays = {
@@ -406,12 +417,18 @@ TRACE_FILE_DIGESTS = {
     "generated_2s": "ff23a8d78d43e5f850531eb9f1e52edfe7f5be30eaf227a877cce00c891a855c",
     "static": "cef7be385a438adf9c234a5b5401877a7566a49676de19a3286ee9ca85b8634e",
     "hand_written": "0f0b1e702b575cad0622c64d6b311da89bad61c8d705d22fa598cc1ba2e54a89",
+    "pitch_capped_2s": "9f3969e8aecbfb344855c74005520d556b85af125dbae6e60ed6a399d460e1f9",
+    "generated_8s": "743bdaa9f49a38df7a224f7dc70b4dcf7e0ffde0e12ea2bd634ba03f0926c301",
 }
 
 
 def _digest_trace(name, tmp_path):
     if name == "generated_2s":
         tr = generate_rotation_trace(300.0, 2.0, seed=3)
+    elif name == "pitch_capped_2s":  # the speed fit's pitch-cap loop, as in test_pitch_cap
+        tr = generate_rotation_trace(800.0, 2.0, seed=2)
+    elif name == "generated_8s":  # the trace of an 8 s high-motion run at seed 1
+        tr = generate_rotation_trace(300.0, 8.0, seed=np.random.SeedSequence(1).spawn(2)[0])
     elif name == "static":
         tr = static_trace(1.5)
     else:
