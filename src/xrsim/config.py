@@ -286,11 +286,7 @@ def load_config(path=None, overrides=None) -> ScenarioConfig:
         values.update(parse_config_lines(text.splitlines(), source=str(path)))
     if overrides:
         values.update(parse_config_lines(overrides, source="<override>"))
-    try:
-        cfg = ScenarioConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
-    return cfg.validate()
+    return ScenarioConfig(**values).validate()
 
 
 def config_echo_lines(cfg: ScenarioConfig) -> list[str]:

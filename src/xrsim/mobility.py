@@ -241,13 +241,18 @@ def save_trace(path, trace: TraceSet) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _compose_yaw_pitch(yaw_rad: np.ndarray, pitch_rad: np.ndarray) -> tuple:
+def _half_turn(rad: np.ndarray) -> tuple:
+    """The cosines and sines of half the angles ``rad``, as
+    :func:`_compose_yaw_pitch` takes them."""
+    half = 0.5 * rad
+    return np.cos(half), np.sin(half)
+
+
+def _compose_yaw_pitch(yaw: tuple, pitch: tuple) -> tuple:
     """(w, x, y, z) rows of the quaternions for yaw about +z then pitch about
-    the local y axis, with positive pitch looking up."""
-    hy = 0.5 * yaw_rad
-    hp = 0.5 * pitch_rad
-    cy, sy = np.cos(hy), np.sin(hy)
-    cp, sp = np.cos(hp), np.sin(hp)
+    the local y axis, with positive pitch looking up; each angle comes as
+    its :func:`_half_turn`."""
+    (cy, sy), (cp, sp) = yaw, pitch
     return cy * cp, sy * sp, -cy * sp, sy * cp
 
 
@@ -308,29 +313,33 @@ def generate_rotation_trace(
     yaw0 = np.radians(series(t, yaw_a, yaw_f, yaw_p))
     pit0 = np.radians(series(t, pit_a, pit_f, pit_p))
 
-    def max_speed(cy, cp):
-        return _max_step_speed_dps(_compose_yaw_pitch(cy * yaw0, cp * pit0), dt)
+    def max_speed(cy, pitch):
+        return _max_step_speed_dps(_compose_yaw_pitch(_half_turn(cy * yaw0), pitch), dt)
 
     # joint rescale by fixed point; the composed speed is near-linear in the
     # common factor so a few iterations reach machine precision
-    c = peak_dps / max_speed(1.0, 1.0)
+    c = peak_dps / max_speed(1.0, _half_turn(pit0))
     for _ in range(6):
-        speed = max_speed(c, c)
+        speed = max_speed(c, _half_turn(c * pit0))
         if speed == 0.0:
             break  # steps too small for arccos to resolve: keep the linear estimate
         c *= peak_dps / speed
     cy = cp = c
     pitch_peak = math.degrees(float(np.abs(cp * pit0).max()))
-    if pitch_peak > 60.0:
+    capped = pitch_peak > 60.0
+    if capped:
         cp *= 60.0 / pitch_peak
+    pitch = _half_turn(cp * pit0)
+    if capped:  # the pitch rows stay; the yaw scale alone refits the speed
         for _ in range(8):
-            cy *= peak_dps / max_speed(cy, cp)
+            cy *= peak_dps / max_speed(cy, pitch)
 
-    quats = np.stack(_compose_yaw_pitch(cy * yaw0, cp * pit0), axis=1)
+    quats = np.stack(_compose_yaw_pitch(_half_turn(cy * yaw0), pitch), axis=1)
+    del pitch  # not held through the device column: that would raise peak RSS
     t_ahead = t + device_horizon
     yaw_ahead = cy * np.radians(series(t_ahead, yaw_a, yaw_f, yaw_p))
     pit_ahead = cp * np.radians(series(t_ahead, pit_a, pit_f, pit_p))
-    dev = np.stack(_compose_yaw_pitch(yaw_ahead, pit_ahead), axis=1)
+    dev = np.stack(_compose_yaw_pitch(_half_turn(yaw_ahead), _half_turn(pit_ahead)), axis=1)
 
     return TraceSet(t, quats, dev, np.full(n, device_horizon))
 

@@ -6,10 +6,9 @@ the whole file costs a handful of full simulations, not one per assertion.
 """
 
 import cmath
-import hashlib
 import math
 import time
-from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +20,9 @@ from xrsim.config import load_config
 from xrsim.covrage import choose_block_count, plan_with_k, trajectory_from_poses
 from xrsim.geometry import Pose, Quaternion, slerp, unit_vector
 from xrsim.macsim import best_sector, write_event_log
-from xrsim.metrics import summarize
 
 from angles import rotation_angle
+from claims import SCENARIOS, margins, reliability
 from fields import block_field
 
 
@@ -32,15 +31,8 @@ def report(name, ok, detail):
     assert ok, "%s failed: %s" % (name, detail)
 
 
-def reliability(result):
-    return result.counters["frames_delivered"] / result.counters["frames_total"]
-
-
-def latencies(result, delivered_only=False):
-    records = result.frames
-    if delivered_only:
-        return [r.completed - r.created for r in records if r.delivered]
-    return [r.completed - r.created for r in records if r.completed is not None]
+def latencies(result):
+    return [r.completed - r.created for r in result.frames if r.completed is not None]
 
 
 def timed_run(cfg):
@@ -79,35 +71,26 @@ def test_criterion_2_latency_floor():
     )
 
 
-def test_criterion_3_predictive_beam_headline(run_cached):
-    res = run_cached("prediction = oracle")
-    rel = reliability(res)
-    worst = max(latencies(res, delivered_only=True))
-    report(
-        "criterion 3",
-        rel >= 0.995 and worst <= 16e-3,
-        "high motion oracle reliability %.4f >= 0.995, max delivered %.2f ms <= 16"
-        % (rel, worst * 1e3),
-    )
+@pytest.fixture(scope="module")
+def claims(run_cached):
+    return margins(lambda name: run_cached(*SCENARIOS[name]))
 
 
-def test_criterion_4_baseline_collapse(run_cached):
-    rel_cov = reliability(run_cached("prediction = oracle"))
-    rel_sec = reliability(run_cached("rx_beamforming = sectors", "prediction = none"))
-    rel_qo = reliability(run_cached("rx_beamforming = quasi_omni", "prediction = none"))
-    ok = rel_sec <= rel_cov - 0.10 and rel_qo <= rel_cov - 0.10
-    report(
-        "criterion 4",
-        ok,
-        "sectors %.4f and quasi-omni %.4f both >= 10 pp under %.4f"
-        % (rel_sec, rel_qo, rel_cov),
-    )
+def test_criterion_3_predictive_beam_headline(claims):
+    rel, worst = claims[3].values
+    detail = "high motion oracle reliability %.4f >= 0.995, max delivered %.2f ms <= 16" % (rel, worst * 1e3)
+    report("criterion 3", claims[3].margin >= 0.0, detail)
+
+
+def test_criterion_4_baseline_collapse(claims):
+    detail = "sectors %.4f and quasi-omni %.4f both >= 10 pp under %.4f" % claims[4].values
+    report("criterion 4", claims[4].margin >= 0.0, detail)
 
 
 def test_criterion_5_sweep_plateau_gap(run_cached):
     # long beacon interval plus a static user isolates the sweep-length gap
     # in the latency distribution
-    res = run_cached("bi_duration = 1.024", "rotation = static")
+    res = run_cached(*SCENARIOS["bi_1024_static"])
     lat = sorted(latencies(res))
     # cluster within 10 us (well under the gap scale) so ulp-level spread in
     # the arrival arithmetic does not split one latency mode into many atoms
@@ -130,28 +113,15 @@ def test_criterion_5_sweep_plateau_gap(run_cached):
     )
 
 
-def test_criterion_6_overhead_ordering(run_cached):
-    r_long = reliability(run_cached("bi_duration = 1.024"))
-    r_std = reliability(run_cached())
-    r_slow = reliability(run_cached("bf_interval = 1.0"))
-    ok = r_long >= r_std >= r_slow and (1.0 - r_slow) >= 0.30
-    report(
-        "criterion 6",
-        ok,
-        "BI 1024 %.4f >= BI 102.4 %.4f >= 1 s beamforming %.4f, slow run loses %.0f%%"
-        % (r_long, r_std, r_slow, (1.0 - r_slow) * 100.0),
-    )
+def test_criterion_6_overhead_ordering(claims):
+    *rel, loss = claims[6].values
+    detail = "BI 1024 %.4f >= BI 102.4 %.4f >= 1 s beamforming %.4f, slow run loses %.0f%%" % (*rel, loss * 100.0)
+    report("criterion 6", claims[6].margin >= 0.0, detail)
 
 
-def test_criterion_7_prediction_insensitivity(run_cached):
-    r_ex = reliability(run_cached("prediction = extrapolation"))
-    r_or = reliability(run_cached("prediction = oracle"))
-    spread = abs(r_ex - r_or)
-    report(
-        "criterion 7",
-        spread <= 0.02,
-        "extrapolation %.4f vs oracle %.4f, spread %.4f <= 0.02" % (r_ex, r_or, spread),
-    )
+def test_criterion_7_prediction_insensitivity(claims):
+    detail = "extrapolation %.4f vs oracle %.4f, spread %.4f <= 0.02" % claims[7].values
+    report("criterion 7", claims[7].margin >= 0.0, detail)
 
 
 def _random_direction(rng):
@@ -303,31 +273,28 @@ def test_criterion_8_property_suite(run_cached, tmp_path):
     )
 
 
-# Counters and a frame-record digest of the eight shared 20 s runs above.
-# They are the only full-length runs of the 1.024 s beacon interval and the
-# 1 s beamforming interval, so they pin the schedule where the 2 s event-log
-# digests cannot reach.  Counter order: frames_total, frames_delivered,
-# frames_dropped, mpdu_attempts, mpdu_failures, sls_runs, bf_updates,
-# bhi_count.
+# Counters and the benchmark's frame-record digest of the eight shared 20 s
+# runs of claims.SCENARIOS.  They are the only full-length runs of the
+# 1.024 s beacon interval and the 1 s beamforming interval, so they pin the
+# schedule where the 2 s event-log digests cannot reach.  Counter order:
+# frames_total, frames_delivered, frames_dropped, mpdu_attempts,
+# mpdu_failures, sls_runs, bf_updates, bhi_count.
 RUN_PINS = {
-    "default": ((), (2000, 2000, 0, 192000, 0, 200, 200, 196),
+    "default": ((2000, 2000, 0, 192000, 0, 200, 200, 196),
                 "b73a6102e6b6f07467304c1099c0c2a378ae49c40011b5cf2751424b2f4bcfea"),
-    "oracle": (("prediction = oracle",), (2000, 2000, 0, 192000, 0, 200, 200, 196),
+    "oracle": ((2000, 2000, 0, 192000, 0, 200, 200, 196),
                "b73a6102e6b6f07467304c1099c0c2a378ae49c40011b5cf2751424b2f4bcfea"),
-    "extrapolation": (("prediction = extrapolation",), (2000, 2000, 0, 192130, 130, 200, 200, 196),
+    "extrapolation": ((2000, 2000, 0, 192130, 130, 200, 200, 196),
                       "4eb10d1ba3b22277a02a20bbe688f372a412958bcbb07f887947fc3b0f895da5"),
-    "sectors": (("rx_beamforming = sectors", "prediction = none"),
-                (2000, 328, 1670, 272333, 240552, 200, 200, 196),
+    "sectors": ((2000, 328, 1670, 272333, 240552, 200, 200, 196),
                 "fd20a3b1bff7881f34821dcddeaee324d09aadc368008f3315b9c6bbe6e9c69c"),
-    "quasi_omni": (("rx_beamforming = quasi_omni", "prediction = none"),
-                   (2000, 0, 1998, 286452, 286452, 200, 200, 196),
+    "quasi_omni": ((2000, 0, 1998, 286452, 286452, 200, 200, 196),
                    "c7b755a8401f55479e0b98e458f162d219b96b67ac04badd5cdc6f067589ba69"),
-    "bi_1024": (("bi_duration = 1.024",), (2000, 2000, 0, 192000, 0, 200, 200, 20),
+    "bi_1024": ((2000, 2000, 0, 192000, 0, 200, 200, 20),
                 "b49797424b3c913c11518b08d8c1640b61093e728cb2982714fa9c2cdb7163c4"),
-    "bi_1024_static": (("bi_duration = 1.024", "rotation = static"),
-                       (2000, 2000, 0, 192000, 0, 200, 200, 20),
+    "bi_1024_static": ((2000, 2000, 0, 192000, 0, 200, 200, 20),
                        "b49797424b3c913c11518b08d8c1640b61093e728cb2982714fa9c2cdb7163c4"),
-    "bf_1s": (("bf_interval = 1.0",), (2000, 805, 1193, 256086, 176379, 20, 20, 196),
+    "bf_1s": ((2000, 805, 1193, 256086, 176379, 20, 20, 196),
               "91ba58edbd211f5cb44bcf5e9797fccbb4c436adad1eaf6a9afd204d39dcf657"),
 }
 PIN_COUNTERS = (
@@ -336,19 +303,12 @@ PIN_COUNTERS = (
 )
 
 
-def frames_digest(frames):
-    """SHA-256 over (frame_id, created, completed, delivered) of every frame
-    record, floats in exact hex form."""
-    h = hashlib.sha256()
-    for r in frames:
-        completed = "" if r.completed is None else r.completed.hex()
-        h.update(b"%d,%s,%s,%d\n" % (r.frame_id, r.created.hex().encode(), completed.encode(), r.delivered))
-    return h.hexdigest()
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_full_length_run_pins(name, run_cached, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import frames_digest
 
-
-@pytest.mark.parametrize("name", sorted(RUN_PINS))
-def test_full_length_run_pins(name, run_cached):
-    overrides, counters, digest = RUN_PINS[name]
-    res = run_cached(*overrides)
+    counters, digest = RUN_PINS[name]
+    res = run_cached(*SCENARIOS[name])
     assert res.counters == dict(zip(PIN_COUNTERS, counters))
     assert frames_digest(res.frames) == digest

@@ -23,6 +23,8 @@ from xrsim.config import (
 from xrsim.macsim import FrameRecord, RunResult, run
 from xrsim.metrics import format_ms, read_frame_records, summarize
 
+from claims import SCENARIOS, reliability
+
 
 @contextlib.contextmanager
 def time_limit(seconds):
@@ -150,7 +152,7 @@ class TestValidation:
         ScenarioConfig(hmd_height=0.0).validate()
 
     def test_shipped_scenarios_stay_well_under_the_work_cap(self):
-        base = [[], ["data_rate = 8e9"], ["bi_duration = 1.024"], ["bf_interval = 1.0"]]
+        base = [["data_rate = 8e9"], *map(list, SCENARIOS.values())]
         cells = [["%s = %s" % kv for kv in cell.items()] for cell in cli._fig4_cells()]
         for overrides in base + cells:
             counts = load_config(overrides=overrides).work_counts()
@@ -178,13 +180,9 @@ class TestParsing:
         assert cfg.rotation == "static"
 
     def test_echo_round_trips_every_field(self):
-        cfg = load_config(
-            overrides=["sim_time = 3.0", "rotation = static", "data_rate = 7e9"]
-        )
+        cfg = load_config(overrides=["sim_time = 3.0", "rotation = static", "data_rate = 7e9"])
         lines = config_echo_lines(cfg)
         names = {ln.split(" = ")[0] for ln in lines}
-        from dataclasses import fields
-
         for f in fields(ScenarioConfig):
             assert f.name in names
         rebuilt = ScenarioConfig(**parse_config_lines(lines))
@@ -317,6 +315,7 @@ class TestSimulateCommand:
             "sls_duration = 0.1005",
             "peak_dps_high = 2e5",
             "peak_dps_high = 1e30",
+            "seed = x",  # no number at all
         ],
     )
     def test_bad_value_exits_one_naming_the_field(self, tmp_path, capsys, override):
@@ -627,10 +626,12 @@ class TestSweepCommand:
         assert err.startswith("config error:") and all(name in err for name in named)
         assert calls == [] and not (tmp_path / "s.csv").exists()
 
+    def test_a_vary_axis_without_values_exits_one(self, tmp_path, capsys):
+        assert cli.main(["sweep", "--out-dir", str(tmp_path), "--vary", "data_rate="]) == 1
+        assert capsys.readouterr().err.startswith("config error: --vary 'data_rate=' lists no values")
+
     def test_malformed_vary_exits_one(self, tmp_path):
-        assert (
-            cli.main(["sweep", "--out-dir", str(tmp_path), "--vary", "data_rate"]) == 1
-        )
+        assert cli.main(["sweep", "--out-dir", str(tmp_path), "--vary", "data_rate"]) == 1
 
     def test_preset_matrix_shape(self):
         cells = cli._fig4_cells()
@@ -640,6 +641,15 @@ class TestSweepCommand:
         for rate in rates:
             modes = [c["rx_beamforming"] for c in cells if c["data_rate"] == rate]
             assert sorted(modes) == ["covrage", "quasi_omni", "quasi_omni", "sectors"]
+
+    def test_the_preset_writes_a_row_per_cell(self, tmp_path, capsys, monkeypatch):
+        frames = [FrameRecord(0, 0.0, 0.001, True)]
+        monkeypatch.setattr(cli, "run", lambda cfg, collect_events=False: RunResult(cfg, frames, {}))
+        assert cli.main(["sweep", "--out-dir", str(tmp_path), "--label", "p", "--preset", "paper-fig4"]) == 0
+        with open(tmp_path / "p.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        keys = sorted(",".join("%s=%s" % kv for kv in sorted(cell.items())) for cell in cli._fig4_cells())
+        assert [row[0] for row in rows] == keys and all(row[2] == "1.000000" and row[9] == "" for row in rows)
 
     def test_vary_axes_form_a_cartesian_product(self):
         # the axes are config fields: each value is read as the config reads it
@@ -653,27 +663,10 @@ class TestSweepCommand:
         # full-length runs of the preset's 7 Gbps cells: the predictive mode
         # must beat the best baseline (the baselines' relative order is not
         # pinned down)
-        def rel(*ov):
-            res = run_cached(*ov)
-            return res.counters["frames_delivered"] / res.counters["frames_total"]
-
-        covrage = rel(
-            "data_rate = 7e9", "rx_beamforming = covrage", "prediction = device",
-            "hmd_rows = 64", "hmd_cols = 64",
-        )
-        sectors = rel(
-            "data_rate = 7e9", "rx_beamforming = sectors", "prediction = none",
-            "hmd_rows = 8", "hmd_cols = 8",
-        )
-        qo8 = rel(
-            "data_rate = 7e9", "rx_beamforming = quasi_omni", "prediction = none",
-            "hmd_rows = 8", "hmd_cols = 8",
-        )
-        qo64 = rel(
-            "data_rate = 7e9", "rx_beamforming = quasi_omni", "prediction = none",
-            "hmd_rows = 64", "hmd_cols = 64",
-        )
-        assert covrage > max(sectors, qo8, qo64)
+        rel = {(c["rx_beamforming"], c["hmd_rows"]): reliability(run_cached(*("%s = %s" % kv for kv in c.items())))
+               for c in cli._fig4_cells() if c["data_rate"] == "7e9"}
+        covrage = rel.pop(("covrage", "64"))
+        assert len(rel) == 3 and covrage > max(rel.values())
 
     @staticmethod
     def _sweep_rows_match_simulate(tmp_path, axis, base):

@@ -1,0 +1,84 @@
+"""The numpy facts the bit-for-bit pins rely on, each on fixed inputs.
+
+A digest in this suite pins the program and also the host's floating-point
+kernels: numpy picks its SIMD kernels at run time, and some ufuncs round
+otherwise on its AVX2 kernels than on its AVX-512 ones.  Each test here
+states one fact a pin needs, so that on a host where a pin fails the fact
+behind it fails beside it, named, with the kernel level it ran on.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+
+try:
+    _FEATURES = np._core._multiarray_umath.__cpu_features__
+except AttributeError:  # numpy 1.x
+    _FEATURES = np.core._multiarray_umath.__cpu_features__
+
+# numpy 2 calls its AVX-512 dispatch level X86_V4, numpy 1 AVX512_SKX; both
+# read False under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+AVX512 = bool(_FEATURES.get("X86_V4") or _FEATURES.get("AVX512_SKX"))
+HOST = "numpy %s, AVX-512 kernels %s" % (np.__version__, "on" if AVX512 else "off")
+
+
+def fact(holds, what):
+    assert holds, "host fact fails: %s (%s)" % (what, HOST)
+
+
+def test_speed_fit_sums_rows_in_np_sums_order():
+    # mobility._max_step_speed_dps adds each step's products w, x, y, z in
+    # turn into one row; it keeps the bits of np.sum(axis=1) over an (n, 4)
+    # product, and so the trace-file digests, only while this holds
+    a = np.random.default_rng(7).standard_normal((100_001, 4))
+    p = a[1:] * a[:-1]
+    w, x, y, z = p.T
+    fact(np.array_equal(np.sum(p, axis=1), ((w + x) + y) + z), "np.sum(axis=1) over (n, 4) is ((w + x) + y) + z")
+
+
+def test_squared_distance_is_einsums_order():
+    # Simulator.snr_at sums dx*dx + dz*dz + dy*dy, the bits of the einsum it
+    # replaced, on which the event-log digests were taken
+    v = np.random.default_rng(11).standard_normal((100_000, 3))
+    x, y, z = v.T
+    fact(np.array_equal(np.einsum("ij,ij->i", v, v), x * x + z * z + y * y),
+         'np.einsum("ij,ij->i") over (n, 3) is x*x + z*z + y*y')
+
+
+def test_complex_exp_is_cos_plus_j_sin():
+    # antenna._cis builds e^{jx} from np.cos and np.sin, the bits of the
+    # np.exp(1j * x) it replaced in the phase and weight digests
+    x = np.random.default_rng(13).uniform(-400.0, 400.0, 200_000)
+    cis = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=cis.real), np.sin(x, out=cis.imag)
+    fact(np.array_equal(np.exp(1j * x), cis), "np.exp(1j * x) is cos x + j sin x")
+
+
+# SHA-256 of np.log10 and np.arccos over seeded inputs in the ranges the
+# link path feeds them, taken on numpy 2.4.6 with its AVX-512 kernels.  On
+# its AVX2 kernels both differ (on 821 and 400 of the inputs), and so do the
+# four link-batch digests of test_link_batch_digests.py
+def _link_inputs():
+    rng = np.random.default_rng(17)
+    # field magnitudes (AwvEvaluator.gains_db) and the free-space path loss
+    # argument 4 pi d f / c (channel.free_space_path_loss_db)
+    mags = 10.0 ** rng.uniform(-6.0, 0.0, 20_000)
+    path = 4.0 * math.pi * rng.uniform(0.5, 8.0, 20_000) * 60e9 / 299_792_458.0
+    # |q0 . q1| of consecutive trace samples (TraceSet's segment table)
+    dots = np.cos(rng.uniform(0.0, 0.05, 20_000))
+    return np.concatenate([mags, path]), dots
+
+
+def digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def test_log10_bytes_on_link_inputs():
+    want = "0596f4945edfa26887295ef54fb6660b498290ca48df3f1aab9e4743fd440e3f"
+    fact(digest(np.log10(_link_inputs()[0])) == want, "np.log10 bytes on the link inputs")
+
+
+def test_arccos_bytes_on_link_inputs():
+    want = "6e1732d692e68537dc6587f0b109a4593da1ce0b2e2fd2a01cc32306c3ea67fc"
+    fact(digest(np.arccos(_link_inputs()[1])) == want, "np.arccos bytes on the link inputs")

@@ -6,7 +6,9 @@ stays on its side of the threshold leaves every log byte in place.  These
 pin the floats of the link path itself: the walk and trace lookups, the
 turn into each array's frame, both gain evaluators and the budget.  A
 refactor or a speed-up must keep them; a change that moves them on purpose
-says why.
+says why.  They also pin numpy's ``log10`` and ``arccos`` kernels, which
+round otherwise without AVX-512: ``tests/test_host_facts.py`` checks both
+on fixed inputs, so a host that fails these for that reason says so there.
 """
 
 import numpy as np

@@ -285,6 +285,23 @@ def test_each_sector_link_is_built_once_and_reused(monkeypatch):
     assert built.count(sim.hmd_geometry) == 4  # a covrage beam is new at every update
 
 
+@pytest.mark.parametrize("workload", ["light_2g", "saturated_8g", "sectors_abft"])
+def test_a_starts_snr_does_not_depend_on_its_batch(monkeypatch, workload):
+    # AwvEvaluator.gains_db cuts a batch into matrix products by its length;
+    # a start's SNR must keep its bits in every batch from one start to the
+    # 2,048 of the batch ceiling, wherever in the batch it falls
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS, overrides_for
+
+    sim = macsim.Simulator(load_config(overrides=overrides_for(WORKLOADS[workload], 1, 0.5)))
+    sim._apply_beamform(0.3)
+    ts = 0.3 + np.arange(2048) * sim._full_airtime
+    whole = sim.snr_at(ts)
+    for n in (1, 2, 3, 7, 128, 2047):
+        for at in sorted({0, 1, 1000, 2048 - n}):
+            assert np.array_equal(sim.snr_at(ts[at:at + n]), whole[at:at + n]), (n, at)
+
+
 STATIC_2S = ("sim_time = 2.0", "rotation = static")
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from xrsim import cli, macsim
+from xrsim import cli, macsim, mobility
 from xrsim.config import load_config
 from xrsim.geometry import Quaternion, slerp
 from xrsim.mobility import (
@@ -53,14 +53,20 @@ class TestRotationTrace:
         assert pmax >= 59.9
         assert step_peak_dps(tr) == pytest.approx(800.0, rel=0.01)
 
-    def test_speed_fit_sums_rows_in_np_sums_order(self):
-        # the speed fit adds each step's products w, x, y, z in turn into one
-        # row; it keeps the bits of np.sum(axis=1) over an (n, 4) product
-        # only while this host fact holds
-        a = np.random.default_rng(7).standard_normal((100_001, 4))
-        p = a[1:] * a[:-1]
-        w, x, y, z = p.T
-        assert np.array_equal(np.sum(p, axis=1), ((w + x) + y) + z)
+    def test_a_peak_too_slow_for_arccos_stops_the_fit(self, monkeypatch):
+        # every step's |dot| rounds to 1, so the fit reads a speed of 0 and
+        # keeps the scale it has rather than divide by it
+        speeds, fit = [], mobility._max_step_speed_dps
+
+        def recording(rows, dt):
+            speeds.append(fit(rows, dt))
+            return speeds[-1]
+
+        monkeypatch.setattr(mobility, "_max_step_speed_dps", recording)
+        tr = generate_rotation_trace(1e-4, 2.0, seed=1)
+        assert speeds[-1] == 0.0 and step_peak_dps(tr) == 0.0
+        chord = np.linalg.norm(np.diff(tr.orientations, axis=0), axis=1).max()
+        assert 0.0 < math.degrees(2.0 * chord) * 1000.0 <= 1e-4
 
     def test_device_column_holds_the_future_orientation(self):
         tr = generate_rotation_trace(400.0, 2.0, seed=5)
@@ -393,6 +399,24 @@ class TestTraceFile:
                 "--set", "sim_time = 0.3", "--set", "prediction = none"]
         assert cli.main(argv) == 1
         assert "row 4: value not finite" in capsys.readouterr().err
+
+    # a first line left empty, and a trace without the device columns that
+    # prediction = device reads
+    @pytest.mark.parametrize(
+        "first, prediction, message",
+        [
+            ("\nt,qw,qx,qy,qz", "none", "line 1: missing header"),
+            ("t,qw,qx,qy,qz", "device", "prediction = device needs a trace with device-prediction columns"),
+        ],
+        ids=["empty_first_line", "device_without_columns"],
+    )
+    def test_a_trace_the_run_cannot_use_exits_one(self, tmp_path, capsys, first, prediction, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(first + "\n0,1,0,0,0\n1,1,0,0,0\n")
+        argv = ["simulate", "--out-dir", str(tmp_path), "--set", "rotation = %s" % path,
+                "--set", "sim_time = 0.3", "--set", "prediction = %s" % prediction]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "config error: %s\n" % message
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
