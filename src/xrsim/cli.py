@@ -23,7 +23,14 @@ from .metrics import (
     summary_lines,
     write_outputs,
 )
-from .mobility import TraceFormatError, generate_rotation_trace, peak_dps_limit, save_trace, static_trace
+from .mobility import (
+    TraceFormatError,
+    generate_rotation_trace,
+    peak_dps_floor,
+    peak_dps_limit,
+    save_trace,
+    static_trace,
+)
 
 PRESETS = ("paper-fig4",)
 
@@ -172,12 +179,17 @@ def _cmd_generate_mobility(args) -> int:
     if args.kind == "static":
         trace = static_trace(args.duration)
     else:
-        limit = peak_dps_limit(args.rate)
+        check_work_cap({"trace samples --duration x --rate": args.duration * args.rate})
+        limit, floor = peak_dps_limit(args.rate), peak_dps_floor(args.rate)
         if args.peak_dps >= limit:
             raise ConfigError(
                 "argument --peak-dps: must be below 180 x --rate = %g deg/s, got %g" % (limit, args.peak_dps)
             )
-        check_work_cap({"trace samples --duration x --rate": args.duration * args.rate})
+        if args.peak_dps < floor:
+            raise ConfigError(
+                "argument --peak-dps: must be at least 3e-5 x --rate = %g deg/s, got %g: "
+                "the trace fit resolves no slower peak to 1%%" % (floor, args.peak_dps)
+            )
         trace = generate_rotation_trace(
             args.peak_dps, args.duration, args.rate, args.seed, args.device_horizon
         )

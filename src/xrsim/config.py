@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .codebook import CODEBOOK_SIZE, QO_SAMPLES
-from .mobility import peak_dps_limit
+from .mobility import peak_dps_floor, peak_dps_limit
 
 ALLOWED_DATA_RATES = (2e9, 5e9, 7e9, 8e9)
 ALLOWED_BI = (0.1024, 1.024)
@@ -155,14 +155,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"rotation must be one of {', '.join(ROTATION_MODES)} or a trace file, got {self.rotation!r}"
             )
-        if self.rotation in ("low", "high"):
-            name = "peak_dps_" + self.rotation
-            peak, limit = getattr(self, name), peak_dps_limit(self.trace_sample_rate)
-            if peak >= limit:
-                raise ConfigError(
-                    f"{name} must be below 180 x trace_sample_rate = {limit:g} deg/s, got {peak!r}: "
-                    "one trace step turns by at most 180 deg"
-                )
         bits = self.data_rate / self.frame_rate
         if not (math.isfinite(bits) and bits >= 1.0 and abs(bits - round(bits)) <= 1e-9):
             raise ConfigError("data_rate / frame_rate must be a positive integer number of bits")
@@ -179,6 +171,21 @@ class ScenarioConfig:
         if not math.isfinite(2.0 * math.pi * self.spacing * max(self.ap_rows + self.ap_cols, rows + cols)):
             raise ConfigError(f"spacing {self.spacing!r} overflows the phase bound 2 pi spacing (rows + cols)")
         check_work_cap(self.work_counts())
+        # after the cap: a sample rate too high to build also leaves no peak the fit resolves
+        if self.rotation in ("low", "high"):
+            name = "peak_dps_" + self.rotation
+            peak, rate = getattr(self, name), self.trace_sample_rate
+            limit, floor = peak_dps_limit(rate), peak_dps_floor(rate)
+            if peak >= limit:
+                raise ConfigError(
+                    f"{name} must be below 180 x trace_sample_rate = {limit:g} deg/s, got {peak!r}: "
+                    "one trace step turns by at most 180 deg"
+                )
+            if peak < floor:
+                raise ConfigError(
+                    f"{name} must be at least 3e-5 x trace_sample_rate = {floor:g} deg/s, got {peak!r}: "
+                    "the trace fit resolves no slower peak to 1%"
+                )
         return self
 
     def work_counts(self) -> dict:

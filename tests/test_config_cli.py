@@ -137,6 +137,14 @@ class TestValidation:
         ScenarioConfig(peak_dps_low=2e5).validate()
         with pytest.raises(ConfigError, match="peak_dps_high"):
             ScenarioConfig(peak_dps_high=2000.0, trace_sample_rate=10.0).validate()
+        # and no slower than the fit resolves to 1%: 0.01 deg/s at 1000 Hz
+        # came out 1.7% slow
+        with pytest.raises(ConfigError, match="peak_dps_low must be at least 3e-5 x trace_sample_rate = 0.03 deg/s"):
+            ScenarioConfig(rotation="low", peak_dps_low=0.01).validate()
+        ScenarioConfig(rotation="low", peak_dps_low=0.03).validate()
+        ScenarioConfig(rotation="high", peak_dps_low=0.01).validate()
+        with pytest.raises(ConfigError, match="peak_dps_high must be at least"):
+            ScenarioConfig(peak_dps_high=200.0, trace_sample_rate=1e7, sim_time=0.3).validate()
 
     def test_a_dti_sweep_must_fit_between_beacon_headers(self):
         ScenarioConfig(sls_duration=0.1004).validate()
@@ -315,6 +323,7 @@ class TestSimulateCommand:
             "sls_duration = 0.1005",
             "peak_dps_high = 2e5",
             "peak_dps_high = 1e30",
+            "peak_dps_high = 0.01",  # slower than the trace fit resolves
             "seed = x",  # no number at all
         ],
     )
@@ -745,6 +754,9 @@ class TestGenerators:
             # a sample step turns by at most 180 deg: 180 x --rate is out of reach
             (["generate-mobility", "--peak-dps", "2e5"], "--peak-dps"),
             (["generate-mobility", "--peak-dps", "1e30"], "--peak-dps"),
+            # and one slower than the fit resolves to 1% at --rate
+            (["generate-mobility", "--peak-dps", "0.01"], "--peak-dps"),
+            (["generate-mobility", "--peak-dps", "0.01", "--rate", "500"], "--peak-dps"),
         ],
     )
     def test_bad_argument_exits_one_naming_it(self, tmp_path, capsys, argv, option):

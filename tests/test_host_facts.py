@@ -82,3 +82,23 @@ def test_log10_bytes_on_link_inputs():
 def test_arccos_bytes_on_link_inputs():
     want = "6e1732d692e68537dc6587f0b109a4593da1ce0b2e2fd2a01cc32306c3ea67fc"
     fact(digest(np.arccos(_link_inputs()[1])) == want, "np.arccos bytes on the link inputs")
+
+
+def test_trig_bytes_do_not_depend_on_the_array_around_an_element():
+    # mobility._fit_scales takes cos, sin and arccos over the steps it
+    # gathers, and reads them as the bytes of a pass over the whole array:
+    # a gathered subset, or a slice at any offset, must give each element
+    # the bytes it gets in the whole array, at a one-element and a
+    # tail-only length as well as a long one
+    rng = np.random.default_rng(19)
+    half_turns = rng.uniform(-900.0, 900.0, 20_001) * rng.choice([1e-6, 1e-3, 1.0], 20_001)
+    dots = np.cos(rng.uniform(0.0, 0.05, 20_001)) * rng.choice([-1.0, 1.0], 20_001)
+    for f, x in ((np.cos, half_turns), (np.sin, half_turns), (np.arccos, dots)):
+        whole = f(x)
+        for n in (1, 7, 8_001):
+            gathered = np.sort(rng.choice(x.size, n, replace=False))
+            fact(f(x[gathered]).tobytes() == whole[gathered].tobytes(),
+                 "np.%s of %d gathered elements is their bytes in the whole array" % (f.__name__, n))
+            for start in rng.integers(0, x.size - n, 3).tolist():
+                fact(f(x[start : start + n]).tobytes() == whole[start : start + n].tobytes(),
+                     "np.%s of %d elements at offset %d is their bytes in the whole array" % (f.__name__, n, start))

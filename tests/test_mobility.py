@@ -12,6 +12,8 @@ from xrsim.geometry import Quaternion, slerp
 from xrsim.mobility import (
     TraceFormatError,
     TraceSet,
+    _compose_yaw_pitch,
+    _half_turn,
     generate_rotation_trace,
     generate_walk,
     load_trace,
@@ -38,7 +40,120 @@ def pitch_deg(q):
     return math.degrees(math.asin(max(-1.0, min(1.0, fwd[2]))))
 
 
+def step_angles(yaw0, pit0, cy, cp):
+    """Every step's turn at yaw scale cy and pitch scale cp, computed as the
+    fit computes it: 2 arccos |q0 . q1|, the products summed w, x, y, z."""
+    w, x, y, z = _compose_yaw_pitch(_half_turn(cy * yaw0), _half_turn(cp * pit0))
+    dots = w[1:] * w[:-1] + x[1:] * x[:-1] + y[1:] * y[:-1] + z[1:] * z[:-1]
+    return 2.0 * np.arccos(np.minimum(np.abs(dots), 1.0))
+
+
+def full_read_fit(yaw0, pit0, peak_dps, dt, passes):
+    """Reference speed fit: ``mobility._fit_scales`` reading every step on
+    every pass.  The trace must keep its bytes under either.  ``passes``
+    receives each pass's yaw and pitch scales."""
+
+    def max_speed(cy, cp):
+        passes.append((cy, cp))
+        return math.degrees(float(step_angles(yaw0, pit0, cy, cp).max())) / dt
+
+    c = peak_dps / max_speed(1.0, 1.0)
+    for _ in range(6):
+        speed = max_speed(c, c)
+        if speed == 0.0:
+            break
+        c *= peak_dps / speed
+    cy = cp = c
+    pitch_peak = math.degrees(float(np.abs(cp * pit0).max()))
+    if pitch_peak > 60.0:
+        cp *= 60.0 / pitch_peak
+        for _ in range(8):
+            cy *= peak_dps / max_speed(cy, cp)
+    return cy, cp
+
+
+# integer and SeedSequence seeds, peaks from below the fit's resolution to
+# just under a step's reach (800 deg/s caps pitch at some seeds), each below
+# its rate's limit, and durations from one step to a paper-length run
+FIT_GRID = [
+    (seed, peak, duration, rate)
+    for seed in [*range(6), *(np.random.SeedSequence(s).spawn(2)[0] for s in range(1, 7))]
+    for rate in (250.0, 1000.0)
+    for peak in (1e-4, 1.0, 60.0, 300.0, 800.0, 179_990.0)
+    if peak < mobility.peak_dps_limit(rate)
+    for duration in (0.0004, 0.3, 2.0, 20.0)
+]
+
+
+@pytest.fixture(scope="module")
+def fit_cases():
+    """Per case of FIT_GRID: whether the trace has the reference fit's bytes,
+    the least slack of any step's angle under its widened bound over the
+    reference's passes, whether pitch was capped, and the share of steps the
+    fit scored per pass."""
+    cases = []
+    kernel, fit = mobility._max_step_speed_dps, mobility._fit_scales
+    with pytest.MonkeyPatch.context() as mp:
+        for seed, peak, duration, rate in FIT_GRID:
+            scored, passes, slack = [], [], []
+
+            def counting(rows, dt):
+                scored.append(rows[0].shape[1])
+                return kernel(rows, dt)
+
+            def reference(yaw0, pit0, peak_dps, dt):
+                cy, cp = full_read_fit(yaw0, pit0, peak_dps, dt, passes)
+                bound = np.abs(np.diff(yaw0)), np.abs(np.diff(pit0))
+                for a, b in passes:
+                    widened = (a * bound[0] + b * bound[1]) * (1.0 + 1e-6) + 1e-7
+                    slack.append(float((widened - step_angles(yaw0, pit0, a, b)).min()))
+                return cy, cp
+
+            mp.setattr(mobility, "_max_step_speed_dps", counting)
+            mp.setattr(mobility, "_fit_scales", fit)
+            got = generate_rotation_trace(peak, duration, rate, seed)
+            mp.setattr(mobility, "_fit_scales", reference)
+            want = generate_rotation_trace(peak, duration, rate, seed)
+            same = all(
+                a.tobytes() == b.tobytes()
+                for a, b in ((got.orientations, want.orientations), (got.device_orientations, want.device_orientations))
+            )
+            capped = passes[-1][0] != passes[-1][1]
+            cases.append((same, min(slack), capped, sum(scored) / (len(passes) * (len(got.times) - 1))))
+    return cases
+
+
 class TestRotationTrace:
+    def test_fit_matches_the_full_read_fit(self, fit_cases):
+        assert len(fit_cases) == 12 * 11 * 4
+        different = [case for case, (same, *_) in zip(FIT_GRID, fit_cases) if not same]
+        assert not different
+        # the grid reaches the pitch-cap loop, and the long traces score few steps
+        assert any(capped for _, _, capped, _ in fit_cases)
+        for (_, peak, duration, _), (_, _, _, share) in zip(FIT_GRID, fit_cases):
+            if duration == 20.0 and 1.0 <= peak <= 800.0:
+                assert share < 0.25, (peak, share)
+
+    def test_a_grown_scale_chooses_the_steps_again(self):
+        # a step turning about two axes grows slower with the scale than a
+        # one-axis step: at scale 1 the yaw step (0.42 rad) is left out under
+        # the two-axis step (0.4235 rad), but at the second pass's scale 3.5
+        # it turns further (1.47 against 1.449 rad), so the fit must score
+        # it; the most a scale grew, times its bound, shows that in time
+        yaw0, pit0 = np.array([0.0, 0.3, 0.72]), np.array([-0.15, 0.15, 0.15])
+        first = step_angles(yaw0, pit0, 1.0, 1.0)
+        assert first[1] < first[0] and np.argmax(step_angles(yaw0, pit0, 3.5, 3.5)) == 1
+        peak = 3.5 * math.degrees(float(first.max())) / 1e-3
+        assert mobility._fit_scales(yaw0, pit0, peak, 1e-3) == full_read_fit(yaw0, pit0, peak, 1e-3, [])
+
+    def test_every_step_lies_within_its_bound(self, fit_cases):
+        # a step turns by at most cy |dyaw| + cp |dpitch|; the fit leaves out
+        # a step only when this bound, widened by 1e-6 and 1e-7 rad, cannot
+        # reach the peak, so the computed angle must stay under the widened
+        # bound at every pass's scales
+        tight = [(case, slack) for case, (_, slack, *_) in zip(FIT_GRID, fit_cases) if slack < 0.0]
+        assert not tight
+
     # 179,990 deg/s lies just under a step's reach at 1000 Hz
     @pytest.mark.parametrize("peak", [100.0, 200.0, 600.0, 179_990.0])
     def test_peak_speed_is_hit(self, peak):
@@ -55,18 +170,33 @@ class TestRotationTrace:
 
     def test_a_peak_too_slow_for_arccos_stops_the_fit(self, monkeypatch):
         # every step's |dot| rounds to 1, so the fit reads a speed of 0 and
-        # keeps the scale it has rather than divide by it
-        speeds, fit = [], mobility._max_step_speed_dps
+        # keeps the scale it has rather than divide by it.  The spy sees every
+        # speed the fit scores, over one step or a step set; a pass's speed is
+        # the last it scores, and the pass that stops the fit scores every
+        # step, since each bound reaches an angle of 0
+        speeds, steps, fit = [], [], mobility._max_step_speed_dps
 
         def recording(rows, dt):
             speeds.append(fit(rows, dt))
+            steps.append(rows[0].shape[1])
             return speeds[-1]
 
         monkeypatch.setattr(mobility, "_max_step_speed_dps", recording)
         tr = generate_rotation_trace(1e-4, 2.0, seed=1)
+        assert steps[-1] == 2000
         assert speeds[-1] == 0.0 and step_peak_dps(tr) == 0.0
         chord = np.linalg.norm(np.diff(tr.orientations, axis=0), axis=1).max()
         assert 0.0 < math.degrees(2.0 * chord) * 1000.0 <= 1e-4
+
+    @pytest.mark.parametrize("rate", [250.0, 1000.0, 2000.0])
+    def test_the_slowest_accepted_peak_is_hit(self, rate):
+        # a chord measure keeps its precision on steps too small for the
+        # fit's arccos to read well; at the floor it finds the peak within
+        # 1% (0.01 deg/s at 1000 Hz came out 1.7% slow)
+        peak = mobility.peak_dps_floor(rate)
+        for seed in range(1, 7):
+            chord = np.linalg.norm(np.diff(generate_rotation_trace(peak, 2.0, rate, seed).orientations, axis=0), axis=1)
+            assert math.degrees(4.0 * np.arcsin(chord / 2.0).max()) * rate == pytest.approx(peak, rel=0.01), seed
 
     def test_device_column_holds_the_future_orientation(self):
         tr = generate_rotation_trace(400.0, 2.0, seed=5)
@@ -398,14 +528,14 @@ class TestTraceFile:
         argv = ["simulate", "--out-dir", str(tmp_path), "--set", "rotation = %s" % path,
                 "--set", "sim_time = 0.3", "--set", "prediction = none"]
         assert cli.main(argv) == 1
-        assert "row 4: value not finite" in capsys.readouterr().err
+        assert "%s: row 4: value not finite" % path in capsys.readouterr().err
 
     # a first line left empty, and a trace without the device columns that
     # prediction = device reads
     @pytest.mark.parametrize(
         "first, prediction, message",
         [
-            ("\nt,qw,qx,qy,qz", "none", "line 1: missing header"),
+            ("\nt,qw,qx,qy,qz", "none", "{path}: line 1: missing header"),
             ("t,qw,qx,qy,qz", "device", "prediction = device needs a trace with device-prediction columns"),
         ],
         ids=["empty_first_line", "device_without_columns"],
@@ -416,7 +546,7 @@ class TestTraceFile:
         argv = ["simulate", "--out-dir", str(tmp_path), "--set", "rotation = %s" % path,
                 "--set", "sim_time = 0.3", "--set", "prediction = %s" % prediction]
         assert cli.main(argv) == 1
-        assert capsys.readouterr().err == "config error: %s\n" % message
+        assert capsys.readouterr().err == "config error: %s\n" % message.format(path=path)
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
