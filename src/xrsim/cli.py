@@ -13,24 +13,10 @@ import math
 import os
 import sys
 
-from .config import ConfigError, check_work_cap, config_echo_lines, load_config, parse_config_lines
-from .macsim import run, write_event_log
-from .metrics import (
-    FrameFormatError,
-    format_ms,
-    read_frame_records,
-    summarize,
-    summary_lines,
-    write_outputs,
-)
-from .mobility import (
-    TraceFormatError,
-    generate_rotation_trace,
-    peak_dps_floor,
-    peak_dps_limit,
-    save_trace,
-    static_trace,
-)
+from .config import ROTATION_MODES, ConfigError, config_echo_lines, load_config, parse_config_lines
+from .macsim import run, scenario_trace, write_event_log
+from .metrics import FrameFormatError, format_ms, read_frame_records, summarize, summary_lines, write_outputs
+from .mobility import TraceFormatError, save_trace
 
 PRESETS = ("paper-fig4",)
 
@@ -41,19 +27,16 @@ def _out_dir(args) -> str:
     return d
 
 
-def _number(kind, or_zero=False):
-    """argparse type: a finite number above 0 (or at least 0), so that a bad
-    value exits 1 naming the option."""
+def _positive(text: str) -> float:
+    """argparse type: a finite number above 0, so that a bad value exits 1
+    naming the option."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(text)
+    return value
 
-    def parse(text):
-        value = kind(text)
-        if not math.isfinite(value) or not (value >= 0 if or_zero else value > 0):
-            raise ValueError(text)
-        return value
 
-    parse.__name__ = "finite %s %s" % (kind.__name__, ">= 0" if or_zero else "> 0")
-    return parse
-
+_positive.__name__ = "finite float > 0"  # argparse's "invalid ... value" names it
 
 # -- subcommands ----------------------------------------------------------
 
@@ -176,23 +159,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_generate_mobility(args) -> int:
-    if args.kind == "static":
-        trace = static_trace(args.duration)
-    else:
-        check_work_cap({"trace samples --duration x --rate": args.duration * args.rate})
-        limit, floor = peak_dps_limit(args.rate), peak_dps_floor(args.rate)
-        if args.peak_dps >= limit:
-            raise ConfigError(
-                "argument --peak-dps: must be below 180 x --rate = %g deg/s, got %g" % (limit, args.peak_dps)
-            )
-        if args.peak_dps < floor:
-            raise ConfigError(
-                "argument --peak-dps: must be at least 3e-5 x --rate = %g deg/s, got %g: "
-                "the trace fit resolves no slower peak to 1%%" % (floor, args.peak_dps)
-            )
-        trace = generate_rotation_trace(
-            args.peak_dps, args.duration, args.rate, args.seed, args.device_horizon
-        )
+    cfg = load_config(args.config, args.set or [])
+    if cfg.rotation not in ROTATION_MODES:
+        raise ConfigError("rotation names the trace file %r: generate-mobility writes the trace of %s"
+                          % (cfg.rotation, ", ".join(ROTATION_MODES)))
+    trace = scenario_trace(cfg)
     save_trace(args.out, trace)
     print("wrote %s (%d samples, %.1f s)" % (args.out, len(trace.times), trace.duration))
     return 0
@@ -224,17 +195,13 @@ def _parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="re-summarize a per-frame CSV")
     rep.add_argument("--frames", required=True, help="per-frame CSV path")
-    rep.add_argument("--deadline", type=_number(float), default=0.020)
+    rep.add_argument("--deadline", type=_positive, default=0.020)
     rep.set_defaults(func=_cmd_report)
 
-    gm = sub.add_parser("generate-mobility", help="write a rotation trace CSV")
-    gm.add_argument("--kind", choices=("rotation", "static"), default="rotation")
-    gm.add_argument("--peak-dps", type=_number(float), default=300.0)
-    gm.add_argument("--duration", type=_number(float), default=20.0)
-    gm.add_argument("--rate", type=_number(float), default=1000.0)
-    gm.add_argument("--seed", type=_number(int, or_zero=True), default=1)
-    gm.add_argument("--device-horizon", type=_number(float, or_zero=True), default=0.1)
-    gm.add_argument("--out", required=True)
+    gm = sub.add_parser("generate-mobility", help="write the rotation trace a scenario runs on")
+    gm.add_argument("--config", help="key = value config file")
+    gm.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config field")
+    gm.add_argument("--out", required=True, help="trace CSV path")
     gm.set_defaults(func=_cmd_generate_mobility)
 
     return p

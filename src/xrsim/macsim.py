@@ -90,7 +90,7 @@ from .codebook import cached_quasi_omni, generate_sector_codebook, steered_secto
 from .config import ConfigError, ScenarioConfig, burst_shape
 from .covrage import covrage_beam
 from .geometry import Pose, Quaternion, ap_direction_in_hmd_frame, predict_pose, rotate_into_frames
-from .mobility import generate_rotation_trace, generate_walk, load_trace, pose_at, static_trace
+from .mobility import TraceSet, generate_rotation_trace, generate_walk, load_trace, pose_at, static_trace
 
 # in the order they run at one instant; the kinds after sim_end share one
 # rank and run in push order
@@ -156,6 +156,24 @@ def write_event_log(path, events) -> None:
             fh.write("%.9f,%s,%s\n" % (ev.t, ev.kind, ev.payload))
 
 
+def _motion_seed(cfg: ScenarioConfig, child: int) -> np.random.SeedSequence:
+    """Child ``child`` of ``SeedSequence(cfg.seed)``, as ``spawn`` makes it:
+    child 0 draws the rotation trace and child 1 the walk."""
+    return np.random.SeedSequence(cfg.seed, spawn_key=(child,))
+
+
+def scenario_trace(cfg: ScenarioConfig) -> TraceSet:
+    """The head-rotation trace a run of ``cfg`` reads: a motionless head over
+    max(sim_time, 1 s), a trace generated at the ``rotation``'s peak speed,
+    or the recorded file that ``rotation`` names."""
+    if cfg.rotation == "static":
+        return static_trace(max(cfg.sim_time, 1.0))
+    if cfg.rotation in ("low", "high"):
+        peak_dps = cfg.peak_dps_low if cfg.rotation == "low" else cfg.peak_dps_high
+        return generate_rotation_trace(peak_dps, cfg.sim_time, cfg.trace_sample_rate, _motion_seed(cfg, 0))
+    return load_trace(cfg.rotation)
+
+
 class Simulator:
     """One scenario run.  Build with a validated config, call :meth:`run`."""
 
@@ -203,18 +221,11 @@ class Simulator:
 
     def _build_motion(self) -> None:
         cfg = self.cfg
-        trace_seed, walk_seed = np.random.SeedSequence(cfg.seed).spawn(2)
-        if cfg.rotation == "static":
-            self.trace = static_trace(max(cfg.sim_time, 1.0))
-        elif cfg.rotation in ("low", "high"):
-            peak_dps = cfg.peak_dps_low if cfg.rotation == "low" else cfg.peak_dps_high
-            self.trace = generate_rotation_trace(peak_dps, cfg.sim_time, cfg.trace_sample_rate, trace_seed)
-        else:
-            self.trace = load_trace(cfg.rotation)
+        self.trace = scenario_trace(cfg)
         if cfg.prediction == "device" and not self.trace.has_device:
             raise ConfigError("prediction = device needs a trace with device-prediction columns")
         self.walk = generate_walk(
-            cfg.x_bounds, cfg.y_bounds, cfg.walk_speed, cfg.walk_step_interval, cfg.sim_time, walk_seed
+            cfg.x_bounds, cfg.y_bounds, cfg.walk_speed, cfg.walk_step_interval, cfg.sim_time, _motion_seed(cfg, 1)
         )
         self.ap_position = np.array(cfg.ap_position, dtype=float)
         self.ap_pose = Pose(0.0, self.ap_position, AP_ORIENTATION)

@@ -34,6 +34,9 @@ _NORM_REJECT = 0.01
 WALL_MARGIN = 1.0
 MAX_TURN_DEG = 30.0
 
+# seconds ahead of each sample that a generated trace's device column looks
+DEVICE_HORIZON = 0.1
+
 _HDR_BASE = ["t", "qw", "qx", "qy", "qz"]
 _HDR_DEV = ["ph_qw", "ph_qx", "ph_qy", "ph_qz", "ph_h"]
 
@@ -331,18 +334,12 @@ def _fit_scales(yaw0: np.ndarray, pit0: np.ndarray, peak_dps: float, dt: float) 
     return cy, cp
 
 
-def generate_rotation_trace(
-    peak_dps: float,
-    duration: float,
-    sample_rate: float = 1000.0,
-    seed: int = 0,
-    device_horizon: float = 0.1,
-) -> TraceSet:
+def generate_rotation_trace(peak_dps: float, duration: float, sample_rate: float = 1000.0, seed: int = 0) -> TraceSet:
     """Synthetic head-rotation trace: yaw and pitch are each a sum of three
     random-phase sinusoids, jointly rescaled so the maximum instantaneous
     angular speed matches ``peak_dps`` within 1%.  Pitch amplitude is capped
     at 60 degrees.  A device-prediction column holds the exact model value
-    ``device_horizon`` seconds ahead.  ``peak_dps`` must lie below
+    :data:`DEVICE_HORIZON` (0.1 s) ahead.  ``peak_dps`` must lie below
     :func:`peak_dps_limit`; below :func:`peak_dps_floor` the fit misses it
     by more than 1%.
 
@@ -382,18 +379,18 @@ def generate_rotation_trace(
 
     cy, cp = _fit_scales(yaw0, pit0, peak_dps, dt)
     quats = np.stack(_compose_yaw_pitch(_half_turn(cy * yaw0), _half_turn(cp * pit0)), axis=1)
-    t_ahead = t + device_horizon
+    t_ahead = t + DEVICE_HORIZON
     yaw_ahead = cy * np.radians(series(t_ahead, yaw_a, yaw_f, yaw_p))
     pit_ahead = cp * np.radians(series(t_ahead, pit_a, pit_f, pit_p))
     dev = np.stack(_compose_yaw_pitch(_half_turn(yaw_ahead), _half_turn(pit_ahead)), axis=1)
 
-    return TraceSet(t, quats, dev, np.full(n, device_horizon))
+    return TraceSet(t, quats, dev, np.full(n, DEVICE_HORIZON))
 
 
 def static_trace(duration: float) -> TraceSet:
     """Identity-orientation trace for a motionless head."""
     identity = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)
-    return TraceSet(np.array([0.0, duration]), identity, identity, np.full(2, 0.1))
+    return TraceSet(np.array([0.0, duration]), identity, identity, np.full(2, DEVICE_HORIZON))
 
 
 @dataclass(frozen=True)

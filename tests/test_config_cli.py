@@ -7,6 +7,7 @@ import signal
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +21,9 @@ from xrsim.config import (
     load_config,
     parse_config_lines,
 )
-from xrsim.macsim import FrameRecord, RunResult, run
+from xrsim.macsim import FrameRecord, RunResult, Simulator, run
 from xrsim.metrics import format_ms, read_frame_records, summarize
+from xrsim.mobility import generate_rotation_trace, save_trace
 
 from claims import SCENARIOS, reliability
 
@@ -727,72 +729,63 @@ class TestSweepCommand:
 
 
 class TestGenerators:
+    """``generate-mobility`` writes the trace of the config's ``rotation``,
+    under the checks a run of that config makes."""
+
+    def generate(self, out, *overrides):
+        return cli.main(["generate-mobility", "--out", str(out)] + [a for ov in overrides for a in ("--set", ov)])
+
     def test_generate_mobility_round_trip(self, tmp_path):
         from xrsim.mobility import load_trace
 
         out = tmp_path / "trace.csv"
-        rc = cli.main(
-            [
-                "generate-mobility", "--kind", "rotation", "--peak-dps", "200",
-                "--duration", "0.5", "--out", str(out),
-            ]
-        )
-        assert rc == 0
+        assert self.generate(out, "sim_time = 0.5", "peak_dps_high = 200") == 0
         trace = load_trace(out)
         assert trace.duration == pytest.approx(0.5)
         assert trace.has_device
 
     # a non-finite or out-of-range generator argument wrote a "nan" trace
-    # row (exit 0) or failed deep in generation (exit 2)
+    # row (exit 0) or failed deep in generation (exit 2); the subcommand now
+    # reads these as config fields, and the config rejects them
     @pytest.mark.parametrize(
-        "argv, option",
+        "overrides, field",
         [
-            (["generate-mobility", "--kind", "static", "--duration", "nan"], "--duration"),
-            (["generate-mobility", "--kind", "static", "--duration", "-1"], "--duration"),
-            (["generate-mobility", "--rate", "0"], "--rate"),
-            (["generate-mobility", "--device-horizon", "inf"], "--device-horizon"),
-            # a sample step turns by at most 180 deg: 180 x --rate is out of reach
-            (["generate-mobility", "--peak-dps", "2e5"], "--peak-dps"),
-            (["generate-mobility", "--peak-dps", "1e30"], "--peak-dps"),
-            # and one slower than the fit resolves to 1% at --rate
-            (["generate-mobility", "--peak-dps", "0.01"], "--peak-dps"),
-            (["generate-mobility", "--peak-dps", "0.01", "--rate", "500"], "--peak-dps"),
+            pytest.param(("rotation = static", "sim_time = nan"), "sim_time", id="static-sim_time-nan"),
+            pytest.param(("rotation = static", "sim_time = -1"), "sim_time", id="static-sim_time-negative"),
+            pytest.param(("trace_sample_rate = 0",), "trace_sample_rate", id="trace_sample_rate-0"),
+            # a sample step turns by at most 180 deg: 180 x trace_sample_rate is out of reach
+            pytest.param(("peak_dps_high = 2e5",), "peak_dps_high", id="peak-over-the-limit"),
+            pytest.param(("peak_dps_high = 1e30",), "peak_dps_high", id="peak-far-over-the-limit"),
+            # and one slower than the fit resolves to 1% at trace_sample_rate
+            pytest.param(("peak_dps_high = 0.01",), "peak_dps_high", id="peak-under-the-floor"),
+            pytest.param(("peak_dps_high = 0.01", "trace_sample_rate = 500"), "peak_dps_high",
+                         id="peak-under-the-floor-500hz"),
         ],
     )
-    def test_bad_argument_exits_one_naming_it(self, tmp_path, capsys, argv, option):
+    def test_bad_field_exits_one_naming_it(self, tmp_path, capsys, overrides, field):
         out = tmp_path / "out"
-        assert cli.main(argv + ["--out", str(out)]) == 1
-        assert "argument %s:" % option in capsys.readouterr().err
+        assert self.generate(out, *overrides) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
         assert not out.exists()
 
-    # each asked for petabytes or gigabytes (exit 2, or worse, a swapping
-    # host); the cap must reject it before anything is allocated
-    @pytest.mark.parametrize(
-        "argv, options",
-        [
-            (["generate-mobility", "--duration", "1e12"], ("--duration", "--rate")),
-        ],
-    )
-    def test_over_the_work_cap_exits_one_naming_the_options(self, tmp_path, capsys, argv, options):
+    # it asked for petabytes (exit 2, or worse, a swapping host); the cap
+    # must reject it before anything is allocated
+    def test_over_the_work_cap_exits_one_naming_the_field(self, tmp_path, capsys):
         out = tmp_path / "out"
         with time_limit(10.0):
-            assert cli.main(argv + ["--out", str(out)]) == 1
+            assert self.generate(out, "sim_time = 1e12") == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "work cap" in err
-        assert all(option in err for option in options)
+        assert err.startswith("config error:") and "work cap" in err and "sim_time" in err
         assert not out.exists()
 
     def test_default_invocations_exit_zero(self, tmp_path, capsys):
-        assert cli.main(["generate-mobility", "--out", str(tmp_path / "trace.csv")]) == 0
+        assert self.generate(tmp_path / "trace.csv") == 0
         capsys.readouterr()
 
     def test_generated_trace_drives_a_run(self, tmp_path):
         out = tmp_path / "t.csv"
-        assert (
-            cli.main(["generate-mobility", "--kind", "static", "--duration", "1.0",
-                      "--out", str(out)])
-            == 0
-        )
+        assert self.generate(out, "rotation = static", "sim_time = 1.0") == 0
         rc = cli.main(
             [
                 "simulate", "--out-dir", str(tmp_path), "--label", "traced",
@@ -804,11 +797,62 @@ class TestGenerators:
         )
         assert rc == 0
 
+    # the subcommand used to seed its generator with --seed itself, while a
+    # run draws from child 0 of SeedSequence(seed): at seed 1 over 2 s the
+    # two traces' quaternion components differed by up to 0.94
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("rotation", ["high", "low", "static"])
+    def test_the_written_bytes_are_the_runs_trace(self, tmp_path, capsys, rotation, seed):
+        overrides = ["sim_time = 2", "rotation = %s" % rotation, "seed = %d" % seed]
+        assert self.generate(tmp_path / "written.csv", *overrides) == 0
+        save_trace(tmp_path / "run.csv", Simulator(load_config(overrides=overrides)).trace)
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+        capsys.readouterr()
+
+    def test_the_trace_seed_is_child_zero_of_the_scenario_seed(self, tmp_path, capsys):
+        # the seed rule the event-log digests were taken on, stated apart
+        # from the code that applies it
+        assert self.generate(tmp_path / "t.csv", "sim_time = 0.5", "seed = 7") == 0
+        child = np.random.SeedSequence(7).spawn(2)[0]
+        save_trace(tmp_path / "want.csv", generate_rotation_trace(300.0, 0.5, 1000.0, child))
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("bf_interval", ["0.1", "1.0"])
+    def test_a_run_on_the_written_trace_is_the_generated_run(self, tmp_path, capsys, monkeypatch, run_cached,
+                                                             bf_interval):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import frames_digest
+
+        overrides = ("sim_time = 2.0", "bf_interval = %s" % bf_interval)
+        assert self.generate(tmp_path / "t.csv", *overrides) == 0
+        generated = run_cached(*overrides)
+        recorded = run(load_config(overrides=[*overrides, "rotation = %s" % (tmp_path / "t.csv")]))
+        assert recorded.counters == generated.counters
+        assert frames_digest(recorded.frames) == frames_digest(generated.frames)
+        capsys.readouterr()
+
+    def test_a_rotation_file_exits_one_naming_rotation(self, tmp_path, capsys):
+        assert self.generate(tmp_path / "t.csv", "sim_time = 0.5") == 0
+        out = tmp_path / "out"
+        assert self.generate(out, "rotation = %s" % (tmp_path / "t.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "rotation" in err
+        assert not out.exists()
+
 
 class TestEntry:
     def test_no_arguments_exits_one(self, capsys):
         assert cli.main([]) == 1
         capsys.readouterr()
+
+    def test_a_runtime_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg, collect_events=False):
+            raise RuntimeError("the run failed")
+
+        monkeypatch.setattr(cli, "run", fail)
+        assert cli.main(["simulate", "--out-dir", str(tmp_path), "--set", "sim_time = 0.1"]) == 2
+        assert capsys.readouterr().err == "runtime error: the run failed\n"
 
     def test_unknown_command_exits_one(self, tmp_path, capsys):
         # the deleted codebook generator wrote a file that nothing read

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from xrsim import antenna, covrage
-from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db, steered_awv, steering_phases
+from xrsim.antenna import ArrayGeometry, AwvEvaluator, SteeredBlock, gain_db, steered_awv, steering_phases
 from xrsim.codebook import cached_quasi_omni
 from xrsim.covrage import (
     K_MAX,
@@ -121,6 +121,18 @@ class TestPlan:
         g = ArrayGeometry(4, 10)
         blocks = plan_with_k(g, make_trajectory(2, 5.0, 20.0), 3)
         assert column_blocks(blocks) == [(0, 3), (3, 6), (6, 10)]
+
+    def test_a_perfect_null_at_the_crossover_keeps_offset_zero(self):
+        # two rows at half-wavelength spacing, blocks steered at t_z = 0 and a
+        # crossover straight up: the row factor is D_2(pi) = sin pi, about
+        # 1.2e-16, so neither field has a phase to align
+        g = ArrayGeometry(2, 4)
+        layout = antenna.block_layout(g, [SteeredBlock(0, 2, 0.0, 0.0, 0.0), SteeredBlock(2, 4, 0.3, 0.0, 0.0)])
+        up = np.array([[0.0, 0.0, 1.0]])
+        assert 0.0 < np.abs(antenna.block_fields(g, layout, up)).max() < antenna._NULL_FIELD
+        assert covrage._alignment_offsets(g, layout, up) == [0.0, 0.0]
+        # off the null the second block is turned
+        assert covrage._alignment_offsets(g, layout, np.array([[0.0, 0.6, 0.8]]))[1] != 0.0
 
     def test_block_count_bounds(self):
         g = ArrayGeometry(4, 4)

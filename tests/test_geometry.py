@@ -16,7 +16,7 @@ from xrsim.geometry import (
     unit_vector,
 )
 from xrsim.config import PREDICTION_MODES
-from xrsim.mobility import TraceSet, load_trace, save_trace
+from xrsim.mobility import TraceSet, load_trace, save_trace, static_trace
 
 from angles import direction_angle, rotation_angle
 
@@ -83,6 +83,20 @@ class TestQuaternion:
         neg = Quaternion(-q.w, -q.x, -q.y, -q.z)
         assert neg.canonicalized().w >= 0.0
         assert rotation_angle(neg, q) == pytest.approx(0.0, abs=1e-12)
+
+    def test_a_negative_w_is_flipped(self):
+        # 270 deg about +z has w = cos(135 deg) < 0: its canonical form is
+        # the 90 deg turn about -z
+        q = Quaternion.from_axis_angle((0.0, 0.0, 1.0), 1.5 * math.pi)
+        c = q.canonicalized()
+        assert q.w < 0.0 and (c.w, c.x, c.y, c.z) == (-q.w, -q.x, -q.y, -q.z)
+        axis, angle = q.to_axis_angle()
+        assert angle == pytest.approx(0.5 * math.pi, abs=1e-12)
+        assert np.allclose(axis, [0.0, 0.0, -1.0], atol=1e-12)
+
+    def test_the_identity_turns_by_zero(self):
+        axis, angle = Quaternion.identity().to_axis_angle()
+        assert angle == 0.0 and axis.tolist() == [1.0, 0.0, 0.0]
 
     def test_rotation_angle_to(self):
         q0 = Quaternion.identity()
@@ -220,6 +234,13 @@ class TestPredictPose:
         trace = self._trace(2.0)
         now = self._now(trace, 0.0)
         assert predict_pose(now, 0.1, "extrapolation", trace, self.END) == now.orientation
+
+    def test_extrapolation_holds_a_static_head_exactly(self):
+        # no turn between the two samples: the axis-angle is the identity's
+        trace = static_trace(self.END)
+        for t in (0.05, 0.5, self.END):
+            q_pred = predict_pose(self._now(trace, t), 0.1, "extrapolation", trace, self.END)
+            assert (q_pred.w, q_pred.x, q_pred.y, q_pred.z) == (1.0, 0.0, 0.0, 0.0)
 
     def test_zero_horizon_is_identity(self):
         trace = self._trace(1.0)

@@ -7,14 +7,22 @@ pin the floats of the link path itself: the walk and trace lookups, the
 turn into each array's frame, both gain evaluators and the budget.  A
 refactor or a speed-up must keep them; a change that moves them on purpose
 says why.  They also pin numpy's ``log10`` and ``arccos`` kernels, which
-round otherwise without AVX-512: ``tests/test_host_facts.py`` checks both
-on fixed inputs, so a host that fails these for that reason says so there.
+round otherwise on its AVX2 kernels than on its AVX-512 ones, so each digest
+is kept per kernel level (``test_host_facts.KERNELS``).
+``tests/test_host_facts.py`` checks both ufuncs on fixed inputs, so a host
+that fails these for that reason says so there.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linkbatches import batches_digest, record_link_batches
+from test_host_facts import HOST, KERNELS
 from xrsim import macsim
 from xrsim.config import load_config
 from xrsim.mobility import save_trace
@@ -29,32 +37,51 @@ DIGESTS = {
     # the covrage composite beam on a 64x64 headset: complex block sums
     "covrage": (
         ("sim_time = 0.3", STEP),
-        "faf1e840826359beb19634066f100e6f3400486a3d4252d502ae241538bfb5de",
+        {
+            "AVX-512": "faf1e840826359beb19634066f100e6f3400486a3d4252d502ae241538bfb5de",
+            "AVX2": "257d3d9c9c1ee218b46da7f5c8a2b4ed9e26f0d23f92687418dbefae6f74b35b",
+        },
     ),
     # 8x8 headset sectors swept after every beacon header: real one-block
     # fields, and the quasi-omni codebook entry on the lattice
     "sectors_abft": (
         ("sim_time = 0.3", STEP, "rx_beamforming = sectors", "prediction = none", "bf_location = abft"),
-        "fb08481f3d19cab7805bf5362fb60b34d6693b55e50baa1447fce7d6ecf57356",
+        {
+            "AVX-512": "fb08481f3d19cab7805bf5362fb60b34d6693b55e50baa1447fce7d6ecf57356",
+            "AVX2": "c4950e9240260a27467851e1bf97bfccdbd514af11acc397ab42d80fff9f9874",
+        },
     ),
     # a fixed 8x8 quasi-omni headset pattern: the lattice path on every batch
     "quasi_omni": (
         ("sim_time = 0.3", STEP, "rx_beamforming = quasi_omni", "prediction = none", "hmd_rows = 8", "hmd_cols = 8"),
-        "fda200e5913cd384aaca5c7518660dcd07fe96ebee35be99eb651d5077c750c5",
+        {
+            "AVX-512": "fda200e5913cd384aaca5c7518660dcd07fe96ebee35be99eb651d5077c750c5",
+            "AVX2": "c664aef6f6593222c47314e80a623a29453b72e6fc6c8b31c498cb8bb64daaba",
+        },
     ),
 }
 
 # covrage on a recorded 1 s trace (the one of ``TestBatchedLink``) run past
 # its end, so that link batches read the trace across its wrap
-WRAPPED = ("sim_time = 1.3", STEP), "c3813437a698eb051fde13e5659e9941331edb43a5a3da08e0e8dfbf47920f99"
+WRAPPED = ("sim_time = 1.3", STEP), {
+    "AVX-512": "c3813437a698eb051fde13e5659e9941331edb43a5a3da08e0e8dfbf47920f99",
+    "AVX2": "655ed3d5c79e4bdae0793c9d52bf8f4969115a053e7aae9eed79daa38db1597d",
+}
+
+# numpy's run-time dispatch then picks its AVX2 kernels on an AVX-512 host
+AVX2_ONLY = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def link_batch_digest(name):
+    """The digest of the DIGESTS case ``name`` on this process's kernels."""
+    batches = record_link_batches(macsim.Simulator(load_config(overrides=list(DIGESTS[name][0]))))
+    assert len(batches) >= 2
+    return batches_digest(batches)
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_link_batch_digest(name):
-    overrides, want = DIGESTS[name]
-    batches = record_link_batches(macsim.Simulator(load_config(overrides=list(overrides))))
-    assert len(batches) >= 2
-    assert batches_digest(batches) == want
+    assert link_batch_digest(name) == DIGESTS[name][1][KERNELS], HOST
 
 
 def test_link_batch_digest_across_a_recorded_traces_wrap(tmp_path):
@@ -65,4 +92,15 @@ def test_link_batch_digest_across_a_recorded_traces_wrap(tmp_path):
     assert sim.trace.duration == 1.0
     batches = record_link_batches(sim)
     assert any(np.frombuffer(starts)[-1] > 1.0 for starts, _ in batches)
-    assert batches_digest(batches) == want
+    assert batches_digest(batches) == want[KERNELS], HOST
+
+
+def test_the_avx2_digest_holds_on_the_avx2_kernels():
+    # on an AVX-512 host the tests above read only the AVX-512 digests; this
+    # one runs the covrage case where numpy dispatches to its AVX2 kernels
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, **AVX2_ONLY, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    code = "import test_link_batch_digests as t; print(t.KERNELS, t.link_batch_digest('covrage'))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["AVX2", DIGESTS["covrage"][1]["AVX2"]]
