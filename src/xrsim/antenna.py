@@ -15,8 +15,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import unit_vector
-
 SPEED_OF_LIGHT = 299_792_458.0
 
 # |field| below this is treated as a perfect null
@@ -360,4 +358,9 @@ def sample_directions(n: int, rng: np.random.Generator) -> np.ndarray:
     equidistributed on the sphere rather than piling up at the poles."""
     az = rng.uniform(-180.0, 180.0, size=n)
     el = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, size=n)))
-    return np.array([unit_vector(float(a), float(e)) for a, e in zip(az, el)]).reshape(n, 3)
+    # geometry.unit_vector's float arithmetic, into one array
+    xyz = []
+    for a, e in zip(map(math.radians, az.tolist()), map(math.radians, el.tolist())):
+        ce = math.cos(e)
+        xyz += ce * math.cos(a), ce * math.sin(a), math.sin(e)
+    return np.array(xyz).reshape(n, 3)

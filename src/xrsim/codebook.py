@@ -124,38 +124,56 @@ def _spread_and_candidates(mags: np.ndarray, reach: np.ndarray):
     return _spread_db(hi, lo), near
 
 
-def _window_layout(flat: np.ndarray, bounds: np.ndarray, first: np.ndarray, widths: np.ndarray):
-    """Flat layout of one array pass.
+def _row_fields(unit: np.ndarray, base: np.ndarray, amplitude: float) -> np.ndarray:
+    """``amplitude * (row @ base)`` for each row of ``unit``: a stacked
+    matmul makes the 1-D vector-matrix product once per row, with its bytes
+    (a host fact)."""
+    fields = unit[:, None] @ base
+    fields *= amplitude
+    return fields[:, 0]
+
+
+def _trial_deltas(phases: np.ndarray, signed: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Phasor change e^{j(phase + s)} - e^{j phase} of each element's trial
+    at s = +step and -step, (starts, 2, elements), from the (starts,
+    elements) ``phases`` and their phasors ``unit`` and the (starts, 2)
+    ``signed`` steps.  The trial phase is the sum an accepted trial keeps,
+    so a change stays exact until its element's phase or its start's step
+    moves."""
+    return np.exp(1j * (phases[:, None] + signed[:, :, None])) - unit[:, None]
+
+
+def _window_layout(flat: np.ndarray, bounds: np.ndarray, first: np.ndarray, width: int, n_samples: int):
+    """Layout of one array pass.
 
     Row s's candidates are ``flat[bounds[s]:bounds[s + 1]]`` (flat sample
-    indices, row after row), and it scores them at the ``widths[s]``
-    elements from element ``first[s]``: one trial group per (row, element),
-    row after row, each holding the row's candidates.  Returns each group's
-    row and element, each row's first group, where each group's values
-    start and how many there are, and the candidate of each value.  A row
-    that scores anything has at least one candidate, its largest sample, so
-    no group is empty.
+    indices, row after row), and it scores the ``width`` elements from
+    element ``first[s]``.  Returns each row's first candidate and candidate
+    count, and the (width, candidates) index into the flat (N, M) phasor
+    table of the element j places past the row's first one at each
+    candidate's sample: one row of candidate values per window element.  An
+    element past the last one indexes past the table row it needs.  A row
+    that scores anything has at least one candidate, its largest sample.
     """
-    owner = np.repeat(np.arange(len(widths)), widths)
-    group_first = np.cumsum(widths) - widths
-    elements = np.arange(len(owner)) + np.repeat(first - group_first, widths)
-    lens = np.diff(bounds)[owner]
-    runs = np.cumsum(lens) - lens
-    cand = flat[np.arange(runs[-1] + lens[-1]) + np.repeat(bounds[owner] - runs, lens)]
-    return owner, elements, group_first, runs, lens, cand
+    starts = bounds[:-1]
+    counts = bounds[1:] - starts
+    at = ((first - np.arange(len(first))) * n_samples).repeat(counts)
+    at += flat
+    return starts, counts, at + (np.arange(width) * n_samples)[:, None]
 
 
-def _window_ranges_db(runs, lens, values, delta, contrib) -> np.ndarray:
-    """Spread of each trial group ``values + delta[..., group] * contrib``
-    over the group's ``lens`` values from ``runs``; a leading axis of
-    ``delta`` stacks trials.  Each trial value is the same elementwise
-    product and sum as in the full row, so when the row's extremes are among
-    the group's values the spread equals that of the full row bit for bit."""
-    mags = np.repeat(delta, lens, axis=-1)
+def _window_ranges_db(starts, counts, values, delta, contrib) -> np.ndarray:
+    """Spread of each trial ``values + delta[..., row] * contrib`` over each
+    row's ``counts`` values from ``starts``: trial axes lead, and the last
+    axis runs over the rows in ``delta`` and over the values in ``values``
+    and ``contrib``.  Each trial value is the same elementwise product and
+    sum as in the full row, so when the row's extremes are among its values
+    the spread equals that of the full row bit for bit."""
+    mags = delta.repeat(counts, axis=-1)
     mags *= contrib
     mags += values
     mags = np.abs(mags)
-    return _spread_db(np.maximum.reduceat(mags, runs, axis=-1), np.minimum.reduceat(mags, runs, axis=-1))
+    return _spread_db(np.maximum.reduceat(mags, starts, axis=-1), np.minimum.reduceat(mags, starts, axis=-1))
 
 
 def synthesize_quasi_omni(
@@ -181,12 +199,15 @@ def synthesize_quasi_omni(
     row's largest or smallest one, where d = amplitude * 2 sin(step/2)
     bounds how far one trial moves any sample (``_candidate_reach``), so no
     other sample can hold an extreme of the trial row.  All windows are
-    equally long, the most elements (at least one) for which the array pass
-    holds at most starts x ``n_samples`` trial values over both signs: the
-    size of one full-read trial pass over every start's row.  A window also
-    ends at its start's pass end.  Equal windows keep the starts abreast, so
-    a start with many candidates does not need many more array passes than
-    the others.
+    equally long: the most elements (at least one) for which the array pass
+    holds at most starts x ``n_samples`` trial values over both signs, the
+    size of one full-read trial pass over every start's row, but no more
+    than the running starts have left of their passes on average.  Equal
+    windows keep the starts abreast, so a start with many candidates does
+    not need many more array passes than the others, and they make one
+    dense (sign, element, candidate) block of trial values.  A window that
+    runs past its start's pass end reads other phasors there and drops those
+    trials.
 
     The start then takes the window's first improving trial and drops the
     rest.  This makes the accept decisions of the descent run element by
@@ -200,18 +221,24 @@ def synthesize_quasi_omni(
     value at a candidate is the same elementwise product and sum as in the
     full row, and the spread depends on the row only through its extremes,
     which are candidates, so the window spread equals the full-read spread
-    bit for bit.
+    bit for bit.  That rests on numpy's complex exp and abs and its log10
+    giving an element the same bytes in arrays of any shape
+    (``tests/test_host_facts.py``).  Each trial's phasor change
+    e^{j(phase +- step)} - e^{j phase} is kept per start, sign and element,
+    and recomputed from the same sum where its inputs move: at an accepted
+    element, and over a start's row when its step halves.
 
     The taken trials of all starts, at their different elements, are
     computed over all samples in one batched row update with the full-read
-    arithmetic, and the start's candidates are re-picked from the new row
-    (the accepted row is computed in full anyway).  A start whose cursor
-    reaches the end of its pass halves its step if it did not move, or else
-    resyncs its row with the same 1-D ``unit @ base`` product; it then
-    retires (below the stop step or out of passes) or re-picks its
-    candidates at its new step and starts its next pass, whatever the other
-    starts are doing.  The weights are therefore those of full-read descents
-    run one start after another, bit for bit.
+    arithmetic and operand order.  A start whose cursor reaches the end of
+    its pass halves its step if it did not move, or else resyncs its row
+    with the 1-D ``unit @ base`` product, which a stacked matmul makes once
+    per row (a host fact); it then retires (below the stop step or out of
+    passes) or starts its next pass, whatever the other starts are doing.
+    Every start that moved or ended its pass re-picks its candidates once,
+    from its full row at its current step, and a retired start leaves the
+    arrays.  The weights are therefore those of full-read descents run one
+    start after another, bit for bit.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -223,81 +250,96 @@ def synthesize_quasi_omni(
     # per-element sample phasors; element phase enters as a scalar multiplier
     base = 1j * k * (geometry.element_positions() @ u.T)  # (N, M)
     np.exp(base, out=base)
-    base_flat = base.ravel()
     amplitude = 1.0 / math.sqrt(geometry.n_elements)
 
-    # one row per start for the whole descent; a retired row has no
-    # candidates and its cursor stays at the end, so it scores nothing
     phases = np.array(_initial_phase_candidates(geometry, rng))
     n_starts, n_elements = phases.shape
-    phases_flat = phases.ravel()
     unit = np.exp(1j * phases)
-    unit_flat = unit.ravel()
-    fields = np.stack([amplitude * (row @ base) for row in unit])
+    fields = _row_fields(unit, base, amplitude)
     step = np.full(n_starts, _STEP_INIT)
-    signed = np.stack((step, -step))
+    signed = np.stack((step, -step), axis=1)
     reach = _candidate_reach(step, n_elements)
     current, near = _spread_and_candidates(np.abs(fields), reach)
+    # each start's weights and spread once it retires
+    final_phases, final = phases.copy(), current.copy()
+    # one row per running start
+    ids = np.arange(n_starts if max_iters > 0 else 0)
+    deltas = _trial_deltas(phases, signed, unit)
     passes = np.zeros(n_starts, dtype=int)
     improved = np.zeros(n_starts, dtype=bool)
-    running = np.full(n_starts, max_iters > 0)
-    near[~running] = False
-    row_bounds = np.arange(n_starts + 1) * n_samples
     end = 2 * n_elements
     # the next trial of each start's pass: 2 * element, plus 1 for -step
-    cursor = np.where(running, 0, end)
+    cursor = np.zeros(n_starts, dtype=int)
+    row_starts = np.arange(n_starts + 1) * n_samples
+    # a row's trial changes of the window's elements, (sign, element)
+    trial_slots = np.arange(end).reshape(2, n_elements, 1)
 
-    while running.any():
+    while ids.size:
+        rows = np.arange(ids.size)
         first = cursor >> 1
-        flat = np.flatnonzero(near)
-        bounds = np.searchsorted(flat, row_bounds)
-        widths = np.minimum(n_elements - first, max(n_starts * n_samples // (2 * flat.size), 1))
-        owner, elements, group_first, runs, lens, cand = _window_layout(flat, bounds, first, widths)
-        contrib = np.take(base_flat, cand + np.repeat((elements - owner) * n_samples, lens))
-        np.multiply(amplitude, contrib, out=contrib)
-        at = owner * n_elements + elements
-        trial_step = signed[:, owner]
-        new = np.exp(1j * (np.take(phases_flat, at) + trial_step))
-        delta = new - np.take(unit_flat, at)
-        r = _window_ranges_db(runs, lens, np.take(fields, cand), delta, contrib)
+        flat = near.ravel().nonzero()[0]
+        width = min(max(n_starts * n_samples // (2 * flat.size), 1), n_elements - int(first.sum()) // ids.size)
+        starts, counts, at = _window_layout(flat, flat.searchsorted(row_starts[: ids.size + 1]), first, width, n_samples)
+        contrib = base.take(at, mode="clip")
+        contrib *= amplitude
+        delta = deltas.take(rows * end + first + trial_slots[:, :width], mode="clip")
+        r = _window_ranges_db(starts, counts, fields.take(flat), delta, contrib)
         # strict margin so rounding noise cannot masquerade as progress
-        better = r < (current - 1e-12)[owner]
-        better[0, group_first[cursor % 2 == 1]] = False  # +step already tried
-        cursor = 2 * (first + widths)
-        # each start takes its first improving trial, in trial order
-        hits = np.flatnonzero(better.T)
-        if hits.size:
-            rows = owner[hits >> 1]
-            lead = np.ones(hits.size, dtype=bool)
-            lead[1:] = rows[1:] != rows[:-1]
-            s, hits = rows[lead], hits[lead]
-            g, sign = hits >> 1, hits & 1
-            full = np.multiply(delta[sign, g][:, None], amplitude * base[elements[g]])
-            np.add(fields[s], full, out=full)
-            current[s], near[s] = _spread_and_candidates(np.abs(full), reach[s])
-            phases_flat[at[g]] += trial_step[sign, g]
-            unit_flat[at[g]] = new[sign, g]
-            fields[s] = full
-            improved[s] = True
-            cursor[s] = 2 * elements[g] + sign + 1
-        ended = np.flatnonzero(running & (cursor == end))
+        better = r < current - 1e-12
+        better[0, 0] &= (cursor & 1) == 0  # +step already tried
+        # (trial, row) in trial order, element after element and +step
+        # first; each start takes its first improving trial in its pass
+        better = better.transpose(1, 0, 2).reshape(2 * width, -1)
+        hit = better.argmax(axis=0)
+        took = better[hit, rows] & (hit < end - 2 * first)
+        cursor = np.minimum(2 * first + np.where(took, hit + 1, 2 * width), end)
+        k = took.nonzero()[0]
+        if k.size:
+            e = first[k] + (hit[k] >> 1)
+            sign = hit[k] & 1
+            x = phases[k, e] + signed[k, sign]
+            # the full-read row update, operands in its order, computed in
+            # the gathered phasor rows
+            row = base[e]
+            np.multiply(amplitude, row, out=row)
+            np.multiply(deltas[k, sign, e][:, None], row, out=row)
+            np.add(fields[k], row, out=row)
+            fields[k] = row
+            phases[k, e] = x
+            unit[k, e] = new = np.exp(1j * x)
+            deltas[k, :, e] = _trial_deltas(x[:, None], signed[k], new[:, None])[:, :, 0]
+            improved[k] = True
+        at_end = cursor == end
+        ended = at_end.nonzero()[0]
         if ended.size:
-            moved = improved[ended]
-            step[ended[~moved]] *= 0.5
-            signed = np.stack((step, -step))
+            moved = ended[improved[ended]]
+            halved = ended[~improved[ended]]
+            if halved.size:
+                step[halved] *= 0.5
+                signed[halved] *= 0.5
+                reach[halved] = _candidate_reach(step[halved], n_elements)
+                deltas[halved] = _trial_deltas(phases[halved], signed[halved], unit[halved])
             # incremental updates accumulate error; resync once per pass
-            for s in ended[moved]:
-                fields[s] = amplitude * (unit[s] @ base)
-            reach[ended] = _candidate_reach(step[ended], n_elements)
-            current[ended], near[ended] = _spread_and_candidates(np.abs(fields[ended]), reach[ended])
+            fields[moved] = _row_fields(unit[moved], base, amplitude)
             passes[ended] += 1
             improved[ended] = False
-            retired = ended[(step[ended] < _STEP_MIN) | (passes[ended] == max_iters)]
-            running[retired] = False
-            near[retired] = False
-            cursor[ended] = np.where(running[ended], 0, end)
+            at_end |= took
+            k = at_end.nonzero()[0]
+        current[k], near[k] = _spread_and_candidates(np.abs(fields.take(k, axis=0)), reach[k])
+        if ended.size:
+            cursor[ended] = 0
+            done = ended[(step[ended] < _STEP_MIN) | (passes[ended] == max_iters)]
+            if done.size:
+                final_phases[ids[done]] = phases[done]
+                final[ids[done]] = current[done]
+                keep = np.ones(ids.size, dtype=bool)
+                keep[done] = False
+                ids, phases, unit, fields, near, current, step, signed, reach, deltas, passes, improved, cursor = (
+                    a[keep]
+                    for a in (ids, phases, unit, fields, near, current, step, signed, reach, deltas, passes, improved, cursor)
+                )
 
-    return Awv(phases[np.argmin(current)])
+    return Awv(final_phases[np.argmin(final)])
 
 
 @lru_cache(maxsize=16)

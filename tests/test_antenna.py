@@ -418,6 +418,18 @@ class TestSampleDirections:
         c = sample_directions(100, np.random.default_rng(6))
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("n", [0, 1, 3, 1000])
+    def test_bytes_are_those_of_a_unit_vector_per_sample(self, seed, n):
+        # the same draws, turned into directions one unit_vector at a time
+        rng = np.random.default_rng(seed)
+        az = rng.uniform(-180.0, 180.0, size=n)
+        el = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, size=n)))
+        want = np.array([unit_vector(float(a), float(e)) for a, e in zip(az, el)]).reshape(n, 3)
+        got = sample_directions(n, np.random.default_rng(seed))
+        assert got.shape == (n, 3) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_covers_the_sphere(self):
         dirs = sample_directions(1000, np.random.default_rng(0))
         assert dirs.shape == (1000, 3)

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from linkbatches import batches_digest, record_link_batches
-from test_host_facts import HOST, KERNELS
+from test_host_facts import AVX2_ONLY, HOST, KERNELS
 from xrsim import macsim
 from xrsim.config import load_config
 from xrsim.mobility import save_trace
@@ -67,10 +67,6 @@ WRAPPED = ("sim_time = 1.3", STEP), {
     "AVX-512": "c3813437a698eb051fde13e5659e9941331edb43a5a3da08e0e8dfbf47920f99",
     "AVX2": "655ed3d5c79e4bdae0793c9d52bf8f4969115a053e7aae9eed79daa38db1597d",
 }
-
-# numpy's run-time dispatch then picks its AVX2 kernels on an AVX-512 host
-AVX2_ONLY = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-
 
 def link_batch_digest(name):
     """The digest of the DIGESTS case ``name`` on this process's kernels."""
