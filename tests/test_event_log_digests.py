@@ -1,4 +1,4 @@
-"""Behaviour fingerprint: SHA-256 of the event-log bytes of nine fixed 2 s runs.
+"""Behaviour fingerprint: SHA-256 of the event-log bytes of ten fixed 2 s runs.
 
 Every event, its time to the nanosecond and its detail (sweep winners, MPDU
 outcomes and start times) lands in the log, so these digests pin the
@@ -9,8 +9,11 @@ same logs are checked to run in (time, rank) order.
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from xrsim import macsim
+from xrsim.config import load_config
 from xrsim.macsim import _RANK, write_event_log
 
 DIGESTS = {
@@ -65,6 +68,13 @@ DIGESTS = {
         ("prediction = extrapolation", "bf_interval = 1.0"),
         "4b904e90e32683438d6e4841f99b4eac09560a938ed8c8ccb5cd2d89e91d6d0d",
     ),
+    # 50 ms walk steps, as the link-batch digests take, move the headset off
+    # the axes through the AP's foot point, where every AP sweep of the runs
+    # above is a mirror tie; here most sweeps are decided by gain
+    "walk_50ms": (
+        ("walk_step_interval = 0.05",),
+        "9fc308e7722392608fc5ad098c5e3c9476db9f32322d22b61f7a4d80f116ee3c",
+    ),
 }
 
 
@@ -88,3 +98,19 @@ def test_events_run_in_time_and_rank_order(name, run_cached):
     assert keys == sorted(keys)
     shared = [(a.kind, b.kind) for a, b in zip(events, events[1:]) if a.t == b.t and a.kind != b.kind]
     assert sum(kind == "burst_arrival" for _, kind in shared) >= 1
+
+
+def test_the_off_axis_run_decides_ap_sweeps_by_gain(monkeypatch):
+    # 16 of its 20 AP sweeps have a top-two gap above 1e-6 dB, where the
+    # other runs' 20 are all mirror pairs within SWEEP_TIE_DB
+    gaps, pick = [], macsim.best_sector
+
+    def recording(gains_db):
+        second, first = np.sort(gains_db)[-2:]
+        gaps.append(first - second)
+        return pick(gains_db)
+
+    monkeypatch.setattr(macsim, "best_sector", recording)
+    macsim.run(load_config(overrides=["sim_time = 2.0", *DIGESTS["walk_50ms"][0]]))
+    assert len(gaps) == 20
+    assert sum(gap > 1e-6 for gap in gaps) >= 16
