@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import math
 import os
 import sys
 
@@ -26,17 +25,6 @@ def _out_dir(args) -> str:
     os.makedirs(d, exist_ok=True)
     return d
 
-
-def _positive(text: str) -> float:
-    """argparse type: a finite number above 0, so that a bad value exits 1
-    naming the option."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(text)
-    return value
-
-
-_positive.__name__ = "finite float > 0"  # argparse's "invalid ... value" names it
 
 # -- subcommands ----------------------------------------------------------
 
@@ -151,9 +139,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = read_frame_records(args.frames)
-    summary = summarize(records, args.deadline)
-    for line in summary_lines(summary):
+    records, deadline = read_frame_records(args.frames)
+    for line in summary_lines(summarize(records, deadline)):
         print(line)
     return 0
 
@@ -193,9 +180,8 @@ def _parser() -> argparse.ArgumentParser:
     sw.add_argument("--label", default="sweep", help="basename for the combined CSV")
     sw.set_defaults(func=_cmd_sweep)
 
-    rep = sub.add_parser("report", help="re-summarize a per-frame CSV")
+    rep = sub.add_parser("report", help="re-summarize a per-frame CSV at its run's deadline")
     rep.add_argument("--frames", required=True, help="per-frame CSV path")
-    rep.add_argument("--deadline", type=_positive, default=0.020)
     rep.set_defaults(func=_cmd_report)
 
     gm = sub.add_parser("generate-mobility", help="write the rotation trace a scenario runs on")

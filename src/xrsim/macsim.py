@@ -359,7 +359,7 @@ class Simulator:
         cfg = self.cfg
         drop_age, cap, count = cfg.deadline, self._link_cap, self.burst_count
         horizon = min(self._slots["bf_trigger"][0], cfg.sim_time)
-        tbtt = self._slots["beacon_start"][0]
+        tbtt, _, _, _, j = self._slots["beacon_start"]  # j: the index _schedule pushed
         if cfg.bf_location == "abft" or self.sls_owed:
             horizon, tbtt = min(horizon, tbtt), math.inf
         bound = min(horizon, tbtt)  # the one comparison per start
@@ -381,7 +381,7 @@ class Simulator:
                         # the BHI ends as _reserve computes it; the next TBTT
                         # is taken as _schedule computes it
                         t = max(t, tbtt + cfg.bhi_duration)
-                        j = round(tbtt / bi) + 1
+                        j += 1
                         tbtt = j * bi if j < n_beacons else math.inf
                     if t >= horizon:
                         return starts
@@ -439,6 +439,10 @@ class Simulator:
             intervals.append((t, self._reserved_until))
         return self._reserved_until
 
+    def _sls_fits(self, t: float) -> bool:
+        """Whether a sweep that starts at t ends by the next TBTT."""
+        return t + self.cfg.sls_duration <= self._slots["beacon_start"][0]
+
     def _begin_sls(self, t: float) -> None:
         self.counters["sls_runs"] += 1
         self._push(self._reserve(t, self.cfg.sls_duration, self.sls_intervals), "sls_done")
@@ -479,7 +483,7 @@ class Simulator:
             return
         # until the next event t only grows and the TBTT stays fixed, so a
         # sweep that does not fit now fits at no later decision either
-        if self.sls_owed and t + self.cfg.sls_duration <= self._slots["beacon_start"][0]:
+        if self.sls_owed and self._sls_fits(t):
             self.sls_owed = False
             self._begin_sls(t)
             return
@@ -566,7 +570,7 @@ class Simulator:
         self._schedule("bf_trigger", index + 1)
         self.sls_owed = True
         # logged before the decision, which may serve MPDUs ending after t
-        postponed = self._slots["bhi_end"][0] != math.inf or t + self.cfg.sls_duration > self._slots["beacon_start"][0]
+        postponed = self._slots["bhi_end"][0] != math.inf or not self._sls_fits(t)
         waits = "pending" if self._busy() else "start"
         self._log(t, "bf_trigger", "postponed" if postponed else waits)
 

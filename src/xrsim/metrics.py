@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .config import ScenarioConfig, parse_config_lines
 from .macsim import FrameRecord
 
 
@@ -129,13 +130,17 @@ class FrameFormatError(ValueError):
     """A per-frame CSV row that :func:`write_outputs` could not have written."""
 
 
-def read_frame_records(path) -> list[FrameRecord]:
-    """Read back a per-frame CSV written by :func:`write_outputs`.  A row
-    that is short, not numeric, not finite, completes before it was created,
-    has a delivered flag other than 0 or 1, or is delivered without a
-    completion time raises FrameFormatError naming its line; a file without
-    rows raises it naming the file."""
-    records = []
+def read_frame_records(path) -> tuple[list[FrameRecord], float]:
+    """Read back a per-frame CSV written by :func:`write_outputs`, and the
+    deadline its run held the frames to: the ``# deadline = ...`` line of
+    its config echo, or the :class:`ScenarioConfig` default where it has
+    none, as for a config file.  A row that is short, not numeric, not
+    finite, completes before it was created, has a delivered flag other than
+    0 or 1, or is delivered without a completion time raises
+    FrameFormatError naming its line; a file without rows raises it naming
+    the file.  A ``#`` line that is no config line, or a deadline that is
+    not finite and above 0, raises ConfigError naming it."""
+    records, echo = [], []
     with open(path, "r", encoding="ascii") as fh:
         try:
             lines = fh.read().split("\n")
@@ -143,6 +148,7 @@ def read_frame_records(path) -> list[FrameRecord]:
             raise FrameFormatError("%s: not an ASCII frame file (%s)" % (path, exc.reason)) from None
         for n, raw in enumerate(lines, start=1):
             line = raw.strip()
+            echo.append(line[1:] if line.startswith("#") else "")  # at its own line number
             if not line or line.startswith("#") or line.startswith("frame_id"):
                 continue
             fields = line.split(",")
@@ -164,4 +170,5 @@ def read_frame_records(path) -> list[FrameRecord]:
                 raise FrameFormatError("%s: line %d: malformed frame row %r" % (path, n, line)) from None
     if not records:
         raise FrameFormatError("%s: no frame rows" % path)
-    return records
+    deadline = parse_config_lines(echo, source=str(path)).get("deadline", ScenarioConfig.deadline)
+    return records, ScenarioConfig(deadline=deadline).validate().deadline

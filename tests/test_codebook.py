@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from xrsim import codebook
 from xrsim.antenna import _NULL_FIELD, ArrayGeometry, Awv, AwvEvaluator, gain_db, sample_directions, steering_phases
 from xrsim.codebook import (
     _STEP_INIT,
@@ -307,6 +309,26 @@ class TestCandidateDescent:
             assert len({frozenset(m) for m in log["moved"]}) > 1, seed
             got = synthesize_quasi_omni(g, n_samples=37, seed=seed, max_iters=40)
             assert np.array_equal(got.phases, want.phases), seed
+
+    def test_a_pass_end_resyncs_each_moved_row(self, monkeypatch):
+        # a start's row takes one incremental update per accepted trial;
+        # where its pass ends, before its candidates are re-picked, a row
+        # that moved is the fresh product, as in the full-read descent.  No
+        # pinned weights depend on that resync, so this reads the rows
+        # themselves in the synthesis' frame
+        resynced, pick = [], codebook._spread_and_candidates
+
+        def checking(mags, reach):
+            state = sys._getframe(1).f_locals
+            if "ended" in state and state["ended"].size:
+                unit, base, amplitude = state["unit"], state["base"], state["amplitude"]
+                for i in state["moved"]:
+                    resynced.append(np.array_equal(state["fields"][i], amplitude * (unit[i] @ base)))
+            return pick(mags, reach)
+
+        monkeypatch.setattr(codebook, "_spread_and_candidates", checking)
+        synthesize_quasi_omni(ArrayGeometry(8, 8), n_samples=1000, seed=7, max_iters=40)
+        assert len(resynced) > 100 and all(resynced)
 
     def test_working_set_stays_below_the_phasor_table(self):
         # an array pass holds at most starts x n_samples trial values, so the

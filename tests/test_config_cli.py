@@ -221,7 +221,7 @@ class TestSimulateCommand:
         summary = (tmp_path / "demo_summary.txt").read_text()
         assert "# sim_time = 0.29999999999999999\n" in summary or "# sim_time = 0.3\n" in summary
         assert "frame_count=30\n" in summary
-        frames = read_frame_records(tmp_path / "demo_frames.csv")
+        frames, _ = read_frame_records(tmp_path / "demo_frames.csv")
         assert [r.frame_id for r in frames] == list(range(30))
 
     def test_events_flag_writes_the_log(self, tmp_path):
@@ -500,13 +500,33 @@ class TestReportCommand:
         assert "none" not in out
         assert "reliability=1.0000" not in out
 
-    # a run whose frames all arrived within 6 ms re-summarized with either
-    # deadline read a quiet reliability of 0
+    def test_the_runs_own_deadline_summarizes_it(self, tmp_path, capsys):
+        # at deadline = 0.04 the run delivers 44 of 200 frames; report, which
+        # took a 20 ms deadline of its own, printed 12 of 200
+        run_args = ["--set", "sim_time = 2", "--set", "data_rate = 8e9", "--set", "deadline = 0.04",
+                    "--set", "seed = 1"]
+        assert cli.main(["simulate", "--out-dir", str(tmp_path), "--label", "d"] + run_args) == 0
+        capsys.readouterr()
+        assert cli.main(["report", "--frames", str(tmp_path / "d_frames.csv")]) == 0
+        out = capsys.readouterr().out
+        summary = (tmp_path / "d_summary.txt").read_text()
+        assert out == "".join(ln + "\n" for ln in summary.splitlines() if not ln.startswith("#"))
+        assert "reliability=0.2200\n" in out
+
+    def test_deadline_is_no_option(self, tmp_path, capsys):
+        # the MAC drops stale frames at the run's deadline, so a summary at
+        # any other one misreads the run
+        assert cli.main(["report", "--frames", str(tmp_path / "f.csv"), "--deadline", "0.04"]) == 1
+        assert "unrecognized arguments: --deadline" in capsys.readouterr().err
+
+    # a file whose frames all arrived within 6 ms would read a quiet
+    # reliability of 0
     @pytest.mark.parametrize("deadline", ["nan", "-1"])
-    def test_bad_deadline_exits_one_naming_it(self, tmp_path, capsys, deadline):
-        rc = cli.main(["report", "--frames", str(tmp_path / "f.csv"), "--deadline", deadline])
-        assert rc == 1
-        assert "argument --deadline:" in capsys.readouterr().err
+    def test_a_bad_deadline_line_exits_one_naming_it(self, tmp_path, capsys, deadline):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# deadline = %s\nframe_id,created_s,completed_s,delivered\n0,0.0,0.006,1\n" % deadline)
+        assert cli.main(["report", "--frames", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("config error: deadline")
 
     # short and non-numeric rows exited 2 as a runtime error; the others
     # exited 0 with a nan median, a negative latency, or a row flagged

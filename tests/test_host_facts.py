@@ -102,7 +102,7 @@ def test_complex_exp_is_cos_plus_j_sin():
 
 # SHA-256 of np.log10 and np.arccos over seeded inputs in the ranges the
 # link path feeds them, per kernel level.  The two levels differ on 821 and
-# 400 of the inputs, and so do the four link-batch digests of
+# 400 of the inputs, and so do the five link-batch digests of
 # test_link_batch_digests.py
 LOG10 = {
     "AVX-512": "0596f4945edfa26887295ef54fb6660b498290ca48df3f1aab9e4743fd440e3f",

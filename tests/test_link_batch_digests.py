@@ -1,4 +1,4 @@
-"""Same-floats guard: SHA-256 of every link batch of four short runs, the
+"""Same-floats guard: SHA-256 of every link batch of five short runs, the
 starts and the SNR bytes (``tests/linkbatches.py``).
 
 The event-log digests see only outcomes: an SNR that moves by an ulp and
@@ -40,6 +40,15 @@ DIGESTS = {
         {
             "AVX-512": "faf1e840826359beb19634066f100e6f3400486a3d4252d502ae241538bfb5de",
             "AVX2": "257d3d9c9c1ee218b46da7f5c8a2b4ed9e26f0d23f92687418dbefae6f74b35b",
+        },
+    ),
+    # the covrage beam planned from extrapolated motion, where no attempt
+    # fails at bf_interval = 0.1, so no event-log digest sees it
+    "extrapolation": (
+        ("sim_time = 0.3", STEP, "prediction = extrapolation"),
+        {
+            "AVX-512": "ecd608ad4fce91f777ba1087eb12787ef0317bef9a45d5fd8ea13c1413ca6586",
+            "AVX2": "48d5319b43a4af8bc6b111e7f71e15604eacb0b2f488fcdd40176481c0b4a7ea",
         },
     ),
     # 8x8 headset sectors swept after every beacon header: real one-block

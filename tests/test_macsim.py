@@ -50,6 +50,12 @@ def set_slot(sim, kind, t):
     sim._slots[kind] = (t,) + sim._slots[kind][1:]
 
 
+def set_tbtt(sim, t):
+    """Make the pending beacon fall at t, with the index of the grid TBTT
+    nearest t as its payload, from which the MAC counts the TBTTs after it."""
+    sim._slots["beacon_start"] = (t,) + sim._slots["beacon_start"][1:4] + (round(t / sim.cfg.bi_duration),)
+
+
 def frame_airtime(config):
     """Uninterrupted service time of one whole burst, from ``burst_shape``."""
     count, full, tail = burst_shape(config)
@@ -937,7 +943,7 @@ class TestBatchedLink:
         and the queue, from frame ``head`` of which ``sent`` MPDUs are
         delivered."""
         period = sim.cfg.burst_interval
-        set_slot(sim, "beacon_start", next_tbtt)
+        set_tbtt(sim, next_tbtt)
         set_slot(sim, "bf_trigger", next_trigger)
         sim.frames = [FrameRecord(k, k * period) for k in range(frames_seen)]
         sim.head, sim.sent = head, sent
@@ -1067,7 +1073,7 @@ class TestBatchedLink:
         self.open_epoch(sim, 31, head=30, next_tbtt=1.0, next_trigger=1.0)
         want = self.back_to_back(0.301, [full] * 10)
         tbtt = want[6] if landing == "at" else (want[5] + want[6]) / 2.0
-        set_slot(sim, "beacon_start", tbtt)
+        set_tbtt(sim, tbtt)
         bhi_end = tbtt + sim.cfg.bhi_duration  # as _reserve computes it
         assert bhi_end > want[6]
         got = sim._predicted_starts(0.301)
@@ -1082,7 +1088,7 @@ class TestBatchedLink:
         self.open_epoch(sim, 31, head=30, next_tbtt=1.0, next_trigger=1.0)
         want = self.back_to_back(0.301, [full] * 10)
         tbtt = (want[5] + want[6]) / 2.0
-        set_slot(sim, "beacon_start", tbtt)
+        set_tbtt(sim, tbtt)
         assert tbtt + sim.cfg.bhi_duration < want[6]
         assert sim._predicted_starts(0.301)[:11] == want
 

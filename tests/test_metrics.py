@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xrsim.config import ScenarioConfig
 from xrsim.macsim import FrameRecord
 from xrsim.metrics import FrameFormatError, quantile, read_frame_records, summarize, write_outputs
 
@@ -128,10 +129,11 @@ class TestOutputs:
         s = summarize(records, DEADLINE)
         path = tmp_path / "frames.csv"
         write_outputs(s, records, frames_path=path, header_lines=["sim_time = 2.0"])
-        back = read_frame_records(path)
+        back, deadline = read_frame_records(path)
         assert [(r.frame_id, r.created, r.completed, r.delivered) for r in back] == [
             (r.frame_id, r.created, r.completed, r.delivered) for r in records
         ]
+        assert deadline == ScenarioConfig().deadline  # the echo names none
         assert path.read_text().startswith("# sim_time = 2.0\n")
 
     def test_summary_file_contents(self, tmp_path):
