@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .codebook import CODEBOOK_SIZE, QO_SAMPLES
+from .codebook import CODEBOOK_SIZE
 from .mobility import peak_dps_floor, peak_dps_limit
 
 ALLOWED_DATA_RATES = (2e9, 5e9, 7e9, 8e9)
@@ -28,6 +28,12 @@ PREDICTION_MODES = ("extrapolation", "device", "oracle", "none")
 # scenarios stay below it: their largest counts are the set-up of a 64x64
 # headset, 4.3e6, and the attempt bound of a 20 s run at 2 Gbps, 1.6e6.
 WORK_CAP = 1e7
+
+# set-up work counted per array element besides its codebook entries: a
+# bound well above what set-up builds per element, held at the 1,000 sample
+# directions per element that set-up once drew so that the cap rejects the
+# same configs
+SETUP_WORK_PER_ELEMENT = 1000
 
 # largest room side in metres; keeps squared distances far from overflow
 MAX_ROOM_SIDE = 1e6
@@ -192,9 +198,9 @@ class ScenarioConfig:
         """The counts that bound a run's work and memory, keyed by how they
         are formed.  Every MPDU attempt occupies the medium for at least the
         shortest MPDU's airtime, so sim_time over that airtime bounds the
-        attempts, retries of a failing MPDU included.  Set-up builds, per
-        array element, a quasi-omni field over the synthesis budget's sample
-        directions and a sector codebook."""
+        attempts, retries of a failing MPDU included.  Set-up is counted
+        per array element: :data:`SETUP_WORK_PER_ELEMENT` plus one entry
+        per codebook sector."""
         periodic = self.frame_rate + 1.0 / self.bi_duration
         if self.bf_location == "dti":
             periodic += 1.0 / self.bf_interval
@@ -208,9 +214,9 @@ class ScenarioConfig:
                 self.sim_time / (shortest + self.per_mpdu_overhead),
             "trace samples sim_time x trace_sample_rate": self.sim_time * self.trace_sample_rate,
             "walk steps sim_time / walk_step_interval": self.sim_time / self.walk_step_interval,
-            f"set-up ({QO_SAMPLES} quasi-omni samples + {CODEBOOK_SIZE} sectors) x "
+            f"set-up ({SETUP_WORK_PER_ELEMENT} per element + {CODEBOOK_SIZE} sectors) x "
             "(ap_rows x ap_cols + hmd_rows x hmd_cols)":
-                (QO_SAMPLES + CODEBOOK_SIZE) * (self.ap_rows * self.ap_cols + rows * cols),
+                (SETUP_WORK_PER_ELEMENT + CODEBOOK_SIZE) * (self.ap_rows * self.ap_cols + rows * cols),
         }
 
 

@@ -10,9 +10,9 @@ of one with period P runs at ``k * P`` for k < max(1, ceil(sim_time / P -
 written, never pushed, wherever frames join the queue, array steps included.
 The medium is busy while a BHI, sweep or MPDU end is pending.  Every
 stochastic input is drawn before the first event runs: the rotation trace
-and walk from the scenario seed, the quasi-omni pattern from the fixed seed
-of its synthesis budget (:mod:`codebook`).  So two runs of the same config
-replay identically, down to the bytes of the event log.
+and walk from the scenario seed; the quasi-omni pattern is a closed form
+(:mod:`codebook`).  So two runs of the same config replay identically, down
+to the bytes of the event log.
 
 Medium model: drops and completions take the queue head and arrivals
 append, so the MAC queue is ``frames[head:]``, the arrived frames neither
@@ -56,8 +56,7 @@ whose end the owed t = 0 sweep starts (DTI) or the update itself happens
 (A-BFT).  So there is no pre-sweep link state, and a quasi-omni pattern is
 built only where it is a receive pattern: the headset's in the
 ``quasi_omni`` mode, and as the last entry of the ``sectors`` codebook.  The
-AP transmits on steered sectors alone, so covrage synthesizes none; at
-64x64 that synthesis is the costliest set-up step.
+AP transmits on steered sectors alone, so covrage builds none.
 
 Link evaluation runs per beamforming epoch.  Between two updates the AWV
 pair is fixed, so an MPDU's SNR is a function of its start time alone.  In
@@ -239,7 +238,7 @@ class Simulator:
 
         rows, cols = cfg.hmd_shape()
         self.hmd_geometry = ArrayGeometry(rows, cols, cfg.spacing, cfg.carrier_hz)
-        # the HMD quasi-omni is synthesized only where it is a receive
+        # the HMD quasi-omni is built only where it is a receive
         # pattern: the quasi_omni mode and the sectors codebook's last entry
         self.hmd_sweep = None
         if cfg.rx_beamforming == "sectors":

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from xrsim import macsim
-from xrsim.antenna import ArrayGeometry, Awv, AwvEvaluator, gain_db, steered_awv, steering_phases
-from xrsim.codebook import generate_sector_codebook, sample_directions, synthesize_quasi_omni
+from xrsim.antenna import ArrayGeometry, Awv, AwvEvaluator, gain_db, sample_directions, steered_awv, steering_phases
+from xrsim.codebook import generate_sector_codebook, synthesize_quasi_omni
 from xrsim.config import load_config
 from xrsim.covrage import choose_block_count, plan_with_k, trajectory_from_poses
 from xrsim.geometry import Pose, Quaternion, slerp, unit_vector
@@ -24,6 +24,7 @@ from xrsim.macsim import best_sector, write_event_log
 from angles import rotation_angle
 from claims import SCENARIOS, margins, reliability
 from fields import block_field
+from linkbatches import record_link_batches
 
 
 def report(name, ok, detail):
@@ -85,6 +86,25 @@ def test_criterion_3_predictive_beam_headline(claims):
 def test_criterion_4_baseline_collapse(claims):
     detail = "sectors %.4f and quasi-omni %.4f both >= 10 pp under %.4f" % claims[4].values
     report("criterion 4", claims[4].margin >= 0.0, detail)
+
+
+# why criterion 4 holds whatever the quasi-omni weights: the quasi_omni
+# link's best SNR over the 20 s run, 10.82 dB, sits 7.18 dB under the
+# threshold, because a phase-only pattern spread over the sphere has no
+# array gain
+QUASI_OMNI_SHORTFALL_DB = 7.0
+
+
+def test_criterion_4_quasi_omni_link_stays_under_the_threshold():
+    sim = macsim.Simulator(load_config(overrides=list(SCENARIOS["quasi_omni"])))
+    best = max(np.frombuffer(snr).max() for _, snr in record_link_batches(sim))
+    threshold = sim.cfg.snr_threshold_db
+    report(
+        "criterion 4 reason",
+        threshold - best >= QUASI_OMNI_SHORTFALL_DB,
+        "quasi-omni best SNR %.2f dB, %.2f dB >= %.1f dB under the %.0f dB threshold"
+        % (best, threshold - best, QUASI_OMNI_SHORTFALL_DB, threshold),
+    )
 
 
 def test_criterion_5_sweep_plateau_gap(run_cached):
@@ -195,15 +215,16 @@ def test_criterion_8_property_suite(run_cached, tmp_path):
         ok &= len(awvs) == 37 and best_sector(AwvEvaluator(g, awvs).gain_db(d)) == best_sector(gains)
     checks.append(("sweep winner vs brute force", ok))
 
-    # synthesized quasi-omni flattens its own sample set below the zero start
+    # the closed-form quasi-omni pattern spreads its gain over each of ten
+    # sphere samples less than the unshaped array does
     ok = True
-    g = ArrayGeometry(4, 4)
-    for seed in range(10):
-        awv = synthesize_quasi_omni(g, n_samples=300, seed=seed, max_iters=10)
-        dirs = sample_directions(300, np.random.default_rng(seed))
-        opt = [gain_db(g, awv, d) for d in dirs]
-        zero = [gain_db(g, Awv(np.zeros(16)), d) for d in dirs]
-        ok &= (max(opt) - min(opt)) < (max(zero) - min(zero))
+    for g in (ArrayGeometry(4, 4), ArrayGeometry(8, 8), ArrayGeometry(64, 64)):
+        awv, zero = synthesize_quasi_omni(g), Awv(np.zeros(g.n_elements))
+        for seed in range(10):
+            dirs = sample_directions(300, np.random.default_rng(seed))
+            qo = [gain_db(g, awv, d) for d in dirs]
+            flat = [gain_db(g, zero, d) for d in dirs]
+            ok &= (max(qo) - min(qo)) < (max(flat) - min(flat))
     checks.append(("quasi-omni beats zero phase", ok))
 
     # a single-block plan is plain steering at the trajectory midpoint

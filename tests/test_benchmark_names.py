@@ -84,7 +84,7 @@ def test_one_sweep_books_one_gain_call(monkeypatch):
     from tracer import Tracer, instrument
 
     g = ArrayGeometry(8, 8)
-    awvs = generate_sector_codebook(g, synthesize_quasi_omni(g, seed=3))
+    awvs = generate_sector_codebook(g, synthesize_quasi_omni(g))
     sim = macsim.Simulator(load_config(overrides=["sim_time = 0.3", "rx_beamforming = sectors", "prediction = none"]))
     with instrument(Tracer()) as tracer:
         antenna.AwvEvaluator(g, awvs).gain_db(unit_vector(20.0, -10.0))

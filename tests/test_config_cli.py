@@ -257,8 +257,8 @@ class TestSimulateCommand:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
-    # the quasi-omni synthesis budget is a set of codebook constants, not
-    # scenario fields
+    # the quasi-omni pattern is a closed form with no budget; the names of
+    # the search budget it replaced are not scenario fields
     @pytest.mark.parametrize("via", ["--set", "--config"])
     @pytest.mark.parametrize("key", ["qo_samples", "qo_iters", "qo_iters_large", "codebook_seed"])
     def test_synthesis_budget_keys_are_unknown(self, tmp_path, capsys, key, via):

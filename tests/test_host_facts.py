@@ -9,13 +9,8 @@ behind it fails beside it, named, with the kernel level it ran on.
 
 import hashlib
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 try:
     _FEATURES = np._core._multiarray_umath.__cpu_features__
@@ -55,40 +50,6 @@ def test_squared_distance_is_einsums_order():
     x, y, z = v.T
     fact(np.array_equal(np.einsum("ij,ij->i", v, v), x * x + z * z + y * y),
          'np.einsum("ij,ij->i") over (n, 3) is x*x + z*z + y*y')
-
-
-def test_stacked_matmul_rows_are_the_1d_products():
-    # codebook.synthesize_quasi_omni computes its starts' rows, and resyncs
-    # the rows that moved, as one stacked (k, 1, N) @ (N, M) matmul; numpy
-    # runs it as one vector-matrix product per row, the bytes of the 1-D
-    # ``row @ base`` the quasi-omni weight digests were taken on
-    rng = np.random.default_rng(23)
-    base = np.exp(1j * rng.uniform(-400.0, 400.0, (64, 1000)))
-    rows = np.exp(1j * rng.uniform(-4.0, 4.0, (18, 64)))
-    stacked = (rows[:, None] @ base)[:, 0]
-    fact(all(stacked[i].tobytes() == (row @ base).tobytes() for i, row in enumerate(rows)),
-         "stacked (k, 1, N) @ (N, M) rows are the 1-D row @ base")
-
-
-def test_descent_ufuncs_do_not_depend_on_the_array_around_an_element():
-    # the quasi-omni descent scores a trial in arrays of other shapes than
-    # the full-read descent it must match: complex exp of the trial phases
-    # (kept per start, sign and element), complex abs of the trial fields
-    # and log10 of their extremes must give each element the bytes it gets
-    # in any other array
-    rng = np.random.default_rng(29)
-    phases = rng.uniform(-8.0, 8.0, 20_001)
-    fields = rng.standard_normal(20_001) + 1j * rng.standard_normal(20_001)
-    mags = 10.0 ** rng.uniform(-6.0, 1.0, 20_001)
-    for name, f, x in (("exp", lambda x: np.exp(1j * x), phases), ("abs", np.abs, fields), ("log10", np.log10, mags)):
-        whole = f(x)
-        for n in (1, 2, 7, 130, 8_001):
-            gathered = np.sort(rng.choice(x.size, n, replace=False))
-            fact(f(x[gathered]).tobytes() == whole[gathered].tobytes(),
-                 "np.%s of %d gathered elements is their bytes in the whole array" % (name, n))
-            grid = f(x[gathered[: n - n % 2]].reshape(2, -1, 1))
-            fact(grid.tobytes() == whole[gathered[: n - n % 2]].tobytes(),
-                 "np.%s over a (2, %d, 1) grid is the bytes of the whole array" % (name, n // 2))
 
 
 def test_complex_exp_is_cos_plus_j_sin():
@@ -155,26 +116,3 @@ def test_trig_bytes_do_not_depend_on_the_array_around_an_element():
             for start in rng.integers(0, x.size - n, 3).tolist():
                 fact(f(x[start : start + n]).tobytes() == whole[start : start + n].tobytes(),
                      "np.%s of %d elements at offset %d is their bytes in the whole array" % (f.__name__, n, start))
-
-
-@pytest.mark.parametrize(
-    "env",
-    # numpy's AVX2 kernels; and OpenBLAS on one thread, as perfbench runs
-    # the synthesis, where tier-1 runs it on OpenBLAS's default thread pool
-    [AVX2_ONLY, {"OPENBLAS_NUM_THREADS": "1"}],
-    ids=["avx2_kernels", "one_blas_thread"],
-)
-def test_the_8x8_quasi_omni_weights_hold_in_a_child(env):
-    # the simulator's 8x8 synthesis is one digest on either kernel level and
-    # any BLAS thread count: its row products are 1-D vector-matrix products
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
-    code = (
-        "import hashlib, test_codebook as t\n"
-        "synthesize, want = t.TestQuasiOmni.WEIGHT_DIGESTS['8x8_default']\n"
-        "print(hashlib.sha256(synthesize().phases.tobytes()).hexdigest() == want)"
-    )
-    child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, **env, PYTHONPATH=path),
-                           capture_output=True, text=True, timeout=60)
-    assert child.returncode == 0, child.stderr
-    fact(child.stdout.split() == ["True"], "the 8x8_default weight digest holds under %s" % env)

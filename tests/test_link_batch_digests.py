@@ -56,16 +56,16 @@ DIGESTS = {
     "sectors_abft": (
         ("sim_time = 0.3", STEP, "rx_beamforming = sectors", "prediction = none", "bf_location = abft"),
         {
-            "AVX-512": "fb08481f3d19cab7805bf5362fb60b34d6693b55e50baa1447fce7d6ecf57356",
-            "AVX2": "c4950e9240260a27467851e1bf97bfccdbd514af11acc397ab42d80fff9f9874",
+            "AVX-512": "74a3207f5e3667d0ce7f47f0420af785ba8b9b51b10bd0ddaa901dd154dda17b",
+            "AVX2": "299566c7c15d1660a7fb5cbe189232dbd9ad26b6a7488be46a4567c4365d5b28",
         },
     ),
     # a fixed 8x8 quasi-omni headset pattern: the lattice path on every batch
     "quasi_omni": (
         ("sim_time = 0.3", STEP, "rx_beamforming = quasi_omni", "prediction = none", "hmd_rows = 8", "hmd_cols = 8"),
         {
-            "AVX-512": "fda200e5913cd384aaca5c7518660dcd07fe96ebee35be99eb651d5077c750c5",
-            "AVX2": "c664aef6f6593222c47314e80a623a29453b72e6fc6c8b31c498cb8bb64daaba",
+            "AVX-512": "747f8395b8e58740c3b2aac63187e7b7c33730f1c37d55da54245be5375de726",
+            "AVX2": "6671ac1d17903cd6887028049985c164ab3effd95011223614c1871bdba9f638",
         },
     ),
 }

@@ -159,7 +159,7 @@ class TestBestSector:
     @pytest.fixture(scope="class")
     def book(self):
         g = ArrayGeometry(8, 8)
-        return g, generate_sector_codebook(g, synthesize_quasi_omni(g, seed=3))
+        return g, generate_sector_codebook(g, synthesize_quasi_omni(g))
 
     def test_matches_brute_force(self, book):
         # one stacked pass against the per-element oracle, under the same rule
@@ -221,7 +221,7 @@ class TestApSweep:
 
     def test_a_steered_sector_beats_the_quasi_omni_across_the_room(self, sim):
         # why the AP needs no quasi-omni candidate: over the default room the
-        # best steered sector beats the synthesized 8x8 pattern by >= 1 dB,
+        # best steered sector beats the 8x8 quasi-omni pattern by >= 1 dB,
         # so adding it to the sweep could move no winner
         dirs = self.directions(sim, np.linspace(*sim.cfg.x_bounds, 41), np.linspace(*sim.cfg.y_bounds, 21))
         u = np.stack(dirs)
@@ -927,7 +927,9 @@ class TestBatchedLink:
         self.check_epoch(sim, "real")
 
     def test_sectors_quasi_omni_winner(self):
-        sim = self.epoch(["rx_beamforming = sectors"], 0.3)
+        # the 8x8 chirp wins no sweep of the default runs; at 16x16 it beats
+        # every sector by 0.34 dB here, in the narrow beams' gaps
+        sim = self.epoch(["rx_beamforming = sectors", "hmd_rows = 16", "hmd_cols = 16"], 0.1)
         assert sim.hmd_label == "sector=36" and not sim.hmd_eval.awv.blocks
         self.check_epoch(sim, "lattice")
 
