@@ -1,11 +1,13 @@
 """Sector codebooks and the closed-form quasi-omni pattern."""
 
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from xrsim.antenna import ArrayGeometry, Awv, AwvEvaluator, gain_db, sample_directions, steering_phases
+from xrsim.antenna import _NULL_FIELD, ArrayGeometry, Awv, AwvEvaluator, gain_db, sample_directions, steering_phases
 from xrsim.codebook import (
     DEFAULT_AIMS,
     cached_quasi_omni,
@@ -25,6 +27,16 @@ def sampled_range_db(geometry, awv, seed, n=1000):
 
 def shape_id(shape):
     return "%dx%d" % shape
+
+
+def full_read_gains_db(geometry, awvs, u):
+    """Reference gains of each AWV toward the rows of ``u``, (M, len(awvs)):
+    the per-element phase sum of :func:`gain_db`, every element read."""
+    steer = (2.0 * math.pi / geometry.wavelength) * (geometry.element_positions() @ u.T)
+    phases = np.array([a.phases for a in awvs])
+    fields = np.exp(1j * (phases[:, :, None] + steer[None])).sum(axis=1)
+    mags = np.array([a.amplitude for a in awvs])[:, None] * np.abs(fields)
+    return (20.0 * np.log10(np.maximum(mags, _NULL_FIELD))).T
 
 
 # the sector grid in id order: elevation-outer, azimuth varies fastest
@@ -105,9 +117,50 @@ class TestQuasiOmni:
         assert np.allclose(phases, want, rtol=0.0, atol=1e-12)
         assert np.array_equal(phases, phases[::-1, ::-1])
 
-    def test_beats_zero_phase_on_the_sphere(self):
+    def test_beats_zero_phase_on_its_own_samples(self):
+        # seed 0's 1,000 directions, the sample set a search once fitted
         g = ArrayGeometry(8, 8)
         assert sampled_range_db(g, synthesize_quasi_omni(g), 0) < sampled_range_db(g, Awv(np.zeros(64)), 0)
+
+    def test_desk_scale_quality_gates(self, ap_qo):
+        # artifact gates at the AP's 8x8 over seed 7's 1,000 directions: half
+        # the sphere within 1 dB of 0 dBi and nine in ten above -8 dB, where
+        # the unshaped array's median is at least 15 dB down
+        g = ArrayGeometry(8, 8)
+        u = sample_directions(1000, np.random.default_rng(7))
+        gains = AwvEvaluator(g, ap_qo).gains_db(u)
+        assert np.median(gains) >= -1.0 and np.percentile(gains, 10) >= -8.0
+        assert np.median(AwvEvaluator(g, Awv(np.zeros(64))).gains_db(u)) <= -15.0
+
+    def test_two_element_brute_force_floor(self):
+        # a single relative phase covers the whole design space, so a fine
+        # scan lower-bounds any weights; the 2x1 chirp's is 0, the all-zero
+        # weights' own
+        g = ArrayGeometry(2, 1)
+        u = sample_directions(1000, np.random.default_rng(0))
+        base = np.exp(1j * (2 * math.pi / g.wavelength) * (g.element_positions() @ u.T))
+
+        def scan_range(rel):
+            f = np.abs(base[0] + base[1] * np.exp(1j * rel)) ** 2
+            return 10.0 * math.log10(f.max() / max(f.min(), 1e-30))
+
+        grid = np.arange(0.0, 2.0 * math.pi, 0.001)
+        scans = np.array([scan_range(r) for r in grid])
+        assert scans.min() == pytest.approx(38.4946, abs=0.01)
+        assert grid[scans.argmin()] == pytest.approx(1.6390, abs=0.001)
+
+        opt = synthesize_quasi_omni(g)
+        rel = float(opt.phases[1] - opt.phases[0]) % (2.0 * math.pi)
+        got = scan_range(rel)
+        assert got >= scans.min() - 1e-9
+        # no worse than the trivial all-zero weights
+        assert got <= scan_range(0.0) + 1e-9
+
+    def test_deterministic(self):
+        # no seed and no state: an equal geometry gives the same bytes
+        a = synthesize_quasi_omni(ArrayGeometry(4, 4))
+        b = synthesize_quasi_omni(ArrayGeometry(4, 4))
+        assert a is not b and a.phases.tobytes() == b.phases.tobytes()
 
     # median, 10th percentile and minimum gain, dBi, over 1,000 sphere
     # directions drawn from seed 7: half the sphere within a few tenths of a
@@ -165,3 +218,65 @@ class TestQuasiOmni:
         assert a is b
         direct = synthesize_quasi_omni(ArrayGeometry(4, 4))
         assert np.array_equal(a.phases, direct.phases)
+
+
+class TestCandidateDescent:
+    """The quasi-omni pattern was once a descent's result over sampled
+    gains, and these cases held that descent to a full-read reference.  The
+    pattern is now a closed form; the same cases hold what the simulator
+    reads of it, its gains on the rectangular lattice of
+    :class:`AwvEvaluator`, to the full per-element read, and bound what
+    building it holds in memory."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 7), (3, 5), (4, 4), (8, 8)], ids=shape_id)
+    @pytest.mark.parametrize("n_samples", [1, 2, 37, 300])
+    def test_matches_the_full_read_descent(self, shape, n_samples):
+        # a quasi-omni link's batch of directions, down to one and two; the
+        # chirp's nulls reach tens of dB below its median
+        g = ArrayGeometry(*shape)
+        qo = synthesize_quasi_omni(g)
+        evaluator = AwvEvaluator(g, qo)
+        for seed in range(4):
+            u = sample_directions(n_samples, np.random.default_rng(seed))
+            want = full_read_gains_db(g, [qo], u)[:, 0]
+            assert np.max(np.abs(evaluator.gains_db(u) - want)) <= 1e-9, seed
+            assert abs(gain_db(g, qo, u[0]) - want[0]) <= 1e-9, seed
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_the_full_read_descent_at_the_default_budget(self, seed):
+        # the 8x8 headset codebook, quasi-omni last, as one stack on the
+        # lattice, as a sweep reads it: a batch of 1,000 directions and
+        # single directions.  Compared as field magnitudes, since a steered
+        # sector's nulls sit far below the quasi-omni's
+        g = ArrayGeometry(8, 8)
+        book = generate_sector_codebook(g, cached_quasi_omni(g))
+        evaluator = AwvEvaluator(g, book)
+        u = sample_directions(1000, np.random.default_rng(seed))
+        want = 10.0 ** (full_read_gains_db(g, book, u) / 20.0)
+        assert np.max(np.abs(10.0 ** (evaluator.gains_db(u) / 20.0) - want)) <= 1e-12
+        for i in range(0, 1000, 50):
+            assert np.max(np.abs(10.0 ** (evaluator.gain_db(u[i]) / 20.0) - want[i])) <= 1e-12, i
+
+    @staticmethod
+    def traced_peak(geometry):
+        tracemalloc.start()
+        try:
+            synthesize_quasi_omni(geometry)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_working_set_stays_below_the_phasor_table(self):
+        # the closed form reads no directions: at 32x32 its traced peak is a
+        # few (N,) phase vectors (3.3 measured), far below the (N, 1000)
+        # sample phasor table a sampled search builds
+        g = ArrayGeometry(32, 32)
+        peak = self.traced_peak(g)
+        assert peak <= 8 * g.n_elements * np.dtype(float).itemsize, peak
+        assert peak <= g.n_elements * 1000 * np.dtype(complex).itemsize / 100
+
+    def test_default_synthesis_peak_memory(self):
+        # the simulator's 8x8 pattern; its traced peak was 2.37 MiB while
+        # it was searched for, and is 3.5 KiB in closed form
+        peak = self.traced_peak(ArrayGeometry(8, 8))
+        assert peak <= 16 * 2**10, peak / 2**10

@@ -9,8 +9,13 @@ behind it fails beside it, named, with the kernel level it ran on.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 try:
     _FEATURES = np._core._multiarray_umath.__cpu_features__
@@ -116,3 +121,27 @@ def test_trig_bytes_do_not_depend_on_the_array_around_an_element():
             for start in rng.integers(0, x.size - n, 3).tolist():
                 fact(f(x[start : start + n]).tobytes() == whole[start : start + n].tobytes(),
                      "np.%s of %d elements at offset %d is their bytes in the whole array" % (f.__name__, n, start))
+
+
+@pytest.mark.parametrize(
+    "env",
+    # numpy's AVX2 kernels; and OpenBLAS on one thread, as perfbench runs
+    # the simulator, where tier-1 runs on OpenBLAS's default thread pool
+    [AVX2_ONLY, {"OPENBLAS_NUM_THREADS": "1"}],
+    ids=["avx2_kernels", "one_blas_thread"],
+)
+def test_the_8x8_quasi_omni_weights_hold_in_a_child(env):
+    # the simulator's 8x8 quasi-omni is one digest on either kernel level
+    # and any BLAS thread count: its closed form takes sums, products and
+    # quotients only, each correctly rounded, and makes no BLAS call
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    code = (
+        "import hashlib, test_codebook as t\n"
+        "synthesize, want = t.TestQuasiOmni.WEIGHT_DIGESTS['8x8_default']\n"
+        "print(hashlib.sha256(synthesize().phases.tobytes()).hexdigest() == want)"
+    )
+    child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, **env, PYTHONPATH=path),
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    fact(child.stdout.split() == ["True"], "the 8x8_default weight digest holds under %s" % env)
