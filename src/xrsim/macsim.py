@@ -37,9 +37,9 @@ the last before a start at which it is stale, or one whose end is not the
 next batch entry.  There the MAC decides as at an event.  A step stops at
 the attempt that ends at or after the next event, the only one pushed as
 ``mpdu_tx_done``, at a start other than its batch entry bit for bit, or when
-the queue drains with no arrival before that event.  Its arrivals and MPDU
-ends are logged in (time, rank) order.  A run of length 1 is the plain
-one-event-per-MPDU schedule.
+the queue drains with no arrival before that event.  A run of length 1 is
+the plain one-event-per-MPDU schedule.  A step keeps each attempt once, as a
+``tx_intervals`` row; the event log is formatted after the loop.
 
 Sector sweeps: the AP probes its 36 steered transmit sectors toward the
 headset, as the initiator's transmit sector sweep of IEEE 802.11ad does, and
@@ -136,8 +136,8 @@ class RunResult:
     config: ScenarioConfig
     frames: list
     counters: dict
-    events: Optional[list] = None
-    tx_intervals: Optional[list] = None  # (start, end, ok, frame_id)
+    events: Optional[list] = None  # formatted after the loop, in (time, rank) order
+    tx_intervals: Optional[list] = None  # (start, end, ok, frame_id): one row per MPDU attempt
     bhi_intervals: Optional[list] = None
     sls_intervals: Optional[list] = None
 
@@ -200,8 +200,7 @@ class Simulator:
         self.counters = dict.fromkeys(
             ("frames_total", "frames_delivered", "frames_dropped", "mpdu_attempts", "mpdu_failures", "sls_runs",
              "bf_updates", "bhi_count"), 0)
-        self.events: list[SimEvent] = []
-        self._arrivals_logged = 0
+        self.events: list[SimEvent] = []  # the handlers' lines
         self.tx_intervals: list = []
         self.bhi_intervals: list = []
         self.sls_intervals: list = []
@@ -281,13 +280,6 @@ class Simulator:
     def _log(self, t: float, kind: str, detail: str) -> None:
         if self.collect:
             self.events.append(SimEvent(t, kind, detail))
-
-    def _log_arrivals(self, until: float) -> None:
-        """Log the arrival of each queued frame not yet logged, up to ``until``."""
-        frames, k = self.frames, self._arrivals_logged
-        while k < len(frames) and frames[k].created <= until:
-            self._log(frames[k].created, "burst_arrival", "frame=%d mpdus=%d" % (k, self.burst_count))
-            k = self._arrivals_logged = k + 1
 
     # -- channel ----------------------------------------------------------
 
@@ -504,7 +496,6 @@ class Simulator:
         starts, done, (full_breaks, tail_breaks) = self._batch_starts, self._batch_done, self._batch_breaks
         # no attempt after the one that reaches the horizon is in the step
         hi = max(k + 1, bisect_left(starts, horizon))
-        runs = []  # per frame served: its first and last entry, id, sent - done, first tail entry
         i = k
         while True:
             created, base, left = self.frames[self.head].created, done[i], self.burst_count - self.sent
@@ -517,12 +508,15 @@ class Simulator:
                 bisect_left(starts, True, i + 1, hi, key=lambda s: s - created > deadline) - 1,
                 full_break if full_break < tail_from else hi, tail_breaks[bisect_left(tail_breaks, tail_from)],
             )
-            runs.append((i, r, self.head, self.sent - base, tail_from))
+            if self.collect:
+                self.tx_intervals += [
+                    (starts[j], starts[j] + (full if j < tail_from else tail), done[j + 1] > done[j], self.head)
+                    for j in range(i, r + 1)
+                ]
             end = starts[r] + (full if r < tail_from else tail)
             if end >= horizon:
-                self._admit(starts[r])  # the arrivals that the logged MPDU ends may follow
                 self.sent += done[r] - base
-                self._push(end, "mpdu_tx_done", (done[r + 1] > done[r], starts[r]))
+                self._push(end, "mpdu_tx_done", done[r + 1] > done[r])
                 t = None
                 break
             self._deliver(done[r + 1] - base, end)
@@ -534,13 +528,6 @@ class Simulator:
         self._last_ok = done[r + 1] > done[r]
         self.counters["mpdu_attempts"] += r + 1 - k
         self.counters["mpdu_failures"] += r + 1 - k - (done[r + 1] - done[k])
-        for first, last, frame_id, sent, tail_from in runs if self.collect else ():
-            for j in range(first, last + 1):
-                end, ok = starts[j] + (full if j < tail_from else tail), done[j + 1] > done[j]
-                self.tx_intervals.append((starts[j], end, ok, frame_id))
-                if end < horizon:  # else it is pushed and logged as an event
-                    self._log_arrivals(end)
-                    self._log(end, "mpdu_tx_done", _TX_DONE % (frame_id, sent + done[j + 1], ok, starts[j]))
         return t
 
     def _deliver(self, n_ok: int, t: float) -> None:
@@ -580,11 +567,8 @@ class Simulator:
     def _on_burst_arrival(self, t: float, _) -> None:
         self._admit(t)
 
-    def _on_mpdu_tx_done(self, t: float, payload) -> None:
-        ok, start = payload
+    def _on_mpdu_tx_done(self, t: float, ok: bool) -> None:
         # drops only run on a free medium, so the MPDU's frame is still the head
-        if self.collect:
-            self._log(t, "mpdu_tx_done", _TX_DONE % (self.head, self.sent + ok, ok, start))
         self._deliver(int(ok), t)
 
     # -- loop -------------------------------------------------------------
@@ -611,14 +595,24 @@ class Simulator:
                 break
             getattr(self, "_on_" + kind)(t, payload)
             self._try_start_tx(t)
-            if self.collect:
-                self._log_arrivals(math.inf)
             # work conservation: a nonempty queue never waits on a free medium
             if self.head < len(self.frames) and not self._busy():
                 raise RuntimeError("medium idle with pending data at t=%.9f" % t)
 
-        logs = (self.events, self.tx_intervals, self.bhi_intervals, self.sls_intervals) if self.collect else ()
+        logs = (self._event_log(), self.tx_intervals, self.bhi_intervals, self.sls_intervals) if self.collect else ()
         return RunResult(self.cfg, self.frames, dict(self.counters), *logs)
+
+    def _event_log(self) -> list:
+        """The handlers' lines, one per admitted frame and one per attempt ending
+        before sim_time, in (time, rank) order, derived lines first in a tie."""
+        lines = [SimEvent(f.created, "burst_arrival", "frame=%d mpdus=%d" % (f.frame_id, self.burst_count))
+                 for f in self.frames]
+        sent = [0] * len(self.frames)  # each frame's MPDUs delivered so far
+        for start, end, ok, frame_id in self.tx_intervals:
+            sent[frame_id] += ok
+            if end < self.cfg.sim_time:
+                lines.append(SimEvent(end, "mpdu_tx_done", _TX_DONE % (frame_id, sent[frame_id], ok, start)))
+        return sorted(lines + self.events, key=lambda ev: (ev.t, _RANK[ev.kind]))
 
 
 def run(config: ScenarioConfig, collect_events: bool = False) -> RunResult:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from xrsim import macsim
-from xrsim.antenna import ArrayGeometry, Awv, AwvEvaluator, gain_db, sample_directions, steered_awv, steering_phases
+from xrsim.antenna import ArrayGeometry, Awv, AwvEvaluator, gain_db, steered_awv, steering_phases
 from xrsim.codebook import generate_sector_codebook, synthesize_quasi_omni
 from xrsim.config import load_config
 from xrsim.covrage import choose_block_count, plan_with_k, trajectory_from_poses
@@ -23,6 +23,7 @@ from xrsim.macsim import best_sector, write_event_log
 
 from angles import rotation_angle
 from claims import SCENARIOS, margins, reliability
+from directions import sample_directions
 from fields import block_field
 from linkbatches import record_link_batches
 

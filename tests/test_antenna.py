@@ -17,13 +17,14 @@ from xrsim.antenna import (
     block_layout,
     field_at,
     gain_db,
-    sample_directions,
     steered_awv,
     steering_phases,
 )
 from xrsim.codebook import steered_sectors
 from xrsim.covrage import K_MAX, Trajectory, plan_with_k
 from xrsim.geometry import Quaternion, unit_vector
+
+from directions import sample_directions
 
 
 def brute_field(geometry, awv, u):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xrsim.antenna import _NULL_FIELD, ArrayGeometry, Awv, AwvEvaluator, gain_db, sample_directions, steering_phases
+from xrsim.antenna import _NULL_FIELD, ArrayGeometry, Awv, AwvEvaluator, gain_db, steering_phases
 from xrsim.codebook import (
     DEFAULT_AIMS,
     cached_quasi_omni,
@@ -16,6 +16,8 @@ from xrsim.codebook import (
     synthesize_quasi_omni,
 )
 from xrsim.geometry import unit_vector
+
+from directions import sample_directions
 
 
 def sampled_range_db(geometry, awv, seed, n=1000):

@@ -7,6 +7,7 @@ speed-up must keep them; a change that moves them on purpose says why.  The
 same logs are checked to run in (time, rank) order.
 """
 
+import collections
 import hashlib
 
 import numpy as np
@@ -102,6 +103,31 @@ def test_events_run_in_time_and_rank_order(name, run_cached):
     assert keys == sorted(keys)
     shared = [(a.kind, b.kind) for a, b in zip(events, events[1:]) if a.t == b.t and a.kind != b.kind]
     assert sum(kind == "burst_arrival" for _, kind in shared) >= 1
+
+
+@pytest.mark.parametrize("name", ["rate_8g", "sectors", "walk_50ms"])
+def test_the_log_is_a_view_of_the_records(name, run_cached):
+    # each attempt is kept once, as a tx_intervals row, and its log line is
+    # formatted from that row after the loop, as each arrival's is from the
+    # frame records; a run that collects nothing keeps no rows
+    overrides, _ = DIGESTS[name]
+    res = run_cached("sim_time = 2.0", *overrides, collect=True)
+    done = collections.defaultdict(list)
+    for ev in res.events:
+        if ev.kind == "mpdu_tx_done":
+            done[ev.t].append(ev.payload.split())
+    rows = [row for row in res.tx_intervals if row[1] < res.config.sim_time]
+    assert len(rows) == sum(map(len, done.values())) > 0
+    for start, end, ok, frame_id in rows:
+        ((frame, _, got_ok, got_start),) = done[end]
+        assert (frame, got_ok, got_start) == ("frame=%d" % frame_id, "ok=%d" % ok, "start=%.9f" % start)
+    arrivals = [(ev.t, ev.payload.split()[0]) for ev in res.events if ev.kind == "burst_arrival"]
+    assert arrivals == [(r.created, "frame=%d" % r.frame_id) for r in res.frames]
+
+    sim = macsim.Simulator(load_config(overrides=["sim_time = 2.0", *overrides]))
+    plain = sim.run()
+    assert sim.tx_intervals == [] and plain.events is None
+    assert plain.counters == res.counters
 
 
 def test_the_off_axis_run_decides_ap_sweeps_by_gain(monkeypatch):

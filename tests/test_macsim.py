@@ -494,19 +494,25 @@ class TestMediumRules:
     def test_a_kind_is_pending_at_most_once(self):
         # one slot per kind: a second push of a pending kind is a fault
         sim = macsim.Simulator(load_config(overrides=["sim_time = 0.05", "rotation = static"]))
-        sim._push(1e-3, "mpdu_tx_done", (True, 0.0))
+        sim._push(1e-3, "mpdu_tx_done", True)
         with pytest.raises(RuntimeError, match="mpdu_tx_done"):
-            sim._push(2e-3, "mpdu_tx_done", (True, 1e-3))
+            sim._push(2e-3, "mpdu_tx_done", True)
 
     def test_same_rank_events_at_one_instant_run_in_push_order(self):
-        # no pinned log has two same-rank events at one instant: here an MPDU
+        # no pinned run has two same-rank events at one instant: here an MPDU
         # end pushed before the run falls where the t = 0 beacon's BHI ends,
-        # and runs first because it was pushed first
+        # and its handler runs first because it was pushed first
         cfg = load_config(overrides=["sim_time = 0.05", "rotation = static"])
-        sim = macsim.Simulator(cfg, collect_events=True)
-        sim._push(cfg.bhi_duration, "mpdu_tx_done", (True, 0.0))
-        events = sim.run().events
-        assert [ev.kind for ev in events if ev.t == cfg.bhi_duration] == ["mpdu_tx_done", "bhi_end"]
+        sim, calls = macsim.Simulator(cfg), []
+        for kind in ("mpdu_tx_done", "bhi_end"):
+            def spy(t, payload, kind=kind, handler=getattr(sim, "_on_" + kind)):
+                calls.append((t, kind))
+                handler(t, payload)
+
+            setattr(sim, "_on_" + kind, spy)
+        sim._push(cfg.bhi_duration, "mpdu_tx_done", True)
+        sim.run()
+        assert [kind for t, kind in calls if t == cfg.bhi_duration] == ["mpdu_tx_done", "bhi_end"]
 
     def test_mcs_gate_is_inclusive(self):
         # an attempt at exactly snr_threshold_db succeeds, one just below fails
