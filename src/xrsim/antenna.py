@@ -97,7 +97,7 @@ class Awv:
         if phases.ndim != 1 or phases.size == 0:
             raise ValueError("phases must be a nonempty 1-D array")
         self._phases = _finite(phases)
-        self._geometry = self._layout = None
+        self._geometry = None
         self.blocks: tuple[SteeredBlock, ...] = ()
         self.n_elements = phases.size
 
@@ -135,17 +135,16 @@ def steering_phases(geometry: ArrayGeometry, u: np.ndarray) -> Awv:
     return steered_awv(geometry, (SteeredBlock(0, geometry.cols, float(u[1]), float(u[2]), 0.0),))
 
 
-def steered_awv(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock], layout=None) -> Awv:
+def steered_awv(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> Awv:
     """Weight vector of steered blocks that tile the columns in order: the
     elements at y and z in block b take the phase -k (y t_y + z t_z) +
     offset, and the weight vector records the blocks.  Its phases are built
-    when first read (:func:`_block_phases`).  ``layout``, the blocks'
-    :func:`block_layout` if the caller built it, is what its evaluator reads."""
+    when first read (:func:`_block_phases`)."""
     _check_tiling(geometry, blocks)
     if not all(math.isfinite(v) for b in blocks for v in (b.ty, b.tz, b.offset)):
         raise ValueError("phases must be finite")
     awv = Awv.__new__(Awv)
-    awv._phases, awv._geometry, awv._layout = None, geometry, layout
+    awv._phases, awv._geometry = None, geometry
     awv.blocks, awv.n_elements = tuple(blocks), geometry.n_elements
     return awv
 
@@ -296,7 +295,7 @@ class AwvEvaluator:
             for a in stack:
                 _check_tiling(geometry, a.blocks)
             blocks = [b for a in stack for b in a.blocks]
-            self._layout = (len(stack) == 1 and stack[0]._layout) or block_layout(geometry, blocks)
+            self._layout = block_layout(geometry, blocks)
             self._block_coef = None if real else self._amplitude * np.exp(1j * np.array([b.offset for b in blocks]))
             self._w = None
         else:

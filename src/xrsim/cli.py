@@ -21,8 +21,13 @@ PRESETS = ("paper-fig4",)
 
 
 def _out_dir(args) -> str:
+    """The output directory, made if missing; called before any run."""
     d = args.out_dir or os.environ.get("XRSIM_OUT") or "."
-    os.makedirs(d, exist_ok=True)
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("%s %r: cannot make the output directory: %s" % (
+            "--out-dir" if args.out_dir else "XRSIM_OUT", d, exc.strerror or exc)) from None
     return d
 
 
@@ -31,10 +36,9 @@ def _out_dir(args) -> str:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.set or [])
+    base = os.path.join(_out_dir(args), args.label)
     result = run(cfg, collect_events=args.events)
     summary = summarize(result.frames, cfg.deadline)
-    out = _out_dir(args)
-    base = os.path.join(out, args.label)
     write_outputs(summary, result.frames, frames_path=base + "_frames.csv", cdf_path=base + "_cdf.csv",
                   summary_path=base + "_summary.txt", header_lines=config_echo_lines(cfg))
     if args.events:

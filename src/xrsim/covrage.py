@@ -84,12 +84,6 @@ def plan_with_k(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> tupl
     """The composite beam's k steered blocks: equal column blocks (remainder
     to the last), steered at the trajectory midpoints s=(i+0.5)/k and turned
     by their alignment offsets at the block boundaries s=i/k."""
-    return _plan(geometry, trajectory, k)[0]
-
-
-def _plan(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> tuple:
-    """:func:`plan_with_k`'s blocks and, at k > 1, the :func:`block_layout` the
-    offsets read, which reads no offset: the beam's evaluator reads it too."""
     if k < 1 or k > geometry.cols:
         raise ValueError("block count must be in [1, cols]")
     edges = [i * (geometry.cols // k) for i in range(k)] + [geometry.cols]
@@ -97,9 +91,9 @@ def _plan(geometry: ArrayGeometry, trajectory: Trajectory, k: int) -> tuple:
     u = trajectory.directions([(i + 0.5) / k for i in range(k)] + [i / k for i in range(1, k)])
     blocks = [SteeredBlock(edges[i], edges[i + 1], u[i][1], u[i][2], 0.0) for i in range(k)]
     if k == 1:
-        return tuple(blocks), None
+        return tuple(blocks)
     layout = block_layout(geometry, blocks)
-    return tuple(SteeredBlock(*b[:4], o) for b, o in zip(blocks, _alignment_offsets(geometry, layout, u[k:]))), layout
+    return tuple(SteeredBlock(*b[:4], o) for b, o in zip(blocks, _alignment_offsets(geometry, layout, u[k:])))
 
 
 def _alignment_offsets(geometry: ArrayGeometry, layout, crossovers) -> list[float]:
@@ -130,4 +124,4 @@ def covrage_beam(geometry: ArrayGeometry, pose_now: Pose, q_pred: Quaternion, ap
     """
     trajectory = trajectory_from_poses(pose_now, q_pred, ap_position)
     k = choose_block_count(geometry.cols, geometry.spacing_wavelengths, trajectory.span_deg)
-    return steered_awv(geometry, *_plan(geometry, trajectory, k))
+    return steered_awv(geometry, plan_with_k(geometry, trajectory, k))

@@ -124,19 +124,12 @@ class FrameRecord:
     delivered: bool = False
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    t: float
-    kind: str
-    payload: str = ""
-
-
 @dataclass
 class RunResult:
     config: ScenarioConfig
     frames: list
     counters: dict
-    events: Optional[list] = None  # formatted after the loop, in (time, rank) order
+    events: Optional[list] = None  # (t, kind, detail) rows, formatted after the loop, in (time, rank) order
     tx_intervals: Optional[list] = None  # (start, end, ok, frame_id): one row per MPDU attempt
     bhi_intervals: Optional[list] = None
     sls_intervals: Optional[list] = None
@@ -151,8 +144,8 @@ def best_sector(gains_db: np.ndarray) -> int:
 def write_event_log(path, events) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("t,kind,detail\n")
-        for ev in events:
-            fh.write("%.9f,%s,%s\n" % (ev.t, ev.kind, ev.payload))
+        for row in events:
+            fh.write("%.9f,%s,%s\n" % row)
 
 
 def _motion_seed(cfg: ScenarioConfig, child: int) -> np.random.SeedSequence:
@@ -200,7 +193,7 @@ class Simulator:
         self.counters = dict.fromkeys(
             ("frames_total", "frames_delivered", "frames_dropped", "mpdu_attempts", "mpdu_failures", "sls_runs",
              "bf_updates", "bhi_count"), 0)
-        self.events: list[SimEvent] = []  # the handlers' lines
+        self.events: list = []  # the handlers' (t, kind, detail) lines
         self.tx_intervals: list = []
         self.bhi_intervals: list = []
         self.sls_intervals: list = []
@@ -279,7 +272,7 @@ class Simulator:
 
     def _log(self, t: float, kind: str, detail: str) -> None:
         if self.collect:
-            self.events.append(SimEvent(t, kind, detail))
+            self.events.append((t, kind, detail))
 
     # -- channel ----------------------------------------------------------
 
@@ -605,14 +598,14 @@ class Simulator:
     def _event_log(self) -> list:
         """The handlers' lines, one per admitted frame and one per attempt ending
         before sim_time, in (time, rank) order, derived lines first in a tie."""
-        lines = [SimEvent(f.created, "burst_arrival", "frame=%d mpdus=%d" % (f.frame_id, self.burst_count))
+        lines = [(f.created, "burst_arrival", "frame=%d mpdus=%d" % (f.frame_id, self.burst_count))
                  for f in self.frames]
         sent = [0] * len(self.frames)  # each frame's MPDUs delivered so far
         for start, end, ok, frame_id in self.tx_intervals:
             sent[frame_id] += ok
             if end < self.cfg.sim_time:
-                lines.append(SimEvent(end, "mpdu_tx_done", _TX_DONE % (frame_id, sent[frame_id], ok, start)))
-        return sorted(lines + self.events, key=lambda ev: (ev.t, _RANK[ev.kind]))
+                lines.append((end, "mpdu_tx_done", _TX_DONE % (frame_id, sent[frame_id], ok, start)))
+        return sorted(lines + self.events, key=lambda row: (row[0], _RANK[row[1]]))
 
 
 def run(config: ScenarioConfig, collect_events: bool = False) -> RunResult:

@@ -9,7 +9,9 @@ count; one covrage update must book each of its traced steps once, so that
 no fast path goes round a wrapped name; and a cold set-up must book its one
 8x8 quasi-omni synthesis, which is where the per-layer figures show set-up
 savings.  A run must book one ``link_snr_db`` call per link batch, which is
-what the per-layer link count counts.
+what the per-layer link count counts.  And each workload's run at the
+pinned seed and length matches its pinned counters and frame digest, which
+is what the benchmark's output check reads.
 """
 
 from pathlib import Path
@@ -21,6 +23,7 @@ from xrsim.antenna import ArrayGeometry
 from xrsim.codebook import cached_quasi_omni, generate_sector_codebook, synthesize_quasi_omni
 from xrsim.config import load_config
 from xrsim.geometry import unit_vector
+from xrsim.metrics import summarize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -139,3 +142,16 @@ def test_a_traced_run_books_one_link_call_per_link_batch(monkeypatch, workload):
         sim.run()
     assert len(batches) >= 2
     assert tracer.totals()["channel.link_snr_db"][0] == len(batches)
+
+
+@pytest.mark.parametrize("workload", ["saturated_8g", "light_2g", "sectors_abft"])
+def test_each_workload_holds_its_pins(monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import DEFAULT_SEED, SIM_TIME, WORKLOADS, check_output, overrides_for
+
+    w = WORKLOADS[workload]
+    cfg = load_config(overrides=overrides_for(w, DEFAULT_SEED, SIM_TIME))
+    result = macsim.run(cfg)
+    reliability = summarize(result.frames, cfg.deadline).reliability
+    pinned = (w.pinned_counters, w.pinned_digest)
+    assert check_output(result.frames, result.counters, reliability, cfg.sim_time, cfg.burst_interval, pinned) == []

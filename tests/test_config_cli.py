@@ -250,6 +250,18 @@ class TestSimulateCommand:
         argv = ["simulate", "--out-dir", str(tmp_path)] + [a for ov in overrides for a in ("--set", ov)]
         assert cli.main(argv) == 0
 
+    def test_a_rotation_path_that_is_not_ascii_exits_one_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # the outputs echo the config in ASCII: such a run would finish, then fail to write them
+        path = tmp_path / "trac\u00e9.csv"
+        save_trace(path, generate_rotation_trace(300.0, 1.0, 1000.0, np.random.SeedSequence(1)))
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a))
+        argv = ["simulate", "--out-dir", str(tmp_path / "out"), "--set", "rotation = %s" % path]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rotation") and "not ASCII" in err
+        assert calls == [] and not (tmp_path / "out").exists()
+
     def test_bad_override_exits_one(self, tmp_path, capsys):
         rc = cli.main(
             ["simulate", "--out-dir", str(tmp_path), "--set", "data_rate = 9e9"]
@@ -862,6 +874,25 @@ class TestGenerators:
 
 
 class TestEntry:
+    # found before any run, not once a run has finished
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("where, named", [
+        ("file", "--out-dir"), ("file/sub", "--out-dir"), ("env:file", "XRSIM_OUT"), ("env:file/sub", "XRSIM_OUT")])
+    def test_an_out_dir_that_cannot_be_made_exits_one_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                                      command, where, named):
+        (tmp_path / "file").write_text("")
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a))
+        argv = [command, "--set", "sim_time = 0.1"] + (["--vary", "seed=1,2"] if command == "sweep" else [])
+        if where.startswith("env:"):
+            monkeypatch.setenv("XRSIM_OUT", str(tmp_path / where[4:]))
+        else:
+            argv += ["--out-dir", str(tmp_path / where)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s" % named) and "cannot make the output directory" in err
+        assert calls == []
+
     def test_no_arguments_exits_one(self, capsys):
         assert cli.main([]) == 1
         capsys.readouterr()

@@ -265,18 +265,6 @@ class TestOnePassPlan:
         plan_with_k(g, traj, 3)
         assert len(calls) == 1 and len(calls[0][2]) == 2
 
-    def test_the_beams_evaluator_reads_the_plans_block_layout(self, monkeypatch):
-        # an update lays its blocks out once: the offsets read the layout,
-        # which reads no offset, and the beam's evaluator reads it again
-        calls = []
-        for module in (covrage, antenna):
-            monkeypatch.setattr(module, "block_layout", lambda *a, f=antenna.block_layout: calls.append(a) or f(*a))
-        g = ArrayGeometry(64, 64)
-        now = Pose(0.0, HERE, Quaternion.identity())
-        awv = covrage_beam(g, now, Quaternion.from_axis_angle((0, 0, 1), math.radians(12.0)), AP)
-        assert len(awv.blocks) > 1 and len(calls) == 1
-        assert AwvEvaluator(g, awv)._layout is awv._layout and len(calls) == 1
-
 
 class TestCovrageBeam:
     def test_static_prediction_degenerates_to_steering(self):

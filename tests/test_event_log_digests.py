@@ -99,9 +99,9 @@ def test_events_run_in_time_and_rank_order(name, run_cached):
     # once (16 times at bf_interval = 0.1), and precedes every other kind
     overrides, _ = DIGESTS[name]
     events = run_cached("sim_time = 2.0", *overrides, collect=True).events
-    keys = [(ev.t, _RANK[ev.kind]) for ev in events]
+    keys = [(t, _RANK[kind]) for t, kind, _ in events]
     assert keys == sorted(keys)
-    shared = [(a.kind, b.kind) for a, b in zip(events, events[1:]) if a.t == b.t and a.kind != b.kind]
+    shared = [(ka, kb) for (ta, ka, _), (tb, kb, _) in zip(events, events[1:]) if ta == tb and ka != kb]
     assert sum(kind == "burst_arrival" for _, kind in shared) >= 1
 
 
@@ -113,15 +113,15 @@ def test_the_log_is_a_view_of_the_records(name, run_cached):
     overrides, _ = DIGESTS[name]
     res = run_cached("sim_time = 2.0", *overrides, collect=True)
     done = collections.defaultdict(list)
-    for ev in res.events:
-        if ev.kind == "mpdu_tx_done":
-            done[ev.t].append(ev.payload.split())
+    for t, kind, detail in res.events:
+        if kind == "mpdu_tx_done":
+            done[t].append(detail.split())
     rows = [row for row in res.tx_intervals if row[1] < res.config.sim_time]
     assert len(rows) == sum(map(len, done.values())) > 0
     for start, end, ok, frame_id in rows:
         ((frame, _, got_ok, got_start),) = done[end]
         assert (frame, got_ok, got_start) == ("frame=%d" % frame_id, "ok=%d" % ok, "start=%.9f" % start)
-    arrivals = [(ev.t, ev.payload.split()[0]) for ev in res.events if ev.kind == "burst_arrival"]
+    arrivals = [(t, detail.split()[0]) for t, kind, detail in res.events if kind == "burst_arrival"]
     assert arrivals == [(r.created, "frame=%d" % r.frame_id) for r in res.frames]
 
     sim = macsim.Simulator(load_config(overrides=["sim_time = 2.0", *overrides]))

@@ -404,7 +404,7 @@ class TestSchedule:
         # ceil(sim_time / period - 1e-9) is 0 for a run this short; the t = 0
         # beacon, trigger and burst still fall inside it
         res = run_cached("sim_time = 1e-12", collect=True)
-        assert [(ev.t, ev.kind) for ev in res.events] == [
+        assert [(t, kind) for t, kind, _ in res.events] == [
             (0.0, "beacon_start"), (0.0, "bf_trigger"), (0.0, "burst_arrival"), (1e-12, "sim_end"),
         ]
         assert res.counters["frames_total"] == 1
@@ -413,11 +413,11 @@ class TestSchedule:
         # every sweep begins at a trigger, a BHI end, or an MPDU completion
         res = run_cached(*STATIC_2S, collect=True)
         allowed = set()
-        for ev in res.events:
-            if ev.kind in ("bhi_end", "mpdu_tx_done"):
-                allowed.add(ev.t)
-            if ev.kind == "bf_trigger" and ev.payload == "start":
-                allowed.add(ev.t)
+        for t, kind, detail in res.events:
+            if kind in ("bhi_end", "mpdu_tx_done"):
+                allowed.add(t)
+            if kind == "bf_trigger" and detail == "start":
+                allowed.add(t)
         for s0, _ in res.sls_intervals:
             assert s0 in allowed
 
@@ -466,13 +466,13 @@ class TestMediumRules:
         tbtts = [b0 for b0, _ in res.bhi_intervals]
         for s0, s1 in res.sls_intervals:
             assert all(s1 <= b0 for b0 in tbtts if b0 > s0)
-        times = [ev.t for ev in res.events]
+        times = [t for t, _, _ in res.events]
         assert times == sorted(times)
 
     def test_trigger_log_names_why_a_sweep_waits(self, run_cached):
         # a 0.1 s sweep fits only right after a BHI, so every trigger waits
         res = run_cached("sim_time = 1.0", "sls_duration = 0.1", collect=True)
-        details = [ev.payload for ev in res.events if ev.kind == "bf_trigger"]
+        details = [detail for _, kind, detail in res.events if kind == "bf_trigger"]
         assert details == ["postponed"] * 10
         bhi_ends = [b1 for _, b1 in res.bhi_intervals]
         assert [s0 for s0, _ in res.sls_intervals] == bhi_ends
@@ -731,7 +731,7 @@ class TestModes:
             "sim_time = 0.3", "rotation = static", "ap_rows = 1", "ap_cols = 1",
             collect=True,
         )
-        details = [ev.payload for ev in res.events if ev.kind == "sls_done"]
+        details = [detail for _, kind, detail in res.events if kind == "sls_done"]
         assert details
         assert all(d.startswith("sector=0 ") for d in details)
 
@@ -835,7 +835,7 @@ class TestLazyQuasiOmni:
         # covrage has no HMD pattern before the first beamforming update,
         # and needs none, because no MPDU starts before it
         res = run_cached(*overrides, collect=True)
-        first = next(ev.t for ev in res.events if ev.kind == first_update)
+        first = next(t for t, kind, _ in res.events if kind == first_update)
         assert res.tx_intervals
         assert min(start for start, _, _, _ in res.tx_intervals) >= first
 
