@@ -31,12 +31,21 @@ def _out_dir(args) -> str:
     return d
 
 
+def _in_existing_dir(path: str, option: str, value: str) -> str:
+    """``path``, whose directory must exist, else a ConfigError naming the
+    ``option`` that gave ``value``; called before any work."""
+    d = os.path.dirname(path) or "."
+    if not os.path.isdir(d):
+        raise ConfigError("%s %r: no directory %r" % (option, value, d))
+    return path
+
+
 # -- subcommands ----------------------------------------------------------
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    base = os.path.join(_out_dir(args), args.label)
+    base = _in_existing_dir(os.path.join(_out_dir(args), args.label), "--label", args.label)
     result = run(cfg, collect_events=args.events)
     summary = summarize(result.frames, cfg.deadline)
     write_outputs(summary, result.frames, frames_path=base + "_frames.csv", cdf_path=base + "_cdf.csv",
@@ -105,7 +114,7 @@ def _cmd_sweep(args) -> int:
         keyed.append((key, cell))
     keyed.sort(key=lambda kv: kv[0])
 
-    out = _out_dir(args)
+    path = _in_existing_dir(os.path.join(_out_dir(args), args.label + ".csv"), "--label", args.label)
     rows = []
     for key, cell in keyed:
         # every cell runs the base seed, so all see the same motion, unless
@@ -133,7 +142,6 @@ def _cmd_sweep(args) -> int:
         rows.append(row)
         print("%s: reliability=%s" % (key, row[2]))
 
-    path = os.path.join(out, args.label + ".csv")
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow("cell,seed,reliability,delivered,lost,p50_ms,p90_ms,p99_ms,max_ms,error".split(","))
@@ -154,6 +162,9 @@ def _cmd_generate_mobility(args) -> int:
     if cfg.rotation not in ROTATION_MODES:
         raise ConfigError("rotation names the trace file %r: generate-mobility writes the trace of %s"
                           % (cfg.rotation, ", ".join(ROTATION_MODES)))
+    if os.path.isdir(args.out):
+        raise ConfigError("--out %r is a directory" % args.out)
+    _in_existing_dir(args.out, "--out", args.out)
     trace = scenario_trace(cfg)
     save_trace(args.out, trace)
     print("wrote %s (%d samples, %.1f s)" % (args.out, len(trace.times), trace.duration))

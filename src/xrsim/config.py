@@ -1,6 +1,6 @@
 """Scenario configuration: one flat dataclass covering traffic, scheduling,
-beamforming, motion, arrays, and the link budget, plus the key = value
-config-file syntax used by the CLI.
+beamforming, motion, arrays, and the link budget, checked when it is built,
+plus the key = value config-file syntax used by the CLI.
 
 Config files hold one ``key = value`` pair per line, each key a field name;
 ``#`` starts a comment.  Command-line ``--set key=value`` overrides win over file
@@ -117,15 +117,14 @@ class ScenarioConfig:
     def hmd_shape(self) -> tuple[int, int]:
         """HMD array size; defaults to 64x64 except for the sector-codebook
         mode, which uses the small array it can sweep."""
-        if (self.hmd_rows == 0) != (self.hmd_cols == 0):
-            raise ConfigError("set both hmd_rows and hmd_cols or neither")
         if self.hmd_rows > 0:
             return (self.hmd_rows, self.hmd_cols)
         if self.rx_beamforming == "sectors":
             return (8, 8)
         return (64, 64)
 
-    def validate(self) -> "ScenarioConfig":
+    def __post_init__(self):
+        """Raise ConfigError naming the first field that fails a check."""
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
@@ -174,6 +173,8 @@ class ScenarioConfig:
                 f"sls_duration {self.sls_duration:g} exceeds bi_duration - bhi_duration: "
                 "the sweep can never fit between two beacon headers"
             )
+        if (self.hmd_rows == 0) != (self.hmd_cols == 0):
+            raise ConfigError("set both hmd_rows and hmd_cols or neither")
         rows, cols = self.hmd_shape()
         if self.rx_beamforming == "sectors" and (rows > 16 or cols > 16):
             raise ConfigError("sectors beamforming supports arrays up to 16x16")
@@ -195,7 +196,6 @@ class ScenarioConfig:
                     f"{name} must be at least 3e-5 x trace_sample_rate = {floor:g} deg/s, got {peak!r}: "
                     "the trace fit resolves no slower peak to 1%"
                 )
-        return self
 
     def work_counts(self) -> dict:
         """The counts that bound a run's work and memory, keyed by how they
@@ -291,7 +291,7 @@ def parse_config_lines(lines, source: str = "<config>") -> dict:
 
 
 def load_config(path=None, overrides=None) -> ScenarioConfig:
-    """Build a validated config from an optional file plus override pairs."""
+    """The config of an optional file plus override pairs."""
     values: dict = {}
     if path is not None:
         with open(path) as fh:
@@ -302,7 +302,7 @@ def load_config(path=None, overrides=None) -> ScenarioConfig:
         values.update(parse_config_lines(text.splitlines(), source=str(path)))
     if overrides:
         values.update(parse_config_lines(overrides, source="<override>"))
-    return ScenarioConfig(**values).validate()
+    return ScenarioConfig(**values)
 
 
 def config_echo_lines(cfg: ScenarioConfig) -> list[str]:

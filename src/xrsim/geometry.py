@@ -121,22 +121,28 @@ def slerps(q0: Quaternion, q1: Quaternion, ss: Sequence[float]) -> list[tuple[fl
     """:func:`slerp` at each s of ``ss``, as (w, x, y, z) tuples, from one
     set-up of the pair."""
     d = q0.dot(q1)
-    w0, x0, y0, z0 = q0.w, q0.x, q0.y, q0.z
-    w1, x1, y1, z1 = q1.w, q1.x, q1.y, q1.z
+    p0, p1 = (q0.w, q0.x, q0.y, q0.z), (q1.w, q1.x, q1.y, q1.z)
     if d < 0.0:
         d = -d
-        w1, x1, y1, z1 = -w1, -x1, -y1, -z1
+        p1 = tuple(-a for a in p1)
     angle = math.acos(min(1.0, d))
-    sa, out = math.sin(angle), []
-    for s in ss:
-        if angle < _SLERP_MIN_ANGLE:
-            w, x, y, z = w0 + s * (w1 - w0), x0 + s * (x1 - x0), y0 + s * (y1 - y0), z0 + s * (z1 - z0)
-            n = math.sqrt(w * w + x * x + y * y + z * z)
-            out.append((w / n, x / n, y / n, z / n))
-        else:
-            c0, c1 = math.sin((1.0 - s) * angle) / sa, math.sin(s * angle) / sa
-            out.append((c0 * w0 + c1 * w1, c0 * x0 + c1 * x1, c0 * y0 + c1 * y1, c0 * z0 + c1 * z1))
-    return out
+    sa = math.sin(angle)
+    return [slerp_step(p0, p1, angle, sa, s) for s in ss]
+
+
+def slerp_step(p0: Sequence[float], p1: Sequence[float], angle: float, sine: float,
+               s: float) -> tuple[float, float, float, float]:
+    """The slerp at s of a set-up pair, in floats: ``p0`` and ``p1`` as
+    (w, x, y, z), ``p1`` in ``p0``'s hemisphere, their angle and its sine.
+    Below :data:`_SLERP_MIN_ANGLE` it is the normalized lerp."""
+    w0, x0, y0, z0 = p0
+    w1, x1, y1, z1 = p1
+    if angle < _SLERP_MIN_ANGLE:
+        w, x, y, z = w0 + s * (w1 - w0), x0 + s * (x1 - x0), y0 + s * (y1 - y0), z0 + s * (z1 - z0)
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        return (w / n, x / n, y / n, z / n)
+    c0, c1 = math.sin((1.0 - s) * angle) / sine, math.sin(s * angle) / sine
+    return (c0 * w0 + c1 * w1, c0 * x0 + c1 * x1, c0 * y0 + c1 * y1, c0 * z0 + c1 * z1)
 
 
 def rotate_into_frames(quats: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -167,10 +167,9 @@ def scenario_trace(cfg: ScenarioConfig) -> TraceSet:
 
 
 class Simulator:
-    """One scenario run.  Build with a validated config, call :meth:`run`."""
+    """One scenario run.  Build with a config, call :meth:`run`."""
 
     def __init__(self, config: ScenarioConfig, collect_events: bool = False):
-        config.validate()
         self.cfg = config
         self.collect = collect_events
 

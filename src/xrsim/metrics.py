@@ -171,4 +171,4 @@ def read_frame_records(path) -> tuple[list[FrameRecord], float]:
     if not records:
         raise FrameFormatError("%s: no frame rows" % path)
     deadline = parse_config_lines(echo, source=str(path)).get("deadline", ScenarioConfig.deadline)
-    return records, ScenarioConfig(deadline=deadline).validate().deadline
+    return records, ScenarioConfig(deadline=deadline).deadline

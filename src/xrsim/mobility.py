@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import _SLERP_MIN_ANGLE, Pose, Quaternion
+from .geometry import _SLERP_MIN_ANGLE, Pose, Quaternion, slerp_step
 
 _NORM_REJECT = 0.01
 
@@ -163,14 +163,7 @@ class TraceSet:
         i, u = self._locate_one(t)
         q = self.orientations[i].tolist()
         if u != 0.0:
-            q1, angle, sine, near = (a[..., i].tolist() for a in self._segment_table()[:4])
-            if near:
-                q = [a + u * (b - a) for a, b in zip(q, q1)]
-                n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-                q = [a / n for a in q]
-            else:
-                c0, c1 = math.sin((1.0 - u) * angle) / sine, math.sin(u * angle) / sine
-                q = [c0 * a + c1 * b for a, b in zip(q, q1)]
+            q = slerp_step(q, *(a[..., i].tolist() for a in self._segment_table()[:3]), u)
         return Quaternion(*q)
 
     def device_prediction_nearest(self, t: float) -> Quaternion:

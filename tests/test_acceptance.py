@@ -6,7 +6,13 @@ the whole file costs a handful of full simulations, not one per assertion.
 """
 
 import cmath
+import csv
+import importlib.util
 import math
+import os
+import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -143,6 +149,62 @@ def test_criterion_6_overhead_ordering(claims):
 def test_criterion_7_prediction_insensitivity(claims):
     detail = "extrapolation %.4f vs oracle %.4f, spread %.4f <= 0.02" % claims[7].values
     report("criterion 7", claims[7].margin >= 0.0, detail)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _script(name):
+    """The module of ``scripts/<name>.py``, loaded without running it."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_claim_margins_row_is_the_claims_at_seed_1(claims, run_cached, monkeypatch):
+    # at seed 1 the script's seed-prefixed configs equal the shared runs'
+    # configs, so its runs are answered from the session cache
+    script = _script("claim_margins")
+    results = {load_config(overrides=list(o)): run_cached(*o) for o in SCENARIOS.values()}
+    monkeypatch.setattr(script.macsim, "run", lambda cfg: results[cfg])
+    row = script.seed_row(1)
+    (rel, worst), (rel_margin, worst_margin) = claims[3]
+    want = [
+        1, rel, rel_margin, worst * 1e3, worst_margin * 1e3,
+        *claims[4].values[:2], claims[4].margin,
+        *claims[6].values, claims[6].margin,
+        claims[7].values[2], claims[7].margin,
+    ]
+    got = re.findall(r"[-+]?\d+(?:\.\d+)?", row)
+    assert len(got) == len(want), row
+    for token, value in zip(got, want):
+        # each cell is printed to its own number of places
+        assert abs(float(token) - value) <= 0.5001 * 10.0 ** -len(token.partition(".")[2]), (token, value)
+
+
+def test_claim_margins_takes_two_seeds_or_none(monkeypatch, capsys):
+    script = _script("claim_margins")
+    monkeypatch.setattr(script.macsim, "run", lambda cfg: pytest.fail("a run started"))
+    assert script.main(["1"]) == 2
+    assert capsys.readouterr().err.startswith("Usage: python3 scripts/claim_margins.py")
+
+
+@pytest.mark.parametrize("script, rows", [
+    ("run_rate_sweep", {"rate_sweep": 12}),
+    ("run_overhead_sweep", {"overhead_dti": 4, "overhead_abft": 2}),
+])
+def test_sweep_scripts_write_a_row_per_cell(tmp_path, script, rows):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, str(ROOT / "scripts" / (script + ".py")), str(tmp_path), "--set", "sim_time = 0.05"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(label + ".csv" for label in rows)
+    for label, count in rows.items():
+        with open(tmp_path / (label + ".csv"), newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert len(table) == count
+        assert all(r["error"] == "" and int(r["delivered"]) + int(r["lost"]) == 5 for r in table), table
 
 
 def _random_direction(rng):

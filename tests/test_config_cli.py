@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import signal
 from dataclasses import fields
 from pathlib import Path
@@ -92,38 +93,47 @@ class TestDefaults:
 class TestValidation:
     def test_membership_errors_name_the_choices(self):
         with pytest.raises(ConfigError, match="data_rate"):
-            ScenarioConfig(data_rate=9e9).validate()
+            ScenarioConfig(data_rate=9e9)
         with pytest.raises(ConfigError, match="bi_duration"):
-            ScenarioConfig(bi_duration=0.5).validate()
+            ScenarioConfig(bi_duration=0.5)
         with pytest.raises(ConfigError, match="bf_interval"):
-            ScenarioConfig(bf_interval=0.2).validate()
+            ScenarioConfig(bf_interval=0.2)
         with pytest.raises(ConfigError, match="rx_beamforming"):
-            ScenarioConfig(rx_beamforming="phased").validate()
+            ScenarioConfig(rx_beamforming="phased")
         with pytest.raises(ConfigError, match="prediction"):
-            ScenarioConfig(prediction="kalman").validate()
+            ScenarioConfig(prediction="kalman")
 
     def test_quasi_omni_needs_no_prediction(self):
         with pytest.raises(ConfigError, match="quasi_omni"):
-            ScenarioConfig(rx_beamforming="quasi_omni", prediction="device").validate()
-        ScenarioConfig(rx_beamforming="quasi_omni", prediction="none").validate()
+            ScenarioConfig(rx_beamforming="quasi_omni", prediction="device")
+        ScenarioConfig(rx_beamforming="quasi_omni", prediction="none")
 
     def test_sector_sweep_array_limit(self):
         with pytest.raises(ConfigError, match="16x16"):
             ScenarioConfig(
                 rx_beamforming="sectors", prediction="none", hmd_rows=32, hmd_cols=32
-            ).validate()
+            )
+
+    def test_every_route_to_a_config_checks_it(self):
+        # the constructor, a replaced field and the config reader alike
+        with pytest.raises(ConfigError, match="data_rate 3e"):
+            ScenarioConfig(data_rate=3e9)
+        with pytest.raises(ConfigError, match="deadline must be > 0"):
+            dataclasses.replace(load_config(), deadline=-1.0)
+        with pytest.raises(ConfigError, match="data_rate 3e"):
+            load_config(overrides=["data_rate = 3e9"])
 
     def test_hmd_shape_needs_both_dimensions(self):
         with pytest.raises(ConfigError, match="hmd_rows"):
-            ScenarioConfig(hmd_rows=8).validate()
+            ScenarioConfig(hmd_rows=8)
 
     def test_rotation_must_name_a_mode_or_file(self):
         with pytest.raises(ConfigError, match="rotation"):
-            ScenarioConfig(rotation="/no/such/trace.csv").validate()
+            ScenarioConfig(rotation="/no/such/trace.csv")
 
     def test_burst_must_be_integer_bits(self):
         with pytest.raises(ConfigError, match="integer"):
-            ScenarioConfig(data_rate=5e9, frame_rate=300.0).validate()
+            ScenarioConfig(data_rate=5e9, frame_rate=300.0)
 
     def test_missing_mcs_index(self):
         # the one MCS is the fields phy_rate_bps and snr_threshold_db
@@ -134,32 +144,32 @@ class TestValidation:
         # a trace step turns by at most 180 deg; only the peak that the
         # rotation mode reads is checked
         with pytest.raises(ConfigError, match="peak_dps_low must be below 180 x trace_sample_rate"):
-            ScenarioConfig(rotation="low", peak_dps_low=180_000.0).validate()
-        ScenarioConfig(rotation="low", peak_dps_low=179_990.0).validate()
-        ScenarioConfig(peak_dps_low=2e5).validate()
+            ScenarioConfig(rotation="low", peak_dps_low=180_000.0)
+        ScenarioConfig(rotation="low", peak_dps_low=179_990.0)
+        ScenarioConfig(peak_dps_low=2e5)
         with pytest.raises(ConfigError, match="peak_dps_high"):
-            ScenarioConfig(peak_dps_high=2000.0, trace_sample_rate=10.0).validate()
+            ScenarioConfig(peak_dps_high=2000.0, trace_sample_rate=10.0)
         # and no slower than the fit resolves to 1%: 0.01 deg/s at 1000 Hz
         # came out 1.7% slow
         with pytest.raises(ConfigError, match="peak_dps_low must be at least 3e-5 x trace_sample_rate = 0.03 deg/s"):
-            ScenarioConfig(rotation="low", peak_dps_low=0.01).validate()
-        ScenarioConfig(rotation="low", peak_dps_low=0.03).validate()
-        ScenarioConfig(rotation="high", peak_dps_low=0.01).validate()
+            ScenarioConfig(rotation="low", peak_dps_low=0.01)
+        ScenarioConfig(rotation="low", peak_dps_low=0.03)
+        ScenarioConfig(rotation="high", peak_dps_low=0.01)
         with pytest.raises(ConfigError, match="peak_dps_high must be at least"):
-            ScenarioConfig(peak_dps_high=200.0, trace_sample_rate=1e7, sim_time=0.3).validate()
+            ScenarioConfig(peak_dps_high=200.0, trace_sample_rate=1e7, sim_time=0.3)
 
     def test_a_dti_sweep_must_fit_between_beacon_headers(self):
-        ScenarioConfig(sls_duration=0.1004).validate()
+        ScenarioConfig(sls_duration=0.1004)
         with pytest.raises(ConfigError, match="sls_duration"):
-            ScenarioConfig(sls_duration=0.1005).validate()
+            ScenarioConfig(sls_duration=0.1005)
         # A-BFT beamforming runs no DTI sweep
-        ScenarioConfig(sls_duration=0.1005, bf_location="abft").validate()
+        ScenarioConfig(sls_duration=0.1005, bf_location="abft")
 
     def test_headset_below_the_ceiling_ap(self):
         for height in (-0.1, 10.0):
             with pytest.raises(ConfigError, match="hmd_height"):
-                ScenarioConfig(hmd_height=height).validate()
-        ScenarioConfig(hmd_height=0.0).validate()
+                ScenarioConfig(hmd_height=height)
+        ScenarioConfig(hmd_height=0.0)
 
     def test_shipped_scenarios_stay_well_under_the_work_cap(self):
         base = [["data_rate = 8e9"], *map(list, SCENARIOS.values())]
@@ -811,6 +821,19 @@ class TestGenerators:
         assert err.startswith("config error:") and "work cap" in err and "sim_time" in err
         assert not out.exists()
 
+    # found before the trace is built, naming --out, not as the OSError of
+    # the write after it
+    @pytest.mark.parametrize("where, message", [
+        ("nosuch/x.csv", "no directory"), (".", "is a directory")])
+    def test_an_out_that_cannot_be_written_exits_one_before_the_trace(self, tmp_path, capsys, monkeypatch,
+                                                                      where, message):
+        monkeypatch.setattr(cli, "scenario_trace", lambda cfg: pytest.fail("the trace was built"))
+        out = tmp_path / where
+        assert self.generate(out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out %r" % str(out)) and message in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_default_invocations_exit_zero(self, tmp_path, capsys):
         assert self.generate(tmp_path / "trace.csv") == 0
         capsys.readouterr()
@@ -892,6 +915,16 @@ class TestEntry:
         err = capsys.readouterr().err
         assert err.startswith("config error: %s" % named) and "cannot make the output directory" in err
         assert calls == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_a_label_in_a_missing_directory_exits_one_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                                     command):
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("a run started"))
+        argv = [command, "--out-dir", str(tmp_path), "--label", "nosuch/x", "--set", "sim_time = 0.1"]
+        assert cli.main(argv + (["--vary", "seed=1,2"] if command == "sweep" else [])) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: --label 'nosuch/x': no directory %r\n" % str(tmp_path / "nosuch")
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_arguments_exits_one(self, capsys):
         assert cli.main([]) == 1

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,12 @@ HDR = 100 * 8
 
 def shape(rate):
     return burst_shape(ScenarioConfig(data_rate=rate, frame_rate=100.0))
+
+
+def burst_record(burst_bits, mpdu_bytes=65536, header_bytes=100):
+    """The three fields ``burst_shape`` reads, for bursts off the config's
+    data-rate grid, which no ScenarioConfig holds."""
+    return types.SimpleNamespace(burst_bits=burst_bits, mpdu_bytes=mpdu_bytes, header_bytes=header_bytes)
 
 
 def mpdu_sizes_bits(config):
@@ -80,7 +87,8 @@ class TestMpduAccounting:
             assert sizes == [full] * (n - 1) + [tail]
 
     def test_an_even_burst_ends_on_a_full_mpdu(self):
-        cfg = ScenarioConfig(data_rate=CHUNK * 300.0, frame_rate=100.0)
+        # three whole chunks: a burst no rate of the config grid makes
+        cfg = burst_record(3 * CHUNK)
         assert burst_shape(cfg) == (3, CHUNK + HDR, CHUNK + HDR)
         assert mpdu_sizes_bits(cfg) == [CHUNK + HDR] * 3
 
@@ -111,12 +119,7 @@ class TestMpduAccounting:
     )
     @settings(max_examples=100, deadline=None)
     def test_sizes_partition_the_burst(self, total_bits, mpdu_bytes, header_bytes):
-        cfg = ScenarioConfig(
-            data_rate=total_bits * 100.0,
-            frame_rate=100.0,
-            mpdu_bytes=mpdu_bytes,
-            header_bytes=header_bytes,
-        )
+        cfg = burst_record(total_bits, mpdu_bytes, header_bytes)
         count, full, tail = burst_shape(cfg)
         chunk, hdr = mpdu_bytes * 8, header_bytes * 8
         assert (count - 1) * full + tail == total_bits + count * hdr
