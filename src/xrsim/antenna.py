@@ -21,9 +21,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 _NULL_FIELD = 1e-15
 NULL_GAIN_DB = -300.0
 
-# complex multiply-adds per matrix product in AwvEvaluator.gains_db, on
-# the lattice and in the closed form
-_GEMM_MACS = 8 * 64 * 64
+# complex multiply-adds per matrix-vector product in AwvEvaluator.gains_db
 _GEMV_MACS = 2048
 
 
@@ -60,11 +58,7 @@ class ArrayGeometry:
     def element_positions(self) -> np.ndarray:
         """(N, 3) element positions in meters, row-major (r * cols + c)."""
         y, z = self.axis_positions()
-        zz, yy = np.meshgrid(z, y, indexing="ij")
-        out = np.zeros((self.n_elements, 3))
-        out[:, 1] = yy.ravel()
-        out[:, 2] = zz.ravel()
-        return out
+        return np.stack([np.zeros(self.n_elements), np.tile(y, self.rows), np.repeat(z, self.cols)], axis=1)
 
 
 class SteeredBlock(NamedTuple):
@@ -83,28 +77,28 @@ class Awv:
     """Analog weight vector: per-element phases; every element shares the
     amplitude 1/sqrt(N).
 
-    A weight vector of steered column blocks (:func:`steered_awv`; a steered
-    beam is one block over all columns) records them in ``blocks``, so that
-    :class:`AwvEvaluator` can sum the array in closed form, and builds its
-    phases from them when they are first read: a link never reads them.
-    ``blocks`` describes ``phases`` and adds nothing to them: it takes no
-    part in ``==`` or ``repr``, and a weight vector built from bare phases
-    has none.
+    Steered column blocks (:func:`steered_awv`; a steered beam is one block
+    over all columns) are recorded in ``blocks``, separable row and column
+    factors (:func:`factored_awv`) in ``factors``, for :class:`AwvEvaluator`
+    to sum in closed form; the phases are built from them when first read,
+    which a link never does.  Neither takes part in ``==`` or ``repr``.
     """
+
+    blocks: tuple[SteeredBlock, ...] = ()
+    factors: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, phases: np.ndarray):
         phases = np.ascontiguousarray(phases, dtype=float)
         if phases.ndim != 1 or phases.size == 0:
             raise ValueError("phases must be a nonempty 1-D array")
         self._phases = _finite(phases)
-        self._geometry = None
-        self.blocks: tuple[SteeredBlock, ...] = ()
         self.n_elements = phases.size
 
     @property
     def phases(self) -> np.ndarray:
         if self._phases is None:
-            self._phases = _finite(_block_phases(self._geometry, self.blocks))
+            self._phases = _finite(_block_phases(self._geometry, self.blocks) if self.blocks
+                                   else (math.pi * (self.factors[0][:, None] + self.factors[1][None, :])).ravel())
         return self._phases
 
     @property
@@ -143,9 +137,23 @@ def steered_awv(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> Awv:
     _check_tiling(geometry, blocks)
     if not all(math.isfinite(v) for b in blocks for v in (b.ty, b.tz, b.offset)):
         raise ValueError("phases must be finite")
+    return _unbuilt_awv(geometry, blocks=tuple(blocks))
+
+
+def factored_awv(geometry: ArrayGeometry, rows: np.ndarray, cols: np.ndarray) -> Awv:
+    """Separable weight vector: the element on row r and column c takes the
+    phase pi (rows[r] + cols[c]), the factors in half turns, and the weight
+    vector records them.  Its phases are built, row-major, when first read."""
+    factors = tuple(_finite(np.array(f, dtype=float)) for f in (rows, cols))
+    if [f.shape for f in factors] != [(geometry.rows,), (geometry.cols,)]:
+        raise ValueError("factors must have one entry per row and per column")
+    return _unbuilt_awv(geometry, factors=factors)
+
+
+def _unbuilt_awv(geometry: ArrayGeometry, **record) -> Awv:
     awv = Awv.__new__(Awv)
-    awv._phases, awv._geometry = None, geometry
-    awv.blocks, awv.n_elements = tuple(blocks), geometry.n_elements
+    awv._phases, awv._geometry, awv.n_elements = None, geometry, geometry.n_elements
+    vars(awv).update(record)
     return awv
 
 
@@ -178,9 +186,7 @@ def gain_db(geometry: ArrayGeometry, awv: Awv, u: np.ndarray) -> float:
     """Array gain 20 log10 |field| in dB toward the unit vector ``u``;
     perfect nulls floor at -300 dB."""
     mag = abs(field_at(geometry, awv, u))
-    if mag < _NULL_FIELD:
-        return NULL_GAIN_DB
-    return 20.0 * math.log10(mag)
+    return NULL_GAIN_DB if mag < _NULL_FIELD else 20.0 * math.log10(mag)
 
 
 def _lattice_phasors(k_offsets: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -272,41 +278,40 @@ class AwvEvaluator:
     batch of directions; a sector sweep evaluates a whole codebook toward one
     direction (:meth:`gain_db`).
 
-    One AWV that carries its :attr:`Awv.blocks` (a steered beam or a
-    covrage composite beam) is summed in closed form, O(blocks) per
-    direction, from its :func:`block_fields` turned by their offsets, and so
-    is a stack of steered beams (an AP's sectors), each its one block's real
-    field.  Any other AWV, and a stack that holds one (a headset codebook's
-    quasi-omni), goes through the rectangular lattice: the element sum
-    factors into a row combination of per-column sums, two length-rows/cols
-    contractions instead of the O(N) phase sum.  Both produce the values of
-    the per-element :func:`gain_db` up to rounding.
+    Each AWV is summed in closed form, up to rounding the per-element
+    :func:`gain_db`, which alone sums bare phases.  :attr:`Awv.blocks` (a
+    steered or covrage composite beam) give O(blocks) :func:`block_fields`,
+    turned by their offsets; a steered beam's is one real field.
+    :attr:`Awv.factors` (the quasi-omni chirp) give a row sum times a column
+    sum, the planar array factor of a separable weighting.  A stack lists
+    steered beams, then factored AWVs, as a headset codebook does.
     """
 
     def __init__(self, geometry: ArrayGeometry, awv: Awv | Sequence[Awv]):
         stack = (awv,) if isinstance(awv, Awv) else tuple(awv)
         if not stack or any(a.n_elements != geometry.n_elements for a in stack):
             raise ValueError("weight vector length does not match the array")
+        steered = [a.blocks for a in stack if a.blocks]
+        factored = [a.factors for a in stack[len(steered):] if a.factors]
+        if len(steered) + len(factored) < len(stack):
+            raise ValueError("an evaluator sums steered blocks, then factored weights: gain_db sums bare phases")
+        real = all(len(blocks) == 1 and blocks[0].offset == 0.0 for blocks in steered)
+        if not real and len(stack) > 1:
+            raise ValueError("a stack's steered beams are single blocks at offset 0")
         self.geometry = geometry
         self.awv = awv if isinstance(awv, Awv) else stack
         self._amplitude = stack[0].amplitude
-        real = all(len(a.blocks) == 1 and a.blocks[0].offset == 0.0 for a in stack)
-        if real or isinstance(awv, Awv) and awv.blocks:
-            for a in stack:
-                _check_tiling(geometry, a.blocks)
-            blocks = [b for a in stack for b in a.blocks]
+        self._layout = self._block_coef = self._row_weights = None
+        if steered:
+            for blocks in steered:
+                _check_tiling(geometry, blocks)
+            blocks = [b for own in steered for b in own]
             self._layout = block_layout(geometry, blocks)
             self._block_coef = None if real else self._amplitude * np.exp(1j * np.array([b.offset for b in blocks]))
-            self._w = None
-        else:
-            d = geometry.spacing_wavelengths * geometry.wavelength
-            k = 2.0 * math.pi / geometry.wavelength
-            self._ky = k * d * (np.arange(geometry.cols) - (geometry.cols - 1) / 2.0)
-            self._kz = k * d * (np.arange(geometry.rows) - (geometry.rows - 1) / 2.0)
-            # rows x (AWV, column): one matrix product serves the whole stack
-            self._w = np.stack(
-                [(a.amplitude * np.exp(1j * a.phases)).reshape(geometry.rows, geometry.cols) for a in stack], axis=1
-            ).reshape(geometry.rows, -1)
+        if factored:
+            self._ky, self._kz = (2.0 * math.pi / geometry.wavelength * x for x in geometry.axis_positions())
+            self._row_weights = _cis(math.pi * np.array([rows for rows, _ in factored]))
+            self._col_weights = self._amplitude * _cis(math.pi * np.array([cols for _, cols in factored]))
 
     def gain_db(self, u: np.ndarray):
         """Gain toward one unit vector: a float, or one per stacked AWV."""
@@ -316,35 +321,28 @@ class AwvEvaluator:
         """Gains toward the rows of ``u``, (M, 3) unit vectors in the array
         frame: (M,) for one AWV, (M, stack size) for a stack.
 
-        On the lattice the row sums are matrix products of at most
-        ``_GEMM_MACS`` multiply-adds each: OpenBLAS hands larger complex
-        products, and a complex matrix-vector product of a 64x64 array, to
-        its thread pool, whose spinning workers cost more CPU than they
-        save.  That path serves quasi-omni links, whose batches hold at
-        least two directions and so never form the latter, and sweeps of a
-        codebook with a quasi-omni: one direction and one vector-matrix
-        product (2,368 multiply-adds for a 37-entry 8x8 codebook).  In the
-        closed form the M x B block fields are summed in matrix-vector
-        products of about ``_GEMV_MACS`` multiply-adds, for OpenBLAS threads
-        one from 4,096 on.  No chunk has one row: that product takes the dot
-        path, which rounds differently.  A real field is that sum's
-        magnitude bit for bit: one term, real.  The AP's 36-sector sweep is
-        6 row and 36 column Dirichlet factors.
+        No product reaches OpenBLAS's thread pool, whose spinning workers
+        cost more CPU than they save.  A composite beam's M x B block fields
+        are summed in matrix-vector products of about ``_GEMV_MACS``
+        multiply-adds, below the pool's 4,096; no chunk has one row, which
+        takes the dot path and rounds differently.  A real field is that
+        sum's magnitude bit for bit.  A factored AWV's row and column sums
+        are einsums over (M, rows) and (M, cols) :func:`_lattice_phasors`.
         """
-        if self._w is not None:
-            col_phasors = _lattice_phasors(self._ky, u[:, 1])
-            row_phasors = _lattice_phasors(self._kz, u[:, 2])
-            n_products = -(-len(u) * self._w.size // _GEMM_MACS)
-            per_column = np.concatenate([rows @ self._w for rows in np.array_split(row_phasors, n_products)])
-            mags = np.abs(np.einsum("msc,mc->ms", per_column.reshape(len(u), -1, len(self._ky)), col_phasors))
-        elif self._block_coef is None:
-            mags = np.abs(block_fields(self.geometry, self._layout, u) * self._amplitude)
-        else:
+        mags = []
+        if self._layout is not None:
             fields = block_fields(self.geometry, self._layout, u)
-            n_products = max(min(-(-fields.size // _GEMV_MACS), len(u) // 2), 1)
-            chunks = np.array_split(fields, n_products) if n_products > 1 else [fields]
-            sums = [rows @ self._block_coef for rows in chunks]
-            mags = np.abs(np.concatenate(sums))[:, None]
+            if self._block_coef is None:
+                mags.append(np.abs(fields * self._amplitude))
+            else:
+                n_products = max(min(-(-fields.size // _GEMV_MACS), len(u) // 2), 1)
+                chunks = np.array_split(fields, n_products) if n_products > 1 else [fields]
+                mags.append(np.abs(np.concatenate([rows @ self._block_coef for rows in chunks]))[:, None])
+        if self._row_weights is not None:
+            rows = np.einsum("mr,ar->ma", _lattice_phasors(self._kz, u[:, 2]), self._row_weights)
+            cols = np.einsum("mc,ac->ma", _lattice_phasors(self._ky, u[:, 1]), self._col_weights)
+            mags.append(np.abs(rows * cols))
+        mags = mags[0] if len(mags) == 1 else np.hstack(mags)
         gains = 20.0 * np.log10(np.maximum(mags, _NULL_FIELD))
         if mags.min(initial=_NULL_FIELD) < _NULL_FIELD:  # a perfect null: the floor
             gains[mags < _NULL_FIELD] = NULL_GAIN_DB

@@ -31,13 +31,17 @@ def _out_dir(args) -> str:
     return d
 
 
-def _in_existing_dir(path: str, option: str, value: str) -> str:
-    """``path``, whose directory must exist, else a ConfigError naming the
-    ``option`` that gave ``value``; called before any work."""
-    d = os.path.dirname(path) or "."
-    if not os.path.isdir(d):
-        raise ConfigError("%s %r: no directory %r" % (option, value, d))
-    return path
+def _writable(option: str, value: str, *paths: str) -> tuple[str, ...]:
+    """``paths``, the files a command writes, each in an existing directory
+    and none a directory itself, else a ConfigError naming the ``option``
+    that gave ``value``; called before any work."""
+    for path in paths:
+        d = os.path.dirname(path) or "."
+        if not os.path.isdir(d):
+            raise ConfigError("%s %r: no directory %r" % (option, value, d))
+        if os.path.isdir(path):
+            raise ConfigError("%s %r: %r is a directory" % (option, value, path))
+    return paths
 
 
 # -- subcommands ----------------------------------------------------------
@@ -45,13 +49,14 @@ def _in_existing_dir(path: str, option: str, value: str) -> str:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    base = _in_existing_dir(os.path.join(_out_dir(args), args.label), "--label", args.label)
+    base = os.path.join(_out_dir(args), args.label)
+    suffixes = ("_frames.csv", "_cdf.csv", "_summary.txt") + (("_events.csv",) if args.events else ())
+    paths = _writable("--label", args.label, *(base + suffix for suffix in suffixes))
     result = run(cfg, collect_events=args.events)
     summary = summarize(result.frames, cfg.deadline)
-    write_outputs(summary, result.frames, frames_path=base + "_frames.csv", cdf_path=base + "_cdf.csv",
-                  summary_path=base + "_summary.txt", header_lines=config_echo_lines(cfg))
+    write_outputs(summary, result.frames, *paths[:3], header_lines=config_echo_lines(cfg))
     if args.events:
-        write_event_log(base + "_events.csv", result.events)
+        write_event_log(paths[3], result.events)
     latencies = (summary.min_latency, summary.p50_latency, summary.max_latency)
     print("%s: frames=%d delivered=%d reliability=%.4f min=%s p50=%s max=%s" % (
         args.label, summary.frame_count, summary.frame_count - summary.lost_count, summary.reliability,
@@ -108,13 +113,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs --preset or at least one --vary axis")
 
     base_cfg = load_config(args.config, args.set or [])
-    keyed = []
-    for cell in cells:
-        key = ",".join("%s=%s" % (k, cell[k]) for k in sorted(cell))
-        keyed.append((key, cell))
-    keyed.sort(key=lambda kv: kv[0])
+    keyed = sorted(((",".join("%s=%s" % (k, cell[k]) for k in sorted(cell)), cell) for cell in cells),
+                   key=lambda kv: kv[0])
 
-    path = _in_existing_dir(os.path.join(_out_dir(args), args.label + ".csv"), "--label", args.label)
+    (path,) = _writable("--label", args.label, os.path.join(_out_dir(args), args.label + ".csv"))
     rows = []
     for key, cell in keyed:
         # every cell runs the base seed, so all see the same motion, unless
@@ -162,9 +164,7 @@ def _cmd_generate_mobility(args) -> int:
     if cfg.rotation not in ROTATION_MODES:
         raise ConfigError("rotation names the trace file %r: generate-mobility writes the trace of %s"
                           % (cfg.rotation, ", ".join(ROTATION_MODES)))
-    if os.path.isdir(args.out):
-        raise ConfigError("--out %r is a directory" % args.out)
-    _in_existing_dir(args.out, "--out", args.out)
+    _writable("--out", args.out, args.out)
     trace = scenario_trace(cfg)
     save_trace(args.out, trace)
     print("wrote %s (%d samples, %.1f s)" % (args.out, len(trace.times), trace.duration))

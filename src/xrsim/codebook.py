@@ -14,12 +14,11 @@ weights, and a flatter pattern would change no outcome.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from .antenna import ArrayGeometry, Awv, steering_phases
+from .antenna import ArrayGeometry, Awv, factored_awv, steering_phases
 from .geometry import unit_vector
 
 # default aim grid, degrees, used on both azimuth and elevation
@@ -48,10 +47,12 @@ def synthesize_quasi_omni(geometry: ArrayGeometry) -> Awv:
     pi (r^2 / rows + c^2 / cols) at each element's row and column offsets r
     and c from the array centre, row-major like the element positions.  Over
     1,000 sphere directions its median gain is within about 0.3 dB of 0 dBi
-    at 8x8 and 64x64 (``tests/test_codebook.py``)."""
+    at 8x8 and 64x64 (``tests/test_codebook.py``).  The chirp is a row
+    factor times a column factor, and the weight vector records both
+    (:func:`factored_awv`)."""
     r = np.arange(geometry.rows) - (geometry.rows - 1) / 2.0
     c = np.arange(geometry.cols) - (geometry.cols - 1) / 2.0
-    return Awv((math.pi * ((r * r / geometry.rows)[:, None] + (c * c / geometry.cols)[None, :])).ravel())
+    return factored_awv(geometry, r * r / geometry.rows, c * c / geometry.cols)
 
 
 @lru_cache(maxsize=16)

@@ -267,11 +267,12 @@ def test_criterion_8_property_suite(run_cached, tmp_path):
     checks.append(("global phase invariance", ok))
 
     # one stacked sweep picks the winner the same rule picks from the
-    # per-element oracle's gains of all 37 candidates plus a shared term
+    # per-element oracle's gains of all 37 candidates plus a shared term;
+    # the unshaped array, the broadside beam, is the last
     ok = True
     for _ in range(100):
         g = ArrayGeometry(int(rng.integers(1, 7)), int(rng.integers(1, 7)))
-        awvs = generate_sector_codebook(g, Awv(np.zeros(g.n_elements)))
+        awvs = generate_sector_codebook(g, steering_phases(g, unit_vector(0.0, 0.0)))
         d = _random_direction(rng)
         term = float(rng.uniform(-20.0, 20.0))
         gains = np.array([gain_db(g, awv, d) + term for awv in awvs])

@@ -15,12 +15,13 @@ from xrsim.antenna import (
     SteeredBlock,
     block_fields,
     block_layout,
+    factored_awv,
     field_at,
     gain_db,
     steered_awv,
     steering_phases,
 )
-from xrsim.codebook import steered_sectors
+from xrsim.codebook import generate_sector_codebook, steered_sectors, synthesize_quasi_omni
 from xrsim.covrage import K_MAX, Trajectory, plan_with_k
 from xrsim.geometry import Quaternion, unit_vector
 
@@ -118,40 +119,56 @@ class TestFieldAndGain:
         assert gain_db(g, awv, unit_vector(0.0, 0.0)) == NULL_GAIN_DB
 
     def test_evaluator_agrees_with_direct_calls(self, rng):
+        # each kind of weights the package builds: steered, composite and
+        # the factored quasi-omni
         g = ArrayGeometry(8, 8)
-        awv = Awv(rng.uniform(-math.pi, math.pi, 64))
-        ev = AwvEvaluator(g, awv)
-        for _ in range(20):
-            d = unit_vector(rng.uniform(-180, 180), rng.uniform(-90, 90))
-            assert ev.gain_db(d) == pytest.approx(gain_db(g, awv, d), abs=1e-12)
+        awvs = [steering_phases(g, unit_vector(20.0, -10.0)), steered_awv(g, plan_with_k(g, _ARC, 3))]
+        dirs = [unit_vector(rng.uniform(-180, 180), rng.uniform(-90, 90)) for _ in range(20)]
+        for awv in awvs + [synthesize_quasi_omni(g)]:
+            ev = AwvEvaluator(g, awv)
+            for d in dirs:
+                assert ev.gain_db(d) == pytest.approx(gain_db(g, awv, d), abs=1e-12)
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 8), (64, 64)])
     def test_batched_gains_match_the_oracle(self, rng, shape):
-        # more directions than one matrix product takes at 64x64, and nulls
+        # the factored quasi-omni, whose nulls the endfire directions are
+        # from 8x8 on.  At 64x64 its two 64-term phasor sums leave about
+        # 1e-13 of field there (-260 dB, as the lattice product did) where
+        # the per-element oracle's 4,096 terms cancel below the 1e-15 floor
         g = ArrayGeometry(*shape)
-        awv = Awv(rng.uniform(-math.pi, math.pi, g.n_elements))
+        awv = synthesize_quasi_omni(g)
         u = np.vstack([sample_directions(19, rng), unit_vector(0.0, 90.0), unit_vector(180.0, -90.0)])
         got = AwvEvaluator(g, awv).gains_db(u)
         assert got.shape == (len(u),)
-        for value, d in zip(got, u):
-            assert value == pytest.approx(gain_db(g, awv, d), abs=1e-9)
+        want = np.array([gain_db(g, awv, d) for d in u])
+        assert np.all(np.abs(got - want)[want > -80.0] <= 1e-9)
+        floor = NULL_GAIN_DB if g.n_elements <= 64 else -250.0
+        assert np.all(got[want == NULL_GAIN_DB] <= floor)
+        assert np.count_nonzero(want == NULL_GAIN_DB) == (2 if g.rows >= 8 else 0)
         assert AwvEvaluator(g, awv).gains_db(u[:1])[0] == pytest.approx(got[0], abs=1e-12)
 
     def test_batched_null_hits_the_floor(self):
+        # the 1x2 beam steered at endfire has its elements in antiphase, so
+        # it cancels at broadside; the 1x2 quasi-omni's are in phase, so it
+        # cancels at endfire
         g = ArrayGeometry(1, 2)
-        awv = Awv(np.array([0.0, math.pi]))
-        got = AwvEvaluator(g, awv).gains_db(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        assert got[0] == NULL_GAIN_DB
-        assert got[1] > NULL_GAIN_DB
+        broadside, endfire = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        steered = steering_phases(g, unit_vector(90.0, 0.0))
+        assert steered.phases[0] - steered.phases[1] == pytest.approx(math.pi, abs=1e-12)
+        for awv, null, lobe in ((steered, broadside, endfire), (synthesize_quasi_omni(g), endfire, broadside)):
+            got = AwvEvaluator(g, awv).gains_db(np.array([null, lobe]))
+            assert got[0] == NULL_GAIN_DB == gain_db(g, awv, null)
+            assert got[1] > NULL_GAIN_DB
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 8)])
     def test_a_stack_gives_each_awv_its_gain(self, rng, shape):
+        # a headset codebook: the 36 steered sectors, then the quasi-omni
         g = ArrayGeometry(*shape)
-        awvs = [Awv(rng.uniform(-math.pi, math.pi, g.n_elements)) for _ in range(5)]
+        awvs = generate_sector_codebook(g, synthesize_quasi_omni(g))
         u = sample_directions(7, rng)
         stack = AwvEvaluator(g, awvs)
         got = stack.gains_db(u)
-        assert got.shape == (7, 5)
+        assert got.shape == (7, 37)
         for s, awv in enumerate(awvs):
             for m, d in enumerate(u):
                 assert got[m, s] == pytest.approx(gain_db(g, awv, d), abs=1e-9)
@@ -159,17 +176,20 @@ class TestFieldAndGain:
         assert np.array_equal(stack.gain_db(u[0]), stack.gains_db(u[:1])[0])
 
     def test_gain_db_is_the_batch_of_one(self, rng):
-        # bit for bit on the lattice, on a stack and in closed form
+        # bit for bit factored, on a stack and in closed form
         g = ArrayGeometry(8, 8)
-        awvs = [Awv(rng.uniform(-math.pi, math.pi, g.n_elements)) for _ in range(3)]
+        qo = synthesize_quasi_omni(g)
         steered = steering_phases(g, unit_vector(20.0, -10.0))
-        for ev in (AwvEvaluator(g, awvs[0]), AwvEvaluator(g, awvs), AwvEvaluator(g, steered)):
+        composite = steered_awv(g, plan_with_k(g, _ARC, 3))
+        stack = generate_sector_codebook(g, qo)
+        for ev in (AwvEvaluator(g, qo), AwvEvaluator(g, stack), AwvEvaluator(g, steered), AwvEvaluator(g, composite)):
             for u in sample_directions(5, rng):
                 assert np.array_equal(ev.gain_db(u), ev.gains_db(u[None])[0])
 
     def test_stack_must_match_the_array(self):
-        with pytest.raises(ValueError):
-            AwvEvaluator(ArrayGeometry(2, 2), [Awv(np.zeros(4)), Awv(np.zeros(5))])
+        with pytest.raises(ValueError, match="length"):
+            AwvEvaluator(ArrayGeometry(2, 2), [synthesize_quasi_omni(ArrayGeometry(2, 2)),
+                                               synthesize_quasi_omni(ArrayGeometry(1, 5))])
 
 
 # a wide yawing and pitching arc, so that block targets differ in y and z
@@ -283,7 +303,7 @@ class TestClosedForm:
         it is a null, and below -80 dB elsewhere."""
         for awv, dirs in self.beams_and_directions(g, rng):
             ev = AwvEvaluator(g, awv)
-            assert ev._w is None
+            assert ev._layout is not None and ev._row_weights is None
             got = ev.gains_db(dirs)
             for value, d in zip(got, dirs):
                 want = reference(g, awv, d)
@@ -387,18 +407,45 @@ class TestClosedForm:
         assert awv == plain and repr(awv) == repr(plain)
         assert "blocks" not in repr(awv)
 
-    def test_plain_phases_take_the_lattice(self):
+    def test_bare_phases_are_rejected(self):
+        # bare phases carry neither blocks nor factors: only the
+        # per-element oracle sums them, to the closed form's gains
         g = ArrayGeometry(8, 8)
         awv = steering_phases(g, unit_vector(10.0, 5.0))
-        lattice = AwvEvaluator(g, Awv(awv.phases))
-        assert lattice._w is not None
+        qo = synthesize_quasi_omni(g)
+        for bad in (Awv(awv.phases), [awv, Awv(awv.phases)], [awv, Awv(qo.phases)]):
+            with pytest.raises(ValueError, match="bare phases"):
+                AwvEvaluator(g, bad)
         u = sample_directions(30, np.random.default_rng(4))
-        assert np.max(np.abs(lattice.gains_db(u) - AwvEvaluator(g, awv).gains_db(u))) <= 1e-9
+        oracle = np.array([gain_db(g, Awv(awv.phases), d) for d in u])
+        assert np.max(np.abs(oracle - AwvEvaluator(g, awv).gains_db(u))) <= 1e-9
         # a stack of steered beams is summed in closed form, and one that
-        # holds plain phases, as a headset codebook's quasi-omni, is one
-        # matrix product
-        assert AwvEvaluator(g, [awv, awv])._w is None
-        assert AwvEvaluator(g, [awv, Awv(awv.phases)])._w is not None
+        # ends in a factored quasi-omni, as a headset codebook does, sums
+        # that entry's row and column factors next to the sectors' fields
+        only_steered, codebook = AwvEvaluator(g, [awv, awv]), AwvEvaluator(g, [awv, qo])
+        assert only_steered._layout is not None and only_steered._row_weights is None
+        assert codebook._layout is not None and codebook._row_weights is not None
+        # steered beams come first, and a stack's are single blocks at offset 0
+        with pytest.raises(ValueError, match="bare phases"):
+            AwvEvaluator(g, [qo, awv])
+        composite = steered_awv(g, plan_with_k(g, _ARC, 3))
+        with pytest.raises(ValueError, match="single blocks"):
+            AwvEvaluator(g, [composite, awv])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 8), (64, 64)])
+    def test_factors_describe_the_phases(self, shape):
+        # pi (rows[r] + cols[c]) row-major, built on first read
+        g = ArrayGeometry(*shape)
+        rows, cols = np.linspace(-1.0, 2.0, g.rows), np.linspace(0.5, -3.0, g.cols)
+        awv = factored_awv(g, rows, cols)
+        assert awv._phases is None and not awv.blocks
+        want = np.array([math.pi * (rows[r] + cols[c]) for r in range(g.rows) for c in range(g.cols)])
+        assert np.array_equal(awv.phases, want)
+        assert awv.phases is awv.phases and not awv.phases.flags.writeable
+        assert awv == Awv(want) and repr(awv) == repr(Awv(want))
+        for bad in ((rows[1:], cols), (rows, np.append(cols, 0.0)), (rows, np.full(g.cols, math.nan))):
+            with pytest.raises(ValueError):
+                factored_awv(g, *bad)
 
     def test_blocks_must_tile_the_columns(self):
         awv = steering_phases(ArrayGeometry(4, 16), unit_vector(10.0, 5.0))

@@ -31,6 +31,11 @@ def shape_id(shape):
     return "%dx%d" % shape
 
 
+def unshaped(geometry):
+    """The unshaped array, every phase 0: the broadside beam."""
+    return steering_phases(geometry, unit_vector(0.0, 0.0))
+
+
 def full_read_gains_db(geometry, awvs, u):
     """Reference gains of each AWV toward the rows of ``u``, (M, len(awvs)):
     the per-element phase sum of :func:`gain_db`, every element read."""
@@ -73,6 +78,11 @@ class TestSectorCodebook:
         awv = steering_phases(ArrayGeometry(4, 4), unit_vector(0.0, 0.0))
         assert np.allclose(awv.phases, 0.0)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (8, 8), (64, 64)], ids=shape_id)
+    def test_the_broadside_beam_is_unshaped(self, shape):
+        g = ArrayGeometry(*shape)
+        assert np.array_equal(unshaped(g).phases, np.zeros(g.n_elements))
+
     def test_sectors_are_steering_vectors(self, ap_book):
         g = ArrayGeometry(8, 8)
         for sid in range(36):
@@ -86,20 +96,21 @@ class TestSectorCodebook:
             for other in sectors:
                 assert own >= gain_db(g, other, aim) - 1e-9
 
-    def test_read_back_phases_take_the_lattice(self, ap_book, ap_qo):
-        # bare phases carry no blocks: a steered sector rebuilt from its
-        # phases is evaluated by the lattice product, to the same gains
+    def test_read_back_phases_are_the_oracles(self, ap_book, ap_qo):
+        # bare phases carry neither blocks nor factors: a steered sector or
+        # the quasi-omni rebuilt from its phases is no evaluator's, and the
+        # per-element oracle gives it the closed form's gains
         g = ArrayGeometry(8, 8)
         u = sample_directions(25, np.random.default_rng(2))
-        for orig in ap_book[:36]:
+        for orig in ap_book:
             got = Awv(orig.phases)
-            assert orig.blocks and not got.blocks
-            assert np.array_equal(got.phases, orig.phases)
-            lattice = AwvEvaluator(g, got)
-            assert lattice._w is not None and AwvEvaluator(g, orig)._w is None
-            assert np.max(np.abs(lattice.gains_db(u) - AwvEvaluator(g, orig).gains_db(u))) <= 1e-9
-        for qo in (ap_qo, Awv(ap_qo.phases)):
-            assert not qo.blocks and AwvEvaluator(g, qo)._w is not None
+            assert (orig.blocks or orig.factors) and not (got.blocks or got.factors)
+            assert np.array_equal(got.phases, orig.phases) and got == orig
+            with pytest.raises(ValueError, match="bare phases"):
+                AwvEvaluator(g, got)
+            oracle = np.array([gain_db(g, got, d) for d in u])
+            assert np.max(np.abs(oracle - AwvEvaluator(g, orig).gains_db(u))) <= 1e-9
+        assert not ap_qo.blocks and ap_qo.factors is not None
 
 
 class TestQuasiOmni:
@@ -122,7 +133,7 @@ class TestQuasiOmni:
     def test_beats_zero_phase_on_its_own_samples(self):
         # seed 0's 1,000 directions, the sample set a search once fitted
         g = ArrayGeometry(8, 8)
-        assert sampled_range_db(g, synthesize_quasi_omni(g), 0) < sampled_range_db(g, Awv(np.zeros(64)), 0)
+        assert sampled_range_db(g, synthesize_quasi_omni(g), 0) < sampled_range_db(g, unshaped(g), 0)
 
     def test_desk_scale_quality_gates(self, ap_qo):
         # artifact gates at the AP's 8x8 over seed 7's 1,000 directions: half
@@ -132,7 +143,7 @@ class TestQuasiOmni:
         u = sample_directions(1000, np.random.default_rng(7))
         gains = AwvEvaluator(g, ap_qo).gains_db(u)
         assert np.median(gains) >= -1.0 and np.percentile(gains, 10) >= -8.0
-        assert np.median(AwvEvaluator(g, Awv(np.zeros(64))).gains_db(u)) <= -15.0
+        assert np.median(AwvEvaluator(g, unshaped(g)).gains_db(u)) <= -15.0
 
     def test_two_element_brute_force_floor(self):
         # a single relative phase covers the whole design space, so a fine
@@ -177,7 +188,7 @@ class TestQuasiOmni:
     def test_coverage_over_the_sphere(self, shape):
         g = ArrayGeometry(*shape)
         u = sample_directions(1000, np.random.default_rng(7))
-        for awv, want in zip((cached_quasi_omni(g), Awv(np.zeros(g.n_elements))), self.COVERAGE[shape]):
+        for awv, want in zip((cached_quasi_omni(g), unshaped(g)), self.COVERAGE[shape]):
             gains = AwvEvaluator(g, awv).gains_db(u)
             got = (np.median(gains), np.percentile(gains, 10), gains.min())
             assert got == pytest.approx(want, abs=1e-3)
@@ -226,9 +237,9 @@ class TestCandidateDescent:
     """The quasi-omni pattern was once a descent's result over sampled
     gains, and these cases held that descent to a full-read reference.  The
     pattern is now a closed form; the same cases hold what the simulator
-    reads of it, its gains on the rectangular lattice of
-    :class:`AwvEvaluator`, to the full per-element read, and bound what
-    building it holds in memory."""
+    reads of it, its gains as :class:`AwvEvaluator` sums its row and column
+    factors, to the full per-element read, and bound what building it holds
+    in memory."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 7), (3, 5), (4, 4), (8, 8)], ids=shape_id)
     @pytest.mark.parametrize("n_samples", [1, 2, 37, 300])
@@ -246,9 +257,10 @@ class TestCandidateDescent:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_matches_the_full_read_descent_at_the_default_budget(self, seed):
-        # the 8x8 headset codebook, quasi-omni last, as one stack on the
-        # lattice, as a sweep reads it: a batch of 1,000 directions and
-        # single directions.  Compared as field magnitudes, since a steered
+        # the 8x8 headset codebook, quasi-omni last, as one stack, as a sweep
+        # reads it: the sectors' real block fields next to the quasi-omni's
+        # factored column, for a batch of 1,000 directions and for single
+        # directions.  Compared as field magnitudes, since a steered
         # sector's nulls sit far below the quasi-omni's
         g = ArrayGeometry(8, 8)
         book = generate_sector_codebook(g, cached_quasi_omni(g))

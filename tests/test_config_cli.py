@@ -926,6 +926,21 @@ class TestEntry:
         assert err == "config error: --label 'nosuch/x': no directory %r\n" % str(tmp_path / "nosuch")
         assert list(tmp_path.iterdir()) == []
 
+    # each file the command would write is checked before any run, not
+    # found by the write once every cell has run
+    @pytest.mark.parametrize("command, name, extra", [
+        ("simulate", "x_frames.csv", []), ("simulate", "x_cdf.csv", []), ("simulate", "x_summary.txt", []),
+        ("simulate", "x_events.csv", ["--events"]), ("sweep", "x.csv", ["--vary", "seed=1,2"])])
+    def test_an_output_file_that_is_a_directory_exits_one_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                                         command, name, extra):
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("a run started"))
+        (tmp_path / name).mkdir()
+        argv = [command, "--out-dir", str(tmp_path), "--label", "x", "--set", "sim_time = 0.1"] + extra
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: --label 'x': %r is a directory\n" % str(tmp_path / name)
+        assert list(tmp_path.iterdir()) == [tmp_path / name]
+
     def test_no_arguments_exits_one(self, capsys):
         assert cli.main([]) == 1
         capsys.readouterr()

@@ -52,7 +52,8 @@ DIGESTS = {
         },
     ),
     # 8x8 headset sectors swept after every beacon header: real one-block
-    # fields, and the quasi-omni codebook entry on the lattice
+    # fields, and the quasi-omni codebook entry from its row and column
+    # factors
     "sectors_abft": (
         ("sim_time = 0.3", STEP, "rx_beamforming = sectors", "prediction = none", "bf_location = abft"),
         {
@@ -60,12 +61,12 @@ DIGESTS = {
             "AVX2": "299566c7c15d1660a7fb5cbe189232dbd9ad26b6a7488be46a4567c4365d5b28",
         },
     ),
-    # a fixed 8x8 quasi-omni headset pattern: the lattice path on every batch
+    # a fixed 8x8 quasi-omni headset pattern: the factored sum on every batch
     "quasi_omni": (
         ("sim_time = 0.3", STEP, "rx_beamforming = quasi_omni", "prediction = none", "hmd_rows = 8", "hmd_cols = 8"),
         {
-            "AVX-512": "747f8395b8e58740c3b2aac63187e7b7c33730f1c37d55da54245be5375de726",
-            "AVX2": "6671ac1d17903cd6887028049985c164ab3effd95011223614c1871bdba9f638",
+            "AVX-512": "e805f626bab10eb76d2811c7e8e756dc04becf15c03da0b14c6f3445952f7070",
+            "AVX2": "2e39e5a56d8207eab1099de5c55090cedc8b9811d5f53530a7f82d87df68b3b5",
         },
     ),
 }
@@ -102,10 +103,12 @@ def test_link_batch_digest_across_a_recorded_traces_wrap(tmp_path):
 
 def test_the_avx2_digest_holds_on_the_avx2_kernels():
     # on an AVX-512 host the tests above read only the AVX-512 digests; this
-    # one runs the covrage case where numpy dispatches to its AVX2 kernels
+    # one runs the covrage case, the complex block sum, and the quasi_omni
+    # case, the factored sum, where numpy dispatches to its AVX2 kernels
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, **AVX2_ONLY, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
-    code = "import test_link_batch_digests as t; print(t.KERNELS, t.link_batch_digest('covrage'))"
+    names = ("covrage", "quasi_omni")
+    code = "import test_link_batch_digests as t; print(t.KERNELS, *map(t.link_batch_digest, %r))" % (names,)
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["AVX2", DIGESTS["covrage"][1]["AVX2"]]
+    assert child.stdout.split() == ["AVX2"] + [DIGESTS[name][1]["AVX2"] for name in names]

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db
 from xrsim.channel import snr_db
 from xrsim.codebook import cached_quasi_omni, generate_sector_codebook, steered_sectors, synthesize_quasi_omni
 from xrsim.config import ConfigError, ScenarioConfig, load_config
-from xrsim.geometry import ap_direction_in_hmd_frame, unit_vector
+from xrsim.geometry import Pose, ap_direction_in_hmd_frame, unit_vector
 from xrsim.macsim import (
     EVENT_KINDS,
     FrameRecord,
@@ -247,12 +248,12 @@ class TestApSweep:
         assert len(set(winners)) == 16
 
     def test_closed_form_winners_are_the_oracles_across_the_room(self, sim):
-        # the sweep sums its steered sectors in closed form, not on the
-        # lattice, so its gains differ from the per-element oracle's by
+        # the sweep sums its steered sectors in closed form, not element by
+        # element, so its gains differ from the per-element oracle's by
         # rounding; under the tie rule the winner must not.  On the axes
         # through the AP's foot point mirror-image sectors tie, and so they
         # do at the digest runs' mirror direction
-        assert sim.ap_sweep._w is None
+        assert sim.ap_sweep._layout is not None and sim.ap_sweep._row_weights is None
         dirs = self.directions(sim, np.linspace(*sim.cfg.x_bounds, 41), np.linspace(*sim.cfg.y_bounds, 21))
         ties = 0
         for d in dirs + [MIRROR_DIRECTION]:
@@ -262,6 +263,43 @@ class TestApSweep:
             ties += bool(first - second < macsim.SWEEP_TIE_DB)
         assert ties >= 60
         assert best_sector(sim.ap_sweep.gain_db(MIRROR_DIRECTION)) == 20
+
+
+class TestHeadsetSweep:
+    """The headset's responder sweep probes its 8x8 codebook: 36 steered
+    sectors, then the quasi-omni."""
+
+    def test_closed_form_winners_are_the_oracles_across_the_room(self):
+        # the sectors' real block fields and the quasi-omni's row and column
+        # factors move each gain off the per-element oracle's by about
+        # 1e-13 dB; under the tie rule no winner moves.  Headset positions
+        # over the room, each at orientations along the rotation trace, and
+        # the mirror direction where sectors 20 and 21 tie
+        overrides = ["sim_time = 1.0", "rx_beamforming = sectors", "prediction = none"]
+        sim = macsim.Simulator(load_config(overrides=overrides))
+        sweep = sim.hmd_sweep
+        assert len(sweep.awv) == 37 and sweep.awv[36].factors is not None
+        assert sweep._layout is not None and sweep._row_weights is not None
+        dirs = [MIRROR_DIRECTION]
+        for t in np.linspace(0.0, sim.trace.duration, 8, endpoint=False):
+            turn = pose_at(sim.trace, sim.walk, t, sim.cfg.hmd_height).orientation
+            for x in np.linspace(*sim.cfg.x_bounds, 9):
+                for y in np.linspace(*sim.cfg.y_bounds, 5):
+                    pose = Pose(t, np.array([x, y, sim.cfg.hmd_height]), turn)
+                    dirs.append(ap_direction_in_hmd_frame(pose, sim.ap_position))
+        winners = []
+        for d in dirs:
+            winners.append(best_sector(sweep.gain_db(d)))
+            assert winners[-1] == best_sector(oracle_gains(sim.hmd_geometry, sweep.awv, d)), d
+        assert winners[0] == 20 and len(set(winners)) >= 15
+
+    def test_the_quasi_omni_wins_on_the_oracles_gains_too(self):
+        # the 16x16 epoch of TestBatchedLink.test_sectors_quasi_omni_winner
+        sim = TestBatchedLink.epoch(["rx_beamforming = sectors", "hmd_rows = 16", "hmd_cols = 16"], 0.1)
+        d = ap_direction_in_hmd_frame(pose_at(sim.trace, sim.walk, 0.1, sim.cfg.hmd_height), sim.ap_position)
+        gains = oracle_gains(sim.hmd_geometry, sim.hmd_sweep.awv, d)
+        assert best_sector(sim.hmd_sweep.gain_db(d)) == best_sector(gains) == 36
+        assert np.max(np.abs(sim.hmd_sweep.gain_db(d) - gains)) <= 1e-9
 
 
 def test_each_sector_link_is_built_once_and_reused(monkeypatch):
@@ -908,10 +946,11 @@ class TestBatchedLink:
 
     @staticmethod
     def path(ev):
-        """The sum an evaluator takes: the lattice product, the complex block
-        sum, or the real field of one full-width block at offset 0."""
-        if ev._w is not None:
-            return "lattice"
+        """The sum an evaluator takes: the row and column factors, the
+        complex block sum, or the real field of one full-width block at
+        offset 0."""
+        if ev._row_weights is not None:
+            return "factored"
         return "real" if ev._block_coef is None else "complex"
 
     def check_epoch(self, sim, hmd_path):
@@ -939,13 +978,33 @@ class TestBatchedLink:
         # the 8x8 chirp wins no sweep of the default runs; at 16x16 it beats
         # every sector by 0.34 dB here, in the narrow beams' gaps
         sim = self.epoch(["rx_beamforming = sectors", "hmd_rows = 16", "hmd_cols = 16"], 0.1)
-        assert sim.hmd_label == "sector=36" and not sim.hmd_eval.awv.blocks
-        self.check_epoch(sim, "lattice")
+        assert sim.hmd_label == "sector=36" and sim.hmd_eval.awv.factors is not None
+        self.check_epoch(sim, "factored")
 
     def test_quasi_omni_mode(self):
         sim = self.epoch(["rx_beamforming = quasi_omni", "prediction = none"], 0.3)
         assert sim.hmd_label == "qo"
-        self.check_epoch(sim, "lattice")
+        self.check_epoch(sim, "factored")
+
+    def test_a_quasi_omni_batch_holds_one_pair_of_phasor_tables(self):
+        # one 2,048-start batch of the 64x64 quasi-omni: its traced peak is
+        # the row or the column phasor table, 2.54 MB measured (0.61 of the
+        # bound), where the lattice product's was 8.79 MB.  This is what kept
+        # the loop's minor faults at about 1,850, down from about 236,000
+        sim = self.epoch(["rx_beamforming = quasi_omni", "prediction = none"], 0.3)
+        g = sim.hmd_geometry
+        assert (g.rows, g.cols) == (64, 64)
+        airtime = sim._airtime(mpdu_sizes_bits(sim.cfg)[0])
+        ts = np.array(self.back_to_back(0.3, [airtime] * (macsim._LINK_BATCH_CEILING - 1)))
+        assert len(ts) == 2048
+        sim.snr_at(ts[:2])
+        tracemalloc.start()
+        try:
+            sim.snr_at(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(ts) * (g.rows + g.cols) * np.dtype(complex).itemsize, peak
 
     @staticmethod
     def open_epoch(sim, frames_seen, head, sent=0, next_tbtt=4 * 0.1024, next_trigger=0.4):
