@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from .antenna import SPEED_OF_LIGHT, ArrayGeometry, Awv, gain_db
-from .geometry import Pose, ap_direction_in_hmd_frame
+from .antenna import SPEED_OF_LIGHT
 
 
 def free_space_path_loss_db(distance_m, carrier_hz: float):
@@ -43,30 +42,4 @@ def link_snr_db(config, tx_gain_db, rx_gain_db, distance_m):
     snr -= config.extra_loss_db
     snr -= noise_floor_dbm(config)
     return snr
-
-
-def snr_db(
-    config,
-    ap_pose: Pose,
-    ap_geometry: ArrayGeometry,
-    ap_awv: Awv,
-    hmd_pose: Pose,
-    hmd_geometry: ArrayGeometry,
-    hmd_awv: Awv,
-) -> float:
-    """Reference end-to-end SNR between two posed arrays.
-
-    Each end's gain is evaluated toward the other end in its own local frame;
-    the same gain applies for transmit and receive, so the result is
-    symmetric in which end transmits.
-    """
-    distance = float(np.linalg.norm(ap_pose.position - hmd_pose.position))
-    d_at_hmd = ap_direction_in_hmd_frame(hmd_pose, ap_pose.position)
-    d_at_ap = ap_direction_in_hmd_frame(ap_pose, hmd_pose.position)
-    return link_snr_db(
-        config,
-        gain_db(ap_geometry, ap_awv, d_at_ap),
-        gain_db(hmd_geometry, hmd_awv, d_at_hmd),
-        distance,
-    )
 

@@ -29,9 +29,12 @@ DEFAULT_AIMS = (-50.0, -30.0, -10.0, 10.0, 30.0, 50.0)
 CODEBOOK_SIZE = len(DEFAULT_AIMS) ** 2 + 1
 
 
+@lru_cache(maxsize=16)
 def steered_sectors(geometry: ArrayGeometry) -> tuple[Awv, ...]:
     """Steered sector per (azimuth, elevation) point of the ``DEFAULT_AIMS``
-    grid, elevation-outer, so that a sector's index is its id."""
+    grid, elevation-outer, so that a sector's index is its id.  Memoized,
+    as :func:`cached_quasi_omni` is, so that an access point and a headset
+    of equal geometry share one tuple of weight vectors."""
     return tuple(steering_phases(geometry, unit_vector(az, el)) for el in DEFAULT_AIMS for az in DEFAULT_AIMS)
 
 

@@ -38,13 +38,9 @@ class Trajectory:
     d_world: np.ndarray
     span_deg: float
 
-    def direction_at(self, s: float) -> np.ndarray:
-        """Unit vector toward the AP in the headset frame at s."""
-        return np.array(self.directions((s,))[0])
-
     def directions(self, ss: Sequence[float]) -> list[tuple[float, float, float]]:
-        """:meth:`direction_at` at each s of ``ss``, bit for bit, from one
-        slerp set-up, as tuples."""
+        """Unit vectors toward the AP in the headset frame at each s of
+        ``ss``, from one slerp set-up, as tuples."""
         d = self.d_world.tolist()
         return [_rotate(w, -x, -y, -z, *d) for w, x, y, z in slerps(self.q_now, self.q_pred, ss)]
 

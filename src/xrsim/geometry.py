@@ -80,10 +80,6 @@ class Quaternion:
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         )
 
-    def rotate(self, v: Sequence[float]) -> np.ndarray:
-        """Rotate a 3-vector from the local frame into the world frame."""
-        return np.array(_rotate(self.w, self.x, self.y, self.z, *map(float, v)))
-
     def rotate_inverse(self, v: Sequence[float]) -> np.ndarray:
         """Rotate a world-frame 3-vector into the local frame."""
         return np.array(_rotate(self.w, -self.x, -self.y, -self.z, *map(float, v)))
@@ -108,18 +104,13 @@ def _rotate(w, x, y, z, vx, vy, vz) -> tuple:
     return (vx + w * tx + (y * tz - z * ty), vy + w * ty + (z * tx - x * tz), vz + w * tz + (x * ty - y * tx))
 
 
-def slerp(q0: Quaternion, q1: Quaternion, s: float) -> Quaternion:
-    """Spherical interpolation from q0 (s=0) to q1 (s=1), shortest path.
+def slerps(q0: Quaternion, q1: Quaternion, ss: Sequence[float]) -> list[tuple[float, float, float, float]]:
+    """Spherical interpolation from q0 (s=0) to q1 (s=1), shortest path, at
+    each s of ``ss``, as (w, x, y, z) tuples, from one set-up of the pair.
 
     Falls back to normalized linear interpolation when the quaternions are
     nearly parallel, where the sine denominator loses precision.
     """
-    return Quaternion(*slerps(q0, q1, (s,))[0])
-
-
-def slerps(q0: Quaternion, q1: Quaternion, ss: Sequence[float]) -> list[tuple[float, float, float, float]]:
-    """:func:`slerp` at each s of ``ss``, as (w, x, y, z) tuples, from one
-    set-up of the pair."""
     d = q0.dot(q1)
     p0, p1 = (q0.w, q0.x, q0.y, q0.z), (q1.w, q1.x, q1.y, q1.z)
     if d < 0.0:

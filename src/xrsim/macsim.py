@@ -277,11 +277,12 @@ class Simulator:
 
     def snr_at(self, ts: np.ndarray) -> np.ndarray:
         """Link SNR for the current AWV pair at an array of instants: the
-        row-wise ``channel.snr_db`` of the posed arrays, equal to it up to
-        rounding.  The batch is component-major from the walk and trace
-        lookups to the budget, one contiguous row per component, so that no
-        pass strides: what takes (M, 3) or (M, 4) rows reads the transposed
-        view of a (3, M) or (4, M) array.  Both ends turn in one pass."""
+        row-wise reference SNR of the posed arrays (``snr_db`` in
+        ``tests/links.py``), equal to it up to rounding.  The batch is
+        component-major from the walk and trace lookups to the budget, one
+        contiguous row per component, so that no pass strides: what takes
+        (M, 3) or (M, 4) rows reads the transposed view of a (3, M) or
+        (4, M) array.  Both ends turn in one pass."""
         quats, toward = np.empty((4, 2, len(ts))), np.empty((3, 2, len(ts)))
         dx, dy = np.subtract(self.walk.positions_at(ts).T, self.ap_position[:2, None], out=toward[:2, 0])
         dz = toward[2, 0] = self.cfg.hmd_height - self.ap_position[2]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,19 +56,22 @@ class TraceSet:
 
     ``times`` is (n,), ``orientations`` (n, 4) scalar-first quaternions, and
     ``device_orientations`` (n, 4) with ``device_horizons`` (n,) an optional
-    device-side prediction.  Every value must be finite.  Lookups past the
-    last sample wrap around to the start, so a short recorded trace can drive
-    an arbitrarily long simulation.  A generated trace ends at or after
-    ``sim_time``, and the oracle reads no later, so only a recorded trace
-    shorter than the run is read across the wrap.  A batch lookup is
-    component-major: each pass over a link batch reads contiguous rows.
+    device-side prediction.  Every value must be finite.  The device column
+    may come as a zero-argument function that builds it: it is then built,
+    and checked, on its first read, so a run that predicts otherwise never
+    builds it.  Lookups past the last sample wrap around to the start, so a
+    short recorded trace can drive an arbitrarily long simulation.  A
+    generated trace ends at or after ``sim_time``, and the oracle reads no
+    later, so only a recorded trace shorter than the run is read across the
+    wrap.  A batch lookup is component-major: each pass over a link batch
+    reads contiguous rows.
     """
 
     def __init__(
         self,
         times: np.ndarray,
         orientations: np.ndarray,
-        device_orientations: Optional[np.ndarray] = None,
+        device_orientations: Optional[np.ndarray | Callable[[], np.ndarray]] = None,
         device_horizons: Optional[np.ndarray] = None,
     ):
         self.times = np.asarray(times, dtype=float)
@@ -78,33 +81,36 @@ class TraceSet:
         if (device_orientations is None) != (device_horizons is None):
             raise TraceFormatError("device orientations and horizons come together")
         self.orientations = np.asarray(orientations, dtype=float)
-        self.device_orientations, self.device_horizons = (
-            a if a is None else np.asarray(a, dtype=float) for a in (device_orientations, device_horizons)
-        )
         self.has_device = device_orientations is not None
-        finite = np.isfinite(self.times)
-        names = ("orientations", "device_orientations", "device_horizons")
-        for name, shape in zip(names, ((n, 4), (n, 4), (n,))):
-            a = getattr(self, name)
-            if a is not None:
-                if a.shape != shape:
-                    raise TraceFormatError(f"{name} has shape {a.shape}, expected {shape}")
-                for column in np.isfinite(a.reshape(n, -1)).T:  # all(axis=1) over 4 columns is 3x slower
-                    finite &= column
-        bad = np.flatnonzero(~finite)
-        if bad.size:
-            raise TraceFormatError("value not finite", int(bad[0]))
+        self._device = device_orientations  # a function is called on the first read
+        if self.has_device and not callable(self._device):
+            self._device = np.asarray(self._device, dtype=float)
+        self.device_horizons = None if device_horizons is None else np.asarray(device_horizons, dtype=float)
+        _check_columns(n, (("times", self.times, (n,)), ("orientations", self.orientations, (n, 4)),
+                           ("device_orientations", None if callable(self._device) else self._device, (n, 4)),
+                           ("device_horizons", self.device_horizons, (n,))))
         bad = np.flatnonzero(np.diff(self.times) <= 0.0)
         if bad.size:
             raise TraceFormatError("timestamps not increasing", int(bad[0]) + 1)
         self._segments = None
 
     @property
+    def device_orientations(self) -> Optional[np.ndarray]:
+        """The (n, 4) device column, or None; one given as a function is
+        built and checked here, on the first read, and kept."""
+        if callable(self._device):
+            device = np.asarray(self._device(), dtype=float)
+            n = len(self.times)
+            _check_columns(n, (("device_orientations", device, (n, 4)),))
+            self._device = device
+        return self._device
+
+    @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
     def _segment_table(self) -> tuple:
-        """Per segment, made on the first lookup, :func:`geometry.slerp`'s
+        """Per segment, made on the first lookup, :func:`geometry.slerps`'s
         set-up: the later sample in the earlier one's hemisphere (4, n - 1),
         the angle, its sine (1.0 near 0: lerp) and the near flag; then the
         (12, n - 1) rows a batch takes at once: the earlier sample, those
@@ -172,6 +178,23 @@ class TraceSet:
             raise ValueError("trace has no device-prediction columns")
         i, u = self._locate_one(t)
         return Quaternion(*self.device_orientations[i + 1 if u > 0.5 else i].tolist())
+
+
+def _check_columns(n: int, columns: tuple) -> None:
+    """Raise :class:`TraceFormatError` at the first of the (name, array,
+    shape) ``columns`` whose array has another shape, then at the first of
+    the n samples that holds a value not finite in any column; a column
+    whose array is None is absent."""
+    finite = np.ones(n, dtype=bool)
+    for name, a, shape in columns:
+        if a is not None:
+            if a.shape != shape:
+                raise TraceFormatError(f"{name} has shape {a.shape}, expected {shape}")
+            for column in np.isfinite(a.reshape(n, -1)).T:  # all(axis=1) over 4 columns is 3x slower
+                finite &= column
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise TraceFormatError("value not finite", int(bad[0]))
 
 
 def _unit_rows(q: np.ndarray, rows: list[int], what: str) -> np.ndarray:
@@ -332,7 +355,9 @@ def generate_rotation_trace(peak_dps: float, duration: float, sample_rate: float
     random-phase sinusoids, jointly rescaled so the maximum instantaneous
     angular speed matches ``peak_dps`` within 1%.  Pitch amplitude is capped
     at 60 degrees.  A device-prediction column holds the exact model value
-    :data:`DEVICE_HORIZON` (0.1 s) ahead.  ``peak_dps`` must lie below
+    :data:`DEVICE_HORIZON` (0.1 s) ahead; it is built on its first read
+    (:class:`TraceSet`), which only ``prediction = device`` and a written
+    trace file make.  ``peak_dps`` must lie below
     :func:`peak_dps_limit`; below :func:`peak_dps_floor` the fit misses it
     by more than 1%.
 
@@ -372,12 +397,14 @@ def generate_rotation_trace(peak_dps: float, duration: float, sample_rate: float
 
     cy, cp = _fit_scales(yaw0, pit0, peak_dps, dt)
     quats = np.stack(_compose_yaw_pitch(_half_turn(cy * yaw0), _half_turn(cp * pit0)), axis=1)
-    t_ahead = t + DEVICE_HORIZON
-    yaw_ahead = cy * np.radians(series(t_ahead, yaw_a, yaw_f, yaw_p))
-    pit_ahead = cp * np.radians(series(t_ahead, pit_a, pit_f, pit_p))
-    dev = np.stack(_compose_yaw_pitch(_half_turn(yaw_ahead), _half_turn(pit_ahead)), axis=1)
 
-    return TraceSet(t, quats, dev, np.full(n, DEVICE_HORIZON))
+    def device_column():
+        t_ahead = t + DEVICE_HORIZON
+        yaw_ahead = cy * np.radians(series(t_ahead, yaw_a, yaw_f, yaw_p))
+        pit_ahead = cp * np.radians(series(t_ahead, pit_a, pit_f, pit_p))
+        return np.stack(_compose_yaw_pitch(_half_turn(yaw_ahead), _half_turn(pit_ahead)), axis=1)
+
+    return TraceSet(t, quats, device_column, np.full(n, DEVICE_HORIZON))
 
 
 def static_trace(duration: float) -> TraceSet:

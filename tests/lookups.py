@@ -7,7 +7,7 @@ from xrsim.geometry import _SLERP_MIN_ANGLE
 
 
 def slerp_rows(q0: np.ndarray, q1: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`xrsim.geometry.slerp` over (M, 4) scalar-first
+    """Row-wise :func:`rotations.slerp` over (M, 4) scalar-first
     quaternion arrays and (M,) fractions, with its arithmetic."""
     d = q0[:, 0] * q1[:, 0] + q0[:, 1] * q1[:, 1] + q0[:, 2] * q1[:, 2] + q0[:, 3] * q1[:, 3]
     q1 = np.where((d < 0.0)[:, None], -q1, q1)

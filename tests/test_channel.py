@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from xrsim.antenna import ArrayGeometry, steering_phases
-from xrsim.channel import free_space_path_loss_db, link_snr_db, noise_floor_dbm, snr_db
+from xrsim.channel import free_space_path_loss_db, link_snr_db, noise_floor_dbm
 from xrsim.config import ConfigError, ScenarioConfig, load_config, parse_config_lines
 from xrsim.geometry import Pose, Quaternion, ap_direction_in_hmd_frame
+
+from links import snr_db
 
 # the link budget functions read the six budget fields of the scenario config
 CFG = ScenarioConfig()

@@ -22,6 +22,7 @@ from xrsim.geometry import Pose, Quaternion
 
 from angles import direction_angle
 from fields import block_field
+from rotations import direction_at
 
 AP = (0.0, 0.0, 10.0)
 HERE = np.array([1.0, 0.5, 1.7])
@@ -51,16 +52,16 @@ class TestTrajectory:
     def test_endpoints_contained(self):
         traj = make_trajectory(3, 10.0, 30.0)
         p0 = Pose(0.0, HERE, Quaternion.identity())
-        start = traj.direction_at(0.0)
-        end = traj.direction_at(1.0)
-        assert direction_angle(start, traj.direction_at(1e-9)) < 1e-6
-        assert direction_angle(end, traj.direction_at(1.0 - 1e-9)) < 1e-6
+        start = direction_at(traj, 0.0)
+        end = direction_at(traj, 1.0)
+        assert direction_angle(start, direction_at(traj, 1e-9)) < 1e-6
+        assert direction_angle(end, direction_at(traj, 1.0 - 1e-9)) < 1e-6
 
     def test_span_matches_the_rotation(self):
         q0 = Quaternion.identity()
         q1 = Quaternion.from_axis_angle((0, 0, 1), math.radians(20.0))
         traj = trajectory_from_poses(Pose(0.0, HERE, q0), q1, AP)
-        d0, d1 = traj.direction_at(0.0), traj.direction_at(1.0)
+        d0, d1 = direction_at(traj, 0.0), direction_at(traj, 1.0)
         assert traj.span_deg == pytest.approx(direction_angle(d0, d1), abs=1e-9)
         assert traj.span_deg <= 20.0 + 1e-6
 
@@ -111,7 +112,7 @@ class TestPlan:
         blocks = plan_with_k(g, traj, 4)
         assert column_blocks(blocks) == [(0, 16), (16, 32), (32, 48), (48, 64)]
         for i, b in enumerate(blocks):
-            target = traj.direction_at((i + 0.5) / 4)
+            target = direction_at(traj, (i + 0.5) / 4)
             assert (b.ty, b.tz) == (float(target[1]), float(target[2]))
         # the offsets align the blocks at the crossovers s = i / 4
         diff = np.angle(np.exp(1j * (np.array([b.offset for b in blocks]) - oracle_offsets(g, traj, blocks))))
@@ -143,7 +144,7 @@ class TestPlan:
 def block_steers(g, traj, k):
     """Each block's steering phases over the whole array, toward its target
     s = (i + 0.5) / k on the trajectory."""
-    return [steering_phases(g, traj.direction_at((i + 0.5) / k)).phases for i in range(k)]
+    return [steering_phases(g, direction_at(traj, (i + 0.5) / k)).phases for i in range(k)]
 
 
 def oracle_offsets(g, traj, blocks):
@@ -154,7 +155,7 @@ def oracle_offsets(g, traj, blocks):
     steers = block_steers(g, traj, k)
     offsets = [0.0]
     for i in range(1, k):
-        cross = traj.direction_at(i / k)
+        cross = direction_at(traj, i / k)
         acc = sum(block_field(g, pos, blocks[j], steers[j], cross) * cmath.exp(1j * offsets[j]) for j in range(i))
         own = block_field(g, pos, blocks[i], steers[i], cross)
         offsets.append(0.0 if min(abs(acc), abs(own)) < 1e-15 else cmath.phase(acc) - cmath.phase(own))
@@ -179,7 +180,7 @@ class TestSynthesis:
             traj = make_trajectory(seed, 3.0, 30.0)
             blocks = plan_with_k(g, traj, 1)
             awv = steered_awv(g, blocks)
-            expect = steering_phases(g, traj.direction_at(0.5))
+            expect = steering_phases(g, direction_at(traj, 0.5))
             assert tuple(b.offset for b in blocks) == (0.0,)
             assert np.allclose(awv.phases, expect.phases, atol=1e-12)
 
@@ -197,7 +198,7 @@ class TestSynthesis:
             steers = block_steers(g, traj, k)
             pos = g.element_positions()
             for idx in range(1, k):
-                cross = traj.direction_at(idx / k)
+                cross = direction_at(traj, idx / k)
                 acc = sum(
                     block_field(g, pos, blocks[j], steers[j], cross) * cmath.exp(1j * blocks[j].offset)
                     for j in range(idx)
@@ -217,7 +218,7 @@ class TestSynthesis:
         floors = []
         for k in (1, 2, 4, 8):
             awv = steered_awv(g, plan_with_k(g, traj, k))
-            floors.append(min(gain_db(g, awv, traj.direction_at((i + 0.5) / k)) for i in range(k)))
+            floors.append(min(gain_db(g, awv, direction_at(traj, (i + 0.5) / k)) for i in range(k)))
         assert floors[0] == pytest.approx(36.1236, abs=0.01)
         assert floors[0] > floors[1] > floors[2] > floors[3]
 
@@ -230,7 +231,7 @@ class TestSynthesis:
             traj = make_trajectory(200 + seed, 3.0, 15.0)
             awv = steered_awv(g, plan_with_k(g, traj, chosen_k(g, traj)))
             ev = AwvEvaluator(g, awv)
-            dirs = [traj.direction_at(s) for s in np.linspace(0.0, 1.0, 101)]
+            dirs = [direction_at(traj, s) for s in np.linspace(0.0, 1.0, 101)]
             floor = min(ev.gain_db(d) for d in dirs)
             qo_best = max(qo.gain_db(d) for d in dirs)
             assert floor >= qo_best + 10.0
@@ -242,8 +243,8 @@ class TestSynthesis:
         pos = np.array([0.0, 0.0, 1.7])
         traj = trajectory_from_poses(Pose(0.0, pos, q0), q1, AP)
         awv = steered_awv(g, plan_with_k(g, traj, chosen_k(g, traj)))
-        g0 = gain_db(g, awv, traj.direction_at(0.0))
-        g1 = gain_db(g, awv, traj.direction_at(1.0))
+        g0 = gain_db(g, awv, direction_at(traj, 0.0))
+        g1 = gain_db(g, awv, direction_at(traj, 1.0))
         assert g0 == pytest.approx(g1, abs=0.1)
 
 
@@ -252,7 +253,7 @@ class TestOnePassPlan:
         # one slerp set-up serves every s, in floats, near parallel too
         for traj in (make_trajectory(3, 5.0, 40.0), make_trajectory(4, 0.0, 1e-6)):
             ss = [0.0, 1.0 / 16, 0.25, 0.5, 0.9, 1.0]
-            assert traj.directions(ss) == [tuple(traj.direction_at(s).tolist()) for s in ss]
+            assert traj.directions(ss) == [tuple(direction_at(traj, s).tolist()) for s in ss]
 
     def test_one_block_computes_no_crossover_field(self, monkeypatch):
         calls = []

@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xrsim import antenna, macsim
+from xrsim import antenna, macsim, mobility
 from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db
-from xrsim.channel import snr_db
 from xrsim.codebook import cached_quasi_omni, generate_sector_codebook, steered_sectors, synthesize_quasi_omni
 from xrsim.config import ConfigError, ScenarioConfig, load_config
 from xrsim.geometry import Pose, ap_direction_in_hmd_frame, unit_vector
@@ -27,6 +26,8 @@ from xrsim.macsim import (
     write_event_log,
 )
 from xrsim.mobility import pose_at
+
+from links import snr_db
 
 CHUNK = 65536 * 8
 HDR = 100 * 8
@@ -811,6 +812,32 @@ class TestEventLog:
         assert times == sorted(times)
 
 
+class TestLazySetUp:
+    """Set-up builds only what the run reads."""
+
+    @pytest.mark.parametrize("prediction, builds", [("none", 0), ("extrapolation", 0), ("oracle", 0), ("device", 1)])
+    def test_only_device_prediction_builds_the_device_column(self, monkeypatch, prediction, builds):
+        built = []
+
+        class CountingTrace(mobility.TraceSet):
+            def __init__(self, times, orientations, build=None, horizons=None):
+                device = (lambda: built.append(1) or build()) if callable(build) else build
+                super().__init__(times, orientations, device, horizons)
+
+        monkeypatch.setattr(mobility, "TraceSet", CountingTrace)
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.3", "prediction = %s" % prediction]))
+        assert isinstance(sim.trace, CountingTrace) and sim.trace.has_device and built == []
+        assert sim.run().counters["bf_updates"] == 3
+        assert len(built) == builds
+
+    def test_sectors_share_one_steered_set(self):
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.3", "rx_beamforming = sectors"]))
+        assert sim.ap_geometry == sim.hmd_geometry
+        assert len(sim.hmd_sweep.awv) == 37 and len(sim.ap_sweep.awv) == 36
+        assert all(h is a for h, a in zip(sim.hmd_sweep.awv[:36], sim.ap_sweep.awv))
+        assert sim.ap_sweep.awv is steered_sectors(sim.ap_geometry)
+
+
 def _cache_calls():
     info = cached_quasi_omni.cache_info()
     return info.hits, info.misses
@@ -888,7 +915,8 @@ class TestLazyQuasiOmni:
 
 
 class TestBatchedLink:
-    """The batched link path against the per-element oracle channel.snr_db."""
+    """The batched link path against the per-element oracle ``snr_db``
+    (``tests/links.py``)."""
 
     @pytest.fixture()
     def sim(self):

@@ -8,7 +8,7 @@ import pytest
 
 from xrsim import cli, macsim, mobility
 from xrsim.config import load_config
-from xrsim.geometry import Quaternion, slerp
+from xrsim.geometry import Quaternion
 from xrsim.mobility import (
     TraceFormatError,
     TraceSet,
@@ -24,6 +24,7 @@ from xrsim.mobility import (
 
 from angles import rotation_angle
 from lookups import lookup_rows
+from rotations import rotate, slerp
 
 
 def step_peak_dps(trace):
@@ -36,7 +37,7 @@ def step_peak_dps(trace):
 
 
 def pitch_deg(q):
-    fwd = q.rotate(np.array([1.0, 0.0, 0.0]))
+    fwd = rotate(q, np.array([1.0, 0.0, 0.0]))
     return math.degrees(math.asin(max(-1.0, min(1.0, fwd[2]))))
 
 
@@ -332,6 +333,60 @@ class TestTraceSet:
         arrays[column][1] = value
         with pytest.raises(TraceFormatError, match="sample 1: value not finite"):
             TraceSet(**arrays)
+
+
+def eager_device_column(peak_dps, duration, sample_rate, seed):
+    """The device column as ``generate_rotation_trace`` once built it with
+    the trace: its draws, fit and device expressions, in its order."""
+    rng = np.random.default_rng(seed)
+    yaw_f, yaw_p = rng.uniform(0.15, 0.9, 3), rng.uniform(0.0, 2.0 * math.pi, 3)
+    yaw_a = np.array([50.0, 25.0, 12.0]) * rng.uniform(0.7, 1.3, 3)
+    pit_f, pit_p = rng.uniform(0.1, 0.7, 3), rng.uniform(0.0, 2.0 * math.pi, 3)
+    pit_a = np.array([14.0, 7.0, 4.0]) * rng.uniform(0.7, 1.3, 3)
+    dt = 1.0 / sample_rate
+    t = np.arange(max(int(math.ceil(duration * sample_rate - 1e-9)), 1) + 1) * dt
+
+    def series(times, amps, freqs, phases):
+        return sum(a * np.sin(2.0 * math.pi * f * times + p) for a, f, p in zip(amps, freqs, phases))
+
+    yaw0, pit0 = np.radians(series(t, yaw_a, yaw_f, yaw_p)), np.radians(series(t, pit_a, pit_f, pit_p))
+    cy, cp = mobility._fit_scales(yaw0, pit0, peak_dps, dt)
+    t_ahead = t + mobility.DEVICE_HORIZON
+    yaw_ahead = cy * np.radians(series(t_ahead, yaw_a, yaw_f, yaw_p))
+    pit_ahead = cp * np.radians(series(t_ahead, pit_a, pit_f, pit_p))
+    return np.stack(_compose_yaw_pitch(_half_turn(yaw_ahead), _half_turn(pit_ahead)), axis=1)
+
+
+class TestLazyDeviceColumn:
+    """A generated trace builds its device column on the first read."""
+
+    @pytest.mark.parametrize("rotation", ["low", "high"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_built_column_is_the_eager_one(self, rotation, seed):
+        cfg = load_config(overrides=["sim_time = 2.0", f"rotation = {rotation}", f"seed = {seed}"])
+        tr = macsim.scenario_trace(cfg)
+        assert tr.has_device and callable(tr._device)
+        peak = cfg.peak_dps_low if rotation == "low" else cfg.peak_dps_high
+        want = eager_device_column(peak, cfg.sim_time, cfg.trace_sample_rate, macsim._motion_seed(cfg, 0))
+        got = tr.device_orientations
+        assert got.tobytes() == want.tobytes()
+        # built once and kept
+        assert tr.device_orientations is got and not callable(tr._device)
+
+    @pytest.mark.parametrize(
+        "column, match",
+        [(np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, np.nan, 0.0], [1.0, 0.0, 0.0, 0.0]]),
+          "sample 1: value not finite"),
+         (np.tile([1.0, 0.0, 0.0], (3, 1)), r"device_orientations has shape \(3, 3\), expected \(3, 4\)")],
+    )
+    def test_the_checks_run_when_the_column_is_built(self, column, match):
+        tr = TraceSet([0.0, 0.5, 1.0], np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), lambda: column, np.full(3, 0.1))
+        assert tr.has_device
+        for _ in range(2):  # a column that fails its check is not kept
+            with pytest.raises(TraceFormatError, match=match):
+                tr.device_orientations
+        with pytest.raises(TraceFormatError, match=match):
+            tr.device_prediction_nearest(0.5)
 
 
 class TestSegmentTable:
