@@ -24,10 +24,6 @@ from .geometry import unit_vector
 # default aim grid, degrees, used on both azimuth and elevation
 DEFAULT_AIMS = (-50.0, -30.0, -10.0, 10.0, 30.0, 50.0)
 
-# entries of a headset's sweep codebook: the steered sectors plus the
-# quasi-omni pattern (generate_sector_codebook)
-CODEBOOK_SIZE = len(DEFAULT_AIMS) ** 2 + 1
-
 
 @lru_cache(maxsize=16)
 def steered_sectors(geometry: ArrayGeometry) -> tuple[Awv, ...]:

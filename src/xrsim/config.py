@@ -13,7 +13,6 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .codebook import CODEBOOK_SIZE
 from .mobility import peak_dps_floor, peak_dps_limit
 
 ALLOWED_DATA_RATES = (2e9, 5e9, 7e9, 8e9)
@@ -25,15 +24,13 @@ PREDICTION_MODES = ("extrapolation", "device", "oracle", "none")
 
 # Upper bound on each count of work in a run (ScenarioConfig.work_counts), so
 # that no config can hang the simulator or exhaust memory.  The shipped
-# scenarios stay below it: their largest counts are the set-up of a 64x64
-# headset, 4.3e6, and the attempt bound of a 20 s run at 2 Gbps, 1.6e6.
+# scenarios stay below it: their largest counts are the attempt bound of a
+# 20 s run at 2 Gbps, 1.6e6, and the link batch of a 64x64 headset, 2.9e5.
 WORK_CAP = 1e7
 
-# set-up work counted per array element besides its codebook entries: a
-# bound well above what set-up builds per element, held at the 1,000 sample
-# directions per element that set-up once drew so that the cap rejects the
-# same configs
-SETUP_WORK_PER_ELEMENT = 1000
+# most predicted MPDU starts one link evaluation batch holds: the ceiling of
+# the simulator's adaptive batch cap, and the factor of the link batch count
+LINK_BATCH_CEILING = 2048
 
 # largest room side in metres; keeps squared distances far from overflow
 MAX_ROOM_SIDE = 1e6
@@ -126,8 +123,12 @@ class ScenarioConfig:
     def __post_init__(self):
         """Raise ConfigError naming the first field that fails a check."""
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            # a float holds every int up to 2**53 exactly: no float arithmetic on one overflows
+            if f.type == "int" and f.name != "seed" and value > 2**53:
+                raise ConfigError(f"{f.name} must be <= 2**53, got {value!r}")
         for (bound, inclusive), names in _LOWER_BOUNDS.items():
             for name in names:
                 value = getattr(self, name)
@@ -201,9 +202,10 @@ class ScenarioConfig:
         """The counts that bound a run's work and memory, keyed by how they
         are formed.  Every MPDU attempt occupies the medium for at least the
         shortest MPDU's airtime, so sim_time over that airtime bounds the
-        attempts, retries of a failing MPDU included.  Set-up is counted
-        per array element: :data:`SETUP_WORK_PER_ELEMENT` plus one entry
-        per codebook sector."""
+        attempts, retries of a failing MPDU included.  What grows with the
+        arrays is a link batch's phasor tables: a 16-byte entry per row and
+        column of both arrays at each of :data:`LINK_BATCH_CEILING` starts,
+        counted in every mode, though only a quasi-omni pattern builds them."""
         periodic = self.frame_rate + 1.0 / self.bi_duration
         if self.bf_location == "dti":
             periodic += 1.0 / self.bf_interval
@@ -217,9 +219,8 @@ class ScenarioConfig:
                 self.sim_time / (shortest + self.per_mpdu_overhead),
             "trace samples sim_time x trace_sample_rate": self.sim_time * self.trace_sample_rate,
             "walk steps sim_time / walk_step_interval": self.sim_time / self.walk_step_interval,
-            f"set-up ({SETUP_WORK_PER_ELEMENT} per element + {CODEBOOK_SIZE} sectors) x "
-            "(ap_rows x ap_cols + hmd_rows x hmd_cols)":
-                (SETUP_WORK_PER_ELEMENT + CODEBOOK_SIZE) * (self.ap_rows * self.ap_cols + rows * cols),
+            f"link batch phasor entries {LINK_BATCH_CEILING} x (ap_rows + ap_cols + hmd_rows + hmd_cols)":
+                LINK_BATCH_CEILING * (self.ap_rows + self.ap_cols + rows + cols),
         }
 
 

@@ -86,7 +86,7 @@ import numpy as np
 from .antenna import ArrayGeometry, AwvEvaluator
 from .channel import link_snr_db
 from .codebook import cached_quasi_omni, generate_sector_codebook, steered_sectors
-from .config import ConfigError, ScenarioConfig, burst_shape
+from .config import LINK_BATCH_CEILING, ConfigError, ScenarioConfig, burst_shape
 from .covrage import covrage_beam
 from .geometry import Pose, Quaternion, ap_direction_in_hmd_frame, predict_pose, rotate_into_frames
 from .mobility import TraceSet, generate_rotation_trace, generate_walk, load_trace, pose_at, static_trace
@@ -102,9 +102,8 @@ _IDLE = {kind: (math.inf, _RANK[kind], 0, kind, None) for kind in EVENT_KINDS}
 AP_ORIENTATION = Quaternion.from_axis_angle((0.0, 1.0, 0.0), math.pi / 2.0)
 
 # predicted MPDU start times per link-evaluation batch: the adaptive cap's
-# floor and its ceiling
+# floor; its ceiling is config.LINK_BATCH_CEILING, which the work cap counts
 _LINK_BATCH = 128
-_LINK_BATCH_CEILING = 16 * _LINK_BATCH
 
 # sweep candidates this close to the best gain (dB) tie; the lowest id wins
 SWEEP_TIE_DB = 1e-9
@@ -312,7 +311,7 @@ class Simulator:
             if k < len(starts):
                 self._link_cap = _LINK_BATCH
             elif len(starts):
-                self._link_cap = min(2 * self._link_cap, _LINK_BATCH_CEILING)
+                self._link_cap = min(2 * self._link_cap, LINK_BATCH_CEILING)
             self._batch_starts = self._predicted_starts(t)
             at = np.fromiter(self._batch_starts, float, len(self._batch_starts))
             self._batch_snr = self.snr_at(at)

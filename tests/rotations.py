@@ -26,5 +26,6 @@ def slerp(q0: Quaternion, q1: Quaternion, s: float) -> Quaternion:
 
 def direction_at(traj, s: float) -> np.ndarray:
     """Unit vector toward the AP in the headset frame at s along the
-    :class:`xrsim.covrage.Trajectory` ``traj``."""
-    return np.array(traj.directions((s,))[0])
+    :class:`xrsim.covrage.Trajectory` ``traj``: the world direction turned
+    into the slerped frame, a reference for ``traj.directions``."""
+    return slerp(traj.q_now, traj.q_pred, s).rotate_inverse(traj.d_world)

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import dataclasses
 import signal
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrsim import cli
+from xrsim.antenna import ArrayGeometry, AwvEvaluator
+from xrsim.codebook import synthesize_quasi_omni
 from xrsim.config import (
+    LINK_BATCH_CEILING,
     WORK_CAP,
     ConfigError,
     ScenarioConfig,
@@ -374,6 +378,8 @@ class TestSimulateCommand:
             (["trace_sample_rate = 1e9"], "trace_sample_rate"),
             (["walk_step_interval = 1e-9"], "walk_step_interval"),
             (["ap_rows = 100000"], "ap_rows"),
+            # a one-row headset's column phasor table: 314 MB a batch
+            (["hmd_rows = 1", "hmd_cols = 9500"], "link batch"),
         ],
     )
     def test_over_the_work_cap_exits_one_naming_the_field(self, tmp_path, capsys, overrides, field):
@@ -385,6 +391,53 @@ class TestSimulateCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "work cap" in err and field in err
+
+    # each exited 2, "int too large to convert to float", from the float
+    # arithmetic of the spacing check or the work counts
+    @pytest.mark.parametrize("overrides", [
+        ["ap_rows = 1" + "0" * 400], ["ap_cols = 1" + "0" * 400], ["hmd_rows = 1" + "0" * 400, "hmd_cols = 8"],
+        ["mpdu_bytes = 1" + "0" * 400], ["header_bytes = 1" + "0" * 400]])
+    def test_a_huge_integer_exits_one_naming_the_field(self, tmp_path, capsys, monkeypatch, overrides):
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("a run started"))
+        argv = ["simulate", "--out-dir", str(tmp_path)]
+        assert cli.main(argv + [a for ov in overrides for a in ("--set", ov)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s must be <= 2**53" % overrides[0].split(" =")[0])
+
+
+class TestLinkBatchCount:
+    """The work cap's array count is a link batch's phasor tables, one
+    16-byte entry per row and column of both arrays at each start of the
+    largest batch: with the 8x8 AP it holds headsets up to rows + cols =
+    4,866."""
+
+    def test_a_98x98_quasi_omni_headset_runs(self, tmp_path):
+        # the per-element set-up count rejected it
+        argv = ["simulate", "--out-dir", str(tmp_path), "--set", "sim_time = 0.05", "--set", "hmd_rows = 98",
+                "--set", "hmd_cols = 98", "--set", "rx_beamforming = quasi_omni", "--set", "prediction = none"]
+        with time_limit(20.0):
+            assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize("rows, cols", [(2433, 2433), (1, 4865)])
+    def test_the_largest_headsets_batch_stays_within_the_count(self, rows, cols):
+        # traced peaks of 80 MB (the row table, then the column table) and
+        # 160 MB (the column table) against 16 B x 1.0e7
+        overrides = ["rx_beamforming = quasi_omni", "prediction = none", "hmd_rows = %d" % rows]
+        with pytest.raises(ConfigError, match="link batch"):
+            load_config(overrides=overrides + ["hmd_cols = %d" % (cols + 1)])
+        counts = load_config(overrides=overrides + ["hmd_cols = %d" % cols]).work_counts()
+        (count,) = [n for what, n in counts.items() if what.startswith("link batch")]
+        g = ArrayGeometry(rows, cols)
+        evaluator = AwvEvaluator(g, synthesize_quasi_omni(g))
+        u = np.random.default_rng(1).normal(size=(LINK_BATCH_CEILING, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        tracemalloc.start()
+        try:
+            evaluator.gains_db(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count * np.dtype(complex).itemsize, (peak, count)
 
 
 # Fuzz draws per field kind: values to reject and values across a working

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from xrsim import antenna, macsim, mobility
 from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db
 from xrsim.codebook import cached_quasi_omni, generate_sector_codebook, steered_sectors, synthesize_quasi_omni
-from xrsim.config import ConfigError, ScenarioConfig, load_config
+from xrsim.config import LINK_BATCH_CEILING, ConfigError, ScenarioConfig, load_config
 from xrsim.geometry import Pose, ap_direction_in_hmd_frame, unit_vector
 from xrsim.macsim import (
     EVENT_KINDS,
@@ -1023,7 +1023,7 @@ class TestBatchedLink:
         g = sim.hmd_geometry
         assert (g.rows, g.cols) == (64, 64)
         airtime = sim._airtime(mpdu_sizes_bits(sim.cfg)[0])
-        ts = np.array(self.back_to_back(0.3, [airtime] * (macsim._LINK_BATCH_CEILING - 1)))
+        ts = np.array(self.back_to_back(0.3, [airtime] * (LINK_BATCH_CEILING - 1)))
         assert len(ts) == 2048
         sim.snr_at(ts[:2])
         tracemalloc.start()
@@ -1229,9 +1229,9 @@ class TestBatchedLink:
         sim = macsim.Simulator(load_config(overrides=overrides))
         sim._apply_beamform(0.3)
         self.open_epoch(sim, 1, head=0, next_tbtt=1.0, next_trigger=1.0)
-        assert sim._sources["burst_arrival"][1] == 1 and sim.burst_count > 4 * macsim._LINK_BATCH_CEILING
+        assert sim._sources["burst_arrival"][1] == 1 and sim.burst_count > 4 * LINK_BATCH_CEILING
         sim.snr_at = lambda ts: np.zeros(len(ts))
-        floor, ceiling = macsim._LINK_BATCH, macsim._LINK_BATCH_CEILING
+        floor, ceiling = macsim._LINK_BATCH, LINK_BATCH_CEILING
         assert ceiling == 16 * floor
 
         def use_batch(t, upto=None):
@@ -1295,5 +1295,5 @@ class TestBatchedLink:
             "rx_beamforming = quasi_omni", "prediction = none", "bf_interval = 1.0", "bi_duration = 1.024",
             "mpdu_bytes = 1000", "data_rate = 8e9", "sim_time = 0.3", "hmd_rows = 8", "hmd_cols = 8",
         ])
-        assert counters["mpdu_attempts"] > 20 * macsim._LINK_BATCH_CEILING
-        assert max(batches) == macsim._LINK_BATCH_CEILING
+        assert counters["mpdu_attempts"] > 20 * LINK_BATCH_CEILING
+        assert max(batches) == LINK_BATCH_CEILING
