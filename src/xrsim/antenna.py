@@ -21,10 +21,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 _NULL_FIELD = 1e-15
 NULL_GAIN_DB = -300.0
 
-# complex multiply-adds per matrix-vector product in AwvEvaluator.gains_db
-_GEMV_MACS = 2048
-
-
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform rectangular array of isotropic elements, element spacing in
@@ -74,46 +70,30 @@ class SteeredBlock(NamedTuple):
 
 
 class Awv:
-    """Analog weight vector: per-element phases; every element shares the
-    amplitude 1/sqrt(N).
+    """Analog weight vector of ``geometry``: per-element phases; every
+    element shares the amplitude 1/sqrt(N).
 
-    Steered column blocks (:func:`steered_awv`; a steered beam is one block
-    over all columns) are recorded in ``blocks``, separable row and column
-    factors (:func:`factored_awv`) in ``factors``, for :class:`AwvEvaluator`
-    to sum in closed form; the phases are built from them when first read,
-    which a link never does.  Neither takes part in ``==`` or ``repr``.
+    :func:`steered_awv` builds one from steered column blocks, recorded in
+    ``blocks`` (a steered beam is one block over all columns), and
+    :func:`factored_awv` from separable row and column factors, recorded in
+    ``factors``, for :class:`AwvEvaluator` to sum in closed form; the phases
+    are built from them when first read, which a link never does.
     """
 
-    blocks: tuple[SteeredBlock, ...] = ()
-    factors: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __init__(self, phases: np.ndarray):
-        phases = np.ascontiguousarray(phases, dtype=float)
-        if phases.ndim != 1 or phases.size == 0:
-            raise ValueError("phases must be a nonempty 1-D array")
-        self._phases = _finite(phases)
-        self.n_elements = phases.size
+    def __init__(self, geometry: ArrayGeometry, blocks=(), factors=None):
+        self.geometry, self.blocks, self.factors = geometry, blocks, factors
+        self._phases = None
 
     @property
     def phases(self) -> np.ndarray:
         if self._phases is None:
-            self._phases = _finite(_block_phases(self._geometry, self.blocks) if self.blocks
+            self._phases = _finite(_block_phases(self.geometry, self.blocks) if self.blocks
                                    else (math.pi * (self.factors[0][:, None] + self.factors[1][None, :])).ravel())
         return self._phases
 
     @property
     def amplitude(self) -> float:
-        return 1.0 / math.sqrt(self.n_elements)
-
-    def __eq__(self, other):
-        if not isinstance(other, Awv):
-            return NotImplemented
-        return np.array_equal(self.phases, other.phases)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return "Awv(phases=%r)" % (self.phases,)
+        return 1.0 / math.sqrt(self.geometry.n_elements)
 
 
 def _finite(phases: np.ndarray) -> np.ndarray:
@@ -134,10 +114,12 @@ def steered_awv(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> Awv:
     elements at y and z in block b take the phase -k (y t_y + z t_z) +
     offset, and the weight vector records the blocks.  Its phases are built
     when first read (:func:`_block_phases`)."""
-    _check_tiling(geometry, blocks)
+    starts, ends = [b.c0 for b in blocks], [b.c1 for b in blocks]
+    if starts + [geometry.cols] != [0] + ends or any(c0 >= c1 for c0, c1 in zip(starts, ends)):
+        raise ValueError("steered blocks must tile the array's columns")
     if not all(math.isfinite(v) for b in blocks for v in (b.ty, b.tz, b.offset)):
         raise ValueError("phases must be finite")
-    return _unbuilt_awv(geometry, blocks=tuple(blocks))
+    return Awv(geometry, blocks=tuple(blocks))
 
 
 def factored_awv(geometry: ArrayGeometry, rows: np.ndarray, cols: np.ndarray) -> Awv:
@@ -147,14 +129,7 @@ def factored_awv(geometry: ArrayGeometry, rows: np.ndarray, cols: np.ndarray) ->
     factors = tuple(_finite(np.array(f, dtype=float)) for f in (rows, cols))
     if [f.shape for f in factors] != [(geometry.rows,), (geometry.cols,)]:
         raise ValueError("factors must have one entry per row and per column")
-    return _unbuilt_awv(geometry, factors=factors)
-
-
-def _unbuilt_awv(geometry: ArrayGeometry, **record) -> Awv:
-    awv = Awv.__new__(Awv)
-    awv._phases, awv._geometry, awv.n_elements = None, geometry, geometry.n_elements
-    vars(awv).update(record)
-    return awv
+    return Awv(geometry, factors=factors)
 
 
 def _block_phases(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> np.ndarray:
@@ -167,25 +142,21 @@ def _block_phases(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> np
     return (-k * (y * ty + z[:, None] * tz) + offset).ravel()
 
 
-def _check_tiling(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]) -> None:
-    starts, ends = [b.c0 for b in blocks], [b.c1 for b in blocks]
-    if starts + [geometry.cols] != [0] + ends or any(c0 >= c1 for c0, c1 in zip(starts, ends)):
-        raise ValueError("steered blocks must tile the array's columns")
-
-
-def field_at(geometry: ArrayGeometry, awv: Awv, u: np.ndarray) -> complex:
-    """Complex far-field amplitude of the weighted array toward unit vector ``u``."""
-    if awv.n_elements != geometry.n_elements:
+def field_at(geometry: ArrayGeometry, phases: np.ndarray, u: np.ndarray) -> complex:
+    """Complex far-field amplitude toward unit vector ``u`` of the array
+    weighted with per-element ``phases``, row-major, summed element by
+    element: the oracle of :class:`AwvEvaluator`."""
+    if np.shape(phases) != (geometry.n_elements,):
         raise ValueError("weight vector length does not match the array")
     k = 2.0 * math.pi / geometry.wavelength
-    phase = awv.phases + k * (geometry.element_positions() @ u)
-    return awv.amplitude * complex(np.sum(np.exp(1j * phase)))
+    phase = phases + k * (geometry.element_positions() @ u)
+    return 1.0 / math.sqrt(geometry.n_elements) * complex(np.sum(np.exp(1j * phase)))
 
 
-def gain_db(geometry: ArrayGeometry, awv: Awv, u: np.ndarray) -> float:
-    """Array gain 20 log10 |field| in dB toward the unit vector ``u``;
-    perfect nulls floor at -300 dB."""
-    mag = abs(field_at(geometry, awv, u))
+def gain_db(geometry: ArrayGeometry, phases: np.ndarray, u: np.ndarray) -> float:
+    """Array gain 20 log10 |field| in dB of :func:`field_at` toward the
+    unit vector ``u``; perfect nulls floor at -300 dB."""
+    mag = abs(field_at(geometry, phases, u))
     return NULL_GAIN_DB if mag < _NULL_FIELD else 20.0 * math.log10(mag)
 
 
@@ -241,34 +212,36 @@ def block_layout(geometry: ArrayGeometry, blocks: Sequence[SteeredBlock]):
     """What :func:`block_fields` reads of B steered blocks, one row per
     Dirichlet factor: the targets (the distinct row t_z, shared by the blocks
     that have it, then each block's t_y), the component of u and the element
-    count of each; then each block's row factor, and the block centres in
-    columns off the array centre, or None if all are centred."""
+    count of each; then each block's row factor, and each block's turn, its
+    centre in columns off the array centre and its offset, or None if every
+    block is centred and at offset 0."""
     rows: dict = {}
     row_of = [rows.setdefault(b.tz, len(rows)) for b in blocks]
     n = [geometry.rows] * len(rows) + [b.c1 - b.c0 for b in blocks]
-    cen = [[(b.c0 + b.c1 - geometry.cols) / 2.0] for b in blocks]
+    turn = np.array([[(b.c0 + b.c1 - geometry.cols) / 2.0, b.offset] for b in blocks]).T[:, :, None]
     return (np.array(list(rows) + [b.ty for b in blocks])[:, None], np.array([2] * len(rows) + [1] * len(blocks)),
-            np.array(n, dtype=float)[:, None], np.array(row_of), np.array(cen) if any(c for c, in cen) else None)
+            np.array(n, dtype=float)[:, None], np.array(row_of), turn if turn.any() else None)
 
 
 def block_fields(geometry: ArrayGeometry, layout, u: np.ndarray) -> np.ndarray:
     """Field of each of B steered blocks, given by their
     :func:`block_layout`, toward the rows of ``u``, (M, 3) unit vectors in
-    the array frame: (M, B), per unit element amplitude and before the
-    block's offset.  Block b of n columns, centred ``cen`` columns off the
-    array centre and steered at t, gives D_rows(kd (u_z - t_z)) D_n(kd (u_y
-    - t_y)) e^{j cen kd (u_y - t_y)}, a product of two Dirichlet kernels
-    (Balanis, *Antenna Theory*, planar arrays), real for centred blocks.
-    The factors are taken factor-major, so that each array operation runs
-    along the directions; a link batch's ``u`` is the transposed view of a
-    component-major (3, M) array, whose rows the factors read whole."""
+    the array frame: (B, M), per unit element amplitude.  Block b of n
+    columns, centred ``cen`` columns off the array centre, steered at t and
+    turned by ``offset`` gives D_rows(kd (u_z - t_z)) D_n(kd (u_y - t_y))
+    e^{j (cen kd (u_y - t_y) + offset)}, a product of two Dirichlet kernels
+    (Balanis, *Antenna Theory*, planar arrays), real for centred blocks at
+    offset 0.  The factors are taken factor-major, so that each array
+    operation runs along the directions; a link batch's ``u`` is the
+    transposed view of a component-major (3, M) array, whose rows the
+    factors read whole."""
     kd = (2.0 * math.pi / geometry.wavelength) * (geometry.spacing_wavelengths * geometry.wavelength)
-    targets, axis, n, row_of, cen = layout
+    targets, axis, n, row_of, turn = layout
     theta = (u.T[axis] - targets) * kd
     factors = _dirichlet(theta, n)
     first = len(targets) - len(row_of)
     terms = factors[row_of] * factors[first:]
-    return np.ascontiguousarray((terms if cen is None else terms * _cis(cen * theta[first:])).T)
+    return terms if turn is None else terms * _cis(turn[0] * theta[first:] + turn[1])
 
 
 class AwvEvaluator:
@@ -279,35 +252,32 @@ class AwvEvaluator:
     direction (:meth:`gain_db`).
 
     Each AWV is summed in closed form, up to rounding the per-element
-    :func:`gain_db`, which alone sums bare phases.  :attr:`Awv.blocks` (a
-    steered or covrage composite beam) give O(blocks) :func:`block_fields`,
-    turned by their offsets; a steered beam's is one real field.
-    :attr:`Awv.factors` (the quasi-omni chirp) give a row sum times a column
-    sum, the planar array factor of a separable weighting.  A stack lists
-    steered beams, then factored AWVs, as a headset codebook does.
+    :func:`gain_db`.  :attr:`Awv.blocks` (a steered or covrage composite
+    beam) give O(blocks) :func:`block_fields`, summed per AWV; a steered
+    beam's is one real field.  :attr:`Awv.factors` (the quasi-omni chirp)
+    give a row sum times a column sum, the planar array factor of a
+    separable weighting.  A stack lists steered beams, then factored AWVs,
+    as a headset codebook does; each AWV gets the bits of its own
+    evaluator.
     """
 
     def __init__(self, geometry: ArrayGeometry, awv: Awv | Sequence[Awv]):
         stack = (awv,) if isinstance(awv, Awv) else tuple(awv)
-        if not stack or any(a.n_elements != geometry.n_elements for a in stack):
-            raise ValueError("weight vector length does not match the array")
+        if not stack or any(a.geometry != geometry for a in stack):
+            raise ValueError("weight vector does not match the array")
         steered = [a.blocks for a in stack if a.blocks]
-        factored = [a.factors for a in stack[len(steered):] if a.factors]
-        if len(steered) + len(factored) < len(stack):
-            raise ValueError("an evaluator sums steered blocks, then factored weights: gain_db sums bare phases")
-        real = all(len(blocks) == 1 and blocks[0].offset == 0.0 for blocks in steered)
-        if not real and len(stack) > 1:
-            raise ValueError("a stack's steered beams are single blocks at offset 0")
+        if any(a.blocks for a in stack[len(steered):]):
+            raise ValueError("a stack lists steered beams, then factored weights")
         self.geometry = geometry
         self.awv = awv if isinstance(awv, Awv) else stack
         self._amplitude = stack[0].amplitude
-        self._layout = self._block_coef = self._row_weights = None
+        self._layout = self._row_weights = None
         if steered:
-            for blocks in steered:
-                _check_tiling(geometry, blocks)
-            blocks = [b for own in steered for b in own]
-            self._layout = block_layout(geometry, blocks)
-            self._block_coef = None if real else self._amplitude * np.exp(1j * np.array([b.offset for b in blocks]))
+            self._layout = block_layout(geometry, [b for own in steered for b in own])
+            # each steered AWV's first block row, or None when each has one
+            counts = [len(own) for own in steered]
+            self._starts = np.cumsum([0] + counts[:-1]) if max(counts) > 1 else None
+        factored = [a.factors for a in stack[len(steered):]]
         if factored:
             self._ky, self._kz = (2.0 * math.pi / geometry.wavelength * x for x in geometry.axis_positions())
             self._row_weights = _cis(math.pi * np.array([rows for rows, _ in factored]))
@@ -321,23 +291,18 @@ class AwvEvaluator:
         """Gains toward the rows of ``u``, (M, 3) unit vectors in the array
         frame: (M,) for one AWV, (M, stack size) for a stack.
 
-        No product reaches OpenBLAS's thread pool, whose spinning workers
-        cost more CPU than they save.  A composite beam's M x B block fields
-        are summed in matrix-vector products of about ``_GEMV_MACS``
-        multiply-adds, below the pool's 4,096; no chunk has one row, which
-        takes the dot path and rounds differently.  A real field is that
-        sum's magnitude bit for bit.  A factored AWV's row and column sums
-        are einsums over (M, rows) and (M, cols) :func:`_lattice_phasors`.
+        Each steered AWV's block fields are added row by row, in block
+        order, and the magnitude of the sum is scaled by the amplitude: for
+        a real field x, |x| a is |x a| bit for bit.  A factored AWV's row
+        and column sums are einsums over (M, rows) and (M, cols)
+        :func:`_lattice_phasors`.  No sum makes a BLAS call.
         """
         mags = []
         if self._layout is not None:
             fields = block_fields(self.geometry, self._layout, u)
-            if self._block_coef is None:
-                mags.append(np.abs(fields * self._amplitude))
-            else:
-                n_products = max(min(-(-fields.size // _GEMV_MACS), len(u) // 2), 1)
-                chunks = np.array_split(fields, n_products) if n_products > 1 else [fields]
-                mags.append(np.abs(np.concatenate([rows @ self._block_coef for rows in chunks]))[:, None])
+            if self._starts is not None:
+                fields = np.add.reduceat(fields, self._starts, axis=0)
+            mags.append((np.abs(fields) * self._amplitude).T)
         if self._row_weights is not None:
             rows = np.einsum("mr,ar->ma", _lattice_phasors(self._kz, u[:, 2]), self._row_weights)
             cols = np.einsum("mc,ac->ma", _lattice_phasors(self._ky, u[:, 1]), self._col_weights)

@@ -157,9 +157,11 @@ class ScenarioConfig:
             raise ConfigError(f"prediction must be one of {', '.join(PREDICTION_MODES)}")
         if self.rx_beamforming == "quasi_omni" and self.prediction != "none":
             raise ConfigError("quasi_omni beamforming requires prediction = none")
-        # the run's outputs echo the config in ASCII
+        # the run's outputs echo the config in ASCII, one field a line
         if not self.rotation.isascii():
             raise ConfigError(f"rotation {self.rotation!r} is not ASCII")
+        if not self.rotation.isprintable():
+            raise ConfigError(f"rotation {self.rotation!r} holds a control character")
         if self.rotation not in ROTATION_MODES and not os.path.isfile(self.rotation):
             raise ConfigError(
                 f"rotation must be one of {', '.join(ROTATION_MODES)} or a trace file, got {self.rotation!r}"

@@ -99,7 +99,7 @@ def _alignment_offsets(geometry: ArrayGeometry, layout, crossovers) -> list[floa
     direction between them.  A block whose field is a perfect null at the
     crossover keeps offset 0."""
     u = np.array(crossovers).reshape(-1, 3)
-    fields = (block_fields(geometry, layout, u) / math.sqrt(geometry.n_elements)).tolist()
+    fields = (block_fields(geometry, layout, u) / math.sqrt(geometry.n_elements)).T.tolist()
     offsets = [0.0]
     for i, at_crossover in enumerate(fields, start=1):
         acc = sum(at_crossover[j] * cmath.exp(1j * offsets[j]) for j in range(i))

@@ -27,7 +27,7 @@ def snr_db(
     d_at_ap = ap_direction_in_hmd_frame(ap_pose, hmd_pose.position)
     return link_snr_db(
         config,
-        gain_db(ap_geometry, ap_awv, d_at_ap),
-        gain_db(hmd_geometry, hmd_awv, d_at_hmd),
+        gain_db(ap_geometry, ap_awv.phases, d_at_ap),
+        gain_db(hmd_geometry, hmd_awv.phases, d_at_hmd),
         distance,
     )

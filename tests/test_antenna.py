@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from xrsim.antenna import (
     NULL_GAIN_DB,
     ArrayGeometry,
-    Awv,
     AwvEvaluator,
     SteeredBlock,
     block_fields,
@@ -29,12 +28,12 @@ from directions import sample_directions
 from rotations import direction_at
 
 
-def brute_field(geometry, awv, u):
+def brute_field(geometry, phases, u):
     """Direct per-element complex summation, kept independent of field_at."""
     k = 2.0 * math.pi / geometry.wavelength
     amp = 1.0 / math.sqrt(geometry.n_elements)
     total = 0j
-    for pos, phase in zip(geometry.element_positions(), awv.phases):
+    for pos, phase in zip(geometry.element_positions(), phases):
         total += amp * cmath.exp(1j * (k * float(np.dot(pos, u)) + phase))
     return total
 
@@ -67,16 +66,15 @@ class TestAwv:
     def test_length_checked_against_use(self):
         g = ArrayGeometry(2, 2)
         with pytest.raises(ValueError):
-            field_at(g, Awv(np.zeros(3)), unit_vector(0.0, 0.0))
+            field_at(g, np.zeros(3), unit_vector(0.0, 0.0))
 
     def test_n_elements(self):
-        assert Awv(np.zeros(6)).n_elements == 6
+        awv = steering_phases(ArrayGeometry(2, 3), unit_vector(10.0, 5.0))
+        assert awv.phases.shape == (6,) and awv.amplitude == 1.0 / math.sqrt(6)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_phases_and_blocks_are_rejected(self, bad):
+    def test_non_finite_blocks_are_rejected(self, bad):
         g = ArrayGeometry(4, 8)
-        with pytest.raises(ValueError, match="finite"):
-            Awv(np.array([0.0, bad]))
         with pytest.raises(ValueError, match="finite"):
             steering_phases(g, np.array([1.0, bad, 0.0]))
         for field in ("ty", "tz", "offset"):
@@ -90,34 +88,33 @@ class TestFieldAndGain:
     def test_broadside_peak_is_coherent(self):
         # steered gain equals 10*log10(N): amplitudes 1/sqrt(N), coherent sum
         g = ArrayGeometry(8, 8)
-        got = gain_db(g, Awv(np.zeros(64)), unit_vector(0.0, 0.0))
+        got = gain_db(g, np.zeros(64), unit_vector(0.0, 0.0))
         assert got == pytest.approx(10.0 * math.log10(64), abs=1e-9)
         assert got == pytest.approx(18.0617997398, abs=1e-9)
 
     def test_large_array_peak(self):
         g = ArrayGeometry(64, 64)
-        got = gain_db(g, steering_phases(g, unit_vector(17.0, -9.0)), unit_vector(17.0, -9.0))
+        got = gain_db(g, steering_phases(g, unit_vector(17.0, -9.0)).phases, unit_vector(17.0, -9.0))
         assert got == pytest.approx(36.1235994797, abs=1e-9)
 
     def test_steering_reaches_the_peak_off_broadside(self):
         g = ArrayGeometry(8, 8)
         aim = unit_vector(30.0, 0.0)
         awv = steering_phases(g, aim)
-        assert gain_db(g, awv, aim) == pytest.approx(10.0 * math.log10(64), abs=1e-9)
+        assert gain_db(g, awv.phases, aim) == pytest.approx(10.0 * math.log10(64), abs=1e-9)
 
     def test_matches_brute_force_summation(self, rng):
         for rows, cols in ((1, 1), (2, 3), (8, 8)):
             g = ArrayGeometry(rows, cols)
             for _ in range(5):
-                awv = Awv(rng.uniform(-math.pi, math.pi, g.n_elements))
+                phases = rng.uniform(-math.pi, math.pi, g.n_elements)
                 d = unit_vector(rng.uniform(-180, 180), rng.uniform(-90, 90))
-                assert field_at(g, awv, d) == pytest.approx(brute_field(g, awv, d), abs=1e-9)
+                assert field_at(g, phases, d) == pytest.approx(brute_field(g, phases, d), abs=1e-9)
 
     def test_perfect_null_hits_the_floor(self):
         # two elements in antiphase cancel exactly at broadside
         g = ArrayGeometry(2, 1)
-        awv = Awv(np.array([0.0, math.pi]))
-        assert gain_db(g, awv, unit_vector(0.0, 0.0)) == NULL_GAIN_DB
+        assert gain_db(g, np.array([0.0, math.pi]), unit_vector(0.0, 0.0)) == NULL_GAIN_DB
 
     def test_evaluator_agrees_with_direct_calls(self, rng):
         # each kind of weights the package builds: steered, composite and
@@ -128,7 +125,7 @@ class TestFieldAndGain:
         for awv in awvs + [synthesize_quasi_omni(g)]:
             ev = AwvEvaluator(g, awv)
             for d in dirs:
-                assert ev.gain_db(d) == pytest.approx(gain_db(g, awv, d), abs=1e-12)
+                assert ev.gain_db(d) == pytest.approx(gain_db(g, awv.phases, d), abs=1e-12)
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 8), (64, 64)])
     def test_batched_gains_match_the_oracle(self, rng, shape):
@@ -141,7 +138,7 @@ class TestFieldAndGain:
         u = np.vstack([sample_directions(19, rng), unit_vector(0.0, 90.0), unit_vector(180.0, -90.0)])
         got = AwvEvaluator(g, awv).gains_db(u)
         assert got.shape == (len(u),)
-        want = np.array([gain_db(g, awv, d) for d in u])
+        want = np.array([gain_db(g, awv.phases, d) for d in u])
         assert np.all(np.abs(got - want)[want > -80.0] <= 1e-9)
         floor = NULL_GAIN_DB if g.n_elements <= 64 else -250.0
         assert np.all(got[want == NULL_GAIN_DB] <= floor)
@@ -158,7 +155,7 @@ class TestFieldAndGain:
         assert steered.phases[0] - steered.phases[1] == pytest.approx(math.pi, abs=1e-12)
         for awv, null, lobe in ((steered, broadside, endfire), (synthesize_quasi_omni(g), endfire, broadside)):
             got = AwvEvaluator(g, awv).gains_db(np.array([null, lobe]))
-            assert got[0] == NULL_GAIN_DB == gain_db(g, awv, null)
+            assert got[0] == NULL_GAIN_DB == gain_db(g, awv.phases, null)
             assert got[1] > NULL_GAIN_DB
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 8)])
@@ -172,9 +169,25 @@ class TestFieldAndGain:
         assert got.shape == (7, 37)
         for s, awv in enumerate(awvs):
             for m, d in enumerate(u):
-                assert got[m, s] == pytest.approx(gain_db(g, awv, d), abs=1e-9)
+                assert got[m, s] == pytest.approx(gain_db(g, awv.phases, d), abs=1e-9)
         # a sweep: every AWV of the stack toward one direction
         assert np.array_equal(stack.gain_db(u[0]), stack.gains_db(u[:1])[0])
+
+    @pytest.mark.parametrize("shape", [(3, 5), (8, 8), (64, 64)])
+    def test_a_stack_of_composite_beams_gives_each_awv_its_own_gains(self, rng, shape):
+        # composite beams of every block count, steered sectors between
+        # them and the factored quasi-omni last: bit for bit the gains of
+        # each AWV's own evaluator
+        g = ArrayGeometry(*shape)
+        composites = [steered_awv(g, plan_with_k(g, _ARC, k)) for k in range(1, min(K_MAX, g.cols) + 1)]
+        stack = composites[::-1] + list(steered_sectors(g)[:5]) + composites + [synthesize_quasi_omni(g)]
+        u = np.vstack([sample_directions(50, rng), _ENDFIRE_AND_BACK])
+        ev = AwvEvaluator(g, stack)
+        got = ev.gains_db(u)
+        assert got.shape == (len(u), len(stack))
+        for s, awv in enumerate(stack):
+            assert np.array_equal(got[:, s], AwvEvaluator(g, awv).gains_db(u)), s
+        assert np.array_equal(ev.gain_db(u[0]), got[0])
 
     def test_gain_db_is_the_batch_of_one(self, rng):
         # bit for bit factored, on a stack and in closed form
@@ -188,7 +201,7 @@ class TestFieldAndGain:
                 assert np.array_equal(ev.gain_db(u), ev.gains_db(u[None])[0])
 
     def test_stack_must_match_the_array(self):
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match="does not match the array"):
             AwvEvaluator(ArrayGeometry(2, 2), [synthesize_quasi_omni(ArrayGeometry(2, 2)),
                                                synthesize_quasi_omni(ArrayGeometry(1, 5))])
 
@@ -251,6 +264,11 @@ def phases_from_blocks(g, awv):
     return phases.ravel()
 
 
+def oracle_gain_db(g, awv, u):
+    """The per-element oracle's gain of the AWV's read-back phases."""
+    return gain_db(g, awv.phases, u)
+
+
 def extended_block_gain_db(g, awv, u):
     """Gain of the phases the AWV's blocks describe, summed element by
     element in long double: k p.(u - t) + offset per element, with the
@@ -270,8 +288,8 @@ def extended_block_gain_db(g, awv, u):
 
 
 def extended_block_fields(g, blocks, u):
-    """Each block's field per unit element amplitude and without its
-    offset, summed element by element in long double as in
+    """Each block's field per unit element amplitude, turned by its offset,
+    summed element by element in long double as in
     :func:`extended_block_gain_db`, then rounded to complex doubles."""
     ld = np.longdouble
     kd = ld(2.0 * math.pi / g.wavelength) * ld(g.spacing_wavelengths * g.wavelength)
@@ -280,6 +298,7 @@ def extended_block_fields(g, blocks, u):
     out = []
     for b in blocks:
         phase = kd * (cols[None, b.c0 : b.c1] * (ld(u[1]) - ld(b.ty)) + rows[:, None] * (ld(u[2]) - ld(b.tz)))
+        phase += ld(b.offset)
         out.append(complex(float(np.sum(np.cos(phase))), float(np.sum(np.sin(phase)))))
     return np.array(out)
 
@@ -331,31 +350,31 @@ class TestClosedForm:
         for awv, dirs in self.beams_and_directions(g, rng):
             got = block_fields(g, block_layout(g, awv.blocks), dirs)
             peak = g.rows * np.array([b.c1 - b.c0 for b in awv.blocks])
-            for row, d in zip(got, dirs):
+            assert got.shape == (len(awv.blocks), len(dirs))
+            for row, d in zip(got.T, dirs):
                 err = np.abs(row - extended_block_fields(g, awv.blocks, d))
                 assert np.all(err <= 1e-12 * peak), (len(awv.blocks), d)
 
     @pytest.mark.parametrize("spacing", [0.5, 1.0])
     @pytest.mark.parametrize("shape", [(8, 8), (5, 7), (1, 9), (9, 1)])
     def test_matches_the_oracle(self, rng, shape, spacing):
-        self.check_against(ArrayGeometry(*shape, spacing_wavelengths=spacing), gain_db, rng)
+        self.check_against(ArrayGeometry(*shape, spacing_wavelengths=spacing), oracle_gain_db, rng)
 
     @pytest.mark.parametrize("spacing", [0.5, 1.0, 1.7])
     @pytest.mark.parametrize("shape", [(8, 8), (64, 64), (5, 7), (1, 9), (9, 1), (16, 4)])
     def test_a_real_one_block_field_is_the_complex_block_sum(self, rng, shape, spacing):
         # 20 steered beams, each toward its peak, its grating lobes, endfire,
         # backfire and random directions: bit for bit, nulls included.  The
-        # complex sum gets an off-centre block weighted 0, so that
-        # block_fields forms the beam's field with its e^{j 0} factor
+        # complex sum's layout records a turn of centre 0 and offset 0, so
+        # that block_fields forms the beam's field with its e^{j 0} factor
         g = ArrayGeometry(*shape, spacing_wavelengths=spacing)
         aims = [unit_vector(0.0, 0.0), unit_vector(30.0, -20.0), unit_vector(-65.0, 40.0)]
         got = []
         for aim in aims + list(sample_directions(17, rng)):
             awv = steering_phases(g, aim)
             real, complex_sum = AwvEvaluator(g, awv), AwvEvaluator(g, awv)
-            assert real._block_coef is None
-            complex_sum._layout = block_layout(g, awv.blocks + (SteeredBlock(0, g.cols + 1, 0.0, 0.0, 0.0),))
-            complex_sum._block_coef = np.array([awv.amplitude, 0.0], dtype=complex)
+            assert real._layout[4] is None
+            complex_sum._layout = real._layout[:4] + (np.zeros((2, 1, 1)),)
             dirs = np.vstack([[aim], *grating_lobes(g, aim), _ENDFIRE_AND_BACK, sample_directions(200, rng)])
             got.append(real.gains_db(dirs))
             assert np.array_equal(got[-1], complex_sum.gains_db(dirs)), aim
@@ -373,7 +392,7 @@ class TestClosedForm:
         if g.rows > 1:
             ends += [unit_vector(0.0, 90.0), unit_vector(0.0, -90.0)]
         got = AwvEvaluator(g, awv).gains_db(np.stack(ends))
-        assert [gain_db(g, awv, d) for d in ends] == [NULL_GAIN_DB] * len(ends)
+        assert [gain_db(g, awv.phases, d) for d in ends] == [NULL_GAIN_DB] * len(ends)
         assert got.tolist() == [NULL_GAIN_DB] * len(ends)
 
     @pytest.mark.parametrize("spacing", [0.5, 1.0])
@@ -401,25 +420,14 @@ class TestClosedForm:
             assert np.array_equal(awv.phases, phases_from_blocks(g, awv))
             assert awv.phases is awv.phases and not awv.phases.flags.writeable
 
-    def test_blocks_take_no_part_in_equality_or_repr(self):
-        g = ArrayGeometry(4, 4)
-        awv = steering_phases(g, unit_vector(10.0, 5.0))
-        plain = Awv(awv.phases)
-        assert awv.blocks and not plain.blocks
-        assert awv == plain and repr(awv) == repr(plain)
-        assert "blocks" not in repr(awv)
-
-    def test_bare_phases_are_rejected(self):
-        # bare phases carry neither blocks nor factors: only the
-        # per-element oracle sums them, to the closed form's gains
+    def test_a_stack_lists_steered_beams_then_factored_weights(self):
+        # the per-element oracle sums the read-back phases to the closed
+        # form's gains
         g = ArrayGeometry(8, 8)
         awv = steering_phases(g, unit_vector(10.0, 5.0))
         qo = synthesize_quasi_omni(g)
-        for bad in (Awv(awv.phases), [awv, Awv(awv.phases)], [awv, Awv(qo.phases)]):
-            with pytest.raises(ValueError, match="bare phases"):
-                AwvEvaluator(g, bad)
         u = sample_directions(30, np.random.default_rng(4))
-        oracle = np.array([gain_db(g, Awv(awv.phases), d) for d in u])
+        oracle = np.array([gain_db(g, awv.phases, d) for d in u])
         assert np.max(np.abs(oracle - AwvEvaluator(g, awv).gains_db(u))) <= 1e-9
         # a stack of steered beams is summed in closed form, and one that
         # ends in a factored quasi-omni, as a headset codebook does, sums
@@ -427,12 +435,10 @@ class TestClosedForm:
         only_steered, codebook = AwvEvaluator(g, [awv, awv]), AwvEvaluator(g, [awv, qo])
         assert only_steered._layout is not None and only_steered._row_weights is None
         assert codebook._layout is not None and codebook._row_weights is not None
-        # steered beams come first, and a stack's are single blocks at offset 0
-        with pytest.raises(ValueError, match="bare phases"):
-            AwvEvaluator(g, [qo, awv])
-        composite = steered_awv(g, plan_with_k(g, _ARC, 3))
-        with pytest.raises(ValueError, match="single blocks"):
-            AwvEvaluator(g, [composite, awv])
+        # steered beams come first
+        for bad in ([qo, awv], [awv, qo, awv]):
+            with pytest.raises(ValueError, match="steered beams, then factored weights"):
+                AwvEvaluator(g, bad)
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 8), (64, 64)])
     def test_factors_describe_the_phases(self, shape):
@@ -444,7 +450,6 @@ class TestClosedForm:
         want = np.array([math.pi * (rows[r] + cols[c]) for r in range(g.rows) for c in range(g.cols)])
         assert np.array_equal(awv.phases, want)
         assert awv.phases is awv.phases and not awv.phases.flags.writeable
-        assert awv == Awv(want) and repr(awv) == repr(Awv(want))
         for bad in ((rows[1:], cols), (rows, np.append(cols, 0.0)), (rows, np.full(g.cols, math.nan))):
             with pytest.raises(ValueError):
                 factored_awv(g, *bad)
@@ -499,8 +504,8 @@ def test_global_phase_invariance(seed, shift):
     g = ArrayGeometry(4, 4)
     phases = rng.uniform(-math.pi, math.pi, 16)
     d = unit_vector(rng.uniform(-180, 180), rng.uniform(-90, 90))
-    g0 = gain_db(g, Awv(phases), d)
-    g1 = gain_db(g, Awv(phases + shift), d)
+    g0 = gain_db(g, phases, d)
+    g1 = gain_db(g, phases + shift, d)
     assert abs(g1 - g0) <= 1e-9
 
 
@@ -510,6 +515,6 @@ def test_coherence_bound(seed):
     # no phase-only AWV can beat the coherent-sum gain anywhere
     rng = np.random.default_rng(seed)
     g = ArrayGeometry(4, 4)
-    awv = Awv(rng.uniform(-math.pi, math.pi, 16))
+    phases = rng.uniform(-math.pi, math.pi, 16)
     d = unit_vector(rng.uniform(-180, 180), rng.uniform(-90, 90))
-    assert gain_db(g, awv, d) <= 10.0 * math.log10(16) + 1e-9
+    assert gain_db(g, phases, d) <= 10.0 * math.log10(16) + 1e-9

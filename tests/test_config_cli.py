@@ -264,16 +264,21 @@ class TestSimulateCommand:
         argv = ["simulate", "--out-dir", str(tmp_path)] + [a for ov in overrides for a in ("--set", ov)]
         assert cli.main(argv) == 0
 
-    def test_a_rotation_path_that_is_not_ascii_exits_one_before_the_run(self, tmp_path, capsys, monkeypatch):
-        # the outputs echo the config in ASCII: such a run would finish, then fail to write them
-        path = tmp_path / "trac\u00e9.csv"
+    # the outputs echo the config in ASCII, one field a line: a run on a
+    # non-ASCII path would finish, then fail to write them, and one on a
+    # path with a newline would write a frames file that report rejects
+    @pytest.mark.parametrize("name, why", [("trac\u00e9.csv", "not ASCII"), ("a\nb.csv", "control character")],
+                             ids=["non_ascii", "newline"])
+    def test_a_rotation_path_that_is_not_ascii_exits_one_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                                         name, why):
+        path = tmp_path / name
         save_trace(path, generate_rotation_trace(300.0, 1.0, 1000.0, np.random.SeedSequence(1)))
         calls = []
         monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a))
         argv = ["simulate", "--out-dir", str(tmp_path / "out"), "--set", "rotation = %s" % path]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: rotation") and "not ASCII" in err
+        assert err.startswith("config error: rotation") and why in err
         assert calls == [] and not (tmp_path / "out").exists()
 
     def test_bad_override_exits_one(self, tmp_path, capsys):

@@ -34,12 +34,13 @@ from xrsim.mobility import save_trace
 STEP = "walk_step_interval = 0.05"
 
 DIGESTS = {
-    # the covrage composite beam on a 64x64 headset: complex block sums
+    # the covrage composite beam on a 64x64 headset: each block's field
+    # turned by its centre phase plus its offset, the blocks added in order
     "covrage": (
         ("sim_time = 0.3", STEP),
         {
-            "AVX-512": "faf1e840826359beb19634066f100e6f3400486a3d4252d502ae241538bfb5de",
-            "AVX2": "257d3d9c9c1ee218b46da7f5c8a2b4ed9e26f0d23f92687418dbefae6f74b35b",
+            "AVX-512": "1df36f58120fa37ae8a797a9c4358e84a9d7b184268ba334e7ed1f12166cd6ac",
+            "AVX2": "ecf5a84b99e7bf2829014b005098470c0e7328c1653e727f70dde3aceb88fe96",
         },
     ),
     # the covrage beam planned from extrapolated motion, where no attempt
@@ -47,8 +48,8 @@ DIGESTS = {
     "extrapolation": (
         ("sim_time = 0.3", STEP, "prediction = extrapolation"),
         {
-            "AVX-512": "ecd608ad4fce91f777ba1087eb12787ef0317bef9a45d5fd8ea13c1413ca6586",
-            "AVX2": "48d5319b43a4af8bc6b111e7f71e15604eacb0b2f488fcdd40176481c0b4a7ea",
+            "AVX-512": "4bc89f7923fbe12c389380c6ea4aeba7a2c2624db74d77379251398998fdf27b",
+            "AVX2": "392e31c36d594cb6aacd2c7dbe702ce5f779849df1205c6cfbe9c50a5fd2cde9",
         },
     ),
     # 8x8 headset sectors swept after every beacon header: real one-block
@@ -74,8 +75,8 @@ DIGESTS = {
 # covrage on a recorded 1 s trace (the one of ``TestBatchedLink``) run past
 # its end, so that link batches read the trace across its wrap
 WRAPPED = ("sim_time = 1.3", STEP), {
-    "AVX-512": "c3813437a698eb051fde13e5659e9941331edb43a5a3da08e0e8dfbf47920f99",
-    "AVX2": "655ed3d5c79e4bdae0793c9d52bf8f4969115a053e7aae9eed79daa38db1597d",
+    "AVX-512": "779f877813e57dd8a42d63c14d8430e3014a26559a4e128264492fd2837769df",
+    "AVX2": "6d8f508c68c62257962bfffc694a657402ad10096e521f4b5ba38f529d7ea7a4",
 }
 
 def link_batch_digest(name):
@@ -101,14 +102,26 @@ def test_link_batch_digest_across_a_recorded_traces_wrap(tmp_path):
     assert batches_digest(batches) == want[KERNELS], HOST
 
 
-def test_the_avx2_digest_holds_on_the_avx2_kernels():
+@pytest.mark.parametrize(
+    "env",
+    # numpy's AVX2 kernels; and OpenBLAS on one thread, as perfbench runs
+    # the simulator, where tier-1 runs on OpenBLAS's default thread pool
+    [AVX2_ONLY, {"OPENBLAS_NUM_THREADS": "1"}],
+    ids=["avx2_kernels", "one_blas_thread"],
+)
+def test_the_avx2_digest_holds_on_the_avx2_kernels(env):
     # on an AVX-512 host the tests above read only the AVX-512 digests; this
     # one runs the covrage case, the complex block sum, and the quasi_omni
-    # case, the factored sum, where numpy dispatches to its AVX2 kernels
+    # case, the factored sum, in a child, where numpy dispatches to its AVX2
+    # kernels, or where OpenBLAS has one thread, and checks the digests of
+    # the child's kernel level
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, **AVX2_ONLY, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
     names = ("covrage", "quasi_omni")
     code = "import test_link_batch_digests as t; print(t.KERNELS, *map(t.link_batch_digest, %r))" % (names,)
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, **env, PYTHONPATH=path),
+                           capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["AVX2"] + [DIGESTS[name][1]["AVX2"] for name in names]
+    kernels, *got = child.stdout.split()
+    assert kernels == ("AVX2" if env == AVX2_ONLY else KERNELS)
+    assert got == [DIGESTS[name][1][kernels] for name in names], kernels

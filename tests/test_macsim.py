@@ -157,7 +157,7 @@ MIRROR_DIRECTION = unit_vector(3.3878870498648826e-16, 0.6851006141968146)
 
 
 def oracle_gains(g, awvs, d):
-    return np.array([gain_db(g, awv, d) for awv in awvs])
+    return np.array([gain_db(g, awv.phases, d) for awv in awvs])
 
 
 class TestBestSector:
@@ -976,10 +976,10 @@ class TestBatchedLink:
     def path(ev):
         """The sum an evaluator takes: the row and column factors, the
         complex block sum, or the real field of one full-width block at
-        offset 0."""
+        offset 0, whose layout records no turn."""
         if ev._row_weights is not None:
             return "factored"
-        return "real" if ev._block_coef is None else "complex"
+        return "real" if ev._layout[4] is None else "complex"
 
     def check_epoch(self, sim, hmd_path):
         # a steered sector, the AP's on every epoch, takes the real field
