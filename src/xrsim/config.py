@@ -4,7 +4,7 @@ plus the key = value config-file syntax used by the CLI.
 
 Config files hold one ``key = value`` pair per line, each key a field name;
 ``#`` starts a comment.  Command-line ``--set key=value`` overrides win over file
-values.
+values; an override that holds ``#`` is rejected.
 """
 
 from __future__ import annotations
@@ -304,6 +304,10 @@ def load_config(path=None, overrides=None) -> ScenarioConfig:
                 raise ConfigError(f"{path}: not a text config file ({exc.reason})") from None
         values.update(parse_config_lines(text.splitlines(), source=str(path)))
     if overrides:
+        # "#" starts a config file's comment; cut there, an override would run another value
+        for line in overrides:
+            if "#" in line:
+                raise ConfigError(f"override {line!r} holds '#', which starts a comment")
         values.update(parse_config_lines(overrides, source="<override>"))
     return ScenarioConfig(**values)
 

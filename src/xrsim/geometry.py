@@ -171,7 +171,9 @@ class Pose:
 def unit_toward(origin: np.ndarray, target: Sequence[float]) -> np.ndarray:
     """World-frame unit vector from the point ``origin`` toward ``target``."""
     diff = np.asarray(target, dtype=float) - origin
-    n = math.sqrt(diff @ diff)  # np.linalg.norm's arithmetic
+    # diff @ diff is OpenBLAS's fused ddot, fma(z, z, fma(y, y, x*x)), which
+    # no vectorized norm keeps (tests/test_host_facts.py)
+    n = math.sqrt(diff @ diff)
     if n < 1e-12:
         raise ValueError("headset and access point positions coincide")
     return diff / n

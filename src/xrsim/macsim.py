@@ -45,11 +45,14 @@ Sector sweeps: the AP probes its 36 steered transmit sectors toward the
 headset, as the initiator's transmit sector sweep of IEEE 802.11ad does, and
 in the ``sectors`` mode the headset probes every entry of its codebook, the
 steered sectors and then the quasi-omni, toward the AP, each sweep in one
-array pass.  The winner is the lowest sector id within :data:`SWEEP_TIE_DB`
-of the best gain (:func:`best_sector`): mirror-image sectors about the
-probed direction tie up to rounding.  A gain shared by every candidate, such
-as the other end's quasi-omni listener, cannot move the winner, so the sweep
-leaves it out.
+array pass.  Every BHI end of the A-BFT path beamforms, at a time no MAC
+decision moves, so each sweep runs once toward the next BHI ends'
+directions, up to :data:`LINK_BATCH_CEILING` of them, a row per update
+(:meth:`Simulator._grid_row`); a DTI sweep probes one direction.  The winner
+is the lowest sector id within :data:`SWEEP_TIE_DB` of the best gain
+(:func:`best_sector`): mirror-image sectors about the probed direction tie
+up to rounding.  A gain shared by every candidate, such as the other end's
+quasi-omni listener, cannot move the winner, so the sweep leaves it out.
 
 No MPDU starts before the first beamforming update: time 0 opens a BHI, at
 whose end the owed t = 0 sweep starts (DTI) or the update itself happens
@@ -186,6 +189,7 @@ class Simulator:
         self._reserved_until = 0.0  # end of the latest BHI or sweep
         self._link_cap = _LINK_BATCH
         self._last_ok = True  # outcome of the latest attempt, which predicts the next
+        self._grid, self._grid_next = [], 0  # the A-BFT updates' (pose, AP gains, HMD gains) rows
         self._new_link_epoch()
 
         self.counters = dict.fromkeys(
@@ -385,9 +389,16 @@ class Simulator:
     def _apply_beamform(self, t: float) -> str:
         """Select the AP sector and refresh the HMD side; returns a log tag."""
         cfg = self.cfg
-        hmd_pose = pose_at(self.trace, self.walk, t, cfg.hmd_height)
-        # initiator sweep: every AP sector probed toward the headset
-        self.ap_sector, self.ap_eval = self._sweep(self.ap_sweep, self.ap_pose, hmd_pose.position)
+        if cfg.bf_location == "abft":
+            hmd_pose, ap_gains, hmd_gains = self._grid_row(t)
+        else:
+            hmd_pose = pose_at(self.trace, self.walk, t, cfg.hmd_height)
+            # initiator sweep: every AP sector probed toward the headset
+            ap_gains = self.ap_sweep.gain_db(ap_direction_in_hmd_frame(self.ap_pose, hmd_pose.position))
+            # responder sweep, in the sectors mode: every headset sector probed toward the AP
+            hmd_gains = None if self.hmd_sweep is None else self.hmd_sweep.gain_db(
+                ap_direction_in_hmd_frame(hmd_pose, self.ap_position))
+        self.ap_sector, self.ap_eval = self._sweep(self.ap_sweep, ap_gains)
         if cfg.rx_beamforming == "covrage":
             horizon = cfg.bf_interval if cfg.bf_location == "dti" else cfg.bi_duration
             q_pred = predict_pose(hmd_pose, horizon, cfg.prediction, self.trace, cfg.sim_time)
@@ -395,18 +406,37 @@ class Simulator:
             self.hmd_eval = AwvEvaluator(self.hmd_geometry, awv)
             self.hmd_label = "covrage"
         elif cfg.rx_beamforming == "sectors":
-            # responder sweep: every headset sector probed toward the AP
-            best_id, self.hmd_eval = self._sweep(self.hmd_sweep, hmd_pose, self.ap_position)
+            best_id, self.hmd_eval = self._sweep(self.hmd_sweep, hmd_gains)
             self.hmd_label = "sector=%d" % best_id
         self._new_link_epoch()
         self.counters["bf_updates"] += 1
         return "sector=%d hmd=%s" % (self.ap_sector, self.hmd_label)
 
-    def _sweep(self, sweep: AwvEvaluator, pose: Pose, target: np.ndarray) -> tuple[int, AwvEvaluator]:
-        """The winner of a sweep from ``pose`` toward the point ``target``, and
+    def _grid_row(self, t: float) -> tuple:
+        """The headset pose at the A-BFT update t and both sweeps' gains: the
+        batch's next row if t is its next BHI end bit for bit, else the first
+        of a new batch, t and the BHI ends after it before sim_time."""
+        k = self._grid_next
+        if k >= len(self._grid) or self._grid[k][0].t != t:
+            (period, count), bhi, end = self._sources["beacon_start"], self.cfg.bhi_duration, self.cfg.sim_time
+            ends = (j * period + bhi for j in range(max(0, int((t - bhi) / period)), count))
+            times = [t, *itertools.islice((e for e in ends if t < e < end), LINK_BATCH_CEILING - 1)]
+            poses = [pose_at(self.trace, self.walk, s, self.cfg.hmd_height) for s in times]
+            # initiator sweep: every AP sector probed toward the headset
+            ap = self.ap_sweep.gains_db(np.array([ap_direction_in_hmd_frame(self.ap_pose, p.position) for p in poses]))
+            # responder sweep, in the sectors mode: every headset sector probed toward the AP
+            hmd = itertools.repeat(None) if self.hmd_sweep is None else self.hmd_sweep.gains_db(
+                np.array([ap_direction_in_hmd_frame(p, self.ap_position) for p in poses]))
+            self._grid, k = list(zip(poses, ap, hmd)), 0
+        # a row is taken once: released, it holds no memory past its update
+        row, self._grid[k], self._grid_next = self._grid[k], None, k + 1
+        return row
+
+    def _sweep(self, sweep: AwvEvaluator, gains: np.ndarray) -> tuple[int, AwvEvaluator]:
+        """The winner of a sweep from its gains, indexed by sector id, and
         its link evaluator, built on the sector's first win and kept: a
         sector's weights never change."""
-        best = best_sector(sweep.gain_db(ap_direction_in_hmd_frame(pose, target)))
+        best = best_sector(gains)
         if (sweep, best) not in self._sector_links:
             self._sector_links[sweep, best] = AwvEvaluator(sweep.geometry, sweep.awv[best])
         return best, self._sector_links[sweep, best]

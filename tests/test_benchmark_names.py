@@ -3,9 +3,11 @@
 The traced benchmark run (``perfbench/tracer.py``) wraps xrsim functions by
 name from outside the package.  Entering and leaving its instrumentation,
 without simulating anything, fails here in milliseconds when one of those
-names is deleted or renamed.  A sweep must book one stacked ``gain_db``
-call, which is what the per-layer ``gain_db`` and ``best_sector`` counts
-count; one covrage update must book each of its traced steps once, so that
+names is deleted or renamed.  A DTI sweep must book one stacked
+``gain_db`` call, which is what the per-layer ``gain_db`` and ``best_sector``
+counts count; an A-BFT sweep goes through ``gains_db``, over the beacon
+grid's batch, which the tracer does not wrap, and books its ``best_sector``
+alone; one covrage update must book each of its traced steps once, so that
 no fast path goes round a wrapped name; and a cold set-up must book its one
 8x8 quasi-omni synthesis, which is where the per-layer figures show set-up
 savings.  A run must book one ``link_snr_db`` call per link batch, which is
@@ -96,6 +98,25 @@ def test_one_sweep_books_one_gain_call(monkeypatch):
     totals = tracer.totals()
     assert totals["antenna.AwvEvaluator.gain_db.8x8"][0] == 3
     assert totals["macsim.best_sector"][0] == 2
+
+
+def test_an_abft_update_books_one_best_sector_per_sweep(monkeypatch):
+    # an A-BFT update takes its row of the beacon-grid batch: both sweeps
+    # go through gains_db, which the tracer does not wrap, and the first
+    # update reads every BHI end's pose and both directions once
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer, instrument
+
+    overrides = ["sim_time = 0.5", "rx_beamforming = sectors", "prediction = none", "bf_location = abft"]
+    sim = macsim.Simulator(load_config(overrides=overrides))
+    period, bhi = sim.cfg.bi_duration, sim.cfg.bhi_duration
+    with instrument(Tracer()) as tracer:
+        for j in range(5):
+            sim._apply_beamform(j * period + bhi)
+            totals = {name: calls for name, (calls, _) in tracer.totals().items()}
+            assert totals["macsim.best_sector"] == 2 * (j + 1)
+            assert totals["mobility.pose_at"] == 5 and totals["geometry.ap_direction_in_hmd_frame"] == 10
+            assert "antenna.AwvEvaluator.gain_db.8x8" not in totals
 
 
 def test_one_covrage_update_books_each_traced_step_once(monkeypatch):

@@ -281,6 +281,21 @@ class TestSimulateCommand:
         assert err.startswith("config error: rotation") and why in err
         assert calls == [] and not (tmp_path / "out").exists()
 
+    # a config file's "#" starts a comment; an override cut there ran on
+    # another value, here a trace file named "a" next to "a#b.csv"
+    @pytest.mark.parametrize("override", ["rotation = a#b.csv", "sim_time = 0.3 # note"])
+    def test_an_override_that_holds_a_hash_exits_one_naming_it(self, tmp_path, capsys, monkeypatch, override):
+        monkeypatch.chdir(tmp_path)
+        for name in ("a", "a#b.csv"):
+            save_trace(tmp_path / name, generate_rotation_trace(300.0, 1.0, 1000.0, np.random.SeedSequence(1)))
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("a run started"))
+        assert cli.main(["simulate", "--out-dir", str(tmp_path / "out"), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: override %r" % override) and "'#'" in err
+        # a config file keeps its comments
+        (tmp_path / "scenario.cfg").write_text("rotation = a#b.csv\n")
+        assert load_config(tmp_path / "scenario.cfg").rotation == "a"
+
     def test_bad_override_exits_one(self, tmp_path, capsys):
         rc = cli.main(
             ["simulate", "--out-dir", str(tmp_path), "--set", "data_rate = 9e9"]

@@ -303,6 +303,112 @@ class TestHeadsetSweep:
         assert np.max(np.abs(sim.hmd_sweep.gain_db(d) - gains)) <= 1e-9
 
 
+ABFT_SECTORS = ("rx_beamforming = sectors", "prediction = none", "bf_location = abft")
+
+
+class TestBeaconGridSweeps:
+    """On the A-BFT path every BHI end beamforms, at times no MAC decision
+    moves, so each sweep of the coming BHI ends is one ``gains_db`` over
+    their directions, a row per update (``Simulator._grid_row``)."""
+
+    @staticmethod
+    def lone_sweeps(sim, t):
+        """The pose at t and the gains of each sweep evaluated at t alone,
+        as a DTI update does: one ``gain_db`` toward one direction."""
+        pose = pose_at(sim.trace, sim.walk, t, sim.cfg.hmd_height)
+        ap = sim.ap_sweep.gain_db(ap_direction_in_hmd_frame(sim.ap_pose, pose.position))
+        hmd = None if sim.hmd_sweep is None else sim.hmd_sweep.gain_db(ap_direction_in_hmd_frame(pose, sim.ap_position))
+        return pose, ap, hmd
+
+    @staticmethod
+    def bhi_ends(sim):
+        """Every BHI end before sim_time, as _reserve computes it."""
+        period, count = sim._sources["beacon_start"]
+        ends = [j * period + sim.cfg.bhi_duration for j in range(count)]
+        return [t for t in ends if t < sim.cfg.sim_time]
+
+    @staticmethod
+    def record(monkeypatch):
+        """Record each update's time, log tag and the row of the beacon-grid
+        batch it took, with the batch's length."""
+        updates, apply, grid_row = [], macsim.Simulator._apply_beamform, macsim.Simulator._grid_row
+
+        def taking(self, t):
+            updates.append([t, None, grid_row(self, t), len(self._grid)])
+            return updates[-1][2]
+
+        def tagging(self, t):
+            tag = apply(self, t)
+            updates[-1][1] = tag
+            return tag
+
+        monkeypatch.setattr(macsim.Simulator, "_grid_row", taking)
+        monkeypatch.setattr(macsim.Simulator, "_apply_beamform", tagging)
+        return updates
+
+    def check(self, sim, update):
+        t, tag, row, _ = update
+        pose, ap, hmd = self.lone_sweeps(sim, t)
+        assert row[0].t == t and row[0].position.tobytes() == pose.position.tobytes()
+        assert row[0].orientation == pose.orientation
+        assert row[1].tobytes() == ap.tobytes(), t
+        assert (row[2] is None) == (hmd is None) and (hmd is None or row[2].tobytes() == hmd.tobytes()), t
+        assert tag.startswith("sector=%d hmd=" % best_sector(ap))
+        if hmd is not None:
+            assert tag.endswith("hmd=sector=%d" % best_sector(hmd))
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(("sim_time = 8.0", "seed = 1") + ABFT_SECTORS, id="sectors_abft"),
+        pytest.param(("sim_time = 2.0", "bf_location = abft"), id="covrage"),
+        pytest.param(("sim_time = 2.0", "bf_location = abft", "rx_beamforming = quasi_omni", "prediction = none"),
+                     id="quasi_omni"),
+    ])
+    def test_every_bhi_end_takes_the_lone_sweeps_winners(self, monkeypatch, overrides):
+        updates = self.record(monkeypatch)
+        sim = macsim.Simulator(load_config(overrides=list(overrides)))
+        sim.run()
+        ends = self.bhi_ends(sim)
+        assert [t for t, *_ in updates] == ends
+        # the first update evaluates the whole run's grid, every later one takes its row
+        assert [n for *_, n in updates] == [len(ends)] * len(ends)
+        assert sim._grid == [None] * len(ends)  # each row released once taken
+        for update in updates:
+            self.check(sim, update)
+
+    def test_an_off_grid_update_evaluates_alone(self, monkeypatch):
+        updates = self.record(monkeypatch)
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 1.0", *ABFT_SECTORS]))
+        ends = self.bhi_ends(sim)
+        sim._apply_beamform(ends[0])
+        assert [row[0].t for row in sim._grid[1:]] == ends[1:]
+        # 0.3 is no BHI end: it takes no row of the held batch but evaluates
+        # from its own time, and the next BHI end takes the row after it
+        sim._apply_beamform(0.3)
+        assert [row[0].t for row in sim._grid[1:]] == [t for t in ends if t > 0.3]
+        sim._apply_beamform(ends[3])
+        assert len(updates) == 3 and updates[2][2][0].t == ends[3] and sim._grid[1] is None
+        # a replaced config moves the grid: the update it moves evaluates from its time
+        sim.cfg = dataclasses.replace(sim.cfg, bhi_duration=sim.cfg.bhi_duration / 2.0)
+        t = 4 * sim._sources["beacon_start"][0] + sim.cfg.bhi_duration
+        sim._apply_beamform(t)
+        assert [row[0].t for row in sim._grid[1:]] == self.bhi_ends(sim)[5:]
+        for update in updates:
+            self.check(sim, update)
+
+    def test_no_batch_holds_more_than_the_ceiling(self, monkeypatch):
+        # 215 s of beacons: 2,100 BHI ends, more than one batch holds
+        updates = self.record(monkeypatch)
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 215.0", "rotation = static", *ABFT_SECTORS]))
+        ends = self.bhi_ends(sim)
+        assert len(ends) > LINK_BATCH_CEILING
+        for t in ends:
+            sim._apply_beamform(t)
+        full, rest = LINK_BATCH_CEILING, len(ends) - LINK_BATCH_CEILING
+        assert [n for *_, n in updates] == [full] * full + [rest] * rest
+        for update in updates[full - 1 : full + 1]:
+            self.check(sim, update)
+
+
 def test_each_sector_link_is_built_once_and_reused(monkeypatch):
     # a sector's weights never change, so its link evaluator is built on
     # the sector's first win and the same object serves every later win
