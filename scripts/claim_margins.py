@@ -6,7 +6,7 @@ script runs the seven 20 s scenarios those four criteria read at each seed
 and prints one markdown row per seed: each criterion's value and its
 margin, how far the value clears its threshold (negative when the criterion
 fails).  Scenarios, thresholds and margins come from ``tests/claims.py``,
-which the tests read too.  It takes about 17 s on 2 cores; the test suite
+which the tests read too.  It takes about 12 s on 2 cores; the test suite
 checks its seed-1 row only, on the runs the criterion tests share.
 
 Usage: python3 scripts/claim_margins.py [first_seed last_seed]   (default 1 6)

@@ -44,12 +44,12 @@ the plain one-event-per-MPDU schedule.  A step keeps each attempt once, as a
 Sector sweeps: the AP probes its 36 steered transmit sectors toward the
 headset, as the initiator's transmit sector sweep of IEEE 802.11ad does, and
 in the ``sectors`` mode the headset probes every entry of its codebook, the
-steered sectors and then the quasi-omni, toward the AP, each sweep in one
-array pass.  Every BHI end of the A-BFT path beamforms, at a time no MAC
-decision moves, so each sweep runs once toward the next BHI ends'
-directions, up to :data:`LINK_BATCH_CEILING` of them, a row per update
-(:meth:`Simulator._grid_row`); a DTI sweep probes one direction.  The winner
-is the lowest sector id within :data:`SWEEP_TIE_DB` of the best gain
+steered sectors and then the quasi-omni, toward the AP.  Each sweep runs in
+one array pass over a batch of updates, a row per update
+(:meth:`Simulator._sweep_row`): a DTI batch holds one update, as the MAC
+decides when a sweep ends, and an A-BFT one the next BHI ends, up to
+:data:`LINK_BATCH_CEILING`, at times no MAC decision moves.  The winner is
+the lowest sector id within :data:`SWEEP_TIE_DB` of the best gain
 (:func:`best_sector`): mirror-image sectors about the probed direction tie
 up to rounding.  A gain shared by every candidate, such as the other end's
 quasi-omni listener, cannot move the winner, so the sweep leaves it out.
@@ -81,6 +81,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -189,7 +190,7 @@ class Simulator:
         self._reserved_until = 0.0  # end of the latest BHI or sweep
         self._link_cap = _LINK_BATCH
         self._last_ok = True  # outcome of the latest attempt, which predicts the next
-        self._grid, self._grid_next = [], 0  # the A-BFT updates' (pose, AP gains, HMD gains) rows
+        self._rows = deque()  # the pending updates' (pose, AP gains, HMD gains) sweep rows
         self._new_link_epoch()
 
         self.counters = dict.fromkeys(
@@ -389,15 +390,7 @@ class Simulator:
     def _apply_beamform(self, t: float) -> str:
         """Select the AP sector and refresh the HMD side; returns a log tag."""
         cfg = self.cfg
-        if cfg.bf_location == "abft":
-            hmd_pose, ap_gains, hmd_gains = self._grid_row(t)
-        else:
-            hmd_pose = pose_at(self.trace, self.walk, t, cfg.hmd_height)
-            # initiator sweep: every AP sector probed toward the headset
-            ap_gains = self.ap_sweep.gain_db(ap_direction_in_hmd_frame(self.ap_pose, hmd_pose.position))
-            # responder sweep, in the sectors mode: every headset sector probed toward the AP
-            hmd_gains = None if self.hmd_sweep is None else self.hmd_sweep.gain_db(
-                ap_direction_in_hmd_frame(hmd_pose, self.ap_position))
+        hmd_pose, ap_gains, hmd_gains = self._sweep_row(t)
         self.ap_sector, self.ap_eval = self._sweep(self.ap_sweep, ap_gains)
         if cfg.rx_beamforming == "covrage":
             horizon = cfg.bf_interval if cfg.bf_location == "dti" else cfg.bi_duration
@@ -412,25 +405,25 @@ class Simulator:
         self.counters["bf_updates"] += 1
         return "sector=%d hmd=%s" % (self.ap_sector, self.hmd_label)
 
-    def _grid_row(self, t: float) -> tuple:
-        """The headset pose at the A-BFT update t and both sweeps' gains: the
-        batch's next row if t is its next BHI end bit for bit, else the first
-        of a new batch, t and the BHI ends after it before sim_time."""
-        k = self._grid_next
-        if k >= len(self._grid) or self._grid[k][0].t != t:
+    def _sweep_row(self, t: float) -> tuple:
+        """The headset pose at the update t and both sweeps' gains: the
+        batch's next row if its time is t bit for bit, else the first of a
+        new batch, t and, on the A-BFT path, the BHI ends after it before
+        sim_time; in DTI mode t alone, as the MAC decides when a sweep ends."""
+        if not self._rows or self._rows[0][0].t != t:
             (period, count), bhi, end = self._sources["beacon_start"], self.cfg.bhi_duration, self.cfg.sim_time
             ends = (j * period + bhi for j in range(max(0, int((t - bhi) / period)), count))
-            times = [t, *itertools.islice((e for e in ends if t < e < end), LINK_BATCH_CEILING - 1)]
+            more = LINK_BATCH_CEILING - 1 if self.cfg.bf_location == "abft" else 0
+            times = [t, *itertools.islice((e for e in ends if t < e < end), more)]
             poses = [pose_at(self.trace, self.walk, s, self.cfg.hmd_height) for s in times]
             # initiator sweep: every AP sector probed toward the headset
             ap = self.ap_sweep.gains_db(np.array([ap_direction_in_hmd_frame(self.ap_pose, p.position) for p in poses]))
             # responder sweep, in the sectors mode: every headset sector probed toward the AP
             hmd = itertools.repeat(None) if self.hmd_sweep is None else self.hmd_sweep.gains_db(
                 np.array([ap_direction_in_hmd_frame(p, self.ap_position) for p in poses]))
-            self._grid, k = list(zip(poses, ap, hmd)), 0
+            self._rows = deque(zip(poses, ap, hmd))
         # a row is taken once: released, it holds no memory past its update
-        row, self._grid[k], self._grid_next = self._grid[k], None, k + 1
-        return row
+        return self._rows.popleft()
 
     def _sweep(self, sweep: AwvEvaluator, gains: np.ndarray) -> tuple[int, AwvEvaluator]:
         """The winner of a sweep from its gains, indexed by sector id, and

@@ -3,17 +3,18 @@
 The traced benchmark run (``perfbench/tracer.py``) wraps xrsim functions by
 name from outside the package.  Entering and leaving its instrumentation,
 without simulating anything, fails here in milliseconds when one of those
-names is deleted or renamed.  A DTI sweep must book one stacked
-``gain_db`` call, which is what the per-layer ``gain_db`` and ``best_sector``
-counts count; an A-BFT sweep goes through ``gains_db``, over the beacon
-grid's batch, which the tracer does not wrap, and books its ``best_sector``
-alone; one covrage update must book each of its traced steps once, so that
-no fast path goes round a wrapped name; and a cold set-up must book its one
-8x8 quasi-omni synthesis, which is where the per-layer figures show set-up
-savings.  A run must book one ``link_snr_db`` call per link batch, which is
-what the per-layer link count counts.  And each workload's run at the
-pinned seed and length matches its pinned counters and frame digest, which
-is what the benchmark's output check reads.
+names is deleted or renamed.  A direct ``gain_db`` call must book one call,
+which is what the per-layer ``gain_db`` counts count; every sweep, DTI or
+A-BFT, takes its row of a sweep batch through ``gains_db``, which the
+tracer does not wrap, and books its ``best_sector`` alone; one covrage
+update must book each of its traced steps once, so that no fast path goes
+round a wrapped name; and a cold set-up must book its one 8x8 quasi-omni
+synthesis, which is where the per-layer figures show set-up savings.  A run
+must book one ``link_snr_db`` call per link batch, which is what the
+per-layer link count counts.  Each workload's traced run at the pinned
+seed and length books the pinned call counts, and its plain run matches its
+pinned counters and frame digest, which is what the benchmark's output
+check reads.
 """
 
 from pathlib import Path
@@ -84,7 +85,10 @@ def test_cold_setup_synthesizes_only_the_headset_quasi_omni(monkeypatch, workloa
     assert after.hits - before.hits == 0
 
 
-def test_one_sweep_books_one_gain_call(monkeypatch):
+def test_a_dti_update_books_one_best_sector_per_sweep(monkeypatch):
+    # a DTI update, like an A-BFT one, takes its row of a sweep batch, here
+    # a batch of its own: both sweeps go through gains_db and book their
+    # best_sector alone, while a direct gain_db call books one
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer, instrument
 
@@ -95,9 +99,10 @@ def test_one_sweep_books_one_gain_call(monkeypatch):
         antenna.AwvEvaluator(g, awvs).gain_db(unit_vector(20.0, -10.0))
         assert tracer.totals()["antenna.AwvEvaluator.gain_db.8x8"][0] == 1
         sim._apply_beamform(0.0)  # the AP sweep and the headset sweep
-    totals = tracer.totals()
-    assert totals["antenna.AwvEvaluator.gain_db.8x8"][0] == 3
-    assert totals["macsim.best_sector"][0] == 2
+    totals = {name: calls for name, (calls, _) in tracer.totals().items()}
+    assert totals["antenna.AwvEvaluator.gain_db.8x8"] == 1
+    assert totals["macsim.best_sector"] == 2
+    assert totals["mobility.pose_at"] == 1 and totals["geometry.ap_direction_in_hmd_frame"] == 2
 
 
 def test_an_abft_update_books_one_best_sector_per_sweep(monkeypatch):
@@ -134,7 +139,6 @@ def test_one_covrage_update_books_each_traced_step_once(monkeypatch):
         "mobility.pose_at": 1,
         "geometry.ap_direction_in_hmd_frame": 1,
         "macsim.best_sector": 1,
-        "antenna.AwvEvaluator.gain_db.8x8": 1,
         "geometry.predict_pose": 1,
         "covrage.covrage_beam": 1,
         "antenna.AwvEvaluator.init": 2,  # the AP sector's link, on its first win, and the beam's
@@ -163,6 +167,41 @@ def test_a_traced_run_books_one_link_call_per_link_batch(monkeypatch, workload):
         sim.run()
     assert len(batches) >= 2
     assert tracer.totals()["channel.link_snr_db"][0] == len(batches)
+
+
+# the traced calls of each workload's run at the pinned seed and length, in
+# the order of CALL_COLUMNS; 0: the run books none.  No sweep books
+# gain_db.  codebook.synthesize_quasi_omni.* is left out: it runs only on a
+# miss of the process-wide quasi-omni cache, which other tests warm
+CALL_COLUMNS = ("saturated_8g", "light_2g", "sectors_abft")
+TRACED_CALLS = {
+    "channel.link_snr_db": (84, 82, 84),
+    "macsim.best_sector": (80, 80, 158),
+    "mobility.pose_at": (80, 80, 79),
+    "geometry.ap_direction_in_hmd_frame": (80, 80, 158),
+    "geometry.predict_pose": (80, 80, 0),
+    "covrage.covrage_beam": (80, 80, 0),
+    "antenna.AwvEvaluator.init": (84, 84, 9),
+    "mobility.generate_rotation_trace": (1, 1, 1),
+    "mobility.generate_walk": (1, 1, 1),
+    "codebook.generate_sector_codebook": (0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("workload", CALL_COLUMNS)
+def test_each_workload_books_its_pinned_calls(monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer, instrument
+    from workloads import DEFAULT_SEED, SIM_TIME, WORKLOADS, overrides_for
+
+    cfg = load_config(overrides=overrides_for(WORKLOADS[workload], DEFAULT_SEED, SIM_TIME))
+    with instrument(Tracer()) as tracer:
+        macsim.Simulator(cfg).run()
+    calls = {
+        name: n for name, (n, _) in tracer.totals().items() if not name.startswith("codebook.synthesize_quasi_omni.")
+    }
+    i = CALL_COLUMNS.index(workload)
+    assert calls == {name: counts[i] for name, counts in TRACED_CALLS.items() if counts[i]}
 
 
 @pytest.mark.parametrize("workload", ["saturated_8g", "light_2g", "sectors_abft"])

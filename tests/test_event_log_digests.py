@@ -160,3 +160,30 @@ def test_no_link_evaluation_sits_at_the_threshold():
         for _, snr in record_link_batches(sim):
             closest.append(np.abs(np.frombuffer(snr) - sim.cfg.snr_threshold_db).min())
     assert min(closest) >= THRESHOLD_CLEARANCE_DB
+
+
+# over every sweep of the runs above, the tie members lay at most 5.95e-14
+# dB below the best gain and every other candidate at least 0.00716 dB
+# (sectors); numpy's kernel levels move a gain by ulps, so a digest above
+# that moves while this holds is a real change of the program, not rounding
+# of a sweep direction
+SWEEP_TIE_SPREAD_DB = 1e-12
+SWEEP_CLEARANCE_DB = 1e-3
+
+
+def test_no_sweep_candidate_sits_at_the_tie_margin(monkeypatch):
+    spreads, clearances, pick = [], [], macsim.best_sector
+
+    def recording(gains_db):
+        best = gains_db.max()
+        below, tie = best - gains_db, gains_db >= best - macsim.SWEEP_TIE_DB  # as best_sector ties them
+        spreads.append(below[tie].max())
+        clearances.append(below[~tie].min(initial=np.inf))
+        return pick(gains_db)
+
+    monkeypatch.setattr(macsim, "best_sector", recording)
+    for overrides, _ in DIGESTS.values():
+        macsim.run(load_config(overrides=["sim_time = 2.0", *overrides]))
+    assert len(spreads) == 184  # 20 a run, 2 over 1 s epochs, 40 where both ends sweep
+    assert max(spreads) <= SWEEP_TIE_SPREAD_DB
+    assert min(clearances) >= SWEEP_CLEARANCE_DB

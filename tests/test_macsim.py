@@ -306,15 +306,17 @@ class TestHeadsetSweep:
 ABFT_SECTORS = ("rx_beamforming = sectors", "prediction = none", "bf_location = abft")
 
 
-class TestBeaconGridSweeps:
-    """On the A-BFT path every BHI end beamforms, at times no MAC decision
-    moves, so each sweep of the coming BHI ends is one ``gains_db`` over
-    their directions, a row per update (``Simulator._grid_row``)."""
+class TestSweepRows:
+    """Every update takes its row of a sweep batch, each sweep one
+    ``gains_db`` over the batch's directions (``Simulator._sweep_row``).  On
+    the A-BFT path every BHI end beamforms, at times no MAC decision moves,
+    so a batch holds the coming BHI ends; a DTI batch holds its one update,
+    as the MAC decides when a sweep ends."""
 
     @staticmethod
     def lone_sweeps(sim, t):
-        """The pose at t and the gains of each sweep evaluated at t alone,
-        as a DTI update does: one ``gain_db`` toward one direction."""
+        """The pose at t and the gains of each sweep evaluated at t alone:
+        one ``gain_db`` toward one direction."""
         pose = pose_at(sim.trace, sim.walk, t, sim.cfg.hmd_height)
         ap = sim.ap_sweep.gain_db(ap_direction_in_hmd_frame(sim.ap_pose, pose.position))
         hmd = None if sim.hmd_sweep is None else sim.hmd_sweep.gain_db(ap_direction_in_hmd_frame(pose, sim.ap_position))
@@ -329,25 +331,32 @@ class TestBeaconGridSweeps:
 
     @staticmethod
     def record(monkeypatch):
-        """Record each update's time, log tag and the row of the beacon-grid
-        batch it took, with the batch's length."""
-        updates, apply, grid_row = [], macsim.Simulator._apply_beamform, macsim.Simulator._grid_row
+        """Record each update's time, log tag and the row it took, whether
+        it built a new batch, and the rows left in the batch after it."""
+        updates, apply, sweep_row = [], macsim.Simulator._apply_beamform, macsim.Simulator._sweep_row
 
         def taking(self, t):
-            updates.append([t, None, grid_row(self, t), len(self._grid)])
-            return updates[-1][2]
+            held = self._rows
+            row = sweep_row(self, t)
+            updates.append([t, None, row, self._rows is not held, len(self._rows)])
+            return row
 
         def tagging(self, t):
             tag = apply(self, t)
             updates[-1][1] = tag
             return tag
 
-        monkeypatch.setattr(macsim.Simulator, "_grid_row", taking)
+        monkeypatch.setattr(macsim.Simulator, "_sweep_row", taking)
         monkeypatch.setattr(macsim.Simulator, "_apply_beamform", tagging)
         return updates
 
+    @staticmethod
+    def pending(sim):
+        """The times of the rows the batch still holds."""
+        return [row[0].t for row in sim._rows]
+
     def check(self, sim, update):
-        t, tag, row, _ = update
+        t, tag, row, *_ = update
         pose, ap, hmd = self.lone_sweeps(sim, t)
         assert row[0].t == t and row[0].position.tobytes() == pose.position.tobytes()
         assert row[0].orientation == pose.orientation
@@ -370,8 +379,27 @@ class TestBeaconGridSweeps:
         ends = self.bhi_ends(sim)
         assert [t for t, *_ in updates] == ends
         # the first update evaluates the whole run's grid, every later one takes its row
-        assert [n for *_, n in updates] == [len(ends)] * len(ends)
-        assert sim._grid == [None] * len(ends)  # each row released once taken
+        assert [built for *_, built, _ in updates] == [True] + [False] * (len(ends) - 1)
+        assert [left for *_, left in updates] == list(range(len(ends) - 1, -1, -1))
+        assert not sim._rows  # no row is left once taken
+        for update in updates:
+            self.check(sim, update)
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param((), id="covrage"),
+        pytest.param(("rx_beamforming = sectors", "prediction = none"), id="sectors"),
+        pytest.param(("rx_beamforming = quasi_omni", "prediction = none"), id="quasi_omni"),
+    ])
+    def test_each_dti_update_takes_a_one_row_batch(self, monkeypatch, overrides):
+        updates = self.record(monkeypatch)
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 2.0", *overrides]), collect_events=True)
+        res = sim.run()
+        assert res.config.bf_location == "dti"
+        # every sweep that ends before sim_time updates, from a batch of its own
+        assert [t for t, *_ in updates] == [end for _, end in res.sls_intervals if end < res.config.sim_time]
+        assert len(updates) == res.counters["bf_updates"] >= 20
+        assert all(built and left == 0 for *_, built, left in updates)
+        assert not sim._rows
         for update in updates:
             self.check(sim, update)
 
@@ -380,18 +408,19 @@ class TestBeaconGridSweeps:
         sim = macsim.Simulator(load_config(overrides=["sim_time = 1.0", *ABFT_SECTORS]))
         ends = self.bhi_ends(sim)
         sim._apply_beamform(ends[0])
-        assert [row[0].t for row in sim._grid[1:]] == ends[1:]
+        assert self.pending(sim) == ends[1:]
         # 0.3 is no BHI end: it takes no row of the held batch but evaluates
         # from its own time, and the next BHI end takes the row after it
         sim._apply_beamform(0.3)
-        assert [row[0].t for row in sim._grid[1:]] == [t for t in ends if t > 0.3]
+        assert self.pending(sim) == [t for t in ends if t > 0.3]
         sim._apply_beamform(ends[3])
-        assert len(updates) == 3 and updates[2][2][0].t == ends[3] and sim._grid[1] is None
+        assert len(updates) == 3 and updates[2][2][0].t == ends[3] and self.pending(sim) == ends[4:]
         # a replaced config moves the grid: the update it moves evaluates from its time
         sim.cfg = dataclasses.replace(sim.cfg, bhi_duration=sim.cfg.bhi_duration / 2.0)
         t = 4 * sim._sources["beacon_start"][0] + sim.cfg.bhi_duration
         sim._apply_beamform(t)
-        assert [row[0].t for row in sim._grid[1:]] == self.bhi_ends(sim)[5:]
+        assert self.pending(sim) == self.bhi_ends(sim)[5:]
+        assert [built for *_, built, _ in updates] == [True, True, False, True]
         for update in updates:
             self.check(sim, update)
 
@@ -404,7 +433,8 @@ class TestBeaconGridSweeps:
         for t in ends:
             sim._apply_beamform(t)
         full, rest = LINK_BATCH_CEILING, len(ends) - LINK_BATCH_CEILING
-        assert [n for *_, n in updates] == [full] * full + [rest] * rest
+        assert [i for i, (*_, built, _) in enumerate(updates) if built] == [0, full]
+        assert [left for *_, left in updates] == [*range(full - 1, -1, -1), *range(rest - 1, -1, -1)]
         for update in updates[full - 1 : full + 1]:
             self.check(sim, update)
 
