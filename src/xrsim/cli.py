@@ -17,7 +17,17 @@ from .macsim import run, scenario_trace, write_event_log
 from .metrics import FrameFormatError, format_ms, read_frame_records, summarize, summary_lines, write_outputs
 from .mobility import TraceFormatError, save_trace
 
-PRESETS = ("paper-fig4",)
+# each paper experiment's cells: per rate, covrage on 64x64, sectors on 8x8
+# and the quasi-omni on both; and beacon-interval length against the DTI
+# beamforming period, then the A-BFT path at each beacon-interval length
+PRESETS = {
+    "paper-fig4": [{"data_rate": rate, "rx_beamforming": mode, "prediction": prediction, "hmd_rows": n, "hmd_cols": n}
+                   for rate in ("2e9", "5e9", "7e9")
+                   for mode, prediction, n in (("covrage", "device", "64"), ("sectors", "none", "8"),
+                                               ("quasi_omni", "none", "8"), ("quasi_omni", "none", "64"))],
+    "paper-overhead": [{"bi_duration": bi, "bf_interval": bf} for bi in ("0.1024", "1.024") for bf in ("0.1", "1.0")]
+    + [{"bf_location": "abft", "bi_duration": bi} for bi in ("0.1024", "1.024")],
+}
 
 
 def _out_dir(args) -> str:
@@ -64,14 +74,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _fig4_cells() -> list[dict]:
-    # per rate: covrage on 64x64, sectors on 8x8 and the quasi-omni on both
-    modes = (("covrage", "device", "64"), ("sectors", "none", "8"), ("quasi_omni", "none", "8"),
-             ("quasi_omni", "none", "64"))
-    return [{"data_rate": rate, "rx_beamforming": mode, "prediction": prediction, "hmd_rows": n, "hmd_cols": n}
-            for rate in ("2e9", "5e9", "7e9") for mode, prediction, n in modes]
-
-
 def _vary_cells(vary_args) -> list[dict]:
     axes = {}
     for spec in vary_args:
@@ -106,7 +108,7 @@ def _cmd_sweep(args) -> int:
     if args.preset and args.vary:
         raise ConfigError("--preset takes no --vary axis: the preset fixes its own cells")
     if args.preset:
-        cells = _fig4_cells()
+        cells = PRESETS[args.preset]
     elif args.vary:
         cells = _vary_cells(args.vary)
     else:
@@ -190,7 +192,8 @@ def _parser() -> argparse.ArgumentParser:
     sw.add_argument("--config", help="base config file")
     sw.add_argument("--set", action="append", metavar="KEY=VALUE", help="base overrides")
     sw.add_argument("--vary", action="append", metavar="KEY=V1,V2", help="sweep axis")
-    sw.add_argument("--preset", choices=PRESETS, help="named experiment matrix")
+    sw.add_argument("--preset", choices=sorted(PRESETS), help="named experiment matrix: paper-fig4 (data rate by"
+                    " beamforming mode) or paper-overhead (beacon interval by beamforming period and location)")
     sw.add_argument("--out-dir", help="output directory (default $XRSIM_OUT or .)")
     sw.add_argument("--label", default="sweep", help="basename for the combined CSV")
     sw.set_defaults(func=_cmd_sweep)

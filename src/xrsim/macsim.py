@@ -216,7 +216,8 @@ class Simulator:
     def _build_motion(self) -> None:
         cfg = self.cfg
         self.trace = scenario_trace(cfg)
-        if cfg.prediction == "device" and not self.trace.has_device:
+        # only the covrage beam reads a prediction
+        if cfg.rx_beamforming == "covrage" and cfg.prediction == "device" and not self.trace.has_device:
             raise ConfigError("prediction = device needs a trace with device-prediction columns")
         self.walk = generate_walk(
             cfg.x_bounds, cfg.y_bounds, cfg.walk_speed, cfg.walk_step_interval, cfg.sim_time, _motion_seed(cfg, 1)

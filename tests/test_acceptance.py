@@ -9,17 +9,14 @@ import cmath
 import csv
 import importlib.util
 import math
-import os
 import re
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xrsim import macsim
+from xrsim import cli, macsim
 from xrsim.antenna import ArrayGeometry, AwvEvaluator, gain_db, steered_awv, steering_phases
 from xrsim.codebook import generate_sector_codebook, synthesize_quasi_omni
 from xrsim.config import load_config
@@ -195,21 +192,16 @@ def test_claim_margins_takes_two_seeds_or_none(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("Usage: python3 scripts/claim_margins.py")
 
 
-@pytest.mark.parametrize("script, rows", [
-    ("run_rate_sweep", {"rate_sweep": 12}),
-    ("run_overhead_sweep", {"overhead_dti": 4, "overhead_abft": 2}),
-])
-def test_sweep_scripts_write_a_row_per_cell(tmp_path, script, rows):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, str(ROOT / "scripts" / (script + ".py")), str(tmp_path), "--set", "sim_time = 0.05"]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(label + ".csv" for label in rows)
-    for label, count in rows.items():
-        with open(tmp_path / (label + ".csv"), newline="") as fh:
-            table = list(csv.DictReader(fh))
-        assert len(table) == count
-        assert all(r["error"] == "" and int(r["delivered"]) + int(r["lost"]) == 5 for r in table), table
+# each paper experiment is one sweep preset, writing one CSV
+@pytest.mark.parametrize("preset, count", [("paper-fig4", 12), ("paper-overhead", 6)])
+def test_each_preset_writes_a_row_per_cell(tmp_path, capsys, preset, count):
+    argv = ["sweep", "--preset", preset, "--out-dir", str(tmp_path), "--label", "s", "--set", "sim_time = 0.05"]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+    with open(tmp_path / "s.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(table) == count
+    assert all(r["error"] == "" and int(r["delivered"]) + int(r["lost"]) == 5 for r in table), table
 
 
 def _random_direction(rng):

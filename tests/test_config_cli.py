@@ -177,7 +177,7 @@ class TestValidation:
 
     def test_shipped_scenarios_stay_well_under_the_work_cap(self):
         base = [["data_rate = 8e9"], *map(list, SCENARIOS.values())]
-        cells = [["%s = %s" % kv for kv in cell.items()] for cell in cli._fig4_cells()]
+        cells = [["%s = %s" % kv for kv in cell.items()] for preset in cli.PRESETS.values() for cell in preset]
         for overrides in base + cells:
             counts = load_config(overrides=overrides).work_counts()
             assert max(counts.values()) <= WORK_CAP / 2, (overrides, counts)
@@ -760,7 +760,7 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--out-dir", str(tmp_path), "--vary", "data_rate"]) == 1
 
     def test_preset_matrix_shape(self):
-        cells = cli._fig4_cells()
+        cells = cli.PRESETS["paper-fig4"]
         assert len(cells) == 12
         rates = {c["data_rate"] for c in cells}
         assert rates == {"2e9", "5e9", "7e9"}
@@ -774,7 +774,7 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--out-dir", str(tmp_path), "--label", "p", "--preset", "paper-fig4"]) == 0
         with open(tmp_path / "p.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        keys = sorted(",".join("%s=%s" % kv for kv in sorted(cell.items())) for cell in cli._fig4_cells())
+        keys = sorted(",".join("%s=%s" % kv for kv in sorted(cell.items())) for cell in cli.PRESETS["paper-fig4"])
         assert [row[0] for row in rows] == keys and all(row[2] == "1.000000" and row[9] == "" for row in rows)
 
     def test_vary_axes_form_a_cartesian_product(self):
@@ -790,19 +790,20 @@ class TestSweepCommand:
         # must beat the best baseline (the baselines' relative order is not
         # pinned down)
         rel = {(c["rx_beamforming"], c["hmd_rows"]): reliability(run_cached(*("%s = %s" % kv for kv in c.items())))
-               for c in cli._fig4_cells() if c["data_rate"] == "7e9"}
+               for c in cli.PRESETS["paper-fig4"] if c["data_rate"] == "7e9"}
         covrage = rel.pop(("covrage", "64"))
         assert len(rel) == 3 and covrage > max(rel.values())
 
     @staticmethod
-    def _sweep_rows_match_simulate(tmp_path, axis, base):
-        """Sweep one --vary axis, check each row against `xrsim simulate`
-        with that cell's override, and return the rows."""
-        assert cli.main(["sweep", "--out-dir", str(tmp_path), "--label", "s", "--vary", axis] + base) == 0
-        header, *rows = (tmp_path / "s.csv").read_text().splitlines()
-        cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    def _sweep_rows_match_simulate(tmp_path, sweep, base):
+        """Run the sweep the ``sweep`` flags name, check each row against
+        `xrsim simulate` with that cell's overrides, and return the rows."""
+        assert cli.main(["sweep", "--out-dir", str(tmp_path), "--label", "s"] + sweep + base) == 0
+        with open(tmp_path / "s.csv", newline="") as fh:
+            cells = list(csv.DictReader(fh))
         for cell in cells:
-            argv = ["simulate", "--out-dir", str(tmp_path), "--label", "r", "--set", cell["cell"]]
+            overrides = [arg for kv in cell["cell"].split(",") for arg in ("--set", kv)]
+            argv = ["simulate", "--out-dir", str(tmp_path), "--label", "r"] + overrides
             assert cli.main(argv + base) == 0
             summary = (tmp_path / "r_summary.txt").read_text()
             assert "# seed = %s\n" % cell["seed"] in summary
@@ -817,17 +818,28 @@ class TestSweepCommand:
     def test_a_seed_axis_runs_its_own_seeds(self, tmp_path, capsys):
         # the derived cell seed used to replace the axis values, so the rows
         # ran seeds 1048701970 and 1474878502
-        cells = self._sweep_rows_match_simulate(tmp_path, "seed=1,2", ["--set", "sim_time = 0.2"])
+        cells = self._sweep_rows_match_simulate(tmp_path, ["--vary", "seed=1,2"], ["--set", "sim_time = 0.2"])
         assert [cell["seed"] for cell in cells] == ["1", "2"]
 
     def test_every_cell_runs_the_base_seed(self, tmp_path, capsys):
         # each cell used to hash its key into a seed of its own, so the
         # strategies ran different walks and head traces
         cells = self._sweep_rows_match_simulate(
-            tmp_path, "rx_beamforming=covrage,sectors", ["--set", "sim_time = 0.2"]
+            tmp_path, ["--vary", "rx_beamforming=covrage,sectors"], ["--set", "sim_time = 0.2"]
         )
         assert [cell["cell"] for cell in cells] == ["rx_beamforming=covrage", "rx_beamforming=sectors"]
         assert [cell["seed"] for cell in cells] == ["1", "1"]
+
+    def test_the_overhead_preset_runs_its_cells(self, tmp_path, capsys):
+        # the DTI cells, beacon interval by beamforming period, then the
+        # A-BFT path at each beacon interval, all in one CSV
+        cells = self._sweep_rows_match_simulate(tmp_path, ["--preset", "paper-overhead"], ["--set", "sim_time = 0.3"])
+        assert [cell["cell"] for cell in cells] == [
+            "bf_interval=0.1,bi_duration=0.1024", "bf_interval=0.1,bi_duration=1.024",
+            "bf_interval=1.0,bi_duration=0.1024", "bf_interval=1.0,bi_duration=1.024",
+            "bf_location=abft,bi_duration=0.1024", "bf_location=abft,bi_duration=1.024",
+        ]
+        assert all(cell["seed"] == "1" and cell["error"] == "" for cell in cells)
 
     def test_cell_quantiles_are_the_run_summary_ones(self, tmp_path):
         base = ["sim_time = 0.3", "data_rate = 8e9"]

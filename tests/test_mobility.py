@@ -603,6 +603,18 @@ class TestTraceFile:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == "config error: %s\n" % message.format(path=path)
 
+    # the sectors mode reads no prediction, so a trace without device columns
+    # serves it at the default prediction = device; it used to exit 1 on both
+    # beamforming paths
+    @pytest.mark.parametrize("bf_location", ["dti", "abft"])
+    def test_sectors_run_on_a_trace_without_device_columns(self, tmp_path, capsys, bf_location):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,qw,qx,qy,qz\n0,1,0,0,0\n1,1,0,0,0\n")
+        argv = ["simulate", "--out-dir", str(tmp_path), "--set", "rotation = %s" % path, "--set", "sim_time = 0.3",
+                "--set", "rx_beamforming = sectors", "--set", "bf_location = %s" % bf_location]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert (tmp_path / "run_frames.csv").exists()
+
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,qw,qx,qy,qz\n0,1,0,0,0\n")
