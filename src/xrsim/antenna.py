@@ -192,18 +192,18 @@ def _dirichlet(theta: np.ndarray, n) -> np.ndarray:
     multiple of 2 pi, both sines nearly vanish, and the rounding of n theta
     would swamp the numerator of the plain ratio.
     """
-    turns = np.rint(theta / (2.0 * math.pi))
-    # nothing to reduce and no sign to fix where every direction is within
+    # nothing to reduce and no sign to fix where every |theta| is below 3 <
+    # pi, so every rint(theta / 2 pi) is 0: where every direction is within
     # 1 / (2 spacing) of its target along the axis, as on a link
-    wrapped = np.count_nonzero(turns)
-    half = (theta - 2.0 * math.pi * turns if wrapped else theta) / 2.0
+    turns = None if np.abs(theta).max(initial=0.0) < 3.0 else np.rint(theta / (2.0 * math.pi))
+    half = (theta if turns is None else theta - 2.0 * math.pi * turns) / 2.0
     out = np.sin(n * half)  # n theta / 2 is n (theta / 2): halving is exact
     np.sin(half, out=half)
     if half.all():
         out /= half
     else:
         out = np.divide(out, half, out=np.full(half.shape, n, dtype=float), where=half != 0.0)
-    if wrapped:
+    if turns is not None:
         np.negative(out, out=out, where=(np.fmod(turns, 2.0) != 0.0) & ((n - 1) % 2 == 1))
     return out
 
@@ -289,7 +289,8 @@ class AwvEvaluator:
 
     def gains_db(self, u: np.ndarray) -> np.ndarray:
         """Gains toward the rows of ``u``, (M, 3) unit vectors in the array
-        frame: (M,) for one AWV, (M, stack size) for a stack.
+        frame, of which only u_y and u_z are read (a link's u_x is NaN): (M,)
+        for one AWV, (M, stack size) for a stack.
 
         Each steered AWV's block fields are added row by row, in block
         order, and the magnitude of the sum is scaled by the amplitude: for

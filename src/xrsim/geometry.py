@@ -94,14 +94,16 @@ class Quaternion:
         return np.array([q.x / s, q.y / s, q.z / s]), angle
 
 
-def _rotate(w, x, y, z, vx, vy, vz) -> tuple:
+def _rotate(w, x, y, z, vx, vy, vz, with_x=True) -> tuple:
     """The vector (vx, vy, vz) turned by the unit quaternion (w, x, y, z):
-    floats, or arrays that broadcast, component by component."""
+    floats, or arrays that broadcast, component by component; x is NaN
+    without ``with_x``."""
     # t = 2 q_v x v; v' = v + w t + q_v x t
     tx = 2.0 * (y * vz - z * vy)
     ty = 2.0 * (z * vx - x * vz)
     tz = 2.0 * (x * vy - y * vx)
-    return (vx + w * tx + (y * tz - z * ty), vy + w * ty + (z * tx - x * tz), vz + w * tz + (x * ty - y * tx))
+    turned_x = vx + w * tx + (y * tz - z * ty) if with_x else math.nan
+    return (turned_x, vy + w * ty + (z * tx - x * tz), vz + w * tz + (x * ty - y * tx))
 
 
 def slerps(q0: Quaternion, q1: Quaternion, ss: Sequence[float]) -> list[tuple[float, float, float, float]]:
@@ -137,12 +139,14 @@ def slerp_step(p0: Sequence[float], p1: Sequence[float], angle: float, sine: flo
 
 
 def rotate_into_frames(quats: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """World-frame vectors into the local frames of orientations: the
-    row-wise :meth:`Quaternion.rotate_inverse`.  ``quats`` is (..., 4)
-    scalar-first and ``v`` is (..., 3); leading dimensions broadcast.  The
-    result is the (..., 3) view of a component-major (3, ...) array."""
+    """World-frame vectors into the local frames of orientations: the y and
+    z components of the row-wise :meth:`Quaternion.rotate_inverse` bit for
+    bit, all a gain reads, and x NaN.  ``quats`` is (..., 4) scalar-first and
+    ``v`` is (..., 3); leading dimensions broadcast.  The result is the
+    (..., 3) view of a component-major (3, ...) array."""
     w, x, y, z = quats[..., 0], -quats[..., 1], -quats[..., 2], -quats[..., 3]
-    out = np.array(_rotate(w, x, y, z, v[..., 0], v[..., 1], v[..., 2]))
+    _, turned_y, turned_z = _rotate(w, x, y, z, v[..., 0], v[..., 1], v[..., 2], with_x=False)
+    out = np.array((np.full_like(turned_y, math.nan), turned_y, turned_z))
     return out.transpose(*range(1, out.ndim), 0)
 
 

@@ -73,7 +73,10 @@ real one, and evaluates the link at all of them in one array computation
 real start equals it bit for bit.  A mismatch or an update begins a new
 batch.  The batch cap doubles after a batch is used to its end, so an epoch
 takes a batch or two, and falls back to :data:`_LINK_BATCH` after a
-mismatch; its ceiling bounds a batch's arrays.
+mismatch; its ceiling bounds a batch's arrays.  A batch forms what a step
+reads: each end's direction in y and z, all a gain reads (x is NaN), the
+AP's fixed turn about y in closed form; the delivered counts, a range or
+zeros where every entry succeeds or none does; a break list when first read.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ _RANK = {kind: min(i, EVENT_KINDS.index("sim_end") + 1) for i, kind in enumerate
 # a slot whose kind has no pending event
 _IDLE = {kind: (math.inf, _RANK[kind], 0, kind, None) for kind in EVENT_KINDS}
 
-# ceiling-mounted array, boresight straight down (+x local -> -z world)
+# ceiling-mounted array, boresight straight down (+x local -> -z world): a turn about y, (w, 0, s, 0)
 AP_ORIENTATION = Quaternion.from_axis_angle((0.0, 1.0, 0.0), math.pi / 2.0)
 
 # predicted MPDU start times per link-evaluation batch: the adaptive cap's
@@ -142,6 +145,18 @@ def best_sector(gains_db: np.ndarray) -> int:
     """Sweep winner from the gains indexed by sector id: the lowest id whose
     gain is within :data:`SWEEP_TIE_DB` of the best."""
     return int((gains_db >= gains_db[gains_db.argmax()] - SWEEP_TIE_DB).argmax())
+
+
+def _into_ap_frame(v: np.ndarray) -> np.ndarray:
+    """The columns of a (3, M) array ``v`` turned into the AP's frame in place,
+    x NaN: :func:`geometry.rotate_into_frames` with :data:`AP_ORIENTATION` up
+    to a zero's sign.  Its x and z are 0, so with s' = -y only t_x = 2 (s' v_z),
+    t_z = 2 (-(s' v_x)), u_y = v_y and u_z = (v_z + w t_z) - s' t_x are left."""
+    w, s = AP_ORIENTATION.w, -AP_ORIENTATION.y
+    tx, tz = 2.0 * (s * v[2]), 2.0 * -(s * v[0])
+    v[2] = (v[2] + w * tz) - s * tx
+    v[0] = math.nan
+    return v
 
 
 def write_event_log(path, events) -> None:
@@ -224,7 +239,6 @@ class Simulator:
         )
         self.ap_position = np.array(cfg.ap_position, dtype=float)
         self.ap_pose = Pose(0.0, self.ap_position, AP_ORIENTATION)
-        self._ap_quat = np.array([AP_ORIENTATION.w, AP_ORIENTATION.x, AP_ORIENTATION.y, AP_ORIENTATION.z])
 
     def _build_arrays(self) -> None:
         cfg = self.cfg
@@ -286,17 +300,19 @@ class Simulator:
         ``tests/links.py``), equal to it up to rounding.  The batch is
         component-major from the walk and trace lookups to the budget, one
         contiguous row per component, so that no pass strides: what takes
-        (M, 3) or (M, 4) rows reads the transposed view of a (3, M) or
-        (4, M) array.  Both ends turn in one pass."""
-        quats, toward = np.empty((4, 2, len(ts))), np.empty((3, 2, len(ts)))
-        dx, dy = np.subtract(self.walk.positions_at(ts).T, self.ap_position[:2, None], out=toward[:2, 0])
-        dz = toward[2, 0] = self.cfg.hmd_height - self.ap_position[2]
+        (M, 3) or (M, 4) rows reads the transposed view of a (3, M) or (4, M)
+        array.  Each end's direction is formed in y and z, what a gain reads,
+        x NaN: the headset's by :func:`geometry.rotate_into_frames`, the AP's
+        fixed turn about y in closed form (:func:`_into_ap_frame`)."""
+        toward = np.empty((3, len(ts)))  # from the AP to the headset
+        dx, dy = np.subtract(self.walk.positions_at(ts).T, self.ap_position[:2, None], out=toward[:2])
+        dz = toward[2] = self.cfg.hmd_height - self.ap_position[2]
         # np.einsum("ij,ij->i") over (M, 3) rows sums this, bit for bit with numpy
         # 2.4.6: 0 of 100,000 random rows differ (x*x + y*y + z*z: 22,705 do)
         distance = np.sqrt(dx * dx + dz * dz + dy * dy)
-        np.negative(np.divide(toward[:, 0], distance, out=toward[:, 0]), out=toward[:, 1])
-        quats[:, 0], quats[:, 1] = self._ap_quat[:, None], self.trace.orientations_at(ts).T
-        d_at_ap, d_at_hmd = rotate_into_frames(quats.transpose(1, 2, 0), toward.transpose(1, 2, 0))
+        toward /= distance
+        d_at_hmd = rotate_into_frames(self.trace.orientations_at(ts), np.negative(toward).T)
+        d_at_ap = _into_ap_frame(toward).T
         return link_snr_db(self.cfg, self.ap_eval.gains_db(d_at_ap), self.hmd_eval.gains_db(d_at_hmd), distance)
 
     def _new_link_epoch(self) -> None:
@@ -319,18 +335,26 @@ class Simulator:
             elif len(starts):
                 self._link_cap = min(2 * self._link_cap, LINK_BATCH_CEILING)
             self._batch_starts = self._predicted_starts(t)
-            at = np.fromiter(self._batch_starts, float, len(self._batch_starts))
-            self._batch_snr = self.snr_at(at)
-            # for the array steps: the MPDUs delivered before each entry and after the
-            # last, and the entries not followed by their end at a full (tail) airtime
-            self._batch_done = [0] + np.cumsum(self._batch_snr >= self.cfg.snr_threshold_db).tolist()
-            self._batch_breaks = [
-                np.flatnonzero(at[:-1] + air != at[1:]).tolist() + [len(at) + 1]
-                for air in (self._full_airtime, self._tail_airtime)
-            ]
+            self._batch_at = np.fromiter(self._batch_starts, float, len(self._batch_starts))
+            self._batch_snr = self.snr_at(self._batch_at)
+            # MPDUs delivered before each entry and after the last: a range or zeros if all or none succeed
+            ok = self._batch_snr >= self.cfg.snr_threshold_db
+            n, n_ok = len(ok), int(np.count_nonzero(ok))
+            self._batch_done = range(n + 1) if n_ok == n else [0] + np.cumsum(ok).tolist() if n_ok else [0] * (n + 1)
+            self._batch_breaks = [None, None]  # built on their first read (_next_break)
             k = 0
         self._batch_next = k + 1
         return k
+
+    def _next_break(self, tail: int, i: int) -> int:
+        """The first batch entry from i on not followed by its end at the full
+        (``tail`` 0) or tail (1) airtime, else n + 1 (n entries): each list of
+        them is built on its first read in a batch, and none is read for i >= n."""
+        at, breaks = self._batch_at, self._batch_breaks
+        if i < len(at) and breaks[tail] is None:
+            air = self._tail_airtime if tail else self._full_airtime
+            breaks[tail] = np.flatnonzero(at[:-1] + air != at[1:]).tolist() + [len(at) + 1]
+        return breaks[tail][bisect_left(breaks[tail], i)] if i < len(at) else len(at) + 1
 
     def _predicted_starts(self, t: float) -> list:
         """t, at which the queue head starts, and the start times that follow
@@ -509,20 +533,20 @@ class Simulator:
         pushed or the queue drains with no arrival before the horizon."""
         full, tail, deadline = self._full_airtime, self._tail_airtime, self.cfg.deadline
         k = self._link_index(t)
-        starts, done, (full_breaks, tail_breaks) = self._batch_starts, self._batch_done, self._batch_breaks
+        starts, done = self._batch_starts, self._batch_done
         # no attempt after the one that reaches the horizon is in the step
         hi = max(k + 1, bisect_left(starts, horizon))
         i = k
         while True:
             created, base, left = self.frames[self.head].created, done[i], self.burst_count - self.sent
             tail_from = bisect_left(done, base + left - 1, i)
-            full_break = full_breaks[bisect_left(full_breaks, i)]
+            full_break = self._next_break(0, i)
             # the frame's attempts run back to back up to the first that
             # completes it, is followed by a stale start or breaks the batch
             r = min(
                 hi - 1, bisect_left(done, base + left, i + 1) - 1,
                 bisect_left(starts, True, i + 1, hi, key=lambda s: s - created > deadline) - 1,
-                full_break if full_break < tail_from else hi, tail_breaks[bisect_left(tail_breaks, tail_from)],
+                full_break if full_break < tail_from else hi, self._next_break(1, tail_from),
             )
             if self.collect:
                 self.tx_intervals += [

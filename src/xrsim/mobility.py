@@ -116,13 +116,16 @@ class TraceSet:
         (12, n - 1) rows a batch takes at once: the earlier sample, those
         three, and the segment's start time and length."""
         if self._segments is None:
-            q0, q1 = self.orientations[:-1].T, self.orientations[1:].T
+            rows = np.empty((12, len(self.times) - 1))  # written row by row, with no stacked copy
+            q0, q1, angle, sine = rows[:4], rows[4:8], rows[8], rows[9]
+            q0[...], q1[...] = self.orientations[:-1].T, self.orientations[1:].T
             d = q0[0] * q1[0] + q0[1] * q1[1] + q0[2] * q1[2] + q0[3] * q1[3]
-            angle = np.arccos(np.minimum(1.0, np.abs(d)))
+            np.negative(q1, out=q1, where=d < 0.0)
+            np.arccos(np.minimum(1.0, np.abs(d, out=d), out=d), out=angle)
             near = angle < _SLERP_MIN_ANGLE
-            sine = np.sin(np.where(near, 1.0, angle))
-            rows = np.array([*q0, *np.where(d < 0.0, -q1, q1), angle, sine, self.times[:-1], np.diff(self.times)])
-            self._segments = (rows[4:8], rows[8], rows[9], near, rows)
+            np.sin(np.where(near, 1.0, angle), out=sine)
+            rows[10], rows[11] = self.times[:-1], np.diff(self.times)
+            self._segments = (q1, angle, sine, near, rows)
         return self._segments
 
     def orientations_at(self, ts: np.ndarray) -> np.ndarray:
@@ -143,9 +146,7 @@ class TraceSet:
         rows = self._segment_table()[4].take(i, axis=1)
         q0, q1, (angle, sine, t0, dt) = rows[:4], rows[4:8], rows[8:]
         u = (ts - t0) / dt
-        c = np.sin([(1.0 - u) * angle, u * angle])
-        c /= sine
-        out = c[0] * q0 + c[1] * q1
+        out = np.sin((1.0 - u) * angle) / sine * q0 + np.sin(u * angle) / sine * q1
         lin = angle < _SLERP_MIN_ANGLE
         if lin.any():
             q = q0[:, lin] + u[lin] * (q1[:, lin] - q0[:, lin])
