@@ -248,8 +248,10 @@ class AwvEvaluator:
     """Fast gain evaluation for one AWV, or for a codebook's stack of AWVs
     (``awv`` is then their tuple, in the order given), toward many
     directions at once (:meth:`gains_db`).  A link evaluates one AWV at a
-    batch of directions; a sector sweep evaluates a whole codebook toward one
-    direction (:meth:`gain_db`).
+    batch of directions; a sweep evaluates a whole codebook toward the
+    directions of a batch of beamforming updates, one row per update.
+    :meth:`gain_db` is the one-direction form, which the package does not
+    call.
 
     Each AWV is summed in closed form, up to rounding the per-element
     :func:`gain_db`.  :attr:`Awv.blocks` (a steered or covrage composite

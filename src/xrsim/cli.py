@@ -17,6 +17,10 @@ from .macsim import run, scenario_trace, write_event_log
 from .metrics import FrameFormatError, format_ms, read_frame_records, summarize, summary_lines, write_outputs
 from .mobility import TraceFormatError, save_trace
 
+# what ``main`` reports as a configuration problem, exit 1; a sweep records
+# these as a cell's error row, and any other exception stops it with exit 2
+CONFIG_ERRORS = (ConfigError, TraceFormatError, FrameFormatError, FileNotFoundError, IsADirectoryError)
+
 # each paper experiment's cells: per rate, covrage on 64x64, sectors on 8x8
 # and the quasi-omni on both; and beacon-interval length against the DTI
 # beamforming period, then the A-BFT path at each beacon-interval length
@@ -140,7 +144,7 @@ def _cmd_sweep(args) -> int:
                 format_ms(summary.max_latency),
                 "",
             )
-        except Exception as exc:  # record the failure, keep sweeping
+        except CONFIG_ERRORS as exc:  # record the cell's config error, keep sweeping
             seed = cell.get("seed", "%d" % base_cfg.seed)
             row = (key, seed, "none", "0", "0", "none", "none", "none", "none", str(exc))
         rows.append(row)
@@ -218,7 +222,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, TraceFormatError, FrameFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except CONFIG_ERRORS as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:

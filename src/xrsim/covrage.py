@@ -58,12 +58,15 @@ def subarray_beamwidth_deg(cols_per_block: int, spacing_wavelengths: float) -> f
 
 
 def choose_block_count(cols: int, spacing_wavelengths: float, span_deg: float) -> int:
-    """Smallest block count whose combined sub-beam width covers the span.
+    """The block count a fixed-point rule settles on: from k = 1, k becomes
+    ceil(span / the beamwidth of a ``cols // k`` column block) for as long
+    as that asks for more blocks than k, capped at :data:`K_MAX` or one
+    column per block, whichever is fewer.
 
-    The needed count depends on the per-block beamwidth, which itself depends
-    on the count, so the rule is iterated from k=1 upward until it stops
-    asking for more blocks or saturates at :data:`K_MAX` or one column per
-    block, whichever is fewer.
+    A block's beam widens as k grows, so the first step, taken at the full
+    array's narrow beam, can pass a smaller count whose wider blocks already
+    cover the span: 64 columns at a 3.2 degree span give 3 where 2 cover.
+    The result is not always the smallest covering count.
     """
     k_cap = min(K_MAX, cols)
     k = 1

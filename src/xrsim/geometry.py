@@ -58,12 +58,6 @@ class Quaternion:
             raise ValueError("cannot normalize a zero quaternion")
         return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
 
-    def canonicalized(self) -> "Quaternion":
-        """Fix the double-cover sign so that w >= 0."""
-        if self.w < 0.0:
-            return Quaternion(-self.w, -self.x, -self.y, -self.z)
-        return self
-
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
@@ -83,15 +77,6 @@ class Quaternion:
     def rotate_inverse(self, v: Sequence[float]) -> np.ndarray:
         """Rotate a world-frame 3-vector into the local frame."""
         return np.array(_rotate(self.w, -self.x, -self.y, -self.z, *map(float, v)))
-
-    def to_axis_angle(self) -> tuple[np.ndarray, float]:
-        """Canonical axis-angle with angle in [0, pi]."""
-        q = self.canonicalized()
-        s = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
-        if s < 1e-12:
-            return np.array([1.0, 0.0, 0.0]), 0.0
-        angle = 2.0 * math.atan2(s, q.w)
-        return np.array([q.x / s, q.y / s, q.z / s]), angle
 
 
 def _rotate(w, x, y, z, vx, vy, vz, with_x=True) -> tuple:
@@ -202,10 +187,12 @@ def predict_pose(now: Pose, horizon: float, mode: str, trace, end: float) -> Qua
     Modes:
 
     * ``none``: the current orientation, held.
-    * ``extrapolation``: the angular velocity from the trace orientation at
-      ``max(0, now.t - VELOCITY_EST_DT)`` to the current one, as the
-      axis-angle of q_prev^-1 * q_now over their time gap, applied forward.
-      At t = 0 there is no past, so the orientation is held.
+    * ``extrapolation``: the slerp from the trace orientation q_prev at
+      ``t_prev = max(0, now.t - VELOCITY_EST_DT)`` to the current q_now,
+      continued to s = 1 + horizon / (now.t - t_prev): q_now * (q_prev^-1 *
+      q_now)^(horizon / (now.t - t_prev)), the gap's constant body-frame
+      angular velocity on its shortest path.  At t = 0 there is no past, so
+      the orientation is held.
     * ``device``: the device prediction recorded in the trace at the sample
       nearest the current time (requires device columns).  That is the
       orientation at the trace's own ``ph_h`` horizon, whatever ``horizon``
@@ -221,11 +208,8 @@ def predict_pose(now: Pose, horizon: float, mode: str, trace, end: float) -> Qua
         t_prev = max(0.0, now.t - VELOCITY_EST_DT)
         if t_prev >= now.t:
             return now.orientation
-        rel = (trace.orientation_at(t_prev).conjugate() * now.orientation).normalized()
-        axis, angle = rel.to_axis_angle()
-        rate = horizon / (now.t - t_prev)
-        step = Quaternion.from_axis_angle(axis, angle * rate) if angle > 0.0 else Quaternion.identity()
-        return (now.orientation * step).normalized()
+        s = 1.0 + horizon / (now.t - t_prev)
+        return Quaternion(*slerps(trace.orientation_at(t_prev), now.orientation, (s,))[0])
     if mode == "device":
         return trace.device_prediction_nearest(now.t)
     if mode == "oracle":

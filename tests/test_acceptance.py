@@ -225,7 +225,7 @@ def test_criterion_8_property_suite(run_cached, tmp_path):
     rng = np.random.default_rng(42)
     checks = []
 
-    # rotation algebra: inverse, axis-angle round trip, slerp identities
+    # rotation algebra: inverse, composition, slerp identities
     ok = True
     for _ in range(50):
         ax = rng.normal(size=3)

@@ -710,6 +710,33 @@ class TestSweepCommand:
         bad = next(ln for ln in lines if "/missing/trace.csv" in ln)
         assert bad.split(",")[2] == "none" or '"' in bad
 
+    def test_a_runtime_error_in_a_cell_stops_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # a simulator fault is no config error of the cell: the sweep stops
+        # with exit 2 as simulate does, before writing any CSV
+        def fail(cfg, collect_events=False):
+            raise RuntimeError("event queue ran dry")
+
+        monkeypatch.setattr(cli, "run", fail)
+        argv = ["sweep", "--out-dir", str(tmp_path), "--label", "r", "--set", "sim_time = 0.05"]
+        assert cli.main(argv + ["--vary", "seed=1,2"]) == 2
+        assert capsys.readouterr().err == "runtime error: event queue ran dry\n"
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("error", cli.CONFIG_ERRORS, ids=lambda e: e.__name__)
+    def test_what_simulate_exits_one_on_is_a_sweep_row(self, tmp_path, capsys, monkeypatch, error):
+        # one tuple serves both: simulate reports it as a config error, and
+        # a sweep records it as the cell's row and keeps going
+        def fail(cfg, collect_events=False):
+            raise error("cell %d is bad" % cfg.seed)
+
+        monkeypatch.setattr(cli, "run", fail)
+        assert cli.main(["simulate", "--out-dir", str(tmp_path), "--set", "seed = 3"]) == 1
+        assert capsys.readouterr().err == "config error: cell 3 is bad\n"
+        argv = ["sweep", "--out-dir", str(tmp_path), "--label", "r", "--vary", "seed=1,2"]
+        assert cli.main(argv) == 0
+        rows = list(csv.reader((tmp_path / "r.csv").open()))[1:]
+        assert [(r[1], r[2], r[-1]) for r in rows] == [("1", "none", "cell 1 is bad"), ("2", "none", "cell 2 is bad")]
+
     def test_a_quote_in_a_cell_reads_back(self, tmp_path, capsys):
         # the quote was written undoubled, so a csv reader dropped it and
         # read a stray quote after the message

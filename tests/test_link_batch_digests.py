@@ -48,8 +48,8 @@ DIGESTS = {
     "extrapolation": (
         ("sim_time = 0.3", STEP, "prediction = extrapolation"),
         {
-            "AVX-512": "4bc89f7923fbe12c389380c6ea4aeba7a2c2624db74d77379251398998fdf27b",
-            "AVX2": "392e31c36d594cb6aacd2c7dbe702ce5f779849df1205c6cfbe9c50a5fd2cde9",
+            "AVX-512": "1499aa55daa11dd62069f86382c97517dbf0db83f93018d4291f1d8724866d51",
+            "AVX2": "bf771fc096278c929680c9015ee76f8cb1b8cf06cb25c49815ad4c6cb866b322",
         },
     ),
     # 8x8 headset sectors swept after every beacon header: real one-block
@@ -111,13 +111,14 @@ def test_link_batch_digest_across_a_recorded_traces_wrap(tmp_path):
 )
 def test_the_avx2_digest_holds_on_the_avx2_kernels(env):
     # on an AVX-512 host the tests above read only the AVX-512 digests; this
-    # one runs the covrage case, the complex block sum, and the quasi_omni
-    # case, the factored sum, in a child, where numpy dispatches to its AVX2
+    # one runs the covrage case, the complex block sum, the extrapolation
+    # case, the slerp continued past the present, and the quasi_omni case,
+    # the factored sum, in a child, where numpy dispatches to its AVX2
     # kernels, or where OpenBLAS has one thread, and checks the digests of
     # the child's kernel level
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join([str(root / "src"), str(root / "tests")])
-    names = ("covrage", "quasi_omni")
+    names = ("covrage", "extrapolation", "quasi_omni")
     code = "import test_link_batch_digests as t; print(t.KERNELS, *map(t.link_batch_digest, %r))" % (names,)
     child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, **env, PYTHONPATH=path),
                            capture_output=True, text=True, timeout=60)
