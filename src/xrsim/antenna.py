@@ -235,7 +235,7 @@ def block_fields(geometry: ArrayGeometry, layout, u: np.ndarray) -> np.ndarray:
     operation runs along the directions; a link batch's ``u`` is the
     transposed view of a component-major (3, M) array, whose rows the
     factors read whole."""
-    kd = (2.0 * math.pi / geometry.wavelength) * (geometry.spacing_wavelengths * geometry.wavelength)
+    kd = 2.0 * math.pi * geometry.spacing_wavelengths
     targets, axis, n, row_of, turn = layout
     theta = (u.T[axis] - targets) * kd
     factors = _dirichlet(theta, n)

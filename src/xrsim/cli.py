@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import os
 import sys
@@ -125,11 +126,10 @@ def _cmd_sweep(args) -> int:
     (path,) = _writable("--label", args.label, os.path.join(_out_dir(args), args.label + ".csv"))
     rows = []
     for key, cell in keyed:
-        # every cell runs the base seed, so all see the same motion, unless
-        # a seed axis gives its own
-        overrides = (args.set or []) + ["%s=%s" % (k, v) for k, v in sorted(cell.items())]
+        # each cell is the base config with its fields replaced: all run the
+        # base seed, so all see the same motion, unless a seed axis gives its own
         try:
-            cfg = load_config(args.config, overrides)
+            cfg = dataclasses.replace(base_cfg, **parse_config_lines(["%s=%s" % kv for kv in cell.items()]))
             result = run(cfg)
             summary = summarize(result.frames, cfg.deadline)
             row = (

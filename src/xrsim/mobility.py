@@ -109,23 +109,22 @@ class TraceSet:
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
-    def _segment_table(self) -> tuple:
-        """Per segment, made on the first lookup, :func:`geometry.slerps`'s
-        set-up: the later sample in the earlier one's hemisphere (4, n - 1),
-        the angle, its sine (1.0 near 0: lerp) and the near flag; then the
-        (12, n - 1) rows a batch takes at once: the earlier sample, those
-        three, and the segment's start time and length."""
+    def _segment_table(self) -> np.ndarray:
+        """Per segment, made on the first lookup, the (12, n - 1) rows a batch
+        takes at once: the earlier sample (rows 0-3), :func:`geometry.slerps`'s
+        set-up (the later sample in the earlier one's hemisphere 4-7, the
+        angle 8 and its sine 9, 1.0 below ``_SLERP_MIN_ANGLE``: lerp), and the
+        segment's start time and length (10, 11)."""
         if self._segments is None:
             rows = np.empty((12, len(self.times) - 1))  # written row by row, with no stacked copy
-            q0, q1, angle, sine = rows[:4], rows[4:8], rows[8], rows[9]
+            q0, q1, angle = rows[:4], rows[4:8], rows[8]
             q0[...], q1[...] = self.orientations[:-1].T, self.orientations[1:].T
             d = q0[0] * q1[0] + q0[1] * q1[1] + q0[2] * q1[2] + q0[3] * q1[3]
             np.negative(q1, out=q1, where=d < 0.0)
             np.arccos(np.minimum(1.0, np.abs(d, out=d), out=d), out=angle)
-            near = angle < _SLERP_MIN_ANGLE
-            np.sin(np.where(near, 1.0, angle), out=sine)
+            np.sin(np.where(angle < _SLERP_MIN_ANGLE, 1.0, angle), out=rows[9])
             rows[10], rows[11] = self.times[:-1], np.diff(self.times)
-            self._segments = (q1, angle, sine, near, rows)
+            self._segments = rows
         return self._segments
 
     def orientations_at(self, ts: np.ndarray) -> np.ndarray:
@@ -143,7 +142,7 @@ class TraceSet:
         else:
             a, b = times.searchsorted(lo, side="right") - 1, times.searchsorted(hi, side="right")
         i = np.minimum(times[a:b].searchsorted(ts, side="right") + (a - 1), n - 2)
-        rows = self._segment_table()[4].take(i, axis=1)
+        rows = self._segment_table().take(i, axis=1)
         q0, q1, (angle, sine, t0, dt) = rows[:4], rows[4:8], rows[8:]
         u = (ts - t0) / dt
         out = np.sin((1.0 - u) * angle) / sine * q0 + np.sin(u * angle) / sine * q1
@@ -170,7 +169,8 @@ class TraceSet:
         i, u = self._locate_one(t)
         q = self.orientations[i].tolist()
         if u != 0.0:
-            q = slerp_step(q, *(a[..., i].tolist() for a in self._segment_table()[:3]), u)
+            *q1, angle, sine = self._segment_table()[4:10, i].tolist()
+            q = slerp_step(q, q1, angle, sine, u)
         return Quaternion(*q)
 
     def device_prediction_nearest(self, t: float) -> Quaternion:

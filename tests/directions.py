@@ -1,8 +1,8 @@
 """Random directions the tests sample gains and fields at."""
 
-import math
-
 import numpy as np
+
+from xrsim.geometry import unit_vector
 
 
 def sample_directions(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -11,9 +11,4 @@ def sample_directions(n: int, rng: np.random.Generator) -> np.ndarray:
     equidistributed on the sphere rather than piling up at the poles."""
     az = rng.uniform(-180.0, 180.0, size=n)
     el = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, size=n)))
-    # geometry.unit_vector's float arithmetic, into one array
-    xyz = []
-    for a, e in zip(map(math.radians, az.tolist()), map(math.radians, el.tolist())):
-        ce = math.cos(e)
-        xyz += ce * math.cos(a), ce * math.sin(a), math.sin(e)
-    return np.array(xyz).reshape(n, 3)
+    return np.array([unit_vector(a, e) for a, e in zip(az.tolist(), el.tolist())]).reshape(n, 3)

@@ -722,6 +722,23 @@ class TestSweepCommand:
         assert capsys.readouterr().err == "runtime error: event queue ran dry\n"
         assert not (tmp_path / "r.csv").exists()
 
+    def test_every_cell_runs_the_config_read_when_the_sweep_starts(self, tmp_path, capsys, monkeypatch):
+        # the base is read once, so a config file rewritten after the first
+        # cell moves none of the later cells to its sim_time of 0.1
+        base = tmp_path / "base.txt"
+        base.write_text("sim_time = 0.05\n")
+        seen = []
+
+        def rewriting(cfg, collect_events=False):
+            seen.append(cfg.sim_time)
+            base.write_text("sim_time = 0.1\n")
+            return run(cfg)
+
+        monkeypatch.setattr(cli, "run", rewriting)
+        argv = ["sweep", "--config", str(base), "--out-dir", str(tmp_path), "--label", "b", "--vary", "seed=1,2,3"]
+        assert cli.main(argv) == 0
+        assert seen == [0.05, 0.05, 0.05]
+
     @pytest.mark.parametrize("error", cli.CONFIG_ERRORS, ids=lambda e: e.__name__)
     def test_what_simulate_exits_one_on_is_a_sweep_row(self, tmp_path, capsys, monkeypatch, error):
         # one tuple serves both: simulate reports it as a config error, and

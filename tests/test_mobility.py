@@ -8,7 +8,7 @@ import pytest
 
 from xrsim import cli, macsim, mobility
 from xrsim.config import load_config
-from xrsim.geometry import Quaternion
+from xrsim.geometry import _SLERP_MIN_ANGLE, Quaternion
 from xrsim.mobility import (
     TraceFormatError,
     TraceSet,
@@ -410,7 +410,7 @@ class TestSegmentTable:
 
     def test_static_trace_has_only_near_segments(self):
         tr = static_trace(3.0)
-        assert tr._segment_table()[3].all()
+        assert (tr._segment_table()[8] < _SLERP_MIN_ANGLE).all()
         self.check(tr, np.array([0.0, 0.7, 1.5, 2.999, 3.0, 5.2, -0.4]))
 
     def test_near_and_far_segments_mixed(self):
@@ -420,7 +420,7 @@ class TestSegmentTable:
         q[10:20] = q[10]
         q[31] = q[30]
         tr = TraceSet(tr.times, q)
-        near = tr._segment_table()[3]
+        near = tr._segment_table()[8] < _SLERP_MIN_ANGLE
         assert near[10:19].all() and near[30] and not near[:10].any()
         self.check(tr, np.random.default_rng(4).uniform(0.0, 0.05, 500))
         # a sorted batch holding sample instants (u = 0) among lerp segments
