@@ -58,9 +58,6 @@ class Quaternion:
             raise ValueError("cannot normalize a zero quaternion")
         return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
     def dot(self, other: "Quaternion") -> float:
         return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
 

@@ -38,8 +38,8 @@ next batch entry.  There the MAC decides as at an event.  A step stops at
 the attempt that ends at or after the next event, the only one pushed as
 ``mpdu_tx_done``, at a start other than its batch entry bit for bit, or when
 the queue drains with no arrival before that event.  A run of length 1 is
-the plain one-event-per-MPDU schedule.  A step keeps each attempt once, as a
-``tx_intervals`` row; the event log is formatted after the loop.
+the plain one-event-per-MPDU schedule.  A step keeps no attempt: the retired
+link batches' used prefixes are replayed into the log after the loop.
 
 Sector sweeps: the AP probes its 36 steered transmit sectors toward the
 headset, as the initiator's transmit sector sweep of IEEE 802.11ad does, and
@@ -136,7 +136,7 @@ class RunResult:
     frames: list
     counters: dict
     events: Optional[list] = None  # (t, kind, detail) rows, formatted after the loop, in (time, rank) order
-    tx_intervals: Optional[list] = None  # (start, end, ok, frame_id): one row per MPDU attempt
+    tx_intervals: Optional[list] = None  # (start, end, ok, frame_id) per MPDU attempt, replayed after the loop
     bhi_intervals: Optional[list] = None
     sls_intervals: Optional[list] = None
 
@@ -206,13 +206,13 @@ class Simulator:
         self._link_cap = _LINK_BATCH
         self._last_ok = True  # outcome of the latest attempt, which predicts the next
         self._rows = deque()  # the pending updates' (pose, AP gains, HMD gains) sweep rows
-        self._new_link_epoch()
+        self._batch_starts, self._batch_next = [], 0  # no link batch before the first sweep
+        self._attempts = []  # under collect_events, each retired link batch's used (starts, SNRs)
 
         self.counters = dict.fromkeys(
             ("frames_total", "frames_delivered", "frames_dropped", "mpdu_attempts", "mpdu_failures", "sls_runs",
              "bf_updates", "bhi_count"), 0)
         self.events: list = []  # the handlers' (t, kind, detail) lines
-        self.tx_intervals: list = []
         self.bhi_intervals: list = []
         self.sls_intervals: list = []
 
@@ -316,7 +316,11 @@ class Simulator:
         return link_snr_db(self.cfg, self.ap_eval.gains_db(d_at_ap), self.hmd_eval.gains_db(d_at_hmd), distance)
 
     def _new_link_epoch(self) -> None:
-        """Forget the link batch; called whenever either AWV changes."""
+        """Retire the link batch, keeping its used starts and SNRs under
+        collect_events; called when either AWV changes, before a new batch is
+        predicted and after the loop."""
+        if self.collect and self._batch_next:
+            self._attempts.append((self._batch_at[:self._batch_next], self._batch_snr[:self._batch_next]))
         self._batch_starts, self._batch_next = [], 0
 
     def _link_index(self, t: float) -> int:
@@ -334,9 +338,12 @@ class Simulator:
                 self._link_cap = _LINK_BATCH
             elif len(starts):
                 self._link_cap = min(2 * self._link_cap, LINK_BATCH_CEILING)
+            self._new_link_epoch()
             self._batch_starts = self._predicted_starts(t)
             self._batch_at = np.fromiter(self._batch_starts, float, len(self._batch_starts))
             self._batch_snr = self.snr_at(self._batch_at)
+            if np.isnan(self._batch_snr).any():
+                raise RuntimeError("NaN link SNR in the batch from t=%.9f" % t)
             # MPDUs delivered before each entry and after the last: a range or zeros if all or none succeed
             ok = self._batch_snr >= self.cfg.snr_threshold_db
             n, n_ok = len(ok), int(np.count_nonzero(ok))
@@ -446,6 +453,8 @@ class Simulator:
             # responder sweep, in the sectors mode: every headset sector probed toward the AP
             hmd = itertools.repeat(None) if self.hmd_sweep is None else self.hmd_sweep.gains_db(
                 np.array([ap_direction_in_hmd_frame(p, self.ap_position) for p in poses]))
+            if np.isnan(ap).any() or self.hmd_sweep is not None and np.isnan(hmd).any():
+                raise RuntimeError("NaN sweep gain in the batch from t=%.9f" % t)
             self._rows = deque(zip(poses, ap, hmd))
         # a row is taken once: released, it holds no memory past its update
         return self._rows.popleft()
@@ -548,11 +557,6 @@ class Simulator:
                 bisect_left(starts, True, i + 1, hi, key=lambda s: s - created > deadline) - 1,
                 full_break if full_break < tail_from else hi, self._next_break(1, tail_from),
             )
-            if self.collect:
-                self.tx_intervals += [
-                    (starts[j], starts[j] + (full if j < tail_from else tail), done[j + 1] > done[j], self.head)
-                    for j in range(i, r + 1)
-                ]
             end = starts[r] + (full if r < tail_from else tail)
             if end >= horizon:
                 self.sent += done[r] - base
@@ -639,20 +643,30 @@ class Simulator:
             if self.head < len(self.frames) and not self._busy():
                 raise RuntimeError("medium idle with pending data at t=%.9f" % t)
 
-        logs = (self._event_log(), self.tx_intervals, self.bhi_intervals, self.sls_intervals) if self.collect else ()
+        self._new_link_epoch()
+        logs = (*self._event_log(), self.bhi_intervals, self.sls_intervals) if self.collect else ()
         return RunResult(self.cfg, self.frames, dict(self.counters), *logs)
 
-    def _event_log(self) -> list:
+    def _event_log(self) -> tuple[list, list]:
         """The handlers' lines, one per admitted frame and one per attempt ending
-        before sim_time, in (time, rank) order, derived lines first in a tie."""
-        lines = [(f.created, "burst_arrival", "frame=%d mpdus=%d" % (f.frame_id, self.burst_count))
-                 for f in self.frames]
-        sent = [0] * len(self.frames)  # each frame's MPDUs delivered so far
-        for start, end, ok, frame_id in self.tx_intervals:
-            sent[frame_id] += ok
-            if end < self.cfg.sim_time:
-                lines.append((end, "mpdu_tx_done", _TX_DONE % (frame_id, sent[frame_id], ok, start)))
-        return sorted(lines + self.events, key=lambda row: (row[0], _RANK[row[1]]))
+        before sim_time, in (time, rank) order, derived lines first in a tie,
+        and the ``tx_intervals`` rows, from one replay of the retired prefixes
+        on the frame records: at a start the head leaves if its burst is done
+        or by the MAC's drop rule, and its last MPDU takes the tail airtime."""
+        frames, count, full, tail = self.frames, self.burst_count, self._full_airtime, self._tail_airtime
+        threshold, deadline, sim_time = self.cfg.snr_threshold_db, self.cfg.deadline, self.cfg.sim_time
+        lines = [(f.created, "burst_arrival", "frame=%d mpdus=%d" % (f.frame_id, count)) for f in frames]
+        rows, head, sent = [], 0, 0  # sent: the head's MPDUs delivered so far
+        for at, snr in self._attempts:
+            for start, ok in zip(at.tolist(), (snr >= threshold).tolist()):
+                while sent == count or (start - frames[head].created) > deadline:
+                    head, sent = head + 1, 0
+                end = start + (tail if sent == count - 1 else full)
+                sent += ok
+                rows.append((start, end, ok, head))
+                if end < sim_time:
+                    lines.append((end, "mpdu_tx_done", _TX_DONE % (head, sent, ok, start)))
+        return sorted(lines + self.events, key=lambda row: (row[0], _RANK[row[1]])), rows
 
 
 def run(config: ScenarioConfig, collect_events: bool = False) -> RunResult:

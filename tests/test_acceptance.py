@@ -232,7 +232,7 @@ def test_criterion_8_property_suite(run_cached, tmp_path):
         ax /= np.linalg.norm(ax)
         ang = float(rng.uniform(0.01, math.pi - 0.01))
         q = Quaternion.from_axis_angle(ax, ang)
-        ok &= rotation_angle(q * q.conjugate(), Quaternion.identity()) < 1e-6
+        ok &= rotation_angle(q * Quaternion(q.w, -q.x, -q.y, -q.z), Quaternion.identity()) < 1e-6
         q2 = Quaternion.from_axis_angle(rng.normal(size=3), float(rng.uniform(0.1, 2.0)))
         v = rng.normal(size=3)
         ok &= np.allclose(rotate(q * q2, v), rotate(q, rotate(q2, v)), atol=1e-9)

@@ -106,12 +106,21 @@ def test_events_run_in_time_and_rank_order(name, run_cached):
 
 
 @pytest.mark.parametrize("name", ["rate_8g", "sectors", "walk_50ms"])
-def test_the_log_is_a_view_of_the_records(name, run_cached):
-    # each attempt is kept once, as a tx_intervals row, and its log line is
-    # formatted from that row after the loop, as each arrival's is from the
-    # frame records; a run that collects nothing keeps no rows
+def test_the_log_is_a_view_of_the_records(name):
+    # the attempts are the retired link batches' used prefixes of starts and
+    # SNRs, in order; after the loop one replay of them on the frame records
+    # gives each attempt's tx_intervals row and its log line, as each
+    # arrival's line comes from the frame records; a run that collects
+    # nothing keeps no prefixes
     overrides, _ = DIGESTS[name]
-    res = run_cached("sim_time = 2.0", *overrides, collect=True)
+    collecting = macsim.Simulator(load_config(overrides=["sim_time = 2.0", *overrides]), collect_events=True)
+    res = collecting.run()
+    starts = np.concatenate([at for at, _ in collecting._attempts])
+    snr = np.concatenate([snr for _, snr in collecting._attempts])
+    assert starts.tolist() == [row[0] for row in res.tx_intervals]
+    assert (snr >= res.config.snr_threshold_db).tolist() == [row[2] for row in res.tx_intervals]
+    assert sum(len(at) for at, _ in collecting._attempts) == res.counters["mpdu_attempts"]
+    assert np.count_nonzero(snr < res.config.snr_threshold_db) == res.counters["mpdu_failures"]
     done = collections.defaultdict(list)
     for t, kind, detail in res.events:
         if kind == "mpdu_tx_done":
@@ -126,7 +135,7 @@ def test_the_log_is_a_view_of_the_records(name, run_cached):
 
     sim = macsim.Simulator(load_config(overrides=["sim_time = 2.0", *overrides]))
     plain = sim.run()
-    assert sim.tx_intervals == [] and plain.events is None
+    assert sim._attempts == [] and plain.tx_intervals is None and plain.events is None
     assert plain.counters == res.counters
 
 

@@ -64,11 +64,6 @@ class TestQuaternion:
         v = rng.normal(size=3)
         assert np.allclose(q.rotate_inverse(rotate(q, v)), v, atol=1e-12)
 
-    def test_conjugate_is_inverse_for_unit(self, rng):
-        q = rand_quat(rng)
-        qq = q * q.conjugate()
-        assert rotation_angle(qq, Quaternion.identity()) == pytest.approx(0.0, abs=1e-9)
-
     def test_rotation_angle_to(self):
         q0 = Quaternion.identity()
         q1 = Quaternion.from_axis_angle((0, 0, 1), 0.7)

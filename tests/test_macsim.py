@@ -703,6 +703,29 @@ class TestMediumRules:
             assert counters["mpdu_attempts"] > 0
             assert counters["mpdu_failures"] == (counters["mpdu_attempts"] if fails_all else 0)
 
+    def test_a_nan_link_snr_is_refused(self):
+        # a NaN fails the MCS gate unseen, as a plain failed attempt would
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.05", "rotation = static"]))
+        sim.snr_at = lambda ts: np.where(np.arange(len(ts)) == 1, np.nan, 20.0)
+        with pytest.raises(RuntimeError, match=r"NaN link SNR in the batch from t=\d"):
+            sim.run()
+
+    @pytest.mark.parametrize("sweep, mode", [("ap_sweep", "covrage"), ("hmd_sweep", "sectors")])
+    def test_a_nan_sweep_gain_is_refused(self, sweep, mode):
+        # best_sector([1, 5, nan, 3]) names sector 0, so a NaN gain would pick a winner unseen
+        overrides = ["sim_time = 0.05", "rotation = static", "rx_beamforming = %s" % mode]
+        sim = macsim.Simulator(load_config(overrides=overrides))
+        gains_db = getattr(sim, sweep).gains_db
+
+        def with_nan(directions):
+            gains = gains_db(directions)
+            gains[..., 2] = np.nan
+            return gains
+
+        getattr(sim, sweep).gains_db = with_nan
+        with pytest.raises(RuntimeError, match=r"NaN sweep gain in the batch from t=\d"):
+            sim.run()
+
 
 class TestRunService:
     """Serving back-to-back MPDUs in one pass against one event per MPDU,
@@ -752,11 +775,12 @@ class TestRunService:
     @staticmethod
     def step_log(sim):
         """Record each array step of ``sim``: why it stopped, its horizon
-        and the ``tx_intervals`` rows of its attempts."""
+        and the span of its attempts in the run's, as ``mpdu_attempts``
+        counts them before and after the step."""
         step, steps = sim._step, []
 
         def spy(t, horizon):
-            first = len(sim.tx_intervals)
+            first = sim.counters["mpdu_attempts"]
             start = step(t, horizon)
             if start is None:
                 reason = "heap_event" if pending(sim, "mpdu_tx_done") else "drained"
@@ -764,20 +788,22 @@ class TestRunService:
                 reason = "start_mismatch"
             else:
                 reason = "batch_end"
-            steps.append((reason, horizon, sim.tx_intervals[first:]))
+            steps.append((reason, horizon, first, sim.counters["mpdu_attempts"]))
             return start
 
         sim._step = spy
         return steps
 
     @staticmethod
-    def seen(steps, frames):
+    def seen(steps, frames, tx_intervals):
         """Why each step stopped, and what the steps crossed: where a frame's
         attempts follow another's, an idle gap to an arrival, a completion
-        or an age-out drop, and each MPDU end at an arrival time.  ``frames`` as
-        :meth:`outcome` gives them."""
+        or an age-out drop, and each MPDU end at an arrival time.  ``frames``
+        and ``tx_intervals`` as :meth:`outcome` gives them; each step's rows
+        are its span of ``tx_intervals``."""
         arrivals = {created for _, created, _, _ in frames}
-        for reason, horizon, rows in steps:
+        for reason, horizon, first, last in steps:
+            rows = tx_intervals[first:last]
             yield reason
             for (_, end, _, frame_id), (start, _, _, next_id) in zip(rows, rows[1:]):
                 if next_id != frame_id:
@@ -829,7 +855,7 @@ class TestRunService:
         sim.snr_at = snr_db
         steps = self.step_log(sim)
         assert self.outcome(sim) == want
-        counts = collections.Counter(self.seen(steps, want[1]))
+        counts = collections.Counter(self.seen(steps, want[1], want[2]))
         assert want[0]["mpdu_attempts"] > len(steps) and counts[seen] >= 2, counts
 
     def test_a_step_serves_many_bursts(self):
