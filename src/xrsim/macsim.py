@@ -41,19 +41,6 @@ the queue drains with no arrival before that event.  A run of length 1 is
 the plain one-event-per-MPDU schedule.  A step keeps no attempt: the retired
 link batches' used prefixes are replayed into the log after the loop.
 
-Sector sweeps: the AP probes its 36 steered transmit sectors toward the
-headset, as the initiator's transmit sector sweep of IEEE 802.11ad does, and
-in the ``sectors`` mode the headset probes every entry of its codebook, the
-steered sectors and then the quasi-omni, toward the AP.  Each sweep runs in
-one array pass over a batch of updates, a row per update
-(:meth:`Simulator._sweep_row`): a DTI batch holds one update, as the MAC
-decides when a sweep ends, and an A-BFT one the next BHI ends, up to
-:data:`LINK_BATCH_CEILING`, at times no MAC decision moves.  The winner is
-the lowest sector id within :data:`SWEEP_TIE_DB` of the best gain
-(:func:`best_sector`): mirror-image sectors about the probed direction tie
-up to rounding.  A gain shared by every candidate, such as the other end's
-quasi-omni listener, cannot move the winner, so the sweep leaves it out.
-
 No MPDU starts before the first beamforming update: time 0 opens a BHI, at
 whose end the owed t = 0 sweep starts (DTI) or the update itself happens
 (A-BFT).  So there is no pre-sweep link state, and a quasi-omni pattern is
@@ -69,14 +56,13 @@ next TBTT bound the epoch, as it does on the A-BFT path, where every BHI end
 beamforms.  Up to that horizon (or sim_time) the simulator predicts the
 starts as the MAC takes them, every attempt with the outcome of the last
 real one, and evaluates the link at all of them in one array computation
-(:meth:`Simulator.snr_at`).  An array step uses an entry only when the MAC's
+(:meth:`Link.snr_at`).  An array step uses an entry only when the MAC's
 real start equals it bit for bit.  A mismatch or an update begins a new
 batch.  The batch cap doubles after a batch is used to its end, so an epoch
 takes a batch or two, and falls back to :data:`_LINK_BATCH` after a
-mismatch; its ceiling bounds a batch's arrays.  A batch forms what a step
-reads: each end's direction in y and z, all a gain reads (x is NaN), the
-AP's fixed turn about y in closed form; the delivered counts, a range or
-zeros where every entry succeeds or none does; a break list when first read.
+mismatch; its ceiling bounds a batch's arrays.  Beside the link's SNRs a
+batch keeps what a step reads: the delivered counts, a range or zeros where
+every entry succeeds or none does; a break list when first read.
 """
 
 from __future__ import annotations
@@ -184,52 +170,36 @@ def scenario_trace(cfg: ScenarioConfig) -> TraceSet:
     return load_trace(cfg.rotation)
 
 
-class Simulator:
-    """One scenario run.  Build with a config, call :meth:`run`."""
+def event_count(sim_time: float, period: float) -> int:
+    """The count of a periodic source's events: k * period for k below it."""
+    return max(1, int(math.ceil(sim_time / period - 1e-9)))
 
-    def __init__(self, config: ScenarioConfig, collect_events: bool = False):
-        self.cfg = config
-        self.collect = collect_events
 
-        self._build_motion()
-        self._build_arrays()
+class Link:
+    """The link of one scenario: the head trace and walk, both arrays, the
+    sector sweeps and the AWV pair they set.  Build with a config; the MAC
+    reads it through :meth:`snr_at` and :meth:`beamform`.
 
-        self.frames: list[FrameRecord] = []  # indexed by frame id
-        self.head = 0  # the queue is frames[head:]
-        self.sent = 0  # MPDUs of the head frame delivered
-        self.burst_count, full_bits, tail_bits = burst_shape(config)
-        self._full_airtime = self._airtime(full_bits)
-        self._tail_airtime = self._airtime(tail_bits)
+    Sector sweeps: the AP probes its 36 steered transmit sectors toward the
+    headset, as the initiator's transmit sector sweep of IEEE 802.11ad does,
+    and in the ``sectors`` mode the headset probes every entry of its
+    codebook, the steered sectors and then the quasi-omni, toward the AP.
+    Each sweep runs in one array pass over a batch of updates, a row per
+    update (:meth:`_sweep_row`): a DTI batch holds one update, as the MAC
+    decides when a sweep ends, and an A-BFT one the next BHI ends, up to
+    :data:`LINK_BATCH_CEILING`, at times no MAC decision moves.  The winner
+    is the lowest sector id within :data:`SWEEP_TIE_DB` of the best gain
+    (:func:`best_sector`): mirror-image sectors about the probed direction
+    tie up to rounding.  A gain shared by every candidate, such as the other
+    end's quasi-omni listener, cannot move the winner, so the sweep leaves
+    it out.
 
-        self.sls_owed = False
-        self._reserved_until = 0.0  # end of the latest BHI or sweep
-        self._link_cap = _LINK_BATCH
-        self._last_ok = True  # outcome of the latest attempt, which predicts the next
-        self._rows = deque()  # the pending updates' (pose, AP gains, HMD gains) sweep rows
-        self._batch_starts, self._batch_next = [], 0  # no link batch before the first sweep
-        self._attempts = []  # under collect_events, each retired link batch's used (starts, SNRs)
+    A link batch forms each end's direction in y and z, all a gain reads (x
+    is NaN): the headset's by :func:`geometry.rotate_into_frames`, the AP's
+    fixed turn about y in closed form (:func:`_into_ap_frame`)."""
 
-        self.counters = dict.fromkeys(
-            ("frames_total", "frames_delivered", "frames_dropped", "mpdu_attempts", "mpdu_failures", "sls_runs",
-             "bf_updates", "bhi_count"), 0)
-        self.events: list = []  # the handlers' (t, kind, detail) lines
-        self.bhi_intervals: list = []
-        self.sls_intervals: list = []
-
-        self._slots = dict(_IDLE)
-        self._seq = itertools.count()  # orders same-rank events at one instant
-        periods = {"beacon_start": config.bi_duration, "burst_arrival": config.burst_interval}
-        if config.bf_location == "dti":
-            periods["bf_trigger"] = config.bf_interval
-        # periodic source -> (period, event count)
-        self._sources = {
-            kind: (p, max(1, int(math.ceil(config.sim_time / p - 1e-9)))) for kind, p in periods.items()
-        }
-
-    # -- setup ------------------------------------------------------------
-
-    def _build_motion(self) -> None:
-        cfg = self.cfg
+    def __init__(self, config: ScenarioConfig):
+        self.cfg = cfg = config
         self.trace = scenario_trace(cfg)
         # only the covrage beam reads a prediction
         if cfg.rx_beamforming == "covrage" and cfg.prediction == "device" and not self.trace.has_device:
@@ -240,8 +210,6 @@ class Simulator:
         self.ap_position = np.array(cfg.ap_position, dtype=float)
         self.ap_pose = Pose(0.0, self.ap_position, AP_ORIENTATION)
 
-    def _build_arrays(self) -> None:
-        cfg = self.cfg
         self.ap_geometry = ArrayGeometry(cfg.ap_rows, cfg.ap_cols, cfg.spacing, cfg.carrier_hz)
         # the initiator's transmit sectors, stacked and indexed by sector id
         self.ap_sweep = AwvEvaluator(self.ap_geometry, steered_sectors(self.ap_geometry))
@@ -263,6 +231,113 @@ class Simulator:
         if cfg.rx_beamforming == "quasi_omni":
             self.hmd_eval = AwvEvaluator(self.hmd_geometry, cached_quasi_omni(self.hmd_geometry))
             self.hmd_label = "qo"
+        self._rows = deque()  # the pending updates' (pose, AP gains, HMD gains) sweep rows
+
+    def snr_at(self, ts: np.ndarray) -> np.ndarray:
+        """Link SNR for the current AWV pair at an array of instants: the
+        row-wise reference SNR of the posed arrays (``snr_db`` in
+        ``tests/links.py``), equal to it up to rounding.  The batch is
+        component-major from the walk and trace lookups to the budget, one
+        contiguous row per component, so that no pass strides: what takes
+        (M, 3) or (M, 4) rows reads the transposed view of a (3, M) or (4, M)
+        array."""
+        if self.ap_eval is None:
+            raise RuntimeError("MPDU start before the first sweep at t=%.9f" % ts[0])
+        toward = np.empty((3, len(ts)))  # from the AP to the headset
+        dx, dy = np.subtract(self.walk.positions_at(ts).T, self.ap_position[:2, None], out=toward[:2])
+        dz = toward[2] = self.cfg.hmd_height - self.ap_position[2]
+        # np.einsum("ij,ij->i") over (M, 3) rows sums this, bit for bit with numpy
+        # 2.4.6: 0 of 100,000 random rows differ (x*x + y*y + z*z: 22,705 do)
+        distance = np.sqrt(dx * dx + dz * dz + dy * dy)
+        toward /= distance
+        d_at_hmd = rotate_into_frames(self.trace.orientations_at(ts), np.negative(toward).T)
+        d_at_ap = _into_ap_frame(toward).T
+        return link_snr_db(self.cfg, self.ap_eval.gains_db(d_at_ap), self.hmd_eval.gains_db(d_at_hmd), distance)
+
+    def beamform(self, t: float) -> str:
+        """Select the AP sector and refresh the HMD side at t; returns a log tag."""
+        cfg = self.cfg
+        hmd_pose, ap_gains, hmd_gains = self._sweep_row(t)
+        self.ap_sector, self.ap_eval = self._sweep(self.ap_sweep, ap_gains)
+        if cfg.rx_beamforming == "covrage":
+            horizon = cfg.bf_interval if cfg.bf_location == "dti" else cfg.bi_duration
+            q_pred = predict_pose(hmd_pose, horizon, cfg.prediction, self.trace, cfg.sim_time)
+            awv = covrage_beam(self.hmd_geometry, hmd_pose, q_pred, self.ap_position)
+            self.hmd_eval = AwvEvaluator(self.hmd_geometry, awv)
+            self.hmd_label = "covrage"
+        elif cfg.rx_beamforming == "sectors":
+            best_id, self.hmd_eval = self._sweep(self.hmd_sweep, hmd_gains)
+            self.hmd_label = "sector=%d" % best_id
+        return "sector=%d hmd=%s" % (self.ap_sector, self.hmd_label)
+
+    def _sweep_row(self, t: float) -> tuple:
+        """The headset pose at the update t and both sweeps' gains: the
+        batch's next row if its time is t bit for bit, else the first of a
+        new batch, t and, on the A-BFT path, the BHI ends after it before
+        sim_time; in DTI mode t alone, as the MAC decides when a sweep ends."""
+        if not self._rows or self._rows[0][0].t != t:
+            period, bhi, end = self.cfg.bi_duration, self.cfg.bhi_duration, self.cfg.sim_time
+            ends = (j * period + bhi for j in range(max(0, int((t - bhi) / period)), event_count(end, period)))
+            more = LINK_BATCH_CEILING - 1 if self.cfg.bf_location == "abft" else 0
+            times = [t, *itertools.islice((e for e in ends if t < e < end), more)]
+            poses = [pose_at(self.trace, self.walk, s, self.cfg.hmd_height) for s in times]
+            # initiator sweep: every AP sector probed toward the headset
+            ap = self.ap_sweep.gains_db(np.array([ap_direction_in_hmd_frame(self.ap_pose, p.position) for p in poses]))
+            # responder sweep, in the sectors mode: every headset sector probed toward the AP
+            hmd = itertools.repeat(None) if self.hmd_sweep is None else self.hmd_sweep.gains_db(
+                np.array([ap_direction_in_hmd_frame(p, self.ap_position) for p in poses]))
+            if np.isnan(ap).any() or self.hmd_sweep is not None and np.isnan(hmd).any():
+                raise RuntimeError("NaN sweep gain in the batch from t=%.9f" % t)
+            self._rows = deque(zip(poses, ap, hmd))
+        # a row is taken once: released, it holds no memory past its update
+        return self._rows.popleft()
+
+    def _sweep(self, sweep: AwvEvaluator, gains: np.ndarray) -> tuple[int, AwvEvaluator]:
+        """The winner of a sweep from its gains, indexed by sector id, and
+        its link evaluator, built on the sector's first win and kept: a
+        sector's weights never change."""
+        best = best_sector(gains)
+        if (sweep, best) not in self._sector_links:
+            self._sector_links[sweep, best] = AwvEvaluator(sweep.geometry, sweep.awv[best])
+        return best, self._sector_links[sweep, best]
+
+
+class Simulator:
+    """One scenario run.  Build with a config, call :meth:`run`."""
+
+    def __init__(self, config: ScenarioConfig, collect_events: bool = False):
+        self.cfg = config
+        self.collect = collect_events
+        self.link = Link(config)
+
+        self.frames: list[FrameRecord] = []  # indexed by frame id
+        self.head = 0  # the queue is frames[head:]
+        self.sent = 0  # MPDUs of the head frame delivered
+        self.burst_count, full_bits, tail_bits = burst_shape(config)
+        self._full_airtime = self._airtime(full_bits)
+        self._tail_airtime = self._airtime(tail_bits)
+
+        self.sls_owed = False
+        self._reserved_until = 0.0  # end of the latest BHI or sweep
+        self._link_cap = _LINK_BATCH
+        self._last_ok = True  # outcome of the latest attempt, which predicts the next
+        self._batch_starts, self._batch_next = [], 0  # no link batch before the first sweep
+        self._attempts = []  # under collect_events, each retired link batch's used (starts, SNRs)
+
+        self.counters = dict.fromkeys(
+            ("frames_total", "frames_delivered", "frames_dropped", "mpdu_attempts", "mpdu_failures", "sls_runs",
+             "bf_updates", "bhi_count"), 0)
+        self.events: list = []  # the handlers' (t, kind, detail) lines
+        self.bhi_intervals: list = []
+        self.sls_intervals: list = []
+
+        self._slots = dict(_IDLE)
+        self._seq = itertools.count()  # orders same-rank events at one instant
+        periods = {"beacon_start": config.bi_duration, "burst_arrival": config.burst_interval}
+        if config.bf_location == "dti":
+            periods["bf_trigger"] = config.bf_interval
+        # periodic source -> (period, event count)
+        self._sources = {kind: (p, event_count(config.sim_time, p)) for kind, p in periods.items()}
 
     # -- event plumbing ---------------------------------------------------
 
@@ -292,29 +367,6 @@ class Simulator:
         if self.collect:
             self.events.append((t, kind, detail))
 
-    # -- channel ----------------------------------------------------------
-
-    def snr_at(self, ts: np.ndarray) -> np.ndarray:
-        """Link SNR for the current AWV pair at an array of instants: the
-        row-wise reference SNR of the posed arrays (``snr_db`` in
-        ``tests/links.py``), equal to it up to rounding.  The batch is
-        component-major from the walk and trace lookups to the budget, one
-        contiguous row per component, so that no pass strides: what takes
-        (M, 3) or (M, 4) rows reads the transposed view of a (3, M) or (4, M)
-        array.  Each end's direction is formed in y and z, what a gain reads,
-        x NaN: the headset's by :func:`geometry.rotate_into_frames`, the AP's
-        fixed turn about y in closed form (:func:`_into_ap_frame`)."""
-        toward = np.empty((3, len(ts)))  # from the AP to the headset
-        dx, dy = np.subtract(self.walk.positions_at(ts).T, self.ap_position[:2, None], out=toward[:2])
-        dz = toward[2] = self.cfg.hmd_height - self.ap_position[2]
-        # np.einsum("ij,ij->i") over (M, 3) rows sums this, bit for bit with numpy
-        # 2.4.6: 0 of 100,000 random rows differ (x*x + y*y + z*z: 22,705 do)
-        distance = np.sqrt(dx * dx + dz * dz + dy * dy)
-        toward /= distance
-        d_at_hmd = rotate_into_frames(self.trace.orientations_at(ts), np.negative(toward).T)
-        d_at_ap = _into_ap_frame(toward).T
-        return link_snr_db(self.cfg, self.ap_eval.gains_db(d_at_ap), self.hmd_eval.gains_db(d_at_hmd), distance)
-
     def _new_link_epoch(self) -> None:
         """Retire the link batch, keeping its used starts and SNRs under
         collect_events; called when either AWV changes, before a new batch is
@@ -332,8 +384,6 @@ class Simulator:
         k = self._batch_next
         starts = self._batch_starts
         if k >= len(starts) or starts[k] != t:
-            if self.ap_eval is None:
-                raise RuntimeError("MPDU start before the first sweep at t=%.9f" % t)
             if k < len(starts):
                 self._link_cap = _LINK_BATCH
             elif len(starts):
@@ -341,7 +391,7 @@ class Simulator:
             self._new_link_epoch()
             self._batch_starts = self._predicted_starts(t)
             self._batch_at = np.fromiter(self._batch_starts, float, len(self._batch_starts))
-            self._batch_snr = self.snr_at(self._batch_at)
+            self._batch_snr = self.link.snr_at(self._batch_at)
             if np.isnan(self._batch_snr).any():
                 raise RuntimeError("NaN link SNR in the batch from t=%.9f" % t)
             # MPDUs delivered before each entry and after the last: a range or zeros if all or none succeed
@@ -420,53 +470,11 @@ class Simulator:
     # -- beamforming ------------------------------------------------------
 
     def _apply_beamform(self, t: float) -> str:
-        """Select the AP sector and refresh the HMD side; returns a log tag."""
-        cfg = self.cfg
-        hmd_pose, ap_gains, hmd_gains = self._sweep_row(t)
-        self.ap_sector, self.ap_eval = self._sweep(self.ap_sweep, ap_gains)
-        if cfg.rx_beamforming == "covrage":
-            horizon = cfg.bf_interval if cfg.bf_location == "dti" else cfg.bi_duration
-            q_pred = predict_pose(hmd_pose, horizon, cfg.prediction, self.trace, cfg.sim_time)
-            awv = covrage_beam(self.hmd_geometry, hmd_pose, q_pred, self.ap_position)
-            self.hmd_eval = AwvEvaluator(self.hmd_geometry, awv)
-            self.hmd_label = "covrage"
-        elif cfg.rx_beamforming == "sectors":
-            best_id, self.hmd_eval = self._sweep(self.hmd_sweep, hmd_gains)
-            self.hmd_label = "sector=%d" % best_id
+        """Beamform the link at t, which begins a new link epoch; returns a log tag."""
+        tag = self.link.beamform(t)
         self._new_link_epoch()
         self.counters["bf_updates"] += 1
-        return "sector=%d hmd=%s" % (self.ap_sector, self.hmd_label)
-
-    def _sweep_row(self, t: float) -> tuple:
-        """The headset pose at the update t and both sweeps' gains: the
-        batch's next row if its time is t bit for bit, else the first of a
-        new batch, t and, on the A-BFT path, the BHI ends after it before
-        sim_time; in DTI mode t alone, as the MAC decides when a sweep ends."""
-        if not self._rows or self._rows[0][0].t != t:
-            (period, count), bhi, end = self._sources["beacon_start"], self.cfg.bhi_duration, self.cfg.sim_time
-            ends = (j * period + bhi for j in range(max(0, int((t - bhi) / period)), count))
-            more = LINK_BATCH_CEILING - 1 if self.cfg.bf_location == "abft" else 0
-            times = [t, *itertools.islice((e for e in ends if t < e < end), more)]
-            poses = [pose_at(self.trace, self.walk, s, self.cfg.hmd_height) for s in times]
-            # initiator sweep: every AP sector probed toward the headset
-            ap = self.ap_sweep.gains_db(np.array([ap_direction_in_hmd_frame(self.ap_pose, p.position) for p in poses]))
-            # responder sweep, in the sectors mode: every headset sector probed toward the AP
-            hmd = itertools.repeat(None) if self.hmd_sweep is None else self.hmd_sweep.gains_db(
-                np.array([ap_direction_in_hmd_frame(p, self.ap_position) for p in poses]))
-            if np.isnan(ap).any() or self.hmd_sweep is not None and np.isnan(hmd).any():
-                raise RuntimeError("NaN sweep gain in the batch from t=%.9f" % t)
-            self._rows = deque(zip(poses, ap, hmd))
-        # a row is taken once: released, it holds no memory past its update
-        return self._rows.popleft()
-
-    def _sweep(self, sweep: AwvEvaluator, gains: np.ndarray) -> tuple[int, AwvEvaluator]:
-        """The winner of a sweep from its gains, indexed by sector id, and
-        its link evaluator, built on the sector's first win and kept: a
-        sector's weights never change."""
-        best = best_sector(gains)
-        if (sweep, best) not in self._sector_links:
-            self._sector_links[sweep, best] = AwvEvaluator(sweep.geometry, sweep.awv[best])
-        return best, self._sector_links[sweep, best]
+        return tag
 
     # -- medium -----------------------------------------------------------
 

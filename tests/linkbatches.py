@@ -9,14 +9,14 @@ def record_link_batches(sim) -> list[tuple[bytes, bytes]]:
     """Run ``sim``, a fresh :class:`xrsim.macsim.Simulator`, and return each
     link batch's starts and SNR bytes, in the order it evaluated them."""
     batches = []
-    snr_at = sim.snr_at
+    snr_at = sim.link.snr_at
 
     def recording(ts):
         snr = snr_at(ts)
         batches.append((ts.tobytes(), snr.tobytes()))
         return snr
 
-    sim.snr_at = recording
+    sim.link.snr_at = recording
     sim.run()
     return batches
 

@@ -148,20 +148,20 @@ def test_one_covrage_update_books_each_traced_step_once(monkeypatch):
 @pytest.mark.parametrize("workload", ["saturated_8g", "light_2g", "sectors_abft"])
 def test_a_traced_run_books_one_link_call_per_link_batch(monkeypatch, workload):
     # channel.link_snr_db.calls is the benchmark's count of link batches:
-    # Simulator.snr_at must reach the budget once per batch, through the
+    # Link.snr_at must reach the budget once per batch, through the
     # name the tracer wraps
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer, instrument
     from workloads import WORKLOADS, overrides_for
 
     batches = []
-    snr_at = macsim.Simulator.snr_at
+    snr_at = macsim.Link.snr_at
 
     def counting(self, ts):
         batches.append(len(ts))
         return snr_at(self, ts)
 
-    monkeypatch.setattr(macsim.Simulator, "snr_at", counting)
+    monkeypatch.setattr(macsim.Link, "snr_at", counting)
     sim = macsim.Simulator(load_config(overrides=overrides_for(WORKLOADS[workload], 1, 0.3)))
     with instrument(Tracer()) as tracer:
         sim.run()

@@ -26,7 +26,7 @@ from xrsim.config import (
     load_config,
     parse_config_lines,
 )
-from xrsim.macsim import FrameRecord, RunResult, Simulator, run
+from xrsim.macsim import FrameRecord, RunResult, run, scenario_trace
 from xrsim.metrics import format_ms, read_frame_records, summarize
 from xrsim.mobility import generate_rotation_trace, save_trace
 
@@ -989,7 +989,7 @@ class TestGenerators:
     def test_the_written_bytes_are_the_runs_trace(self, tmp_path, capsys, rotation, seed):
         overrides = ["sim_time = 2", "rotation = %s" % rotation, "seed = %d" % seed]
         assert self.generate(tmp_path / "written.csv", *overrides) == 0
-        save_trace(tmp_path / "run.csv", Simulator(load_config(overrides=overrides)).trace)
+        save_trace(tmp_path / "run.csv", scenario_trace(load_config(overrides=overrides)))
         assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
         capsys.readouterr()
 

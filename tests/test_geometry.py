@@ -268,7 +268,7 @@ class TestPredictPose:
 
     def test_oracle_past_a_short_recorded_trace_reads_what_the_link_sees(self, tmp_path):
         # a recorded 1 s trace drives a 3 s run and wraps; the oracle reads
-        # the orientation that the link (Simulator.snr_at) takes at the
+        # the orientation that the link (Link.snr_at) takes at the
         # predicted instant, clamped to the run's end
         path = tmp_path / "short.csv"
         save_trace(path, self._trace(2.0))

@@ -50,7 +50,7 @@ def test_speed_fit_sums_rows_in_np_sums_order():
 
 
 def test_squared_distance_is_einsums_order():
-    # Simulator.snr_at sums dx*dx + dz*dz + dy*dy, the bits of the einsum it
+    # Link.snr_at sums dx*dx + dz*dz + dy*dy, the bits of the einsum it
     # replaced, on which the event-log digests were taken
     v = np.random.default_rng(11).standard_normal((100_000, 3))
     x, y, z = v.T

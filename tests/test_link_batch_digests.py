@@ -93,10 +93,10 @@ def test_link_batch_digest(name):
 
 def test_link_batch_digest_across_a_recorded_traces_wrap(tmp_path):
     path = tmp_path / "trace.csv"
-    save_trace(path, macsim.Simulator(load_config(overrides=["sim_time = 1.0", "prediction = oracle"])).trace)
+    save_trace(path, macsim.scenario_trace(load_config(overrides=["sim_time = 1.0", "prediction = oracle"])))
     overrides, want = WRAPPED
     sim = macsim.Simulator(load_config(overrides=[*overrides, "rotation = %s" % path]))
-    assert sim.trace.duration == 1.0
+    assert sim.link.trace.duration == 1.0
     batches = record_link_batches(sim)
     assert any(np.frombuffer(starts)[-1] > 1.0 for starts, _ in batches)
     assert batches_digest(batches) == want[KERNELS], HOST

@@ -216,54 +216,54 @@ class TestApSweep:
     """The AP's initiator sweep probes its 36 steered transmit sectors."""
 
     @pytest.fixture(scope="class")
-    def sim(self):
-        return macsim.Simulator(load_config(overrides=["sim_time = 0.5"]))
+    def link(self):
+        return macsim.Link(load_config(overrides=["sim_time = 0.5"]))
 
     @staticmethod
-    def directions(sim, xs, ys):
-        positions = [np.array([x, y, sim.cfg.hmd_height]) for x in xs for y in ys]
-        return [ap_direction_in_hmd_frame(sim.ap_pose, p) for p in positions]
+    def directions(link, xs, ys):
+        positions = [np.array([x, y, link.cfg.hmd_height]) for x in xs for y in ys]
+        return [ap_direction_in_hmd_frame(link.ap_pose, p) for p in positions]
 
-    def test_a_steered_sector_beats_the_quasi_omni_across_the_room(self, sim):
+    def test_a_steered_sector_beats_the_quasi_omni_across_the_room(self, link):
         # why the AP needs no quasi-omni candidate: over the default room the
         # best steered sector beats the 8x8 quasi-omni pattern by >= 1 dB,
         # so adding it to the sweep could move no winner
-        dirs = self.directions(sim, np.linspace(*sim.cfg.x_bounds, 41), np.linspace(*sim.cfg.y_bounds, 21))
+        dirs = self.directions(link, np.linspace(*link.cfg.x_bounds, 41), np.linspace(*link.cfg.y_bounds, 21))
         u = np.stack(dirs)
-        quasi_omni = AwvEvaluator(sim.ap_geometry, cached_quasi_omni(sim.ap_geometry)).gains_db(u)
-        assert np.min(sim.ap_sweep.gains_db(u).max(axis=1) - quasi_omni) >= 1.0
+        quasi_omni = AwvEvaluator(link.ap_geometry, cached_quasi_omni(link.ap_geometry)).gains_db(u)
+        assert np.min(link.ap_sweep.gains_db(u).max(axis=1) - quasi_omni) >= 1.0
 
-    def test_off_axis_winners_are_decided_by_gain(self, sim):
+    def test_off_axis_winners_are_decided_by_gain(self, link):
         # off the axes through the AP's foot point no mirror pair ties, so
         # the sweep must pick the per-element oracle's best sector by a
         # clear margin, not by the tie rule
-        xs = [f * sim.cfg.room_x for f in (-0.375, -0.125, 0.125, 0.375)]
-        ys = [f * sim.cfg.room_y for f in (-0.375, -0.125, 0.125, 0.375)]
+        xs = [f * link.cfg.room_x for f in (-0.375, -0.125, 0.125, 0.375)]
+        ys = [f * link.cfg.room_y for f in (-0.375, -0.125, 0.125, 0.375)]
         winners = []
-        for d in self.directions(sim, xs, ys):
-            gains = oracle_gains(sim.ap_geometry, sim.ap_sweep.awv, d)
+        for d in self.directions(link, xs, ys):
+            gains = oracle_gains(link.ap_geometry, link.ap_sweep.awv, d)
             first, second = np.sort(gains)[::-1][:2]
             assert first - second > 1e6 * macsim.SWEEP_TIE_DB
-            winners.append(best_sector(sim.ap_sweep.gain_db(d)))
+            winners.append(best_sector(link.ap_sweep.gain_db(d)))
             assert winners[-1] == int(np.argmax(gains))
         assert len(set(winners)) == 16
 
-    def test_closed_form_winners_are_the_oracles_across_the_room(self, sim):
+    def test_closed_form_winners_are_the_oracles_across_the_room(self, link):
         # the sweep sums its steered sectors in closed form, not element by
         # element, so its gains differ from the per-element oracle's by
         # rounding; under the tie rule the winner must not.  On the axes
         # through the AP's foot point mirror-image sectors tie, and so they
         # do at the digest runs' mirror direction
-        assert sim.ap_sweep._layout is not None and sim.ap_sweep._row_weights is None
-        dirs = self.directions(sim, np.linspace(*sim.cfg.x_bounds, 41), np.linspace(*sim.cfg.y_bounds, 21))
+        assert link.ap_sweep._layout is not None and link.ap_sweep._row_weights is None
+        dirs = self.directions(link, np.linspace(*link.cfg.x_bounds, 41), np.linspace(*link.cfg.y_bounds, 21))
         ties = 0
         for d in dirs + [MIRROR_DIRECTION]:
-            gains = oracle_gains(sim.ap_geometry, sim.ap_sweep.awv, d)
-            assert best_sector(sim.ap_sweep.gain_db(d)) == best_sector(gains), d
+            gains = oracle_gains(link.ap_geometry, link.ap_sweep.awv, d)
+            assert best_sector(link.ap_sweep.gain_db(d)) == best_sector(gains), d
             first, second = np.sort(gains)[::-1][:2]
             ties += bool(first - second < macsim.SWEEP_TIE_DB)
         assert ties >= 60
-        assert best_sector(sim.ap_sweep.gain_db(MIRROR_DIRECTION)) == 20
+        assert best_sector(link.ap_sweep.gain_db(MIRROR_DIRECTION)) == 20
 
 
 class TestHeadsetSweep:
@@ -277,30 +277,31 @@ class TestHeadsetSweep:
         # over the room, each at orientations along the rotation trace, and
         # the mirror direction where sectors 20 and 21 tie
         overrides = ["sim_time = 1.0", "rx_beamforming = sectors", "prediction = none"]
-        sim = macsim.Simulator(load_config(overrides=overrides))
-        sweep = sim.hmd_sweep
+        link = macsim.Link(load_config(overrides=overrides))
+        sweep = link.hmd_sweep
         assert len(sweep.awv) == 37 and sweep.awv[36].factors is not None
         assert sweep._layout is not None and sweep._row_weights is not None
         dirs = [MIRROR_DIRECTION]
-        for t in np.linspace(0.0, sim.trace.duration, 8, endpoint=False):
-            turn = pose_at(sim.trace, sim.walk, t, sim.cfg.hmd_height).orientation
-            for x in np.linspace(*sim.cfg.x_bounds, 9):
-                for y in np.linspace(*sim.cfg.y_bounds, 5):
-                    pose = Pose(t, np.array([x, y, sim.cfg.hmd_height]), turn)
-                    dirs.append(ap_direction_in_hmd_frame(pose, sim.ap_position))
+        for t in np.linspace(0.0, link.trace.duration, 8, endpoint=False):
+            turn = pose_at(link.trace, link.walk, t, link.cfg.hmd_height).orientation
+            for x in np.linspace(*link.cfg.x_bounds, 9):
+                for y in np.linspace(*link.cfg.y_bounds, 5):
+                    pose = Pose(t, np.array([x, y, link.cfg.hmd_height]), turn)
+                    dirs.append(ap_direction_in_hmd_frame(pose, link.ap_position))
         winners = []
         for d in dirs:
             winners.append(best_sector(sweep.gain_db(d)))
-            assert winners[-1] == best_sector(oracle_gains(sim.hmd_geometry, sweep.awv, d)), d
+            assert winners[-1] == best_sector(oracle_gains(link.hmd_geometry, sweep.awv, d)), d
         assert winners[0] == 20 and len(set(winners)) >= 15
 
     def test_the_quasi_omni_wins_on_the_oracles_gains_too(self):
         # the 16x16 epoch of TestBatchedLink.test_sectors_quasi_omni_winner
         sim = TestBatchedLink.epoch(["rx_beamforming = sectors", "hmd_rows = 16", "hmd_cols = 16"], 0.1)
-        d = ap_direction_in_hmd_frame(pose_at(sim.trace, sim.walk, 0.1, sim.cfg.hmd_height), sim.ap_position)
-        gains = oracle_gains(sim.hmd_geometry, sim.hmd_sweep.awv, d)
-        assert best_sector(sim.hmd_sweep.gain_db(d)) == best_sector(gains) == 36
-        assert np.max(np.abs(sim.hmd_sweep.gain_db(d) - gains)) <= 1e-9
+        link = sim.link
+        d = ap_direction_in_hmd_frame(pose_at(link.trace, link.walk, 0.1, link.cfg.hmd_height), link.ap_position)
+        gains = oracle_gains(link.hmd_geometry, link.hmd_sweep.awv, d)
+        assert best_sector(link.hmd_sweep.gain_db(d)) == best_sector(gains) == 36
+        assert np.max(np.abs(link.hmd_sweep.gain_db(d) - gains)) <= 1e-9
 
 
 ABFT_SECTORS = ("rx_beamforming = sectors", "prediction = none", "bf_location = abft")
@@ -308,32 +309,32 @@ ABFT_SECTORS = ("rx_beamforming = sectors", "prediction = none", "bf_location = 
 
 class TestSweepRows:
     """Every update takes its row of a sweep batch, each sweep one
-    ``gains_db`` over the batch's directions (``Simulator._sweep_row``).  On
+    ``gains_db`` over the batch's directions (``Link._sweep_row``).  On
     the A-BFT path every BHI end beamforms, at times no MAC decision moves,
     so a batch holds the coming BHI ends; a DTI batch holds its one update,
     as the MAC decides when a sweep ends."""
 
     @staticmethod
-    def lone_sweeps(sim, t):
+    def lone_sweeps(link, t):
         """The pose at t and the gains of each sweep evaluated at t alone:
         one ``gain_db`` toward one direction."""
-        pose = pose_at(sim.trace, sim.walk, t, sim.cfg.hmd_height)
-        ap = sim.ap_sweep.gain_db(ap_direction_in_hmd_frame(sim.ap_pose, pose.position))
-        hmd = None if sim.hmd_sweep is None else sim.hmd_sweep.gain_db(ap_direction_in_hmd_frame(pose, sim.ap_position))
+        pose = pose_at(link.trace, link.walk, t, link.cfg.hmd_height)
+        ap = link.ap_sweep.gain_db(ap_direction_in_hmd_frame(link.ap_pose, pose.position))
+        hmd = None if link.hmd_sweep is None else link.hmd_sweep.gain_db(ap_direction_in_hmd_frame(pose, link.ap_position))
         return pose, ap, hmd
 
     @staticmethod
-    def bhi_ends(sim):
+    def bhi_ends(cfg):
         """Every BHI end before sim_time, as _reserve computes it."""
-        period, count = sim._sources["beacon_start"]
-        ends = [j * period + sim.cfg.bhi_duration for j in range(count)]
-        return [t for t in ends if t < sim.cfg.sim_time]
+        period, count = cfg.bi_duration, macsim.event_count(cfg.sim_time, cfg.bi_duration)
+        ends = [j * period + cfg.bhi_duration for j in range(count)]
+        return [t for t in ends if t < cfg.sim_time]
 
     @staticmethod
     def record(monkeypatch):
         """Record each update's time, log tag and the row it took, whether
         it built a new batch, and the rows left in the batch after it."""
-        updates, apply, sweep_row = [], macsim.Simulator._apply_beamform, macsim.Simulator._sweep_row
+        updates, beamform, sweep_row = [], macsim.Link.beamform, macsim.Link._sweep_row
 
         def taking(self, t):
             held = self._rows
@@ -342,22 +343,22 @@ class TestSweepRows:
             return row
 
         def tagging(self, t):
-            tag = apply(self, t)
+            tag = beamform(self, t)
             updates[-1][1] = tag
             return tag
 
-        monkeypatch.setattr(macsim.Simulator, "_sweep_row", taking)
-        monkeypatch.setattr(macsim.Simulator, "_apply_beamform", tagging)
+        monkeypatch.setattr(macsim.Link, "_sweep_row", taking)
+        monkeypatch.setattr(macsim.Link, "beamform", tagging)
         return updates
 
     @staticmethod
-    def pending(sim):
+    def pending(link):
         """The times of the rows the batch still holds."""
-        return [row[0].t for row in sim._rows]
+        return [row[0].t for row in link._rows]
 
-    def check(self, sim, update):
+    def check(self, link, update):
         t, tag, row, *_ = update
-        pose, ap, hmd = self.lone_sweeps(sim, t)
+        pose, ap, hmd = self.lone_sweeps(link, t)
         assert row[0].t == t and row[0].position.tobytes() == pose.position.tobytes()
         assert row[0].orientation == pose.orientation
         assert row[1].tobytes() == ap.tobytes(), t
@@ -376,14 +377,14 @@ class TestSweepRows:
         updates = self.record(monkeypatch)
         sim = macsim.Simulator(load_config(overrides=list(overrides)))
         sim.run()
-        ends = self.bhi_ends(sim)
+        ends = self.bhi_ends(sim.cfg)
         assert [t for t, *_ in updates] == ends
         # the first update evaluates the whole run's grid, every later one takes its row
         assert [built for *_, built, _ in updates] == [True] + [False] * (len(ends) - 1)
         assert [left for *_, left in updates] == list(range(len(ends) - 1, -1, -1))
-        assert not sim._rows  # no row is left once taken
+        assert not sim.link._rows  # no row is left once taken
         for update in updates:
-            self.check(sim, update)
+            self.check(sim.link, update)
 
     @pytest.mark.parametrize("overrides", [
         pytest.param((), id="covrage"),
@@ -399,44 +400,76 @@ class TestSweepRows:
         assert [t for t, *_ in updates] == [end for _, end in res.sls_intervals if end < res.config.sim_time]
         assert len(updates) == res.counters["bf_updates"] >= 20
         assert all(built and left == 0 for *_, built, left in updates)
-        assert not sim._rows
+        assert not sim.link._rows
         for update in updates:
-            self.check(sim, update)
+            self.check(sim.link, update)
 
     def test_an_off_grid_update_evaluates_alone(self, monkeypatch):
         updates = self.record(monkeypatch)
-        sim = macsim.Simulator(load_config(overrides=["sim_time = 1.0", *ABFT_SECTORS]))
-        ends = self.bhi_ends(sim)
-        sim._apply_beamform(ends[0])
-        assert self.pending(sim) == ends[1:]
+        link = macsim.Link(load_config(overrides=["sim_time = 1.0", *ABFT_SECTORS]))
+        ends = self.bhi_ends(link.cfg)
+        link.beamform(ends[0])
+        assert self.pending(link) == ends[1:]
         # 0.3 is no BHI end: it takes no row of the held batch but evaluates
         # from its own time, and the next BHI end takes the row after it
-        sim._apply_beamform(0.3)
-        assert self.pending(sim) == [t for t in ends if t > 0.3]
-        sim._apply_beamform(ends[3])
-        assert len(updates) == 3 and updates[2][2][0].t == ends[3] and self.pending(sim) == ends[4:]
+        link.beamform(0.3)
+        assert self.pending(link) == [t for t in ends if t > 0.3]
+        link.beamform(ends[3])
+        assert len(updates) == 3 and updates[2][2][0].t == ends[3] and self.pending(link) == ends[4:]
         # a replaced config moves the grid: the update it moves evaluates from its time
-        sim.cfg = dataclasses.replace(sim.cfg, bhi_duration=sim.cfg.bhi_duration / 2.0)
-        t = 4 * sim._sources["beacon_start"][0] + sim.cfg.bhi_duration
-        sim._apply_beamform(t)
-        assert self.pending(sim) == self.bhi_ends(sim)[5:]
+        link.cfg = dataclasses.replace(link.cfg, bhi_duration=link.cfg.bhi_duration / 2.0)
+        t = 4 * link.cfg.bi_duration + link.cfg.bhi_duration
+        link.beamform(t)
+        assert self.pending(link) == self.bhi_ends(link.cfg)[5:]
         assert [built for *_, built, _ in updates] == [True, True, False, True]
         for update in updates:
-            self.check(sim, update)
+            self.check(link, update)
 
     def test_no_batch_holds_more_than_the_ceiling(self, monkeypatch):
         # 215 s of beacons: 2,100 BHI ends, more than one batch holds
         updates = self.record(monkeypatch)
-        sim = macsim.Simulator(load_config(overrides=["sim_time = 215.0", "rotation = static", *ABFT_SECTORS]))
-        ends = self.bhi_ends(sim)
+        link = macsim.Link(load_config(overrides=["sim_time = 215.0", "rotation = static", *ABFT_SECTORS]))
+        ends = self.bhi_ends(link.cfg)
         assert len(ends) > LINK_BATCH_CEILING
         for t in ends:
-            sim._apply_beamform(t)
+            link.beamform(t)
         full, rest = LINK_BATCH_CEILING, len(ends) - LINK_BATCH_CEILING
         assert [i for i, (*_, built, _) in enumerate(updates) if built] == [0, full]
         assert [left for *_, left in updates] == [*range(full - 1, -1, -1), *range(rest - 1, -1, -1)]
         for update in updates[full - 1 : full + 1]:
-            self.check(sim, update)
+            self.check(link, update)
+
+
+class TestTheLinkApart:
+    """The MAC reads the link through ``snr_at`` and ``beamform`` alone, and a
+    link needs only the config."""
+
+    def test_the_mac_runs_on_a_link_of_the_two_calls(self):
+        # outcomes flip every 100 us, so attempts succeed and fail
+        cfg = load_config(overrides=["sim_time = 0.3", "rotation = static"])
+        updates = []
+
+        def snr(ts):
+            return np.where(np.floor(ts / 1e-4) % 2 == 0, 100.0, -100.0)
+
+        real = macsim.Simulator(cfg, collect_events=True)
+        real.link.snr_at = snr
+        stub = macsim.Simulator(cfg, collect_events=True)
+        stub.link = types.SimpleNamespace(snr_at=snr, beamform=lambda t: updates.append(t) or "stub")
+        want, got = real.run(), stub.run()
+        assert got.counters == want.counters and got.counters["bf_updates"] == len(updates) == 3
+        assert 0 < got.counters["mpdu_failures"] < got.counters["mpdu_attempts"]
+        assert got.counters["frames_delivered"] > 0
+        assert got.frames == want.frames and got.tx_intervals == want.tx_intervals
+        assert updates == [end for _, end in want.sls_intervals]
+
+    @pytest.mark.parametrize("overrides", [(), ABFT_SECTORS, ("rx_beamforming = quasi_omni", "prediction = none")])
+    def test_a_link_built_alone_is_a_simulators_link(self, overrides):
+        cfg = load_config(overrides=["sim_time = 1.0", *overrides])
+        alone, sim = macsim.Link(cfg), macsim.Simulator(cfg)
+        ts = 0.3 + np.arange(70) * 1.3e-4
+        assert alone.beamform(0.3) == sim.link.beamform(0.3)
+        assert alone.snr_at(ts).tobytes() == sim.link.snr_at(ts).tobytes()
 
 
 def test_each_sector_link_is_built_once_and_reused(monkeypatch):
@@ -446,7 +479,7 @@ def test_each_sector_link_is_built_once_and_reused(monkeypatch):
     from workloads import WORKLOADS, overrides_for
 
     sim = macsim.Simulator(load_config(overrides=overrides_for(WORKLOADS["light_2g"], 1, 0.3)))
-    built, init, apply = [], AwvEvaluator.__init__, macsim.Simulator._apply_beamform
+    built, init, beamform = [], AwvEvaluator.__init__, macsim.Link.beamform
     links = []
 
     def counting(self, geometry, awv):
@@ -454,19 +487,19 @@ def test_each_sector_link_is_built_once_and_reused(monkeypatch):
         init(self, geometry, awv)
 
     def recording(self, t):
-        tag = apply(self, t)
+        tag = beamform(self, t)
         links.append((self.ap_sector, self.ap_eval))
         return tag
 
     monkeypatch.setattr(AwvEvaluator, "__init__", counting)
-    monkeypatch.setattr(macsim.Simulator, "_apply_beamform", recording)
+    monkeypatch.setattr(macsim.Link, "beamform", recording)
     sim.run()
     sim._apply_beamform(0.1)  # a sector that has won before
     assert len(links) == 4
     assert len({id(ev) for _, ev in links}) == len({sector for sector, _ in links})
-    assert all(ev is sim._sector_links[sim.ap_sweep, sector] for sector, ev in links)
-    assert built.count(sim.ap_geometry) == len({sector for sector, _ in links})
-    assert built.count(sim.hmd_geometry) == 4  # a covrage beam is new at every update
+    assert all(ev is sim.link._sector_links[sim.link.ap_sweep, sector] for sector, ev in links)
+    assert built.count(sim.link.ap_geometry) == len({sector for sector, _ in links})
+    assert built.count(sim.link.hmd_geometry) == 4  # a covrage beam is new at every update
 
 
 @pytest.mark.parametrize("workload", ["light_2g", "saturated_8g", "sectors_abft"])
@@ -480,10 +513,10 @@ def test_a_starts_snr_does_not_depend_on_its_batch(monkeypatch, workload):
     sim = macsim.Simulator(load_config(overrides=overrides_for(WORKLOADS[workload], 1, 0.5)))
     sim._apply_beamform(0.3)
     ts = 0.3 + np.arange(2048) * sim._full_airtime
-    whole = sim.snr_at(ts)
+    whole = sim.link.snr_at(ts)
     for n in (1, 2, 3, 7, 128, 2047):
         for at in sorted({0, 1, 1000, 2048 - n}):
-            assert np.array_equal(sim.snr_at(ts[at:at + n]), whole[at:at + n]), (n, at)
+            assert np.array_equal(sim.link.snr_at(ts[at:at + n]), whole[at:at + n]), (n, at)
 
 
 STATIC_2S = ("sim_time = 2.0", "rotation = static")
@@ -698,7 +731,7 @@ class TestMediumRules:
             overrides = ["sim_time = 0.05", "rotation = static", "snr_threshold_db = 12.5"]
             sim = macsim.Simulator(load_config(overrides=overrides))
             snr = 12.5 + offset_db
-            sim.snr_at = lambda ts: np.full(len(ts), snr)
+            sim.link.snr_at = lambda ts: np.full(len(ts), snr)
             counters = sim.run().counters
             assert counters["mpdu_attempts"] > 0
             assert counters["mpdu_failures"] == (counters["mpdu_attempts"] if fails_all else 0)
@@ -706,7 +739,7 @@ class TestMediumRules:
     def test_a_nan_link_snr_is_refused(self):
         # a NaN fails the MCS gate unseen, as a plain failed attempt would
         sim = macsim.Simulator(load_config(overrides=["sim_time = 0.05", "rotation = static"]))
-        sim.snr_at = lambda ts: np.where(np.arange(len(ts)) == 1, np.nan, 20.0)
+        sim.link.snr_at = lambda ts: np.where(np.arange(len(ts)) == 1, np.nan, 20.0)
         with pytest.raises(RuntimeError, match=r"NaN link SNR in the batch from t=\d"):
             sim.run()
 
@@ -715,14 +748,14 @@ class TestMediumRules:
         # best_sector([1, 5, nan, 3]) names sector 0, so a NaN gain would pick a winner unseen
         overrides = ["sim_time = 0.05", "rotation = static", "rx_beamforming = %s" % mode]
         sim = macsim.Simulator(load_config(overrides=overrides))
-        gains_db = getattr(sim, sweep).gains_db
+        gains_db = getattr(sim.link, sweep).gains_db
 
         def with_nan(directions):
             gains = gains_db(directions)
             gains[..., 2] = np.nan
             return gains
 
-        getattr(sim, sweep).gains_db = with_nan
+        getattr(sim.link, sweep).gains_db = with_nan
         with pytest.raises(RuntimeError, match=r"NaN sweep gain in the batch from t=\d"):
             sim.run()
 
@@ -848,11 +881,11 @@ class TestRunService:
     def test_each_stop_matches_the_oracle(self, seen, overrides, snr_db):
         cfg = load_config(overrides=["sim_time = 0.3", "rotation = static"] + overrides)
         single = macsim.Simulator(cfg, collect_events=True)
-        single.snr_at = snr_db
+        single.link.snr_at = snr_db
         single._next_event_time = lambda: -math.inf
         want = self.outcome(single)
         sim = macsim.Simulator(cfg, collect_events=True)
-        sim.snr_at = snr_db
+        sim.link.snr_at = snr_db
         steps = self.step_log(sim)
         assert self.outcome(sim) == want
         counts = collections.Counter(self.seen(steps, want[1], want[2]))
@@ -988,16 +1021,16 @@ class TestLazySetUp:
 
         monkeypatch.setattr(mobility, "TraceSet", CountingTrace)
         sim = macsim.Simulator(load_config(overrides=["sim_time = 0.3", "prediction = %s" % prediction]))
-        assert isinstance(sim.trace, CountingTrace) and sim.trace.has_device and built == []
+        assert isinstance(sim.link.trace, CountingTrace) and sim.link.trace.has_device and built == []
         assert sim.run().counters["bf_updates"] == 3
         assert len(built) == builds
 
     def test_sectors_share_one_steered_set(self):
         sim = macsim.Simulator(load_config(overrides=["sim_time = 0.3", "rx_beamforming = sectors"]))
-        assert sim.ap_geometry == sim.hmd_geometry
-        assert len(sim.hmd_sweep.awv) == 37 and len(sim.ap_sweep.awv) == 36
-        assert all(h is a for h, a in zip(sim.hmd_sweep.awv[:36], sim.ap_sweep.awv))
-        assert sim.ap_sweep.awv is steered_sectors(sim.ap_geometry)
+        assert sim.link.ap_geometry == sim.link.hmd_geometry
+        assert len(sim.link.hmd_sweep.awv) == 37 and len(sim.link.ap_sweep.awv) == 36
+        assert all(h is a for h, a in zip(sim.link.hmd_sweep.awv[:36], sim.link.ap_sweep.awv))
+        assert sim.link.ap_sweep.awv is steered_sectors(sim.link.ap_geometry)
 
 
 def _cache_calls():
@@ -1012,11 +1045,11 @@ class TestLazyQuasiOmni:
         sim = macsim.Simulator(load_config(overrides=["sim_time = 0.5", "spacing = 0.47"]))
         hits1, misses1 = _cache_calls()
         assert (hits1 - hits0, misses1 - misses0) == (0, 0)
-        assert sim.hmd_eval is None and sim.hmd_sweep is None
+        assert sim.link.hmd_eval is None and sim.link.hmd_sweep is None
         # the AP sweeps its 36 steered transmit sectors, in id order
-        sectors = steered_sectors(sim.ap_geometry)
-        assert len(sim.ap_sweep.awv) == len(sectors) == 36
-        for awv, sector in zip(sim.ap_sweep.awv, sectors):
+        sectors = steered_sectors(sim.link.ap_geometry)
+        assert len(sim.link.ap_sweep.awv) == len(sectors) == 36
+        for awv, sector in zip(sim.link.ap_sweep.awv, sectors):
             assert awv.blocks and np.array_equal(awv.phases, sector.phases)
 
     def test_a_covrage_run_builds_no_phases(self, monkeypatch):
@@ -1028,7 +1061,7 @@ class TestLazyQuasiOmni:
         monkeypatch.setattr(antenna, "_block_phases", lambda *a: built.append(a) or block_phases(*a))
         counters = sim.run().counters
         assert counters["bf_updates"] == 5 and counters["mpdu_attempts"] > 0
-        assert sim.hmd_eval.awv.blocks and built == []
+        assert sim.link.hmd_eval.awv.blocks and built == []
 
     @pytest.mark.parametrize("mode", ["quasi_omni", "sectors"])
     def test_other_modes_synthesize_their_hmd_quasi_omni(self, mode):
@@ -1052,10 +1085,10 @@ class TestLazyQuasiOmni:
         # the quasi_omni mode's fixed pattern, or the sectors codebook's last
         # entry, whose first sweep sets the headset pattern
         if mode == "quasi_omni":
-            assert sim.hmd_eval.awv is cached_quasi_omni(sim.hmd_geometry)
+            assert sim.link.hmd_eval.awv is cached_quasi_omni(sim.link.hmd_geometry)
         else:
-            assert sim.hmd_sweep.awv[-1] is cached_quasi_omni(sim.hmd_geometry)
-            assert sim.hmd_eval is None
+            assert sim.link.hmd_sweep.awv[-1] is cached_quasi_omni(sim.link.hmd_geometry)
+            assert sim.link.hmd_eval is None
 
     @pytest.mark.parametrize(
         "overrides, first_update",
@@ -1070,10 +1103,13 @@ class TestLazyQuasiOmni:
         assert min(start for start, _, _, _ in res.tx_intervals) >= first
 
     def test_a_link_evaluation_before_the_first_sweep_is_refused(self):
+        # the link refuses it, whether the MAC asks or not
         sim = macsim.Simulator(load_config(overrides=["sim_time = 0.5"]))
         sim.frames.append(FrameRecord(0, 0.0))  # frame 0 is queued
-        with pytest.raises(RuntimeError, match="before the first sweep"):
+        with pytest.raises(RuntimeError, match="before the first sweep at t=0.010000000"):
             sim._link_index(0.01)
+        with pytest.raises(RuntimeError, match="before the first sweep at t=0.020000000"):
+            macsim.Link(sim.cfg).snr_at(np.array([0.02, 0.03]))
 
 
 class TestBatchedLink:
@@ -1090,15 +1126,15 @@ class TestBatchedLink:
 
     @staticmethod
     def oracle(sim, t):
-        pose = pose_at(sim.trace, sim.walk, t, sim.cfg.hmd_height)
+        pose = pose_at(sim.link.trace, sim.link.walk, t, sim.cfg.hmd_height)
         return snr_db(
             sim.cfg,
-            sim.ap_pose,
-            sim.ap_geometry,
-            sim.ap_eval.awv,
+            sim.link.ap_pose,
+            sim.link.ap_geometry,
+            sim.link.ap_eval.awv,
             pose,
-            sim.hmd_geometry,
-            sim.hmd_eval.awv,
+            sim.link.hmd_geometry,
+            sim.link.hmd_eval.awv,
         )
 
     @staticmethod
@@ -1108,7 +1144,7 @@ class TestBatchedLink:
         return sim._batch_snr[k]
 
     def check(self, sim, ts):
-        got = sim.snr_at(np.array(ts))
+        got = sim.link.snr_at(np.array(ts))
         assert got.shape == (len(ts),)
         for value, t in zip(got, ts):
             assert abs(value - self.oracle(sim, t)) <= 1e-9
@@ -1121,11 +1157,11 @@ class TestBatchedLink:
         self.check(sim, [0.3 + k * airtime for k in range(70)])
 
     def test_trace_wrap(self, sim):
-        assert sim.trace.duration == 1.0
+        assert sim.link.trace.duration == 1.0
         self.check(sim, [0.9996, 0.9999, 1.0, 1.00003, 1.0011, 1.7, 2.0005])
 
     def test_walk_last_step(self, sim):
-        assert len(sim.walk.positions) == 3
+        assert len(sim.link.walk.positions) == 3
         self.check(sim, [0.4999, 0.5, 0.9999, 1.0, 1.0001, 1.5])
 
     @staticmethod
@@ -1145,35 +1181,35 @@ class TestBatchedLink:
 
     def check_epoch(self, sim, hmd_path):
         # a steered sector, the AP's on every epoch, takes the real field
-        assert self.path(sim.ap_eval) == "real"
-        assert self.path(sim.hmd_eval) == hmd_path
+        assert self.path(sim.link.ap_eval) == "real"
+        assert self.path(sim.link.hmd_eval) == hmd_path
         self.check(sim, [0.3 + 0.0137 * k for k in range(50)])
 
     def test_multi_block_covrage_epoch(self):
         sim = self.epoch(["prediction = oracle", "bf_interval = 1.0"], 0.0)
-        assert sim.hmd_label == "covrage" and len(sim.hmd_eval.awv.blocks) >= 2
+        assert sim.link.hmd_label == "covrage" and len(sim.link.hmd_eval.awv.blocks) >= 2
         self.check_epoch(sim, "complex")
 
     def test_one_block_covrage_epoch(self):
         sim = self.epoch(["prediction = none"], 0.3)
-        assert sim.hmd_label == "covrage" and len(sim.hmd_eval.awv.blocks) == 1
+        assert sim.link.hmd_label == "covrage" and len(sim.link.hmd_eval.awv.blocks) == 1
         self.check_epoch(sim, "real")
 
     def test_sectors_directional_winner(self):
         sim = self.epoch(["rx_beamforming = sectors"], 0.5)
-        assert sim.hmd_label == "sector=33"
+        assert sim.link.hmd_label == "sector=33"
         self.check_epoch(sim, "real")
 
     def test_sectors_quasi_omni_winner(self):
         # the 8x8 chirp wins no sweep of the default runs; at 16x16 it beats
         # every sector by 0.34 dB here, in the narrow beams' gaps
         sim = self.epoch(["rx_beamforming = sectors", "hmd_rows = 16", "hmd_cols = 16"], 0.1)
-        assert sim.hmd_label == "sector=36" and sim.hmd_eval.awv.factors is not None
+        assert sim.link.hmd_label == "sector=36" and sim.link.hmd_eval.awv.factors is not None
         self.check_epoch(sim, "factored")
 
     def test_quasi_omni_mode(self):
         sim = self.epoch(["rx_beamforming = quasi_omni", "prediction = none"], 0.3)
-        assert sim.hmd_label == "qo"
+        assert sim.link.hmd_label == "qo"
         self.check_epoch(sim, "factored")
 
     def test_a_quasi_omni_batch_holds_one_pair_of_phasor_tables(self):
@@ -1182,15 +1218,15 @@ class TestBatchedLink:
         # bound), where the lattice product's was 8.79 MB.  This is what kept
         # the loop's minor faults at about 1,850, down from about 236,000
         sim = self.epoch(["rx_beamforming = quasi_omni", "prediction = none"], 0.3)
-        g = sim.hmd_geometry
+        g = sim.link.hmd_geometry
         assert (g.rows, g.cols) == (64, 64)
         airtime = sim._airtime(mpdu_sizes_bits(sim.cfg)[0])
         ts = np.array(self.back_to_back(0.3, [airtime] * (LINK_BATCH_CEILING - 1)))
         assert len(ts) == 2048
-        sim.snr_at(ts[:2])
+        sim.link.snr_at(ts[:2])
         tracemalloc.start()
         try:
-            sim.snr_at(ts)
+            sim.link.snr_at(ts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1392,7 +1428,7 @@ class TestBatchedLink:
         sim._apply_beamform(0.3)
         self.open_epoch(sim, 1, head=0, next_tbtt=1.0, next_trigger=1.0)
         assert sim._sources["burst_arrival"][1] == 1 and sim.burst_count > 4 * LINK_BATCH_CEILING
-        sim.snr_at = lambda ts: np.zeros(len(ts))
+        sim.link.snr_at = lambda ts: np.zeros(len(ts))
         floor, ceiling = macsim._LINK_BATCH, LINK_BATCH_CEILING
         assert ceiling == 16 * floor
 
@@ -1420,13 +1456,13 @@ class TestBatchedLink:
     def spied_run(overrides):
         """Counters of a whole run and the length of every link batch."""
         sim = macsim.Simulator(load_config(overrides=overrides))
-        batches, snr_at = [], sim.snr_at
+        batches, snr_at = [], sim.link.snr_at
 
         def spy(ts):
             batches.append(len(ts))
             return snr_at(ts)
 
-        sim.snr_at = spy
+        sim.link.snr_at = spy
         return sim.run().counters, batches
 
     @pytest.mark.parametrize(

@@ -480,29 +480,29 @@ class TestSegmentTable:
         self.check(tr, tr.times[-1:])
 
     def test_set_up_builds_no_table_and_the_first_link_batch_builds_it_once(self, monkeypatch):
-        sim = macsim.Simulator(load_config(overrides=["sim_time = 0.3"]))
-        assert sim.trace._segments is None
-        sim._apply_beamform(0.0)  # at a sample the lookup needs no table
-        assert sim.trace._segments is None
-        sim.snr_at(np.array([0.0101, 0.0203]))
-        table = sim.trace._segments
+        link = macsim.Link(load_config(overrides=["sim_time = 0.3"]))
+        assert link.trace._segments is None
+        link.beamform(0.0)  # at a sample the lookup needs no table
+        assert link.trace._segments is None
+        link.snr_at(np.array([0.0101, 0.0203]))
+        table = link.trace._segments
         assert table is not None
-        sim.snr_at(np.array([0.0305, 0.2]))
-        sim._apply_beamform(0.1234)
-        assert sim.trace._segments is table
+        link.snr_at(np.array([0.0305, 0.2]))
+        link.beamform(0.1234)
+        assert link.trace._segments is table
 
         # and through a whole run: every batch reads the one table
         sim = macsim.Simulator(load_config(overrides=["sim_time = 0.3"]))
-        assert sim.trace._segments is None
+        assert sim.link.trace._segments is None
         tables = []
-        snr_at = macsim.Simulator.snr_at
+        snr_at = macsim.Link.snr_at
 
         def recording(self, ts):
             snr = snr_at(self, ts)
             tables.append(self.trace._segments)
             return snr
 
-        monkeypatch.setattr(macsim.Simulator, "snr_at", recording)
+        monkeypatch.setattr(macsim.Link, "snr_at", recording)
         sim.run()
         assert len(tables) >= 2 and tables[0] is not None
         assert all(t is tables[0] for t in tables)
