@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
+from .antenna import SPEED_OF_LIGHT
 from .mobility import peak_dps_floor, peak_dps_limit
 
 ALLOWED_DATA_RATES = (2e9, 5e9, 7e9, 8e9)
@@ -183,6 +184,23 @@ class ScenarioConfig:
             raise ConfigError("sectors beamforming supports arrays up to 16x16")
         if not math.isfinite(2.0 * math.pi * self.spacing * max(self.ap_rows + self.ap_cols, rows + cols)):
             raise ConfigError(f"spacing {self.spacing!r} overflows the phase bound 2 pi spacing (rows + cols)")
+        # products a run derives, formed as the run forms them: at inf an MPDU
+        # never ends, a walk step or an element offset turns into NaN, and
+        # the path loss makes every SNR -inf
+        if not math.isfinite(burst_shape(self)[1] / self.phy_rate_bps + self.per_mpdu_overhead):
+            raise ConfigError("full MPDU airtime 8 (mpdu_bytes + header_bytes) / phy_rate_bps + per_mpdu_overhead "
+                              "overflows to inf")
+        if not math.isfinite(self.walk_speed * self.walk_step_interval):
+            raise ConfigError("walk step walk_speed x walk_step_interval overflows to inf")
+        pitch = self.spacing * (SPEED_OF_LIGHT / self.carrier_hz)
+        if not math.isfinite((max(self.ap_rows, self.ap_cols, rows, cols) - 1) / 2.0 * pitch):
+            raise ConfigError("element offset (rows or cols - 1) / 2 x spacing x c / carrier_hz, in metres, "
+                              "overflows to inf")
+        # Friis' 4 pi d f, before its division by c, at the farthest headset
+        if not math.isfinite(4.0 * math.pi * math.hypot(self.room_x / 2.0, self.room_y / 2.0,
+                                                       self.room_z - self.hmd_height) * self.carrier_hz):
+            raise ConfigError("path loss 4 pi x distance (room_x, room_y, room_z, hmd_height) x carrier_hz "
+                              "overflows to inf")
         check_work_cap(self.work_counts())
         # after the cap: a sample rate too high to build also leaves no peak the fit resolves
         if self.rotation in ("low", "high"):

@@ -36,10 +36,6 @@ class Quaternion:
     z: float
 
     @staticmethod
-    def identity() -> "Quaternion":
-        return Quaternion(1.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
     def from_axis_angle(axis: Sequence[float], angle_rad: float) -> "Quaternion":
         ax, ay, az = float(axis[0]), float(axis[1]), float(axis[2])
         n = math.sqrt(ax * ax + ay * ay + az * az)
@@ -48,28 +44,6 @@ class Quaternion:
         half = 0.5 * angle_rad
         s = math.sin(half) / n
         return Quaternion(math.cos(half), ax * s, ay * s, az * s)
-
-    def norm(self) -> float:
-        return math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n < 1e-12:
-            raise ValueError("cannot normalize a zero quaternion")
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
-
-    def dot(self, other: "Quaternion") -> float:
-        return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
 
     def rotate_inverse(self, v: Sequence[float]) -> np.ndarray:
         """Rotate a world-frame 3-vector into the local frame."""
@@ -95,7 +69,7 @@ def slerps(q0: Quaternion, q1: Quaternion, ss: Sequence[float]) -> list[tuple[fl
     Falls back to normalized linear interpolation when the quaternions are
     nearly parallel, where the sine denominator loses precision.
     """
-    d = q0.dot(q1)
+    d = q0.w * q1.w + q0.x * q1.x + q0.y * q1.y + q0.z * q1.z
     p0, p1 = (q0.w, q0.x, q0.y, q0.z), (q1.w, q1.x, q1.y, q1.z)
     if d < 0.0:
         d = -d

@@ -8,7 +8,7 @@ import numpy as np
 def rotation_angle(a, b) -> float:
     """Angle in radians of the relative rotation between two orientation
     quaternions."""
-    return 2.0 * math.acos(min(1.0, abs(a.dot(b))))
+    return 2.0 * math.acos(min(1.0, abs(a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z)))
 
 
 def direction_angle(a, b) -> float:

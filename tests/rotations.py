@@ -1,13 +1,35 @@
 """Scalar rotation helpers only the tests call: the package turns whole
 batches (``geometry._rotate``, ``geometry.slerps``,
 ``covrage.Trajectory.directions``), and these are the one-at-a-time forms
-the tests state their checks with."""
+the tests state their checks with.  The package never composes or
+renormalizes a :class:`xrsim.geometry.Quaternion`, so the algebra the
+tests build orientations with lives here too: :data:`IDENTITY`,
+:func:`compose` (the Hamilton product) and :func:`normalized`."""
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from xrsim.geometry import Quaternion, _rotate, slerps
+
+IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
+
+
+def compose(a: Quaternion, b: Quaternion) -> Quaternion:
+    """The Hamilton product a b: the rotation b, then a."""
+    return Quaternion(
+        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+    )
+
+
+def normalized(q: Quaternion) -> Quaternion:
+    """``q`` scaled to unit norm."""
+    n = math.sqrt(q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z)
+    return Quaternion(q.w / n, q.x / n, q.y / n, q.z / n)
 
 
 def rotate(q: Quaternion, v: Sequence[float]) -> np.ndarray:

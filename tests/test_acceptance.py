@@ -29,7 +29,7 @@ from claims import SCENARIOS, margins, reliability
 from directions import sample_directions
 from fields import block_field
 from linkbatches import record_link_batches
-from rotations import direction_at, rotate, slerp
+from rotations import IDENTITY, compose, direction_at, normalized, rotate, slerp
 
 
 def report(name, ok, detail):
@@ -216,7 +216,7 @@ def _trajectory(seed, span_lo, span_hi):
     q0 = Quaternion.from_axis_angle(ax, rng.uniform(0.0, 0.3))
     ax2 = rng.normal(size=3)
     ax2 /= np.linalg.norm(ax2)
-    q1 = (Quaternion.from_axis_angle(ax2, math.radians(rng.uniform(span_lo, span_hi))) * q0).normalized()
+    q1 = normalized(compose(Quaternion.from_axis_angle(ax2, math.radians(rng.uniform(span_lo, span_hi))), q0))
     return trajectory_from_poses(Pose(0.0, pos, q0), q1, (0.0, 0.0, 10.0))
 
 
@@ -232,10 +232,10 @@ def test_criterion_8_property_suite(run_cached, tmp_path):
         ax /= np.linalg.norm(ax)
         ang = float(rng.uniform(0.01, math.pi - 0.01))
         q = Quaternion.from_axis_angle(ax, ang)
-        ok &= rotation_angle(q * Quaternion(q.w, -q.x, -q.y, -q.z), Quaternion.identity()) < 1e-6
+        ok &= rotation_angle(compose(q, Quaternion(q.w, -q.x, -q.y, -q.z)), IDENTITY) < 1e-6
         q2 = Quaternion.from_axis_angle(rng.normal(size=3), float(rng.uniform(0.1, 2.0)))
         v = rng.normal(size=3)
-        ok &= np.allclose(rotate(q * q2, v), rotate(q, rotate(q2, v)), atol=1e-9)
+        ok &= np.allclose(rotate(compose(q, q2), v), rotate(q, rotate(q2, v)), atol=1e-9)
         ok &= rotation_angle(slerp(q, q2, 0.0), q) < 1e-6
         ok &= rotation_angle(slerp(q, q2, 1.0), q2) < 1e-6
         half = slerp(q, q2, 0.5)

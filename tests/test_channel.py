@@ -11,6 +11,7 @@ from xrsim.config import ConfigError, ScenarioConfig, load_config, parse_config_
 from xrsim.geometry import Pose, Quaternion, ap_direction_in_hmd_frame
 
 from links import snr_db
+from rotations import IDENTITY
 
 # the link budget functions read the six budget fields of the scenario config
 CFG = ScenarioConfig()
@@ -59,7 +60,7 @@ class TestNoiseAndSnr:
         # AP 64x64 and HMD 8x8 five meters apart, boresights facing, both
         # steered on target: 10 + 36.1236 + 18.0618 - 81.9902 - 5 + 71.5449
         ap = Pose(0.0, np.array([5.0, 0.0, 0.0]), Quaternion.from_axis_angle((0, 0, 1), math.pi))
-        hmd = Pose(0.0, np.array([0.0, 0.0, 0.0]), Quaternion.identity())
+        hmd = Pose(0.0, np.array([0.0, 0.0, 0.0]), IDENTITY)
         g_ap, g_hmd = ArrayGeometry(64, 64), ArrayGeometry(8, 8)
         awv_ap = steering_phases(g_ap, ap_direction_in_hmd_frame(ap, hmd.position))
         awv_hmd = steering_phases(g_hmd, ap_direction_in_hmd_frame(hmd, ap.position))
@@ -78,7 +79,7 @@ class TestNoiseAndSnr:
 
     def test_snr_composes_from_parts(self):
         ap = Pose(0.0, np.array([3.0, -2.0, 2.5]), Quaternion.from_axis_angle((0, 0, 1), 2.0))
-        hmd = Pose(0.0, np.array([0.5, 0.5, 1.7]), Quaternion.identity())
+        hmd = Pose(0.0, np.array([0.5, 0.5, 1.7]), IDENTITY)
         g_ap, g_hmd = ArrayGeometry(64, 64), ArrayGeometry(8, 8)
         awv_ap = steering_phases(g_ap, ap_direction_in_hmd_frame(ap, hmd.position))
         awv_hmd = steering_phases(g_hmd, ap_direction_in_hmd_frame(hmd, ap.position))

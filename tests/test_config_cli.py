@@ -470,7 +470,7 @@ class TestLinkBatchCount:
 # with header_bytes and per_mpdu_overhead also at 0 does a run reach the
 # cap's 1e7 attempts, about 1.7 us each (sim_time = 0.0098: 7.1e6 attempts,
 # 12.4 s of event loop).
-_FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
+_FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "5e-324", "1.7976931348623157e308")
 _FUZZ_INTS = (-1, 0, 1, 10**9)
 _FUZZ_RANGES = {
     "frame_rate": (1e-3, 1e4),
@@ -551,6 +551,52 @@ class TestSingleOverrideFuzz:
             assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: spacing")
+
+    # each length overflowed to inf and exited 2: the full MPDU's end read as
+    # no event ("medium idle with pending data"), the walk step and the
+    # element offsets in metres turned into NaN gains, and the path loss's
+    # product warned "overflow encountered in multiply" (-inf SNRs without
+    # the warnings filter)
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (["phy_rate_bps = 1e-305"], "phy_rate_bps"),
+            (["phy_rate_bps = 2.9e-303"], "phy_rate_bps"),
+            (["phy_rate_bps = 1e-300", "per_mpdu_overhead = 1.7976931348623157e308"], "per_mpdu_overhead"),
+            (["walk_speed = 1e308", "walk_step_interval = 2", "sim_time = 4", "seed = 21"],
+             "walk_speed x walk_step_interval"),
+            (["carrier_hz = 1", "spacing = 1e299", "rx_beamforming = quasi_omni", "prediction = none"],
+             "spacing x c / carrier_hz"),
+            (["carrier_hz = 1", "spacing = 5e299", "rx_beamforming = sectors", "prediction = none"],
+             "spacing x c / carrier_hz"),
+            (["carrier_hz = 1e307"], "carrier_hz"),
+        ],
+        ids=["airtime", "airtime_edge", "airtime_overhead", "walk_step", "offsets_quasi_omni", "offsets_sectors",
+             "path_loss"],
+    )
+    def test_a_derived_length_that_overflows_exits_one_naming_its_fields(self, tmp_path, capsys, overrides, named):
+        argv = ["simulate", "--out-dir", str(tmp_path), "--set", "sim_time = 0.05"]
+        with time_limit(20.0):
+            assert cli.main(argv + [a for ov in overrides for a in ("--set", ov)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err and "overflows" in err
+
+    # the largest of each length that runs: an airtime of 1.75e308 s, offsets
+    # of 9.4e307 m, a 5e307 m walk step, and 4 pi d f of 1.7e308 m Hz
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["phy_rate_bps = 3e-303"],
+            ["carrier_hz = 1", "spacing = 1e298", "rx_beamforming = quasi_omni", "prediction = none"],
+            ["walk_speed = 1e308"],
+            ["carrier_hz = 1e306"],
+        ],
+        ids=["airtime", "offsets", "walk_step", "path_loss"],
+    )
+    def test_the_largest_lengths_that_fit_run(self, tmp_path, overrides):
+        argv = ["simulate", "--out-dir", str(tmp_path), "--set", "sim_time = 0.6"]
+        with time_limit(20.0):
+            assert cli.main(argv + [a for ov in overrides for a in ("--set", ov)]) == 0
 
 
 class TestOneMedian:

@@ -22,7 +22,7 @@ from xrsim.geometry import Pose, Quaternion
 
 from angles import direction_angle
 from fields import block_field
-from rotations import direction_at
+from rotations import IDENTITY, compose, direction_at, normalized
 
 AP = (0.0, 0.0, 10.0)
 HERE = np.array([1.0, 0.5, 1.7])
@@ -36,7 +36,7 @@ def make_trajectory(seed, span_lo, span_hi):
     ax2 = rng.normal(size=3)
     ax2 /= np.linalg.norm(ax2)
     ang = math.radians(rng.uniform(span_lo, span_hi))
-    q1 = (Quaternion.from_axis_angle(ax2, ang) * q0).normalized()
+    q1 = normalized(compose(Quaternion.from_axis_angle(ax2, ang), q0))
     return trajectory_from_poses(Pose(0.0, HERE, q0), q1, AP)
 
 
@@ -51,14 +51,14 @@ def column_blocks(blocks):
 class TestTrajectory:
     def test_endpoints_contained(self):
         traj = make_trajectory(3, 10.0, 30.0)
-        p0 = Pose(0.0, HERE, Quaternion.identity())
+        p0 = Pose(0.0, HERE, IDENTITY)
         start = direction_at(traj, 0.0)
         end = direction_at(traj, 1.0)
         assert direction_angle(start, direction_at(traj, 1e-9)) < 1e-6
         assert direction_angle(end, direction_at(traj, 1.0 - 1e-9)) < 1e-6
 
     def test_span_matches_the_rotation(self):
-        q0 = Quaternion.identity()
+        q0 = IDENTITY
         q1 = Quaternion.from_axis_angle((0, 0, 1), math.radians(20.0))
         traj = trajectory_from_poses(Pose(0.0, HERE, q0), q1, AP)
         d0, d1 = direction_at(traj, 0.0), direction_at(traj, 1.0)
@@ -280,7 +280,7 @@ class TestCovrageBeam:
 
     def test_matches_the_planning_pipeline(self):
         g = ArrayGeometry(64, 64)
-        q0 = Quaternion.identity()
+        q0 = IDENTITY
         q1 = Quaternion.from_axis_angle((0, 0, 1), math.radians(12.0))
         now = Pose(0.0, HERE, q0)
         direct = covrage_beam(g, now, q1, AP)
@@ -292,7 +292,7 @@ class TestCovrageBeam:
         # a 150 deg yaw with the AP level with the headset sweeps a 150 deg arc
         g = ArrayGeometry(8, 2)
         ap_ahead = HERE + np.array([5.0, 0.0, 0.0])
-        now = Pose(0.0, HERE, Quaternion.identity())
+        now = Pose(0.0, HERE, IDENTITY)
         q_pred = Quaternion.from_axis_angle((0, 0, 1), math.radians(150.0))
         traj = trajectory_from_poses(now, q_pred, ap_ahead)
         assert column_blocks(plan_with_k(g, traj, chosen_k(g, traj))) == [(0, 1), (1, 2)]
@@ -300,7 +300,7 @@ class TestCovrageBeam:
 
     def test_deterministic(self):
         g = ArrayGeometry(64, 64)
-        now = Pose(0.0, HERE, Quaternion.identity())
+        now = Pose(0.0, HERE, IDENTITY)
         q_pred = Quaternion.from_axis_angle((1, 0, 0), 0.2)
         a = covrage_beam(g, now, q_pred, AP)
         b = covrage_beam(g, now, q_pred, AP)
@@ -327,7 +327,7 @@ def test_phase_digests(shape, yaw_deg, k):
     g = ArrayGeometry(*shape)
     tilt = Quaternion.from_axis_angle((1, 1, 0), 0.1)
     now = Pose(0.0, HERE, tilt)
-    q_pred = (Quaternion.from_axis_angle((0, 0, 1), math.radians(yaw_deg)) * tilt).normalized()
+    q_pred = normalized(compose(Quaternion.from_axis_angle((0, 0, 1), math.radians(yaw_deg)), tilt))
     awv = covrage_beam(g, now, q_pred, HERE + np.array([5.0, 0.0, 0.0]))
     assert len(awv.blocks) == k
     assert hashlib.sha256(awv.phases.tobytes()).hexdigest() == PHASE_DIGESTS[shape, yaw_deg, k]

@@ -18,7 +18,7 @@ from xrsim.config import PREDICTION_MODES
 from xrsim.mobility import TraceSet, load_trace, save_trace, static_trace
 
 from angles import direction_angle, rotation_angle
-from rotations import rotate, slerp
+from rotations import IDENTITY, compose, rotate, slerp
 
 
 def rand_quat(rng):
@@ -39,7 +39,7 @@ def rotation_matrix(axis, angle):
 class TestQuaternion:
     def test_identity_rotates_nothing(self):
         v = np.array([0.3, -1.2, 2.5])
-        assert np.allclose(rotate(Quaternion.identity(), v), v)
+        assert np.allclose(rotate(IDENTITY, v), v)
 
     def test_axis_angle_matches_matrix(self, rng):
         for _ in range(50):
@@ -54,7 +54,7 @@ class TestQuaternion:
         for _ in range(20):
             a1, a2 = rng.normal(size=3), rng.normal(size=3)
             t1, t2 = rng.uniform(-3, 3, 2)
-            q = Quaternion.from_axis_angle(a1, t1) * Quaternion.from_axis_angle(a2, t2)
+            q = compose(Quaternion.from_axis_angle(a1, t1), Quaternion.from_axis_angle(a2, t2))
             m = rotation_matrix(a1, t1) @ rotation_matrix(a2, t2)
             v = rng.normal(size=3)
             assert np.allclose(rotate(q, v), m @ v, atol=1e-12)
@@ -65,7 +65,7 @@ class TestQuaternion:
         assert np.allclose(q.rotate_inverse(rotate(q, v)), v, atol=1e-12)
 
     def test_rotation_angle_to(self):
-        q0 = Quaternion.identity()
+        q0 = IDENTITY
         q1 = Quaternion.from_axis_angle((0, 0, 1), 0.7)
         assert rotation_angle(q0, q1) == pytest.approx(0.7, abs=1e-12)
 
@@ -78,7 +78,7 @@ class TestSlerp:
         assert rotation_angle(slerp(q0, q1, 1.0), q1) == pytest.approx(0.0, abs=1e-6)
 
     def test_midpoint_halves_the_angle(self):
-        q0 = Quaternion.identity()
+        q0 = IDENTITY
         q1 = Quaternion.from_axis_angle((1, 0, 0), 1.0)
         mid = slerp(q0, q1, 0.5)
         assert rotation_angle(q0, mid) == pytest.approx(0.5, abs=1e-12)
@@ -86,7 +86,7 @@ class TestSlerp:
     def test_shortest_path(self):
         # antipodal representation of the same small rotation must not take
         # the long way around
-        q0 = Quaternion.identity()
+        q0 = IDENTITY
         q1 = Quaternion.from_axis_angle((0, 0, 1), 0.2)
         q1n = Quaternion(-q1.w, -q1.x, -q1.y, -q1.z)
         mid = slerp(q0, q1n, 0.5)
@@ -155,7 +155,7 @@ class TestDirection:
 
 class TestPoseFrame:
     def test_overhead_source_is_at_the_zenith(self):
-        pose = Pose(0.0, np.array([0.0, 0.0, 1.7]), Quaternion.identity())
+        pose = Pose(0.0, np.array([0.0, 0.0, 1.7]), IDENTITY)
         d = ap_direction_in_hmd_frame(pose, (0.0, 0.0, 10.0))
         assert math.degrees(math.asin(d[2])) == pytest.approx(90.0)
 
@@ -169,7 +169,7 @@ class TestPoseFrame:
         assert math.degrees(math.asin(d[2])) == pytest.approx(0.0, abs=1e-9)
 
     def test_coincident_positions_rejected(self):
-        pose = Pose(0.0, np.array([1.0, 2.0, 3.0]), Quaternion.identity())
+        pose = Pose(0.0, np.array([1.0, 2.0, 3.0]), IDENTITY)
         with pytest.raises(ValueError):
             ap_direction_in_hmd_frame(pose, (1.0, 2.0, 3.0))
 
@@ -211,11 +211,11 @@ class TestPredictPose:
         q0 = Quaternion.from_axis_angle(rng.normal(size=3), 1.1)
         axis, omega = rng.normal(size=3), 3.0
         t = np.linspace(0.0, 1.0, 101)
-        turns = [q0 * Quaternion.from_axis_angle(axis, omega * ti) for ti in t]
+        turns = [compose(q0, Quaternion.from_axis_angle(axis, omega * ti)) for ti in t]
         trace = TraceSet(t, np.array([(q.w, q.x, q.y, q.z) for q in turns]))
         for horizon in (0.05, 0.4):
             q_pred = predict_pose(self._now(trace, 0.5), horizon, "extrapolation", trace, self.END)
-            expect = q0 * Quaternion.from_axis_angle(axis, omega * (0.5 + horizon))
+            expect = compose(q0, Quaternion.from_axis_angle(axis, omega * (0.5 + horizon)))
             # componentwise, up to the double cover's sign: rotation_angle
             # reads ~3e-8 rad between a quaternion and itself
             got = np.array([q_pred.w, q_pred.x, q_pred.y, q_pred.z])

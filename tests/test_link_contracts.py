@@ -20,6 +20,8 @@ from xrsim.config import load_config
 from xrsim.covrage import covrage_beam
 from xrsim.geometry import Pose, Quaternion, rotate_into_frames
 
+from rotations import compose, normalized
+
 AP_QUAT = np.array([macsim.AP_ORIENTATION.w, macsim.AP_ORIENTATION.x, macsim.AP_ORIENTATION.y,
                     macsim.AP_ORIENTATION.z])
 
@@ -34,7 +36,7 @@ def covrage_composite():
     """A five-block covrage beam on a 64x64 array, its blocks turned by
     nonzero offsets: a tilted headset whose predicted yaw is 7 degrees on."""
     tilt = Quaternion.from_axis_angle((1, 1, 0), 0.1)
-    q_pred = (Quaternion.from_axis_angle((0, 0, 1), math.radians(7.0)) * tilt).normalized()
+    q_pred = normalized(compose(Quaternion.from_axis_angle((0, 0, 1), math.radians(7.0)), tilt))
     here = np.array([1.0, 0.5, 1.7])
     return covrage_beam(ArrayGeometry(64, 64), Pose(0.0, here, tilt), q_pred, here + np.array([5.0, 0.0, 0.0]))
 

@@ -24,7 +24,7 @@ from xrsim.mobility import (
 
 from angles import rotation_angle
 from lookups import lookup_rows
-from rotations import rotate, slerp
+from rotations import IDENTITY, rotate, slerp
 
 
 def step_peak_dps(trace):
@@ -297,9 +297,9 @@ class TestTraceSet:
     def test_static_trace_is_identity_everywhere(self):
         tr = static_trace(3.0)
         for t in (0.0, 0.7, 2.999, 5.2):
-            assert rotation_angle(tr.orientation_at(t), Quaternion.identity()) < 1e-12
+            assert rotation_angle(tr.orientation_at(t), IDENTITY) < 1e-12
         assert tr.has_device
-        assert rotation_angle(tr.device_prediction_nearest(1.0), Quaternion.identity()) < 1e-12
+        assert rotation_angle(tr.device_prediction_nearest(1.0), IDENTITY) < 1e-12
 
     def test_device_missing_raises(self):
         tr = TraceSet([0.0, 1.0], IDENTITY2)
