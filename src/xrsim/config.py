@@ -112,6 +112,10 @@ class ScenarioConfig:
     def ap_position(self) -> tuple[float, float, float]:
         return (0.0, 0.0, self.room_z)
 
+    def mpdu_airtimes(self) -> tuple[float, float]:
+        """Airtimes of a burst's full MPDU and of its tail (:func:`burst_shape`)."""
+        return tuple(bits / self.phy_rate_bps + self.per_mpdu_overhead for bits in burst_shape(self)[1:])
+
     def hmd_shape(self) -> tuple[int, int]:
         """HMD array size; defaults to 64x64 except for the sector-codebook
         mode, which uses the small array it can sweep."""
@@ -187,7 +191,7 @@ class ScenarioConfig:
         # products a run derives, formed as the run forms them: at inf an MPDU
         # never ends, a walk step or an element offset turns into NaN, and
         # the path loss makes every SNR -inf
-        if not math.isfinite(burst_shape(self)[1] / self.phy_rate_bps + self.per_mpdu_overhead):
+        if not math.isfinite(self.mpdu_airtimes()[0]):
             raise ConfigError("full MPDU airtime 8 (mpdu_bytes + header_bytes) / phy_rate_bps + per_mpdu_overhead "
                               "overflows to inf")
         if not math.isfinite(self.walk_speed * self.walk_step_interval):
@@ -230,13 +234,11 @@ class ScenarioConfig:
         if self.bf_location == "dti":
             periodic += 1.0 / self.bf_interval
         rows, cols = self.hmd_shape()
-        # the tail is the shortest MPDU: it is never longer than a full one
-        shortest = burst_shape(self)[2] / self.phy_rate_bps
         return {
             "periodic events sim_time x (frame_rate + 1/bi_duration + 1/bf_interval)":
                 self.sim_time * periodic,
             "MPDU attempts sim_time / shortest airtime (mpdu_bytes, header_bytes, per_mpdu_overhead)":
-                self.sim_time / (shortest + self.per_mpdu_overhead),
+                self.sim_time / self.mpdu_airtimes()[1],  # the tail is never longer than a full MPDU
             "trace samples sim_time x trace_sample_rate": self.sim_time * self.trace_sample_rate,
             "walk steps sim_time / walk_step_interval": self.sim_time / self.walk_step_interval,
             f"link batch phasor entries {LINK_BATCH_CEILING} x (ap_rows + ap_cols + hmd_rows + hmd_cols)":

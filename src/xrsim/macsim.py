@@ -1,14 +1,14 @@
 """Event-driven downlink simulator.
 
-The schedule is one slot per event kind: its pending event, if any, as a
-``(time, rank, sequence)`` entry, else one at time inf, and the loop runs
-the least.  At one instant events run in :data:`EVENT_KINDS` order: beacon
-start, beamforming trigger, burst arrival, ``sim_end``, then the other kinds
-in push order.  Beacons, triggers and bursts are periodic sources: event k
-of one with period P runs at ``k * P`` for k < max(1, ceil(sim_time / P -
-1e-9)).  A beacon or trigger pushes its own successor; the next arrival is
-written, never pushed, wherever frames join the queue, array steps included.
-The medium is busy while a BHI, sweep or MPDU end is pending.  Every
+The schedule is one pending time per event kind, inf if none, plus its
+payload, and the loop runs the first kind in :data:`EVENT_KINDS` order at
+the least time.  So at one instant a beacon start runs first, then a
+beamforming trigger, a burst arrival, ``sim_end``, an MPDU end, a BHI end
+and a sweep end.  Beacons, triggers and bursts are periodic sources: event
+k of one with period P runs at ``k * P`` for k < max(1, ceil(sim_time / P -
+1e-9)), and each writes its own next event, arrivals wherever frames join
+the queue, array steps included.  BHI, sweep and MPDU ends are one-shot
+events.  The medium is busy while one of them is pending.  Every
 stochastic input is drawn before the first event runs: the rotation trace
 and walk from the scenario seed; the quasi-omni pattern is a closed form
 (:mod:`codebook`).  So two runs of the same config replay identically, down
@@ -84,12 +84,9 @@ from .covrage import covrage_beam
 from .geometry import Pose, Quaternion, ap_direction_in_hmd_frame, predict_pose, rotate_into_frames
 from .mobility import TraceSet, generate_rotation_trace, generate_walk, load_trace, pose_at, static_trace
 
-# in the order they run at one instant; the kinds after sim_end share one
-# rank and run in push order
-EVENT_KINDS = ("beacon_start", "bf_trigger", "burst_arrival", "sim_end", "bhi_end", "sls_done", "mpdu_tx_done")
-_RANK = {kind: min(i, EVENT_KINDS.index("sim_end") + 1) for i, kind in enumerate(EVENT_KINDS)}
-# a slot whose kind has no pending event
-_IDLE = {kind: (math.inf, _RANK[kind], 0, kind, None) for kind in EVENT_KINDS}
+# in the order they run at one instant
+EVENT_KINDS = ("beacon_start", "bf_trigger", "burst_arrival", "sim_end", "mpdu_tx_done", "bhi_end", "sls_done")
+_RANK = {kind: i for i, kind in enumerate(EVENT_KINDS)}
 
 # ceiling-mounted array, boresight straight down (+x local -> -z world): a turn about y, (w, 0, s, 0)
 AP_ORIENTATION = Quaternion.from_axis_angle((0.0, 1.0, 0.0), math.pi / 2.0)
@@ -313,9 +310,8 @@ class Simulator:
         self.frames: list[FrameRecord] = []  # indexed by frame id
         self.head = 0  # the queue is frames[head:]
         self.sent = 0  # MPDUs of the head frame delivered
-        self.burst_count, full_bits, tail_bits = burst_shape(config)
-        self._full_airtime = self._airtime(full_bits)
-        self._tail_airtime = self._airtime(tail_bits)
+        self.burst_count = burst_shape(config)[0]
+        self._full_airtime, self._tail_airtime = config.mpdu_airtimes()
 
         self.sls_owed = False
         self._reserved_until = 0.0  # end of the latest BHI or sweep
@@ -331,8 +327,8 @@ class Simulator:
         self.bhi_intervals: list = []
         self.sls_intervals: list = []
 
-        self._slots = dict(_IDLE)
-        self._seq = itertools.count()  # orders same-rank events at one instant
+        self._times = dict.fromkeys(EVENT_KINDS, math.inf)  # kind -> its pending event's time
+        self._payloads = dict.fromkeys(EVENT_KINDS)
         periods = {"beacon_start": config.bi_duration, "burst_arrival": config.burst_interval}
         if config.bf_location == "dti":
             periods["bf_trigger"] = config.bf_interval
@@ -342,26 +338,26 @@ class Simulator:
     # -- event plumbing ---------------------------------------------------
 
     def _push(self, t: float, kind: str, payload=None) -> None:
-        if self._slots[kind][0] != math.inf:
+        """Schedule a one-shot event at t."""
+        if self._times[kind] != math.inf:
             raise RuntimeError("a %s event is already pending" % kind)
-        self._slots[kind] = (t, _RANK[kind], next(self._seq), kind, payload)
+        self._times[kind], self._payloads[kind] = t, payload
 
     def _schedule(self, kind: str, k: int) -> None:
-        """Push the k-th event of a periodic source, if it has one."""
+        """Make the k-th event of a periodic source, at k * period, its
+        pending one, or none pending past its last."""
         period, count = self._sources[kind]
-        if k < count:
-            self._push(k * period, kind, k)
+        self._times[kind], self._payloads[kind] = (k * period if k < count else math.inf), k
 
     def _next_event_time(self) -> float:
         """Time of the next event but an arrival; it bounds a run of MPDUs."""
-        s = self._slots
-        return min(s["beacon_start"][0], s["bf_trigger"][0], s["sim_end"][0],
-                   s["bhi_end"][0], s["sls_done"][0], s["mpdu_tx_done"][0])
+        s = self._times
+        return min(s["beacon_start"], s["bf_trigger"], s["sim_end"], s["bhi_end"], s["sls_done"], s["mpdu_tx_done"])
 
     def _busy(self) -> bool:
         """Whether a BHI, sweep or MPDU holds the medium: its end is pending."""
-        s = self._slots
-        return s["bhi_end"][0] != math.inf or s["sls_done"][0] != math.inf or s["mpdu_tx_done"][0] != math.inf
+        s = self._times
+        return min(s["bhi_end"], s["sls_done"], s["mpdu_tx_done"]) != math.inf
 
     def _log(self, t: float, kind: str, detail: str) -> None:
         if self.collect:
@@ -428,8 +424,8 @@ class Simulator:
         beamforms, or while a sweep is owed, which may start at a BHI's end."""
         cfg = self.cfg
         drop_age, cap, count = cfg.deadline, self._link_cap, self.burst_count
-        horizon = min(self._slots["bf_trigger"][0], cfg.sim_time)
-        tbtt, _, _, _, j = self._slots["beacon_start"]  # j: the index _schedule pushed
+        horizon = min(self._times["bf_trigger"], cfg.sim_time)
+        tbtt, j = self._times["beacon_start"], self._payloads["beacon_start"]  # j: the TBTT's index
         if cfg.bf_location == "abft" or self.sls_owed:
             horizon, tbtt = min(horizon, tbtt), math.inf
         bound = min(horizon, tbtt)  # the one comparison per start
@@ -464,9 +460,6 @@ class Simulator:
                 t = t + airtime
         return starts
 
-    def _airtime(self, size_bits: int) -> float:
-        return size_bits / self.cfg.phy_rate_bps + self.cfg.per_mpdu_overhead
-
     # -- beamforming ------------------------------------------------------
 
     def _apply_beamform(self, t: float) -> str:
@@ -489,23 +482,23 @@ class Simulator:
 
     def _sls_fits(self, t: float) -> bool:
         """Whether a sweep that starts at t ends by the next TBTT."""
-        return t + self.cfg.sls_duration <= self._slots["beacon_start"][0]
+        return t + self.cfg.sls_duration <= self._times["beacon_start"]
 
     def _begin_sls(self, t: float) -> None:
         self.counters["sls_runs"] += 1
         self._push(self._reserve(t, self.cfg.sls_duration, self.sls_intervals), "sls_done")
 
     def _admit(self, t: float) -> None:
-        """Append every frame that has arrived by t to the queue, and write
-        the next arrival into its slot."""
-        if t < self._slots["burst_arrival"][0] < math.inf:
-            return  # that arrival is already in its slot
+        """Append every frame that has arrived by t to the queue, and
+        schedule the next arrival."""
+        if t < self._times["burst_arrival"] < math.inf:
+            return  # that arrival is already scheduled (inf: it is running or none is left)
         period, count = self._sources["burst_arrival"]
         k = len(self.frames)
         while k < count and k * period <= t:  # as _schedule computes it
             self.frames.append(FrameRecord(k, k * period))
             self.counters["frames_total"] = k = k + 1
-        self._slots["burst_arrival"] = (k * period if k < count else math.inf,) + _IDLE["burst_arrival"][1:]
+        self._schedule("burst_arrival", k)
 
     def _next_start(self, t: float, horizon: float) -> Optional[float]:
         """The queue head's start on a free medium at t, once the frames that
@@ -517,7 +510,7 @@ class Simulator:
             self.head, self.sent = self.head + 1, 0
             self.counters["frames_dropped"] += 1
         if self.head == len(frames):
-            t = self._slots["burst_arrival"][0]
+            t = self._times["burst_arrival"]
             if t >= horizon:
                 return None
             self._admit(t)
@@ -608,7 +601,7 @@ class Simulator:
         self._schedule("bf_trigger", index + 1)
         self.sls_owed = True
         # logged before the decision, which may serve MPDUs ending after t
-        postponed = self._slots["bhi_end"][0] != math.inf or not self._sls_fits(t)
+        postponed = self._times["bhi_end"] != math.inf or not self._sls_fits(t)
         waits = "pending" if self._busy() else "start"
         self._log(t, "bf_trigger", "postponed" if postponed else waits)
 
@@ -630,22 +623,20 @@ class Simulator:
         if self.counters["bhi_count"]:
             raise RuntimeError("a Simulator runs once: build a new one for another run")
         for kind in self._sources:
-            if kind != "burst_arrival":
-                self._schedule(kind, 0)
+            self._schedule(kind, 0)
         self._push(self.cfg.sim_time, "sim_end")
-        self._admit(-math.inf)  # admits none: writes frame 0's arrival at t = 0
 
-        slots, last_t = self._slots, 0.0
+        times, last_t = self._times, 0.0
         while True:
-            t, _, _, kind, payload = min(slots.values())
-            slots[kind] = _IDLE[kind]
+            kind = min(times, key=times.__getitem__)  # in EVENT_KINDS order, min takes the first least
+            t, times[kind] = times[kind], math.inf
             if t < last_t:
                 raise RuntimeError("event time ran back from %.9f to %.9f" % (last_t, t))
             last_t = t
             if kind == "sim_end":
                 self._log(t, "sim_end", "")
                 break
-            getattr(self, "_on_" + kind)(t, payload)
+            getattr(self, "_on_" + kind)(t, self._payloads[kind])
             self._try_start_tx(t)
             # work conservation: a nonempty queue never waits on a free medium
             if self.head < len(self.frames) and not self._busy():
@@ -657,10 +648,10 @@ class Simulator:
 
     def _event_log(self) -> tuple[list, list]:
         """The handlers' lines, one per admitted frame and one per attempt ending
-        before sim_time, in (time, rank) order, derived lines first in a tie,
-        and the ``tx_intervals`` rows, from one replay of the retired prefixes
-        on the frame records: at a start the head leaves if its burst is done
-        or by the MAC's drop rule, and its last MPDU takes the tail airtime."""
+        before sim_time, in (time, rank) order, and the ``tx_intervals`` rows,
+        from one replay of the retired prefixes on the frame records: at a
+        start the head leaves if its burst is done or by the MAC's drop rule,
+        and its last MPDU takes the tail airtime."""
         frames, count, full, tail = self.frames, self.burst_count, self._full_airtime, self._tail_airtime
         threshold, deadline, sim_time = self.cfg.snr_threshold_db, self.cfg.deadline, self.cfg.sim_time
         lines = [(f.created, "burst_arrival", "frame=%d mpdus=%d" % (f.frame_id, count)) for f in frames]

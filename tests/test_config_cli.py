@@ -529,6 +529,18 @@ class TestSingleOverrideFuzz:
             rc = cli.main(argv)
         assert rc in (0, 1), argv
 
+    # the draws above reach almost none of the float extremes: every float
+    # field once at the least subnormal and at the largest finite value,
+    # either sign
+    @pytest.mark.parametrize("value", ["5e-324", "-5e-324", "1.7976931348623157e308", "-1.7976931348623157e308"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig) if f.type == "float"])
+    def test_a_float_field_at_an_extreme_exits_zero_or_one(self, tmp_path, name, value):
+        argv = ["simulate", "--out-dir", str(tmp_path), "--set", "%s = %s" % (name, value)]
+        if name != "sim_time":
+            argv += ["--set", "sim_time = 0.05"]
+        with time_limit(20.0):
+            assert cli.main(argv) in (0, 1), argv
+
     # the grating-lobe turn counts pass 2**63 here, which an int64 cast of
     # them could not hold: it warned and flipped signs at random
     @pytest.mark.parametrize("spacing", ["1e300", "1e200"])

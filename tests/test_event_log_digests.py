@@ -94,9 +94,9 @@ def test_event_log_digest(name, run_cached, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_events_run_in_time_and_rank_order(name, run_cached):
-    # an arrival is never pushed, yet keeps its rank: at one instant it
-    # follows a beacon start or a trigger, as every log here has it at least
-    # once (16 times at bf_interval = 0.1), and precedes every other kind
+    # an arrival keeps its rank: at one instant it follows a beacon start or
+    # a trigger, as every log here has it at least once (16 times at
+    # bf_interval = 0.1), and precedes every other kind
     overrides, _ = DIGESTS[name]
     events = run_cached("sim_time = 2.0", *overrides, collect=True).events
     keys = [(t, _RANK[kind]) for t, kind, _ in events]

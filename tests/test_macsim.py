@@ -51,18 +51,18 @@ def mpdu_sizes_bits(config):
 
 def pending(sim, kind):
     """Whether an event of ``kind`` is pending in ``sim``'s schedule."""
-    return sim._slots[kind][0] != math.inf
+    return sim._times[kind] != math.inf
 
 
 def set_slot(sim, kind, t):
     """Make ``kind``'s pending event fall at t, or none pending at inf."""
-    sim._slots[kind] = (t,) + sim._slots[kind][1:]
+    sim._times[kind] = t
 
 
 def set_tbtt(sim, t):
     """Make the pending beacon fall at t, with the index of the grid TBTT
     nearest t as its payload, from which the MAC counts the TBTTs after it."""
-    sim._slots["beacon_start"] = (t,) + sim._slots["beacon_start"][1:4] + (round(t / sim.cfg.bi_duration),)
+    sim._times["beacon_start"], sim._payloads["beacon_start"] = t, round(t / sim.cfg.bi_duration)
 
 
 def frame_airtime(config):
@@ -579,14 +579,13 @@ class TestSchedule:
         assert s1 == pytest.approx(2.75e-3, abs=1e-15)
 
     def test_heap_stays_a_few_entries_long(self, recorded_default_run):
-        # each kind holds at most one pending event, in its slot; pushing
-        # every beacon, trigger and burst up front took 2,397 heap entries.
-        # Arrivals keep their rank without a push: admitting frames writes
-        # the next one into its slot
+        # each kind holds at most one pending event; pushing every beacon,
+        # trigger and burst up front took 2,397 heap entries.  A periodic
+        # source is never pushed: it schedules its own next event
         counters, pushes, peak = recorded_default_run
         assert counters["frames_total"] == 2000
         assert peak <= 7
-        assert pushes["burst_arrival"] == 0
+        assert pushes["beacon_start"] == pushes["bf_trigger"] == pushes["burst_arrival"] == 0
 
     def test_back_to_back_mpdus_skip_the_heap(self, recorded_default_run):
         # only an MPDU that ends at or after the next event is pushed, so
@@ -594,8 +593,9 @@ class TestSchedule:
         # MPDU there were 192,000
         counters, pushes, _ = recorded_default_run
         assert counters["mpdu_attempts"] == 192_000
-        others = ("beacon_start", "bhi_end", "bf_trigger", "sls_done")
-        assert 0 < pushes["mpdu_tx_done"] <= sum(pushes[kind] for kind in others)
+        # beacons and the 200 triggers are scheduled, not pushed
+        others = counters["bhi_count"] + pushes["bhi_end"] + macsim.event_count(20.0, 0.1) + pushes["sls_done"]
+        assert 0 < pushes["mpdu_tx_done"] <= others
 
     @pytest.mark.parametrize(
         "overrides",
@@ -703,25 +703,29 @@ class TestMediumRules:
             sim.run()
 
     def test_a_kind_is_pending_at_most_once(self):
-        # one slot per kind: a second push of a pending kind is a fault
+        # one pending time per kind: a second push of a pending kind is a fault
         sim = macsim.Simulator(load_config(overrides=["sim_time = 0.05", "rotation = static"]))
         sim._push(1e-3, "mpdu_tx_done", True)
         with pytest.raises(RuntimeError, match="mpdu_tx_done"):
             sim._push(2e-3, "mpdu_tx_done", True)
 
-    def test_same_rank_events_at_one_instant_run_in_push_order(self):
-        # no pinned run has two same-rank events at one instant: here an MPDU
-        # end pushed before the run falls where the t = 0 beacon's BHI ends,
-        # and its handler runs first because it was pushed first
+    @pytest.mark.parametrize("mpdu_first", [True, False], ids=["mpdu_pushed_first", "bhi_pushed_first"])
+    def test_an_mpdu_end_runs_before_a_bhi_end_at_one_instant(self, mpdu_first):
+        # no pinned run has an MPDU end where a BHI ends: here one falls
+        # where the t = 0 beacon's BHI ends, pushed before the run or by the
+        # beacon's handler after its BHI end, and runs first either way
         cfg = load_config(overrides=["sim_time = 0.05", "rotation = static"])
         sim, calls = macsim.Simulator(cfg), []
-        for kind in ("mpdu_tx_done", "bhi_end"):
+        for kind in ("mpdu_tx_done", "bhi_end", "beacon_start"):
             def spy(t, payload, kind=kind, handler=getattr(sim, "_on_" + kind)):
                 calls.append((t, kind))
                 handler(t, payload)
+                if kind == "beacon_start" and t == 0.0 and not mpdu_first:
+                    sim._push(cfg.bhi_duration, "mpdu_tx_done", True)
 
             setattr(sim, "_on_" + kind, spy)
-        sim._push(cfg.bhi_duration, "mpdu_tx_done", True)
+        if mpdu_first:
+            sim._push(cfg.bhi_duration, "mpdu_tx_done", True)
         sim.run()
         assert [kind for t, kind in calls if t == cfg.bhi_duration] == ["mpdu_tx_done", "bhi_end"]
 
@@ -1153,7 +1157,7 @@ class TestBatchedLink:
         self.check(sim, [0.3123])
 
     def test_back_to_back_starts(self, sim):
-        airtime = sim._airtime(mpdu_sizes_bits(sim.cfg)[0])
+        airtime = sim._full_airtime
         self.check(sim, [0.3 + k * airtime for k in range(70)])
 
     def test_trace_wrap(self, sim):
@@ -1220,7 +1224,7 @@ class TestBatchedLink:
         sim = self.epoch(["rx_beamforming = quasi_omni", "prediction = none"], 0.3)
         g = sim.link.hmd_geometry
         assert (g.rows, g.cols) == (64, 64)
-        airtime = sim._airtime(mpdu_sizes_bits(sim.cfg)[0])
+        airtime = sim._full_airtime
         ts = np.array(self.back_to_back(0.3, [airtime] * (LINK_BATCH_CEILING - 1)))
         assert len(ts) == 2048
         sim.link.snr_at(ts[:2])
@@ -1234,8 +1238,8 @@ class TestBatchedLink:
 
     @staticmethod
     def open_epoch(sim, frames_seen, head, sent=0, next_tbtt=4 * 0.1024, next_trigger=0.4):
-        """The epoch state that run() keeps: the pending beacon and trigger
-        in their slots, the bursts that have arrived, each at ``k * period``,
+        """The epoch state that run() keeps: the pending beacon and trigger,
+        the bursts that have arrived, each at ``k * period``,
         and the queue, from frame ``head`` of which ``sent`` MPDUs are
         delivered."""
         period = sim.cfg.burst_interval
@@ -1264,7 +1268,7 @@ class TestBatchedLink:
         starts = list(sim._batch_starts)
         # the batch runs on through later bursts, up to the cap
         assert len(starts) == macsim._LINK_BATCH > sim.burst_count
-        assert starts[1] == t0 + sim._airtime(burst_shape(sim.cfg)[1])
+        assert starts[1] == t0 + sim._full_airtime
         assert self.link_snr(sim, starts[1]) == pytest.approx(self.oracle(sim, starts[1]), abs=1e-9)
         # the MAC starts later than predicted: a new batch begins there
         late = starts[2] + 1e-6
@@ -1290,17 +1294,17 @@ class TestBatchedLink:
         assert tail < full
         self.open_epoch(sim, 32, head=30, sent=count - 2, next_tbtt=1.0, next_trigger=1.0)
         t0 = 0.3 + sim.cfg.deadline - 1e-6
-        assert t0 + sim._airtime(full) - 0.3 > sim.cfg.deadline
-        frame_31 = [sim._airtime(full)] * (count - 1) + [sim._airtime(tail)]
-        want = self.back_to_back(t0, [sim._airtime(full)] + frame_31 + [sim._full_airtime] * macsim._LINK_BATCH)
+        assert t0 + sim._full_airtime - 0.3 > sim.cfg.deadline
+        frame_31 = [sim._full_airtime] * (count - 1) + [sim._tail_airtime]
+        want = self.back_to_back(t0, [sim._full_airtime] + frame_31 + [sim._full_airtime] * macsim._LINK_BATCH)
         assert sim._predicted_starts(t0) == want[: macsim._LINK_BATCH]
 
     def test_prediction_resumes_a_partly_sent_frame(self, sim):
         # two MPDUs of frame 30 are left; frame 31 arrives while the last
         # one is on air and starts at its end
-        count, full, tail = burst_shape(sim.cfg)
+        count = burst_shape(sim.cfg)[0]
         self.open_epoch(sim, 31, head=30, sent=count - 2, next_trigger=0.3115)
-        resumed = self.back_to_back(0.30992, [sim._airtime(full), sim._airtime(tail)])
+        resumed = self.back_to_back(0.30992, [sim._full_airtime, sim._tail_airtime])
         assert resumed[-2] < 31 * sim.cfg.burst_interval < resumed[-1]
         want = resumed + self.back_to_back(resumed[-1], [sim._full_airtime] * 50)[1:]
         got = sim._predicted_starts(0.30992)
@@ -1311,10 +1315,10 @@ class TestBatchedLink:
         # frame 30's tail ends before frame 31 arrives: the next start is
         # that arrival, 31 * period, bit for bit as _schedule computes it
         period = sim.cfg.burst_interval
-        count, full, tail = burst_shape(sim.cfg)
+        count = burst_shape(sim.cfg)[0]
         self.open_epoch(sim, 31, head=30, sent=count - 2, next_trigger=0.3105)
-        head = self.back_to_back(0.305, [sim._airtime(full)])
-        assert head[-1] + sim._airtime(tail) < 31 * period
+        head = self.back_to_back(0.305, [sim._full_airtime])
+        assert head[-1] + sim._tail_airtime < 31 * period
         after = self.back_to_back(31 * period, [sim._full_airtime] * 50)
         got = sim._predicted_starts(0.305)
         assert got == head + [t for t in after if t < 0.3105]
@@ -1324,13 +1328,13 @@ class TestBatchedLink:
         # the last attempt failed: frame 29's tail is retried at its own
         # airtime until the frame ages out, then frame 30's first MPDU at
         # the full airtime, up to the cap
-        count, full, tail = burst_shape(sim.cfg)
+        count = burst_shape(sim.cfg)[0]
         drop_age = sim.cfg.deadline
         self.open_epoch(sim, 31, head=29, sent=count - 1, next_tbtt=1.0, next_trigger=1.0)
         sim._last_ok = False
         t0 = 0.29 + drop_age - 5e-4
         want, t = [], t0
-        for arrival, airtime in ((0.29, sim._airtime(tail)), (0.3, sim._airtime(full))):
+        for arrival, airtime in ((0.29, sim._tail_airtime), (0.3, sim._full_airtime)):
             while t - arrival <= drop_age:
                 want.append(t)
                 t = t + airtime
@@ -1339,7 +1343,7 @@ class TestBatchedLink:
         assert sim._predicted_starts(t0) == want[: macsim._LINK_BATCH]
         # after a success each MPDU is predicted at its first attempt
         sim._last_ok = True
-        assert sim._predicted_starts(t0)[:2] == self.back_to_back(t0, [sim._airtime(tail)])
+        assert sim._predicted_starts(t0)[:2] == self.back_to_back(t0, [sim._tail_airtime])
 
     @pytest.mark.parametrize("bound", ["abft_tbtt", "owed_sweep_tbtt", "next_trigger", "sim_time"])
     def test_no_start_at_or_after_the_horizon(self, sim, bound):
