@@ -63,7 +63,7 @@ def _writable(option: str, value: str, *paths: str) -> tuple[str, ...]:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config, args.set or [])
+    cfg = load_config(args.config, args.set)
     base = os.path.join(_out_dir(args), args.label)
     suffixes = ("_frames.csv", "_cdf.csv", "_summary.txt") + (("_events.csv",) if args.events else ())
     paths = _writable("--label", args.label, *(base + suffix for suffix in suffixes))
@@ -119,7 +119,7 @@ def _cmd_sweep(args) -> int:
     else:
         raise ConfigError("sweep needs --preset or at least one --vary axis")
 
-    base_cfg = load_config(args.config, args.set or [])
+    base_cfg = load_config(args.config, args.set)
     keyed = sorted(((",".join("%s=%s" % (k, cell[k]) for k in sorted(cell)), cell) for cell in cells),
                    key=lambda kv: kv[0])
 
@@ -166,7 +166,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_generate_mobility(args) -> int:
-    cfg = load_config(args.config, args.set or [])
+    cfg = load_config(args.config, args.set)
     if cfg.rotation not in ROTATION_MODES:
         raise ConfigError("rotation names the trace file %r: generate-mobility writes the trace of %s"
                           % (cfg.rotation, ", ".join(ROTATION_MODES)))
@@ -183,18 +183,17 @@ def _cmd_generate_mobility(args) -> int:
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="xrsim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    config_flags = argparse.ArgumentParser(add_help=False)
+    config_flags.add_argument("--config", help="key = value config file")
+    config_flags.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config field")
 
-    sim = sub.add_parser("simulate", help="run one scenario")
-    sim.add_argument("--config", help="key = value config file")
-    sim.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config field")
+    sim = sub.add_parser("simulate", parents=[config_flags], help="run one scenario")
     sim.add_argument("--out-dir", help="output directory (default $XRSIM_OUT or .)")
     sim.add_argument("--label", default="run", help="basename for output files")
     sim.add_argument("--events", action="store_true", help="also write the event log CSV")
     sim.set_defaults(func=_cmd_simulate)
 
-    sw = sub.add_parser("sweep", help="run a cartesian parameter sweep")
-    sw.add_argument("--config", help="base config file")
-    sw.add_argument("--set", action="append", metavar="KEY=VALUE", help="base overrides")
+    sw = sub.add_parser("sweep", parents=[config_flags], help="run a cartesian parameter sweep")
     sw.add_argument("--vary", action="append", metavar="KEY=V1,V2", help="sweep axis")
     sw.add_argument("--preset", choices=sorted(PRESETS), help="named experiment matrix: paper-fig4 (data rate by"
                     " beamforming mode) or paper-overhead (beacon interval by beamforming period and location)")
@@ -206,9 +205,7 @@ def _parser() -> argparse.ArgumentParser:
     rep.add_argument("--frames", required=True, help="per-frame CSV path")
     rep.set_defaults(func=_cmd_report)
 
-    gm = sub.add_parser("generate-mobility", help="write the rotation trace a scenario runs on")
-    gm.add_argument("--config", help="key = value config file")
-    gm.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config field")
+    gm = sub.add_parser("generate-mobility", parents=[config_flags], help="write the rotation trace a scenario runs on")
     gm.add_argument("--out", required=True, help="trace CSV path")
     gm.set_defaults(func=_cmd_generate_mobility)
 

@@ -5,14 +5,14 @@ payload, and the loop runs the first kind in :data:`EVENT_KINDS` order at
 the least time.  So at one instant a beacon start runs first, then a
 beamforming trigger, a burst arrival, ``sim_end``, an MPDU end, a BHI end
 and a sweep end.  Beacons, triggers and bursts are periodic sources: event
-k of one with period P runs at ``k * P`` for k < max(1, ceil(sim_time / P -
-1e-9)), and each writes its own next event, arrivals wherever frames join
-the queue, array steps included.  BHI, sweep and MPDU ends are one-shot
-events.  The medium is busy while one of them is pending.  Every
-stochastic input is drawn before the first event runs: the rotation trace
-and walk from the scenario seed; the quasi-omni pattern is a closed form
-(:mod:`codebook`).  So two runs of the same config replay identically, down
-to the bytes of the event log.
+k of one with period P runs at ``k * P`` (:meth:`Simulator._at`) for k <
+max(1, ceil(sim_time / P - 1e-9)), and each writes its own next event,
+arrivals wherever frames join the queue, array steps included.  BHI, sweep
+and MPDU ends are one-shot events.  The medium is busy while one of them
+is pending.  Every stochastic input is drawn before the first event runs:
+the rotation trace and walk from the scenario seed; the quasi-omni pattern
+is a closed form (:mod:`codebook`).  So two runs of the same config replay
+identically, down to the bytes of the event log.
 
 Medium model: drops and completions take the queue head and arrivals
 append, so the MAC queue is ``frames[head:]``, the arrived frames neither
@@ -48,7 +48,9 @@ built only where it is a receive pattern: the headset's in the
 ``quasi_omni`` mode, and as the last entry of the ``sectors`` codebook.  The
 AP transmits on steered sectors alone, so covrage builds none.
 
-Link evaluation runs per beamforming epoch.  Between two updates the AWV
+Link evaluation runs per beamforming epoch.  The MAC owns every time: it
+hands :meth:`Link.beamform` the update's epoch and the coming A-BFT
+updates, and formats the choice into the log.  Between two updates the AWV
 pair is fixed, so an MPDU's SNR is a function of its start time alone.  In
 DTI mode no update comes before the next trigger, and a BHI changes neither
 AWV; only while a sweep is owed, which may start at a BHI's end, does the
@@ -72,7 +74,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -168,7 +170,7 @@ def scenario_trace(cfg: ScenarioConfig) -> TraceSet:
 
 
 def event_count(sim_time: float, period: float) -> int:
-    """The count of a periodic source's events: k * period for k below it."""
+    """How many events a periodic source of this period runs before sim_time."""
     return max(1, int(math.ceil(sim_time / period - 1e-9)))
 
 
@@ -182,14 +184,13 @@ class Link:
     and in the ``sectors`` mode the headset probes every entry of its
     codebook, the steered sectors and then the quasi-omni, toward the AP.
     Each sweep runs in one array pass over a batch of updates, a row per
-    update (:meth:`_sweep_row`): a DTI batch holds one update, as the MAC
-    decides when a sweep ends, and an A-BFT one the next BHI ends, up to
-    :data:`LINK_BATCH_CEILING`, at times no MAC decision moves.  The winner
-    is the lowest sector id within :data:`SWEEP_TIE_DB` of the best gain
-    (:func:`best_sector`): mirror-image sectors about the probed direction
-    tie up to rounding.  A gain shared by every candidate, such as the other
-    end's quasi-omni listener, cannot move the winner, so the sweep leaves
-    it out.
+    update (:meth:`_sweep_row`): the update and the later ones the MAC has
+    fixed, up to :data:`LINK_BATCH_CEILING`.  The link keeps no schedule.
+    The winner is the lowest sector id within :data:`SWEEP_TIE_DB` of the
+    best gain (:func:`best_sector`): mirror-image sectors about the probed
+    direction tie up to rounding.  A gain shared by every candidate, such as
+    the other end's quasi-omni listener, cannot move the winner, so the
+    sweep leaves it out.
 
     A link batch forms each end's direction in y and z, all a gain reads (x
     is NaN): the headset's by :func:`geometry.rotate_into_frames`, the AP's
@@ -227,7 +228,6 @@ class Link:
         self._sector_links: dict = {}
         if cfg.rx_beamforming == "quasi_omni":
             self.hmd_eval = AwvEvaluator(self.hmd_geometry, cached_quasi_omni(self.hmd_geometry))
-            self.hmd_label = "qo"
         self._rows = deque()  # the pending updates' (pose, AP gains, HMD gains) sweep rows
 
     def snr_at(self, ts: np.ndarray) -> np.ndarray:
@@ -251,32 +251,28 @@ class Link:
         d_at_ap = _into_ap_frame(toward).T
         return link_snr_db(self.cfg, self.ap_eval.gains_db(d_at_ap), self.hmd_eval.gains_db(d_at_hmd), distance)
 
-    def beamform(self, t: float) -> str:
-        """Select the AP sector and refresh the HMD side at t; returns a log tag."""
+    def beamform(self, t: float, epoch: float, ahead: Iterable[float]) -> tuple[int, Optional[int]]:
+        """Choose both beams at t, a covrage one predicted over ``epoch`` s;
+        ``ahead`` are the later update times the MAC has fixed.  Returns the
+        AP sector and the headset's codebook id, None outside sectors mode."""
         cfg = self.cfg
-        hmd_pose, ap_gains, hmd_gains = self._sweep_row(t)
+        hmd_pose, ap_gains, hmd_gains = self._sweep_row(t, ahead)
         self.ap_sector, self.ap_eval = self._sweep(self.ap_sweep, ap_gains)
+        hmd_sector = None
         if cfg.rx_beamforming == "covrage":
-            horizon = cfg.bf_interval if cfg.bf_location == "dti" else cfg.bi_duration
-            q_pred = predict_pose(hmd_pose, horizon, cfg.prediction, self.trace, cfg.sim_time)
+            q_pred = predict_pose(hmd_pose, epoch, cfg.prediction, self.trace, cfg.sim_time)
             awv = covrage_beam(self.hmd_geometry, hmd_pose, q_pred, self.ap_position)
             self.hmd_eval = AwvEvaluator(self.hmd_geometry, awv)
-            self.hmd_label = "covrage"
         elif cfg.rx_beamforming == "sectors":
-            best_id, self.hmd_eval = self._sweep(self.hmd_sweep, hmd_gains)
-            self.hmd_label = "sector=%d" % best_id
-        return "sector=%d hmd=%s" % (self.ap_sector, self.hmd_label)
+            hmd_sector, self.hmd_eval = self._sweep(self.hmd_sweep, hmd_gains)
+        return self.ap_sector, hmd_sector
 
-    def _sweep_row(self, t: float) -> tuple:
+    def _sweep_row(self, t: float, ahead: Iterable[float]) -> tuple:
         """The headset pose at the update t and both sweeps' gains: the
         batch's next row if its time is t bit for bit, else the first of a
-        new batch, t and, on the A-BFT path, the BHI ends after it before
-        sim_time; in DTI mode t alone, as the MAC decides when a sweep ends."""
+        new batch of t and the first of the times ``ahead``."""
         if not self._rows or self._rows[0][0].t != t:
-            period, bhi, end = self.cfg.bi_duration, self.cfg.bhi_duration, self.cfg.sim_time
-            ends = (j * period + bhi for j in range(max(0, int((t - bhi) / period)), event_count(end, period)))
-            more = LINK_BATCH_CEILING - 1 if self.cfg.bf_location == "abft" else 0
-            times = [t, *itertools.islice((e for e in ends if t < e < end), more)]
+            times = [t, *itertools.islice(ahead, LINK_BATCH_CEILING - 1)]
             poses = [pose_at(self.trace, self.walk, s, self.cfg.hmd_height) for s in times]
             # initiator sweep: every AP sector probed toward the headset
             ap = self.ap_sweep.gains_db(np.array([ap_direction_in_hmd_frame(self.ap_pose, p.position) for p in poses]))
@@ -343,11 +339,14 @@ class Simulator:
             raise RuntimeError("a %s event is already pending" % kind)
         self._times[kind], self._payloads[kind] = t, payload
 
-    def _schedule(self, kind: str, k: int) -> None:
-        """Make the k-th event of a periodic source, at k * period, its
-        pending one, or none pending past its last."""
+    def _at(self, kind: str, k: int) -> float:
+        """The time of the k-th event of a periodic source, inf past its last."""
         period, count = self._sources[kind]
-        self._times[kind], self._payloads[kind] = (k * period if k < count else math.inf), k
+        return k * period if k < count else math.inf
+
+    def _schedule(self, kind: str, k: int) -> None:
+        """Make the k-th event of a periodic source its pending one."""
+        self._times[kind], self._payloads[kind] = self._at(kind, k), k
 
     def _next_event_time(self) -> float:
         """Time of the next event but an arrival; it bounds a run of MPDUs."""
@@ -430,11 +429,9 @@ class Simulator:
             horizon, tbtt = min(horizon, tbtt), math.inf
         bound = min(horizon, tbtt)  # the one comparison per start
         full, tail = self._full_airtime, self._tail_airtime
-        period, n_bursts = self._sources["burst_arrival"]
-        bi, n_beacons = self._sources["beacon_start"]
         starts = []
-        for k in range(self.head, n_bursts):
-            arrival = k * period  # as _schedule computes it, bit for bit
+        for k in range(self.head, self._sources["burst_arrival"][1]):
+            arrival = self._at("burst_arrival", k)
             sent = self.sent if k == self.head else 0
             t = max(t, arrival)  # an idle medium waits for the arrival
             if self._last_ok:
@@ -444,11 +441,10 @@ class Simulator:
             for airtime in airtimes:
                 if starts and t >= bound:
                     while tbtt <= t < horizon:
-                        # the BHI ends as _reserve computes it; the next TBTT
-                        # is taken as _schedule computes it
+                        # the BHI ends as _reserve computes it
                         t = max(t, tbtt + cfg.bhi_duration)
                         j += 1
-                        tbtt = j * bi if j < n_beacons else math.inf
+                        tbtt = self._at("beacon_start", j)
                     if t >= horizon:
                         return starts
                     bound = min(horizon, tbtt)
@@ -463,11 +459,20 @@ class Simulator:
     # -- beamforming ------------------------------------------------------
 
     def _apply_beamform(self, t: float) -> str:
-        """Beamform the link at t, which begins a new link epoch; returns a log tag."""
-        tag = self.link.beamform(t)
+        """Beamform the link at t, which begins a new link epoch; returns its
+        log tag.  A DTI beam serves up to the next trigger, an A-BFT one a
+        beacon interval, and the BHI ends after t before sim_time come next."""
+        cfg = self.cfg
+        epoch, ahead = cfg.bf_interval, ()
+        if cfg.bf_location == "abft":
+            first = event_count(t, cfg.bi_duration) - 1  # a beacon at or before t: no later end is missed
+            ends = (self._at("beacon_start", j) + cfg.bhi_duration for j in itertools.count(first))
+            epoch, ahead = cfg.bi_duration, itertools.takewhile(lambda e: e < cfg.sim_time, (e for e in ends if e > t))
+        ap_sector, hmd_sector = self.link.beamform(t, epoch, ahead)
         self._new_link_epoch()
         self.counters["bf_updates"] += 1
-        return tag
+        hmd = {"covrage": "covrage", "quasi_omni": "qo"}.get(cfg.rx_beamforming) or "sector=%d" % hmd_sector
+        return "sector=%d hmd=%s" % (ap_sector, hmd)
 
     # -- medium -----------------------------------------------------------
 
@@ -493,10 +498,9 @@ class Simulator:
         schedule the next arrival."""
         if t < self._times["burst_arrival"] < math.inf:
             return  # that arrival is already scheduled (inf: it is running or none is left)
-        period, count = self._sources["burst_arrival"]
         k = len(self.frames)
-        while k < count and k * period <= t:  # as _schedule computes it
-            self.frames.append(FrameRecord(k, k * period))
+        while (arrival := self._at("burst_arrival", k)) <= t:
+            self.frames.append(FrameRecord(k, arrival))
             self.counters["frames_total"] = k = k + 1
         self._schedule("burst_arrival", k)
 

@@ -296,7 +296,7 @@ class TestHeadsetSweep:
 
     def test_the_quasi_omni_wins_on_the_oracles_gains_too(self):
         # the 16x16 epoch of TestBatchedLink.test_sectors_quasi_omni_winner
-        sim = TestBatchedLink.epoch(["rx_beamforming = sectors", "hmd_rows = 16", "hmd_cols = 16"], 0.1)
+        sim, _ = TestBatchedLink.epoch(["rx_beamforming = sectors", "hmd_rows = 16", "hmd_cols = 16"], 0.1)
         link = sim.link
         d = ap_direction_in_hmd_frame(pose_at(link.trace, link.walk, 0.1, link.cfg.hmd_height), link.ap_position)
         gains = oracle_gains(link.hmd_geometry, link.hmd_sweep.awv, d)
@@ -311,8 +311,8 @@ class TestSweepRows:
     """Every update takes its row of a sweep batch, each sweep one
     ``gains_db`` over the batch's directions (``Link._sweep_row``).  On
     the A-BFT path every BHI end beamforms, at times no MAC decision moves,
-    so a batch holds the coming BHI ends; a DTI batch holds its one update,
-    as the MAC decides when a sweep ends."""
+    so the MAC hands the link the coming BHI ends and a batch holds them; a
+    DTI batch holds its one update, as the MAC decides when a sweep ends."""
 
     @staticmethod
     def lone_sweeps(link, t):
@@ -332,23 +332,24 @@ class TestSweepRows:
 
     @staticmethod
     def record(monkeypatch):
-        """Record each update's time, log tag and the row it took, whether
-        it built a new batch, and the rows left in the batch after it."""
+        """Record each update's time, the sector ids it chose and the row
+        it took, whether it built a new batch, and the rows left in the
+        batch after it."""
         updates, beamform, sweep_row = [], macsim.Link.beamform, macsim.Link._sweep_row
 
-        def taking(self, t):
+        def taking(self, t, ahead):
             held = self._rows
-            row = sweep_row(self, t)
+            row = sweep_row(self, t, ahead)
             updates.append([t, None, row, self._rows is not held, len(self._rows)])
             return row
 
-        def tagging(self, t):
-            tag = beamform(self, t)
-            updates[-1][1] = tag
-            return tag
+        def choosing(self, t, epoch, ahead):
+            choice = beamform(self, t, epoch, ahead)
+            updates[-1][1] = choice
+            return choice
 
         monkeypatch.setattr(macsim.Link, "_sweep_row", taking)
-        monkeypatch.setattr(macsim.Link, "beamform", tagging)
+        monkeypatch.setattr(macsim.Link, "beamform", choosing)
         return updates
 
     @staticmethod
@@ -357,15 +358,14 @@ class TestSweepRows:
         return [row[0].t for row in link._rows]
 
     def check(self, link, update):
-        t, tag, row, *_ = update
+        t, choice, row, *_ = update
         pose, ap, hmd = self.lone_sweeps(link, t)
         assert row[0].t == t and row[0].position.tobytes() == pose.position.tobytes()
         assert row[0].orientation == pose.orientation
         assert row[1].tobytes() == ap.tobytes(), t
         assert (row[2] is None) == (hmd is None) and (hmd is None or row[2].tobytes() == hmd.tobytes()), t
-        assert tag.startswith("sector=%d hmd=" % best_sector(ap))
-        if hmd is not None:
-            assert tag.endswith("hmd=sector=%d" % best_sector(hmd))
+        assert choice[0] == best_sector(ap)
+        assert choice[1] == (None if hmd is None else best_sector(hmd))
 
     @pytest.mark.parametrize("overrides", [
         pytest.param(("sim_time = 8.0", "seed = 1") + ABFT_SECTORS, id="sectors_abft"),
@@ -404,23 +404,33 @@ class TestSweepRows:
         for update in updates:
             self.check(sim.link, update)
 
-    def test_an_off_grid_update_evaluates_alone(self, monkeypatch):
+    @pytest.mark.parametrize("bhi", [(), ("bhi_duration = 1e-12",)], ids=["abft", "tiny_bhi"])
+    def test_an_off_grid_update_evaluates_alone(self, monkeypatch, bhi):
         updates = self.record(monkeypatch)
-        link = macsim.Link(load_config(overrides=["sim_time = 1.0", *ABFT_SECTORS]))
-        ends = self.bhi_ends(link.cfg)
-        link.beamform(ends[0])
+        cfg = load_config(overrides=["sim_time = 1.0", *ABFT_SECTORS, *bhi])
+        ends = self.bhi_ends(cfg)
+        # a fresh simulator's update at the fourth BHI end batches each later
+        # one once and never t itself, also where t / bi_duration rounds to
+        # the BHI's own beacon index
+        fresh = macsim.Simulator(cfg)
+        fresh._apply_beamform(ends[3])
+        assert updates.pop()[2][0].t == ends[3] and self.pending(fresh.link) == ends[4:]
+        sim = macsim.Simulator(cfg)
+        link = sim.link
+        sim._apply_beamform(ends[0])
         assert self.pending(link) == ends[1:]
         # 0.3 is no BHI end: it takes no row of the held batch but evaluates
         # from its own time, and the next BHI end takes the row after it
-        link.beamform(0.3)
+        sim._apply_beamform(0.3)
         assert self.pending(link) == [t for t in ends if t > 0.3]
-        link.beamform(ends[3])
+        sim._apply_beamform(ends[3])
         assert len(updates) == 3 and updates[2][2][0].t == ends[3] and self.pending(link) == ends[4:]
-        # a replaced config moves the grid: the update it moves evaluates from its time
-        link.cfg = dataclasses.replace(link.cfg, bhi_duration=link.cfg.bhi_duration / 2.0)
-        t = 4 * link.cfg.bi_duration + link.cfg.bhi_duration
-        link.beamform(t)
-        assert self.pending(link) == self.bhi_ends(link.cfg)[5:]
+        # a replaced config moves the grid the MAC hands the link: the update
+        # it moves evaluates from its time
+        sim.cfg = dataclasses.replace(sim.cfg, bhi_duration=sim.cfg.bhi_duration / 2.0)
+        t = 4 * sim.cfg.bi_duration + sim.cfg.bhi_duration
+        sim._apply_beamform(t)
+        assert self.pending(link) == self.bhi_ends(sim.cfg)[5:]
         assert [built for *_, built, _ in updates] == [True, True, False, True]
         for update in updates:
             self.check(link, update)
@@ -428,11 +438,11 @@ class TestSweepRows:
     def test_no_batch_holds_more_than_the_ceiling(self, monkeypatch):
         # 215 s of beacons: 2,100 BHI ends, more than one batch holds
         updates = self.record(monkeypatch)
-        link = macsim.Link(load_config(overrides=["sim_time = 215.0", "rotation = static", *ABFT_SECTORS]))
-        ends = self.bhi_ends(link.cfg)
+        sim = macsim.Simulator(load_config(overrides=["sim_time = 215.0", "rotation = static", *ABFT_SECTORS]))
+        link, ends = sim.link, self.bhi_ends(sim.cfg)
         assert len(ends) > LINK_BATCH_CEILING
         for t in ends:
-            link.beamform(t)
+            sim._apply_beamform(t)
         full, rest = LINK_BATCH_CEILING, len(ends) - LINK_BATCH_CEILING
         assert [i for i, (*_, built, _) in enumerate(updates) if built] == [0, full]
         assert [left for *_, left in updates] == [*range(full - 1, -1, -1), *range(rest - 1, -1, -1)]
@@ -442,34 +452,64 @@ class TestSweepRows:
 
 class TestTheLinkApart:
     """The MAC reads the link through ``snr_at`` and ``beamform`` alone, and a
-    link needs only the config."""
+    link needs only the config: the MAC hands it every time it reads."""
 
-    def test_the_mac_runs_on_a_link_of_the_two_calls(self):
+    @pytest.mark.parametrize("location", ["dti", "abft"])
+    def test_the_mac_runs_on_a_link_of_the_two_calls(self, location):
         # outcomes flip every 100 us, so attempts succeed and fail
-        cfg = load_config(overrides=["sim_time = 0.3", "rotation = static"])
+        cfg = load_config(overrides=["sim_time = 0.3", "rotation = static", "bf_location = %s" % location])
         updates = []
 
         def snr(ts):
             return np.where(np.floor(ts / 1e-4) % 2 == 0, 100.0, -100.0)
 
+        def beamform(t, epoch, ahead):
+            updates.append((t, epoch, list(ahead)))
+            return 0, None
+
         real = macsim.Simulator(cfg, collect_events=True)
         real.link.snr_at = snr
         stub = macsim.Simulator(cfg, collect_events=True)
-        stub.link = types.SimpleNamespace(snr_at=snr, beamform=lambda t: updates.append(t) or "stub")
+        stub.link = types.SimpleNamespace(snr_at=snr, beamform=beamform)
         want, got = real.run(), stub.run()
         assert got.counters == want.counters and got.counters["bf_updates"] == len(updates) == 3
         assert 0 < got.counters["mpdu_failures"] < got.counters["mpdu_attempts"]
         assert got.counters["frames_delivered"] > 0
         assert got.frames == want.frames and got.tx_intervals == want.tx_intervals
-        assert updates == [end for _, end in want.sls_intervals]
+        if location == "dti":
+            # a DTI beam serves up to the next trigger, and no update is fixed ahead
+            assert updates == [(end, cfg.bf_interval, []) for _, end in want.sls_intervals]
+        else:
+            # an A-BFT beam serves a beacon interval, and every later BHI end is an update to come
+            ends = [end for _, end in want.bhi_intervals if end < cfg.sim_time]
+            assert updates == [(t, cfg.bi_duration, ends[i + 1:]) for i, t in enumerate(ends)]
 
     @pytest.mark.parametrize("overrides", [(), ABFT_SECTORS, ("rx_beamforming = quasi_omni", "prediction = none")])
     def test_a_link_built_alone_is_a_simulators_link(self, overrides):
         cfg = load_config(overrides=["sim_time = 1.0", *overrides])
         alone, sim = macsim.Link(cfg), macsim.Simulator(cfg)
         ts = 0.3 + np.arange(70) * 1.3e-4
-        assert alone.beamform(0.3) == sim.link.beamform(0.3)
+        assert alone.beamform(0.3, 0.1, [0.5]) == sim.link.beamform(0.3, 0.1, [0.5])
         assert alone.snr_at(ts).tobytes() == sim.link.snr_at(ts).tobytes()
+
+    @pytest.mark.parametrize("mode", ["covrage", "sectors", "quasi_omni"])
+    def test_the_link_reads_no_beacon_or_beamforming_schedule(self, mode):
+        # the epoch and the coming update times are the MAC's to hand over:
+        # two links whose configs differ only in the schedule choose alike
+        prediction = "oracle" if mode == "covrage" else "none"  # an oracle beam reads its epoch
+        base = ["sim_time = 1.0", "rx_beamforming = %s" % mode, "prediction = %s" % prediction]
+        other = ["bf_location = abft", "bf_interval = 0.5", "bi_duration = 1.024", "bhi_duration = 0.004"]
+        fields = [dataclasses.asdict(load_config(overrides=o)) for o in (base, base + other)]
+        assert {k for k in fields[0] if fields[0][k] != fields[1][k]} == {
+            "bf_location", "bf_interval", "bi_duration", "bhi_duration"}
+        links = [macsim.Link(load_config(overrides=o)) for o in (base, base + other)]
+        ts = 0.3 + np.arange(70) * 1.3e-4
+        # a batch of three, its held row taken, an update off the rows that
+        # drops them, and a new batch
+        for t, epoch, ahead in [(0.1, 0.1, [0.25, 0.4]), (0.25, 0.1, []), (0.3, 0.5, ()), (0.4, 0.1, [0.9])]:
+            choices = [link.beamform(t, epoch, iter(ahead)) for link in links]
+            assert choices[0] == choices[1], t
+            assert links[0].snr_at(ts).tobytes() == links[1].snr_at(ts).tobytes(), t
 
 
 def test_each_sector_link_is_built_once_and_reused(monkeypatch):
@@ -486,10 +526,10 @@ def test_each_sector_link_is_built_once_and_reused(monkeypatch):
         built.append(geometry)
         init(self, geometry, awv)
 
-    def recording(self, t):
-        tag = beamform(self, t)
+    def recording(self, t, epoch, ahead):
+        choice = beamform(self, t, epoch, ahead)
         links.append((self.ap_sector, self.ap_eval))
-        return tag
+        return choice
 
     monkeypatch.setattr(AwvEvaluator, "__init__", counting)
     monkeypatch.setattr(macsim.Link, "beamform", recording)
@@ -578,16 +618,16 @@ class TestSchedule:
         assert s0 == pytest.approx(2e-3, abs=1e-15)
         assert s1 == pytest.approx(2.75e-3, abs=1e-15)
 
-    def test_heap_stays_a_few_entries_long(self, recorded_default_run):
+    def test_each_kind_holds_one_pending_event(self, recorded_default_run):
         # each kind holds at most one pending event; pushing every beacon,
-        # trigger and burst up front took 2,397 heap entries.  A periodic
+        # trigger and burst up front took 2,397 pending events.  A periodic
         # source is never pushed: it schedules its own next event
         counters, pushes, peak = recorded_default_run
         assert counters["frames_total"] == 2000
         assert peak <= 7
         assert pushes["beacon_start"] == pushes["bf_trigger"] == pushes["burst_arrival"] == 0
 
-    def test_back_to_back_mpdus_skip_the_heap(self, recorded_default_run):
+    def test_back_to_back_mpdus_are_not_pushed(self, recorded_default_run):
         # only an MPDU that ends at or after the next event is pushed, so
         # each such event accounts for at most one push; with one event per
         # MPDU there were 192,000
@@ -786,7 +826,7 @@ class TestRunService:
         sim_time=st.floats(0.01, 0.3),
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_matches_one_mpdu_per_heap_event(
+    def test_matches_one_mpdu_per_event(
         self, data_rate, deadline, per_mpdu_overhead, bf_location, rx_beamforming, tx_power_dbm, sim_time
     ):
         cfg = load_config(
@@ -820,7 +860,7 @@ class TestRunService:
             first = sim.counters["mpdu_attempts"]
             start = step(t, horizon)
             if start is None:
-                reason = "heap_event" if pending(sim, "mpdu_tx_done") else "drained"
+                reason = "pushed_event" if pending(sim, "mpdu_tx_done") else "drained"
             elif sim._batch_next < len(sim._batch_starts):
                 reason = "start_mismatch"
             else:
@@ -855,7 +895,7 @@ class TestRunService:
         [
             # 8 Gbps: a burst outlasts the burst interval, so an MPDU is on
             # air at each trigger and beacon
-            ("heap_event", ["data_rate = 8e9"], lambda ts: np.full(len(ts), 100.0)),
+            ("pushed_event", ["data_rate = 8e9"], lambda ts: np.full(len(ts), 100.0)),
             # and the next frame waits queued while one completes
             ("completion", ["data_rate = 8e9"], lambda ts: np.full(len(ts), 100.0)),
             # every attempt fails; a frame ages out 15 ms after its arrival,
@@ -1170,9 +1210,9 @@ class TestBatchedLink:
 
     @staticmethod
     def epoch(overrides, t):
+        """A simulator beamformed at t, and the update's log tag."""
         sim = macsim.Simulator(load_config(overrides=["sim_time = 1.0"] + overrides))
-        sim._apply_beamform(t)
-        return sim
+        return sim, sim._apply_beamform(t)
 
     @staticmethod
     def path(ev):
@@ -1190,30 +1230,30 @@ class TestBatchedLink:
         self.check(sim, [0.3 + 0.0137 * k for k in range(50)])
 
     def test_multi_block_covrage_epoch(self):
-        sim = self.epoch(["prediction = oracle", "bf_interval = 1.0"], 0.0)
-        assert sim.link.hmd_label == "covrage" and len(sim.link.hmd_eval.awv.blocks) >= 2
+        sim, tag = self.epoch(["prediction = oracle", "bf_interval = 1.0"], 0.0)
+        assert tag.endswith(" hmd=covrage") and len(sim.link.hmd_eval.awv.blocks) >= 2
         self.check_epoch(sim, "complex")
 
     def test_one_block_covrage_epoch(self):
-        sim = self.epoch(["prediction = none"], 0.3)
-        assert sim.link.hmd_label == "covrage" and len(sim.link.hmd_eval.awv.blocks) == 1
+        sim, tag = self.epoch(["prediction = none"], 0.3)
+        assert tag.endswith(" hmd=covrage") and len(sim.link.hmd_eval.awv.blocks) == 1
         self.check_epoch(sim, "real")
 
     def test_sectors_directional_winner(self):
-        sim = self.epoch(["rx_beamforming = sectors"], 0.5)
-        assert sim.link.hmd_label == "sector=33"
+        sim, tag = self.epoch(["rx_beamforming = sectors"], 0.5)
+        assert tag.endswith(" hmd=sector=33")
         self.check_epoch(sim, "real")
 
     def test_sectors_quasi_omni_winner(self):
         # the 8x8 chirp wins no sweep of the default runs; at 16x16 it beats
         # every sector by 0.34 dB here, in the narrow beams' gaps
-        sim = self.epoch(["rx_beamforming = sectors", "hmd_rows = 16", "hmd_cols = 16"], 0.1)
-        assert sim.link.hmd_label == "sector=36" and sim.link.hmd_eval.awv.factors is not None
+        sim, tag = self.epoch(["rx_beamforming = sectors", "hmd_rows = 16", "hmd_cols = 16"], 0.1)
+        assert tag.endswith(" hmd=sector=36") and sim.link.hmd_eval.awv.factors is not None
         self.check_epoch(sim, "factored")
 
     def test_quasi_omni_mode(self):
-        sim = self.epoch(["rx_beamforming = quasi_omni", "prediction = none"], 0.3)
-        assert sim.link.hmd_label == "qo"
+        sim, tag = self.epoch(["rx_beamforming = quasi_omni", "prediction = none"], 0.3)
+        assert tag.endswith(" hmd=qo")
         self.check_epoch(sim, "factored")
 
     def test_a_quasi_omni_batch_holds_one_pair_of_phasor_tables(self):
@@ -1221,7 +1261,7 @@ class TestBatchedLink:
         # the row or the column phasor table, 2.54 MB measured (0.61 of the
         # bound), where the lattice product's was 8.79 MB.  This is what kept
         # the loop's minor faults at about 1,850, down from about 236,000
-        sim = self.epoch(["rx_beamforming = quasi_omni", "prediction = none"], 0.3)
+        sim, _ = self.epoch(["rx_beamforming = quasi_omni", "prediction = none"], 0.3)
         g = sim.link.hmd_geometry
         assert (g.rows, g.cols) == (64, 64)
         airtime = sim._full_airtime

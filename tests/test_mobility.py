@@ -482,13 +482,13 @@ class TestSegmentTable:
     def test_set_up_builds_no_table_and_the_first_link_batch_builds_it_once(self, monkeypatch):
         link = macsim.Link(load_config(overrides=["sim_time = 0.3"]))
         assert link.trace._segments is None
-        link.beamform(0.0)  # at a sample the lookup needs no table
+        link.beamform(0.0, link.cfg.bf_interval, ())  # at a sample the lookup needs no table
         assert link.trace._segments is None
         link.snr_at(np.array([0.0101, 0.0203]))
         table = link.trace._segments
         assert table is not None
         link.snr_at(np.array([0.0305, 0.2]))
-        link.beamform(0.1234)
+        link.beamform(0.1234, link.cfg.bf_interval, ())
         assert link.trace._segments is table
 
         # and through a whole run: every batch reads the one table
